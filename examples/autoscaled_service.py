@@ -5,11 +5,10 @@ Two acts:
 
 1. **Zero-pause migration** — a local :class:`ShardedService` grows 2 → 4
    while fresh flushes for the *moving* jobs are submitted inside the
-   migration window.  With double-routing (the default) each frame is
-   ingested immediately by its old owner and a twin is staged at the new
-   owner for deduplicated replay, so the submit pause is one route call;
-   with ``double_route=False`` the frames sit parked until the handover
-   replays them.  The example prints both pause distributions.
+   migration window.  Each frame is double-routed: ingested immediately by
+   its old owner, with a twin staged at the new owner for deduplicated
+   replay, so the submit pause is one route call.  The example prints the
+   pause distribution.
 
 2. **Autoscaling** — ``api.serve(autoscale=AutoscaleConfig(...))`` fronts a
    1-shard service with a supervision thread that watches sessions/shard,
@@ -30,7 +29,6 @@ import time
 import urllib.request
 
 from repro import api
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.service import (
     AutoscaleConfig,
@@ -39,6 +37,7 @@ from repro.service import (
     SessionConfig,
     ShardedService,
 )
+from repro.workloads import synthetic_flush_streams
 
 SERVICE_CONFIG = ServiceConfig(
     session=SessionConfig(
@@ -60,46 +59,35 @@ def migration_pause_demo() -> None:
     ]
     print(f"16 warm jobs on 2 shards; growing to 4 moves {len(moving)} of them.\n")
 
-    def measure(double_route: bool) -> list[float]:
-        service = ShardedService(2, SERVICE_CONFIG)
-        pauses: list[float] = []
-        submit_at: dict[str, float] = {}
+    service = ShardedService(2, SERVICE_CONFIG)
+    pauses: list[float] = []
 
-        def on_phase(phase: str) -> None:
-            if phase != "parked":
-                return
-            for job in moving:
-                started = time.perf_counter()
-                service.ingest_flush(job, streams[job][1])
-                if double_route:
-                    pauses.append(time.perf_counter() - started)
-                else:
-                    submit_at[job] = started
+    def on_phase(phase: str) -> None:
+        if phase != "parked":
+            return
+        for job in moving:
+            started = time.perf_counter()
+            service.ingest_flush(job, streams[job][1])
+            pauses.append(time.perf_counter() - started)
 
-        try:
-            for job, flushes in streams.items():
-                service.ingest_flush(job, flushes[0])
-            service.pump()
-            service.reshard(4, on_phase=on_phase, double_route=double_route)
-            ended = time.perf_counter()
-            if not double_route:
-                pauses.extend(ended - started for started in submit_at.values())
-            service.pump()
-            service.drain()
-            if double_route:
-                routed = service.stats()["double_routed_frames"]
-                print(f"  double-routed frames counted by the router: {routed}")
-        finally:
-            service.close()
-        return pauses
+    try:
+        for job, flushes in streams.items():
+            service.ingest_flush(job, flushes[0])
+        service.pump()
+        service.reshard(4, on_phase=on_phase)
+        service.pump()
+        service.drain()
+        routed = service.stats()["double_routed_frames"]
+        print(f"  double-routed frames counted by the router: {routed}")
+    finally:
+        service.close()
 
-    for label, double_route in (("double-routed", True), ("parked (baseline)", False)):
-        pauses = sorted(measure(double_route))
-        p50 = pauses[len(pauses) // 2]
-        print(
-            f"  {label:18} pause for a mid-migration submit: "
-            f"p50 {p50 * 1e3:7.3f} ms, worst {pauses[-1] * 1e3:7.3f} ms"
-        )
+    pauses.sort()
+    p50 = pauses[len(pauses) // 2]
+    print(
+        f"  pause for a mid-migration submit: "
+        f"p50 {p50 * 1e3:7.3f} ms, worst {pauses[-1] * 1e3:7.3f} ms"
+    )
     print()
 
 

@@ -1,13 +1,5 @@
-"""Evaluation harness: detection error, parameter sweeps, text reports, perf timing."""
+"""Evaluation harness: detection error, parameter sweeps, text reports."""
 
-from repro.analysis.benchmark import (
-    TimingResult,
-    run_perf_suite,
-    run_service_benchmark,
-    synthetic_flush_streams,
-    time_callable,
-    write_report,
-)
 from repro.analysis.error import DetectionOutcome, detection_error, evaluate_trace
 from repro.analysis.report import (
     format_boxplot,
@@ -23,12 +15,6 @@ from repro.analysis.sweep import (
 )
 
 __all__ = [
-    "TimingResult",
-    "run_perf_suite",
-    "run_service_benchmark",
-    "synthetic_flush_streams",
-    "time_callable",
-    "write_report",
     "DetectionOutcome",
     "detection_error",
     "evaluate_trace",

@@ -298,8 +298,8 @@ def serve(
     it is mutable at runtime, locally via
     :meth:`~repro.service.gateway.ThreadedGateway.resize` or from any
     connected client via :meth:`~repro.client.ServiceClient.resize` — a
-    live, minimal-movement reshard (sessions migrate over the protocol-v2
-    chunked snapshot transfer; in-flight frames are parked and replayed).
+    live, minimal-movement reshard (sessions migrate over the chunked
+    snapshot transfer; in-flight frames are double-routed, never paused).
 
     Use as a context manager::
 

@@ -75,10 +75,6 @@ class ServiceClient:
         Socket timeout in seconds for connecting and for every reply.
     name:
         Client name reported in the handshake (diagnostics).
-    versions:
-        Protocol versions to offer in the handshake (defaults to everything
-        this implementation speaks; pass ``(1,)`` to talk to — or test
-        against — a v1-only server).
     reconnect:
         Transparently reconnect and retry idempotent calls after a dropped
         connection (one retry per call).  ``False`` makes every drop raise
@@ -96,7 +92,6 @@ class ServiceClient:
         token: int | None = None,
         timeout: float = 30.0,
         name: str = "repro-client",
-        versions: Sequence[int] | None = None,
         reconnect: bool = True,
     ) -> None:
         self._host = host
@@ -104,10 +99,6 @@ class ServiceClient:
         self._token = token
         self._timeout = float(timeout)
         self._name = name
-        self._versions: tuple[int, ...] = (
-            tuple(int(v) for v in versions) if versions is not None
-            else proto.SUPPORTED_VERSIONS
-        )
         self._reconnect_enabled = bool(reconnect)
         self._decoder = proto.MessageDecoder()
         self._events: deque[PredictionUpdate] = deque()
@@ -136,9 +127,7 @@ class ServiceClient:
         sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
         decoder = proto.MessageDecoder()
         try:
-            hello = proto.Hello(
-                versions=self._versions, token=self._token, client=self._name
-            )
+            hello = proto.Hello(token=self._token, client=self._name)
             sock.sendall(proto.encode_message(hello))
             reply = self._handshake_reply(sock, decoder)
         except BaseException:
@@ -319,18 +308,13 @@ class ServiceClient:
         return self._rpc(proto.Stats(), proto.StatsReply).stats
 
     def resize(self, n_shards: int) -> dict:
-        """Live-reshard the engine to ``n_shards`` worker shards (protocol v2).
+        """Live-reshard the engine to ``n_shards`` worker shards.
 
         Returns a summary dict (``n_shards``, ``moved_sessions``,
         ``moved_jobs``) and refreshes :attr:`shards`.  Safe to retry — and
         therefore transparently retried after a connection drop: resizing to
         a count the engine already has is a no-op.
         """
-        if self.protocol_version < 2:
-            raise ServiceError(
-                f"the server negotiated protocol v{self.protocol_version}; "
-                f"resize requires v2"
-            )
         reply = self._rpc(proto.ResizeShards(n_shards=n_shards), proto.ResizeShardsReply)
         self.shards = reply.n_shards
         return {
@@ -345,16 +329,13 @@ class ServiceClient:
     def snapshot(self, *, max_chunk: int | None = None) -> dict:
         """Full service snapshot state (see :mod:`repro.service.snapshot`).
 
-        Against a v2 server the state travels as a bounded
+        The state travels as a bounded
         :class:`~repro.service.protocol.SnapshotChunk` stream
         (``max_chunk`` payload bytes each, default
         :data:`~repro.service.protocol.DEFAULT_CHUNK_BYTES`) whenever it
-        exceeds one chunk; a v1 server replies with a single
-        :class:`~repro.service.protocol.SnapshotReply` and the client
-        accepts both shapes.
+        exceeds one chunk, as a single
+        :class:`~repro.service.protocol.SnapshotReply` otherwise.
         """
-        if self.protocol_version < 2:
-            return self._rpc(proto.Snapshot(), proto.SnapshotReply).state
         request = proto.Snapshot(
             max_chunk=(
                 max(1, int(max_chunk)) if max_chunk is not None else proto.DEFAULT_CHUNK_BYTES
@@ -398,24 +379,20 @@ class ServiceClient:
     def restore(self, state: dict, *, max_chunk: int | None = None) -> int:
         """Load a snapshot into the engine; returns the sessions restored.
 
-        Against a v2 server a state larger than one chunk streams as
-        ``kind="restore"`` chunks; the final chunk triggers the apply and is
+        A state larger than one chunk streams as ``kind="restore"`` chunks; the final chunk triggers the apply and is
         answered with a single :class:`~repro.service.protocol.RestoreReply`.
         Not retried after a connection drop (whether the server applied the
         state is unknowable) — :class:`~repro.exceptions.ConnectionLostError`
         surfaces instead.
         """
-        if self.protocol_version >= 2:
-            bound = max(1, int(max_chunk)) if max_chunk is not None else proto.DEFAULT_CHUNK_BYTES
-            packed = packb(state)
-            if len(packed) > bound:
-                for chunk in proto.iter_state_chunks(
-                    packed, kind="restore", max_chunk=bound
-                ):
-                    self._send(chunk)
-                return self._await_reply(
-                    proto.RestoreReply, request_name="Restore (chunked)"
-                ).restored
+        bound = max(1, int(max_chunk)) if max_chunk is not None else proto.DEFAULT_CHUNK_BYTES
+        packed = packb(state)
+        if len(packed) > bound:
+            for chunk in proto.iter_state_chunks(packed, kind="restore", max_chunk=bound):
+                self._send(chunk)
+            return self._await_reply(
+                proto.RestoreReply, request_name="Restore (chunked)"
+            ).restored
         return self._rpc(proto.Restore(state=state), proto.RestoreReply).restored
 
     # ------------------------------------------------------------------ #

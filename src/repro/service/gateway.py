@@ -65,10 +65,7 @@ class _Connection:
         self.jobs: frozenset[str] | None = None
         self.events: asyncio.Queue[PredictionUpdate] = asyncio.Queue()
         self.sender: asyncio.Task | None = None
-        #: Version negotiated in this connection's Hello (v2 messages are
-        #: only ever sent to — or accepted from — a v2 peer).
-        self.version = proto.PROTOCOL_VERSION
-        #: Reassembles an inbound chunked state transfer (v2 restores).
+        #: Reassembles an inbound chunked state transfer (restores).
         self.assembler = proto.ChunkAssembler()
 
     async def send(self, message: proto.Message) -> None:
@@ -310,7 +307,6 @@ class ServiceGateway:
                 proto.Error(message="tenant token mismatch", code="unauthorized")
             )
             raise _CloseConnection
-        connection.version = version
         await connection.send(
             proto.HelloReply(
                 version=version,
@@ -370,7 +366,7 @@ class ServiceGateway:
             return proto.StatsReply(stats=await self._read_engine(self._read_stats))
         if isinstance(message, proto.Snapshot):
             state = await self._run_engine(self._engine.snapshot_state)
-            if message.max_chunk is not None and connection.version >= 2:
+            if message.max_chunk is not None:
                 max_chunk = message.max_chunk
 
                 def encode_chunks() -> list[proto.Message] | None:
@@ -396,11 +392,6 @@ class ServiceGateway:
             await self._run_engine(lambda: self._engine.restore_state(state))
             return proto.RestoreReply(restored=len(state.get("sessions", ())))
         if isinstance(message, proto.SnapshotChunk):
-            if connection.version < 2:
-                return proto.Error(
-                    message="chunked snapshot transfer requires protocol version >= 2",
-                    code="protocol",
-                )
             if not connection.assembler.receiving and message.kind != "restore":
                 return proto.Error(
                     message=f"the gateway only accepts 'restore' chunk streams, "
@@ -413,10 +404,6 @@ class ServiceGateway:
             await self._run_engine(lambda: self._engine.restore_state(state))
             return proto.RestoreReply(restored=len(state.get("sessions", ())))
         if isinstance(message, proto.ResizeShards):
-            if connection.version < 2:
-                return proto.Error(
-                    message="ResizeShards requires protocol version >= 2", code="protocol"
-                )
             n_shards = message.n_shards
             summary = await self._run_engine(lambda: self._reshard_engine(n_shards))
             return proto.ResizeShardsReply(

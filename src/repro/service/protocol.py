@@ -21,17 +21,14 @@ versions it speaks, the serving side picks the highest common one
 (:func:`negotiate_version`) and answers with :class:`HelloReply` — or an
 :class:`Error` when no common version exists, so an incompatible peer is
 rejected cleanly instead of mis-parsed.  :data:`PROTOCOL_VERSION` is the
-current version.
+one version every peer in this repository speaks.
 
-Version 2 adds *chunked snapshot transfer* and *elastic resharding*: large
-snapshot states travel as a stream of bounded :class:`SnapshotChunk`
+Large snapshot states travel as a stream of bounded :class:`SnapshotChunk`
 messages instead of one giant body (:func:`iter_state_chunks` /
 :class:`ChunkAssembler`), a peer can ask a serving side to stream its
 snapshot back chunked (``Snapshot.max_chunk``), per-job session state moves
 between shards via :class:`ExtractJobs`, and :class:`ResizeShards` drives a
-live :meth:`~repro.service.sharding.ShardedService.reshard`.  All of it is
-Hello-negotiated: against a version-1 peer none of the new messages are
-sent, so v1 clients keep working against a v2 server and vice versa.
+live :meth:`~repro.service.sharding.ShardedService.reshard`.
 
 Data-plane payloads do not travel here: flush frames keep their FTS1 wire
 format (:mod:`repro.trace.framing`) and ride inside :class:`SubmitFrames`
@@ -54,12 +51,12 @@ PROTOCOL_MAGIC = b"FTC1"
 #: Current control-plane protocol version.
 PROTOCOL_VERSION = 2
 #: Every version this implementation can speak.
-SUPPORTED_VERSIONS: tuple[int, ...] = (1, 2)
+SUPPORTED_VERSIONS: tuple[int, ...] = (2,)
 #: Upper bound on one message body; a corrupt length field must never make a
 #: reader wait for gigabytes that will not arrive.  Snapshots are the largest
 #: messages (bounded session buffers), far below this.
 MAX_MESSAGE_BYTES = 1 << 30
-#: Default payload size of one v2 :class:`SnapshotChunk`.
+#: Default payload size of one :class:`SnapshotChunk`.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 #: Hard upper bound on one chunk's payload — the whole point of chunking is
 #: that no single control message is ever huge, so the bound is enforced at
@@ -322,11 +319,10 @@ class StatsReply(Message):
 class Snapshot(Message):
     """Capture the full service state (see :mod:`repro.service.snapshot`).
 
-    ``max_chunk`` (protocol >= 2) asks the serving side to stream the state
-    back as :class:`SnapshotChunk` messages of at most that many payload
-    bytes when the encoded state exceeds it; a version-1 peer ignores the
-    field (its decoder only reads the keys it knows) and replies with a
-    plain :class:`SnapshotReply`, so the requester must accept both shapes.
+    ``max_chunk`` asks the serving side to stream the state back as
+    :class:`SnapshotChunk` messages of at most that many payload bytes when
+    the encoded state exceeds it; a state that fits is answered with a plain
+    :class:`SnapshotReply`, so the requester must accept both shapes.
     """
 
     expected_bytes: int | None = None
@@ -415,7 +411,7 @@ class PredictionEvent(Message):
 
 
 # --------------------------------------------------------------------- #
-# protocol version 2: chunked snapshot transfer and elastic resharding
+# chunked snapshot transfer and elastic resharding
 # --------------------------------------------------------------------- #
 #: Valid ``SnapshotChunk.kind`` discriminators.  ``snapshot`` and ``extract``
 #: flow from the serving side (chunked replies to :class:`Snapshot` /
@@ -564,8 +560,8 @@ class BeginHandover(Message):
 
     From the reply until :class:`CompleteHandover` (or
     :class:`AbortHandover`), matching frames are buffered in arrival order
-    instead of ingested; everything else flows normally — this is what turns
-    the old park-and-replay pause into a zero-pause double-routed handover.
+    instead of ingested; everything else flows normally — this is what makes
+    the double-routed handover zero-pause.
     """
 
     shard: int
@@ -652,7 +648,7 @@ class AbortHandover(Message):
     """Roll a handover back: discard the staged frames, stop staging.
 
     Sent when a failed reshard leaves the *old* ring in charge — the router
-    re-routes its own parked copies of the undelivered frames toward the old
+    re-routes its own copies of the undelivered frames toward the old
     owners, so the staged copies here must be dropped, not ingested.  The
     shard drains its data plane to ``expected_bytes`` before disarming, so a
     double-routed frame still in flight lands in the buffer (and is
@@ -726,7 +722,7 @@ class CloseReply(Message):
 
 
 # --------------------------------------------------------------------- #
-# multi-host federation (appended codes, still protocol version 2)
+# multi-host federation
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RegisterShard(Message):
@@ -861,7 +857,7 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
     20: FinishJobReply,
     21: Close,
     22: CloseReply,
-    # --- protocol version 2 ------------------------------------------- #
+    # --- chunked transfer, resharding, handover ----------------------- #
     23: SnapshotChunk,
     24: ResizeShards,
     25: ResizeShardsReply,

@@ -86,9 +86,9 @@ class ServiceConfig:
     metrics:
         Keep the metric registry on (counters, latency/kernel histograms,
         Prometheus exposition via the gateway's ops listener).  On by
-        default — the hot-path cost is bounded by the ``obs.overhead``
-        benchmark floor (< 5%); disable only to shave the last percent off a
-        closed-box deployment.
+        default — a traced benchmark run reports the hot-path cost as
+        ``obs.overhead_share`` (reported, not gated); disable only to shave
+        the last percent off a closed-box deployment.
     spans:
         Record frame-lifecycle spans into a bounded ring-buffer journal
         (see :mod:`repro.obs.spans`).  **Off by default**; tracing is an

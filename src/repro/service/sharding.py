@@ -47,11 +47,12 @@ The topology itself is elastic: :meth:`ShardedService.reshard` grows or
 shrinks the shard count *live*.  Because the hash ring is consistent, only
 the jobs whose arc changed owner move; their sessions are extracted from the
 source shards (:class:`~repro.service.protocol.ExtractJobs` — capture and
-remove in one drained step), carried over the protocol-v2 chunked snapshot
+remove in one drained step), carried over the chunked snapshot
 transfer (:class:`~repro.service.protocol.SnapshotChunk`), and merged into
-their new owners, while any frame arriving for a moving job is parked in a
-per-job migration buffer and replayed — in arrival order — once the handover
-finished.  The end state is bit-identical to having ingested the same stream
+their new owners, while any frame arriving for a moving job is *double-routed*
+— ingested by the old owner at once and staged at the new owner, which
+deduplicates and ingests its staged frames when the handover completes.  The
+end state is bit-identical to having ingested the same stream
 at the target shard count from scratch (``tests/service/test_resharding.py``
 asserts this under chaotic interleavings, kill -9 included).
 """
@@ -112,9 +113,6 @@ from repro.service.transport import (
 
 #: Socket read size of the shard ingestion loop.
 _RECV_CHUNK = 1 << 16
-
-#: Sentinel distinguishing "token not passed" from "token=None".
-_UNSET = object()
 
 
 class HashRing:
@@ -386,8 +384,8 @@ def _shard_main(
     def state_replies(
         state: dict, max_chunk: int | None, single: type, kind: str
     ) -> list[proto.Message]:
-        # One plain reply when it fits (or the peer did not negotiate
-        # chunking); a bounded chunk stream otherwise.
+        # One plain reply when it fits (or the request set no bound); a
+        # bounded chunk stream otherwise.
         packed = packb(state)
         if max_chunk is None or len(packed) <= max_chunk:
             return [single(state=state)]
@@ -399,6 +397,9 @@ def _shard_main(
         if isinstance(request, proto.Hello):
             version = proto.negotiate_version(request.versions)
             if version is None:
+                # Typed rejection, then hang up — as the gateway and the
+                # shard listener do: a router of another protocol generation
+                # cannot drive this shard.
                 return (
                     [
                         proto.Error(
@@ -409,7 +410,7 @@ def _shard_main(
                             code="unsupported-version",
                         )
                     ],
-                    False,
+                    True,
                 )
             return (
                 [proto.HelloReply(version=version, server=f"prediction-shard-{index}")],
@@ -596,27 +597,22 @@ class _RoutedCopy:
 class _Migration:
     """In-flight reshard: the two rings plus the in-flight frame bookkeeping.
 
-    With ``staging`` armed (every target shard acknowledged
-    :class:`~repro.service.protocol.BeginHandover`), a frame whose job
-    changes owner between ``old_ring`` and ``new_ring`` is *double-routed*:
-    delivered to the old owner for immediate evaluation (zero ingest pause)
-    and to the new owner's staging buffer, with per-job duplicate counts so
-    the receiving shard can deduplicate at
-    :class:`~repro.service.protocol.CompleteHandover` — the stream stays
-    exactly-once.  Without staging (``double_route=False``, or a target that
-    negotiated protocol v1), the frame is *parked* in arrival order and
-    replayed by the router after the handover — the pre-handover behavior,
-    kept as the measured baseline.
+    Every shard of the new topology acknowledges
+    :class:`~repro.service.protocol.BeginHandover` before the migration is
+    installed, so a frame whose job changes owner between ``old_ring`` and
+    ``new_ring`` is *double-routed*: delivered to the old owner for
+    immediate evaluation (zero ingest pause) and to the new owner's staging
+    buffer, with per-job duplicate counts so the receiving shard can
+    deduplicate at :class:`~repro.service.protocol.CompleteHandover` — the
+    stream stays exactly-once.
     """
 
     old_ring: HashRing
     new_ring: HashRing
-    staging: bool = False
     extracted: bool = False
     handover_targets: set[int] = field(default_factory=set)
     dup_counts: dict[str, int] = field(default_factory=dict)
     routed: list[_RoutedCopy] = field(default_factory=list)
-    parked: list[RawFrame] = field(default_factory=list)
 
     def moves(self, job: str) -> bool:
         return self.old_ring.shard_for(job) != self.new_ring.shard_for(job)
@@ -641,7 +637,6 @@ class _Shard:
     control: object  # multiprocessing.connection.Connection or SocketChannel
     ring: ShmRingWriter | None = None
     read: object | None = None  # read-plane channel (pipe or SocketChannel)
-    protocol_version: int = proto.PROTOCOL_VERSION
     bytes_sent: int = 0
     dead: bool = False
     unresponsive: bool = False  # heartbeat timeout: connected but wedged
@@ -673,11 +668,10 @@ class ShardedService:
         Number of worker shards (subprocesses) to spawn.
     config:
         Per-shard :class:`ServiceConfig` (session config, worker pool,
-        detection backend, tenant token, auto-revive policy).
-    token:
-        Deprecated — set :attr:`ServiceConfig.token` instead.  When set, the
-        router stamps it on frames it encodes itself and **rejects** routed
-        byte streams whose frames do not carry it (wire-level auth).
+        detection backend, auto-revive policy).  When
+        :attr:`ServiceConfig.token` is set, the router stamps it on frames it
+        encodes itself and **rejects** routed byte streams whose frames do
+        not carry it (wire-level auth).
     replicas:
         Virtual nodes per shard on the hash ring.
     weights:
@@ -703,7 +697,6 @@ class ShardedService:
         n_shards: int,
         config: ServiceConfig | None = None,
         *,
-        token: object = _UNSET,
         replicas: int = 64,
         weights: tuple[float, ...] | list[float] | None = None,
         start_method: str | None = None,
@@ -711,16 +704,7 @@ class ShardedService:
         remote_timeout: float = 30.0,
     ) -> None:
         self.config = config or ServiceConfig()
-        if token is not _UNSET and token is not None:
-            warnings.warn(
-                "ShardedService(token=...) is deprecated; set ServiceConfig(token=...) "
-                "(or ReproConfig(token=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._token: int | None = int(token)  # type: ignore[arg-type]
-        else:
-            self._token = self.config.token
+        self._token = self.config.token
         self.ring = HashRing(n_shards, replicas=replicas, weights=weights)
         self.publisher = PredictionPublisher()
         self._splitter = FrameSplitter(expected_token=self._token)
@@ -928,7 +912,6 @@ class ShardedService:
                 f"shard {shard.index} handshake returned {type(reply).__name__}, "
                 f"expected HelloReply"
             )
-        shard.protocol_version = reply.version
         if shard.read is not None:
             self._read_plane.attach(shard.index, shard.read)
             if self._read_events_active:
@@ -1212,9 +1195,8 @@ class ShardedService:
 
         During a live reshard, a frame whose job is changing owner is
         double-routed — delivered to the old owner (ingested immediately,
-        zero pause) and to the new owner's staging buffer — or, on the
-        fallback path, parked and replayed after the handover.  The returned
-        index is the job's *new* owner either way.
+        zero pause) and to the new owner's staging buffer.  The returned
+        index is then the job's *new* owner.
         """
         migration = self._migration
         if migration is not None and migration.moves(frame.job):
@@ -1233,9 +1215,6 @@ class ShardedService:
     def _route_moving(self, migration: _Migration, frame: RawFrame) -> int:
         """Route one frame whose job changes owner under ``migration``."""
         new = migration.new_ring.shard_for(frame.job)
-        if not migration.staging:
-            migration.parked.append(frame)
-            return new
         # Materialize: the copy outlives this call (replayed if the staging
         # target dies or the migration rolls back), so it must not borrow
         # ring/splitter memory (see RawFrame).
@@ -1350,7 +1329,7 @@ class ShardedService:
         return response
 
     def _collect_state(self, shard: _Shard) -> dict:
-        """Read one state-bearing reply: a plain reply or a v2 chunk stream."""
+        """Read one state-bearing reply: a plain reply or a chunk stream."""
         assembler = proto.ChunkAssembler()
         while True:
             response = self._control_recv(shard)
@@ -1389,31 +1368,22 @@ class ShardedService:
         return self._collect_state(shard)
 
     def _send_state(self, shard: _Shard, state: dict, *, kind: str) -> proto.Message:
-        """Push one snapshot state into a shard (chunked on v2 pipes).
+        """Push one snapshot state into a shard as a chunk stream.
 
         ``kind`` is ``"restore"`` (replace, the revive/restore path) or
         ``"merge"`` (fold in without touching resident jobs, the migration
-        path).  A version-1 shard only understands the plain
-        :class:`~repro.service.protocol.Restore` form, which has replace
-        semantics — merging into a v1 peer is a protocol error.
+        path).
         """
-        if shard.protocol_version >= 2:
-            for chunk in proto.iter_state_chunks(
-                packb(state), kind=kind, max_chunk=proto.DEFAULT_CHUNK_BYTES
-            ):
-                self._control_send(shard, chunk)
-            response = self._control_recv(shard)
-            if isinstance(response, proto.Error):
-                raise ServiceError(
-                    f"shard {shard.index} {kind} transfer failed: {response.message}"
-                )
-            return response
-        if kind != "restore":
-            raise ProtocolError(
-                f"shard {shard.index} negotiated protocol v{shard.protocol_version}, "
-                f"which cannot carry a {kind!r} state transfer"
+        for chunk in proto.iter_state_chunks(
+            packb(state), kind=kind, max_chunk=proto.DEFAULT_CHUNK_BYTES
+        ):
+            self._control_send(shard, chunk)
+        response = self._control_recv(shard)
+        if isinstance(response, proto.Error):
+            raise ServiceError(
+                f"shard {shard.index} {kind} transfer failed: {response.message}"
             )
-        return self._request(shard, proto.Restore(state=state))
+        return response
 
     def _broadcast(
         self,
@@ -1604,7 +1574,7 @@ class ShardedService:
 
     @property
     def resharding(self) -> bool:
-        """Whether a live reshard is in progress (frames may be parked)."""
+        """Whether a live reshard is in progress (moving jobs are double-routed)."""
         return self._migration is not None
 
     @property
@@ -1624,7 +1594,6 @@ class ShardedService:
         weights: tuple[float, ...] | list[float] | None = None,
         placement: list[str] | tuple[str, ...] | None = None,
         on_phase: Callable[[str], None] | None = None,
-        double_route: bool = True,
     ) -> dict:
         """Live-resize the service to ``n_shards`` worker shards.
 
@@ -1645,11 +1614,7 @@ class ShardedService:
            :class:`~repro.service.protocol.BeginHandover` and, from here on,
            a frame routed for a moving job is *double-routed*: the old owner
            ingests it immediately (zero pause) and the new owner stages a
-           twin for deduplicated replay.  With ``double_route=False`` (or a
-           protocol-v1 target) the frame is parked in the migration buffer
-           instead — the pre-handover baseline the benchmark compares
-           against.  The phase keeps its historical name; either way the
-           migration is armed from here.
+           twin for deduplicated replay.  (The phase name is historical.)
         3. ``extracted`` — every moving job's session + publisher state has
            been captured *and removed* from its source shard
            (:class:`~repro.service.protocol.ExtractJobs` drains the source's
@@ -1660,7 +1625,7 @@ class ShardedService:
         5. ``retired`` (shrinking) — the now-empty trailing shards are shut
            down and reaped.
         6. ``transferred`` — the extracted sessions were merged into their
-           new owners over the protocol-v2 chunked snapshot transfer.  A
+           new owners over the chunked snapshot transfer.  A
            target killed mid-transfer is respawned, re-armed, its staged
            frames re-sent from the router's copies, and the transfer
            repeated (the state is still in the router's hands) when it held
@@ -1668,9 +1633,7 @@ class ShardedService:
            :class:`~repro.exceptions.ShardCrashedError` for the ordinary
            snapshot-revive path.
         7. ``replayed`` — each target deduplicated and ingested its staged
-           frames (:class:`~repro.service.protocol.CompleteHandover`); on
-           the fallback path the router replayed the parked frames, in
-           arrival order, against the new topology.
+           frames (:class:`~repro.service.protocol.CompleteHandover`).
 
         The end state is bit-identical to having ingested the same stream at
         ``n_shards`` from scratch.  Returns a summary dict (``from_shards``,
@@ -1752,13 +1715,9 @@ class ShardedService:
                 self._jobs_by_shard.append(set())
             if n_shards > old_count:
                 notify("spawned")
-            if double_route and all(
-                self._shards[i].protocol_version >= 2 for i in range(n_shards)
-            ):
-                for index in range(n_shards):
-                    self._arm_handover_target(index, migration)
-                migration.handover_targets = set(range(n_shards))
-                migration.staging = True
+            for index in range(n_shards):
+                self._arm_handover_target(index, migration)
+            migration.handover_targets = set(range(n_shards))
             self._migration = migration
             notify("parked")
             # Extract the moving sessions from their sources.  Consistent
@@ -1780,11 +1739,7 @@ class ShardedService:
                     proto.ExtractJobs(
                         jobs=tuple(moving),
                         expected_bytes=shard.bytes_sent,
-                        max_chunk=(
-                            proto.DEFAULT_CHUNK_BYTES
-                            if shard.protocol_version >= 2
-                            else None
-                        ),
+                        max_chunk=proto.DEFAULT_CHUNK_BYTES,
                     ),
                 )
                 moved_states.append(state)
@@ -1877,47 +1832,33 @@ class ShardedService:
             # place (deduplicated and ingested — they are the only copies of
             # the post-extraction stream); with the old ring back in charge
             # they are discarded and the router re-delivers, from its own
-            # copies, exactly the frames the old owners never saw.
-            if migration.staging:
-                in_charge = set(range(self.ring.n_shards))
-                if self.ring is migration.new_ring:
-                    self._complete_handover(migration, best_effort=True)
-                else:
-                    for index in sorted(migration.handover_targets & in_charge):
-                        shard = self._shards[index]
-                        if not shard.alive:
-                            continue
-                        try:
-                            self._request(
-                                shard,
-                                proto.AbortHandover(expected_bytes=shard.bytes_sent),
-                            )
-                        except (ShardCrashedError, ServiceError):
-                            continue  # pragma: no cover - double fault
-                    for record in migration.routed:
-                        if record.delivered_old:
-                            continue
-                        try:
-                            self.route_raw(record.frame)
-                        except Exception:  # pragma: no cover - double fault
-                            break
-            # Park no further; push whatever was parked toward the current
-            # ring so the frames are not silently dropped, then surface the
-            # original failure.
-            for frame in migration.parked:
-                try:
-                    self.route_raw(frame)
-                except Exception:  # pragma: no cover - double fault
-                    break
+            # copies, exactly the frames the old owners never saw.  Then the
+            # original failure surfaces.
+            in_charge = set(range(self.ring.n_shards))
+            if self.ring is migration.new_ring:
+                self._complete_handover(migration, best_effort=True)
+            else:
+                for index in sorted(migration.handover_targets & in_charge):
+                    shard = self._shards[index]
+                    if not shard.alive:
+                        continue
+                    try:
+                        self._request(
+                            shard,
+                            proto.AbortHandover(expected_bytes=shard.bytes_sent),
+                        )
+                    except (ShardCrashedError, ServiceError):
+                        continue  # pragma: no cover - double fault
+                for record in migration.routed:
+                    if record.delivered_old:
+                        continue
+                    try:
+                        self.route_raw(record.frame)
+                    except Exception:  # pragma: no cover - double fault
+                        break
             raise
         self._migration = None
-        if migration.staging:
-            replayed = self._complete_handover(migration)
-        else:
-            replayed = 0
-            for frame in migration.parked:
-                self.route_raw(frame)
-                replayed += 1
+        replayed = self._complete_handover(migration)
         notify("replayed")
         self._reshards += 1
         self._sessions_moved += moved_sessions
@@ -1960,11 +1901,7 @@ class ShardedService:
         exactly what it would have.
         """
         migration = migration if migration is not None else self._migration
-        if (
-            migration is None
-            or not migration.staging
-            or index not in migration.handover_targets
-        ):
+        if migration is None or index not in migration.handover_targets:
             return
         self._arm_handover_target(index, migration)
         shard = self._shards[index]
@@ -2451,7 +2388,7 @@ class ShardedService:
         states = self._broadcast_states(
             lambda shard: proto.Snapshot(
                 expected_bytes=shard.bytes_sent,
-                max_chunk=proto.DEFAULT_CHUNK_BYTES if shard.protocol_version >= 2 else None,
+                max_chunk=proto.DEFAULT_CHUNK_BYTES,
             )
         )
         merged = merge_states(states)

@@ -113,8 +113,9 @@ class RawFrame:
     exactly once, in the shard that owns the job.
 
     ``data`` is usually a borrowed ``memoryview`` into the splitter's fed
-    chunk (zero-copy); consumers that outlive the chunk (parking a frame
-    across a reshard, pickling) must materialize it with ``bytes(data)``.
+    chunk (zero-copy); consumers that outlive the chunk (keeping a copy of a
+    double-routed frame across a reshard, pickling) must materialize it with
+    ``bytes(data)``.
     """
 
     job: str

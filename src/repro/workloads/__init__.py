@@ -12,6 +12,7 @@ from repro.workloads.synthetic import (
     SemiSyntheticGenerator,
     SyntheticAppConfig,
     mean_period,
+    synthetic_flush_streams,
 )
 
 __all__ = [
@@ -35,4 +36,5 @@ __all__ = [
     "SemiSyntheticGenerator",
     "SyntheticAppConfig",
     "mean_period",
+    "synthetic_flush_streams",
 ]

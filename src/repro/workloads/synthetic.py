@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.constants import GIB, MIB
 from repro.exceptions import WorkloadError
+from repro.trace.jsonl import FlushRecord
 from repro.trace.record import GroundTruth, IOPhase, IORequest
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
@@ -233,3 +234,49 @@ def mean_period(trace: Trace) -> float:
     if period is None:
         raise WorkloadError("trace ground truth has fewer than two phases")
     return period
+
+
+def synthetic_flush_streams(
+    n_jobs: int,
+    *,
+    flushes_per_job: int = 8,
+    requests_per_flush: int = 16,
+    base_period: float = 8.0,
+    seed: int = 0,
+) -> dict[str, list]:
+    """Per-job flush streams of periodic synthetic writes (service workload).
+
+    Each job writes one burst of ``requests_per_flush`` requests per period
+    and flushes at the end of the burst; jobs get slightly different periods
+    and phase offsets so the service sees genuinely heterogeneous tenants.
+    Returns a mapping job id -> list of :class:`FlushRecord`.
+    """
+    rng = np.random.default_rng(seed)
+    streams: dict[str, list] = {}
+    for j in range(n_jobs):
+        period = base_period * float(rng.uniform(0.8, 1.25))
+        offset = float(rng.uniform(0.0, period))
+        burst = period / 16.0
+        flushes = []
+        for i in range(flushes_per_job):
+            phase_start = offset + i * period
+            starts = phase_start + np.arange(requests_per_flush) * (burst / requests_per_flush)
+            requests = tuple(
+                IORequest(
+                    rank=int(r % 4),
+                    start=float(starts[r]),
+                    end=float(starts[r] + burst / requests_per_flush),
+                    nbytes=1 << 20,
+                )
+                for r in range(requests_per_flush)
+            )
+            flushes.append(
+                FlushRecord(
+                    flush_index=i,
+                    timestamp=float(starts[-1] + burst / requests_per_flush),
+                    requests=requests,
+                    metadata={"application": "synthetic", "job": j} if i == 0 else {},
+                )
+            )
+        streams[f"job-{j:03d}"] = flushes
+    return streams

@@ -27,7 +27,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.service import (
     AutoscaleConfig,
     AutoscaleSignals,
@@ -35,6 +34,7 @@ from repro.service import (
     HysteresisPolicy,
     ShardedService,
 )
+from repro.workloads import synthetic_flush_streams
 from test_resharding import (
     assert_bit_identical,
     frame_for,

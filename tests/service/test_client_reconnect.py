@@ -47,7 +47,7 @@ def gateway(service_config):
 
 @pytest.fixture()
 def job_flushes():
-    from repro.analysis.benchmark import synthetic_flush_streams
+    from repro.workloads import synthetic_flush_streams
 
     return synthetic_flush_streams(1, flushes_per_job=6, requests_per_flush=8, seed=1)[
         "job-000"

@@ -9,11 +9,14 @@ token rejecting misdirected streams.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FtioConfig
 from repro.exceptions import ServiceError, ShardCrashedError, TraceFormatError
 from repro.service import ServiceConfig, SessionConfig, ShardedService
+from repro.service import protocol as proto
 from repro.trace.framing import (
     FrameReader,
     FrameWriter,
@@ -332,6 +335,28 @@ class TestShardFaults:
         finally:
             service.close()
 
+    def test_shard_rejects_a_retired_protocol_generation(self, service_config):
+        service = ShardedService(2, service_config)
+        try:
+            shard = service._shards[1]
+            service._control_send(shard, proto.Hello(versions=(1,)))
+            reply = service._control_recv(shard)
+            assert isinstance(reply, proto.Error)
+            assert reply.code == "unsupported-version"
+            # The shard hangs up after the rejection ...
+            with pytest.raises(ShardCrashedError):
+                service._control_recv(shard)
+            assert service.dead_shards() == (1,)
+            # ... the router revives the slot, and the service keeps serving.
+            service.revive_shard(1)
+            for job_index in range(4):
+                service.ingest_flush(f"job-{job_index}", make_flush(0))
+            service.drain()
+            assert service.dead_shards() == ()
+            assert len(service.jobs) == 4
+        finally:
+            service.close()
+
     def test_close_is_idempotent_and_survives_dead_shards(self, service_config):
         service = ShardedService(2, service_config)
         service.kill_shard(0)
@@ -342,7 +367,7 @@ class TestShardFaults:
 
 class TestWireAuth:
     def test_router_rejects_unauthenticated_stream(self, service_config):
-        service = ShardedService(1, service_config, token=4)
+        service = ShardedService(1, replace(service_config, token=4))
         try:
             flush = make_flush(0)
             with pytest.raises(TraceFormatError):
@@ -353,7 +378,7 @@ class TestWireAuth:
             service.close()
 
     def test_router_stamps_and_accepts_its_token(self, service_config):
-        service = ShardedService(1, service_config, token=4)
+        service = ShardedService(1, replace(service_config, token=4))
         try:
             assert service.token == 4
             routed = service.feed_bytes(encode_frame(make_flush(0), job="a", token=4))

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.exceptions import ShardCrashedError
 from repro.service import (
@@ -33,6 +32,7 @@ from repro.service import (
 )
 from repro.service import protocol as proto
 from repro.service.transport import ShardListener, config_from_wire, config_to_wire
+from repro.workloads import synthetic_flush_streams
 
 N_JOBS = 8
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -303,6 +303,10 @@ class TestRemoteFaults:
                 assert healthy[0] is not None
                 os.kill(worker.pid, signal.SIGSTOP)
                 try:
+                    # The signal is delivered asynchronously: probe only once
+                    # the worker is reported stopped.
+                    _, status = os.waitpid(worker.pid, os.WUNTRACED)
+                    assert os.WIFSTOPPED(status)
                     rtts = fed.heartbeat()
                     assert rtts[0] is None  # convicted by timeout...
                     assert rtts[1] is not None  # ...alone
@@ -424,21 +428,26 @@ class TestConfigWire:
         assert rebuilt.session.config.sampling_frequency == 10.0
 
     def test_listener_rejects_non_handshake_first_message(self):
+        # Not a Hello at all, a Hello from the future, a Hello from the
+        # retired v1: each gets a typed error and a closed connection.
+        rejections = [
+            (proto.Stats(), "protocol"),
+            (proto.Hello(versions=(99,)), "unsupported-version"),
+            (proto.Hello(versions=(1,)), "unsupported-version"),
+        ]
         with ShardListener() as listener:
-            sock = socket.create_connection((listener.host, listener.port))
-            try:
-                sock.sendall(proto.encode_message(proto.Stats()))
-                reply = proto.decode_message(_recv_envelope(sock))
-                assert isinstance(reply, proto.Error)
-                assert reply.code == "protocol"
-            finally:
-                sock.close()
-            # The counter bumps on the accept thread just after the reply is
-            # sent — give the scheduler a beat before asserting.
-            deadline = time.monotonic() + 5.0
-            while listener.rejected == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert listener.rejected >= 1
+            for count, (first, code) in enumerate(rejections, start=1):
+                sock = socket.create_connection((listener.host, listener.port), timeout=10.0)
+                try:
+                    sock.sendall(proto.encode_message(first))
+                    reply = proto.decode_message(_recv_envelope(sock))
+                    assert isinstance(reply, proto.Error)
+                    assert reply.code == code
+                    # The listener counts the rejection, then hangs up.
+                    assert sock.recv(1024) == b""
+                    assert listener.rejected == count
+                finally:
+                    sock.close()
 
 
 def _recv_envelope(sock: socket.socket) -> bytes:

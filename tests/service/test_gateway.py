@@ -146,17 +146,19 @@ class TestGatewayProtocol:
             assert client.shards == 0
 
     def test_unknown_version_hello_rejected_cleanly(self, gateway):
-        with socket.create_connection((gateway.host, gateway.port), timeout=10.0) as sock:
-            sock.sendall(proto.encode_message(proto.Hello(versions=(99,))))
-            reply = self._read_one(sock)
-            assert isinstance(reply, proto.Error)
-            assert reply.code == "unsupported-version"
-            assert "99" in reply.message
-            # The server closes the connection after the rejection.
-            assert sock.recv(1024) == b""
-        # ... and keeps serving other clients.
-        with ServiceClient(gateway.host, gateway.port) as client:
-            assert client.stats()["jobs"] == 0
+        # A future generation and the retired v1 are refused alike.
+        for version in (99, 1):
+            with socket.create_connection((gateway.host, gateway.port), timeout=10.0) as sock:
+                sock.sendall(proto.encode_message(proto.Hello(versions=(version,))))
+                reply = self._read_one(sock)
+                assert isinstance(reply, proto.Error)
+                assert reply.code == "unsupported-version"
+                assert str(version) in reply.message
+                # The server closes the connection after the rejection.
+                assert sock.recv(1024) == b""
+            # ... and keeps serving other clients.
+            with ServiceClient(gateway.host, gateway.port) as client:
+                assert client.stats()["jobs"] == 0
 
     def test_first_message_must_be_hello(self, gateway):
         with socket.create_connection((gateway.host, gateway.port), timeout=10.0) as sock:
@@ -269,27 +271,6 @@ class TestGatewayFeatures:
                 client.finish_job(job)
                 client.drain()
                 assert engine.session(job).finished
-
-    def test_v1_client_interops_with_v2_gateway(self, service_config, job_streams):
-        """A client that only speaks protocol v1 must still be served in full
-        (the v2 server never sends it a chunk stream or any other v2-only
-        message)."""
-        job, flushes = next(iter(job_streams.items()))
-        with ThreadedGateway(PredictionService(service_config), own_engine=True) as gateway:
-            with ServiceClient(gateway.host, gateway.port, versions=(1,)) as v1:
-                assert v1.protocol_version == 1
-                for flush in flushes[:4]:
-                    assert v1.submit_flush(job, flush) == 1
-                    v1.pump()
-                assert v1.stats()["jobs"] == 1
-                # Snapshot arrives as one plain SnapshotReply (v1 shape) ...
-                state = v1.snapshot()
-                assert {s["job"] for s in state["sessions"]} == {job}
-                # ... restore also stays on the v1 message.
-                assert v1.restore(state) == 1
-                # The v2-only surface is refused client-side, typed.
-                with pytest.raises(ServiceError, match="requires v2"):
-                    v1.resize(2)
 
     def test_chunked_snapshot_and_restore_over_the_wire(
         self, service_config, job_streams

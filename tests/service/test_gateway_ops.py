@@ -16,10 +16,10 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.service import ServiceConfig, SessionConfig, ShardedService, ThreadedGateway
 from repro.trace.framing import encode_frame
+from repro.workloads import synthetic_flush_streams
 
 N_SHARDS = 4
 

@@ -237,15 +237,15 @@ class TestVersioning:
         assert proto.PROTOCOL_VERSION in proto.SUPPORTED_VERSIONS
 
     def test_negotiation_picks_highest_common(self):
-        # A v1-only peer (an old ServiceClient) still negotiates 1 against
-        # this v2 implementation; a v2 peer gets 2.
-        assert proto.negotiate_version([1]) == 1
-        assert proto.negotiate_version([1, 99]) == 1
         assert proto.negotiate_version([2]) == 2
         assert proto.negotiate_version([1, 2]) == 2
+        assert proto.negotiate_version([2, 99]) == 2
         assert proto.negotiate_version(proto.SUPPORTED_VERSIONS) == proto.PROTOCOL_VERSION
 
     def test_negotiation_rejects_unknown_only(self):
+        # The retired v1 is as unknown as a generation from the future.
+        assert proto.negotiate_version([1]) is None
+        assert proto.negotiate_version([1, 99]) is None
         assert proto.negotiate_version([99]) is None
         assert proto.negotiate_version([0, 3, 255]) is None
         assert proto.negotiate_version([]) is None

@@ -28,7 +28,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.exceptions import ServiceError
 from repro.service import (
@@ -40,6 +39,7 @@ from repro.service import (
     snapshot_state,
 )
 from repro.trace.framing import encode_frame
+from repro.workloads import synthetic_flush_streams
 
 TOKEN = 7
 
@@ -109,7 +109,7 @@ def run_elastic(streams, config, ops, *, start_shards: int = 2) -> dict:
     Ops: ``("submit",)`` next round, ``("pump",)``, ``("reshard", n, kill,
     traffic)`` — ``kill`` injects a kill -9 of a migration target at the
     ring switch, ``traffic`` submits the next round *during* the migration
-    (those frames land in the parking buffer) — and ``("snapshot",)``, a
+    (those frames are double-routed) — and ``("snapshot",)``, a
     snapshot + restore round trip through the live service.
     """
     n_rounds = max(len(flushes) for flushes in streams.values())
@@ -228,7 +228,7 @@ class TestReshardAcceptance:
             ("submit",), ("pump",),
             ("submit",), ("pump",),
             ("reshard", 4, True, True),   # grow, kill a target mid-migration,
-            ("pump",),                    # with traffic parked during the move
+            ("pump",),                    # with traffic fed during the move
             ("submit",), ("pump",),
             ("reshard", 1, False, True),  # shrink to one shard, again live
             ("pump",),
@@ -253,9 +253,21 @@ class TestReshardAcceptance:
             for job_index, (job, flushes) in enumerate(streams.items()):
                 sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
             sharded.pump()
-            summary = sharded.reshard(4)
+
+            def feed_next_round(phase):
+                if phase == "parked":
+                    for job_index, (job, flushes) in enumerate(streams.items()):
+                        sharded.feed_bytes(frame_for(job_index, job, flushes[1]))
+
+            summary = sharded.reshard(4, on_phase=feed_next_round)
             assert sorted(summary["moved_jobs"]) == expected
             assert 0 < len(expected) < len(streams)
+            # A frame fed mid-handover is double-routed exactly when its job
+            # moves — one router copy each, and every one of them delivered.
+            assert summary["double_routed_frames"] == len(expected)
+            assert sharded.double_routed_frames == len(expected)
+            sharded.drain()
+            assert sharded.stats()["flushes"] == 2 * len(streams)
             for job in summary["moved_jobs"]:
                 assert new_ring.shard_for(job) >= 2
         finally:

@@ -11,9 +11,10 @@ shard followed by snapshot restore and spool-tail replay.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.service import (
     HashRing,
@@ -24,6 +25,7 @@ from repro.service import (
     restore_state,
 )
 from repro.trace.framing import FrameWriter, encode_frame
+from repro.workloads import synthetic_flush_streams
 
 N_JOBS = 32
 N_SHARDS = 4
@@ -115,7 +117,7 @@ class TestShardedEquivalence:
         token = 9
         reference = run_single(streams, service_config, token=token)
 
-        sharded = ShardedService(N_SHARDS, service_config, token=token)
+        sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
         try:
             n_rounds = max(len(flushes) for flushes in streams.values())
             for round_index in range(n_rounds):
@@ -159,7 +161,7 @@ class TestShardedEquivalence:
 
     def test_merged_snapshot_restores_into_single_process(self, streams, service_config):
         token = 2
-        sharded = ShardedService(N_SHARDS, service_config, token=token)
+        sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
         try:
             for job_index, (job, flushes) in enumerate(streams.items()):
                 for flush in flushes[:3]:
@@ -248,7 +250,7 @@ class TestCrashRecovery:
         spool = tmp_path / "spool.fts"
         writer = FrameWriter(spool, payload_format="msgpack", token=token)
 
-        sharded = ShardedService(N_SHARDS, service_config, token=token)
+        sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
         try:
             tail = sharded.tail_file(spool)
 

@@ -71,8 +71,9 @@ def test_sharded_soak_memory_stays_bounded():
             max_samples=MAX_SAMPLES,
         ),
         max_workers=2,
+        token=6,
     )
-    service = ShardedService(N_SHARDS, config, token=6)
+    service = ShardedService(N_SHARDS, config)
     resident_over_time: list[int] = []
     deadline = time.monotonic() + soak_seconds()
     round_index = 0

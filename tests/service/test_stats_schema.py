@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.obs import Histogram
 from repro.service import (
@@ -24,6 +23,7 @@ from repro.service import (
     ShardedService,
 )
 from repro.trace.framing import encode_frame
+from repro.workloads import synthetic_flush_streams
 
 #: The single-process stats schema (the merged tree sums these over shards).
 SERVICE_KEYS = frozenset(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.benchmark import synthetic_flush_streams
 from repro.core import FtioConfig
 from repro.exceptions import ShardCrashedError
 from repro.service import (
@@ -20,6 +19,7 @@ from repro.service import (
     ShardedService,
 )
 from repro.trace.framing import FrameWriter
+from repro.workloads import synthetic_flush_streams
 
 
 @pytest.fixture(scope="module")

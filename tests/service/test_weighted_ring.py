@@ -138,7 +138,7 @@ class TestMinimalMovementOnWeightChange:
 # --------------------------------------------------------------------- #
 class TestWeightedReshard:
     def test_live_reshard_onto_weighted_ring_bit_identical(self, service_config):
-        from repro.analysis.benchmark import synthetic_flush_streams
+        from repro.workloads import synthetic_flush_streams
         from repro.service import ShardedService
         from test_resharding import (
             assert_bit_identical,

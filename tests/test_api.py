@@ -130,16 +130,6 @@ class TestVerbs:
 
 
 class TestCompatibility:
-    def test_sharded_token_kwarg_is_deprecated_but_works(self):
-        from repro.service import ShardedService
-
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            service = ShardedService(1, token=4)
-        try:
-            assert service.token == 4
-        finally:
-            service.close()
-
     def test_token_flows_from_service_config(self):
         from repro.service import ServiceConfig, ShardedService
 
@@ -147,13 +137,8 @@ class TestCompatibility:
             assert service.token == 6
 
     def test_every_pre_redesign_import_still_works(self):
-        # The import surface of PRs 1-3, verbatim: nothing may break.
+        # The import surface of PRs 1-3 (minus the retired perf harness).
         from repro import Ftio, FtioConfig, OnlinePredictor, Trace  # noqa: F401
-        from repro.analysis.benchmark import (  # noqa: F401
-            run_perf_suite,
-            run_service_benchmark,
-            write_report,
-        )
         from repro.scheduling.periods import ServicePeriodProvider  # noqa: F401
         from repro.service import (  # noqa: F401
             BrokerStats,
@@ -213,7 +198,6 @@ class TestCompatibility:
         from repro.client import ServiceClient  # noqa: F401
         from repro.service import ServiceGateway, ThreadedGateway, protocol  # noqa: F401
 
-        # v2 added chunked snapshot transfer + resharding; v1 peers still
-        # negotiate (SUPPORTED_VERSIONS is cumulative, never truncated).
+        # One protocol generation: every peer in the repo ships v2.
         assert protocol.PROTOCOL_VERSION == 2
-        assert protocol.SUPPORTED_VERSIONS == (1, 2)
+        assert protocol.SUPPORTED_VERSIONS == (2,)
