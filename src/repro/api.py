@@ -71,10 +71,6 @@ class ReproConfig:
         Backpressure bound on in-flight evaluations.
     latency_window:
         Recent detection latencies retained for percentile statistics.
-    backend:
-        Detection backend: ``"thread"`` or ``"process"``.
-    backend_workers:
-        Worker count of a process backend (``None`` = CPU count).
     shards:
         Worker shards of the service; 0 runs single-process, N >= 1 spawns a
         :class:`~repro.service.sharding.ShardedService` of N subprocesses
@@ -136,8 +132,6 @@ class ReproConfig:
     max_workers: int = 0
     max_pending: int = 64
     latency_window: int = 4096
-    backend: str = "thread"
-    backend_workers: int | None = None
     shards: int = 0
     replicas: int = 64
     token: int | None = None
@@ -194,8 +188,6 @@ class ReproConfig:
             max_workers=self.max_workers,
             max_pending=self.max_pending,
             latency_window=self.latency_window,
-            backend=self.backend,
-            backend_workers=self.backend_workers,
             token=self.token,
             auto_compact=self.auto_compact,
             auto_revive=self.auto_revive,

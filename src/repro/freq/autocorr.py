@@ -57,7 +57,12 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
     # the transform on the fast radix-2 path.
     nfft = 1 << (2 * n - 1).bit_length()
     spectrum = plan.rfft(centred, n=nfft)
-    lag_products = plan.irfft(spectrum * np.conj(spectrum), n=nfft)[:n]
+    # An explicit output buffer: ``spectrum * np.conj(spectrum)`` lets numpy
+    # multiply into the conj temporary once it exceeds 256 KiB, which rounds
+    # differently from the batched path's out-of-place product.
+    power = np.empty_like(spectrum)
+    np.multiply(spectrum, np.conj(spectrum), out=power)
+    lag_products = plan.irfft(power, n=nfft)[:n]
     acf = lag_products / energy
     # Pin the zero lag: the FFT round-trip leaves it at 1 ± a few ulp only.
     acf[0] = 1.0

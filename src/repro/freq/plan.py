@@ -1,22 +1,17 @@
-"""Shared FFT plan / workspace cache for the spectral hot paths.
+"""Shared FFT entry points / workspace cache for the spectral hot paths.
 
 Every FFT in the repository — the offline :func:`repro.freq.dft.dft`, the
 Wiener–Khinchin ACF in :mod:`repro.freq.autocorr`, and the batched
 cross-session kernels in :mod:`repro.service.batch` — routes through this
-module, so the sequential and batched detection paths always share one FFT
-backend and stay bit-identical to each other.
+module, so offline detection and the service's batch engine always share one
+FFT implementation (``numpy.fft``'s pocketfft kernels, which carry their own
+twiddle caches) and stay bit-identical to each other.
 
-Two levels of caching live here:
-
-* **plans** — when ``pyfftw`` is importable its ``numpy_fft`` interface (with
-  the builder cache enabled) replaces ``numpy.fft``, so repeated transforms
-  of the same shape reuse a measured FFTW plan.  Without pyfftw the
-  ``numpy.fft`` pocketfft kernels are used directly (they carry their own
-  twiddle caches);
-* **workspaces** — precomputed :func:`numpy.fft.rfftfreq` grids keyed by
-  ``(n, fs)`` (the same window length and sampling rate recur on every
-  evaluation of a session) and reusable per-thread stacking buffers for the
-  batched kernels, so steady-state batches allocate nothing.
+The module also caches **workspaces**: precomputed
+:func:`numpy.fft.rfftfreq` grids keyed by ``(n, fs)`` (the same window length
+and sampling rate recur on every evaluation of a session) and reusable
+per-thread stacking buffers for the batched kernels, so steady-state batches
+allocate nothing.
 """
 
 from __future__ import annotations
@@ -27,16 +22,6 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-try:  # pragma: no cover - exercised only where pyfftw is installed
-    import pyfftw  # type: ignore[import-not-found]
-    from pyfftw.interfaces import numpy_fft as _fft  # type: ignore[import-not-found]
-
-    pyfftw.interfaces.cache.enable()
-    HAVE_PYFFTW = True
-except ImportError:  # pragma: no cover - the default path in CI
-    _fft = np.fft
-    HAVE_PYFFTW = False
-
 #: Upper bound on retained frequency grids (each is O(n) floats).
 _MAX_CACHED_GRIDS = 64
 
@@ -45,19 +30,14 @@ _grids: dict[tuple[int, float], NDArray[np.float64]] = {}
 _local = threading.local()
 
 
-def backend_name() -> str:
-    """Name of the active FFT backend (``"pyfftw"`` or ``"numpy"``)."""
-    return "pyfftw" if HAVE_PYFFTW else "numpy"
-
-
 def rfft(x: NDArray[np.float64], n: int | None = None, *, axis: int = -1) -> NDArray[Any]:
-    """Real-input FFT through the shared plan cache (1-D or batched 2-D)."""
-    return _fft.rfft(x, n=n, axis=axis)
+    """Real-input FFT (1-D or batched 2-D)."""
+    return np.fft.rfft(x, n=n, axis=axis)
 
 
 def irfft(x: NDArray[Any], n: int, *, axis: int = -1) -> NDArray[np.float64]:
-    """Inverse real FFT through the shared plan cache (1-D or batched 2-D)."""
-    return _fft.irfft(x, n=n, axis=axis)
+    """Inverse real FFT (1-D or batched 2-D)."""
+    return np.fft.irfft(x, n=n, axis=axis)
 
 
 def rfftfreq_grid(n: int, fs: float) -> NDArray[np.float64]:

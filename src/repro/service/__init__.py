@@ -14,9 +14,9 @@ through a shared-memory ring (:mod:`repro.service.shm_ring`; the socketpair
 is just its doorbell) — with a header-only router, aggregated stats,
 merged snapshot/restore, crash recovery, and *elastic live resharding*
 (:meth:`ShardedService.reshard` grows or shrinks the topology mid-stream
-with minimal session movement; see :mod:`repro.service.sharding`).  Where an evaluation runs is pluggable:
-:class:`ThreadBackend` (default) or :class:`ProcessPoolBackend` for
-CPU-bound tenants (see :mod:`repro.service.backend`).
+with minimal session movement; see :mod:`repro.service.sharding`).  Every
+evaluation, on every topology, runs through the one batch engine of
+:mod:`repro.service.batch`.
 
 Every control surface — the shard pipes, the asyncio TCP gateway
 (:class:`ServiceGateway` / :class:`ThreadedGateway`) and the blocking
@@ -32,19 +32,8 @@ from repro.service.autoscaler import (
     Autoscaler,
     HysteresisPolicy,
 )
-from repro.service.backend import (
-    DetectionBackend,
-    ProcessPoolBackend,
-    ThreadBackend,
-    make_backend,
-)
-from repro.service.batch import (
-    BatchReport,
-    compute_batch_kernels,
-    detect_sessions_inline,
-    detect_sessions_remote,
-    run_batch_detection,
-)
+from repro.service.backend import ThreadBackend
+from repro.service.batch import BatchReport, compute_batch_kernels, detect_sessions_inline
 from repro.service.bridge import PhaseFlushBridge
 from repro.service.gateway import ServiceGateway, ThreadedGateway
 from repro.service.broker import BrokerStats, FlushBroker
@@ -52,14 +41,7 @@ from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
 from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher, PredictionUpdate
 from repro.service.service import PredictionService, ServiceConfig
-from repro.service.session import (
-    DetectionOutcome,
-    DetectionTask,
-    JobSession,
-    RingColumnStore,
-    SessionConfig,
-    run_detection_task,
-)
+from repro.service.session import DetectionTask, JobSession, RingColumnStore, SessionConfig
 from repro.service.sharding import HashRing, ShardedService
 from repro.service.shm_ring import RingHandle, ShmRingReader, ShmRingWriter
 from repro.service.snapshot import (
@@ -87,13 +69,10 @@ __all__ = [
     "ThreadedGateway",
     "protocol",
     "FlushBroker",
-    "DetectionBackend",
     "DetectionDispatcher",
-    "DetectionOutcome",
     "DetectionTask",
     "DispatcherStats",
     "HashRing",
-    "ProcessPoolBackend",
     "ServicePeriodProvider",
     "PredictionPublisher",
     "PredictionUpdate",
@@ -110,15 +89,11 @@ __all__ = [
     "apply_state",
     "compute_batch_kernels",
     "detect_sessions_inline",
-    "detect_sessions_remote",
     "extract_jobs",
     "load_snapshot",
-    "make_backend",
     "merge_into",
     "merge_states",
     "restore_state",
-    "run_batch_detection",
-    "run_detection_task",
     "save_snapshot",
     "snapshot_state",
     "split_state",

@@ -1,146 +1,33 @@
-"""Pluggable detection backends: where a session's evaluation actually runs.
+"""The detection backend: the object the dispatcher hands due sessions to.
 
-The dispatcher decides *when* a session is evaluated (backpressure, rate
-limits); the backend decides *where*:
+The dispatcher decides *when* sessions are evaluated (backpressure, rate
+limits); :class:`ThreadBackend` evaluates them, in the calling thread (the
+dispatcher's worker pool, or the pumping thread with inline workers), as one
+batch through :func:`~repro.service.batch.detect_sessions_inline`.  numpy
+releases the GIL in the FFT kernels, so threads cost no serialization; cores
+beyond one process are what shards are for.
 
-* :class:`ThreadBackend` — the evaluation runs in the calling thread (the
-  dispatcher's worker pool, or the pumping thread with inline workers).  The
-  right default: numpy releases the GIL in the FFT kernels, so I/O-light
-  tenants scale fine on threads with zero serialization cost.
-* :class:`ProcessPoolBackend` — the evaluation is packed into a
-  :class:`~repro.service.session.DetectionTask` and shipped to a
-  ``ProcessPoolExecutor`` worker.  For CPU-bound tenants (large windows,
-  autocorrelation + characterization enabled) this buys true parallelism at
-  the cost of pickling the resident window; predictions are bit-identical to
-  the thread backend because the worker replays the exact same predictor
-  state transition (see :func:`repro.service.session.run_detection_task`).
-
-Backends are deliberately tiny objects so the sharded service can hand one
-to every shard subprocess via configuration (a name + worker count), not by
-pickling live executors.
+It stays a class so a caller can substitute a subclass via
+``PredictionService(config, backend=...)`` — the benchmark's ladder wraps
+:meth:`ThreadBackend.detect_batch` in a trace span.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 
-from repro.core.online import PredictionStep
-
-from repro.service.batch import (
-    BatchReport,
-    detect_sessions_inline,
-    detect_sessions_remote,
-    run_batch_detection,
-)
-from repro.service.session import JobSession, run_detection_task
-
-#: Names accepted by :func:`make_backend` (and ``ServiceConfig.backend``).
-BACKEND_NAMES = ("thread", "process")
+from repro.service.batch import BatchReport, KernelObserver, detect_sessions_inline
+from repro.service.session import JobSession
 
 
-class DetectionBackend:
-    """Interface of a detection backend."""
+class ThreadBackend:
+    """Evaluate due sessions in the calling thread, as one batch."""
 
-    #: Configuration name of the backend (one of :data:`BACKEND_NAMES`).
-    name: str = ""
-
-    #: Optional kernel-stage observer ``(stage, group_size, seconds)`` set by
-    #: the dispatcher when metrics are enabled.  Backends that evaluate the
-    #: batched kernels in this process forward it to
-    #: :func:`~repro.service.batch.compute_batch_kernels`; the process-pool
-    #: backend cannot (the kernels run in a worker process) and ignores it.
-    observer = None
-
-    def detect(self, session: JobSession, *, now: float | None = None) -> PredictionStep | None:
-        """Evaluate ``session`` once; returns the prediction step (or ``None``)."""
-        raise NotImplementedError
+    #: Optional kernel-stage observer ``(stage, group_size, seconds)``, set by
+    #: the dispatcher when metrics are enabled and forwarded to
+    #: :func:`~repro.service.batch.compute_batch_kernels`.
+    observer: KernelObserver | None = None
 
     def detect_batch(self, sessions: Sequence[JobSession]) -> BatchReport:
-        """Evaluate many due sessions as one batch (shared spectral kernels).
-
-        The default implementation loops :meth:`detect` so custom backends
-        stay correct without batching; the built-in backends override it
-        with genuinely batched evaluation.  Results are bit-identical to the
-        sequential path either way.
-        """
-        steps: list[PredictionStep | None] = []
-        failed: list[bool] = []
-        for session in sessions:
-            try:
-                steps.append(self.detect(session))
-                failed.append(False)
-            except Exception:
-                steps.append(None)
-                failed.append(True)
-        return BatchReport(steps=steps, failed=failed)
-
-    def close(self) -> None:
-        """Release any resources held by the backend."""
-
-    def __enter__(self) -> "DetectionBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ThreadBackend(DetectionBackend):
-    """Run evaluations in the calling thread (the dispatcher's pool)."""
-
-    name = "thread"
-
-    def detect(self, session: JobSession, *, now: float | None = None) -> PredictionStep | None:
-        return session.detect(now=now)
-
-    def detect_batch(self, sessions: Sequence[JobSession]) -> BatchReport:
+        """Evaluate ``sessions`` (one or many) with shared spectral kernels."""
         return detect_sessions_inline(sessions, observer=self.observer)
-
-
-class ProcessPoolBackend(DetectionBackend):
-    """Fan evaluations onto a ``ProcessPoolExecutor`` for CPU-bound tenants.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker process count (``None`` uses the executor's CPU-count default).
-    mp_context:
-        Optional ``multiprocessing`` context; the platform default otherwise.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: int | None = None, *, mp_context=None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=mp_context)
-
-    def detect(self, session: JobSession, *, now: float | None = None) -> PredictionStep | None:
-        return session.detect(now=now, engine=self._run_remote)
-
-    def detect_batch(self, sessions: Sequence[JobSession]) -> BatchReport:
-        # One worker evaluates the whole batch: the vectorized kernels beat
-        # per-session fan-out once the batch is the unit of work, and distinct
-        # batches (successive pumps, distinct shards) still use distinct
-        # workers.
-        return detect_sessions_remote(
-            sessions, lambda tasks: self._pool.submit(run_batch_detection, tasks).result()
-        )
-
-    def _run_remote(self, task):
-        # The session holds its lock while this waits, so a single job stays
-        # sequential; distinct jobs occupy distinct pool workers.
-        return self._pool.submit(run_detection_task, task).result()
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def make_backend(name: str, *, workers: int | None = None) -> DetectionBackend:
-    """Build a backend from its configuration name (see :data:`BACKEND_NAMES`)."""
-    if name == "thread":
-        return ThreadBackend()
-    if name == "process":
-        return ProcessPoolBackend(max_workers=workers)
-    known = ", ".join(BACKEND_NAMES)
-    raise ValueError(f"unknown detection backend {name!r}; known backends: {known}")

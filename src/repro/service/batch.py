@@ -1,7 +1,7 @@
-"""Batched cross-session spectral kernels — the service detection hot path.
+"""Batched cross-session spectral kernels — the service's one detection path.
 
-When many sessions come due at once the dispatcher no longer evaluates them
-one FFT at a time.  The batch engine claims every due session (two-phase, via
+Every evaluation the dispatcher schedules — one due session or hundreds —
+runs here.  The batch engine claims every due session (two-phase, via
 :meth:`JobSession.begin_batch_detect`), discretizes their adaptive windows,
 groups the prepared signals by effective window length ``(n_samples, fs)``,
 stacks each group into one 2-D array and evaluates the group's transforms as
@@ -12,7 +12,8 @@ slice is then fed back through the ordinary pipeline via
 selection, harmonic rule, classification, confidence) runs unchanged.
 
 **Bit-identity contract.**  Every value a batched evaluation produces equals
-the sequential evaluation bit for bit, on both backends.  The kernels only
+the sequential evaluation (:meth:`JobSession.detect`) bit for bit, whatever
+the batch's size or composition.  The kernels only
 use 2-D evaluation where numpy produces bit-identical rows: the FFT
 transforms, the mean/std axis reductions, and elementwise maps whose every
 output element is one exact IEEE operation of its input element (abs,
@@ -20,8 +21,8 @@ square, divide, subtract — lane position cannot change those).  The
 shape-sensitive steps — complex products like ``x * conj(x)`` and energy dot
 products, where SIMD/FMA contraction makes the 2-D form differ from its 1-D
 rows in the last ulp — stay per row on contiguous views.  The equivalence
-suite asserts the contract across mixed window lengths, ragged NaN-padded
-stacks and both backends.
+suite asserts the contract across mixed window lengths and ragged NaN-padded
+stacks.
 """
 
 from __future__ import annotations
@@ -35,17 +36,12 @@ from numpy.typing import NDArray
 
 from repro.core.config import FtioConfig
 from repro.core.ftio import SpectralKernels
-from repro.core.online import OnlinePredictor, PredictionStep, PreparedStep
+from repro.core.online import PredictionStep, PreparedStep
 from repro.freq import plan
 from repro.freq.autocorr import autocorrelation_batch
 from repro.freq.dft import DftResult
 from repro.freq.outliers import OutlierResult, ZScoreDetector, make_detector
-from repro.service.session import (
-    DetectionOutcome,
-    DetectionTask,
-    JobSession,
-    step_to_entry,
-)
+from repro.service.session import JobSession
 from repro.trace.sampling import DiscreteSignal
 
 #: Minimum samples for a spectrum (mirrors :func:`repro.freq.dft.dft`); rows
@@ -239,69 +235,20 @@ def compute_batch_kernels(
 
 
 # --------------------------------------------------------------------- #
-# batched evaluation of detection tasks (process-safe)
-# --------------------------------------------------------------------- #
-def run_batch_detection(tasks: Sequence[DetectionTask]) -> list[DetectionOutcome | None]:
-    """Evaluate many :class:`DetectionTask` in one batch (pure, process-safe).
-
-    The process-pool backend ships a whole batch to one worker through this
-    function.  Each task's predictor is rebuilt from its state dict, the
-    prepared windows are evaluated through the shared batched kernels, and
-    the updated states come back — a session whose state round-trips through
-    here transitions bit-identically to one that evaluated inline.  A task
-    whose evaluation raises yields ``None`` (dropped, like a failed
-    sequential dispatch) without poisoning the rest of the batch.
-    """
-    predictors: list[OnlinePredictor | None] = []
-    prepared: list[PreparedStep | None] = []
-    for task in tasks:
-        predictor = OnlinePredictor(
-            config=task.config, adaptive_window=task.adaptive_window, compact_history=True
-        )
-        predictor.load_state_dict(task.predictor_state)
-        try:
-            prep = predictor.prepare_step(task.trace, now=task.now)
-        except Exception:
-            predictor, prep = None, None
-        predictors.append(predictor)
-        prepared.append(prep)
-
-    kernels = compute_batch_kernels(
-        [prep.signal if prep is not None else None for prep in prepared],
-        [task.config for task in tasks],
-    )
-
-    outcomes: list[DetectionOutcome | None] = []
-    for predictor, prep, kernel in zip(predictors, prepared, kernels):
-        if predictor is None or prep is None:
-            outcomes.append(None)
-            continue
-        try:
-            step = predictor.complete_step(prep, kernels=kernel)
-            outcomes.append(
-                DetectionOutcome(
-                    predictor_state=predictor.state_dict(), step=step_to_entry(step)
-                )
-            )
-        except Exception:
-            outcomes.append(None)
-    return outcomes
-
-
-# --------------------------------------------------------------------- #
-# batched evaluation of live sessions (backend entry points)
+# batched evaluation of live sessions
 # --------------------------------------------------------------------- #
 def detect_sessions_inline(
     sessions: Sequence[JobSession],
     observer: KernelObserver | None = None,
 ) -> BatchReport:
-    """Thread-backend batch: evaluate live sessions with shared kernels.
+    """Evaluate live sessions as one batch with shared kernels.
 
     Claims every session (two-phase), prepares the windows against the live
     predictors, computes the batched kernels, and commits each session under
-    its own lock.  No predictor state is serialized — the live predictor
-    steps through exactly the same ``prepare_step``/``complete_step`` pair
-    ``step()`` is built from.  ``observer`` is forwarded to
+    its own lock — the live predictor steps through exactly the same
+    ``prepare_step``/``complete_step`` pair ``step()`` is built from.  A
+    session whose evaluation raises is aborted and marked failed without
+    touching its batchmates.  ``observer`` is forwarded to
     :func:`compute_batch_kernels` for per-stage timings.
     """
     steps: list[PredictionStep | None] = [None] * len(sessions)
@@ -335,49 +282,4 @@ def detect_sessions_inline(
         except Exception:
             session.abort_batch_detect()
             failed[i] = True
-    return BatchReport(steps=steps, failed=failed)
-
-
-def detect_sessions_remote(
-    sessions: Sequence[JobSession],
-    submit: Callable[[list[DetectionTask]], list[DetectionOutcome | None]],
-) -> BatchReport:
-    """Process-backend batch: ship the claimed tasks to a worker as one unit.
-
-    ``submit`` evaluates a task list via :func:`run_batch_detection` in
-    another process and returns the aligned outcomes.  If the submission
-    itself fails (e.g. a broken pool), every claimed session is released and
-    marked failed — the batch is dropped, ingestion is unaffected.
-    """
-    steps: list[PredictionStep | None] = [None] * len(sessions)
-    failed = [False] * len(sessions)
-    claimed: list[int] = []
-    tasks: list[DetectionTask] = []
-    for i, session in enumerate(sessions):
-        task = session.begin_batch_detect(with_state=True)
-        if task is None:
-            continue
-        claimed.append(i)
-        tasks.append(task)
-    if not tasks:
-        return BatchReport(steps=steps, failed=failed)
-
-    try:
-        outcomes = submit(tasks)
-        if len(outcomes) != len(tasks):
-            raise RuntimeError(
-                f"batch engine returned {len(outcomes)} outcomes for {len(tasks)} tasks"
-            )
-    except Exception:
-        for i in claimed:
-            sessions[i].abort_batch_detect()
-            failed[i] = True
-        return BatchReport(steps=steps, failed=failed)
-
-    for i, outcome in zip(claimed, outcomes):
-        if outcome is None:
-            sessions[i].abort_batch_detect()
-            failed[i] = True
-            continue
-        steps[i] = sessions[i].finish_batch_detect(outcome)
     return BatchReport(steps=steps, failed=failed)

@@ -1,8 +1,8 @@
 """Detection dispatcher: batches due evaluations onto a worker pool.
 
 On every :meth:`pump`, the dispatcher collects the sessions that have new,
-rate-limit-eligible data (``JobSession.due``) and submits one evaluation per
-job to a thread pool.  Two mechanisms keep an overloaded service stable
+rate-limit-eligible data (``JobSession.due``) and submits them to a thread
+pool.  Two mechanisms keep an overloaded service stable
 rather than ever-slower:
 
 * **backpressure** — at most ``max_pending`` evaluations are in flight; when
@@ -15,13 +15,13 @@ rather than ever-slower:
 With ``max_workers=0`` evaluations run inline in the pumping thread, which is
 deterministic and what the equivalence tests use.
 
-By default (``batching=True``) a pump that finds several due sessions hands
-them to the backend as **one batch** (:meth:`DetectionBackend.detect_batch`):
-the backend groups the windows by effective length and evaluates each group
-with single vectorized FFT/ACF/outlier kernels (see
-:mod:`repro.service.batch`), bit-identical to evaluating the sessions one by
-one.  The whole batch occupies one pool slot and counters stay in
-*evaluation* units.
+A pump hands the sessions it selected — one or many — to the backend as
+**one batch** (:meth:`ThreadBackend.detect_batch`): the backend groups the
+windows by effective length and evaluates each group with single vectorized
+FFT/ACF/outlier kernels (see :mod:`repro.service.batch`).  There is no other
+evaluation route, so a job's arithmetic never depends on who else was due.
+The whole batch occupies one pool slot and counters stay in *evaluation*
+units.
 
 **Latency accounting.**  Two different questions hide under "latency" and
 the dispatcher now answers both honestly:
@@ -44,18 +44,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from typing import Iterable
-
 from repro.core.online import PredictionStep
 from repro.obs import NULL_HISTOGRAM, Histogram, MetricRegistry, NullHistogram, SpanJournal
-
-from repro.service.backend import DetectionBackend, ThreadBackend
+from repro.service.backend import ThreadBackend
 from repro.service.broker import FlushBroker
 from repro.service.session import JobSession
 
@@ -73,13 +70,8 @@ class DispatcherStats:
     failures: int
     pending: int
 
-    @property
-    def in_flight(self) -> int:
-        """Evaluations currently queued or running."""
-        return self.pending
-
     @classmethod
-    def merge(cls, stats: Iterable["DispatcherStats"]) -> "DispatcherStats":
+    def merge(cls, stats: Iterable[DispatcherStats]) -> DispatcherStats:
         """Aggregate the counters of several dispatchers (the sharded view)."""
         stats = list(stats)
         return cls(
@@ -102,8 +94,7 @@ class DetectionDispatcher:
         max_workers: int = 0,
         max_pending: int = 64,
         latency_window: int = 4096,
-        backend: DetectionBackend | None = None,
-        batching: bool = True,
+        backend: ThreadBackend | None = None,
         metrics: MetricRegistry | None = None,
         journal: SpanJournal | None = None,
     ) -> None:
@@ -118,7 +109,6 @@ class DetectionDispatcher:
         self._backend = backend if backend is not None else ThreadBackend()
         self._pool = ThreadPoolExecutor(max_workers=max_workers) if max_workers else None
         self._max_pending = max_pending
-        self._batching = batching
         self._closed = False
         self._futures: set[Future] = set()
         # In-flight count in *evaluation* units (a batch future counts as
@@ -140,7 +130,7 @@ class DetectionDispatcher:
         if metrics is not None:
             self._batch_hist = metrics.histogram(
                 "repro_dispatcher_batch_seconds",
-                help="Wall time of one dispatched unit (a batch or a single evaluation)",
+                help="Wall time of one dispatched batch",
             )
             self._detect_hist = metrics.histogram(
                 "repro_dispatcher_detect_seconds",
@@ -166,11 +156,6 @@ class DetectionDispatcher:
             )
 
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> DetectionBackend:
-        """The detection backend evaluations run on."""
-        return self._backend
-
     @property
     def closed(self) -> bool:
         """True once :meth:`close` ran; a closed dispatcher rejects pumps."""
@@ -250,29 +235,16 @@ class DetectionDispatcher:
         if not selected:
             return 0
 
-        submitted: list[Future] = []
         submitted_at = time.perf_counter()
-        if self._batching and len(selected) > 1:
-            if self._pool is None:
-                self._run_batch(selected, submitted_at)
-            else:
-                future = self._pool.submit(self._run_batch, selected, submitted_at)
-                with self._lock:
-                    self._futures.add(future)
-                future.add_done_callback(self._discard_future)
-                submitted.append(future)
+        if self._pool is None:
+            self._run_batch(selected, submitted_at)
         else:
-            for session in selected:
-                if self._pool is None:
-                    self._run_one(session, submitted_at)
-                else:
-                    future = self._pool.submit(self._run_one, session, submitted_at)
-                    with self._lock:
-                        self._futures.add(future)
-                    future.add_done_callback(self._discard_future)
-                    submitted.append(future)
-        if wait_for_batch and submitted:
-            wait(submitted)
+            future = self._pool.submit(self._run_batch, selected, submitted_at)
+            with self._lock:
+                self._futures.add(future)
+            future.add_done_callback(self._discard_future)
+            if wait_for_batch:
+                wait([future])
         return len(selected)
 
     def join(self) -> None:
@@ -285,7 +257,7 @@ class DetectionDispatcher:
             wait(futures)
 
     def close(self) -> None:
-        """Wait for in-flight work, shut the pool down and close the backend.
+        """Wait for in-flight work and shut the pool down.
 
         Idempotent; after the first call :meth:`pump` raises ``RuntimeError``.
         """
@@ -295,7 +267,6 @@ class DetectionDispatcher:
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        self._backend.close()
 
     # ------------------------------------------------------------------ #
     def _discard_future(self, future: Future) -> None:
@@ -316,39 +287,12 @@ class DetectionDispatcher:
         if self._journal is not None:
             self._journal.record("kernel", seconds, job=f"group[{group_size}]:{stage}")
 
-    def _run_one(self, session: JobSession, submitted_at: float | None = None) -> None:
+    def _run_batch(self, sessions: list[JobSession], submitted_at: float) -> None:
         started = time.perf_counter()
-        if submitted_at is None:
-            submitted_at = started
-        try:
-            step = self._backend.detect(session)
-        except Exception:
-            with self._lock:
-                self._failures += 1
-                self._pending_evals -= 1
-            raise
-        completed_at = time.perf_counter()
-        latency = completed_at - started
-        self._batch_hist.observe(latency)
-        # True observed latency: queue wait (for pooled dispatch) + run time.
-        self._detect_hist.observe(completed_at - submitted_at)
-        if self._journal is not None:
-            self._journal.record("detect", latency, job=session.job, started=started)
-        with self._lock:
-            self._completed += 1
-            self._pending_evals -= 1
-            self._latencies.append(latency)
-        if self._sink is not None:
-            self._sink(session, step, latency)
-
-    def _run_batch(self, sessions: list[JobSession], submitted_at: float | None = None) -> None:
-        started = time.perf_counter()
-        if submitted_at is None:
-            submitted_at = started
         try:
             report = self._backend.detect_batch(sessions)
         except Exception:
-            # The batched engines degrade per session (a failed session is
+            # The batch engine degrades per session (a failed session is
             # aborted and reported); an exception here means the backend
             # itself broke, so the whole batch is lost.
             with self._lock:

@@ -28,7 +28,7 @@ from repro.trace.framing import FlushFrame, FrameReader, compact_spool
 from repro.trace.jsonl import FlushRecord
 
 from repro.service.autoscaler import AutoscaleConfig
-from repro.service.backend import DetectionBackend, make_backend
+from repro.service.backend import ThreadBackend
 from repro.service.broker import FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
 from repro.service.provider import ServicePeriodProvider
@@ -53,17 +53,6 @@ class ServiceConfig:
     latency_window:
         Number of recent detection latencies retained for the percentile
         statistics (bounded, so stats cost O(1) memory on long runs).
-    backend:
-        Detection backend name: ``"thread"`` evaluates in the dispatcher's
-        threads, ``"process"`` fans CPU-bound evaluations onto a
-        ``ProcessPoolExecutor`` (see :mod:`repro.service.backend`).
-    backend_workers:
-        Worker count of a process backend (``None`` = CPU-count default).
-    batching:
-        Evaluate the due sessions of one pump as a single batch with shared
-        vectorized spectral kernels (see :mod:`repro.service.batch`);
-        bit-identical to sequential evaluation, substantially faster with
-        many concurrent jobs.  Disable to force one evaluation per pool task.
     ring_bytes:
         Sharded deployments only: capacity of the shared-memory ring carrying
         frames from the router to each shard (see
@@ -125,9 +114,6 @@ class ServiceConfig:
     max_workers: int = 0
     max_pending: int = 64
     latency_window: int = 4096
-    backend: str = "thread"
-    backend_workers: int | None = None
-    batching: bool = True
     ring_bytes: int = 1 << 20
     token: int | None = None
     auto_compact: bool = False
@@ -172,16 +158,14 @@ def compact_tails(tails: dict[Path, FrameReader]) -> dict[str, int]:
 class PredictionService:
     """Multi-job streaming prediction service (broker + dispatcher + publisher).
 
-    ``backend`` overrides the config-built detection backend with a live
-    instance (the dispatcher takes ownership and closes it).
+    ``backend`` substitutes a :class:`ThreadBackend` subclass for the default
+    instance (e.g. one that wraps ``detect_batch`` in a trace span).
     """
 
     def __init__(
-        self, config: ServiceConfig | None = None, *, backend: DetectionBackend | None = None
+        self, config: ServiceConfig | None = None, *, backend: ThreadBackend | None = None
     ) -> None:
         self.config = config or ServiceConfig()
-        if backend is None:
-            backend = make_backend(self.config.backend, workers=self.config.backend_workers)
         self.metrics = MetricRegistry() if self.config.metrics else None
         self.journal = (
             SpanJournal(self.config.span_capacity) if self.config.spans else None
@@ -200,7 +184,6 @@ class PredictionService:
             max_pending=self.config.max_pending,
             latency_window=self.config.latency_window,
             backend=backend,
-            batching=self.config.batching,
             metrics=self.metrics,
             journal=self.journal,
         )

@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from typing import Callable
-
 from repro.core.config import FtioConfig
 from repro.core.ftio import SpectralKernels
-from repro.core.online import OnlinePredictor, PredictionStep, PreparedStep, RestoredResult
+from repro.core.online import OnlinePredictor, PredictionStep, PreparedStep
 from repro.trace.jsonl import FlushRecord
 from repro.trace.trace import Trace
 from repro.utils.validation import check_non_negative, check_positive_int
@@ -38,82 +36,10 @@ _KIND_DTYPE = "<U8"
 
 @dataclass(frozen=True)
 class DetectionTask:
-    """Everything a detection engine needs to evaluate one session remotely.
+    """The claimed work of one evaluation: the resident window and its trigger time."""
 
-    The task is a pure value (picklable: config, predictor state dict, a
-    columnar trace, the trigger time), so an engine may run it in another
-    process — the process-pool backend does exactly that.
-    """
-
-    job: str
-    config: FtioConfig
-    adaptive_window: bool
-    predictor_state: dict
     trace: Trace
     now: float
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """Result of running a :class:`DetectionTask`: new predictor state + step.
-
-    ``step`` carries the compact fields of the evaluation
-    (index/time/window/frequency/period/confidence) — the same shape the
-    predictor's own compact history keeps.
-    """
-
-    predictor_state: dict
-    step: dict
-
-
-#: A detection engine evaluates one task and returns the outcome; the default
-#: engine runs inline, the process-pool backend ships the task to a worker.
-DetectionEngine = Callable[[DetectionTask], DetectionOutcome]
-
-
-def step_to_entry(step: PredictionStep) -> dict:
-    """Compact, picklable record of one evaluation (inverse of ``_step_from_entry``)."""
-    return {
-        "index": step.index,
-        "time": step.time,
-        "window": [step.window[0], step.window[1]],
-        "frequency": step.dominant_frequency,
-        "period": step.period,
-        "confidence": step.confidence,
-    }
-
-
-def _step_from_entry(entry: dict) -> PredictionStep:
-    """Rebuild a compact :class:`PredictionStep` from an outcome's step dict."""
-    result: RestoredResult | None = None
-    if entry["frequency"] is not None or entry["period"] is not None:
-        result = RestoredResult(
-            dominant_frequency=entry["frequency"],
-            period=entry["period"],
-            best_confidence=float(entry["confidence"]),
-        )
-    return PredictionStep(
-        index=int(entry["index"]),
-        time=float(entry["time"]),
-        window=(float(entry["window"][0]), float(entry["window"][1])),
-        result=result,
-    )
-
-
-def run_detection_task(task: DetectionTask) -> DetectionOutcome:
-    """Evaluate one :class:`DetectionTask` (pure function, process-safe).
-
-    Rebuilds the predictor from the task's state dict, runs one step exactly
-    as the in-session predictor would, and returns the updated state — so a
-    session whose state is round-tripped through this function transitions
-    bit-identically to one that evaluated inline.
-    """
-    predictor = OnlinePredictor(
-        config=task.config, adaptive_window=task.adaptive_window, compact_history=True
-    )
-    predictor.load_state_dict(task.predictor_state)
-    step = predictor.step(task.trace, now=task.now)
-    return DetectionOutcome(predictor_state=predictor.state_dict(), step=step_to_entry(step))
 
 
 @dataclass(frozen=True)
@@ -301,9 +227,10 @@ class RingColumnStore:
 class JobSession:
     """All service state of one job: buffer, predictor, rate-limit bookkeeping.
 
-    Thread safety: ``ingest`` (broker thread) and ``detect`` (worker threads)
-    both take the session lock, so one job is always evaluated sequentially
-    while different jobs run in parallel.
+    Thread safety: ``ingest`` (broker thread) and the evaluation methods
+    (worker threads) take the session lock, and a claimed batch evaluation
+    keeps the session not-due until it commits or aborts, so one job is
+    always evaluated sequentially.
     """
 
     def __init__(self, job: str, config: SessionConfig | None = None) -> None:
@@ -410,33 +337,24 @@ class JobSession:
                 >= self.config.min_detection_interval
             )
 
-    def detect(
-        self, *, now: float | None = None, engine: DetectionEngine | None = None
-    ) -> PredictionStep | None:
+    def detect(self, *, now: float | None = None) -> PredictionStep | None:
         """Run one evaluation over the resident data (or skip when too little).
 
         ``now`` defaults to the newest ingested flush timestamp.  After the
         evaluation, history older than the predictor's evictable cutoff
         (minus the configured margin) is dropped.
 
-        With ``engine`` set, the evaluation is delegated: the session packs a
-        :class:`DetectionTask`, the engine runs it (possibly in another
-        process), and the returned predictor state is applied back.  The
-        session lock is held throughout, so one job is always evaluated
-        sequentially no matter which engine runs it.
+        This is the sequential reference (one :meth:`OnlinePredictor.step`
+        under the session lock); the service itself evaluates sessions
+        through the two-phase batch methods below, bit-identically.
         """
         with self._lock:
             if self._batch_in_flight:
                 return None
-            task = self._claim_task_locked(now, with_state=engine is not None)
+            task = self._claim_task_locked(now)
             if task is None:
                 return None
-            if engine is None:
-                step = self.predictor.step(task.trace, now=task.now)
-            else:
-                outcome = engine(task)
-                self.predictor.load_state_dict(outcome.predictor_state)
-                step = _step_from_entry(outcome.step)
+            step = self.predictor.step(task.trace, now=task.now)
             self._detections += 1
             self._evict_stale()
             return step
@@ -444,25 +362,21 @@ class JobSession:
     # ------------------------------------------------------------------ #
     # batched evaluation (two-phase, used by repro.service.batch)
     # ------------------------------------------------------------------ #
-    def begin_batch_detect(
-        self, *, now: float | None = None, with_state: bool = False
-    ) -> DetectionTask | None:
+    def begin_batch_detect(self, *, now: float | None = None) -> DetectionTask | None:
         """Phase 1 of a batched evaluation: claim the pending work as a task.
 
         Performs exactly the bookkeeping :meth:`detect` does before the
         evaluation (clear the pending mark, stamp the rate limit, skip when
         below ``min_requests``) and returns the :class:`DetectionTask`, or
-        ``None`` when there is nothing to evaluate.  ``with_state`` controls
-        whether the predictor state dict is serialized into the task (needed
-        only when the batch is shipped to another process).  Until one of
-        :meth:`complete_batch_detect`, :meth:`finish_batch_detect` or
-        :meth:`abort_batch_detect` runs, the session reports not-due, so no
-        second evaluation can race the in-flight batch.
+        ``None`` when there is nothing to evaluate.  Until
+        :meth:`complete_batch_detect` or :meth:`abort_batch_detect` runs, the
+        session reports not-due, so no second evaluation can race the
+        in-flight batch.
         """
         with self._lock:
             if self._batch_in_flight:
                 return None
-            task = self._claim_task_locked(now, with_state=with_state)
+            task = self._claim_task_locked(now)
             if task is None:
                 return None
             self._batch_in_flight = True
@@ -471,7 +385,7 @@ class JobSession:
     def complete_batch_detect(
         self, prepared: PreparedStep, kernels: SpectralKernels | None = None
     ) -> PredictionStep:
-        """Phase 2 (thread backend): commit a locally prepared evaluation.
+        """Phase 2: commit a prepared evaluation.
 
         Runs the live predictor's :meth:`~OnlinePredictor.complete_step`
         with the batch-computed kernels under the session lock, then applies
@@ -484,33 +398,16 @@ class JobSession:
             self._evict_stale()
             return step
 
-    def finish_batch_detect(self, outcome: DetectionOutcome) -> PredictionStep:
-        """Phase 2 (process backend): apply an outcome computed in a worker."""
-        with self._lock:
-            self._batch_in_flight = False
-            self.predictor.load_state_dict(outcome.predictor_state)
-            step = _step_from_entry(outcome.step)
-            self._detections += 1
-            self._evict_stale()
-            return step
-
     def abort_batch_detect(self) -> None:
         """Release a batch claim without applying anything (failed batch).
 
-        The evaluation is dropped, exactly like a failed sequential dispatch.
+        The evaluation is dropped; the data stays resident for the next one.
         """
         with self._lock:
             self._batch_in_flight = False
 
-    def _claim_task_locked(
-        self, now: float | None, *, with_state: bool = True
-    ) -> DetectionTask | None:
-        """Shared pre-evaluation bookkeeping; the caller holds the lock.
-
-        ``with_state=False`` skips serializing the predictor (O(history));
-        the inline sequential path steps the live predictor directly and
-        never reads the task's state dict.
-        """
+    def _claim_task_locked(self, now: float | None) -> DetectionTask | None:
+        """Shared pre-evaluation bookkeeping; the caller holds the lock."""
         if now is None:
             now = self._pending_time
         if now is None:
@@ -520,14 +417,7 @@ class JobSession:
         if len(self._store) < self.config.min_requests:
             self._skipped_detections += 1
             return None
-        return DetectionTask(
-            job=self.job,
-            config=self.config.config,
-            adaptive_window=self.config.adaptive_window,
-            predictor_state=self.predictor.state_dict() if with_state else {},
-            trace=self._store.trace(metadata=self._metadata),
-            now=float(now),
-        )
+        return DetectionTask(trace=self._store.trace(metadata=self._metadata), now=float(now))
 
     def _evict_stale(self) -> None:
         cutoff = self.predictor.evictable_before()

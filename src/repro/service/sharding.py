@@ -128,8 +128,8 @@ class HashRing:
 
     ``weights`` makes the ring heterogeneous: shard ``i`` places
     ``round(replicas * weights[i])`` points (at least one), so its expected
-    arc share is proportional to its weight — a beefy ProcessPoolBackend
-    shard can take a double arc.  Replica keys are a per-shard prefix
+    arc share is proportional to its weight — a shard on a host with
+    twice the cores can take a double arc.  Replica keys are a per-shard prefix
     (``shard-i-replica-0..k``), so changing *only* the weights adds or
     removes points at each shard's tail: jobs move only into a shard whose
     weight grew or out of one whose weight shrank — minimal movement holds
@@ -668,7 +668,7 @@ class ShardedService:
         Number of worker shards (subprocesses) to spawn.
     config:
         Per-shard :class:`ServiceConfig` (session config, worker pool,
-        detection backend, auto-revive policy).  When
+        auto-revive policy).  When
         :attr:`ServiceConfig.token` is set, the router stamps it on frames it
         encodes itself and **rejects** routed byte streams whose frames do
         not carry it (wire-level auth).
@@ -816,9 +816,9 @@ class ShardedService:
         parent_conn, child_conn = self._ctx.Pipe()
         read_parent, read_child = self._ctx.Pipe()
         ring = ShmRingWriter(self.config.ring_bytes) if self.config.ring_bytes > 0 else None
-        # Not daemonic: a shard may itself host a ProcessPoolBackend (daemonic
-        # processes cannot have children).  Orphan safety comes from the shard
-        # loop exiting on control-pipe EOF when the router goes away.
+        # Not daemonic: orphan safety comes from the shard loop exiting on
+        # control-pipe EOF when the router goes away, not from multiprocessing
+        # terminating the child at interpreter exit.
         process = self._ctx.Process(
             target=_shard_main,
             args=(

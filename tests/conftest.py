@@ -19,6 +19,7 @@ if _SRC.exists() and str(_SRC) not in sys.path:
 
 from repro.constants import MIB  # noqa: E402
 from repro.core import Ftio, FtioConfig  # noqa: E402
+from repro.trace.jsonl import FlushRecord  # noqa: E402
 from repro.trace.record import IOKind, IORequest  # noqa: E402
 from repro.trace.trace import Trace  # noqa: E402
 from repro.workloads.ior import ior_trace  # noqa: E402
@@ -93,3 +94,33 @@ def make_square_wave(
     t = np.arange(n) / fs
     phase = np.mod(t, period)
     return np.where(phase < duty * period, high, low)
+
+
+def make_jittered_flushes(
+    seed: int, n_flushes: int, *, period: float = 10.0, ranks: int = 8
+) -> list[FlushRecord]:
+    """A periodic flush stream whose period and burst length jitter per phase.
+
+    At fs = 100 Hz a dozen of these flushes already span > 8 192 samples (the
+    window length past which numpy handles large temporaries differently),
+    and the jitter makes the ACF peak gaps vary, so the ACF confidence is not
+    trivially 1 and last-bit differences in the ACF surface in it.
+    """
+    rng = np.random.default_rng(seed)
+    flushes, t = [], 0.0
+    for index in range(n_flushes):
+        span = period * (1.0 + 0.08 * float(rng.uniform(-1.0, 1.0)))
+        burst = span * float(rng.uniform(0.15, 0.35))
+        requests = tuple(
+            IORequest(
+                rank=r,
+                start=t + r * burst / ranks,
+                end=t + (r + 1) * burst / ranks,
+                nbytes=int(rng.integers(1 << 16, 1 << 22)),
+                kind=IOKind.WRITE,
+            )
+            for r in range(ranks)
+        )
+        t += span
+        flushes.append(FlushRecord(flush_index=index, timestamp=t, requests=requests))
+    return flushes

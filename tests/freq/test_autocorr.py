@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import InsufficientSamplesError
 from repro.freq.autocorr import (
     autocorrelation,
+    autocorrelation_batch,
     detect_period_autocorrelation,
     similarity_to_candidates,
 )
@@ -46,6 +47,22 @@ class TestAutocorrelation:
     def test_multidimensional_rejected(self):
         with pytest.raises(ValueError):
             autocorrelation(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("n", [300, 20_000])
+    def test_batched_rows_equal_the_1d_function_bit_for_bit(self, n):
+        """Offline (1-D) and service (batched) ACF agree at every window length.
+
+        20 000 samples puts the spectrum past 256 KiB, where numpy starts
+        reusing large temporaries as ufunc outputs — the two functions must
+        not round differently there (they did: in-place vs out-of-place
+        complex product).
+        """
+        rng = np.random.default_rng(20_000)
+        x = rng.random(n) * (rng.random(n) < 0.2)
+        y = rng.random(n)
+        one = autocorrelation(x)
+        assert np.array_equal(one, autocorrelation_batch([x, y])[0])
+        assert np.array_equal(one, autocorrelation_batch([x])[0])
 
 
 class TestDetectPeriod:

@@ -1,13 +1,14 @@
-"""Batched detection must be bit-identical to the sequential path.
+"""Batched detection must be bit-identical to the sequential reference.
 
-The batched engines (:mod:`repro.service.batch`) stack the due sessions'
-windows into 2-D arrays and run single vectorized FFT/ACF/outlier kernels
-over the stack.  That is only an *optimization* if nothing observable
-changes: these tests assert bit-identity — not tolerance-based closeness —
-between the batched and sequential paths across mixed window lengths,
-NaN-padded ragged batches, both backends, and the service facade with
-batching on and off.  A property-based sweep (hypothesis) drives randomized
-session populations through both paths.
+The batch engine (:mod:`repro.service.batch`) stacks the due sessions'
+windows into 2-D arrays and runs single vectorized FFT/ACF/outlier kernels
+over the stack.  It is the service's only evaluation path, so what it
+computes must not depend on the batch: these tests assert bit-identity — not
+tolerance-based closeness — between the batch engine and the sequential
+reference (:meth:`JobSession.detect`) across mixed window lengths,
+NaN-padded ragged batches and long ACF windows, and that a job publishes the
+same bits alone or beside batchmates.  A property-based sweep (hypothesis)
+drives randomized session populations through both paths.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from hypothesis import strategies as st
 from repro.core import FtioConfig
 from repro.service import (
     PredictionService,
-    ProcessPoolBackend,
     ServiceConfig,
     SessionConfig,
-    ThreadBackend,
     detect_sessions_inline,
 )
 from repro.service.session import JobSession
 from repro.trace.jsonl import FlushRecord
 from repro.trace.record import IOKind, IORequest
+from tests.conftest import make_jittered_flushes
 
 
 # --------------------------------------------------------------------- #
@@ -65,11 +65,20 @@ def make_flushes(seed: int, n_flushes: int, *, period: float = 4.0) -> list[Flus
     return flushes
 
 
+#: One long-window ACF session: 12 jittered ~10 s periods at fs = 100 Hz is a
+#: ~12 000-sample window, past the 8 192 samples where the 1-D and the batched
+#: ACF used to round differently (seed 13 carried that into the confidence).
+LONG_ACF_SPEC = {
+    "seed": 13, "n_flushes": 12, "period": 10.0, "fs": 100.0, "use_acf": True, "jittered": True,
+}
+
+
 def build_session(job: str, spec: dict) -> JobSession:
     session = JobSession(
         job, SessionConfig(config=make_config(fs=spec["fs"], use_acf=spec["use_acf"]))
     )
-    for flush in make_flushes(spec["seed"], spec["n_flushes"], period=spec["period"]):
+    make = make_jittered_flushes if spec.get("jittered") else make_flushes
+    for flush in make(spec["seed"], spec["n_flushes"], period=spec["period"]):
         session.ingest(flush)
     return session
 
@@ -145,8 +154,7 @@ class TestBatchedEqualsSequential:
         sequential = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
         batched = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
 
-        backend = ThreadBackend()
-        seq_steps = [backend.detect(s) for s in sequential]
+        seq_steps = [s.detect() for s in sequential]
         report = detect_sessions_inline(batched)
         assert not any(report.failed)
         assert_steps_equal(seq_steps, report.steps)
@@ -163,12 +171,11 @@ class TestBatchedEqualsSequential:
                 (13, 2, 6.5, False),
                 (14, 5, 2.0, True),
             ]
-        ]
+        ] + [LONG_ACF_SPEC]
         sequential = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
         batched = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
-        backend = ThreadBackend()
         for round_index in range(2):
-            seq_steps = [backend.detect(s) for s in sequential]
+            seq_steps = [s.detect() for s in sequential]
             report = detect_sessions_inline(batched)
             assert not any(report.failed)
             assert_steps_equal(seq_steps, report.steps)
@@ -183,25 +190,24 @@ class TestBatchedEqualsSequential:
         for seq, bat in zip(sequential, batched):
             assert_state_equal(seq.predictor.state_dict(), bat.predictor.state_dict())
 
-    def test_process_backend_batch_matches_sequential_process_path(self):
-        """The remote batch replays the same state transition as per-session
-        remote detection (both return restored steps)."""
-        specs = [
-            {"seed": s, "n_flushes": n, "period": 4.0, "fs": 10.0, "use_acf": False}
-            for s, n in [(21, 3), (22, 4), (23, 2)]
+    @pytest.mark.parametrize("batchmates", [0, 2])
+    def test_long_acf_window_bit_identical(self, batchmates):
+        """Past 8 192 samples the batch engine still equals the reference,
+        as a batch of one and beside short-window batchmates."""
+        specs = [LONG_ACF_SPEC] + [
+            {"seed": 40 + i, "n_flushes": 4, "period": 4.0, "fs": 10.0, "use_acf": True}
+            for i in range(batchmates)
         ]
         sequential = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
         batched = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
-        backend = ProcessPoolBackend(max_workers=2)
-        try:
-            seq_steps = [backend.detect(s) for s in sequential]
-            report = backend.detect_batch(batched)
-            assert not any(report.failed)
-            assert_steps_equal(seq_steps, report.steps)
-            for seq, bat in zip(sequential, batched):
-                assert_state_equal(seq.predictor.state_dict(), bat.predictor.state_dict())
-        finally:
-            backend.close()
+        seq_steps = [s.detect() for s in sequential]
+        assert seq_steps[0].window[1] - seq_steps[0].window[0] > 81.92  # > 8 192 samples
+        assert 0.0 < seq_steps[0].confidence < 1.0
+        report = detect_sessions_inline(batched)
+        assert not any(report.failed)
+        assert_steps_equal(seq_steps, report.steps)
+        for seq, bat in zip(sequential, batched):
+            assert_state_equal(seq.predictor.state_dict(), bat.predictor.state_dict())
 
     def test_failed_session_degrades_alone(self):
         """One sick session must not poison its batchmates."""
@@ -217,34 +223,48 @@ class TestBatchedEqualsSequential:
         report = detect_sessions_inline([good, sick])
         assert report.failed == [False, True]
         assert report.steps[1] is None
-        backend = ThreadBackend()
-        assert_steps_equal([backend.detect(reference)], [report.steps[0]])
+        assert_steps_equal([reference.detect()], [report.steps[0]])
         # The sick session was aborted, not wedged: it is evaluable again.
         assert not sick._batch_in_flight
 
 
 class TestServiceFacadeEquivalence:
     @pytest.mark.parametrize("max_workers", [0, 2])
-    def test_batching_toggle_is_invisible(self, max_workers):
-        """The service publishes identical predictions batching on or off."""
+    def test_alone_or_with_batchmates_publishes_identical_bits(self, max_workers):
+        """A job's published (period, confidence) must not depend on who else
+        came due in the same pump — i.e. on shard count or tenant mix."""
+        n_flushes, warm = 40, 10
 
-        def run(batching: bool) -> dict:
+        def run(with_mate: bool) -> list[tuple]:
             service = PredictionService(
                 ServiceConfig(
-                    session=SessionConfig(config=make_config()),
+                    session=SessionConfig(
+                        config=make_config(fs=100.0, use_acf=True),
+                        # The window keeps growing: every update evaluates
+                        # more than 8 192 samples.
+                        adaptive_window=False,
+                    ),
                     max_workers=max_workers,
-                    batching=batching,
                 )
             )
+            updates: list[tuple] = []
+            service.publisher.subscribe(
+                lambda u: updates.append((u.period, u.confidence)), jobs=["job"]
+            )
+            ours = make_jittered_flushes(1, n_flushes)
+            theirs = make_jittered_flushes(1001, n_flushes)
             try:
-                for i in range(6):
-                    for flush in make_flushes(100 + i, 4):
-                        service.ingest_flush(f"job-{i}", flush)
-                service.drain()
-                return {
-                    job: service.publisher.latest_period(job) for job in service.jobs
-                }
+                for i in range(n_flushes):
+                    service.ingest_flush("job", ours[i])
+                    if with_mate:
+                        service.ingest_flush("mate", theirs[i])
+                    if i >= warm:
+                        service.pump(wait_for_batch=True)
+                return updates
             finally:
                 service.close()
 
-        assert run(True) == run(False)
+        alone = run(False)
+        assert len(alone) == n_flushes - warm
+        assert any(0.0 < confidence < 1.0 for _, confidence in alone)
+        assert alone == run(True)

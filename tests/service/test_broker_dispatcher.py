@@ -110,18 +110,6 @@ class TestDetectionDispatcher:
         # Make many jobs due at once; with a single slot most must be deferred.
         for job_index in range(8):
             service.ingest_flush(f"job-{job_index}", make_flush(0))
-        # Slow the first evaluation down so the lone worker slot stays busy
-        # while the pump loop visits the remaining sessions.
-        first = service.session("job-0")
-        original_detect = first.detect
-
-        def slow_detect(**kwargs):
-            import time as _time
-
-            _time.sleep(0.05)
-            return original_detect(**kwargs)
-
-        first.detect = slow_detect
         service.pump()
         service.dispatcher.join()
         stats = service.dispatcher.stats
@@ -153,7 +141,7 @@ class TestDetectionDispatcher:
         def explode(**kwargs):
             raise RuntimeError("injected")
 
-        session.detect = explode
+        session.begin_batch_detect = explode
         dispatcher = DetectionDispatcher(broker)
         with pytest.raises(RuntimeError):
             dispatcher.pump()

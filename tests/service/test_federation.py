@@ -423,6 +423,8 @@ class TestConfigWire:
     def test_unknown_wire_keys_are_ignored(self):
         wire = config_to_wire(make_config())
         wire["from_the_future"] = True
+        # Knobs a pre-PR-15 router still sends; this worker no longer has them.
+        wire.update(backend="process", backend_workers=2, batching=False)
         wire["session"]["also_new"] = 1
         rebuilt = config_from_wire(wire)
         assert rebuilt.session.config.sampling_frequency == 10.0

@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.trace.framing import FrameWriter, encode_frame
 from repro.workloads import synthetic_flush_streams
+from tests.conftest import make_jittered_flushes
 
 N_JOBS = 32
 N_SHARDS = 4
@@ -78,6 +79,52 @@ def sessions_by_job(state: dict) -> dict[str, dict]:
     return {session["job"]: session for session in state["sessions"]}
 
 
+def assert_sharded_matches_single(streams, config, n_shards, *, token) -> set[int]:
+    """Drive ``streams`` through ``n_shards`` shards and one process; every
+    published period and the full per-session state must be bit-identical.
+    Returns the set of shards that owned a job."""
+    reference = run_single(streams, config, token=token)
+
+    sharded = ShardedService(n_shards, replace(config, token=token))
+    try:
+        n_rounds = max(len(flushes) for flushes in streams.values())
+        for round_index in range(n_rounds):
+            for job_index, (job, flushes) in enumerate(streams.items()):
+                if round_index < len(flushes):
+                    sharded.feed_bytes(
+                        frame_for(job_index, job, flushes[round_index], token)
+                    )
+            sharded.pump()
+        sharded.drain()
+
+        # Published periods match exactly.
+        for job in streams:
+            assert sharded.publisher.latest_period(job) == reference["periods"][job], job
+
+        # Full per-session state is bit-identical: predictor histories
+        # (periods, windows, times, confidences), resident buffers,
+        # metadata and counters.
+        merged = sharded.snapshot_state()
+        ours = sessions_by_job(merged)
+        theirs = sessions_by_job(reference["state"])
+        assert set(ours) == set(theirs) == set(streams)
+        for job in streams:
+            assert ours[job] == theirs[job], job
+        assert merged["publisher"] == reference["state"]["publisher"]
+
+        # Aggregated stats add up across shards.
+        broker = sharded.broker_stats
+        total_flushes = sum(len(f) for f in streams.values())
+        assert broker.jobs == len(streams)
+        assert broker.frames == broker.flushes == total_flushes
+        dispatch = sharded.dispatcher_stats
+        assert dispatch.completed == dispatch.submitted > 0
+        assert dispatch.failures == 0 and dispatch.pending == 0
+        return {sharded.shard_for(job) for job in streams}
+    finally:
+        sharded.close()
+
+
 class TestHashRing:
     def test_deterministic_and_total(self):
         ring = HashRing(N_SHARDS)
@@ -114,50 +161,28 @@ class TestHashRing:
 
 class TestShardedEquivalence:
     def test_32_jobs_bit_identical_to_single_process(self, streams, service_config):
-        token = 9
-        reference = run_single(streams, service_config, token=token)
+        owners = assert_sharded_matches_single(streams, service_config, N_SHARDS, token=9)
+        # Every shard served some jobs.
+        assert owners == set(range(N_SHARDS))
 
-        sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
-        try:
-            n_rounds = max(len(flushes) for flushes in streams.values())
-            for round_index in range(n_rounds):
-                for job_index, (job, flushes) in enumerate(streams.items()):
-                    if round_index < len(flushes):
-                        sharded.feed_bytes(
-                            frame_for(job_index, job, flushes[round_index], token)
-                        )
-                sharded.pump()
-            sharded.drain()
-
-            # Every shard served some jobs.
-            owners = {sharded.shard_for(job) for job in streams}
-            assert owners == set(range(N_SHARDS))
-
-            # Published periods match exactly.
-            for job in streams:
-                assert sharded.publisher.latest_period(job) == reference["periods"][job], job
-
-            # Full per-session state is bit-identical: predictor histories
-            # (periods, windows, times, confidences), resident buffers,
-            # metadata and counters.
-            merged = sharded.snapshot_state()
-            ours = sessions_by_job(merged)
-            theirs = sessions_by_job(reference["state"])
-            assert set(ours) == set(theirs) == set(streams)
-            for job in streams:
-                assert ours[job] == theirs[job], job
-            assert merged["publisher"] == reference["state"]["publisher"]
-
-            # Aggregated stats add up across shards.
-            broker = sharded.broker_stats
-            total_flushes = sum(len(f) for f in streams.values())
-            assert broker.jobs == N_JOBS
-            assert broker.frames == broker.flushes == total_flushes
-            dispatch = sharded.dispatcher_stats
-            assert dispatch.completed == dispatch.submitted > 0
-            assert dispatch.failures == 0 and dispatch.pending == 0
-        finally:
-            sharded.close()
+    def test_long_acf_windows_bit_identical_to_single_process(self):
+        """Three jobs with > 8 192-sample ACF windows: alone on one shard or
+        batched with the others in one process, the bits are the same."""
+        config = ServiceConfig(
+            session=SessionConfig(
+                config=FtioConfig(
+                    sampling_frequency=100.0,
+                    use_autocorrelation=True,
+                    compute_characterization=False,
+                ),
+                adaptive_window=False,
+            )
+        )
+        long_streams = {
+            f"long-{j}": make_jittered_flushes(13 + j, 12) for j in range(3)
+        }
+        owners = assert_sharded_matches_single(long_streams, config, 2, token=None)
+        assert owners == {0, 1}
 
     def test_merged_snapshot_restores_into_single_process(self, streams, service_config):
         token = 2
@@ -202,42 +227,6 @@ class TestShardedEquivalence:
                 assert smaller.publisher.latest_period(job) == periods[job], job
         finally:
             smaller.close()
-
-
-class TestProcessPoolBackend:
-    def test_process_backend_bit_identical_to_thread_backend(self, service_config):
-        streams = synthetic_flush_streams(4, flushes_per_job=6, seed=7)
-
-        def run(backend: str) -> dict:
-            config = ServiceConfig(
-                session=service_config.session,
-                max_workers=2,
-                backend=backend,
-                backend_workers=2,
-            )
-            service = PredictionService(config)
-            for job, flushes in streams.items():
-                for flush in flushes:
-                    service.ingest_flush(job, flush)
-                    service.pump(wait_for_batch=True)
-            service.dispatcher.join()
-            histories = {
-                job: [
-                    (s.index, s.time, s.window, s.period, s.confidence)
-                    for s in service.session(job).predictor.history
-                ]
-                for job in streams
-            }
-            service.close()
-            return histories
-
-        assert run("thread") == run("process")
-
-    def test_unknown_backend_rejected(self):
-        from repro.service import make_backend
-
-        with pytest.raises(ValueError):
-            make_backend("quantum")
 
 
 class TestCrashRecovery:

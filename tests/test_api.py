@@ -50,7 +50,6 @@ class TestReproConfig:
             max_samples=123,
             min_requests=3,
             max_workers=5,
-            backend="process",
             token=9,
             auto_revive=True,
         )
@@ -58,7 +57,7 @@ class TestReproConfig:
         assert session.max_samples == 123 and session.min_requests == 3
         assert session.config is config.analysis
         service = config.service_config()
-        assert service.max_workers == 5 and service.backend == "process"
+        assert service.max_workers == 5
         assert service.token == 9 and service.auto_revive is True
         assert service.session == session
 
@@ -150,7 +149,6 @@ class TestCompatibility:
             PredictionPublisher,
             PredictionService,
             PredictionUpdate,
-            ProcessPoolBackend,
             RingColumnStore,
             ServiceConfig,
             SessionConfig,
@@ -158,7 +156,6 @@ class TestCompatibility:
             ThreadBackend,
             apply_state,
             load_snapshot,
-            make_backend,
             merge_states,
             restore_state,
             save_snapshot,
