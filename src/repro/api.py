@@ -69,8 +69,6 @@ class ReproConfig:
         Detection worker threads (0 = inline, deterministic).
     max_pending:
         Backpressure bound on in-flight evaluations.
-    latency_window:
-        Recent detection latencies retained for percentile statistics.
     shards:
         Worker shards of the service; 0 runs single-process, N >= 1 spawns a
         :class:`~repro.service.sharding.ShardedService` of N subprocesses
@@ -131,7 +129,6 @@ class ReproConfig:
     # --- service ----------------------------------------------------------- #
     max_workers: int = 0
     max_pending: int = 64
-    latency_window: int = 4096
     shards: int = 0
     replicas: int = 64
     token: int | None = None
@@ -187,7 +184,6 @@ class ReproConfig:
             session=self.session_config(),
             max_workers=self.max_workers,
             max_pending=self.max_pending,
-            latency_window=self.latency_window,
             token=self.token,
             auto_compact=self.auto_compact,
             auto_revive=self.auto_revive,

@@ -14,8 +14,13 @@ through a shared-memory ring (:mod:`repro.service.shm_ring`; the socketpair
 is just its doorbell) — with a header-only router, aggregated stats,
 merged snapshot/restore, crash recovery, and *elastic live resharding*
 (:meth:`ShardedService.reshard` grows or shrinks the topology mid-stream
-with minimal session movement; see :mod:`repro.service.sharding`).  Every
-evaluation, on every topology, runs through the one batch engine of
+with minimal session movement).  The sharded form is five modules, each
+importing only the ones before it: :mod:`~repro.service.ring` (who owns a
+job), :mod:`~repro.service.shard_worker` (the loop a shard runs),
+:mod:`~repro.service.supervisor` (spawn / adopt / channels / heartbeat /
+revive), :mod:`~repro.service.migration` (live reshard) and
+:mod:`~repro.service.sharding` (the router facade).  Every evaluation, on
+every topology, runs through the one batch engine of
 :mod:`repro.service.batch`.
 
 Every control surface — the shard pipes, the asyncio TCP gateway
@@ -40,9 +45,10 @@ from repro.service.broker import BrokerStats, FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
 from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher, PredictionUpdate
+from repro.service.ring import HashRing
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.session import DetectionTask, JobSession, RingColumnStore, SessionConfig
-from repro.service.sharding import HashRing, ShardedService
+from repro.service.sharding import ShardedService
 from repro.service.shm_ring import RingHandle, ShmRingReader, ShmRingWriter
 from repro.service.snapshot import (
     apply_state,

@@ -39,7 +39,7 @@ Every piece takes an injectable clock, so the chaos/load-ramp harness
 (``tests/service/test_autoscaler.py``) drives the whole loop with
 :meth:`Autoscaler.tick` under a scripted fake clock and asserts that
 autoscaled runs stay bit-identical to fixed-topology ones — the zero-pause
-double-routed handover in :mod:`repro.service.sharding` is what makes the
+double-routed handover in :mod:`repro.service.migration` is what makes the
 mid-traffic resizes invisible.
 """
 

@@ -23,32 +23,22 @@ evaluation route, so a job's arithmetic never depends on who else was due.
 The whole batch occupies one pool slot and counters stay in *evaluation*
 units.
 
-**Latency accounting.**  Two different questions hide under "latency" and
-the dispatcher now answers both honestly:
-
-* the **observed** latency of a session's result — submit-to-completion wall
-  time, which for a batched session is the *whole* batch span (every member
-  waited for it), recorded in the ``repro_dispatcher_detect_seconds``
-  histogram together with per-batch spans in
-  ``repro_dispatcher_batch_seconds``;
-* the **attributed cost** per evaluation — the batch wall divided by the
-  batch size, which is what :meth:`latencies` / :meth:`latency_percentile`
-  and the sink callback have always reported.  Those stay as derived
-  per-evaluation *share* views for compatibility; distribution questions
-  (p99 and friends) should use the histograms, where a 30-session batch no
-  longer masquerades as 30 observations of 1/30th its duration.
+**Latency accounting.**  A session's detection latency is its
+submit-to-completion wall time, which for a batched session is the *whole*
+batch span (every member waited for it).  It is recorded in the
+``repro_dispatcher_detect_seconds`` histogram (per-batch spans in
+``repro_dispatcher_batch_seconds``), handed to the sink, and is what the
+``p50/p99_detection_latency_seconds`` stats keys read — in-process from this
+histogram, sharded from the bucket-wise merge of every shard's.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.online import PredictionStep
 from repro.obs import NULL_HISTOGRAM, Histogram, MetricRegistry, NullHistogram, SpanJournal
@@ -93,7 +83,6 @@ class DetectionDispatcher:
         sink: DetectionSink | None = None,
         max_workers: int = 0,
         max_pending: int = 64,
-        latency_window: int = 4096,
         backend: ThreadBackend | None = None,
         metrics: MetricRegistry | None = None,
         journal: SpanJournal | None = None,
@@ -102,8 +91,6 @@ class DetectionDispatcher:
             raise ValueError(f"max_workers must be >= 0, got {max_workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {latency_window}")
         self._broker = broker
         self._sink = sink
         self._backend = backend if backend is not None else ThreadBackend()
@@ -116,9 +103,6 @@ class DetectionDispatcher:
         # capacity independent of how evaluations are packed into futures.
         self._pending_evals = 0
         self._lock = threading.Lock()
-        # Bounded: a long-running service must not accumulate one float per
-        # evaluation forever; percentiles are over the most recent window.
-        self._latencies: deque[float] = deque(maxlen=latency_window)
         self._submitted = 0
         self._completed = 0
         self._deferred = 0
@@ -126,13 +110,15 @@ class DetectionDispatcher:
         self._journal = journal
         self._metrics = metrics
         self._batch_hist: Histogram | NullHistogram = NULL_HISTOGRAM
-        self._detect_hist: Histogram | NullHistogram = NULL_HISTOGRAM
+        #: Every completed evaluation's latency: the one source of the stats
+        #: percentiles, so it exists (unregistered) with metrics off too.
+        self.detect_histogram = Histogram()
         if metrics is not None:
             self._batch_hist = metrics.histogram(
                 "repro_dispatcher_batch_seconds",
                 help="Wall time of one dispatched batch",
             )
-            self._detect_hist = metrics.histogram(
+            self.detect_histogram = metrics.histogram(
                 "repro_dispatcher_detect_seconds",
                 help="Submit-to-completion latency per session "
                 "(batched sessions share the batch span)",
@@ -172,30 +158,6 @@ class DetectionDispatcher:
                 failures=self._failures,
                 pending=self._pending_evals,
             )
-
-    @property
-    def detect_histogram(self) -> Histogram | None:
-        """The full detection-latency histogram (``None`` with metrics off).
-
-        Unlike :meth:`latencies` — a bounded recent window — the histogram
-        counts every completed evaluation, and merges bucket-wise across
-        shards, so aggregated percentiles weigh shards by their actual
-        detection volume.
-        """
-        hist = self._detect_hist
-        return hist if isinstance(hist, Histogram) else None
-
-    def latencies(self) -> tuple[float, ...]:
-        """Durations of the most recent completed evaluations (seconds)."""
-        with self._lock:
-            return tuple(self._latencies)
-
-    def latency_percentile(self, q: float) -> float | None:
-        """Recent-window latency percentile in seconds, or ``None`` if empty."""
-        with self._lock:
-            if not self._latencies:
-                return None
-            return float(np.percentile(np.asarray(self._latencies), q))
 
     # ------------------------------------------------------------------ #
     def pump(self, *, wait_for_batch: bool = False) -> int:
@@ -307,23 +269,16 @@ class DetectionDispatcher:
         observed = completed_at - submitted_at
         for failed in report.failed:
             if not failed:
-                self._detect_hist.observe(observed)
+                self.detect_histogram.observe(observed)
         if self._journal is not None:
             self._journal.record(
                 "detect", wall, job=f"batch[{len(sessions)}]", started=started
             )
-        # Derived per-evaluation *share* — the historical value of the
-        # latency window and the sink callback, kept for compatibility (see
-        # the module docstring for share vs. observed latency).
-        latency = wall / len(sessions)
         with self._lock:
             self._failures += report.failures
             self._completed += len(sessions) - report.failures
             self._pending_evals -= len(sessions)
-            for ok in report.failed:
-                if not ok:
-                    self._latencies.append(latency)
         if self._sink is not None:
             for session, step, failed in zip(sessions, report.steps, report.failed):
                 if not failed:
-                    self._sink(session, step, latency)
+                    self._sink(session, step, observed)

@@ -50,9 +50,6 @@ class ServiceConfig:
         :meth:`PredictionService.pump` (deterministic, single-threaded).
     max_pending:
         Backpressure bound: maximum evaluations in flight at once.
-    latency_window:
-        Number of recent detection latencies retained for the percentile
-        statistics (bounded, so stats cost O(1) memory on long runs).
     ring_bytes:
         Sharded deployments only: capacity of the shared-memory ring carrying
         frames from the router to each shard (see
@@ -113,7 +110,6 @@ class ServiceConfig:
     session: SessionConfig = field(default_factory=SessionConfig)
     max_workers: int = 0
     max_pending: int = 64
-    latency_window: int = 4096
     ring_bytes: int = 1 << 20
     token: int | None = None
     auto_compact: bool = False
@@ -182,7 +178,6 @@ class PredictionService:
             sink=self._on_detection,
             max_workers=self.config.max_workers,
             max_pending=self.config.max_pending,
-            latency_window=self.config.latency_window,
             backend=backend,
             metrics=self.metrics,
             journal=self.journal,
@@ -350,6 +345,8 @@ class PredictionService:
         dispatch = self.dispatcher.stats
         sessions = self.broker.sessions()
         copies = self.broker.copy_stats
+        latency = self.dispatcher.detect_histogram
+        detected = latency.count > 0
         return {
             "jobs": broker.jobs,
             "frames": broker.frames,
@@ -363,8 +360,8 @@ class PredictionService:
             "failures": dispatch.failures,
             "pending_evaluations": dispatch.pending,
             "published": self.publisher.published,
-            "p50_detection_latency_seconds": self.dispatcher.latency_percentile(50),
-            "p99_detection_latency_seconds": self.dispatcher.latency_percentile(99),
+            "p50_detection_latency_seconds": latency.quantile(0.5) if detected else None,
+            "p99_detection_latency_seconds": latency.quantile(0.99) if detected else None,
         }
 
     def metrics_snapshot(self) -> dict:

@@ -1,10 +1,16 @@
-"""Dial-home federated shard worker (the ``repro-shard`` process).
+"""Shard worker: the loop every shard runs, and the dial-home way into it.
+
+:func:`shard_main` is one shard — a full
+:class:`~repro.service.service.PredictionService` driven over a data, a
+control and a read channel (see :mod:`repro.service.supervisor`, which forks
+it for a *local* shard); a *remote* shard is the same function entered
+through :class:`ShardWorker`.
 
 A :class:`~repro.service.sharding.ShardedService` configured with
 ``placement=["remote", ...]`` does not fork those slots — it adopts workers
 that *dial home* to its :class:`~repro.service.transport.ShardListener`
 (only the router needs a routable address; workers can sit behind NAT).
-This module is the worker side of that adoption:
+:class:`ShardWorker` is the worker side of that adoption:
 
 1. **Dial + handshake** — connect to ``host:port`` (with retry/backoff: the
    worker may come up before the router), send the standard FTC1
@@ -21,28 +27,386 @@ This module is the worker side of that adoption:
    introducing itself with :class:`~repro.service.protocol.AttachChannel`
    (the pairing key + ``"data"`` / ``"read"``): the framed-TCP data plane
    and the read plane.
-4. **Serve** — run the exact same worker loop a forked local shard runs
-   (:func:`~repro.service.sharding._shard_main`), with the dial connection
-   as the control channel.  From here on the router cannot tell this worker
-   from a local fork except by looking at ``shard_details()``.
+4. **Serve** — run :func:`shard_main` with the dial connection as the
+   control channel.  From here on the router cannot tell this worker from a
+   local fork except by looking at ``shard_details()``.
 """
 
 from __future__ import annotations
 
 import os
+import select
+import selectors
 import socket
+import threading
 import time
+from collections.abc import Callable
 
 from repro.exceptions import ProtocolError, ServiceError
-
 from repro.service import protocol as proto
-from repro.service.sharding import _shard_main
+from repro.service.ring import HashRing
+from repro.service.service import PredictionService, ServiceConfig
+from repro.service.shm_ring import RingHandle, ShmRingReader
+from repro.service.snapshot import (
+    apply_state,
+    extract_service_jobs,
+    merge_into,
+    snapshot_state,
+)
 from repro.service.transport import (
     SocketChannel,
     config_from_wire,
     recv_message,
     send_message,
 )
+from repro.trace.msgpack import packb
+
+#: Socket read size of the shard ingestion loop.
+_RECV_CHUNK = 1 << 16
+
+
+def _stats_reply(service: PredictionService, bytes_received: int) -> proto.StatsReply:
+    """This shard's stats as one :class:`~repro.service.protocol.StatsReply`.
+
+    Shared by the control-plane Stats handler (which syncs the data plane to
+    the router's byte mark first) and the read-plane server (which answers
+    immediately with whatever has been ingested so far).
+    """
+    broker = service.broker.stats
+    dispatch = service.dispatcher.stats
+    return proto.StatsReply(
+        stats={
+            "service": service.stats(),
+            "broker": vars(broker),
+            "dispatcher": vars(dispatch),
+            "jobs": list(service.jobs),
+            # The full mergeable latency distribution: the router merges
+            # these bucket-wise, so the aggregated p99 weighs every detection
+            # of every shard by volume.
+            "detect_hist": service.dispatcher.detect_histogram.to_dict(),
+            "bytes_received": bytes_received,
+        }
+    )
+
+
+def _serve_read_plane(
+    channel,
+    service: PredictionService,
+    bytes_received: Callable[[], int],
+) -> None:
+    """Serve read-only requests on a shard's second channel, in its own thread.
+
+    Handles Heartbeat / Stats / MetricsReport / Subscribe without touching the
+    control plane, so the router (and through it the gateway's ops surface)
+    reads liveness and counters even while the worker loop is deep inside a
+    pump — and a worker whose *process* is wedged (SIGSTOP, runaway C
+    extension) stops answering heartbeats here, which is exactly the signal
+    the router's liveness timeout keys on.  Subscribed prediction events are
+    pushed from publisher threads; a lock serializes them against replies so
+    envelopes never interleave on the wire.
+    """
+    send_lock = threading.Lock()
+
+    def send(message: proto.Message) -> bool:
+        try:
+            with send_lock:
+                channel.send_bytes(proto.encode_message(message))
+        except (OSError, EOFError, ValueError, BrokenPipeError):
+            return False
+        return True
+
+    def push(update) -> None:
+        send(proto.PredictionEvent(update=update.to_dict()))
+
+    subscribed = False
+    while True:
+        try:
+            request = proto.decode_message(channel.recv_bytes())
+        except (EOFError, OSError, ValueError, ProtocolError):
+            return
+        try:
+            reply: proto.Message
+            if isinstance(request, proto.Heartbeat):
+                # Echo the sender's clock so the router computes RTT without
+                # any cross-host clock agreement.
+                reply = proto.HeartbeatReply(seq=request.seq, sent_at=request.sent_at)
+            elif isinstance(request, proto.Stats):
+                reply = _stats_reply(service, bytes_received())
+            elif isinstance(request, proto.MetricsReport):
+                reply = proto.MetricsReport(metrics=service.metrics_snapshot())
+            elif isinstance(request, proto.Subscribe):
+                if not subscribed:
+                    service.publisher.subscribe(push)
+                    subscribed = True
+                reply = proto.SubscribeReply(subscription=1)
+            else:
+                reply = proto.Error(
+                    message=f"unsupported read-plane message {type(request).__name__}",
+                    code="unsupported",
+                )
+        except Exception as exc:  # surface shard-side errors, keep serving
+            reply = proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
+        if not send(reply):
+            return
+
+
+def shard_main(
+    index: int,
+    config: ServiceConfig,
+    data_sock: socket.socket,
+    control,
+    ring_handle: RingHandle | None,
+    read_channel,
+) -> None:
+    """Control loop of one shard: select over the data channel and control pipe.
+
+    With a ``ring_handle``, frame bytes arrive through the shared-memory
+    ring and ``data_sock`` is its doorbell (byte totals only); with ``None``
+    (``ring_bytes=0``, and every remote worker) ``data_sock`` carries the
+    frame bytes itself.  Control messages are the typed envelopes of
+    :mod:`repro.service.protocol`, one per ``send_bytes``/``recv_bytes`` pair
+    on the pipe.  A daemon thread serves read-only requests on
+    ``read_channel`` — see :func:`_serve_read_plane`.
+    """
+    service = PredictionService(config)
+    updates: list[dict] = []
+    service.publisher.subscribe(lambda update: updates.append(update.to_dict()))
+    bytes_received = 0
+    data_eof = False
+    threading.Thread(
+        target=_serve_read_plane,
+        args=(read_channel, service, lambda: bytes_received),
+        name=f"shard-{index}-read-plane",
+        daemon=True,
+    ).start()
+    # Non-blocking: a control handler may drain the socket ahead of the
+    # selector loop, leaving the loop's readiness event stale — a blocking
+    # recv on a stale event would deadlock the shard.
+    data_sock.setblocking(False)
+    ring = ShmRingReader(ring_handle, data_sock) if ring_handle is not None else None
+
+    def drain_updates() -> tuple[dict, ...]:
+        drained = tuple(updates)
+        del updates[: len(drained)]
+        return drained
+
+    def read_available() -> None:
+        # Ingest whatever the data channel holds right now (never blocks).
+        nonlocal bytes_received, data_eof
+        if ring is not None:
+            while not data_eof:
+                ring.pump_doorbell()
+                views = ring.views()
+                if not views:
+                    if ring.eof:
+                        data_eof = True
+                    return
+                for view in views:
+                    # The view borrows ring memory: the broker decodes frames
+                    # straight out of it and materializes only an undecoded
+                    # tail, so the memory can be released and acknowledged
+                    # (= reused by the router) immediately after.
+                    bytes_received += len(view)
+                    service.feed_borrowed(view)
+                    view.release()
+                ring.ack()
+            return
+        while not data_eof:
+            try:
+                chunk = data_sock.recv(_RECV_CHUNK)
+            except BlockingIOError:
+                return
+            if not chunk:
+                data_eof = True
+                return
+            bytes_received += len(chunk)
+            service.feed_bytes(chunk)
+
+    def sync_to(expected: int | None) -> None:
+        # The router counted its sends; catch the data plane up to that mark
+        # before acting on a control message that depends on it.
+        read_available()
+        if expected is None:
+            return
+        while bytes_received < expected and not data_eof:
+            select.select([data_sock], [], [])
+            read_available()
+
+    def state_replies(
+        state: dict, max_chunk: int | None, single: type, kind: str
+    ) -> list[proto.Message]:
+        # One plain reply when it fits (or the request set no bound); a
+        # bounded chunk stream otherwise.
+        packed = packb(state)
+        if max_chunk is None or len(packed) <= max_chunk:
+            return [single(state=state)]
+        return list(proto.iter_state_chunks(packed, kind=kind, max_chunk=max_chunk))
+
+    assembler = proto.ChunkAssembler()
+
+    done = False  # set by the two handlers that hang up after their reply
+
+    def handle(request: proto.Message) -> list[proto.Message]:
+        nonlocal done
+        if isinstance(request, proto.Hello):
+            version = proto.negotiate_version(request.versions)
+            if version is None:
+                # Typed rejection, then hang up — as the gateway and the
+                # shard listener do: a router of another protocol generation
+                # cannot drive this shard.
+                done = True
+                return [
+                    proto.Error(
+                        message=(
+                            f"no common protocol version (shard speaks "
+                            f"{proto.SUPPORTED_VERSIONS}, peer offered {request.versions})"
+                        ),
+                        code="unsupported-version",
+                    )
+                ]
+            return [proto.HelloReply(version=version, server=f"prediction-shard-{index}")]
+        if isinstance(request, proto.Pump):
+            sync_to(request.expected_bytes)
+            submitted = service.pump(wait_for_batch=True)
+            service.dispatcher.join()
+            return [proto.PumpReply(submitted=submitted, updates=drain_updates())]
+        if isinstance(request, proto.Drain):
+            sync_to(request.expected_bytes)
+            service.drain()
+            return [proto.DrainReply(updates=drain_updates())]
+        if isinstance(request, proto.Stats):
+            return [_stats_reply(service, bytes_received)]
+        if isinstance(request, proto.MetricsReport):
+            # An (empty) report is the poll; the reply carries this shard's
+            # registry snapshot for the router to merge.
+            return [proto.MetricsReport(metrics=service.metrics_snapshot())]
+        if isinstance(request, proto.Snapshot):
+            sync_to(request.expected_bytes)
+            return state_replies(
+                snapshot_state(service), request.max_chunk, proto.SnapshotReply, "snapshot"
+            )
+        if isinstance(request, proto.ExtractJobs):
+            # The migration source: drain the data plane up to the router's
+            # mark, then capture-and-remove the moving jobs in one step.
+            sync_to(request.expected_bytes)
+            state = extract_service_jobs(service, request.jobs)
+            return state_replies(state, request.max_chunk, proto.ExtractJobsReply, "extract")
+        if isinstance(request, proto.SnapshotChunk):
+            kind = request.kind
+            state = assembler.feed(request)
+            if state is None:
+                # Mid-transfer chunks ride the ordered pipe unacknowledged;
+                # only the completed transfer gets a reply.
+                return []
+            if kind == "merge":
+                merge_into(service, state)
+            elif kind == "restore":
+                apply_state(service, state)
+            else:
+                return [
+                    proto.Error(
+                        message=f"cannot apply a {kind!r} chunk stream to a shard",
+                        code="protocol",
+                    )
+                ]
+            return [proto.RestoreReply(restored=len(state["sessions"]))]
+        if isinstance(request, proto.Restore):
+            apply_state(service, request.state)
+            return [proto.RestoreReply(restored=len(request.state["sessions"]))]
+        if isinstance(request, proto.BeginHandover):
+            # Rebuild both rings locally and stage exactly the frames whose
+            # job is moving *to this shard* — correct even for job ids first
+            # seen mid-migration, and independent of how data-plane bytes
+            # interleave with this control message (frames already buffered
+            # for jobs this shard owned under the old ring never match).
+            old_ring = HashRing(
+                request.old_shards,
+                replicas=request.replicas,
+                weights=request.old_weights,
+            )
+            new_ring = HashRing(
+                request.new_shards,
+                replicas=request.replicas,
+                weights=request.new_weights,
+            )
+            me = request.shard
+
+            def moving_here(job: str) -> bool:
+                owner = new_ring.shard_for(job)
+                return owner == me and old_ring.shard_for(job) != owner
+
+            service.broker.begin_staging(moving_here)
+            return [proto.BeginHandoverReply(shard=index)]
+        if isinstance(request, proto.CompleteHandover):
+            sync_to(request.expected_bytes)
+            replayed, dropped = service.broker.end_staging(request.drop_counts)
+            return [proto.CompleteHandoverReply(replayed=replayed, dropped=dropped)]
+        if isinstance(request, proto.AbortHandover):
+            sync_to(request.expected_bytes)
+            discarded = service.broker.abort_staging()
+            return [proto.AbortHandoverReply(discarded=discarded)]
+        if isinstance(request, proto.FinishJob):
+            service.finish_job(request.job)
+            return [proto.FinishJobReply(job=request.job)]
+        if isinstance(request, proto.ReapFinished):
+            reaped = service.reap_finished(
+                forget_predictions=request.forget_predictions
+            )
+            return [proto.ReapFinishedReply(jobs=reaped)]
+        if isinstance(request, proto.Close):
+            service.close()
+            done = True
+            return [proto.CloseReply()]
+        return [
+            proto.Error(
+                message=f"unsupported shard control message {type(request).__name__}",
+                code="unsupported",
+            )
+        ]
+
+    selector = selectors.DefaultSelector()
+    selector.register(data_sock, selectors.EVENT_READ, "data")
+    selector.register(control, selectors.EVENT_READ, "control")
+    try:
+        while not done:
+            for key, _ in selector.select():
+                if key.data == "data":
+                    read_available()
+                    if data_eof:
+                        selector.unregister(data_sock)
+                    continue
+                try:
+                    request = proto.decode_message(control.recv_bytes())
+                except EOFError:
+                    # The router went away; there is nobody to serve.
+                    done = True
+                    break
+                except ProtocolError as exc:
+                    control.send_bytes(
+                        proto.encode_message(proto.Error(message=str(exc), code="protocol"))
+                    )
+                    continue
+                try:
+                    for response in handle(request):
+                        control.send_bytes(proto.encode_message(response))
+                except Exception as exc:  # surface shard-side errors to the router
+                    control.send_bytes(
+                        proto.encode_message(
+                            proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
+                        )
+                    )
+                if done:
+                    break
+    finally:
+        selector.close()
+        if ring is not None:
+            ring.close()
+        data_sock.close()
+        control.close()
+        try:
+            read_channel.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
 
 
 class ShardWorker:
@@ -160,12 +524,6 @@ class ShardWorker:
         except BaseException:
             control.close()
             raise
-        # The worker loop owns (and closes) every channel from here.
-        _shard_main(
-            adoption.shard,
-            config,
-            data_sock,
-            control,
-            ring_handle=None,
-            read_channel=read_channel,
-        )
+        # The worker loop owns (and closes) every channel from here; a ring
+        # segment cannot span hosts, so the data socket carries the frames.
+        shard_main(adoption.shard, config, data_sock, control, None, read_channel)

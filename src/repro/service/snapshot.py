@@ -133,6 +133,18 @@ def split_state(state: dict, owner: Callable[[str], int], n_shards: int) -> list
     return shards
 
 
+def state_jobs(state: dict) -> set[str]:
+    """Every job a snapshot state carries — sessions *and* publisher-only
+    entries (a reaped job keeps its last prediction; it must stay tracked
+    so a later reshard still migrates that entry with its owner)."""
+    publisher = state.get("publisher", {})
+    return (
+        {str(session["job"]) for session in state["sessions"]}
+        | {str(job) for job in publisher.get("latest", {})}
+        | {str(job) for job in publisher.get("latest_period", {})}
+    )
+
+
 def extract_jobs(state: dict, jobs: Iterable[str]) -> tuple[dict, dict]:
     """Split one snapshot state into ``(extracted, remaining)`` by job id.
 

@@ -37,6 +37,7 @@ import secrets
 import selectors
 import socket
 import threading
+import time
 from typing import Any, Callable
 
 from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
@@ -397,6 +398,7 @@ class ReadPlane:
         self._queues: dict[int, queue.Queue] = {}
         self._request_locks: dict[int, threading.Lock] = {}
         self._callbacks: list[Callable[[int, dict], None]] = []
+        self._heartbeat_seq = 0
         self._lock = threading.Lock()
         self._pending_attach: list[tuple[int, Any]] = []
         self._pending_detach: list[tuple[Any, queue.Queue | None]] = []
@@ -491,13 +493,53 @@ class ReadPlane:
             raise ServiceError(f"shard {index} read plane: {reply.message}")
         return reply
 
-    def request_lock(self, index: int) -> threading.Lock:
-        """The per-shard request mutex (for multi-shard broadcast rounds)."""
-        with self._lock:
-            lock = self._request_locks.get(index)
-        if lock is None:
-            raise ShardCrashedError(index, "shard has no read channel")
-        return lock
+    def heartbeat(self, indices: list[int], timeout: float) -> dict[int, float | None]:
+        """One heartbeat round: RTT seconds by shard, ``None`` = no answer.
+
+        All probes are launched before any reply is awaited, so the round
+        costs one ``timeout``, not one per shard.
+        """
+        rtts: dict[int, float | None] = dict.fromkeys(indices)
+        probes: list[tuple[int, int]] = []
+        acquired: list[threading.Lock] = []
+        try:
+            for index in indices:
+                with self._lock:
+                    lock = self._request_locks.get(index)
+                if lock is None:  # never attached: as silent as a lost channel
+                    continue
+                # Hold the per-shard request mutex from send to collect so a
+                # concurrent request() can never steal the reply.  Locks are
+                # taken in index order; every other path holds only one.
+                lock.acquire()
+                acquired.append(lock)
+                self._heartbeat_seq += 1
+                try:
+                    self.send(
+                        index,
+                        proto.Heartbeat(seq=self._heartbeat_seq, sent_at=time.monotonic()),
+                    )
+                except ShardCrashedError:
+                    continue
+                probes.append((index, self._heartbeat_seq))
+            deadline = time.monotonic() + timeout
+            for index, seq in probes:
+                while True:
+                    remaining = deadline - time.monotonic()
+                    try:
+                        reply = self.collect(index, timeout=max(0.0, remaining))
+                    except (TimeoutError, ShardCrashedError):
+                        break
+                    if isinstance(reply, proto.HeartbeatReply) and reply.seq == seq:
+                        # The echoed sent_at is this process's own monotonic
+                        # clock: RTT needs no cross-host clock agreement.
+                        rtts[index] = time.monotonic() - reply.sent_at
+                        break
+                    # A stale reply from an earlier timed-out probe: skip it.
+        finally:
+            for lock in acquired:
+                lock.release()
+        return rtts
 
     def _unregister(self, channel: Any) -> None:
         try:

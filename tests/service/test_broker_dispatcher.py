@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FtioConfig
+from repro.obs import Histogram
 from repro.service import (
     DetectionDispatcher,
     FlushBroker,
     PredictionService,
     ServiceConfig,
     SessionConfig,
+    ShardedService,
 )
 from repro.trace.framing import FrameWriter, encode_frame
 from repro.trace.jsonl import FlushRecord
@@ -173,50 +175,36 @@ class TestDetectionDispatcher:
         service.drain()
         assert service.reap_finished() == ("late",)
 
-    def test_latency_window_is_bounded(self, online_config):
-        service = PredictionService(
-            ServiceConfig(session=SessionConfig(config=online_config), latency_window=3)
-        )
-        for i in range(6):
-            service.ingest_flush("x", make_flush(i))
-            service.pump(wait_for_batch=True)
-        assert service.dispatcher.stats.completed == 6
-        assert len(service.dispatcher.latencies()) == 3
-
-    def test_latency_percentiles_recorded(self, online_config):
-        service = PredictionService(ServiceConfig(session=SessionConfig(config=online_config)))
-        for i in range(4):
-            service.ingest_flush("x", make_flush(i))
-            service.pump(wait_for_batch=True)
-        assert len(service.dispatcher.latencies()) == 4
-        p50 = service.dispatcher.latency_percentile(50.0)
-        p99 = service.dispatcher.latency_percentile(99.0)
-        assert p50 is not None and p99 is not None and p99 >= p50 >= 0.0
-
-    def test_latency_percentile_empty_window_is_none(self, online_config):
-        dispatcher = DetectionDispatcher(FlushBroker(session_config=SessionConfig(config=online_config)))
-        for q in (0.0, 50.0, 100.0):
-            assert dispatcher.latency_percentile(q) is None
-        assert dispatcher.latencies() == ()
-
-    def test_latency_percentile_extreme_quantiles_and_single_sample(self, online_config):
-        service = PredictionService(ServiceConfig(session=SessionConfig(config=online_config)))
-        service.ingest_flush("one", make_flush(0))
-        service.pump(wait_for_batch=True)
-        latencies = service.dispatcher.latencies()
-        assert len(latencies) == 1
-        only = latencies[0]
-        # With a single sample every quantile collapses onto it.
-        for q in (0.0, 1.0, 50.0, 99.0, 100.0):
-            assert service.dispatcher.latency_percentile(q) == pytest.approx(only)
-        # With several samples q=0/q=100 are the window extremes.
-        for i in range(1, 5):
-            service.ingest_flush("one", make_flush(i))
-            service.pump(wait_for_batch=True)
-        window = service.dispatcher.latencies()
-        assert service.dispatcher.latency_percentile(0.0) == pytest.approx(min(window))
-        assert service.dispatcher.latency_percentile(100.0) == pytest.approx(max(window))
-        service.close()
+    @pytest.mark.parametrize("metrics", [True, False])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_latency_percentiles_read_the_detect_histogram(
+        self, online_config, sharded, metrics
+    ):
+        """One meaning on every topology: the stats percentiles are quantiles of
+        the deployment's own ``repro_dispatcher_detect_seconds`` — which the
+        dispatcher keeps (unregistered) with metrics off too."""
+        config = ServiceConfig(session=SessionConfig(config=online_config), metrics=metrics)
+        service = ShardedService(1, config) if sharded else PredictionService(config)
+        keys = ("p50_detection_latency_seconds", "p99_detection_latency_seconds")
+        try:
+            before = service.stats()
+            assert [before[key] for key in keys] == [None, None]
+            for i in range(6):
+                service.ingest_flush("x", make_flush(i))
+                service.pump()
+            stats = service.stats()
+            assert stats["detections"] == 6
+            p50, p99 = (stats[key] for key in keys)
+            assert p50 is not None and p99 is not None and p99 >= p50 > 0.0
+            if metrics:
+                family = service.metrics_snapshot()["repro_dispatcher_detect_seconds"]
+                hist = Histogram.from_dict(family["series"][0]["hist"])
+                assert hist.count == 6
+                assert (p50, p99) == (hist.quantile(0.5), hist.quantile(0.99))
+            else:
+                assert service.metrics_snapshot() == {}
+        finally:
+            service.close()
 
     def test_pump_after_close_raises_cleanly(self, online_config):
         for max_workers in (0, 2):
@@ -240,5 +228,3 @@ class TestDetectionDispatcher:
             DetectionDispatcher(broker, max_workers=-1)
         with pytest.raises(ValueError):
             DetectionDispatcher(broker, max_pending=0)
-        with pytest.raises(ValueError):
-            DetectionDispatcher(broker, latency_window=0)

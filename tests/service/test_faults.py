@@ -338,14 +338,14 @@ class TestShardFaults:
     def test_shard_rejects_a_retired_protocol_generation(self, service_config):
         service = ShardedService(2, service_config)
         try:
-            shard = service._shards[1]
-            service._control_send(shard, proto.Hello(versions=(1,)))
-            reply = service._control_recv(shard)
+            shard = service._supervisor.shards[1]
+            shard.control_send(proto.Hello(versions=(1,)))
+            reply = shard.control_recv()
             assert isinstance(reply, proto.Error)
             assert reply.code == "unsupported-version"
             # The shard hangs up after the rejection ...
             with pytest.raises(ShardCrashedError):
-                service._control_recv(shard)
+                shard.control_recv()
             assert service.dead_shards() == (1,)
             # ... the router revives the slot, and the service keeps serving.
             service.revive_shard(1)

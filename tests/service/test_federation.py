@@ -188,7 +188,7 @@ class TestRemoteFaults:
                         fed.pump()
                 assert 0 in fed.dead_shards()
                 # Nothing re-dials, so the slot degrades to a local fork.
-                fed._remote_timeout = 0.2
+                fed._supervisor.remote_timeout = 0.2
                 with pytest.warns(RuntimeWarning, match="spawning it locally"):
                     fed.revive_shard(0, state=snapshot)
                 assert fed.dead_shards() == ()
@@ -223,7 +223,7 @@ class TestRemoteFaults:
                 second = launch_worker(port, "--name", "gen-2")
                 deadline = time.monotonic() + 30.0
                 while (
-                    fed._listener._pending.qsize() == 0
+                    fed._supervisor.listener._pending.qsize() == 0
                     and time.monotonic() < deadline
                 ):
                     time.sleep(0.05)
@@ -273,7 +273,7 @@ class TestRemoteFaults:
                 with pytest.raises(ShardCrashedError):
                     fed.reshard(3, on_phase=kill_at_parked)
                 assert 0 in fed.dead_shards()
-                fed._remote_timeout = 0.2
+                fed._supervisor.remote_timeout = 0.2
                 with pytest.warns(RuntimeWarning, match="spawning it locally"):
                     fed.revive_shard(0, state=snapshot)
                 for job, flushes in streams.items():
@@ -330,9 +330,9 @@ class TestRemoteFaults:
                 stderr = bad.stderr.read().decode()
                 assert "unauthorized" in stderr
                 deadline = time.monotonic() + 10.0
-                while fed._listener.rejected == 0 and time.monotonic() < deadline:
+                while fed._supervisor.listener.rejected == 0 and time.monotonic() < deadline:
                     time.sleep(0.05)
-                assert fed._listener.rejected >= 1
+                assert fed._supervisor.listener.rejected >= 1
                 # ...and the router keeps serving as if nothing happened.
                 for job, flushes in streams.items():
                     fed.ingest_flush(job, flushes[0])
@@ -404,6 +404,12 @@ class TestReshardPlacement:
             ShardedService(2, make_config(), placement=["local"])
         with pytest.raises(ValueError, match="'local' or 'remote'"):
             ShardedService(1, make_config(), placement=["cloud"])
+        # A constructor that raises leaves nothing behind: the dial-home
+        # port can be bound again at once.
+        port = free_port()
+        with pytest.raises(ValueError, match="one entry per shard"):
+            ShardedService(2, make_config(shard_port=port), placement=["remote"])
+        socket.create_server(("0.0.0.0", port)).close()
 
 
 class TestConfigWire:
@@ -425,6 +431,7 @@ class TestConfigWire:
         wire["from_the_future"] = True
         # Knobs a pre-PR-15 router still sends; this worker no longer has them.
         wire.update(backend="process", backend_workers=2, batching=False)
+        wire["latency_window"] = 4096  # ... nor, since PR 16, this one
         wire["session"]["also_new"] = 1
         rebuilt = config_from_wire(wire)
         assert rebuilt.session.config.sampling_frequency == 10.0

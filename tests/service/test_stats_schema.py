@@ -11,7 +11,6 @@ a dashboard-breaking bug.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import FtioConfig
@@ -127,12 +126,9 @@ def test_stats_schema_survives_reshard(config, streams):
 # --------------------------------------------------------------------- #
 # cross-shard percentile merge (the unbiased histogram path)
 # --------------------------------------------------------------------- #
-def _shard_reply(latencies, hist: Histogram | None) -> dict:
+def _shard_reply(hist: Histogram) -> dict:
     """The slice of a shard Stats reply ``_percentile`` consumes."""
-    return {
-        "latencies": list(latencies),
-        "detect_hist": None if hist is None else hist.to_dict(),
-    }
+    return {"detect_hist": hist.to_dict()}
 
 
 def _hist_of(values) -> Histogram:
@@ -143,22 +139,20 @@ def _hist_of(values) -> Histogram:
 
 
 class TestPercentileMerge:
-    """Pins ``ShardedService._percentile``: histogram merge, not window pooling.
+    """Pins ``ShardedService._percentile``: a volume-weighted histogram merge.
 
-    The recent-latency windows cap each shard at ``latency_window`` samples
-    regardless of volume, so pooling them over-weights low-volume shards.
-    With metrics on, every shard ships its full detection histogram and the
-    merge must be volume-weighted.
+    Every shard ships its full detection histogram, so a shard's weight in
+    the merged percentile is the number of detections it ran.
     """
 
     def test_merges_histograms_volume_weighted(self):
         # Shard A: 900 fast detections; shard B: 100 slow ones.  The merged
         # p50 must land in a fast bucket (A dominates by volume) even though
-        # per-shard window pooling with equal-length windows would not.
+        # an equal-weight average of the two shards would not.
         fast, slow = 0.001, 0.9
         stats_list = [
-            _shard_reply([fast] * 10, _hist_of([fast] * 900)),
-            _shard_reply([slow] * 10, _hist_of([slow] * 100)),
+            _shard_reply(_hist_of([fast] * 900)),
+            _shard_reply(_hist_of([slow] * 100)),
         ]
         merged = _hist_of([fast] * 900).merge(_hist_of([slow] * 100))
         p50 = ShardedService._percentile(stats_list, 50.0)
@@ -169,20 +163,10 @@ class TestPercentileMerge:
 
     def test_empty_merged_histogram_is_none(self):
         stats_list = [
-            _shard_reply([], _hist_of([])),
-            _shard_reply([], _hist_of([])),
+            _shard_reply(_hist_of([])),
+            _shard_reply(_hist_of([])),
         ]
         assert ShardedService._percentile(stats_list, 99.0) is None
-
-    def test_falls_back_to_pooled_windows_without_histograms(self):
-        # Metrics off on any shard -> the pre-histogram pooled-window path.
-        stats_list = [
-            _shard_reply([0.1, 0.2], None),
-            _shard_reply([0.3, 0.4], _hist_of([0.3, 0.4])),
-        ]
-        expected = float(np.percentile(np.asarray([0.1, 0.2, 0.3, 0.4]), 50.0))
-        assert ShardedService._percentile(stats_list, 50.0) == pytest.approx(expected)
-        assert ShardedService._percentile([], 99.0) is None
 
     def test_live_sharded_p99_comes_from_histograms(self, config, streams):
         service = ShardedService(2, config)

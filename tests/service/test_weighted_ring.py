@@ -4,7 +4,7 @@
 keyspace by scaling each shard's virtual-node count.  Three contracts:
 
 * **share ∝ weight** — each shard's exact keyspace arc fraction
-  (:meth:`~repro.service.sharding.HashRing.arc_shares`, no sampling noise)
+  (:meth:`~repro.service.ring.HashRing.arc_shares`, no sampling noise)
   tracks its weight share, within the variance a finite virtual-node count
   allows;
 * **minimal movement** — changing only one shard's weight moves keys only
