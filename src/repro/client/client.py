@@ -40,7 +40,6 @@ from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
 from repro.trace.framing import encode_frame
 from repro.trace.jsonl import FlushRecord
-from repro.trace.msgpack import packb
 
 #: Socket read size of the reply loop.
 _READ_CHUNK = 1 << 16
@@ -326,74 +325,42 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     # snapshot transfer
     # ------------------------------------------------------------------ #
-    def snapshot(self, *, max_chunk: int | None = None) -> dict:
+    def snapshot(self) -> dict:
         """Full service snapshot state (see :mod:`repro.service.snapshot`).
 
-        The state travels as a bounded
-        :class:`~repro.service.protocol.SnapshotChunk` stream
-        (``max_chunk`` payload bytes each, default
-        :data:`~repro.service.protocol.DEFAULT_CHUNK_BYTES`) whenever it
-        exceeds one chunk, as a single
-        :class:`~repro.service.protocol.SnapshotReply` otherwise.
+        The state travels as a :class:`~repro.service.protocol.SnapshotChunk`
+        stream of at most :data:`~repro.service.protocol.DEFAULT_CHUNK_BYTES`
+        payload bytes a chunk (a state that fits is one chunk).
         """
-        request = proto.Snapshot(
-            max_chunk=(
-                max(1, int(max_chunk)) if max_chunk is not None else proto.DEFAULT_CHUNK_BYTES
-            )
-        )
         try:
-            return self._collect_state(request)
+            return self._collect_state()
         except ConnectionLostError:
             if self._closed or not self._reconnect_enabled:
                 raise
             self._reconnect()
-            return self._collect_state(request)
+            return self._collect_state()
 
-    def _collect_state(self, request: proto.Snapshot) -> dict:
-        self._send(request)
+    def _collect_state(self) -> dict:
+        self._send(proto.Snapshot())
         assembler = proto.ChunkAssembler(expected_kind="snapshot")
         while True:
-            message = self._read_message()
-            if isinstance(message, proto.PredictionEvent):
-                self._events.append(PredictionUpdate.from_dict(message.update))
-                continue
-            if isinstance(message, proto.Error):
-                raise ServiceError(
-                    f"Snapshot failed ({message.code}): {message.message}"
-                )
-            if isinstance(message, proto.SnapshotReply):
-                if assembler.receiving:
-                    raise ProtocolError(
-                        "server interleaved a SnapshotReply into a chunk stream"
-                    )
-                return message.state
-            if isinstance(message, proto.SnapshotChunk):
-                state = assembler.feed(message)
-                if state is not None:
-                    return state
-                continue
-            raise ProtocolError(
-                f"unexpected {type(message).__name__} in reply to Snapshot"
-            )
+            chunk = self._await_reply(proto.SnapshotChunk, request_name="Snapshot")
+            state = assembler.feed(chunk)
+            if state is not None:
+                return state
 
-    def restore(self, state: dict, *, max_chunk: int | None = None) -> int:
+    def restore(self, state: dict) -> int:
         """Load a snapshot into the engine; returns the sessions restored.
 
-        A state larger than one chunk streams as ``kind="restore"`` chunks; the final chunk triggers the apply and is
-        answered with a single :class:`~repro.service.protocol.RestoreReply`.
-        Not retried after a connection drop (whether the server applied the
-        state is unknowable) — :class:`~repro.exceptions.ConnectionLostError`
-        surfaces instead.
+        The state streams as ``kind="restore"`` chunks; the final chunk
+        triggers the apply and is answered with a single
+        :class:`~repro.service.protocol.RestoreReply`.  Not retried after a
+        connection drop (whether the server applied the state is unknowable)
+        — :class:`~repro.exceptions.ConnectionLostError` surfaces instead.
         """
-        bound = max(1, int(max_chunk)) if max_chunk is not None else proto.DEFAULT_CHUNK_BYTES
-        packed = packb(state)
-        if len(packed) > bound:
-            for chunk in proto.iter_state_chunks(packed, kind="restore", max_chunk=bound):
-                self._send(chunk)
-            return self._await_reply(
-                proto.RestoreReply, request_name="Restore (chunked)"
-            ).restored
-        return self._rpc(proto.Restore(state=state), proto.RestoreReply).restored
+        for chunk in proto.iter_state_chunks(state, kind="restore"):
+            self._send(chunk)
+        return self._await_reply(proto.RestoreReply, request_name="Restore").restored
 
     # ------------------------------------------------------------------ #
     # prediction stream

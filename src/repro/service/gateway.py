@@ -21,6 +21,15 @@ Design notes:
   ``Drain`` replies carry the updates published during that call (pull),
   and a :class:`~repro.service.protocol.Subscribe` turns the connection into
   a live :class:`~repro.service.protocol.PredictionEvent` stream (push).
+  Both read the engine's one ``publisher``; behind a sharded engine that is
+  the router's merged publisher, fed by the shards' pump replies, so a
+  pushed event is as fresh as the pump that evaluated it — it gets ahead of
+  the pull reply only during a multi-round ``Drain``.
+* **reads beside writes** — ``Stats`` and the ops surface call
+  ``engine.stats()`` / ``engine.metrics_snapshot()`` behind their own lock,
+  never the engine lock: a sharded engine answers them from its shards'
+  read threads, a single-process one from its own locked counters, and
+  neither waits for a pump or snapshot in flight.
 * **fail clean, never hang** — a corrupt or oversized control message, a
   version mismatch or a wrong tenant token produce a typed
   :class:`~repro.service.protocol.Error` reply and a closed connection;
@@ -40,12 +49,11 @@ import time
 from collections.abc import Callable
 from typing import Any
 
-from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
+from repro.exceptions import ProtocolError, ServiceError
 from repro.obs import Histogram, MetricRegistry, merge_snapshots, render_prometheus
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
 from repro.service.service import PredictionService
-from repro.trace.msgpack import packb
 
 #: Socket read size of the gateway's per-connection loop.
 _READ_CHUNK = 1 << 16
@@ -142,7 +150,6 @@ class ServiceGateway:
         self._read_lock: asyncio.Lock | None = None
         self._connections: set[_Connection] = set()
         self._subscription: int | None = None
-        self._read_events_wired = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -193,17 +200,8 @@ class ServiceGateway:
             )
         # One engine-side subscription fans published predictions out to every
         # subscribed connection; publisher callbacks may fire on worker
-        # threads, so the hop onto the loop is thread-safe.  A sharded engine
-        # exposes its read plane instead: events stream straight off the
-        # shards (no pump-reply batching) and never duplicate — the plane
-        # replaces, not augments, the parent publisher subscription here.
-        subscribe_events = getattr(self._engine, "subscribe_read_events", None)
-        if subscribe_events is not None:
-            if not self._read_events_wired:
-                self._read_events_wired = True
-                subscribe_events(self._on_update)
-        else:
-            self._subscription = self._engine.publisher.subscribe(self._on_update)
+        # threads, so the hop onto the loop is thread-safe.
+        self._subscription = self._engine.publisher.subscribe(self._on_update)
         return self
 
     async def stop(self) -> None:
@@ -283,37 +281,21 @@ class ServiceGateway:
             writer.close()
 
     async def _handle_hello(self, connection: _Connection, message: proto.Message) -> None:
-        if not isinstance(message, proto.Hello):
-            await connection.send(
-                proto.Error(
-                    message=f"expected Hello, got {type(message).__name__}", code="protocol"
-                )
-            )
-            raise _CloseConnection
-        version = proto.negotiate_version(message.versions)
-        if version is None:
-            await connection.send(
-                proto.Error(
-                    message=(
-                        f"no common protocol version (server speaks "
-                        f"{proto.SUPPORTED_VERSIONS}, client offered {message.versions})"
-                    ),
-                    code="unsupported-version",
-                )
-            )
-            raise _CloseConnection
-        if self._token is not None and message.token != self._token:
-            await connection.send(
-                proto.Error(message="tenant token mismatch", code="unauthorized")
-            )
-            raise _CloseConnection
-        await connection.send(
-            proto.HelloReply(
-                version=version,
+        answer: proto.Message
+        if isinstance(message, proto.Hello):
+            answer = proto.answer_hello(
+                message,
+                token=self._token,
                 server=self._name,
                 shards=int(getattr(self._engine, "n_shards", 0)),
             )
-        )
+        else:
+            answer = proto.Error(
+                message=f"expected Hello, got {type(message).__name__}", code="protocol"
+            )
+        await connection.send(answer)
+        if isinstance(answer, proto.Error):
+            raise _CloseConnection
 
     async def _handle(self, connection: _Connection, message: proto.Message) -> None:
         started = time.perf_counter()
@@ -363,34 +345,16 @@ class ServiceGateway:
             _, updates = await self._run_engine(lambda: self._with_updates(self._engine.drain))
             return proto.DrainReply(updates=updates)
         if isinstance(message, proto.Stats):
-            return proto.StatsReply(stats=await self._read_engine(self._read_stats))
+            return proto.StatsReply(stats=await self._read_engine(self._engine.stats))
         if isinstance(message, proto.Snapshot):
             state = await self._run_engine(self._engine.snapshot_state)
-            if message.max_chunk is not None:
-                max_chunk = message.max_chunk
-
-                def encode_chunks() -> list[proto.Message] | None:
-                    # Encoding a large state is exactly the work chunking
-                    # exists for — keep it off the event loop (no engine
-                    # lock needed; the state is already captured).
-                    packed = packb(state)
-                    if len(packed) <= max_chunk:
-                        return None
-                    return list(
-                        proto.iter_state_chunks(
-                            packed, kind="snapshot", max_chunk=max_chunk
-                        )
-                    )
-
-                assert self._loop is not None
-                chunks = await self._loop.run_in_executor(None, encode_chunks)
-                if chunks is not None:
-                    return chunks
-            return proto.SnapshotReply(state=state)
-        if isinstance(message, proto.Restore):
-            state = message.state
-            await self._run_engine(lambda: self._engine.restore_state(state))
-            return proto.RestoreReply(restored=len(state.get("sessions", ())))
+            # Encoding a large state is exactly the work chunking exists for
+            # — keep it off the event loop (no engine lock needed; the state
+            # is already captured).
+            assert self._loop is not None
+            return await self._loop.run_in_executor(
+                None, lambda: list(proto.iter_state_chunks(state, kind="snapshot"))
+            )
         if isinstance(message, proto.SnapshotChunk):
             if not connection.assembler.receiving and message.kind != "restore":
                 return proto.Error(
@@ -440,29 +404,15 @@ class ServiceGateway:
     async def _read_engine(self, fn: Callable[[], Any]) -> Any:
         """Run a read-only engine call off-loop, behind its own lock.
 
-        Reads served by the shards' read planes must not queue behind a
-        pump or snapshot holding :attr:`_engine_lock` — that lock exists to
-        serialize *mutating* control-plane traffic.  A single-process engine
-        has no read plane, so its reads fall back to :meth:`_run_engine`
-        (they do race the worker threads there, same as always).
+        ``engine.stats()`` / ``engine.metrics_snapshot()`` must not queue
+        behind a pump or snapshot holding :attr:`_engine_lock` — that lock
+        exists to serialize *mutating* traffic.  Both engines answer reads
+        beside a pump: a sharded one from its shards' read threads, a
+        single-process one from counters it guards with its own locks.
         """
-        if getattr(self._engine, "read_stats", None) is None:
-            return await self._run_engine(fn)
         assert self._loop is not None and self._read_lock is not None
         async with self._read_lock:
             return await self._loop.run_in_executor(None, fn)
-
-    def _read_stats(self) -> dict:
-        """Engine stats via the shard read plane when one exists."""
-        read_stats = getattr(self._engine, "read_stats", None)
-        if read_stats is None:
-            return self._engine.stats()
-        try:
-            return read_stats()
-        except (ShardCrashedError, ServiceError, TimeoutError):
-            # A shard died mid-read; the control-plane path knows how to
-            # skip (or revive) dead shards.
-            return self._engine.stats()
 
     def _reshard_engine(self, n_shards: int) -> dict:
         reshard = getattr(self._engine, "reshard", None)
@@ -500,17 +450,8 @@ class ServiceGateway:
     # ops HTTP surface (/healthz, /status, /metrics)
     # ------------------------------------------------------------------ #
     def _merged_metrics(self) -> dict:
-        """Engine metrics (cross-shard merged) + the gateway's own registry.
-
-        Prefers the shard read plane (scrapes never queue behind a pump in
-        flight on the control pipes); single-process engines poll directly.
-        """
-        snapshots: list[dict] = []
-        collect = getattr(self._engine, "read_metrics_snapshot", None) or getattr(
-            self._engine, "metrics_snapshot", None
-        )
-        if collect is not None:
-            snapshots.append(collect())
+        """Engine metrics (cross-shard merged) + the gateway's own registry."""
+        snapshots = [self._engine.metrics_snapshot()]
         if self._metrics is not None:
             snapshots.append(self._metrics.collect())
         return merge_snapshots(snapshots)
@@ -521,7 +462,7 @@ class ServiceGateway:
             "server": self._name,
             "healthy": True,
             "shards": int(getattr(self._engine, "n_shards", 0)),
-            "stats": self._read_stats(),
+            "stats": self._engine.stats(),
             "metrics": self._merged_metrics(),
         }
         details = getattr(self._engine, "shard_details", None)

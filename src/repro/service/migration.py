@@ -315,11 +315,7 @@ class Migrator:
                 continue
             shard = supervisor.shards[index]
             shard.control_send(
-                proto.ExtractJobs(
-                    jobs=tuple(moving),
-                    expected_bytes=shard.bytes_sent,
-                    max_chunk=proto.DEFAULT_CHUNK_BYTES,
-                )
+                proto.ExtractJobs(jobs=tuple(moving), expected_bytes=shard.bytes_sent)
             )
             migration.moved_states.append(shard.collect_state())
             migration.moved_jobs.extend(moving)

@@ -23,12 +23,12 @@ versions it speaks, the serving side picks the highest common one
 rejected cleanly instead of mis-parsed.  :data:`PROTOCOL_VERSION` is the
 one version every peer in this repository speaks.
 
-Large snapshot states travel as a stream of bounded :class:`SnapshotChunk`
-messages instead of one giant body (:func:`iter_state_chunks` /
-:class:`ChunkAssembler`), a peer can ask a serving side to stream its
-snapshot back chunked (``Snapshot.max_chunk``), per-job session state moves
-between shards via :class:`ExtractJobs`, and :class:`ResizeShards` drives a
-live :meth:`~repro.service.sharding.ShardedService.reshard`.
+Snapshot states always travel as a stream of :class:`SnapshotChunk` messages
+of at most :data:`DEFAULT_CHUNK_BYTES` payload bytes, never as one giant body
+(:func:`iter_state_chunks` / :class:`ChunkAssembler`; a state that fits is a
+single chunk with ``last=True``), per-job session state moves between shards
+via :class:`ExtractJobs`, and :class:`ResizeShards` drives a live
+:meth:`~repro.service.sharding.ShardedService.reshard`.
 
 Data-plane payloads do not travel here: flush frames keep their FTS1 wire
 format (:mod:`repro.trace.framing`) and ride inside :class:`SubmitFrames`
@@ -49,14 +49,14 @@ from repro.trace.msgpack import packb, unpackb
 #: First bytes of every control-plane envelope.
 PROTOCOL_MAGIC = b"FTC1"
 #: Current control-plane protocol version.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: Every version this implementation can speak.
-SUPPORTED_VERSIONS: tuple[int, ...] = (2,)
+SUPPORTED_VERSIONS: tuple[int, ...] = (3,)
 #: Upper bound on one message body; a corrupt length field must never make a
 #: reader wait for gigabytes that will not arrive.  Snapshots are the largest
 #: messages (bounded session buffers), far below this.
 MAX_MESSAGE_BYTES = 1 << 30
-#: Default payload size of one :class:`SnapshotChunk`.
+#: Payload size of one :class:`SnapshotChunk` on every state transfer.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 #: Hard upper bound on one chunk's payload — the whole point of chunking is
 #: that no single control message is ever huge, so the bound is enforced at
@@ -83,17 +83,6 @@ class Message:
 
 def _opt_int(value: Any) -> int | None:
     return None if value is None else int(value)
-
-
-def _opt_chunk_bound(value: Any) -> int | None:
-    # A degenerate bound (0, negative) would make the serving side stream a
-    # state as one envelope per byte — reject it at decode time instead.
-    if value is None:
-        return None
-    bound = int(value)
-    if bound < 1:
-        raise ProtocolError(f"max_chunk must be >= 1, got {bound}")
-    return bound
 
 
 def _str_tuple(value: Any) -> tuple[str, ...]:
@@ -319,48 +308,20 @@ class StatsReply(Message):
 class Snapshot(Message):
     """Capture the full service state (see :mod:`repro.service.snapshot`).
 
-    ``max_chunk`` asks the serving side to stream the state back as
-    :class:`SnapshotChunk` messages of at most that many payload bytes when
-    the encoded state exceeds it; a state that fits is answered with a plain
-    :class:`SnapshotReply`, so the requester must accept both shapes.
+    The state streams back as ``kind="snapshot"`` :class:`SnapshotChunk`
+    messages.
     """
 
     expected_bytes: int | None = None
-    max_chunk: int | None = None
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "Snapshot":
-        return cls(
-            expected_bytes=_opt_int(payload.get("expected_bytes")),
-            max_chunk=_opt_chunk_bound(payload.get("max_chunk")),
-        )
-
-
-@dataclass(frozen=True)
-class SnapshotReply(Message):
-    """The captured snapshot state."""
-
-    state: dict
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SnapshotReply":
-        return cls(state=_require_dict(payload["state"], "state"))
-
-
-@dataclass(frozen=True)
-class Restore(Message):
-    """Load a snapshot state into the running service."""
-
-    state: dict
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Restore":
-        return cls(state=_require_dict(payload["state"], "state"))
+        return cls(expected_bytes=_opt_int(payload.get("expected_bytes")))
 
 
 @dataclass(frozen=True)
 class RestoreReply(Message):
-    """Sessions restored from the snapshot."""
+    """Sessions applied by a completed ``restore`` / ``merge`` chunk stream."""
 
     restored: int
 
@@ -414,7 +375,7 @@ class PredictionEvent(Message):
 # chunked snapshot transfer and elastic resharding
 # --------------------------------------------------------------------- #
 #: Valid ``SnapshotChunk.kind`` discriminators.  ``snapshot`` and ``extract``
-#: flow from the serving side (chunked replies to :class:`Snapshot` /
+#: flow from the serving side (the replies to :class:`Snapshot` /
 #: :class:`ExtractJobs`); ``restore`` and ``merge`` flow *to* it (the final
 #: chunk triggers the apply and is answered with :class:`RestoreReply`) —
 #: ``restore`` replaces the publisher state, ``merge`` folds the carried
@@ -425,7 +386,7 @@ CHUNK_KINDS: tuple[str, ...] = ("snapshot", "extract", "restore", "merge")
 
 @dataclass(frozen=True)
 class SnapshotChunk(Message):
-    """One bounded slice of a msgpack-encoded snapshot state (protocol >= 2).
+    """One bounded slice of a msgpack-encoded snapshot state.
 
     A transfer is a ``seq = 0, 1, ...`` ordered run of chunks of one
     ``kind``; ``last=True`` marks the final chunk, after which the
@@ -496,39 +457,25 @@ class ExtractJobs(Message):
     The serving side drains its data plane to ``expected_bytes`` first (the
     same two-plane re-ordering every state-bearing request uses), captures
     the listed jobs' session + publisher state, forgets them, and replies
-    with :class:`ExtractJobsReply` — or, when ``max_chunk`` is set and the
-    encoded state exceeds it, with a ``kind="extract"`` chunk stream.
+    with a ``kind="extract"`` :class:`SnapshotChunk` stream.
     """
 
     jobs: tuple[str, ...]
     expected_bytes: int | None = None
-    max_chunk: int | None = None
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "ExtractJobs":
         return cls(
             jobs=_str_tuple(payload["jobs"]),
             expected_bytes=_opt_int(payload.get("expected_bytes")),
-            max_chunk=_opt_chunk_bound(payload.get("max_chunk")),
         )
-
-
-@dataclass(frozen=True)
-class ExtractJobsReply(Message):
-    """The extracted (and now removed) per-job state."""
-
-    state: dict
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ExtractJobsReply":
-        return cls(state=_require_dict(payload["state"], "state"))
 
 
 @dataclass(frozen=True)
 class MetricsReport(Message):
     """Metric registry snapshot, or a poll for one (empty ``metrics``).
 
-    The router polls each shard with an empty report over the control pipe;
+    The router polls each shard with an empty report on its read channel;
     the shard replies with its :meth:`~repro.obs.MetricRegistry.collect`
     tree.  The tree is plain msgpack types and merges across shards with
     :func:`repro.obs.merge_snapshots` — histograms merge bucket-wise, so
@@ -786,7 +733,7 @@ class AttachChannel(Message):
 
     ``channel`` names the plane this connection will carry: ``"data"``
     (framed FTS1 flush bytes, the remote stand-in for the local socketpair)
-    or ``"read"`` (Stats/MetricsReport/Subscribe served without touching the
+    or ``"read"`` (Heartbeat/Stats/MetricsReport served without touching the
     router's control plane).
     """
 
@@ -833,7 +780,9 @@ class HeartbeatReply(Message):
 # --------------------------------------------------------------------- #
 # registry and codec
 # --------------------------------------------------------------------- #
-#: Stable wire codes; append-only — codes are part of the wire format.
+#: Stable wire codes; append-only — codes are part of the wire format.  13, 14
+#: and 27 (version 2's whole-state snapshot / restore / extract bodies) are
+#: retired and stay unassigned: never reused, rejected as unknown.
 MESSAGE_TYPES: dict[int, type[Message]] = {
     1: Hello,
     2: HelloReply,
@@ -847,8 +796,6 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
     10: Stats,
     11: StatsReply,
     12: Snapshot,
-    13: SnapshotReply,
-    14: Restore,
     15: RestoreReply,
     16: Subscribe,
     17: SubscribeReply,
@@ -862,7 +809,6 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
     24: ResizeShards,
     25: ResizeShardsReply,
     26: ExtractJobs,
-    27: ExtractJobsReply,
     28: MetricsReport,
     29: BeginHandover,
     30: BeginHandoverReply,
@@ -886,6 +832,28 @@ def negotiate_version(offered: Iterable[int]) -> int | None:
     """Highest offered version this implementation speaks, or ``None``."""
     common = set(int(v) for v in offered) & set(SUPPORTED_VERSIONS)
     return max(common) if common else None
+
+
+def answer_hello(
+    hello: Hello, *, token: int | None, server: str, shards: int = 0
+) -> HelloReply | Error:
+    """The serving side's answer to a :class:`Hello`.
+
+    An :class:`Error` (no common version, or ``token`` is set and the hello
+    does not present it) means the peer is refused: send it and hang up.
+    """
+    version = negotiate_version(hello.versions)
+    if version is None:
+        return Error(
+            message=(
+                f"no common protocol version ({server} speaks "
+                f"{SUPPORTED_VERSIONS}, peer offered {hello.versions})"
+            ),
+            code="unsupported-version",
+        )
+    if token is not None and hello.token != token:
+        return Error(message="tenant token mismatch", code="unauthorized")
+    return HelloReply(version=version, server=server, shards=shards)
 
 
 def encode_message(message: Message) -> bytes:
@@ -916,23 +884,20 @@ def decode_message(data: bytes) -> Message:
 
 
 def iter_state_chunks(
-    state: Mapping | bytes,
-    *,
-    kind: str,
-    max_chunk: int = DEFAULT_CHUNK_BYTES,
+    state: Mapping, *, kind: str, max_chunk: int | None = None
 ) -> Iterator[SnapshotChunk]:
     """Slice one snapshot state into an ordered :class:`SnapshotChunk` run.
 
-    ``state`` is either the state map itself or its already msgpack-encoded
-    bytes (the callers that must decide *whether* to chunk encode once and
-    pass the bytes).  Yields at least one chunk; the final one has
-    ``last=True``.
+    The state is encoded once; each chunk carries at most ``max_chunk``
+    payload bytes (:data:`DEFAULT_CHUNK_BYTES`, read at call time, when
+    ``None`` — what every transfer in the service uses).  Yields at least
+    one chunk; the final one has ``last=True``.
     """
     if kind not in CHUNK_KINDS:
         raise ProtocolError(f"unknown snapshot-chunk kind {kind!r}")
-    if not isinstance(state, (bytes, bytearray)):
-        state = packb(dict(state))
-    payload = bytes(state)
+    payload = packb(dict(state))
+    if max_chunk is None:
+        max_chunk = DEFAULT_CHUNK_BYTES
     max_chunk = max(1, min(int(max_chunk), MAX_CHUNK_BYTES))
     total = len(payload)
     seq = 0

@@ -54,7 +54,8 @@ class ServiceConfig:
         Sharded deployments only: capacity of the shared-memory ring carrying
         frames from the router to each shard (see
         :mod:`repro.service.shm_ring`).  ``0`` moves frame bytes over the
-        socketpair instead (the legacy two-copy data plane).
+        socketpair itself — the framed-stream data plane every remote shard
+        runs over TCP.
     token:
         Wire-level tenant/auth nibble (0..15).  When set, every ingested FTS1
         frame must carry it and every control-plane peer must present it in

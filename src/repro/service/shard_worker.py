@@ -59,8 +59,6 @@ from repro.service.transport import (
     recv_message,
     send_message,
 )
-from repro.trace.msgpack import packb
-
 #: Socket read size of the shard ingestion loop.
 _RECV_CHUNK = 1 << 16
 
@@ -68,9 +66,9 @@ _RECV_CHUNK = 1 << 16
 def _stats_reply(service: PredictionService, bytes_received: int) -> proto.StatsReply:
     """This shard's stats as one :class:`~repro.service.protocol.StatsReply`.
 
-    Shared by the control-plane Stats handler (which syncs the data plane to
-    the router's byte mark first) and the read-plane server (which answers
-    immediately with whatever has been ingested so far).
+    Whatever has been ingested so far: the read thread answers immediately,
+    with no ``expected_bytes`` barrier — like a scrape of a single-process
+    service racing its ingest loop.
     """
     broker = service.broker.stats
     dispatch = service.dispatcher.stats
@@ -96,29 +94,14 @@ def _serve_read_plane(
 ) -> None:
     """Serve read-only requests on a shard's second channel, in its own thread.
 
-    Handles Heartbeat / Stats / MetricsReport / Subscribe without touching the
-    control plane, so the router (and through it the gateway's ops surface)
-    reads liveness and counters even while the worker loop is deep inside a
-    pump — and a worker whose *process* is wedged (SIGSTOP, runaway C
-    extension) stops answering heartbeats here, which is exactly the signal
-    the router's liveness timeout keys on.  Subscribed prediction events are
-    pushed from publisher threads; a lock serializes them against replies so
-    envelopes never interleave on the wire.
+    Answers Heartbeat / Stats / MetricsReport — the only place a shard does —
+    without touching the control plane, so the router (and through it the
+    gateway's ops surface) reads liveness and counters even while the worker
+    loop is deep inside a pump — and a worker whose *process* is wedged
+    (SIGSTOP, runaway C extension) stops answering heartbeats here, which is
+    exactly the signal the router's liveness timeout keys on.  Strictly one
+    reply per request: nothing unsolicited ever travels on this channel.
     """
-    send_lock = threading.Lock()
-
-    def send(message: proto.Message) -> bool:
-        try:
-            with send_lock:
-                channel.send_bytes(proto.encode_message(message))
-        except (OSError, EOFError, ValueError, BrokenPipeError):
-            return False
-        return True
-
-    def push(update) -> None:
-        send(proto.PredictionEvent(update=update.to_dict()))
-
-    subscribed = False
     while True:
         try:
             request = proto.decode_message(channel.recv_bytes())
@@ -133,12 +116,9 @@ def _serve_read_plane(
             elif isinstance(request, proto.Stats):
                 reply = _stats_reply(service, bytes_received())
             elif isinstance(request, proto.MetricsReport):
+                # An (empty) report is the poll; the reply carries this
+                # shard's registry snapshot for the router to merge.
                 reply = proto.MetricsReport(metrics=service.metrics_snapshot())
-            elif isinstance(request, proto.Subscribe):
-                if not subscribed:
-                    service.publisher.subscribe(push)
-                    subscribed = True
-                reply = proto.SubscribeReply(subscription=1)
             else:
                 reply = proto.Error(
                     message=f"unsupported read-plane message {type(request).__name__}",
@@ -146,7 +126,9 @@ def _serve_read_plane(
                 )
         except Exception as exc:  # surface shard-side errors, keep serving
             reply = proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
-        if not send(reply):
+        try:
+            channel.send_bytes(proto.encode_message(reply))
+        except OSError:
             return
 
 
@@ -232,16 +214,6 @@ def shard_main(
             select.select([data_sock], [], [])
             read_available()
 
-    def state_replies(
-        state: dict, max_chunk: int | None, single: type, kind: str
-    ) -> list[proto.Message]:
-        # One plain reply when it fits (or the request set no bound); a
-        # bounded chunk stream otherwise.
-        packed = packb(state)
-        if max_chunk is None or len(packed) <= max_chunk:
-            return [single(state=state)]
-        return list(proto.iter_state_chunks(packed, kind=kind, max_chunk=max_chunk))
-
     assembler = proto.ChunkAssembler()
 
     done = False  # set by the two handlers that hang up after their reply
@@ -249,22 +221,15 @@ def shard_main(
     def handle(request: proto.Message) -> list[proto.Message]:
         nonlocal done
         if isinstance(request, proto.Hello):
-            version = proto.negotiate_version(request.versions)
-            if version is None:
-                # Typed rejection, then hang up — as the gateway and the
-                # shard listener do: a router of another protocol generation
-                # cannot drive this shard.
-                done = True
-                return [
-                    proto.Error(
-                        message=(
-                            f"no common protocol version (shard speaks "
-                            f"{proto.SUPPORTED_VERSIONS}, peer offered {request.versions})"
-                        ),
-                        code="unsupported-version",
-                    )
-                ]
-            return [proto.HelloReply(version=version, server=f"prediction-shard-{index}")]
+            # No token to check: the peer is the router that forked this
+            # shard, or the one it dialed and presented its own token to.
+            answer = proto.answer_hello(
+                request, token=None, server=f"prediction-shard-{index}"
+            )
+            # A router of another protocol generation cannot drive this
+            # shard: typed rejection, then hang up.
+            done = isinstance(answer, proto.Error)
+            return [answer]
         if isinstance(request, proto.Pump):
             sync_to(request.expected_bytes)
             submitted = service.pump(wait_for_batch=True)
@@ -274,23 +239,15 @@ def shard_main(
             sync_to(request.expected_bytes)
             service.drain()
             return [proto.DrainReply(updates=drain_updates())]
-        if isinstance(request, proto.Stats):
-            return [_stats_reply(service, bytes_received)]
-        if isinstance(request, proto.MetricsReport):
-            # An (empty) report is the poll; the reply carries this shard's
-            # registry snapshot for the router to merge.
-            return [proto.MetricsReport(metrics=service.metrics_snapshot())]
         if isinstance(request, proto.Snapshot):
             sync_to(request.expected_bytes)
-            return state_replies(
-                snapshot_state(service), request.max_chunk, proto.SnapshotReply, "snapshot"
-            )
+            return list(proto.iter_state_chunks(snapshot_state(service), kind="snapshot"))
         if isinstance(request, proto.ExtractJobs):
             # The migration source: drain the data plane up to the router's
             # mark, then capture-and-remove the moving jobs in one step.
             sync_to(request.expected_bytes)
             state = extract_service_jobs(service, request.jobs)
-            return state_replies(state, request.max_chunk, proto.ExtractJobsReply, "extract")
+            return list(proto.iter_state_chunks(state, kind="extract"))
         if isinstance(request, proto.SnapshotChunk):
             kind = request.kind
             state = assembler.feed(request)
@@ -310,9 +267,6 @@ def shard_main(
                     )
                 ]
             return [proto.RestoreReply(restored=len(state["sessions"]))]
-        if isinstance(request, proto.Restore):
-            apply_state(service, request.state)
-            return [proto.RestoreReply(restored=len(request.state["sessions"]))]
         if isinstance(request, proto.BeginHandover):
             # Rebuild both rings locally and stage exactly the frames whose
             # job is moving *to this shard* — correct even for job ids first

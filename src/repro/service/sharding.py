@@ -28,7 +28,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
+from repro.exceptions import ServiceError, ShardCrashedError
 from repro.obs import Histogram, MetricRegistry, SpanJournal, merge_snapshots
 from repro.service import protocol as proto
 from repro.service.broker import BrokerStats
@@ -46,13 +46,6 @@ from repro.service.snapshot import (
 from repro.service.supervisor import Shard, ShardSupervisor
 from repro.trace.framing import FrameReader, FrameSplitter, RawFrame, encode_frame
 from repro.trace.jsonl import FlushRecord
-
-
-def _merge_reports(registry: MetricRegistry, reports: list) -> dict:
-    """The router's own metric tree merged with the shards' ``MetricsReport``s."""
-    snapshots = [registry.collect()]
-    snapshots.extend(r.metrics for r in reports if getattr(r, "metrics", None))
-    return merge_snapshots(snapshots)
 
 
 class ShardedService:
@@ -480,12 +473,20 @@ class ShardedService:
         )
 
     # ------------------------------------------------------------------ #
-    # aggregated introspection: over the control plane ...
+    # aggregated introspection: served by the shards' read threads
     # ------------------------------------------------------------------ #
     def _stats_responses(self) -> list[dict]:
+        """Every live shard's stats map, asked on its read channel.
+
+        Safe from any thread and never queued behind a pump in flight: the
+        control pipes are not touched.  The counters are what each shard has
+        ingested *so far* (no ``expected_bytes`` barrier), exactly like a
+        scrape of a single-process service racing its ingest loop; after a
+        ``pump()`` / ``drain()`` returned they cover everything it evaluated.
+        """
         return [
-            response.stats
-            for response in self._supervisor.broadcast(lambda shard: proto.Stats())
+            reply.stats
+            for reply in self._supervisor.read_all(proto.Stats(), proto.StatsReply)
         ]
 
     @property
@@ -527,12 +528,10 @@ class ShardedService:
         """One JSON-friendly dict of service-wide counters, summed over shards.
 
         Includes the merged p50/p99 detection latency — everything comes from
-        a single control round trip, so callers wanting several views (the
-        benchmark does) pay one broadcast, not one per accessor.
+        a single read round, so callers wanting several views (the benchmark
+        does) pay one round, not one per accessor.
         """
-        return self._stats_totals(self._stats_responses())
-
-    def _stats_totals(self, stats_list: list[dict]) -> dict:
+        stats_list = self._stats_responses()
         migrator = self._migrator
         totals: dict = {
             "shards": self.n_shards,
@@ -556,82 +555,20 @@ class ShardedService:
         """Merged metric tree: router registry + every live shard's registry.
 
         Shards are polled with an empty :class:`~repro.service.protocol.
-        MetricsReport` on the control pipe and reply with their
+        MetricsReport` on their read channels and reply with their
         :meth:`~repro.obs.MetricRegistry.collect` trees; histograms merge
         bucket-wise (:func:`repro.obs.merge_snapshots`), so cross-shard
-        quantiles are as good as single-process ones.  A shard that died is
-        skipped — a scrape must never take the router down.  Empty when
-        ``ServiceConfig.metrics`` is off.
+        quantiles are as good as single-process ones.  A shard that died or
+        timed out is skipped — a scrape must never take the router down.
+        Empty when ``ServiceConfig.metrics`` is off.
         """
         if self.metrics is None:
             return {}
-        try:
-            responses = self._supervisor.broadcast(lambda shard: proto.MetricsReport())
-        except ShardCrashedError as crash:
-            responses = crash.partial_responses
-        return _merge_reports(self.metrics, responses)
-
-    # ------------------------------------------------------------------ #
-    # ... and over the read plane, without touching the control pipe
-    # ------------------------------------------------------------------ #
-    def read_stats(self) -> dict:
-        """:meth:`stats`, served by the shards' read planes.
-
-        Same schema, different path: each shard's dedicated read thread
-        answers, so the aggregation never queues behind a pump in flight on
-        the control pipe — the PR-4 "reads served from shards" path the
-        gateway and ops surface use.  The counters reflect what each shard
-        has ingested *so far* (no ``expected_bytes`` barrier), exactly like
-        a scrape of a single-process service racing its ingest loop.
-        """
-        responses: list[dict] = []
-        for shard in self._supervisor.shards:
-            if not shard.alive:
-                continue
-            try:
-                reply = self._supervisor.read_request(shard, proto.Stats())
-            except ShardCrashedError:
-                shard.dead = True
-                raise
-            if not isinstance(reply, proto.StatsReply):
-                raise ProtocolError(
-                    f"shard {shard.index} answered Stats with "
-                    f"{type(reply).__name__} on the read plane"
-                )
-            responses.append(reply.stats)
-        return self._stats_totals(responses)
-
-    def read_metrics_snapshot(self) -> dict:
-        """:meth:`metrics_snapshot`, served by the shards' read planes.
-
-        Best-effort like its control-plane twin: a shard that died or timed
-        out is skipped — a scrape must never take the router down.
-        """
-        if self.metrics is None:
-            return {}
-        replies = []
-        for shard in self._supervisor.shards:
-            if not shard.alive:
-                continue
-            try:
-                replies.append(self._supervisor.read_request(shard, proto.MetricsReport()))
-            except (ShardCrashedError, ServiceError, TimeoutError):
-                continue
-        return _merge_reports(self.metrics, replies)
-
-    def subscribe_read_events(
-        self, callback: Callable[[PredictionUpdate], None]
-    ) -> None:
-        """Stream shard-side predictions straight off the read plane.
-
-        ``callback`` fires on the read plane's drain thread for every
-        prediction any shard publishes — without waiting for the router to
-        pump (the control-plane path batches updates into ``PumpReply``).
-        Shards spawned later (revives, reshard growth) are subscribed
-        automatically.
-        """
-        self._supervisor.subscribe_events(
-            lambda _index, update: callback(PredictionUpdate.from_dict(update))
+        reports = self._supervisor.read_all(
+            proto.MetricsReport(), proto.MetricsReport, skip_lost=True
+        )
+        return merge_snapshots(
+            [self.metrics.collect(), *(r.metrics for r in reports if r.metrics)]
         )
 
     def shard_details(self) -> list[dict]:
@@ -690,10 +627,7 @@ class ShardedService:
         the position this snapshot covers.
         """
         states = self._supervisor.broadcast(
-            lambda shard: proto.Snapshot(
-                expected_bytes=shard.bytes_sent,
-                max_chunk=proto.DEFAULT_CHUNK_BYTES,
-            ),
+            lambda shard: proto.Snapshot(expected_bytes=shard.bytes_sent),
             collect=Shard.collect_state,
         )
         ring = self._supervisor.ring

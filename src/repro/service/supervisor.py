@@ -16,15 +16,20 @@ reached over three channels:
 * **control plane** — a ``multiprocessing`` pipe (a framed TCP connection
   for remote shards) carrying the typed, versioned messages of
   :mod:`repro.service.protocol`: :class:`~repro.service.protocol.Hello`
-  negotiation at spawn, then Pump/Drain/Stats/Snapshot/Restore/Close
-  request/response pairs.  Because data and control travel on different
-  channels, every control request that depends on the data stream carries
-  the router's byte count (``expected_bytes``) and the shard drains its data
-  channel up to that mark first — the two planes are re-ordered
-  deterministically.
+  negotiation at spawn, then Pump/Drain/Snapshot/ExtractJobs/Close
+  request/response pairs and the ``SnapshotChunk`` streams every state moves
+  as, in either direction.  It is the one way a prediction leaves a shard
+  (in ``PumpReply`` / ``DrainReply``).  Because data and control travel on
+  different channels, every control request that depends on the data stream
+  carries the router's byte count (``expected_bytes``) and the shard drains
+  its data channel up to that mark first — the two planes are re-ordered
+  deterministically.  One thread drives it at a time.
 * **read plane** — a second pipe / connection served by its own thread in
-  the shard (one :class:`~repro.service.transport.ReadPlane` multiplexes
-  them): stats and heartbeats never queue behind a pump in flight.
+  the shard, and the one way Stats, MetricsReport and Heartbeat are
+  answered: a timed request/reply under a per-shard mutex
+  (:meth:`Shard.read_request`), safe from any thread, so a scrape or a
+  liveness probe never queues behind — or steals the reply of — a pump in
+  flight.  Nothing unsolicited travels on it, so no thread demultiplexes it.
 
 Crash recovery composes out of existing pieces: shard death is detected on
 whichever channel operation fails first (the :class:`Shard` primitives mark
@@ -40,15 +45,17 @@ this by itself from the last :meth:`~ShardSupervisor.checkpoint`, at most
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import socket
+import threading
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
 from repro.obs import MetricRegistry, SpanJournal
@@ -60,14 +67,20 @@ from repro.service.shard_worker import shard_main
 from repro.service.shm_ring import ShmRingWriter
 from repro.service.snapshot import split_state, state_jobs
 from repro.service.transport import (
-    ReadPlane,
     ShardListener,
     SocketChannel,
     config_to_wire,
     send_message,
 )
-from repro.trace.framing import FrameReader, RawFrame
-from repro.trace.msgpack import packb
+from repro.trace.framing import FrameReader, RawFrame, spool_generations
+
+R = TypeVar("R", bound=proto.Message)
+
+#: Longest single wait on a read channel.  A reader holds the shard's read
+#: mutex while it waits; between slices it notices the shard was declared
+#: dead and gives the mutex up, so :meth:`ShardSupervisor.release` never
+#: waits out a full timeout to close the channel.
+_READ_SLICE = 0.25
 
 
 @dataclass
@@ -97,6 +110,9 @@ class Shard:
     host: str | None = None
     pid: int | None = None
     weight: float = 1.0
+    #: Held from the send of a read request to the receipt of its reply, and
+    #: by :meth:`ShardSupervisor.release` while it closes the channel.
+    read_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def remote(self) -> bool:
@@ -164,31 +180,24 @@ class Shard:
         return self.reply()
 
     def collect_state(self) -> dict:
-        """Read one state-bearing reply: a plain reply or a chunk stream."""
+        """Read one state-bearing reply: a ``SnapshotChunk`` stream."""
         assembler = proto.ChunkAssembler()
         while True:
             response = self.reply()
-            if isinstance(response, proto.SnapshotChunk):
-                try:
-                    state = assembler.feed(response)
-                except ProtocolError:
-                    # A torn chunk stream cannot be resynchronized on the
-                    # pipe; the shard is unusable from here on.
-                    self.dead = True
-                    raise
-                if state is not None:
-                    return state
-                continue
-            if (
-                isinstance(response, (proto.SnapshotReply, proto.ExtractJobsReply))
-                and not assembler.receiving
-            ):
-                return response.state
-            self.dead = True
-            raise ProtocolError(
-                f"unexpected {type(response).__name__} from shard {self.index} "
-                f"while collecting a snapshot state"
-            )
+            try:
+                if not isinstance(response, proto.SnapshotChunk):
+                    raise ProtocolError(
+                        f"unexpected {type(response).__name__} from shard "
+                        f"{self.index} while collecting a snapshot state"
+                    )
+                state = assembler.feed(response)
+            except ProtocolError:
+                # A torn chunk stream cannot be resynchronized on the pipe;
+                # the shard is unusable from here on.
+                self.dead = True
+                raise
+            if state is not None:
+                return state
 
     def send_state(self, state: dict, *, kind: str) -> proto.Message:
         """Push one snapshot state into the shard as a chunk stream.
@@ -196,11 +205,52 @@ class Shard:
         ``kind`` is ``"restore"`` (replace: revive / restore) or ``"merge"``
         (fold in without touching resident jobs: migration).
         """
-        for chunk in proto.iter_state_chunks(
-            packb(state), kind=kind, max_chunk=proto.DEFAULT_CHUNK_BYTES
-        ):
+        for chunk in proto.iter_state_chunks(state, kind=kind):
             self.control_send(chunk)
         return self.reply()
+
+    # -- read plane ---------------------------------------------------- #
+    def read_send(self, message: proto.Message) -> None:
+        """Write one read-plane request (caller holds ``read_lock``)."""
+        if not self.alive:
+            raise ShardCrashedError(self.index)
+        try:
+            self.read.send_bytes(proto.encode_message(message))
+        except OSError as exc:
+            raise self._crashed(exc) from exc
+
+    def read_recv(self) -> proto.Message:
+        """Take the reply a readable read channel holds (``read_lock`` held)."""
+        try:
+            return proto.decode_message(self.read.recv_bytes())
+        except (EOFError, OSError, ProtocolError) as exc:
+            raise self._crashed(exc) from exc
+
+    def read_request(self, message: proto.Message, timeout: float) -> proto.Message:
+        """One timed round trip on the read channel, safe from any thread.
+
+        A shard silent for ``timeout`` is convicted exactly as a heartbeat
+        timeout convicts it (``dead`` and ``unresponsive``): its channel is
+        never read again, so the late reply can not be taken for the next
+        request's — it goes away with the channel when the slot is revived.
+        """
+        with self.read_lock:
+            self.read_send(message)
+            deadline = time.monotonic() + timeout
+            while not multiprocessing.connection.wait(
+                [self.read], min(_READ_SLICE, max(0.0, deadline - time.monotonic()))
+            ):
+                if self.dead:  # released (or convicted) while we waited
+                    raise ShardCrashedError(self.index)
+                if time.monotonic() >= deadline:
+                    self.unresponsive = True
+                    raise self._crashed(
+                        TimeoutError(f"no answer on the read channel within {timeout}s")
+                    )
+            reply = self.read_recv()
+        if isinstance(reply, proto.Error):
+            raise ServiceError(f"shard {self.index} read request failed: {reply.message}")
+        return reply
 
 
 def check_placement(
@@ -225,14 +275,6 @@ def check_placement(
             "set — the router has no listener for workers to dial home to"
         )
     return entries
-
-
-def _has_generations(path: Path) -> bool:
-    prefix = path.name + "."
-    return any(
-        candidate.name[len(prefix):].isdigit()
-        for candidate in path.parent.glob(prefix + "*")
-    )
 
 
 class ShardSupervisor:
@@ -282,7 +324,7 @@ class ShardSupervisor:
         self._publisher = publisher
         self._replay = replay
         self._ctx = multiprocessing.get_context(start_method)
-        self._events_active = False
+        self._heartbeat_seq = 0
         self._views_registered: set[int] = set()
         if metrics is not None:
             metrics.register_view(
@@ -290,9 +332,8 @@ class ShardSupervisor:
                 help="Automatic shard revives performed",
             )
         # The dial-home listener exists only when configured (a port to
-        # listen on), the read plane always (local shards use it too).
+        # listen on).
         self.listener: ShardListener | None = None
-        self.read_plane = ReadPlane()
         try:
             if config.shard_port is not None:
                 self.listener = ShardListener(
@@ -420,12 +461,6 @@ class ShardSupervisor:
                 f"shard {shard.index} handshake returned {type(reply).__name__}, "
                 f"expected HelloReply"
             )
-        self.read_plane.attach(shard.index, shard.read)
-        if self._events_active:
-            try:
-                self.read_request(shard, proto.Subscribe())
-            except (ShardCrashedError, ServiceError, TimeoutError):
-                pass  # events degrade; the control-plane replies still carry them
         self._register_views(shard.index)
 
     def _register_views(self, index: int) -> None:
@@ -477,10 +512,11 @@ class ShardSupervisor:
         except OSError:  # pragma: no cover - already closed
             pass
         shard.control.close()
-        # The read plane's drain thread unregisters and closes the channel
-        # (only if this shard got as far as attaching it); a replacement
-        # spawn may re-attach the slot right away.
-        self.read_plane.detach(shard.index)
+        # Under the read mutex: no reader may be waiting on a descriptor that
+        # is closed (and possibly reused) under it.  Readers see ``dead``
+        # within one ``_READ_SLICE`` and let go.
+        with shard.read_lock:
+            shard.read.close()
         if shard.process is not None:
             # Closing both channels makes a healthy shard exit on EOF; give
             # it a moment, then escalate so close() can never hang on a
@@ -511,7 +547,6 @@ class ShardSupervisor:
         self.closed = True
         for shard in self.shards:
             self.retire(shard)
-        self.read_plane.close()
         if self.listener is not None:
             self.listener.close()
 
@@ -599,22 +634,32 @@ class ShardSupervisor:
             raise ServiceError("; ".join(op_errors))
         return results
 
-    def read_request(self, shard: Shard, message: proto.Message) -> proto.Message:
-        """One round trip on ``shard``'s read plane (never the control pipe)."""
-        return self.read_plane.request(shard.index, message, timeout=self.remote_timeout)
+    def read_all(
+        self, request: proto.Message, reply_type: type[R], *, skip_lost: bool = False
+    ) -> list[R]:
+        """Ask every live shard ``request`` on its read channel, in slot order.
 
-    def subscribe_events(self, callback: Callable[[int, dict], None]) -> None:
-        """Have every shard, present and future (subscribed at its handshake),
-        push its predictions to ``callback(shard_index, update_dict)``."""
-        self.read_plane.subscribe(callback)
-        self._events_active = True
-        for shard in self.shards:
+        A shard lost mid-read (crashed, or convicted by the timeout — either
+        way already marked dead) or answering with an error raises, unless
+        ``skip_lost`` leaves it out of the result instead.
+        """
+        replies: list[R] = []
+        for shard in list(self.shards):
             if not shard.alive:
                 continue
             try:
-                self.read_request(shard, proto.Subscribe())
-            except (ShardCrashedError, ServiceError, TimeoutError):
-                continue
+                reply = shard.read_request(request, self.remote_timeout)
+            except (ShardCrashedError, ServiceError):
+                if skip_lost:
+                    continue
+                raise
+            if not isinstance(reply, reply_type):
+                raise ProtocolError(
+                    f"shard {shard.index} answered {type(request).__name__} "
+                    f"with {type(reply).__name__}"
+                )
+            replies.append(reply)
+        return replies
 
     def heartbeat(self, timeout: float | None = None) -> dict[int, float | None]:
         """Probe every live shard's read plane; returns RTT by shard index.
@@ -624,13 +669,57 @@ class ShardSupervisor:
         reset), a network partition, or a process that still holds its
         sockets while wedged (SIGSTOP, runaway native code).  A convicted
         shard is marked dead so the ordinary revive machinery replaces it; an
-        answering shard's RTT feeds ``repro_heartbeat_rtt_seconds``.  The
-        round costs one ``timeout`` (default
-        ``ServiceConfig.heartbeat_timeout``), not one per shard.
+        answering shard's RTT feeds ``repro_heartbeat_rtt_seconds``.  Every
+        probe is launched before any reply is awaited, so the round costs one
+        ``timeout`` (default ``ServiceConfig.heartbeat_timeout``), not one
+        per shard.
         """
         timeout = self.config.heartbeat_timeout if timeout is None else float(timeout)
         live = [shard for shard in self.shards if shard.alive]
-        rtts = self.read_plane.heartbeat([shard.index for shard in live], timeout)
+        rtts: dict[int, float | None] = {shard.index: None for shard in live}
+        waiting: dict[Any, tuple[Shard, int]] = {}  # read channel -> (shard, seq)
+
+        def settle(channel: Any) -> None:
+            # This probe is over: answered, lost, or the shard was released.
+            waiting.pop(channel)[0].read_lock.release()
+
+        try:
+            for shard in live:
+                # Each read mutex is held from the probe until it settles, so
+                # a concurrent read_request() can never take the reply.  Taken
+                # in slot order; every other path holds only one.
+                shard.read_lock.acquire()
+                self._heartbeat_seq += 1
+                waiting[shard.read] = (shard, self._heartbeat_seq)
+                try:
+                    shard.read_send(
+                        proto.Heartbeat(seq=self._heartbeat_seq, sent_at=time.monotonic())
+                    )
+                except ShardCrashedError:
+                    settle(shard.read)
+            deadline = time.monotonic() + timeout
+            while waiting and (remaining := deadline - time.monotonic()) > 0:
+                for channel in multiprocessing.connection.wait(
+                    list(waiting), min(_READ_SLICE, remaining)
+                ):
+                    shard, seq = waiting[channel]
+                    try:
+                        reply = shard.read_recv()
+                    except ShardCrashedError:
+                        settle(channel)
+                        continue
+                    if isinstance(reply, proto.HeartbeatReply) and reply.seq == seq:
+                        # The echoed sent_at is this process's own monotonic
+                        # clock: RTT needs no cross-host clock agreement.
+                        rtts[shard.index] = time.monotonic() - reply.sent_at
+                        settle(channel)
+                    # Anything else is the stale reply to an earlier probe
+                    # that timed out: skip it and keep waiting.
+                for channel in [c for c, (shard, _) in waiting.items() if shard.dead]:
+                    settle(channel)
+        finally:
+            for channel in list(waiting):
+                settle(channel)
         for shard in live:
             rtt = rtts[shard.index]
             if rtt is None:
@@ -747,7 +836,7 @@ class ShardSupervisor:
             # A byte bound is only meaningful within one spool generation; a
             # rotation in between falls back to replay-to-EOF (PR-3 semantics).
             bounded = parent_position["inode"] is not None and same_inode
-            if bounded and not _has_generations(path):
+            if bounded and not spool_generations(path):
                 limit = max(0, int(parent_position["offset"]) - start_offset)
             self._replay_spool(index, path, position=snapshot_position, limit=limit)
         return True

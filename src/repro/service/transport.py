@@ -34,13 +34,11 @@ from __future__ import annotations
 import dataclasses
 import queue
 import secrets
-import selectors
 import socket
 import threading
-import time
-from typing import Any, Callable
+from typing import Any
 
-from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
+from repro.exceptions import ProtocolError, ServiceError
 
 from repro.service import protocol as proto
 from repro.service.service import ServiceConfig
@@ -72,10 +70,10 @@ class SocketChannel:
 
     One ``send_bytes`` writes one FTC1 envelope; one ``recv_bytes`` returns
     exactly one.  The read path never buffers past the current envelope, so
-    a selector that reported readability is always describing the *next*
-    message — the invariant the shard worker loop and the router's read
-    plane both rely on.  Sends are serialized by an internal lock (publisher
-    callbacks may push events from worker threads).
+    a wait that reported readability is always describing the *next*
+    message — the invariant the shard worker loop and the router's timed
+    read requests both rely on.  Sends are serialized by an internal lock, so
+    two threads' envelopes can never interleave on the wire.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -273,31 +271,14 @@ class ShardListener:
                 self._rejected += 1
                 channel.close()
                 return
-            version = proto.negotiate_version(first.versions)
-            if version is None:
-                send_message(
-                    channel,
-                    proto.Error(
-                        message=(
-                            f"no common protocol version (router speaks "
-                            f"{proto.SUPPORTED_VERSIONS}, worker offered {first.versions})"
-                        ),
-                        code="unsupported-version",
-                    ),
-                )
-                self._rejected += 1
-                channel.close()
-                return
-            if self._token is not None and first.token != self._token:
-                send_message(
-                    channel, proto.Error(message="tenant token mismatch", code="unauthorized")
-                )
-                self._rejected += 1
-                channel.close()
-                return
-            send_message(
-                channel, proto.HelloReply(version=version, server="repro-shard-router")
+            answer = proto.answer_hello(
+                first, token=self._token, server="repro-shard-router"
             )
+            send_message(channel, answer)
+            if isinstance(answer, proto.Error):
+                self._rejected += 1
+                channel.close()
+                return
             registration = recv_message(channel)
             if not isinstance(registration, proto.RegisterShard):
                 send_message(
@@ -364,302 +345,6 @@ class ShardListener:
             self._attachments.clear()
 
     def __enter__(self) -> "ShardListener":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- #
-# read plane (router side)
-# --------------------------------------------------------------------- #
-#: Queue sentinel: the shard's read channel is gone, stop waiting on it.
-_CHANNEL_CLOSED = object()
-
-
-class ReadPlane:
-    """Router-side multiplexer for the per-shard read channels.
-
-    One daemon thread drains every attached channel through a selector.
-    Replies land in a per-shard queue for the matching :meth:`collect`;
-    unsolicited :class:`~repro.service.protocol.PredictionEvent` pushes fan
-    out to the registered event callbacks.  Requests to one shard are
-    serialized by a per-shard mutex so concurrent readers (gateway stats,
-    autoscaler heartbeats) can never steal each other's replies; requests to
-    *different* shards run fully in parallel.
-
-    The plane owns the lifecycle of a channel once attached: :meth:`detach`
-    asks the drain thread to unregister *and close* it, which keeps the
-    selector from ever polling a dead file descriptor.
-    """
-
-    def __init__(self) -> None:
-        self._channels: dict[int, Any] = {}
-        self._queues: dict[int, queue.Queue] = {}
-        self._request_locks: dict[int, threading.Lock] = {}
-        self._callbacks: list[Callable[[int, dict], None]] = []
-        self._heartbeat_seq = 0
-        self._lock = threading.Lock()
-        self._pending_attach: list[tuple[int, Any]] = []
-        self._pending_detach: list[tuple[Any, queue.Queue | None]] = []
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain_loop, name="repro-read-plane", daemon=True
-        )
-        self._thread.start()
-
-    def _wake(self) -> None:
-        try:
-            self._wake_send.send(b"\x00")
-        except OSError:
-            pass
-
-    def attach(self, index: int, channel: Any) -> None:
-        """Register a shard's read channel (pipe connection or socket channel)."""
-        with self._lock:
-            self._channels[index] = channel
-            self._queues[index] = queue.Queue()
-            self._request_locks.setdefault(index, threading.Lock())
-            self._pending_attach.append((index, channel))
-        self._wake()
-
-    def detach(self, index: int) -> None:
-        """Unregister and close a shard's read channel (drain-thread side).
-
-        The mapping is dropped immediately (so an :meth:`attach` replacing the
-        slot can proceed), but the channel itself is unregistered and closed
-        by the drain thread — closing a registered descriptor out from under
-        the selector is never safe.
-        """
-        with self._lock:
-            channel = self._channels.pop(index, None)
-            if channel is None:
-                return
-            replies = self._queues.pop(index, None)
-            self._pending_detach.append((channel, replies))
-        self._wake()
-
-    def subscribe(self, callback: Callable[[int, dict], None]) -> None:
-        """Register a callback for unsolicited prediction events.
-
-        Called as ``callback(shard_index, update_dict)`` on the drain thread.
-        """
-        with self._lock:
-            self._callbacks.append(callback)
-
-    def send(self, index: int, message: proto.Message) -> None:
-        """Fire one message at a shard without waiting for the reply."""
-        with self._lock:
-            channel = self._channels.get(index)
-        if channel is None:
-            raise ShardCrashedError(index, "shard has no read channel")
-        try:
-            channel.send_bytes(proto.encode_message(message))
-        except (OSError, BrokenPipeError, ValueError) as exc:
-            raise ShardCrashedError(index, f"read channel lost: {exc}") from exc
-
-    def collect(self, index: int, timeout: float | None = None) -> proto.Message:
-        """Next reply from a shard; raises on timeout or channel loss."""
-        with self._lock:
-            replies = self._queues.get(index)
-        if replies is None:
-            raise ShardCrashedError(index, "shard has no read channel")
-        try:
-            reply = replies.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"shard {index} did not answer on the read plane within {timeout}s"
-            ) from None
-        if reply is _CHANNEL_CLOSED:
-            raise ShardCrashedError(index, "read channel closed mid-request")
-        return reply
-
-    def request(
-        self, index: int, message: proto.Message, timeout: float | None = None
-    ) -> proto.Message:
-        """One serialized request/reply round-trip with a shard."""
-        with self._lock:
-            lock = self._request_locks.get(index)
-        if lock is None:
-            raise ShardCrashedError(index, "shard has no read channel")
-        with lock:
-            self.send(index, message)
-            reply = self.collect(index, timeout=timeout)
-        if isinstance(reply, proto.Error):
-            raise ServiceError(f"shard {index} read plane: {reply.message}")
-        return reply
-
-    def heartbeat(self, indices: list[int], timeout: float) -> dict[int, float | None]:
-        """One heartbeat round: RTT seconds by shard, ``None`` = no answer.
-
-        All probes are launched before any reply is awaited, so the round
-        costs one ``timeout``, not one per shard.
-        """
-        rtts: dict[int, float | None] = dict.fromkeys(indices)
-        probes: list[tuple[int, int]] = []
-        acquired: list[threading.Lock] = []
-        try:
-            for index in indices:
-                with self._lock:
-                    lock = self._request_locks.get(index)
-                if lock is None:  # never attached: as silent as a lost channel
-                    continue
-                # Hold the per-shard request mutex from send to collect so a
-                # concurrent request() can never steal the reply.  Locks are
-                # taken in index order; every other path holds only one.
-                lock.acquire()
-                acquired.append(lock)
-                self._heartbeat_seq += 1
-                try:
-                    self.send(
-                        index,
-                        proto.Heartbeat(seq=self._heartbeat_seq, sent_at=time.monotonic()),
-                    )
-                except ShardCrashedError:
-                    continue
-                probes.append((index, self._heartbeat_seq))
-            deadline = time.monotonic() + timeout
-            for index, seq in probes:
-                while True:
-                    remaining = deadline - time.monotonic()
-                    try:
-                        reply = self.collect(index, timeout=max(0.0, remaining))
-                    except (TimeoutError, ShardCrashedError):
-                        break
-                    if isinstance(reply, proto.HeartbeatReply) and reply.seq == seq:
-                        # The echoed sent_at is this process's own monotonic
-                        # clock: RTT needs no cross-host clock agreement.
-                        rtts[index] = time.monotonic() - reply.sent_at
-                        break
-                    # A stale reply from an earlier timed-out probe: skip it.
-        finally:
-            for lock in acquired:
-                lock.release()
-        return rtts
-
-    def _unregister(self, channel: Any) -> None:
-        try:
-            self._selector.unregister(channel)
-            return
-        except (KeyError, ValueError):
-            return
-        except OSError:
-            pass
-        # The fileobj is already closed, so the selector cannot look its fd
-        # up any more — evict the stale key by fd instead, or a later channel
-        # reusing the fd number would fail to register.
-        for key in list(self._selector.get_map().values()):
-            if key.fileobj is channel:
-                try:
-                    self._selector.unregister(key.fd)
-                except (KeyError, ValueError, OSError):
-                    pass
-                return
-
-    def _apply_pending(self) -> None:
-        with self._lock:
-            attach = self._pending_attach
-            detach = self._pending_detach
-            self._pending_attach = []
-            self._pending_detach = []
-        for channel, replies in detach:
-            self._unregister(channel)
-            try:
-                channel.close()
-            except OSError:
-                pass
-            if replies is not None:
-                replies.put(_CHANNEL_CLOSED)
-        for index, channel in attach:
-            with self._lock:
-                if self._channels.get(index) is not channel:
-                    continue  # already detached again
-            try:
-                self._selector.register(channel, selectors.EVENT_READ, index)
-            except (KeyError, ValueError, OSError):
-                pass
-
-    def _drop_channel(self, index: int, channel: Any) -> None:
-        with self._lock:
-            if self._channels.get(index) is channel:
-                self._channels.pop(index, None)
-                replies = self._queues.pop(index, None)
-            else:
-                replies = None
-        self._unregister(channel)
-        try:
-            channel.close()
-        except OSError:
-            pass
-        if replies is not None:
-            replies.put(_CHANNEL_CLOSED)
-
-    def _drain_loop(self) -> None:
-        while True:
-            self._apply_pending()
-            if self._closed:
-                with self._lock:
-                    channels = dict(self._channels)
-                    self._channels.clear()
-                    queues = dict(self._queues)
-                    self._queues.clear()
-                for channel in channels.values():
-                    try:
-                        channel.close()
-                    except OSError:
-                        pass
-                for replies in queues.values():
-                    replies.put(_CHANNEL_CLOSED)
-                return
-            try:
-                events = self._selector.select(timeout=1.0)
-            except OSError:
-                continue
-            for key, _mask in events:
-                if key.fileobj is self._wake_recv:
-                    try:
-                        while self._wake_recv.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
-                        pass
-                    continue
-                index = key.data
-                channel = key.fileobj
-                try:
-                    payload = channel.recv_bytes()
-                    message = proto.decode_message(payload)
-                except (EOFError, OSError, ValueError, ProtocolError):
-                    self._drop_channel(index, channel)
-                    continue
-                if isinstance(message, proto.PredictionEvent):
-                    with self._lock:
-                        callbacks = list(self._callbacks)
-                    for callback in callbacks:
-                        try:
-                            callback(index, message.update)
-                        except Exception:  # noqa: BLE001 - fan-out must not die
-                            pass
-                    continue
-                with self._lock:
-                    replies = self._queues.get(index)
-                if replies is not None:
-                    replies.put(message)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._wake()
-        self._thread.join(timeout=5.0)
-        self._selector.close()
-        self._wake_recv.close()
-        self._wake_send.close()
-
-    def __enter__(self) -> "ReadPlane":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:

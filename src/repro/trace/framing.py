@@ -429,6 +429,18 @@ class FrameSplitter(_FrameBuffer):
         return list(self.raw_frames())
 
 
+def spool_generations(path: Path) -> list[tuple[int, Path]]:
+    """Rotated-away files ``<path>.<n>`` of a spool, oldest (smallest n) first."""
+    prefix = path.name + "."
+    generations = [
+        (int(candidate.name[len(prefix):]), candidate)
+        for candidate in path.parent.glob(prefix + "*")
+        if candidate.name[len(prefix):].isdigit()
+    ]
+    generations.sort()
+    return generations
+
+
 class FrameWriter:
     """Append frames to a spool file or a binary stream (e.g. a socket file).
 
@@ -469,18 +481,11 @@ class FrameWriter:
         self._current_file_bytes = self._path.stat().st_size if self._path and self._path.exists() else 0
         # A restarted writer must continue the generation numbering, not
         # os.replace() the live file onto a retained ``<path>.1``.
-        self._rotations = self._existing_generations()
-
-    def _existing_generations(self) -> int:
-        if self._path is None or not self._path.parent.exists():
-            return 0
-        prefix = self._path.name + "."
-        suffixes = [
-            int(candidate.name[len(prefix):])
-            for candidate in self._path.parent.glob(prefix + "*")
-            if candidate.name[len(prefix):].isdigit()
-        ]
-        return max(suffixes, default=0)
+        self._rotations = (
+            max((n for n, _ in spool_generations(self._path)), default=0)
+            if self._path is not None
+            else 0
+        )
 
     @property
     def frames_written(self) -> int:
@@ -661,17 +666,6 @@ class FrameReader:
             self._handle = None
             self._inode = None
 
-    def _generations(self) -> list[tuple[int, Path]]:
-        """Rotated-away spool files ``<path>.<n>``, oldest (smallest n) first."""
-        generations: list[tuple[int, Path]] = []
-        prefix = self._path.name + "."
-        for candidate in self._path.parent.glob(prefix + "*"):
-            suffix = candidate.name[len(prefix):]
-            if suffix.isdigit():
-                generations.append((int(suffix), candidate))
-        generations.sort()
-        return generations
-
     @staticmethod
     def _inode_of(path: Path) -> int | None:
         try:
@@ -695,7 +689,7 @@ class FrameReader:
         if self._start_inode is not None:
             wanted = self._start_inode
             self._start_inode = None
-            for candidate in [self._path] + [p for _, p in self._generations()]:
+            for candidate in [self._path] + [p for _, p in spool_generations(self._path)]:
                 if self._inode_of(candidate) == wanted and self._open(candidate):
                     return True
             # The recorded generation is gone (compacted/deleted): the resume
@@ -706,7 +700,7 @@ class FrameReader:
             # A from-the-beginning tail means *all* retained data: start at
             # the oldest rotated generation, then chase forward to the live
             # file.  (A non-zero offset refers to the live file.)
-            for _, generation in self._generations():
+            for _, generation in spool_generations(self._path):
                 if self._open(generation):
                     self._opened_once = True
                     return True
@@ -716,7 +710,7 @@ class FrameReader:
 
     def _next_after_current(self) -> Path | None:
         """The file to read after the (rotated-away) current handle."""
-        generations = self._generations()
+        generations = spool_generations(self._path)
         for position, (_, candidate) in enumerate(generations):
             if self._inode_of(candidate) == self._inode:
                 if position + 1 < len(generations):

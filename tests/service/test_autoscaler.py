@@ -252,6 +252,32 @@ class TestAutoscalerLoop:
         assert scaler.decision_counts["hold"] >= 1
         assert scaler.status()["errors"] == 0
 
+    def test_supervision_thread_beside_live_traffic(self, service_config):  # noqa: F811
+        """The thread's heartbeat + ``stats()`` scrapes share no channel with
+        the pumps of the thread driving the service: no tick ever fails."""
+        rounds = 24
+        streams = synthetic_flush_streams(
+            8, flushes_per_job=rounds, requests_per_flush=16, seed=7
+        )
+        with ShardedService(2, service_config) as sharded:
+            # Clamped to the current size: every tick scrapes, none resizes.
+            scaler = Autoscaler(
+                sharded,
+                AutoscaleConfig(min_shards=2, max_shards=2, interval_seconds=0.005),
+            )
+            scaler.start()
+            try:
+                for round_index in range(rounds):
+                    submit_round(sharded, streams, round_index)
+                    sharded.pump()
+                sharded.drain()
+            finally:
+                scaler.stop()
+            status = scaler.status()
+            assert status["decisions"]["hold"] >= 1
+            assert status["errors"] == 0
+            assert sharded.stats()["flushes"] == rounds * len(streams)
+
 
 # --------------------------------------------------------------------- #
 # chaos: autoscaler-initiated reshards, kill -9 included, bit-identical

@@ -11,11 +11,13 @@ bad-token dials rejected without wedging the router).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -151,12 +153,10 @@ class TestRemoteShardParity:
                 rtts = fed.heartbeat()
                 assert set(rtts) == {0, 1}
                 assert all(rtt is not None and rtt >= 0.0 for rtt in rtts.values())
-                read = fed.read_stats()
-                control = fed.stats()
-                assert read["flushes"] == control["flushes"]
-                assert read["shards"] == control["shards"] == 2
-                assert set(read) == set(control)
-                metrics = fed.read_metrics_snapshot()
+                stats = fed.stats()
+                assert stats["flushes"] == 2 * N_JOBS
+                assert stats["shards"] == 2
+                metrics = fed.metrics_snapshot()
                 assert "repro_shard_alive" in metrics
                 assert "repro_heartbeat_rtt_seconds" in metrics
         finally:
@@ -316,6 +316,47 @@ class TestRemoteFaults:
         finally:
             reap(worker)
 
+    def test_late_heartbeat_reply_is_not_taken_for_the_next_probes(self):
+        """A probe times out, its reply arrives late, a fresh round runs: the
+        stale ``seq`` is skipped and the fresh probe's own reply measured."""
+        with ShardedService(1, make_config()) as service:
+            shard = service._supervisor.shards[0]
+            # Play the shard's read thread by hand on a pipe of our own.
+            real_read = shard.read
+            shard.read, worker_end = multiprocessing.Pipe()
+            try:
+                assert service.heartbeat(timeout=0.2) == {0: None}
+                assert service.dead_shards() == (0,)
+                stale = proto.decode_message(worker_end.recv_bytes())
+                # The late reply; its forged sent_at would read as a huge RTT.
+                worker_end.send_bytes(
+                    proto.encode_message(
+                        proto.HeartbeatReply(seq=stale.seq, sent_at=stale.sent_at - 1e4)
+                    )
+                )
+                shard.dead = shard.unresponsive = False
+
+                def answer_fresh_probe() -> None:
+                    probe = proto.decode_message(worker_end.recv_bytes())
+                    assert probe.seq > stale.seq
+                    worker_end.send_bytes(
+                        proto.encode_message(
+                            proto.HeartbeatReply(seq=probe.seq, sent_at=probe.sent_at)
+                        )
+                    )
+
+                answering = threading.Thread(target=answer_fresh_probe)
+                answering.start()
+                rtts = service.heartbeat(timeout=30.0)
+                answering.join(timeout=30.0)
+                assert not answering.is_alive()
+                assert rtts[0] is not None and rtts[0] < 1e3
+                assert service.dead_shards() == ()
+            finally:
+                shard.read.close()
+                worker_end.close()
+                shard.read = real_read
+
     def test_bad_token_dial_home_is_rejected_without_wedging(self, streams):
         port = free_port()
         bad = launch_worker(port, "--token", "3", "--name", "intruder")
@@ -438,11 +479,12 @@ class TestConfigWire:
 
     def test_listener_rejects_non_handshake_first_message(self):
         # Not a Hello at all, a Hello from the future, a Hello from the
-        # retired v1: each gets a typed error and a closed connection.
+        # retired v1 or v2: each gets a typed error and a closed connection.
         rejections = [
             (proto.Stats(), "protocol"),
             (proto.Hello(versions=(99,)), "unsupported-version"),
             (proto.Hello(versions=(1,)), "unsupported-version"),
+            (proto.Hello(versions=(2,)), "unsupported-version"),
         ]
         with ShardListener() as listener:
             for count, (first, code) in enumerate(rejections, start=1):

@@ -146,8 +146,8 @@ class TestGatewayProtocol:
             assert client.shards == 0
 
     def test_unknown_version_hello_rejected_cleanly(self, gateway):
-        # A future generation and the retired v1 are refused alike.
-        for version in (99, 1):
+        # A future generation and the retired v1 and v2 are refused alike.
+        for version in (99, 1, 2):
             with socket.create_connection((gateway.host, gateway.port), timeout=10.0) as sock:
                 sock.sendall(proto.encode_message(proto.Hello(versions=(version,))))
                 reply = self._read_one(sock)
@@ -273,23 +273,44 @@ class TestGatewayFeatures:
                 assert engine.session(job).finished
 
     def test_chunked_snapshot_and_restore_over_the_wire(
-        self, service_config, job_streams
+        self, service_config, job_streams, monkeypatch
     ):
         job, flushes = next(iter(job_streams.items()))
+        streams: list[tuple[str, int]] = []  # (kind, chunks) of every state sent
+        slice_state = proto.iter_state_chunks
+
+        def counting(state, *, kind):
+            chunks = list(slice_state(state, kind=kind))
+            streams.append((kind, len(chunks)))
+            return chunks
+
+        # Gateway and client run in this process and read both names off the
+        # module at call time.
+        monkeypatch.setattr(proto, "iter_state_chunks", counting)
+        default_bound = proto.DEFAULT_CHUNK_BYTES
         with ThreadedGateway(PredictionService(service_config), own_engine=True) as gateway:
             with ServiceClient(gateway.host, gateway.port) as client:
+                # A state that fits the bound is one chunk with last=True ...
+                empty = client.snapshot()
+                assert streams == [("snapshot", 1)]
                 for flush in flushes:
                     client.submit_flush(job, flush)
                     client.pump()
                 plain = client.snapshot()
-                # A tiny chunk bound forces a genuinely multi-chunk stream.
+                # ... and a tiny bound forces a genuinely multi-chunk stream.
                 assert len(packb(plain)) > 512
-                chunked = client.snapshot(max_chunk=512)
-                assert chunked == unpackb(packb(plain))
+                monkeypatch.setattr(proto, "DEFAULT_CHUNK_BYTES", 512)
+                chunked = client.snapshot()
+                assert streams[-1][1] > len(packb(plain)) // 512
+                assert chunked == plain == unpackb(packb(plain))
         with ThreadedGateway(PredictionService(service_config), own_engine=True) as gateway:
             with ServiceClient(gateway.host, gateway.port) as client:
-                assert client.restore(chunked, max_chunk=512) == 1
-                assert client.snapshot() == unpackb(packb(chunked))
+                assert client.restore(chunked) == 1
+                assert streams[-1][0] == "restore" and streams[-1][1] > 1
+                assert client.snapshot() == chunked
+                monkeypatch.setattr(proto, "DEFAULT_CHUNK_BYTES", default_bound)
+                assert client.restore(empty) == 0
+                assert streams[-1] == ("restore", 1)
 
     def test_resize_over_the_wire(self, service_config, job_streams):
         jobs = list(job_streams)[:8]

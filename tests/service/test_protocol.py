@@ -11,6 +11,8 @@ busy-loop.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,8 +83,6 @@ message_st = st.one_of(
     st.builds(proto.Stats),
     st.builds(proto.StatsReply, stats=nested_map_st),
     st.builds(proto.Snapshot, expected_bytes=expected_bytes_st),
-    st.builds(proto.SnapshotReply, state=nested_map_st),
-    st.builds(proto.Restore, state=nested_map_st),
     st.builds(proto.RestoreReply, restored=st.integers(0, 2**20)),
     st.builds(
         proto.Subscribe,
@@ -113,9 +113,7 @@ message_st = st.one_of(
         proto.ExtractJobs,
         jobs=st.lists(job_st, max_size=4).map(tuple),
         expected_bytes=expected_bytes_st,
-        max_chunk=st.one_of(st.none(), st.integers(1, proto.MAX_CHUNK_BYTES)),
     ),
-    st.builds(proto.ExtractJobsReply, state=nested_map_st),
     st.builds(proto.MetricsReport, metrics=nested_map_st),
     # --- zero-pause handover (double-routed migrations) ----------------- #
     st.builds(
@@ -235,20 +233,38 @@ class TestRoundTrip:
 class TestVersioning:
     def test_current_version_is_supported(self):
         assert proto.PROTOCOL_VERSION in proto.SUPPORTED_VERSIONS
+        assert proto.SUPPORTED_VERSIONS == (3,)
 
     def test_negotiation_picks_highest_common(self):
-        assert proto.negotiate_version([2]) == 2
-        assert proto.negotiate_version([1, 2]) == 2
-        assert proto.negotiate_version([2, 99]) == 2
+        assert proto.negotiate_version([3]) == 3
+        assert proto.negotiate_version([2, 3]) == 3
+        assert proto.negotiate_version([3, 99]) == 3
         assert proto.negotiate_version(proto.SUPPORTED_VERSIONS) == proto.PROTOCOL_VERSION
 
     def test_negotiation_rejects_unknown_only(self):
-        # The retired v1 is as unknown as a generation from the future.
+        # The retired v1 and v2 are as unknown as a generation from the future.
         assert proto.negotiate_version([1]) is None
-        assert proto.negotiate_version([1, 99]) is None
+        assert proto.negotiate_version([2]) is None
+        assert proto.negotiate_version([1, 2, 99]) is None
         assert proto.negotiate_version([99]) is None
-        assert proto.negotiate_version([0, 3, 255]) is None
+        assert proto.negotiate_version([0, 4, 255]) is None
         assert proto.negotiate_version([]) is None
+
+    def test_answer_hello_is_the_one_negotiation(self):
+        accepted = proto.answer_hello(
+            proto.Hello(versions=(2, 3), token=5), token=5, server="s", shards=4
+        )
+        assert accepted == proto.HelloReply(version=3, server="s", shards=4)
+        # No token configured: whatever the peer presents is accepted.
+        assert isinstance(
+            proto.answer_hello(proto.Hello(token=9), token=None, server="s"),
+            proto.HelloReply,
+        )
+        old = proto.answer_hello(proto.Hello(versions=(2,), token=5), token=5, server="s")
+        assert isinstance(old, proto.Error) and old.code == "unsupported-version"
+        for presented in (None, 6):
+            wrong = proto.answer_hello(proto.Hello(token=presented), token=5, server="s")
+            assert isinstance(wrong, proto.Error) and wrong.code == "unauthorized"
 
     def test_hello_requires_versions(self):
         with pytest.raises(ProtocolError):
@@ -318,13 +334,14 @@ class TestCorruption:
         # Codes are wire format: changing one breaks cross-version peers.
         assert proto.MESSAGE_TYPES[1] is proto.Hello
         assert proto.MESSAGE_TYPES[3] is proto.Error
+        assert proto.MESSAGE_TYPES[12] is proto.Snapshot
+        assert proto.MESSAGE_TYPES[15] is proto.RestoreReply
         assert proto.MESSAGE_TYPES[18] is proto.PredictionEvent
         # The v2 block is append-only on top of the 22 v1 codes.
         assert proto.MESSAGE_TYPES[23] is proto.SnapshotChunk
         assert proto.MESSAGE_TYPES[24] is proto.ResizeShards
         assert proto.MESSAGE_TYPES[25] is proto.ResizeShardsReply
         assert proto.MESSAGE_TYPES[26] is proto.ExtractJobs
-        assert proto.MESSAGE_TYPES[27] is proto.ExtractJobsReply
         assert proto.MESSAGE_TYPES[28] is proto.MetricsReport
         # The zero-pause handover block (double-routed migrations).
         assert proto.MESSAGE_TYPES[29] is proto.BeginHandover
@@ -341,7 +358,25 @@ class TestCorruption:
         assert proto.MESSAGE_TYPES[39] is proto.AttachChannel
         assert proto.MESSAGE_TYPES[40] is proto.Heartbeat
         assert proto.MESSAGE_TYPES[41] is proto.HeartbeatReply
-        assert len(set(proto.MESSAGE_TYPES)) == len(proto.MESSAGE_TYPES) == 41
+        # 13, 14 and 27 (v2's whole-state bodies) are retired, never reused.
+        assert sorted(proto.MESSAGE_TYPES) == [
+            code for code in range(1, 42) if code not in (13, 14, 27)
+        ]
+        assert len(proto.MESSAGE_TYPES) == 38
+
+    def test_retired_codes_are_rejected_as_unknown(self):
+        import struct
+
+        from repro.trace.msgpack import packb
+
+        # What a v2 peer would send: a whole state in one SnapshotReply (13),
+        # Restore (14) or ExtractJobsReply (27) body.
+        body = packb({"state": {"sessions": {}}})
+        for code in (13, 14, 27):
+            envelope = struct.pack(">4sBI", proto.PROTOCOL_MAGIC, code, len(body)) + body
+            with pytest.raises(ProtocolError, match=f"type code {code}"):
+                proto.decode_message(envelope)
+        assert not hasattr(proto, "Restore")
 
 
 class TestChunkedTransfer:
@@ -421,15 +456,9 @@ class TestChunkedTransfer:
         with pytest.raises(ProtocolError):
             proto.ResizeShards.from_payload({"n_shards": 0})
 
-    def test_degenerate_max_chunk_rejected_at_decode(self):
-        # max_chunk=0 would make the serving side emit one envelope per
-        # state byte — a wire-level DoS, refused before it can be acted on.
-        for payload in (
-            {"expected_bytes": None, "max_chunk": 0},
-            {"expected_bytes": None, "max_chunk": -7},
-        ):
-            with pytest.raises(ProtocolError, match="max_chunk"):
-                proto.Snapshot.from_payload(payload)
-            with pytest.raises(ProtocolError, match="max_chunk"):
-                proto.ExtractJobs.from_payload({"jobs": ["a"], **payload})
-        assert proto.Snapshot.from_payload({"max_chunk": 1}).max_chunk == 1
+    def test_requests_carry_no_chunk_bound(self):
+        # The bound is the constant, not a field a peer could set to 0 to
+        # make the serving side emit one envelope per state byte.
+        assert [f.name for f in fields(proto.Snapshot)] == ["expected_bytes"]
+        assert [f.name for f in fields(proto.ExtractJobs)] == ["jobs", "expected_bytes"]
+        assert proto.Snapshot.from_payload({"max_chunk": 0}) == proto.Snapshot()

@@ -11,6 +11,8 @@ shard followed by snapshot restore and spool-tail replay.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -227,6 +229,63 @@ class TestShardedEquivalence:
                 assert smaller.publisher.latest_period(job) == periods[job], job
         finally:
             smaller.close()
+
+
+class TestConcurrentReads:
+    def test_stats_scraper_never_takes_a_pump_reply(self, service_config):
+        """``stats()`` looping on its own thread (what the autoscaler does)
+        beside ingest + pump: neither side ever sees the other's reply, and
+        the prediction stream is the one an unobserved run publishes."""
+        rounds = 24
+        streams = synthetic_flush_streams(
+            8, flushes_per_job=rounds, requests_per_flush=16, seed=7
+        )
+
+        def run(*, scrape: bool) -> set[tuple]:
+            published: list[tuple] = []
+            scrapes: list[int] = []
+            errors: list[BaseException] = []
+            stop = threading.Event()
+            with ShardedService(2, service_config) as service:
+                service.publisher.subscribe(
+                    lambda u: published.append((u.job, u.time, u.period, u.confidence))
+                )
+
+                def scraper() -> None:
+                    while not stop.is_set():
+                        try:
+                            scrapes.append(service.stats()["flushes"])
+                        except Exception as exc:  # the assertion below reports it
+                            errors.append(exc)
+                            return
+
+                thread = threading.Thread(target=scraper)
+                if scrape:
+                    thread.start()
+                try:
+                    for round_index in range(rounds):
+                        for job, flushes in streams.items():
+                            service.ingest_flush(job, flushes[round_index])
+                        service.pump()
+                    service.drain()
+                finally:
+                    stop.set()
+                    if scrape:
+                        thread.join(timeout=60.0)
+                assert not thread.is_alive()
+                assert errors == []
+                assert bool(scrapes) == scrape
+                assert service.stats()["flushes"] == rounds * len(streams)
+            return set(published)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # hand the GIL over often: more interleavings
+        try:
+            observed = run(scrape=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert observed == run(scrape=False)
+        assert len(observed) >= rounds
 
 
 class TestCrashRecovery:

@@ -195,6 +195,6 @@ class TestCompatibility:
         from repro.client import ServiceClient  # noqa: F401
         from repro.service import ServiceGateway, ThreadedGateway, protocol  # noqa: F401
 
-        # One protocol generation: every peer in the repo ships v2.
-        assert protocol.PROTOCOL_VERSION == 2
-        assert protocol.SUPPORTED_VERSIONS == (2,)
+        # One protocol generation: every peer in the repo ships v3.
+        assert protocol.PROTOCOL_VERSION == 3
+        assert protocol.SUPPORTED_VERSIONS == (3,)
