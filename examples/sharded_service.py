@@ -34,7 +34,7 @@ def main() -> None:
     # --- 1. eight applications share one authenticated, rotating spool ----- #
     directory = Path(tempfile.mkdtemp())
     spool = directory / "flushes.fts"
-    writer = FrameWriter(spool, payload_format="msgpack", token=TOKEN, max_bytes=2_000_000)
+    writer = FrameWriter(spool, token=TOKEN, max_bytes=2_000_000)
 
     jobs = {}
     for j in range(8):

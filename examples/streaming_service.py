@@ -32,7 +32,7 @@ def main() -> None:
     # --- 1. four applications write framed flushes into one spool ---------- #
     directory = Path(tempfile.mkdtemp())
     spool = directory / "flushes.fts"
-    writer = FrameWriter(spool, payload_format="msgpack")
+    writer = FrameWriter(spool)
 
     jobs = {}
     for j in range(4):

@@ -6,7 +6,10 @@ negotiation, and then exposes the service's whole control surface as plain
 method calls: stream flushes in, pump, read stats, snapshot/restore, resize
 the shard topology, and subscribe to the live prediction stream.
 
-The conversation is strictly typed (:mod:`repro.service.protocol`); flush
+The conversation is strictly typed (:mod:`repro.service.protocol`) and runs
+over the same blocking endpoint the router and its shards use
+(:class:`~repro.service.transport.Channel`: one envelope per ``recv``, a
+deadline per call, nothing lost when one strikes mid-message); flush
 payloads travel as ordinary FTS1 frames inside
 :class:`~repro.service.protocol.SubmitFrames`, so the client is wire-format
 compatible with every other producer (spool writers, socket feeds).
@@ -29,6 +32,7 @@ silently double-applying.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import time
 from collections import deque
@@ -38,11 +42,9 @@ from typing import TypeVar
 from repro.exceptions import ConnectionLostError, ProtocolError, ServiceError
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
+from repro.service.transport import Channel
 from repro.trace.framing import encode_frame
 from repro.trace.jsonl import FlushRecord
-
-#: Socket read size of the reply loop.
-_READ_CHUNK = 1 << 16
 
 #: Requests that are safe to repeat after a reconnect: re-running them
 #: against a server that already served the lost first attempt changes
@@ -59,6 +61,20 @@ _IDEMPOTENT: tuple[type[proto.Message], ...] = (
 R = TypeVar("R", bound=proto.Message)
 
 
+@contextlib.contextmanager
+def _typed_connection_loss() -> Iterator[None]:
+    """A connection that died under a read is ``ConnectionLostError``; a
+    timeout passes through."""
+    try:
+        yield
+    except TimeoutError:
+        raise
+    except EOFError as exc:
+        raise ConnectionLostError("server closed the connection") from exc
+    except OSError as exc:
+        raise ConnectionLostError(f"connection lost: {exc}") from exc
+
+
 class ServiceClient:
     """Blocking client of a prediction-service TCP gateway.
 
@@ -71,7 +87,8 @@ class ServiceClient:
         Tenant/auth nibble presented in the handshake and stamped on every
         frame this client encodes (must match the server's token, if any).
     timeout:
-        Socket timeout in seconds for connecting and for every reply.
+        Seconds allowed for connecting, for a send to drain and for every
+        reply.
     name:
         Client name reported in the handshake (diagnostics).
     reconnect:
@@ -99,7 +116,6 @@ class ServiceClient:
         self._timeout = float(timeout)
         self._name = name
         self._reconnect_enabled = bool(reconnect)
-        self._decoder = proto.MessageDecoder()
         self._events: deque[PredictionUpdate] = deque()
         self._closed = False
         self._subscribed = False
@@ -118,17 +134,18 @@ class ServiceClient:
     # connection management
     # ------------------------------------------------------------------ #
     def _connect(self) -> socket.socket:
-        # The handshake runs against a *local* socket and decoder so that a
-        # rejected Hello (wrong token, no common version) never replaces
-        # self._sock/self._decoder with a closed socket and half-fed decoder
-        # — the previous connection state stays intact until the new one is
-        # fully negotiated.
+        # The handshake runs on a channel of its own so that a rejected
+        # Hello (wrong token, no common version) never replaces
+        # self._sock/self._channel with a closed socket — the previous
+        # connection state stays intact until the new one is fully
+        # negotiated.
         sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
-        decoder = proto.MessageDecoder()
+        channel = Channel(sock)
         try:
-            hello = proto.Hello(token=self._token, client=self._name)
-            sock.sendall(proto.encode_message(hello))
-            reply = self._handshake_reply(sock, decoder)
+            with _typed_connection_loss():
+                reply = channel.hello(
+                    token=self._token, client=self._name, timeout=self._timeout
+                )
         except BaseException:
             # A rejected handshake must not leak the connected socket —
             # __exit__/close are unreachable when __init__ raises.
@@ -137,35 +154,9 @@ class ServiceClient:
         self.protocol_version = reply.version
         self.server = reply.server
         self.shards = reply.shards
-        self._decoder = decoder
+        self._channel = channel
         self._sock = sock
         return sock
-
-    def _handshake_reply(
-        self, sock: socket.socket, decoder: proto.MessageDecoder
-    ) -> proto.HelloReply:
-        """Read the HelloReply from a not-yet-adopted connection."""
-        while True:
-            for message in decoder.messages():
-                if isinstance(message, proto.HelloReply):
-                    return message
-                if isinstance(message, proto.Error):
-                    raise ServiceError(
-                        f"Hello failed ({message.code}): {message.message}"
-                    )
-                raise ProtocolError(
-                    f"expected HelloReply in reply to Hello, "
-                    f"got {type(message).__name__}"
-                )
-            try:
-                data = sock.recv(_READ_CHUNK)
-            except TimeoutError:
-                raise
-            except OSError as exc:
-                raise ConnectionLostError(f"connection lost: {exc}") from exc
-            if not data:
-                raise ConnectionLostError("server closed the connection")
-            decoder.feed(data)
 
     def _reconnect(self) -> None:
         try:
@@ -199,26 +190,19 @@ class ServiceClient:
         if self._closed:
             raise ServiceError("client is closed")
         try:
-            self._sock.sendall(proto.encode_message(message))
+            self._channel.send(message)
         except OSError as exc:
             raise ConnectionLostError(
                 f"connection lost while sending {type(message).__name__}: {exc}"
             ) from exc
 
-    def _read_message(self) -> proto.Message:
-        """Next complete message from the stream (blocking, honors timeout)."""
-        while True:
-            for message in self._decoder.messages():
-                return message
-            try:
-                data = self._sock.recv(_READ_CHUNK)
-            except TimeoutError:
-                raise
-            except OSError as exc:
-                raise ConnectionLostError(f"connection lost: {exc}") from exc
-            if not data:
-                raise ConnectionLostError("server closed the connection")
-            self._decoder.feed(data)
+    def _read_message(self, timeout: float) -> proto.Message:
+        """Next message from the stream; ``TimeoutError`` after ``timeout`` seconds.
+
+        A timeout loses nothing: the next call continues the same envelope.
+        """
+        with _typed_connection_loss():
+            return self._channel.recv(timeout)
 
     def _await_reply(self, reply_type: type[R], *, request_name: str) -> R:
         """Read messages until the typed reply (queueing prediction events).
@@ -228,7 +212,7 @@ class ServiceClient:
         protocol violation.
         """
         while True:
-            message = self._read_message()
+            message = self._read_message(self._timeout)
             if isinstance(message, proto.PredictionEvent):
                 self._events.append(PredictionUpdate.from_dict(message.update))
                 continue
@@ -269,12 +253,9 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     # data plane
     # ------------------------------------------------------------------ #
-    def submit_flush(
-        self, job: str, flush: FlushRecord, *, payload_format: str = "msgpack"
-    ) -> int:
+    def submit_flush(self, job: str, flush: FlushRecord) -> int:
         """Encode one flush as an FTS1 frame and submit it; returns frames routed."""
-        frame = encode_frame(flush, job=job, payload_format=payload_format, token=self._token)
-        return self.submit_bytes(frame)
+        return self.submit_bytes(encode_frame(flush, job=job, token=self._token))
 
     def submit_bytes(self, data: bytes) -> int:
         """Submit raw FTS1-framed bytes; returns the frames completed by them."""
@@ -407,9 +388,8 @@ class ServiceClient:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            self._sock.settimeout(remaining)
             try:
-                message = self._read_message()
+                message = self._read_message(remaining)
             except TimeoutError:
                 break
             except ConnectionLostError:
@@ -417,13 +397,6 @@ class ServiceClient:
                     raise
                 self._reconnect()
                 continue
-            finally:
-                # After a *failed* reconnect the old socket is closed; the
-                # typed error in flight must not be masked by an EBADF here.
-                try:
-                    self._sock.settimeout(self._timeout)
-                except OSError:
-                    pass
             if isinstance(message, proto.PredictionEvent):
                 self._events.append(PredictionUpdate.from_dict(message.update))
             elif isinstance(message, proto.Error):

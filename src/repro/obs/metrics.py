@@ -20,7 +20,7 @@ This module supplies both without new dependencies:
   see ``frames_total``; the value is read once per scrape.
 
 Snapshots (:meth:`MetricRegistry.collect`) are plain ``dict``/``list``/number
-trees: msgpack-safe for the FTC1 control pipe (``MetricsReport``),
+trees: msgpack-safe for the FTC1 read channel (``MetricsReport``),
 JSON-safe for ``/status``, and mergeable across shards with
 :func:`merge_snapshots`.  :func:`render_prometheus` writes the text
 exposition format by hand — stdlib only.

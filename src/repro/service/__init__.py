@@ -23,7 +23,7 @@ revive), :mod:`~repro.service.migration` (live reshard) and
 every topology, runs through the one batch engine of
 :mod:`repro.service.batch`.
 
-Every control surface — the shard pipes, the asyncio TCP gateway
+Every control surface — the shard channels, the asyncio TCP gateway
 (:class:`ServiceGateway` / :class:`ThreadedGateway`) and the blocking
 :class:`~repro.client.ServiceClient` — speaks the one typed, versioned
 message layer of :mod:`repro.service.protocol`.

@@ -5,7 +5,7 @@ connect over TCP, negotiate a protocol version (:class:`~repro.service.
 protocol.Hello`), and then drive one shared engine — a single-process
 :class:`~repro.service.service.PredictionService` or a multi-process
 :class:`~repro.service.sharding.ShardedService` — through the same typed
-message layer the shard control pipes speak (:mod:`repro.service.protocol`).
+message layer the shard control channels speak (:mod:`repro.service.protocol`).
 
 Design notes:
 

@@ -1,7 +1,7 @@
 """Typed, versioned control-plane protocol of the prediction service.
 
 Every control surface of the service speaks one message layer: the shard
-control pipe of :class:`~repro.service.sharding.ShardedService`, the asyncio
+channels of :class:`~repro.service.sharding.ShardedService`, the asyncio
 TCP gateway (:mod:`repro.service.gateway`) and the blocking
 :class:`~repro.client.ServiceClient` all exchange the dataclasses defined
 here, encoded canonically with the library's own MessagePack implementation
@@ -64,6 +64,8 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 MAX_CHUNK_BYTES = 8 * 1024 * 1024
 
 _ENVELOPE = struct.Struct(">4sBI")
+#: Envelope header size: magic (4) + type code (1) + body length (4).
+HEADER_BYTES = _ENVELOPE.size
 
 M = TypeVar("M", bound="Message")
 
@@ -650,7 +652,7 @@ class ReapFinishedReply(Message):
 
 @dataclass(frozen=True)
 class Close(Message):
-    """End the conversation (and, on a shard pipe, shut the shard down)."""
+    """End the conversation (and, on a shard control channel, shut the shard down)."""
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "Close":
@@ -868,19 +870,54 @@ def encode_message(message: Message) -> bytes:
     return _ENVELOPE.pack(PROTOCOL_MAGIC, code, len(body)) + body
 
 
-def decode_message(data: bytes) -> Message:
-    """Decode exactly one enveloped message (trailing bytes are an error)."""
-    decoder = MessageDecoder()
-    decoder.feed(data)
-    messages = list(decoder.messages())
-    if not messages or decoder.buffered_bytes:
+def decode_header(header: bytes | bytearray | memoryview) -> tuple[int, int]:
+    """Validate one envelope header; returns ``(type code, body length)``.
+
+    The header says everything a reader needs before it touches the body:
+    a bad magic, an unassigned type code or a length over
+    :data:`MAX_MESSAGE_BYTES` raises :class:`~repro.exceptions.ProtocolError`
+    here, before one body byte is awaited.
+    """
+    magic, code, body_len = _ENVELOPE.unpack_from(header)
+    if magic != PROTOCOL_MAGIC:
         raise ProtocolError(
-            f"expected exactly one complete message in {len(data)} bytes, got "
-            f"{len(messages)} plus {decoder.buffered_bytes} trailing"
+            f"bad control-message magic {bytes(magic)!r}; the stream is not "
+            f"FTC1-enveloped or is corrupt"
         )
-    if len(messages) > 1:
-        raise ProtocolError(f"expected exactly one message, got {len(messages)}")
-    return messages[0]
+    if code not in MESSAGE_TYPES:
+        raise ProtocolError(f"unknown control-message type code {code}")
+    if body_len > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"control-message body length {body_len} exceeds the limit")
+    return code, body_len
+
+
+def decode_body(code: int, body: bytes | memoryview) -> Message:
+    """Decode the body of an envelope whose header :func:`decode_header` passed."""
+    cls = MESSAGE_TYPES[code]
+    try:
+        payload = unpackb(body)
+    except Exception as exc:
+        raise ProtocolError(f"undecodable {cls.__name__} body: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{cls.__name__} body must be a map, got {type(payload).__name__}")
+    try:
+        return cls.from_payload(payload)
+    except ProtocolError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {cls.__name__} payload: {exc}") from exc
+
+
+def decode_message(data: bytes | bytearray | memoryview) -> Message:
+    """Decode exactly one enveloped message (missing or trailing bytes are an error)."""
+    if len(data) < HEADER_BYTES:
+        raise ProtocolError(f"{len(data)} bytes are less than an envelope header")
+    code, body_len = decode_header(data)
+    if len(data) != HEADER_BYTES + body_len:
+        raise ProtocolError(
+            f"expected exactly one message of {HEADER_BYTES + body_len} bytes, got {len(data)}"
+        )
+    return decode_body(code, memoryview(data)[HEADER_BYTES:])
 
 
 def iter_state_chunks(
@@ -1003,35 +1040,12 @@ class MessageDecoder:
 
     def _try_decode_one(self) -> Message | None:
         buffer = self._buffer
-        if len(buffer) < _ENVELOPE.size:
+        if len(buffer) < HEADER_BYTES:
             return None
-        magic, code, body_len = _ENVELOPE.unpack_from(buffer)
-        if magic != PROTOCOL_MAGIC:
-            raise ProtocolError(
-                f"bad control-message magic {bytes(magic)!r}; the stream is not "
-                f"FTC1-enveloped or is corrupt"
-            )
-        cls = MESSAGE_TYPES.get(code)
-        if cls is None:
-            raise ProtocolError(f"unknown control-message type code {code}")
-        if body_len > MAX_MESSAGE_BYTES:
-            raise ProtocolError(f"control-message body length {body_len} exceeds the limit")
-        total = _ENVELOPE.size + body_len
+        code, body_len = decode_header(buffer)
+        total = HEADER_BYTES + body_len
         if len(buffer) < total:
             return None
-        body = bytes(buffer[_ENVELOPE.size : total])
+        body = bytes(buffer[HEADER_BYTES:total])
         del buffer[:total]
-        try:
-            payload = unpackb(body)
-        except Exception as exc:
-            raise ProtocolError(f"undecodable {cls.__name__} body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                f"{cls.__name__} body must be a map, got {type(payload).__name__}"
-            )
-        try:
-            return cls.from_payload(payload)
-        except ProtocolError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed {cls.__name__} payload: {exc}") from exc
+        return decode_body(code, body)

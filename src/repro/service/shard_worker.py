@@ -1,10 +1,12 @@
 """Shard worker: the loop every shard runs, and the dial-home way into it.
 
 :func:`shard_main` is one shard — a full
-:class:`~repro.service.service.PredictionService` driven over a data, a
-control and a read channel (see :mod:`repro.service.supervisor`, which forks
-it for a *local* shard); a *remote* shard is the same function entered
-through :class:`ShardWorker`.
+:class:`~repro.service.service.PredictionService` driven over three sockets:
+a data plane, and a control and a read
+:class:`~repro.service.transport.Channel` (see
+:mod:`repro.service.supervisor`, which forks it over three ``socketpair``s
+for a *local* shard); a *remote* shard is the same function entered through
+:class:`ShardWorker` over three TCP connections.
 
 A :class:`~repro.service.sharding.ShardedService` configured with
 ``placement=["remote", ...]`` does not fork those slots — it adopts workers
@@ -13,16 +15,16 @@ that *dial home* to its :class:`~repro.service.transport.ShardListener`
 :class:`ShardWorker` is the worker side of that adoption:
 
 1. **Dial + handshake** — connect to ``host:port`` (with retry/backoff: the
-   worker may come up before the router), send the standard FTC1
-   :class:`~repro.service.protocol.Hello` (token, versions) and expect a
-   :class:`~repro.service.protocol.HelloReply`.
+   worker may come up before the router) and offer the standard FTC1
+   handshake (:meth:`~repro.service.transport.Channel.hello`: token,
+   versions).  The dial's deadline ends with the dial: the sockets block.
 2. **Register** — announce identity and capacity with
    :class:`~repro.service.protocol.RegisterShard` (name, hostname, pid,
-   cpu count, ring weight), then block until the router adopts this worker
-   into a shard slot (:class:`~repro.service.protocol.RegisterShardReply`
-   carrying the slot index, the wire-form
-   :class:`~repro.service.service.ServiceConfig` and a one-time pairing
-   key).
+   cpu count, ring weight), then block — for as long as it takes, a parked
+   worker is a hot spare — until the router adopts this worker into a shard
+   slot (:class:`~repro.service.protocol.RegisterShardReply` carrying the
+   slot index, the wire-form :class:`~repro.service.service.ServiceConfig`
+   and a one-time pairing key).
 3. **Attach** — open two more TCP connections to the same listener, each
    introducing itself with :class:`~repro.service.protocol.AttachChannel`
    (the pairing key + ``"data"`` / ``"read"``): the framed-TCP data plane
@@ -53,12 +55,8 @@ from repro.service.snapshot import (
     merge_into,
     snapshot_state,
 )
-from repro.service.transport import (
-    SocketChannel,
-    config_from_wire,
-    recv_message,
-    send_message,
-)
+from repro.service.transport import HANDSHAKE_TIMEOUT, Channel, config_from_wire
+
 #: Socket read size of the shard ingestion loop.
 _RECV_CHUNK = 1 << 16
 
@@ -88,7 +86,7 @@ def _stats_reply(service: PredictionService, bytes_received: int) -> proto.Stats
 
 
 def _serve_read_plane(
-    channel,
+    channel: Channel,
     service: PredictionService,
     bytes_received: Callable[[], int],
 ) -> None:
@@ -104,8 +102,8 @@ def _serve_read_plane(
     """
     while True:
         try:
-            request = proto.decode_message(channel.recv_bytes())
-        except (EOFError, OSError, ValueError, ProtocolError):
+            request = channel.recv()
+        except (EOFError, OSError, ProtocolError):
             return
         try:
             reply: proto.Message
@@ -127,7 +125,7 @@ def _serve_read_plane(
         except Exception as exc:  # surface shard-side errors, keep serving
             reply = proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
         try:
-            channel.send_bytes(proto.encode_message(reply))
+            channel.send(reply)
         except OSError:
             return
 
@@ -136,20 +134,25 @@ def shard_main(
     index: int,
     config: ServiceConfig,
     data_sock: socket.socket,
-    control,
+    control_sock: socket.socket,
     ring_handle: RingHandle | None,
-    read_channel,
+    read_sock: socket.socket,
 ) -> None:
-    """Control loop of one shard: select over the data channel and control pipe.
+    """Control loop of one shard: select over the data and control channels.
 
-    With a ``ring_handle``, frame bytes arrive through the shared-memory
-    ring and ``data_sock`` is its doorbell (byte totals only); with ``None``
+    The three sockets are one end of a ``socketpair`` each (a forked shard:
+    sockets are what crosses ``Process(args=...)`` under fork, spawn and
+    forkserver alike) or of a TCP connection (a dialed-home one).  With a
+    ``ring_handle``, frame bytes arrive through the shared-memory ring and
+    ``data_sock`` is its doorbell (byte totals only); with ``None``
     (``ring_bytes=0``, and every remote worker) ``data_sock`` carries the
-    frame bytes itself.  Control messages are the typed envelopes of
-    :mod:`repro.service.protocol`, one per ``send_bytes``/``recv_bytes`` pair
-    on the pipe.  A daemon thread serves read-only requests on
-    ``read_channel`` — see :func:`_serve_read_plane`.
+    frame bytes itself.  ``control_sock`` and ``read_sock`` each become a
+    :class:`~repro.service.transport.Channel` carrying the typed envelopes of
+    :mod:`repro.service.protocol`; a daemon thread serves the read-only
+    requests of the second — see :func:`_serve_read_plane`.
     """
+    control = Channel(control_sock)
+    read_channel = Channel(read_sock)
     service = PredictionService(config)
     updates: list[dict] = []
     service.publisher.subscribe(lambda update: updates.append(update.to_dict()))
@@ -252,7 +255,7 @@ def shard_main(
             kind = request.kind
             state = assembler.feed(request)
             if state is None:
-                # Mid-transfer chunks ride the ordered pipe unacknowledged;
+                # Mid-transfer chunks ride the ordered channel unacknowledged;
                 # only the completed transfer gets a reply.
                 return []
             if kind == "merge":
@@ -330,24 +333,24 @@ def shard_main(
                         selector.unregister(data_sock)
                     continue
                 try:
-                    request = proto.decode_message(control.recv_bytes())
+                    request = control.recv()
                 except EOFError:
                     # The router went away; there is nobody to serve.
                     done = True
                     break
                 except ProtocolError as exc:
-                    control.send_bytes(
-                        proto.encode_message(proto.Error(message=str(exc), code="protocol"))
-                    )
-                    continue
+                    # A control stream that stopped parsing cannot be trusted
+                    # to resynchronize: typed rejection, then hang up — the
+                    # router sees the slot die and revives it.
+                    control.send(proto.Error(message=str(exc), code="protocol"))
+                    done = True
+                    break
                 try:
                     for response in handle(request):
-                        control.send_bytes(proto.encode_message(response))
+                        control.send(response)
                 except Exception as exc:  # surface shard-side errors to the router
-                    control.send_bytes(
-                        proto.encode_message(
-                            proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
-                        )
+                    control.send(
+                        proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
                     )
                 if done:
                     break
@@ -357,10 +360,7 @@ def shard_main(
             ring.close()
         data_sock.close()
         control.close()
-        try:
-            read_channel.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+        read_channel.close()
 
 
 class ShardWorker:
@@ -402,11 +402,19 @@ class ShardWorker:
         self._retries = max(1, int(retries))
         self._retry_delay = float(retry_delay)
 
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection((self._host, self._port), timeout=HANDSHAKE_TIMEOUT)
+        # The deadline was the dial's: a parked worker, and every later read,
+        # waits as long as it takes.
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
     def _dial(self) -> socket.socket:
         last: OSError | None = None
         for attempt in range(self._retries):
             try:
-                return socket.create_connection((self._host, self._port), timeout=30.0)
+                return self._connect()
             except OSError as exc:
                 last = exc
                 if attempt + 1 < self._retries:
@@ -417,10 +425,8 @@ class ShardWorker:
         )
 
     def _open_channel(self, key: str, kind: str) -> socket.socket:
-        sock = socket.create_connection((self._host, self._port), timeout=30.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(proto.encode_message(proto.AttachChannel(key=key, channel=kind)))
-        sock.settimeout(None)
+        sock = self._connect()
+        Channel(sock).send(proto.AttachChannel(key=key, channel=kind))
         return sock
 
     def run(self) -> None:
@@ -431,39 +437,22 @@ class ShardWorker:
         :class:`~repro.exceptions.ProtocolError` on a peer that does not
         speak the adoption sequence.
         """
-        control = SocketChannel(self._dial())
+        control_sock = self._dial()
+        control = Channel(control_sock)
         try:
-            send_message(
-                control,
-                proto.Hello(
-                    versions=proto.SUPPORTED_VERSIONS,
-                    token=self._token,
-                    client=self._name,
-                ),
-            )
-            reply = recv_message(control)
-            if isinstance(reply, proto.Error):
-                raise ServiceError(
-                    f"router rejected the dial-home handshake "
-                    f"({reply.code}): {reply.message}"
-                )
-            if not isinstance(reply, proto.HelloReply):
-                raise ProtocolError(
-                    f"expected HelloReply from the router, got {type(reply).__name__}"
-                )
-            send_message(
-                control,
+            control.hello(token=self._token, client=self._name, timeout=HANDSHAKE_TIMEOUT)
+            control.send(
                 proto.RegisterShard(
                     name=self._name,
                     host=socket.gethostname(),
                     pid=os.getpid(),
                     cpu_count=os.cpu_count() or 0,
                     weight=self._weight,
-                ),
+                )
             )
             # Blocks until the router adopts us into a slot — possibly long
             # after the dial (the router may be waiting for a reshard).
-            adoption = recv_message(control)
+            adoption = control.recv()
             if isinstance(adoption, proto.Error):
                 raise ServiceError(
                     f"router refused adoption ({adoption.code}): {adoption.message}"
@@ -474,10 +463,10 @@ class ShardWorker:
                 )
             config = config_from_wire(adoption.config)
             data_sock = self._open_channel(adoption.data_key, "data")
-            read_channel = SocketChannel(self._open_channel(adoption.data_key, "read"))
+            read_sock = self._open_channel(adoption.data_key, "read")
         except BaseException:
             control.close()
             raise
-        # The worker loop owns (and closes) every channel from here; a ring
+        # The worker loop owns (and closes) every socket from here; a ring
         # segment cannot span hosts, so the data socket carries the frames.
-        shard_main(adoption.shard, config, data_sock, control, None, read_channel)
+        shard_main(adoption.shard, config, data_sock, control_sock, None, read_sock)

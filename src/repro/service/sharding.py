@@ -207,12 +207,10 @@ class ShardedService:
     # ------------------------------------------------------------------ #
     # data plane: classify on the header, forward the bytes
     # ------------------------------------------------------------------ #
-    def ingest_flush(
-        self, job: str, flush: FlushRecord, *, payload_format: str = "msgpack"
-    ) -> int:
+    def ingest_flush(self, job: str, flush: FlushRecord) -> int:
         """Encode one flush as a frame and route it; returns the shard index."""
         token = self.config.token
-        frame = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+        frame = encode_frame(flush, job=job, token=token)
         return self.route_raw(RawFrame(job=job, data=frame, token=token))
 
     def route_raw(self, frame: RawFrame) -> int:
@@ -479,7 +477,7 @@ class ShardedService:
         """Every live shard's stats map, asked on its read channel.
 
         Safe from any thread and never queued behind a pump in flight: the
-        control pipes are not touched.  The counters are what each shard has
+        control channels are not touched.  The counters are what each shard has
         ingested *so far* (no ``expected_bytes`` barrier), exactly like a
         scrape of a single-process service racing its ingest loop; after a
         ``pump()`` / ``drain()`` returned they cover everything it evaluated.

@@ -13,20 +13,21 @@ reached over three channels:
   between them is demoted to a doorbell carrying byte totals — ≤1 copy per
   frame per hop (``ServiceConfig.ring_bytes = 0``, and every remote shard,
   moves the frame bytes over the socket itself).
-* **control plane** — a ``multiprocessing`` pipe (a framed TCP connection
-  for remote shards) carrying the typed, versioned messages of
-  :mod:`repro.service.protocol`: :class:`~repro.service.protocol.Hello`
-  negotiation at spawn, then Pump/Drain/Snapshot/ExtractJobs/Close
-  request/response pairs and the ``SnapshotChunk`` streams every state moves
-  as, in either direction.  It is the one way a prediction leaves a shard
-  (in ``PumpReply`` / ``DrainReply``).  Because data and control travel on
-  different channels, every control request that depends on the data stream
-  carries the router's byte count (``expected_bytes``) and the shard drains
-  its data channel up to that mark first — the two planes are re-ordered
+* **control plane** — a :class:`~repro.service.transport.Channel` (over a
+  ``socketpair`` for a forked shard, a TCP connection for a remote one)
+  carrying the typed, versioned messages of :mod:`repro.service.protocol`:
+  :class:`~repro.service.protocol.Hello` negotiation at spawn, then
+  Pump/Drain/Snapshot/ExtractJobs/Close request/response pairs and the
+  ``SnapshotChunk`` streams every state moves as, in either direction.  It
+  is the one way a prediction leaves a shard (in ``PumpReply`` /
+  ``DrainReply``).  Because data and control travel on different channels,
+  every control request that depends on the data stream carries the
+  router's byte count (``expected_bytes``) and the shard drains its data
+  channel up to that mark first — the two planes are re-ordered
   deterministically.  One thread drives it at a time.
-* **read plane** — a second pipe / connection served by its own thread in
-  the shard, and the one way Stats, MetricsReport and Heartbeat are
-  answered: a timed request/reply under a per-shard mutex
+* **read plane** — a second such channel served by its own thread in the
+  shard, and the one way Stats, MetricsReport and Heartbeat are answered: a
+  timed request/reply under a per-shard mutex
   (:meth:`Shard.read_request`), safe from any thread, so a scrape or a
   liveness probe never queues behind — or steals the reply of — a pump in
   flight.  Nothing unsolicited travels on it, so no thread demultiplexes it.
@@ -44,18 +45,18 @@ this by itself from the last :meth:`~ShardSupervisor.checkpoint`, at most
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
-import multiprocessing.connection
 import os
 import signal
 import socket
 import threading
 import time
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from repro.exceptions import ProtocolError, ServiceError, ShardCrashedError
 from repro.obs import MetricRegistry, SpanJournal
@@ -66,12 +67,7 @@ from repro.service.service import ServiceConfig, compact_tails
 from repro.service.shard_worker import shard_main
 from repro.service.shm_ring import ShmRingWriter
 from repro.service.snapshot import split_state, state_jobs
-from repro.service.transport import (
-    ShardListener,
-    SocketChannel,
-    config_to_wire,
-    send_message,
-)
+from repro.service.transport import Channel, ShardListener, config_to_wire, wait_readable
 from repro.trace.framing import FrameReader, RawFrame, spool_generations
 
 R = TypeVar("R", bound=proto.Message)
@@ -87,11 +83,13 @@ _READ_SLICE = 0.25
 class Shard:
     """Parent-side handle of one worker shard, and its channel primitives.
 
-    A *local* shard is a forked subprocess (``process`` set, channels are a
-    socketpair and pipes).  A *remote* shard is an adopted dial-home
+    A *local* shard is a forked subprocess (``process`` set, every channel a
+    ``socketpair``).  A *remote* shard is an adopted dial-home
     ``repro-shard`` worker (``process`` is ``None``, every channel is a TCP
     connection, and ``name``/``host``/``pid``/``weight`` carry the identity
-    it registered with).  Remote liveness has no ``waitpid`` to lean on: it
+    it registered with).  The two differ only in how their sockets came to
+    exist and in whether a ring sits in front of the data socket.  Remote
+    liveness has no ``waitpid`` to lean on: it
     is connection loss (any channel operation below failing) or a heartbeat
     timeout (:meth:`ShardSupervisor.heartbeat`) flipping ``dead``.
     """
@@ -99,8 +97,8 @@ class Shard:
     index: int
     process: multiprocessing.process.BaseProcess | None
     data_sock: socket.socket
-    control: Any  # multiprocessing.connection.Connection or SocketChannel
-    read: Any  # read-plane channel (pipe or SocketChannel)
+    control: Channel
+    read: Channel
     ring: ShmRingWriter | None = None
     journal: SpanJournal | None = None
     bytes_sent: int = 0
@@ -152,19 +150,33 @@ class Shard:
                 started=started,
             )
 
-    def control_send(self, message: proto.Message) -> None:
-        if not self.alive:
-            raise ShardCrashedError(self.index)
+    @contextlib.contextmanager
+    def _guard(self) -> Iterator[None]:
+        """A channel that fails under an operation marks the handle dead."""
         try:
-            self.control.send_bytes(proto.encode_message(message))
-        except OSError as exc:
-            raise self._crashed(exc) from exc
-
-    def control_recv(self) -> proto.Message:
-        try:
-            return proto.decode_message(self.control.recv_bytes())
+            yield
+        except TimeoutError:
+            raise  # not a verdict: the caller decides what silence means
         except (EOFError, OSError) as exc:
             raise self._crashed(exc) from exc
+
+    def _send(self, channel: Channel, message: proto.Message) -> None:
+        if not self.alive:
+            raise ShardCrashedError(self.index)
+        with self._guard():
+            channel.send(message)
+
+    def hello(self, token: int | None) -> proto.HelloReply:
+        """Offer the handshake on the control channel (refusal: ``ServiceError``)."""
+        with self._guard():
+            return self.control.hello(token=token)
+
+    def control_send(self, message: proto.Message) -> None:
+        self._send(self.control, message)
+
+    def control_recv(self) -> proto.Message:
+        with self._guard():
+            return self.control.recv()
 
     def reply(self) -> proto.Message:
         """The next control reply; a typed ``Error`` raises ``ServiceError``."""
@@ -192,7 +204,7 @@ class Shard:
                     )
                 state = assembler.feed(response)
             except ProtocolError:
-                # A torn chunk stream cannot be resynchronized on the pipe;
+                # A torn chunk stream cannot be resynchronized on the channel;
                 # the shard is unusable from here on.
                 self.dead = True
                 raise
@@ -212,18 +224,18 @@ class Shard:
     # -- read plane ---------------------------------------------------- #
     def read_send(self, message: proto.Message) -> None:
         """Write one read-plane request (caller holds ``read_lock``)."""
-        if not self.alive:
-            raise ShardCrashedError(self.index)
-        try:
-            self.read.send_bytes(proto.encode_message(message))
-        except OSError as exc:
-            raise self._crashed(exc) from exc
+        self._send(self.read, message)
 
-    def read_recv(self) -> proto.Message:
-        """Take the reply a readable read channel holds (``read_lock`` held)."""
+    def read_recv(self, timeout: float | None = None) -> proto.Message:
+        """The read channel's next reply (``read_lock`` held).
+
+        :class:`TimeoutError` after ``timeout`` seconds of an incomplete
+        reply; what has arrived of it is kept for the next call.
+        """
         try:
-            return proto.decode_message(self.read.recv_bytes())
-        except (EOFError, OSError, ProtocolError) as exc:
+            with self._guard():
+                return self.read.recv(timeout)
+        except ProtocolError as exc:
             raise self._crashed(exc) from exc
 
     def read_request(self, message: proto.Message, timeout: float) -> proto.Message:
@@ -237,17 +249,18 @@ class Shard:
         with self.read_lock:
             self.read_send(message)
             deadline = time.monotonic() + timeout
-            while not multiprocessing.connection.wait(
-                [self.read], min(_READ_SLICE, max(0.0, deadline - time.monotonic()))
-            ):
-                if self.dead:  # released (or convicted) while we waited
-                    raise ShardCrashedError(self.index)
-                if time.monotonic() >= deadline:
-                    self.unresponsive = True
-                    raise self._crashed(
-                        TimeoutError(f"no answer on the read channel within {timeout}s")
-                    )
-            reply = self.read_recv()
+            while True:
+                try:
+                    reply = self.read_recv(min(_READ_SLICE, deadline - time.monotonic()))
+                    break
+                except TimeoutError:
+                    if self.dead:  # released (or convicted) while we waited
+                        raise ShardCrashedError(self.index) from None
+                    if time.monotonic() >= deadline:
+                        self.unresponsive = True
+                        raise self._crashed(
+                            TimeoutError(f"no answer on the read channel within {timeout}s")
+                        ) from None
         if isinstance(reply, proto.Error):
             raise ServiceError(f"shard {self.index} read request failed: {reply.message}")
         return reply
@@ -382,28 +395,28 @@ class ShardSupervisor:
         return self.shards[index]
 
     def _spawn_local(self, index: int) -> Shard:
-        parent_sock, child_sock = socket.socketpair()
-        parent_conn, child_conn = self._ctx.Pipe()
-        read_parent, read_child = self._ctx.Pipe()
+        # Raw sockets are what crosses Process(args=...) under every start
+        # method; the child wraps its ends in channels as this side does.
+        data, child_data = socket.socketpair()
+        control, child_control = socket.socketpair()
+        read, child_read = socket.socketpair()
         ring = ShmRingWriter(self.config.ring_bytes) if self.config.ring_bytes > 0 else None
-        # Not daemonic: orphan safety comes from the shard loop exiting on
-        # control-pipe EOF when the router goes away, not from multiprocessing
-        # terminating the child at interpreter exit.
+        # Not daemonic: a shard ends when its control channel reports EOF,
+        # not by multiprocessing terminating it at interpreter exit.  (Under
+        # fork a shard inherits copies of the router's socket ends, so only
+        # a router that closes — not one killed -9 — delivers that EOF.)
         handle = ring.handle if ring is not None else None
         process = self._ctx.Process(
             target=shard_main,
-            args=(index, self.config, child_sock, child_conn, handle, read_child),
+            args=(index, self.config, child_data, child_control, handle, child_read),
             name=f"prediction-shard-{index}",
         )
         process.start()
-        child_sock.close()
-        child_conn.close()
-        read_child.close()
+        for child_end in (child_data, child_control, child_read):
+            child_end.close()
         if ring is not None:
-            ring.bind(parent_sock)
-        return Shard(
-            index, process, parent_sock, parent_conn, read_parent, ring, self.journal
-        )
+            ring.bind(data)
+        return Shard(index, process, data, Channel(control), Channel(read), ring, self.journal)
 
     def _adopt_remote(self, index: int) -> Shard | None:
         """Adopt the next parked dial-home worker into slot ``index``.
@@ -422,11 +435,10 @@ class ShardSupervisor:
         registration = pending.registration
         key = listener.new_key()
         try:
-            send_message(
-                pending.channel,
+            pending.channel.send(
                 proto.RegisterShardReply(
                     shard=index, config=config_to_wire(self.config), data_key=key
-                ),
+                )
             )
             data_sock = listener.wait_attachment(key, "data", timeout=self.remote_timeout)
             read_sock = listener.wait_attachment(key, "read", timeout=self.remote_timeout)
@@ -439,9 +451,8 @@ class ShardSupervisor:
                 stacklevel=3,
             )
             return None
-        data_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return Shard(
-            index, None, data_sock, pending.channel, SocketChannel(read_sock),
+            index, None, data_sock, pending.channel, Channel(read_sock),
             journal=self.journal,
             name=registration.name,
             host=registration.host,
@@ -453,14 +464,7 @@ class ShardSupervisor:
         # Version negotiation before the first real control message: a shard
         # built from an incompatible protocol generation fails loudly at
         # spawn, never by silently mis-parsing a request later.
-        reply = shard.request(
-            proto.Hello(versions=proto.SUPPORTED_VERSIONS, token=self.config.token)
-        )
-        if not isinstance(reply, proto.HelloReply):
-            raise ServiceError(
-                f"shard {shard.index} handshake returned {type(reply).__name__}, "
-                f"expected HelloReply"
-            )
+        shard.hello(self.config.token)
         self._register_views(shard.index)
 
     def _register_views(self, index: int) -> None:
@@ -599,7 +603,7 @@ class ShardSupervisor:
 
         A failure never short-circuits the collection: every shard that was
         sent the request gets its reply consumed (or its death recorded)
-        before anything is raised, so the surviving shards' control pipes
+        before anything is raised, so the surviving shards' control channels
         stay request/response-aligned for the next operation.
         """
         crashes: list[ShardCrashedError] = []
@@ -677,9 +681,9 @@ class ShardSupervisor:
         timeout = self.config.heartbeat_timeout if timeout is None else float(timeout)
         live = [shard for shard in self.shards if shard.alive]
         rtts: dict[int, float | None] = {shard.index: None for shard in live}
-        waiting: dict[Any, tuple[Shard, int]] = {}  # read channel -> (shard, seq)
+        waiting: dict[Channel, tuple[Shard, int]] = {}  # read channel -> (shard, seq)
 
-        def settle(channel: Any) -> None:
+        def settle(channel: Channel) -> None:
             # This probe is over: answered, lost, or the shard was released.
             waiting.pop(channel)[0].read_lock.release()
 
@@ -699,12 +703,12 @@ class ShardSupervisor:
                     settle(shard.read)
             deadline = time.monotonic() + timeout
             while waiting and (remaining := deadline - time.monotonic()) > 0:
-                for channel in multiprocessing.connection.wait(
-                    list(waiting), min(_READ_SLICE, remaining)
-                ):
+                for channel in wait_readable(waiting, min(_READ_SLICE, remaining)):
                     shard, seq = waiting[channel]
                     try:
-                        reply = shard.read_recv()
+                        reply = shard.read_recv(deadline - time.monotonic())
+                    except TimeoutError:
+                        continue  # half a reply; the deadline convicts it
                     except ShardCrashedError:
                         settle(channel)
                         continue

@@ -1,17 +1,17 @@
-"""TCP shard transport: channels, the dial-home listener, config wire form.
+"""Shard transport: the FTC1 channel, the dial-home listener, config wire form.
 
-This module is what promotes a :class:`~repro.service.sharding.ShardedService`
-shard from a forked subprocess to a *federated* worker that may live on
-another machine.  Three pieces compose it:
+Three pieces compose it:
 
-* :class:`SocketChannel` — a TCP control/read channel speaking the exact
-  ``send_bytes``/``recv_bytes``/``fileno``/``close`` surface of a
-  ``multiprocessing`` pipe connection, so every router- and worker-side code
-  path that drives a local pipe drives a remote socket unchanged.  FTC1
-  envelopes are self-framing (magic + type + length prefix,
-  :mod:`repro.service.protocol`), so ``send_bytes`` is a plain ``sendall``
-  and ``recv_bytes`` reads exactly one envelope — never a byte more, which
-  keeps selector readiness truthful for the next message.
+* :class:`Channel` — the one blocking FTC1 endpoint, over any connected
+  stream socket: router↔shard control and read channels (a ``socketpair``
+  for a forked shard, TCP for a dialed-home one), the dial-home handshake
+  and the blocking :class:`~repro.client.ServiceClient` all send and receive
+  through it.  FTC1 envelopes are self-framing (magic + type + length
+  prefix, :mod:`repro.service.protocol`): :meth:`Channel.recv` takes the
+  header, then exactly the body it announces — never a byte more, which
+  keeps selector readiness truthful for the next message.  A deadline is an
+  argument of the ``recv`` that has one, never socket state, and a ``recv``
+  that times out loses nothing: the next call continues the same envelope.
 * :class:`ShardListener` — the router-side accept loop of the dial-home
   topology (DARC-style: workers connect *to* the master, so only the router
   needs a routable address).  A connecting ``repro-shard`` completes the
@@ -32,10 +32,14 @@ another machine.  Three pieces compose it:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import queue
 import secrets
+import selectors
 import socket
 import threading
+import time
+from collections.abc import Iterable
 from typing import Any
 
 from repro.exceptions import ProtocolError, ServiceError
@@ -44,86 +48,115 @@ from repro.service import protocol as proto
 from repro.service.service import ServiceConfig
 from repro.service.session import SessionConfig
 
-#: Envelope header size: magic (4) + type code (1) + body length (4).
-_HEADER_BYTES = 9
-
 #: How long a not-yet-adopted connection may take to produce its next
 #: handshake message before the listener gives up on it.
 HANDSHAKE_TIMEOUT = 30.0
 
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes; EOFError on a clean close mid-message."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise EOFError(f"connection closed {remaining} bytes short of a message")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+#: ``poll`` where the platform has it: a wait then costs one system call and
+#: no kernel object, and neither form has ``select``'s ``FD_SETSIZE`` ceiling.
+_Selector = getattr(selectors, "PollSelector", selectors.DefaultSelector)
 
 
-class SocketChannel:
-    """A TCP socket with the message surface of a ``multiprocessing`` pipe.
+def wait_readable(channels: Iterable[Channel], timeout: float) -> list[Channel]:
+    """Those of ``channels`` that become readable within ``timeout`` seconds."""
+    with _Selector() as selector:
+        for channel in channels:
+            selector.register(channel, selectors.EVENT_READ)
+        return [key.fileobj for key, _ in selector.select(max(0.0, timeout))]  # type: ignore[misc]
 
-    One ``send_bytes`` writes one FTC1 envelope; one ``recv_bytes`` returns
-    exactly one.  The read path never buffers past the current envelope, so
-    a wait that reported readability is always describing the *next*
-    message — the invariant the shard worker loop and the router's timed
-    read requests both rely on.  Sends are serialized by an internal lock, so
-    two threads' envelopes can never interleave on the wire.
+
+class Channel:
+    """One blocking FTC1 endpoint over a connected stream socket.
+
+    :meth:`send` writes one envelope, :meth:`recv` returns exactly one.  The
+    read path never takes a byte past the current envelope, so a wait that
+    reported readability is always describing the *next* message — the
+    invariant the shard worker loop and the router's timed read requests both
+    rely on.  Sends are serialized by an internal lock, so two threads'
+    envelopes can never interleave on the wire; receiving is for one thread
+    at a time.
     """
 
     def __init__(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._closed = False
+        self._partial = bytearray()  # the envelope being received, so far
 
-    def send_bytes(self, data: bytes) -> None:
+    def send(self, message: proto.Message) -> None:
+        data = proto.encode_message(message)
         with self._send_lock:
             self._sock.sendall(data)
 
-    def recv_bytes(self) -> bytes:
-        header = _recv_exact(self._sock, _HEADER_BYTES)
-        magic, _code, length = proto._ENVELOPE.unpack(header)
-        if magic != proto.PROTOCOL_MAGIC:
-            raise ProtocolError(f"bad envelope magic {magic!r} on shard channel")
-        if length > proto.MAX_MESSAGE_BYTES:
-            raise ProtocolError(f"message body of {length} bytes exceeds the protocol limit")
-        return header + (_recv_exact(self._sock, length) if length else b"")
+    def recv(self, timeout: float | None = None) -> proto.Message:
+        """The next message; blocks until it is whole, or ``timeout`` seconds.
+
+        :class:`TimeoutError` leaves what has arrived of the envelope in
+        place for the next call.  :class:`EOFError` is the peer hanging up.
+        :class:`~repro.exceptions.ProtocolError` from a header (bad magic,
+        unknown type code, oversized length) condemns the stream — nothing
+        is consumed past the fault, every later ``recv`` raises it again;
+        from an undecodable body it costs that one envelope only.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._fill(proto.HEADER_BYTES, deadline)
+        code, length = proto.decode_header(self._partial)
+        self._fill(proto.HEADER_BYTES + length, deadline)
+        envelope, self._partial = self._partial, bytearray()
+        return proto.decode_body(code, memoryview(envelope)[proto.HEADER_BYTES :])
+
+    def _fill(self, size: int, deadline: float | None) -> None:
+        """Read until ``size`` bytes of the current envelope are held."""
+        partial = self._partial
+        while len(partial) < size:
+            if deadline is not None and not wait_readable(
+                [self], deadline - time.monotonic()
+            ):
+                raise TimeoutError(
+                    f"no complete message in time ({len(partial)} of {size} bytes so far)"
+                )
+            chunk = self._sock.recv(size - len(partial))
+            if not chunk:
+                raise EOFError(
+                    f"connection closed {size - len(partial)} bytes short of a message"
+                )
+            partial += chunk
+
+    def hello(
+        self, *, token: int | None = None, client: str = "", timeout: float | None = None
+    ) -> proto.HelloReply:
+        """Offer the handshake and return the peer's acceptance.
+
+        The mirror of :func:`~repro.service.protocol.answer_hello`: a typed
+        refusal (wrong token, no common version) raises
+        :class:`~repro.exceptions.ServiceError`.
+        """
+        self.send(proto.Hello(token=token, client=client))
+        reply = self.recv(timeout)
+        if isinstance(reply, proto.Error):
+            raise ServiceError(f"Hello refused ({reply.code}): {reply.message}")
+        if not isinstance(reply, proto.HelloReply):
+            raise ProtocolError(
+                f"expected HelloReply in reply to Hello, got {type(reply).__name__}"
+            )
+        return reply
 
     def fileno(self) -> int:
-        return self._sock.fileno()
-
-    def settimeout(self, timeout: float | None) -> None:
-        self._sock.settimeout(timeout)
+        fd = self._sock.fileno()
+        if fd < 0:
+            # What recv() on the closed socket raises: a timed wait on it
+            # fails the same way, not with the selector's ValueError.
+            raise OSError(errno.EBADF, "channel is closed")
+        return fd
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         try:
+            # Not close() alone: this wakes a thread of this process blocked
+            # in recv(), and the peer sees EOF even while a forked sibling
+            # still holds a copy of the descriptor.
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+        except OSError:  # already closed, or never connected
             pass
         self._sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-def send_message(channel: SocketChannel, message: proto.Message) -> None:
-    """Encode and send one control message on a channel."""
-    channel.send_bytes(proto.encode_message(message))
-
-
-def recv_message(channel: SocketChannel) -> proto.Message:
-    """Receive and decode exactly one control message from a channel."""
-    return proto.decode_message(channel.recv_bytes())
 
 
 # --------------------------------------------------------------------- #
@@ -181,7 +214,7 @@ def config_from_wire(wire: dict) -> ServiceConfig:
 class PendingWorker:
     """A dialed-home worker that passed the handshake and awaits adoption."""
 
-    def __init__(self, channel: SocketChannel, registration: proto.RegisterShard) -> None:
+    def __init__(self, channel: Channel, registration: proto.RegisterShard) -> None:
         self.channel = channel
         self.registration = registration
 
@@ -248,64 +281,78 @@ class ShardListener:
                 sock, _addr = self._server.accept()
             except OSError:
                 return  # listener closed
+            if self._closed:
+                # close() shut the listening socket down to wake this loop; a
+                # dial that slipped in first is dropped unanswered.
+                sock.close()
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(
                 target=self._serve_connection, args=(sock,), daemon=True
             ).start()
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        channel = SocketChannel(sock)
+        channel = Channel(sock)
         try:
-            channel.settimeout(HANDSHAKE_TIMEOUT)
-            first = recv_message(channel)
+            first = channel.recv(HANDSHAKE_TIMEOUT)
             if isinstance(first, proto.AttachChannel):
-                self._attach(first, sock, channel)
+                # A secondary connection of an adopted worker: the raw socket
+                # goes to whoever waits on its one-time key.
+                with self._attach_ready:
+                    self._attachments[(first.key, first.channel)] = sock
+                    self._attach_ready.notify_all()
+                if self._closed:
+                    self._drop_parked()
                 return
-            if not isinstance(first, proto.Hello):
-                send_message(
-                    channel,
-                    proto.Error(
-                        message=f"expected Hello or AttachChannel, got {type(first).__name__}",
-                        code="protocol",
-                    ),
+            if isinstance(first, proto.Hello):
+                answer = proto.answer_hello(
+                    first, token=self._token, server="repro-shard-router"
                 )
-                self._rejected += 1
-                channel.close()
-                return
-            answer = proto.answer_hello(
-                first, token=self._token, server="repro-shard-router"
-            )
-            send_message(channel, answer)
+            else:
+                answer = proto.Error(
+                    message=f"expected Hello or AttachChannel, got {type(first).__name__}",
+                    code="protocol",
+                )
+            channel.send(answer)
             if isinstance(answer, proto.Error):
                 self._rejected += 1
                 channel.close()
                 return
-            registration = recv_message(channel)
+            registration = channel.recv(HANDSHAKE_TIMEOUT)
             if not isinstance(registration, proto.RegisterShard):
-                send_message(
-                    channel,
+                channel.send(
                     proto.Error(
                         message=(
                             f"expected RegisterShard after the handshake, "
                             f"got {type(registration).__name__}"
                         ),
                         code="protocol",
-                    ),
+                    )
                 )
                 self._rejected += 1
                 channel.close()
                 return
-            channel.settimeout(None)
             self._pending.put(PendingWorker(channel, registration))
-        except (OSError, EOFError, TimeoutError, ProtocolError):
+            if self._closed:
+                self._drop_parked()
+        except (OSError, EOFError, ProtocolError):
             self._rejected += 1
             channel.close()
 
-    def _attach(
-        self, attach: proto.AttachChannel, sock: socket.socket, channel: SocketChannel
-    ) -> None:
+    def _drop_parked(self) -> None:
+        """Close every parked worker and unclaimed attachment of a closed listener.
+
+        Run by :meth:`close`, and by a handshake thread that finds the
+        listener closed *after* parking something: whichever of the two comes
+        second sees the other's write, so nothing is left in a queue nobody
+        will read.
+        """
+        while (pending := self.take_pending(timeout=0)) is not None:
+            pending.close()
         with self._attach_ready:
-            self._attachments[(attach.key, attach.channel)] = sock
-            self._attach_ready.notify_all()
+            for sock in self._attachments.values():
+                sock.close()
+            self._attachments.clear()
 
     def take_pending(self, timeout: float | None = None) -> PendingWorker | None:
         """Next registered-but-unadopted worker, or ``None`` on timeout."""
@@ -332,17 +379,12 @@ class ShardListener:
         if self._closed:
             return
         self._closed = True
+        # close() alone does not wake a thread blocked in accept(); shutting
+        # the listening socket down does, and queued dials are refused.
+        self._server.shutdown(socket.SHUT_RDWR)
+        self._thread.join()
         self._server.close()
-        self._thread.join(timeout=5.0)
-        while True:
-            pending = self.take_pending(timeout=0)
-            if pending is None:
-                break
-            pending.close()
-        with self._attach_ready:
-            for sock in self._attachments.values():
-                sock.close()
-            self._attachments.clear()
+        self._drop_parked()
 
     def __enter__(self) -> "ShardListener":
         return self

@@ -13,13 +13,17 @@ Frame layout (all integers big-endian)::
 
     offset  size  field
     0       4     magic  b"FTS1"
-    4       1     payload format (1 = JSON, 2 = MessagePack)
+    4       1     payload format (2 = MessagePack; 1 is retired)
     5       1     flags: high nibble = frame version, low nibble = version-
                   specific (see below)
     6       2     job-id length J
     8       4     payload length P
     12      J     job id (UTF-8)
-    12+J    P     payload (one flush record in the chosen format)
+    12+J    P     payload (one flush record, MessagePack-encoded)
+
+Format code 1 (a JSON payload) is retired: the header byte and the layout are
+unchanged, the code stays unassigned and is never reused, and a frame carrying
+it is rejected as unknown at the header check, before any payload is touched.
 
 The flags byte is versioned.  Version 0 (the original wire format) requires
 the low nibble to be zero, so every frame ever written before the version
@@ -31,8 +35,8 @@ layer before any payload is decoded.  Versions above
 a future format.
 
 The payload is the :meth:`FlushRecord.to_dict` schema encoded with the
-existing JSONL or MessagePack encoders, so a framed stream is a thin layer
-over the formats the tracer already writes.  Frames are self-contained and
+existing MessagePack encoder, so a framed stream is a thin layer over a
+format the tracer already writes.  Frames are self-contained and
 append-only: a reader positioned at a frame boundary never needs to rewind,
 and a partially written final frame (crash, in-flight flush) simply stays
 buffered until the missing bytes arrive.
@@ -40,7 +44,6 @@ buffered until the missing bytes arrive.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import struct
@@ -55,14 +58,11 @@ from repro.trace.msgpack import packb, unpackb
 
 #: First bytes of every frame; guards against tailing a non-framed file.
 FRAME_MAGIC = b"FTS1"
-#: Payload format codes.
-PAYLOAD_JSON = 1
+#: The one payload format code: a MessagePack flush map.
 PAYLOAD_MSGPACK = 2
 #: Highest frame version this decoder understands.
 MAX_FRAME_VERSION = 1
 
-_FORMAT_NAMES = {PAYLOAD_JSON: "json", PAYLOAD_MSGPACK: "msgpack"}
-_FORMAT_CODES = {name: code for code, name in _FORMAT_NAMES.items()}
 _HEADER = struct.Struct(">4sBBHI")
 #: Upper bound on one frame's payload; a corrupt length field would otherwise
 #: make a tailing reader wait forever for petabytes that never arrive.
@@ -99,7 +99,6 @@ class FlushFrame:
 
     job: str
     flush: FlushRecord
-    payload_format: str
     #: Tenant/auth token nibble of a version-1 frame (``None`` on version 0).
     token: int | None = None
 
@@ -123,50 +122,25 @@ class RawFrame:
     token: int | None = None
 
 
-def encode_frame(
-    flush: FlushRecord,
-    *,
-    job: str,
-    payload_format: str = "msgpack",
-    token: int | None = None,
-) -> bytes:
+def encode_frame(flush: FlushRecord, *, job: str, token: int | None = None) -> bytes:
     """Encode one flush record as a length-prefixed frame.
 
     With ``token`` (0..15) the frame is written as version 1 and carries the
     tenant/auth nibble; without it the frame is the plain version-0 format.
     """
-    try:
-        code = _FORMAT_CODES[payload_format]
-    except KeyError:
-        known = ", ".join(sorted(_FORMAT_CODES))
-        raise TraceFormatError(
-            f"unknown frame payload format {payload_format!r}; known formats: {known}"
-        ) from None
     flags = _pack_flags(token)
     job_bytes = job.encode("utf-8")
     if len(job_bytes) > 0xFFFF:
         raise TraceFormatError(f"job id is {len(job_bytes)} bytes; the frame header allows 65535")
-    record = flush.to_dict()
-    if code == PAYLOAD_JSON:
-        payload = json.dumps(record).encode("utf-8")
-    else:
-        payload = packb(record)
+    payload = packb(flush.to_dict())
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise TraceFormatError(f"flush payload of {len(payload)} bytes exceeds the frame limit")
-    header = _HEADER.pack(FRAME_MAGIC, code, flags, len(job_bytes), len(payload))
+    header = _HEADER.pack(FRAME_MAGIC, PAYLOAD_MSGPACK, flags, len(job_bytes), len(payload))
     return header + job_bytes + payload
 
 
-def _decode_payload(code: int, payload: bytes | memoryview) -> FlushRecord:
-    if code == PAYLOAD_JSON:
-        try:
-            data = json.loads(str(payload, "utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TraceFormatError(f"invalid JSON frame payload: {exc}") from exc
-    elif code == PAYLOAD_MSGPACK:
-        data = unpackb(payload)
-    else:  # pragma: no cover - rejected by the header check already
-        raise TraceFormatError(f"unknown frame payload format code {code}")
+def _decode_payload(payload: bytes | memoryview) -> FlushRecord:
+    data = unpackb(payload)
     if not isinstance(data, dict):
         raise TraceFormatError(f"frame payload must be a flush map, got {type(data).__name__}")
     return FlushRecord.from_dict(data)
@@ -331,8 +305,8 @@ class _FrameBuffer:
                 f"{self._expected_token}"
             )
 
-    def _slice_one(self) -> tuple[int, int | None, int, int] | None:
-        """Validate the buffered header; returns (code, token, job_len, total)."""
+    def _slice_one(self) -> tuple[int | None, int, int] | None:
+        """Validate the buffered header; returns (token, job_len, total)."""
         if self._length < _HEADER.size:
             return None
         magic, code, flags, job_len, payload_len = _HEADER.unpack_from(
@@ -343,7 +317,7 @@ class _FrameBuffer:
                 f"bad frame magic {bytes(magic)!r}; the stream is not FTS1-framed or is corrupt"
             )
         token = _unpack_flags(flags)
-        if code not in _FORMAT_NAMES:
+        if code != PAYLOAD_MSGPACK:
             raise TraceFormatError(f"unknown frame payload format code {code}")
         if payload_len > MAX_PAYLOAD_BYTES:
             raise TraceFormatError(f"frame payload length {payload_len} exceeds the limit")
@@ -351,7 +325,7 @@ class _FrameBuffer:
         total = _HEADER.size + job_len + payload_len
         if self._length < total:
             return None
-        return code, token, job_len, total
+        return token, job_len, total
 
     @staticmethod
     def _decode_job(frame: bytes | memoryview, job_len: int) -> str:
@@ -389,13 +363,12 @@ class FrameDecoder(_FrameBuffer):
         sliced = self._slice_one()
         if sliced is None:
             return None
-        code, token, job_len, total = sliced
+        token, job_len, total = sliced
         frame = self._take_frame(total)
         job = self._decode_job(frame, job_len)
         return FlushFrame(
             job=job,
-            flush=_decode_payload(code, frame[_HEADER.size + job_len : total]),
-            payload_format=_FORMAT_NAMES[code],
+            flush=_decode_payload(frame[_HEADER.size + job_len : total]),
             token=token,
         )
 
@@ -419,7 +392,7 @@ class FrameSplitter(_FrameBuffer):
             sliced = self._slice_one()
             if sliced is None:
                 return
-            _, token, job_len, total = sliced
+            token, job_len, total = sliced
             data = self._take_frame(total)
             job = self._decode_job(data, job_len)
             yield RawFrame(job=job, data=data, token=token)
@@ -460,7 +433,6 @@ class FrameWriter:
         target: str | Path | BinaryIO,
         *,
         job: str | None = None,
-        payload_format: str = "msgpack",
         token: int | None = None,
         max_bytes: int | None = None,
     ) -> None:
@@ -473,7 +445,6 @@ class FrameWriter:
         if max_bytes is not None and self._path is None:
             raise TraceFormatError("max_bytes rotation requires a path-backed writer")
         self._job = job
-        self._payload_format = payload_format
         self._token = token
         self._max_bytes = max_bytes
         self._frames_written = 0
@@ -528,9 +499,7 @@ class FrameWriter:
         job = job if job is not None else self._job
         if job is None:
             raise TraceFormatError("no job id: pass job= to write() or to the writer")
-        frame = encode_frame(
-            flush, job=job, payload_format=self._payload_format, token=self._token
-        )
+        frame = encode_frame(flush, job=job, token=self._token)
         if self._path is not None:
             if (
                 self._max_bytes is not None

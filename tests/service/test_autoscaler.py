@@ -434,8 +434,8 @@ class TestLoadRamp:
         shard_counts = [sharded.n_shards]
         try:
             scaler = Autoscaler(sharded, config, clock=lambda: 0.0)
-            for job_index, (job, flushes) in enumerate(streams.items()):
-                sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
+            for job, flushes in streams.items():
+                sharded.feed_bytes(frame_for(job, flushes[0]))
             sharded.pump()
             # Ramp up: 12 sessions on 1 shard, then 2 -- the cooldown spaces
             # the grows out, a mid-cooldown tick must hold.

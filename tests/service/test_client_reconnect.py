@@ -144,6 +144,10 @@ class TestHandshakeFailures:
             with pytest.raises(ConnectionLostError):
                 client.stats()
             assert client.reconnects == 0
+            # The failed reconnect closed the old socket: a poll on it is the
+            # same typed error, not a raw EBADF out of the timed wait.
+            with pytest.raises(ConnectionLostError):
+                client.poll_predictions(timeout=0.05)
         finally:
             client._closed = True
             client._sock.close()

@@ -11,7 +11,6 @@ bad-token dials rejected without wedging the router).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import socket
@@ -33,7 +32,12 @@ from repro.service import (
     ThreadedGateway,
 )
 from repro.service import protocol as proto
-from repro.service.transport import ShardListener, config_from_wire, config_to_wire
+from repro.service.transport import (
+    Channel,
+    ShardListener,
+    config_from_wire,
+    config_to_wire,
+)
 from repro.workloads import synthetic_flush_streams
 
 N_JOBS = 8
@@ -159,6 +163,11 @@ class TestRemoteShardParity:
                 metrics = fed.metrics_snapshot()
                 assert "repro_shard_alive" in metrics
                 assert "repro_heartbeat_rtt_seconds" in metrics
+                # Nothing kept the listener's handshake deadline: an adopted
+                # worker's sockets block like a forked shard's.
+                remote = fed._supervisor.shards[0]
+                for sock in (remote.data_sock, remote.control._sock, remote.read._sock):
+                    assert sock.gettimeout() is None
         finally:
             reap(worker)
 
@@ -316,33 +325,61 @@ class TestRemoteFaults:
         finally:
             reap(worker)
 
+    def test_worker_parked_past_its_dial_timeout_is_still_adopted(self, monkeypatch):
+        """A hot spare waits for adoption as long as it takes: the dial's
+        deadline ends with the dial."""
+        from repro.service.shard_worker import ShardWorker
+
+        dial = socket.create_connection
+        monkeypatch.setattr(
+            socket, "create_connection", lambda address, timeout=None: dial(address, 0.3)
+        )
+        port = free_port()
+        with ShardedService(1, make_config(shard_port=port), placement=["local"]) as fed:
+            spare = threading.Thread(
+                target=ShardWorker("127.0.0.1", port, name="patient").run, daemon=True
+            )
+            spare.start()
+            deadline = time.monotonic() + 30.0
+            while (
+                fed._supervisor.listener._pending.qsize() == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            time.sleep(1.0)  # parked for three dial timeouts
+            assert spare.is_alive()
+            fed._supervisor.remote_timeout = 5.0
+            fed.reshard(2, placement=["local", "remote"])
+            detail = fed.shard_details()[1]
+            assert detail["remote"] is True
+            assert detail["worker"]["name"] == "patient"
+            assert fed.heartbeat()[1] is not None
+        spare.join(timeout=30.0)
+        assert not spare.is_alive()
+
     def test_late_heartbeat_reply_is_not_taken_for_the_next_probes(self):
         """A probe times out, its reply arrives late, a fresh round runs: the
         stale ``seq`` is skipped and the fresh probe's own reply measured."""
         with ShardedService(1, make_config()) as service:
             shard = service._supervisor.shards[0]
-            # Play the shard's read thread by hand on a pipe of our own.
+            # Play the shard's read thread by hand on a channel of our own.
             real_read = shard.read
-            shard.read, worker_end = multiprocessing.Pipe()
+            shard.read, worker_end = map(Channel, socket.socketpair())
             try:
                 assert service.heartbeat(timeout=0.2) == {0: None}
                 assert service.dead_shards() == (0,)
-                stale = proto.decode_message(worker_end.recv_bytes())
+                stale = worker_end.recv(30.0)
                 # The late reply; its forged sent_at would read as a huge RTT.
-                worker_end.send_bytes(
-                    proto.encode_message(
-                        proto.HeartbeatReply(seq=stale.seq, sent_at=stale.sent_at - 1e4)
-                    )
+                worker_end.send(
+                    proto.HeartbeatReply(seq=stale.seq, sent_at=stale.sent_at - 1e4)
                 )
                 shard.dead = shard.unresponsive = False
 
                 def answer_fresh_probe() -> None:
-                    probe = proto.decode_message(worker_end.recv_bytes())
+                    probe = worker_end.recv(30.0)
                     assert probe.seq > stale.seq
-                    worker_end.send_bytes(
-                        proto.encode_message(
-                            proto.HeartbeatReply(seq=probe.seq, sent_at=probe.sent_at)
-                        )
+                    worker_end.send(
+                        proto.HeartbeatReply(seq=probe.seq, sent_at=probe.sent_at)
                     )
 
                 answering = threading.Thread(target=answer_fresh_probe)
@@ -491,7 +528,7 @@ class TestConfigWire:
                 sock = socket.create_connection((listener.host, listener.port), timeout=10.0)
                 try:
                     sock.sendall(proto.encode_message(first))
-                    reply = proto.decode_message(_recv_envelope(sock))
+                    reply = Channel(sock).recv(10.0)
                     assert isinstance(reply, proto.Error)
                     assert reply.code == code
                     # The listener counts the rejection, then hangs up.
@@ -501,19 +538,27 @@ class TestConfigWire:
                     sock.close()
 
 
-def _recv_envelope(sock: socket.socket) -> bytes:
-    header = b""
-    while len(header) < proto._ENVELOPE.size:
-        chunk = sock.recv(proto._ENVELOPE.size - len(header))
-        assert chunk, "listener closed before replying"
-        header += chunk
-    _, _, length = proto._ENVELOPE.unpack(header)
-    body = b""
-    while len(body) < length:
-        chunk = sock.recv(length - len(body))
-        assert chunk
-        body += chunk
-    return header + body
+class TestListenerClose:
+    def test_close_stops_the_accept_loop_and_refuses_further_dials(self):
+        listener = ShardListener()
+        address = (listener.host, listener.port)
+        # close() has begun but the listening socket still accepts: a dial
+        # that slips in is dropped, not answered and parked in a dead queue.
+        listener._closed = True
+        with socket.create_connection(address, timeout=10.0) as late:
+            late.sendall(proto.encode_message(proto.Hello()))
+            try:
+                answer = late.recv(1024)
+            except ConnectionResetError:  # dropped with the Hello unread
+                answer = b""
+            assert answer == b""
+        listener._closed = False
+        started = time.monotonic()
+        listener.close()
+        assert time.monotonic() - started < 1.0
+        assert not listener._thread.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=10.0)
 
 
 class TestGatewayOverFederation:

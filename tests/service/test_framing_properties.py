@@ -1,7 +1,7 @@
 """Property-based tests of the FTS1 frame codec (hypothesis).
 
 The codec sits under every byte the streaming service ingests, so it gets
-the adversarial treatment: arbitrary job ids, payloads, formats and flag
+the adversarial treatment: arbitrary job ids, payloads and flag
 nibbles must survive encode→decode bit-exactly through any chunking, and
 corrupting or truncating a valid frame must end in a clean
 :class:`TraceFormatError` (or bytes parked as incomplete) — never in a
@@ -69,34 +69,32 @@ def flush_records(draw) -> FlushRecord:
 
 
 jobs = st.text(max_size=40)
-payload_formats = st.sampled_from(["json", "msgpack"])
 tokens = st.one_of(st.none(), st.integers(min_value=0, max_value=15))
 
 
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
-    @given(flush=flush_records(), job=jobs, payload_format=payload_formats, token=tokens)
-    def test_single_frame_round_trips_exactly(self, flush, job, payload_format, token):
-        data = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+    @given(flush=flush_records(), job=jobs, token=tokens)
+    def test_single_frame_round_trips_exactly(self, flush, job, token):
+        data = encode_frame(flush, job=job, token=token)
         decoder = FrameDecoder()
         decoder.feed(data)
         frames = decoder.drain()
         assert len(frames) == 1
         assert frames[0].job == job
         assert frames[0].flush == flush
-        assert frames[0].payload_format == payload_format
         assert frames[0].token == token
         assert decoder.buffered_bytes == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
-        items=st.lists(st.tuples(jobs, flush_records(), payload_formats, tokens), max_size=4),
+        items=st.lists(st.tuples(jobs, flush_records(), tokens), max_size=4),
         chunk_seed=st.randoms(use_true_random=False),
     )
     def test_stream_survives_arbitrary_chunking(self, items, chunk_seed):
         stream = b"".join(
-            encode_frame(flush, job=job, payload_format=fmt, token=token)
-            for job, flush, fmt, token in items
+            encode_frame(flush, job=job, token=token)
+            for job, flush, token in items
         )
         decoder = FrameDecoder()
         received = []
@@ -107,14 +105,14 @@ class TestRoundTrip:
             position += step
             received.extend(decoder.drain())
         assert [(f.job, f.flush, f.token) for f in received] == [
-            (job, flush, token) for job, flush, _, token in items
+            (job, flush, token) for job, flush, token in items
         ]
         assert decoder.buffered_bytes == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(flush=flush_records(), job=jobs, payload_format=payload_formats, token=tokens)
-    def test_splitter_header_routing_matches_decoder(self, flush, job, payload_format, token):
-        data = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+    @given(flush=flush_records(), job=jobs, token=tokens)
+    def test_splitter_header_routing_matches_decoder(self, flush, job, token):
+        data = encode_frame(flush, job=job, token=token)
         splitter = FrameSplitter()
         splitter.feed(data)
         raw = splitter.drain()
@@ -132,14 +130,13 @@ class TestTruncation:
     @given(
         flush=flush_records(),
         job=jobs,
-        payload_format=payload_formats,
         token=tokens,
         cut=st.integers(min_value=0, max_value=10**6),
     )
     def test_any_strict_prefix_stays_buffered_never_misframes(
-        self, flush, job, payload_format, token, cut
+        self, flush, job, token, cut
     ):
-        data = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+        data = encode_frame(flush, job=job, token=token)
         prefix = data[: cut % len(data)]
         decoder = FrameDecoder()
         decoder.feed(prefix)
@@ -160,20 +157,19 @@ class TestCorruption:
     @given(
         flush=flush_records(),
         job=jobs,
-        payload_format=payload_formats,
         token=tokens,
         position=st.integers(min_value=0, max_value=_HEADER.size - 1),
         new_byte=st.integers(min_value=0, max_value=255),
     )
     def test_header_corruption_never_yields_a_wrong_frame(
-        self, flush, job, payload_format, token, position, new_byte
+        self, flush, job, token, position, new_byte
     ):
-        frame = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+        frame = encode_frame(flush, job=job, token=token)
         if frame[position] == new_byte:
             new_byte = (new_byte + 1) % 256
         corrupted = bytearray(frame)
         corrupted[position] = new_byte
-        follower = encode_frame(flush, job=job, payload_format=payload_format, token=token)
+        follower = encode_frame(flush, job=job, token=token)
         decoder = FrameDecoder()
         decoder.feed(bytes(corrupted) + follower)
         try:
@@ -198,21 +194,20 @@ class TestCorruption:
     @given(
         flush=flush_records(),
         job=jobs,
-        payload_format=payload_formats,
         token=st.integers(min_value=0, max_value=15),
         wrong=st.integers(min_value=0, max_value=15),
     )
     def test_expected_token_rejects_mismatch_and_unauthenticated(
-        self, flush, job, payload_format, token, wrong
+        self, flush, job, token, wrong
     ):
         expected = wrong if wrong != token else (wrong + 1) % 16
         decoder = FrameDecoder(expected_token=expected)
-        decoder.feed(encode_frame(flush, job=job, payload_format=payload_format, token=token))
+        decoder.feed(encode_frame(flush, job=job, token=token))
         with pytest.raises(TraceFormatError):
             decoder.drain()
         # Version-0 (tokenless) frames are rejected too when auth is required.
         unauthenticated = FrameDecoder(expected_token=expected)
-        unauthenticated.feed(encode_frame(flush, job=job, payload_format=payload_format))
+        unauthenticated.feed(encode_frame(flush, job=job))
         with pytest.raises(TraceFormatError):
             unauthenticated.drain()
 

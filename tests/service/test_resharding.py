@@ -59,10 +59,8 @@ def service_config():
     )
 
 
-def frame_for(job_index: int, job: str, flush) -> bytes:
-    # Alternate payload formats across jobs: the codec must be transparent.
-    payload_format = ("msgpack", "json")[job_index % 2]
-    return encode_frame(flush, job=job, payload_format=payload_format, token=TOKEN)
+def frame_for(job: str, flush) -> bytes:
+    return encode_frame(flush, job=job, token=TOKEN)
 
 
 def sessions_by_job(state: dict) -> dict[str, dict]:
@@ -73,9 +71,9 @@ def sessions_by_job(state: dict) -> dict[str, dict]:
 # the op machinery: one op list drives the elastic run and the reference
 # --------------------------------------------------------------------- #
 def submit_round(service, streams, round_index: int) -> None:
-    for job_index, (job, flushes) in enumerate(streams.items()):
+    for job, flushes in streams.items():
         if round_index < len(flushes):
-            service.feed_bytes(frame_for(job_index, job, flushes[round_index]))
+            service.feed_bytes(frame_for(job, flushes[round_index]))
 
 
 def pump_service(service) -> None:
@@ -250,14 +248,14 @@ class TestReshardAcceptance:
         )
         sharded = ShardedService(2, service_config)
         try:
-            for job_index, (job, flushes) in enumerate(streams.items()):
-                sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
+            for job, flushes in streams.items():
+                sharded.feed_bytes(frame_for(job, flushes[0]))
             sharded.pump()
 
             def feed_next_round(phase):
                 if phase == "parked":
-                    for job_index, (job, flushes) in enumerate(streams.items()):
-                        sharded.feed_bytes(frame_for(job_index, job, flushes[1]))
+                    for job, flushes in streams.items():
+                        sharded.feed_bytes(frame_for(job, flushes[1]))
 
             summary = sharded.reshard(4, on_phase=feed_next_round)
             assert sorted(summary["moved_jobs"]) == expected
@@ -281,8 +279,8 @@ class TestReshardAcceptance:
 
         sharded = ShardedService(2, service_config)
         try:
-            for job_index, (job, flushes) in enumerate(streams.items()):
-                sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
+            for job, flushes in streams.items():
+                sharded.feed_bytes(frame_for(job, flushes[0]))
             sharded.drain()
             merged = sharded.snapshot_state()
         finally:
@@ -320,8 +318,8 @@ class TestReshardAcceptance:
         # short-circuiting as a same-count no-op.
         sharded = ShardedService(2, service_config)
         try:
-            for job_index, (job, flushes) in enumerate(streams.items()):
-                sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
+            for job, flushes in streams.items():
+                sharded.feed_bytes(frame_for(job, flushes[0]))
             sharded.pump()
 
             class Boom(RuntimeError):
@@ -445,8 +443,8 @@ class TestHashSeedDeterminism:
         streams = synthetic_flush_streams(8, flushes_per_job=2, seed=5)
         sharded = ShardedService(4, service_config)
         try:
-            for job_index, (job, flushes) in enumerate(streams.items()):
-                sharded.feed_bytes(frame_for(job_index, job, flushes[0]))
+            for job, flushes in streams.items():
+                sharded.feed_bytes(frame_for(job, flushes[0]))
             sharded.pump()
             sharded.reshard(1)
             sharded.reshard(4)

@@ -75,19 +75,12 @@ class TestStreamingEquivalence:
             for job, trace in job_traces.items()
         }
         n_rounds = max(len(flushes) for flushes in streams.values())
-        payload_formats = ("msgpack", "json")
         for round_index in range(n_rounds):
             # One frame per job per round, interleaved: the broker must
             # demultiplex 16 concurrent streams correctly.
-            for j, (job, flushes) in enumerate(streams.items()):
+            for job, flushes in streams.items():
                 if round_index < len(flushes):
-                    service.feed_bytes(
-                        encode_frame(
-                            flushes[round_index],
-                            job=job,
-                            payload_format=payload_formats[j % 2],
-                        )
-                    )
+                    service.feed_bytes(encode_frame(flushes[round_index], job=job))
             service.pump(wait_for_batch=True)
         service.dispatcher.join()
 

@@ -54,19 +54,17 @@ def streams():
     return synthetic_flush_streams(N_JOBS, flushes_per_job=6, requests_per_flush=16, seed=42)
 
 
-def frame_for(job_index: int, job: str, flush, token: int | None) -> bytes:
-    # Alternate payload formats across jobs: the codec must be transparent.
-    payload_format = ("msgpack", "json")[job_index % 2]
-    return encode_frame(flush, job=job, payload_format=payload_format, token=token)
+def frame_for(job: str, flush, token: int | None) -> bytes:
+    return encode_frame(flush, job=job, token=token)
 
 
 def run_single(streams, config, *, token: int | None = None) -> dict:
     service = PredictionService(config)
     n_rounds = max(len(flushes) for flushes in streams.values())
     for round_index in range(n_rounds):
-        for job_index, (job, flushes) in enumerate(streams.items()):
+        for job, flushes in streams.items():
             if round_index < len(flushes):
-                service.feed_bytes(frame_for(job_index, job, flushes[round_index], token))
+                service.feed_bytes(frame_for(job, flushes[round_index], token))
         service.pump(wait_for_batch=True)
     service.drain()
     from repro.service import snapshot_state
@@ -81,21 +79,23 @@ def sessions_by_job(state: dict) -> dict[str, dict]:
     return {session["job"]: session for session in state["sessions"]}
 
 
-def assert_sharded_matches_single(streams, config, n_shards, *, token) -> set[int]:
+def assert_sharded_matches_single(
+    streams, config, n_shards, *, token, start_method: str | None = None
+) -> set[int]:
     """Drive ``streams`` through ``n_shards`` shards and one process; every
     published period and the full per-session state must be bit-identical.
     Returns the set of shards that owned a job."""
     reference = run_single(streams, config, token=token)
 
-    sharded = ShardedService(n_shards, replace(config, token=token))
+    sharded = ShardedService(
+        n_shards, replace(config, token=token), start_method=start_method
+    )
     try:
         n_rounds = max(len(flushes) for flushes in streams.values())
         for round_index in range(n_rounds):
-            for job_index, (job, flushes) in enumerate(streams.items()):
+            for job, flushes in streams.items():
                 if round_index < len(flushes):
-                    sharded.feed_bytes(
-                        frame_for(job_index, job, flushes[round_index], token)
-                    )
+                    sharded.feed_bytes(frame_for(job, flushes[round_index], token))
             sharded.pump()
         sharded.drain()
 
@@ -163,9 +163,14 @@ class TestHashRing:
 
 class TestShardedEquivalence:
     def test_32_jobs_bit_identical_to_single_process(self, streams, service_config):
-        owners = assert_sharded_matches_single(streams, service_config, N_SHARDS, token=9)
-        # Every shard served some jobs.
-        assert owners == set(range(N_SHARDS))
+        # What crosses Process(args=...) is three sockets and a ring handle:
+        # inherited under fork, pickled under spawn.
+        for start_method in ("fork", "spawn"):
+            owners = assert_sharded_matches_single(
+                streams, service_config, N_SHARDS, token=9, start_method=start_method
+            )
+            # Every shard served some jobs.
+            assert owners == set(range(N_SHARDS)), start_method
 
     def test_long_acf_windows_bit_identical_to_single_process(self):
         """Three jobs with > 8 192-sample ACF windows: alone on one shard or
@@ -190,9 +195,9 @@ class TestShardedEquivalence:
         token = 2
         sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
         try:
-            for job_index, (job, flushes) in enumerate(streams.items()):
+            for job, flushes in streams.items():
                 for flush in flushes[:3]:
-                    sharded.feed_bytes(frame_for(job_index, job, flush, token))
+                    sharded.feed_bytes(frame_for(job, flush, token))
                 sharded.pump()
             sharded.drain()
             merged = sharded.snapshot_state()
@@ -296,7 +301,7 @@ class TestCrashRecovery:
         streams = synthetic_flush_streams(8, flushes_per_job=9, seed=11)
         n_rounds = max(len(flushes) for flushes in streams.values())
         spool = tmp_path / "spool.fts"
-        writer = FrameWriter(spool, payload_format="msgpack", token=token)
+        writer = FrameWriter(spool, token=token)
 
         sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
         try:

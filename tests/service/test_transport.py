@@ -1,0 +1,186 @@
+"""The one blocking FTC1 endpoint, and the guard that it stays the only one.
+
+:class:`~repro.service.transport.Channel` carries router↔shard control and
+read traffic, the dial-home handshake and the blocking client.  Its two rules
+are tested here against a raw socket peer: a deadline is an argument of the
+``recv`` that has one, and a ``recv`` that times out loses no bytes.
+"""
+
+from __future__ import annotations
+
+import ast
+import socket
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.client import ServiceClient
+from repro.exceptions import ProtocolError, ServiceError
+from repro.service import protocol as proto
+from repro.service.publisher import PredictionUpdate
+from repro.service.transport import Channel
+
+SERVICE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
+
+
+@pytest.fixture()
+def pair():
+    """A channel and the raw socket at its other end."""
+    ours, theirs = socket.socketpair()
+    channel = Channel(ours)
+    try:
+        yield channel, theirs
+    finally:
+        channel.close()
+        theirs.close()
+
+
+class TestRecvTimeouts:
+    def test_timeout_mid_envelope_loses_nothing(self, pair):
+        channel, peer = pair
+        stats = proto.StatsReply(stats={"flushes": 3, "jobs": ["a", "b"]})
+        envelope = proto.encode_message(stats)
+        assert len(envelope) > 20
+        peer.sendall(envelope[:5])  # not even a whole header
+        with pytest.raises(TimeoutError):
+            channel.recv(0.05)
+        peer.sendall(envelope[5:20])  # the header and some of the body
+        with pytest.raises(TimeoutError):
+            channel.recv(0.05)
+        peer.sendall(envelope[20:])
+        assert channel.recv(0.05) == stats
+        # The deadline was the calls', not the socket's.
+        assert channel._sock.gettimeout() is None
+
+    def test_never_reads_past_the_current_envelope(self, pair):
+        channel, peer = pair
+        first, second = proto.Heartbeat(seq=1, sent_at=0.5), proto.Heartbeat(seq=2, sent_at=1.5)
+        peer.sendall(proto.encode_message(first) + proto.encode_message(second))
+        assert channel.recv(5.0) == first
+        # The second envelope is still the socket's: readiness describes it.
+        assert len(channel._sock.recv(1 << 16, socket.MSG_PEEK)) == len(
+            proto.encode_message(second)
+        )
+        assert channel.recv(5.0) == second
+
+    def test_header_fault_condemns_the_stream_before_any_body_is_awaited(self, pair):
+        channel, peer = pair
+        peer.sendall(b"\x00\x00\x00\x17" + b"\x00" * 5)
+        with pytest.raises(ProtocolError, match="magic"):
+            channel.recv(5.0)
+        with pytest.raises(ProtocolError, match="magic"):
+            channel.recv(5.0)
+
+    def test_peer_hanging_up_is_eof(self, pair):
+        channel, peer = pair
+        peer.sendall(proto.encode_message(proto.Stats())[:4])
+        peer.close()
+        with pytest.raises(EOFError):
+            channel.recv(5.0)
+
+
+def answer_hello(peer: socket.socket, token: int | None) -> None:
+    """The serving side of one handshake, on a raw socket."""
+    serving = Channel(peer)
+    hello = serving.recv(10.0)
+    assert isinstance(hello, proto.Hello)
+    serving.send(proto.answer_hello(hello, token=token, server="test"))
+
+
+class TestHello:
+    def test_offer_and_refusal(self, pair):
+        channel, peer = pair
+        for token, accepted in ((None, True), (5, True), (6, False)):
+            answering = threading.Thread(target=answer_hello, args=(peer, token))
+            answering.start()
+            try:
+                if accepted:
+                    reply = channel.hello(token=5, client="t", timeout=10.0)
+                    assert (reply.version, reply.server) == (proto.PROTOCOL_VERSION, "test")
+                else:
+                    with pytest.raises(ServiceError, match="unauthorized"):
+                        channel.hello(token=5, client="t", timeout=10.0)
+            finally:
+                answering.join(timeout=10.0)
+            assert not answering.is_alive()
+
+
+def test_poll_predictions_timeout_mid_event_loses_nothing():
+    """The client shares the channel's read path: a poll that times out with
+    half a ``PredictionEvent`` in hand returns nothing, the next returns it."""
+    update = PredictionUpdate(
+        job="dribbled", index=3, time=12.5, frequency=0.25, period=4.0, confidence=0.9
+    )
+    event = proto.encode_message(proto.PredictionEvent(update=update.to_dict()))
+    accepted: list[socket.socket] = []
+
+    def greet() -> None:
+        conn, _ = server.accept()
+        accepted.append(conn)
+        answer_hello(conn, None)
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        greeting = threading.Thread(target=greet)
+        greeting.start()
+        client = ServiceClient(*server.getsockname()[:2])
+        greeting.join(timeout=10.0)
+        assert not greeting.is_alive()
+        gateway = accepted[0]
+        try:
+            gateway.sendall(event[:5])
+            assert client.poll_predictions(timeout=0.05) == []
+            gateway.sendall(event[5:20])
+            assert client.poll_predictions(timeout=0.05) == []
+            gateway.sendall(event[20:])
+            assert client.poll_predictions(timeout=10.0) == [update]
+        finally:
+            client._closed = True
+            client._sock.close()
+            gateway.close()
+
+
+class TestOneTransport:
+    """``src/repro/service`` keeps one way to move an envelope, and the
+    sharded form keeps the one-way import order its docstring promises."""
+
+    #: Each may import only the ones before it; ``transport`` none of them.
+    ORDER = ("ring", "shard_worker", "supervisor", "migration", "sharding")
+
+    @staticmethod
+    def _trees() -> dict[str, ast.Module]:
+        return {
+            path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SERVICE_DIR.glob("*.py"))
+        }
+
+    @staticmethod
+    def _imports(tree: ast.Module) -> set[str]:
+        """Every dotted name a module imports, function-level imports included."""
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        return names
+
+    def test_no_pipe_transport(self):
+        for name, tree in self._trees().items():
+            assert not any(
+                imported.startswith("multiprocessing.connection")
+                for imported in self._imports(tree)
+            ), f"{name}.py imports multiprocessing.connection"
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    assert callee != "Pipe", f"{name}.py:{node.lineno} calls Pipe()"
+
+    def test_sharded_modules_import_one_way(self):
+        trees = self._trees()
+        for position, name in enumerate(self.ORDER):
+            later = {f"repro.service.{other}" for other in self.ORDER[position:]}
+            assert not later & self._imports(trees[name]), name
+        everything = {f"repro.service.{name}" for name in self.ORDER}
+        assert not everything & self._imports(trees["transport"])

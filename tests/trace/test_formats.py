@@ -181,7 +181,7 @@ class TestMsgpackBoundaries:
             metadata=metadata,
         )
         decoder = FrameDecoder()
-        decoder.feed(encode_frame(flush, job="boundary", payload_format="msgpack"))
+        decoder.feed(encode_frame(flush, job="boundary"))
         (frame,) = list(decoder.frames())
         assert frame.flush.flush_index == 2**31
         assert frame.flush.requests[0].nbytes == 2**62
