@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.obs import MetricRegistry, SpanJournal
+from repro.trace.columns import FlushColumns, as_flush_columns
 from repro.trace.framing import FlushFrame, FrameDecoder, FrameReader
 from repro.trace.jsonl import FlushRecord
 
@@ -93,7 +94,7 @@ class FlushBroker:
         # armed, decoded frames whose job matches it are buffered in arrival
         # order instead of ingested — see begin_staging()/end_staging().
         self._staging: Callable[[str], bool] | None = None
-        self._staged: list[tuple[str, FlushRecord]] = []
+        self._staged: list[tuple[str, FlushColumns]] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -147,13 +148,14 @@ class FlushBroker:
         return tuple(s for s in self.sessions() if s.due())
 
     # ------------------------------------------------------------------ #
-    def ingest(self, job: str, flush: FlushRecord) -> JobSession:
+    def ingest(self, job: str, flush: FlushRecord | FlushColumns) -> JobSession:
         """Ingest one flush for ``job`` directly (no framing involved)."""
         started = time.perf_counter() if self._journal is not None else 0.0
+        flush = as_flush_columns(flush)
         with self._lock:
             session = self._session_locked(job)
             self._flushes += 1
-            self._requests += len(flush.requests)
+            self._requests += len(flush)
         session.ingest(flush)
         if self._journal is not None:
             self._journal.record(
@@ -244,11 +246,13 @@ class FlushBroker:
         return discarded
 
     def feed_bytes(self, data: bytes) -> int:
-        """Feed raw framed bytes (socket reads); returns completed frames routed."""
-        with self._lock:
-            self._decoder.feed(data)
-            frames = list(self._decoder.frames())
-        return self.ingest_frames(frames)
+        """Feed raw framed bytes (socket reads); returns completed frames routed.
+
+        A frame that fails to decode raises and costs that frame only: the
+        frames completed before it are ingested first, the bytes behind it
+        stay buffered for the next feed.
+        """
+        return self._feed(data, borrowed=False)
 
     def feed_borrowed(self, data: memoryview) -> int:
         """Feed bytes whose memory is reclaimed after this call returns.
@@ -258,13 +262,25 @@ class FlushBroker:
         (:meth:`~repro.trace.framing._FrameBuffer.detach`) before returning,
         so the caller may acknowledge/overwrite the memory immediately.  A
         frame completed by this call is decoded straight out of the borrowed
-        view — zero copies on the common path.
+        view into columns that own their memory — zero copies of the frame
+        bytes on the common path.
         """
-        with self._lock:
-            self._decoder.feed(data)
-            frames = list(self._decoder.frames())
-            self._decoder.detach()
-        return self.ingest_frames(frames)
+        return self._feed(data, borrowed=True)
+
+    def _feed(self, data: bytes | memoryview, *, borrowed: bool) -> int:
+        frames: list[FlushFrame] = []
+        try:
+            with self._lock:
+                self._decoder.feed(data)
+                try:
+                    # extend() keeps the frames decoded before a bad one raises.
+                    frames.extend(self._decoder.frames())
+                finally:
+                    if borrowed:
+                        self._decoder.detach()
+        finally:
+            self.ingest_frames(frames)
+        return len(frames)
 
     @property
     def copy_stats(self) -> dict[str, float]:

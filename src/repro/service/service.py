@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import MetricRegistry, SpanJournal
+from repro.trace.columns import FlushColumns
 from repro.trace.framing import FlushFrame, FrameReader, compact_spool
 from repro.trace.jsonl import FlushRecord
 
@@ -198,8 +199,8 @@ class PredictionService:
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #
-    def ingest_flush(self, job: str, flush: FlushRecord) -> JobSession:
-        """Ingest one flush record for ``job``."""
+    def ingest_flush(self, job: str, flush: FlushRecord | FlushColumns) -> JobSession:
+        """Ingest one flush (row or columnar form) for ``job``."""
         return self.broker.ingest(job, flush)
 
     def ingest_frame(self, frame: FlushFrame) -> JobSession:

@@ -26,12 +26,10 @@ from numpy.typing import NDArray
 from repro.core.config import FtioConfig
 from repro.core.ftio import SpectralKernels
 from repro.core.online import OnlinePredictor, PredictionStep, PreparedStep
+from repro.trace.columns import KIND_DTYPE, FlushColumns, SortedColumns, as_flush_columns
 from repro.trace.jsonl import FlushRecord
 from repro.trace.trace import Trace
 from repro.utils.validation import check_non_negative, check_positive_int
-
-#: Fixed dtype of the kind column ("write"/"read" fit comfortably).
-_KIND_DTYPE = "<U8"
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class RingColumnStore:
         self._ends = np.empty(self._capacity, dtype=np.float64)
         self._nbytes = np.empty(self._capacity, dtype=np.int64)
         self._ranks = np.empty(self._capacity, dtype=np.int64)
-        self._kinds = np.empty(self._capacity, dtype=_KIND_DTYPE)
+        self._kinds = np.empty(self._capacity, dtype=KIND_DTYPE)
         self._head = 0
         self._size = 0
         self._evicted = 0
@@ -119,9 +117,9 @@ class RingColumnStore:
         return column[self._head : self._head + self._size]
 
     # ------------------------------------------------------------------ #
-    def append(self, chunk: Trace) -> None:
+    def append(self, chunk: Trace | SortedColumns) -> None:
         """Append the (sorted) requests of ``chunk`` keeping global order."""
-        n = len(chunk)
+        n = len(chunk.starts)
         if n == 0:
             return
         self._reserve(n)
@@ -159,7 +157,7 @@ class RingColumnStore:
             np.empty(capacity, dtype=np.float64),
             np.empty(capacity, dtype=np.int64),
             np.empty(capacity, dtype=np.int64),
-            np.empty(capacity, dtype=_KIND_DTYPE),
+            np.empty(capacity, dtype=KIND_DTYPE),
         )
         self._compact(*new_columns)
         self._starts, self._ends, self._nbytes, self._ranks, self._kinds = new_columns
@@ -301,15 +299,16 @@ class JobSession:
         return self.predictor.latest_period()
 
     # ------------------------------------------------------------------ #
-    def ingest(self, flush: FlushRecord) -> None:
+    def ingest(self, flush: FlushRecord | FlushColumns) -> None:
         """Ingest one flush: append its requests and merge its metadata."""
+        flush = as_flush_columns(flush)
         with self._lock:
             if flush.metadata:
                 self._metadata.update(flush.metadata)
-            if flush.requests:
-                self._store.append(Trace.from_requests(flush.requests))
+            if len(flush):
+                self._store.append(flush.time_ordered())
                 self._store.evict_to_cap(self.config.max_samples)
-                self._ingested_requests += len(flush.requests)
+                self._ingested_requests += len(flush)
             self._ingested_flushes += 1
             pending = self._pending_time
             self._pending_time = (
@@ -465,7 +464,7 @@ class JobSession:
                 ends=np.frombuffer(buffer["ends"], dtype=np.float64, count=n).copy(),
                 nbytes=np.frombuffer(buffer["nbytes"], dtype=np.int64, count=n).copy(),
                 ranks=np.frombuffer(buffer["ranks"], dtype=np.int64, count=n).copy(),
-                kinds=np.asarray(list(buffer["kinds"]), dtype=_KIND_DTYPE),
+                kinds=np.asarray(list(buffer["kinds"]), dtype=KIND_DTYPE),
             )
             self._store = RingColumnStore()
             self._store.append(restored)

@@ -1,6 +1,7 @@
 """Trace substrate: request records, traces, bandwidth signals, file formats."""
 
 from repro.trace.bandwidth import BandwidthSignal, bandwidth_signal, phase_boundaries
+from repro.trace.columns import FlushColumns, decode_flush_columns
 from repro.trace.darshan import (
     DarshanHeatmap,
     heatmap_from_trace,
@@ -43,6 +44,8 @@ __all__ = [
     "BandwidthSignal",
     "bandwidth_signal",
     "phase_boundaries",
+    "FlushColumns",
+    "decode_flush_columns",
     "DarshanHeatmap",
     "heatmap_from_trace",
     "heatmap_to_signal",

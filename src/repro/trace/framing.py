@@ -36,7 +36,9 @@ a future format.
 
 The payload is the :meth:`FlushRecord.to_dict` schema encoded with the
 existing MessagePack encoder, so a framed stream is a thin layer over a
-format the tracer already writes.  Frames are self-contained and
+format the tracer already writes.  It is decoded once, straight into columns
+(:func:`repro.trace.columns.decode_flush_columns`), which is the form the
+service keeps a flush in.  Frames are self-contained and
 append-only: a reader positioned at a frame boundary never needs to rewind,
 and a partially written final frame (crash, in-flight flush) simply stays
 buffered until the missing bytes arrive.
@@ -48,13 +50,15 @@ import os
 import shutil
 import struct
 from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO
 
 from repro.exceptions import TraceFormatError
+from repro.trace.columns import FlushColumns, decode_flush_columns
 from repro.trace.jsonl import FlushRecord
-from repro.trace.msgpack import packb, unpackb
+from repro.trace.msgpack import packb
 
 #: First bytes of every frame; guards against tailing a non-framed file.
 FRAME_MAGIC = b"FTS1"
@@ -95,10 +99,10 @@ def _unpack_flags(flags: int) -> int | None:
 
 @dataclass(frozen=True)
 class FlushFrame:
-    """One decoded frame: a flush record plus its routing header."""
+    """One decoded frame: a flush (columnar) plus its routing header."""
 
     job: str
-    flush: FlushRecord
+    flush: FlushColumns
     #: Tenant/auth token nibble of a version-1 frame (``None`` on version 0).
     token: int | None = None
 
@@ -137,13 +141,6 @@ def encode_frame(flush: FlushRecord, *, job: str, token: int | None = None) -> b
         raise TraceFormatError(f"flush payload of {len(payload)} bytes exceeds the frame limit")
     header = _HEADER.pack(FRAME_MAGIC, PAYLOAD_MSGPACK, flags, len(job_bytes), len(payload))
     return header + job_bytes + payload
-
-
-def _decode_payload(payload: bytes | memoryview) -> FlushRecord:
-    data = unpackb(payload)
-    if not isinstance(data, dict):
-        raise TraceFormatError(f"frame payload must be a flush map, got {type(data).__name__}")
-    return FlushRecord.from_dict(data)
 
 
 class _FrameBuffer:
@@ -345,10 +342,17 @@ class FrameDecoder(_FrameBuffer):
     what makes the stream append/tail-able.  With ``expected_token`` set,
     every frame must carry that version-1 tenant/auth nibble; version-0
     (unauthenticated) frames and wrong tokens raise :class:`TraceFormatError`.
+
+    A payload that does not decode raises too, and costs that frame only: it
+    is consumed, the bytes behind it stay buffered for the next call.
     """
 
     def frames(self) -> Iterator[FlushFrame]:
-        """Yield (and consume) every complete frame currently buffered."""
+        """Yield (and consume) every complete frame currently buffered.
+
+        Frames yielded before a bad one raises are the caller's to keep
+        (``list.extend(decoder.frames())`` does).
+        """
         while True:
             frame = self._try_decode_one()
             if frame is None:
@@ -368,7 +372,7 @@ class FrameDecoder(_FrameBuffer):
         job = self._decode_job(frame, job_len)
         return FlushFrame(
             job=job,
-            flush=_decode_payload(frame[_HEADER.size + job_len : total]),
+            flush=decode_flush_columns(frame[_HEADER.size + job_len : total]),
             token=token,
         )
 
@@ -579,8 +583,14 @@ class FrameReader:
         if position is not None:
             self._offset = int(position["offset"])
             self._start_inode = position["inode"]
-        buffer_type = FrameSplitter if raw else FrameDecoder
-        self._decoder = buffer_type(expected_token=expected_token)
+        self._decoder: FrameDecoder | FrameSplitter
+        self._completed: Callable[[], Iterator[FlushFrame | RawFrame]]
+        if raw:
+            self._decoder = FrameSplitter(expected_token=expected_token)
+            self._completed = self._decoder.raw_frames
+        else:
+            self._decoder = FrameDecoder(expected_token=expected_token)
+            self._completed = self._decoder.frames
         self._sink = sink
         self._handle: BinaryIO | None = None
         self._inode: int | None = None
@@ -703,8 +713,20 @@ class FrameReader:
             self._skipped_bytes += dropped
 
     def poll(self) -> list[FlushFrame]:
-        """Read newly appended bytes and return the completed frames."""
+        """Read newly appended bytes and return the completed frames.
+
+        A bad frame raises, but only after the frames completed before it
+        went to the sink.
+        """
         frames: list[FlushFrame] = []
+        try:
+            self._read_generations(frames)
+        finally:
+            if frames and self._sink is not None:
+                self._sink(frames)
+        return frames
+
+    def _read_generations(self, frames: list) -> None:
         # Each pass drains one spool generation; a poll crosses exactly the
         # rotations that happened since the previous poll.
         while True:
@@ -718,7 +740,7 @@ class FrameReader:
                 self._resync()
                 self._offset = 0
             self._decoder.feed(self._read_new_bytes())
-            frames.extend(self._decoder.drain())
+            frames.extend(self._completed())
             if self._inode_of(self._path) == self._inode:
                 break
             # Rotated away: the current generation was fully drained above.
@@ -730,9 +752,6 @@ class FrameReader:
             self._offset = 0
             if next_path is None or not self._open(next_path):  # pragma: no cover
                 break
-        if frames and self._sink is not None:
-            self._sink(frames)
-        return frames
 
 
 def compact_spool(path: str | Path, *, up_to: int) -> int:

@@ -60,7 +60,8 @@ class FlushRecord:
                 requests=tuple(IORequest.from_dict(r) for r in data["requests"]),
                 metadata=dict(data.get("metadata", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of a float infinity.
             raise TraceFormatError(f"malformed flush record: {exc}") from exc
 
 

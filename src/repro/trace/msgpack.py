@@ -20,8 +20,9 @@ so files written here are readable by any compliant MessagePack reader.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from repro.exceptions import TraceFormatError
 from repro.trace.jsonl import FlushRecord, flushes_to_trace
@@ -142,98 +143,167 @@ def _pack_map(mapping: dict, out: bytearray) -> None:
 # --------------------------------------------------------------------- #
 # decoding
 # --------------------------------------------------------------------- #
-class _Unpacker:
-    """Streaming MessagePack decoder over a bytes-like buffer.
+# One handler per type code, looked up in a 256-entry table built at import.
+# A handler is called as ``handler(data, pos)`` with ``pos`` just past the
+# type code and returns ``(value, next_pos)``.  Everything reads in place with
+# ``struct.unpack_from`` and integer indexing, which run at ``bytes`` speed on
+# a ``memoryview``; only string and binary values slice (they have to copy).
+# Fixed-width reads past the end raise ``IndexError`` / ``struct.error``,
+# which :func:`unpack_at` turns into the one truncation error.
+_Handler = Callable[[Any, int], tuple[Any, int]]
 
-    Accepts any C-contiguous byte buffer (``bytes``, ``memoryview``); a
-    memoryview is decoded in place without materializing a ``bytes`` copy,
-    which is what keeps the framed ingest path zero-copy.
-    """
 
-    def __init__(self, data: bytes | memoryview):
-        self._data = data
-        self._pos = 0
+def _truncated() -> TraceFormatError:
+    return TraceFormatError("truncated MessagePack data")
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
 
-    def _take(self, n: int) -> bytes | memoryview:
-        if self._pos + n > len(self._data):
-            raise TraceFormatError("truncated MessagePack data")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+def _fixint(data: Any, pos: int) -> tuple[int, int]:
+    return data[pos - 1], pos
 
-    def _unpack_fmt(self, fmt: str) -> Any:
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self._take(size))[0]
 
-    def unpack(self) -> Any:
-        code = self._take(1)[0]
-        # fix types
-        if code <= 0x7F:
-            return code
-        if code >= 0xE0:
-            return code - 0x100
-        if 0x80 <= code <= 0x8F:
-            return self._unpack_map(code & 0x0F)
-        if 0x90 <= code <= 0x9F:
-            return self._unpack_array(code & 0x0F)
-        if 0xA0 <= code <= 0xBF:
-            return str(self._take(code & 0x1F), "utf-8")
-        handlers = {
-            0xC0: lambda: None,
-            0xC2: lambda: False,
-            0xC3: lambda: True,
-            0xC4: lambda: bytes(self._take(self._unpack_fmt(">B"))),
-            0xC5: lambda: bytes(self._take(self._unpack_fmt(">H"))),
-            0xC6: lambda: bytes(self._take(self._unpack_fmt(">I"))),
-            0xCA: lambda: self._unpack_fmt(">f"),
-            0xCB: lambda: self._unpack_fmt(">d"),
-            0xCC: lambda: self._unpack_fmt(">B"),
-            0xCD: lambda: self._unpack_fmt(">H"),
-            0xCE: lambda: self._unpack_fmt(">I"),
-            0xCF: lambda: self._unpack_fmt(">Q"),
-            0xD0: lambda: self._unpack_fmt(">b"),
-            0xD1: lambda: self._unpack_fmt(">h"),
-            0xD2: lambda: self._unpack_fmt(">i"),
-            0xD3: lambda: self._unpack_fmt(">q"),
-            0xD9: lambda: str(self._take(self._unpack_fmt(">B")), "utf-8"),
-            0xDA: lambda: str(self._take(self._unpack_fmt(">H")), "utf-8"),
-            0xDB: lambda: str(self._take(self._unpack_fmt(">I")), "utf-8"),
-            0xDC: lambda: self._unpack_array(self._unpack_fmt(">H")),
-            0xDD: lambda: self._unpack_array(self._unpack_fmt(">I")),
-            0xDE: lambda: self._unpack_map(self._unpack_fmt(">H")),
-            0xDF: lambda: self._unpack_map(self._unpack_fmt(">I")),
-        }
+def _negative_fixint(data: Any, pos: int) -> tuple[int, int]:
+    return data[pos - 1] - 0x100, pos
+
+
+def _constant(value: Any) -> _Handler:
+    return lambda data, pos: (value, pos)
+
+
+def _scalar(fmt: str) -> _Handler:
+    packed = struct.Struct(fmt)
+    unpack_from, size = packed.unpack_from, packed.size
+
+    def handler(data: Any, pos: int) -> tuple[Any, int]:
+        return unpack_from(data, pos)[0], pos + size
+
+    return handler
+
+
+def _str_n(data: Any, pos: int, n: int) -> tuple[str, int]:
+    end = pos + n
+    if end > len(data):
+        raise _truncated()
+    try:
+        return str(data[pos:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"MessagePack string is not valid UTF-8: {exc}") from exc
+
+
+def _bin_n(data: Any, pos: int, n: int) -> tuple[bytes, int]:
+    end = pos + n
+    if end > len(data):
+        raise _truncated()
+    return bytes(data[pos:end]), end
+
+
+def _array_n(data: Any, pos: int, n: int) -> tuple[list, int]:
+    out = []
+    dispatch = _DISPATCH
+    for _ in range(n):
+        item, pos = dispatch[data[pos]](data, pos + 1)
+        out.append(item)
+    return out, pos
+
+
+def _map_n(data: Any, pos: int, n: int) -> tuple[dict, int]:
+    out = {}
+    dispatch = _DISPATCH
+    for _ in range(n):
+        key, pos = dispatch[data[pos]](data, pos + 1)
+        value, pos = dispatch[data[pos]](data, pos + 1)
         try:
-            handler = handlers[code]
-        except KeyError as exc:
-            raise TraceFormatError(f"unsupported MessagePack type code 0x{code:02x}") from exc
-        return handler()
+            out[key] = value
+        except TypeError as exc:
+            raise TraceFormatError(f"unhashable MessagePack map key: {exc}") from exc
+    return out, pos
 
-    def _unpack_array(self, n: int) -> list:
-        return [self.unpack() for _ in range(n)]
 
-    def _unpack_map(self, n: int) -> dict:
-        return {self.unpack(): self.unpack() for _ in range(n)}
+def _fixstr(data: Any, pos: int) -> tuple[str, int]:
+    return _str_n(data, pos, data[pos - 1] & 0x1F)
+
+
+def _fixarray(data: Any, pos: int) -> tuple[list, int]:
+    return _array_n(data, pos, data[pos - 1] & 0x0F)
+
+
+def _fixmap(data: Any, pos: int) -> tuple[dict, int]:
+    return _map_n(data, pos, data[pos - 1] & 0x0F)
+
+
+def _sized(fmt: str, body: Callable[[Any, int, int], tuple[Any, int]]) -> _Handler:
+    """A length- or count-prefixed type: read the prefix, then ``body``."""
+    packed = struct.Struct(fmt)
+    unpack_from, size = packed.unpack_from, packed.size
+
+    def handler(data: Any, pos: int) -> tuple[Any, int]:
+        return body(data, pos + size, unpack_from(data, pos)[0])
+
+    return handler
+
+
+def _unsupported(data: Any, pos: int) -> tuple[Any, int]:
+    raise TraceFormatError(f"unsupported MessagePack type code 0x{data[pos - 1]:02x}")
+
+
+def _build_dispatch() -> tuple[_Handler, ...]:
+    table: list[_Handler] = [_unsupported] * 256
+    table[0x00:0x80] = [_fixint] * 0x80
+    table[0x80:0x90] = [_fixmap] * 0x10
+    table[0x90:0xA0] = [_fixarray] * 0x10
+    table[0xA0:0xC0] = [_fixstr] * 0x20
+    table[0xE0:0x100] = [_negative_fixint] * 0x20
+    table[0xC0] = _constant(None)
+    table[0xC2] = _constant(False)
+    table[0xC3] = _constant(True)
+    scalars = (
+        (0xCA, ">f"), (0xCB, ">d"),
+        (0xCC, ">B"), (0xCD, ">H"), (0xCE, ">I"), (0xCF, ">Q"),
+        (0xD0, ">b"), (0xD1, ">h"), (0xD2, ">i"), (0xD3, ">q"),
+    )
+    for code, fmt in scalars:
+        table[code] = _scalar(fmt)
+    for first, body in ((0xC4, _bin_n), (0xD9, _str_n)):
+        for code, fmt in zip(range(first, first + 3), (">B", ">H", ">I")):
+            table[code] = _sized(fmt, body)
+    for first, body in ((0xDC, _array_n), (0xDE, _map_n)):
+        for code, fmt in zip(range(first, first + 2), (">H", ">I")):
+            table[code] = _sized(fmt, body)
+    return tuple(table)
+
+
+_DISPATCH = _build_dispatch()
+
+
+def unpack_at(data: bytes | memoryview, pos: int) -> tuple[Any, int]:
+    """Decode the object starting at ``data[pos]``; returns ``(object, next_pos)``.
+
+    Accepts any C-contiguous byte buffer; a ``memoryview`` is decoded in place
+    without materializing a ``bytes`` copy, which is what keeps the framed
+    ingest path zero-copy.  Malformed input of any kind raises
+    :class:`~repro.exceptions.TraceFormatError` and nothing else.
+    """
+    try:
+        return _DISPATCH[data[pos]](data, pos + 1)
+    except (IndexError, struct.error):
+        raise _truncated() from None
+    except RecursionError:
+        raise TraceFormatError("MessagePack data is nested too deeply") from None
 
 
 def unpackb(data: bytes | memoryview) -> Any:
     """Deserialize a single MessagePack object from ``data``."""
-    unpacker = _Unpacker(data)
-    obj = unpacker.unpack()
-    if not unpacker.exhausted:
+    obj, pos = unpack_at(data, 0)
+    if pos != len(data):
         raise TraceFormatError("trailing bytes after MessagePack object")
     return obj
 
 
 def unpack_stream(data: bytes) -> Iterator[Any]:
     """Yield every MessagePack object concatenated in ``data``."""
-    unpacker = _Unpacker(data)
-    while not unpacker.exhausted:
-        yield unpacker.unpack()
+    pos = 0
+    while pos < len(data):
+        obj, pos = unpack_at(data, pos)
+        yield obj
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,11 @@ import socket
 import pytest
 
 from repro.exceptions import TraceFormatError
+from repro.service import PredictionService
 from repro.trace.framing import (
+    _HEADER,
+    FRAME_MAGIC,
+    PAYLOAD_MSGPACK,
     FrameDecoder,
     FrameReader,
     FrameSplitter,
@@ -16,6 +20,7 @@ from repro.trace.framing import (
     iter_frames,
 )
 from repro.trace.jsonl import FlushRecord
+from repro.trace.msgpack import packb
 from repro.trace.record import IORequest
 
 
@@ -30,6 +35,20 @@ def make_flush(index: int = 0, *, n_requests: int = 3, metadata: dict | None = N
         requests=requests,
         metadata=dict(metadata or {}),
     )
+
+
+def frame_of(payload: dict, *, job: str = "a") -> bytes:
+    """A version-0 frame around an arbitrary payload map (what no writer here emits)."""
+    body = packb(payload)
+    name = job.encode("utf-8")
+    return _HEADER.pack(FRAME_MAGIC, PAYLOAD_MSGPACK, 0, len(name), len(body)) + name + body
+
+
+def rejected_frame(index: int = 0) -> bytes:
+    """Well-framed, undecodable: its first request ends before it starts."""
+    payload = make_flush(index).to_dict()
+    payload["requests"][0]["end"] = payload["requests"][0]["start"] - 1.0
+    return frame_of(payload)
 
 
 class TestFrameCodec:
@@ -96,6 +115,60 @@ class TestFrameCodec:
                     buffer.drain()
                 assert buffer.frames_emitted == 0
                 assert buffer.buffered_bytes == len(data) + len(follower)
+
+
+class TestPayloadRejection:
+    """A payload the decoder refuses raises ``TraceFormatError`` — before the
+    frame is counted, and at the price of that frame only."""
+
+    @pytest.mark.parametrize("field", ["bytes", "rank"])
+    def test_integer_beyond_int64_is_rejected_not_overflowed(self, field):
+        payload = make_flush().to_dict()
+        payload["requests"][1][field] = 2**63 - 1
+        service = PredictionService()
+        try:
+            assert service.feed_bytes(frame_of(payload)) == 1
+            payload["requests"][1][field] = 2**63  # a valid msgpack uint64
+            with pytest.raises(TraceFormatError):
+                service.feed_bytes(frame_of(payload))
+            assert service.broker.stats.frames == 1
+            assert service.broker.stats.requests == 3
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("feed", ["feed_bytes", "feed_borrowed"])
+    def test_rejected_payload_costs_that_frame_only(self, feed):
+        good = [encode_frame(make_flush(i), job="a") for i in range(3)]
+        chunk = bytearray(good[0] + good[1] + rejected_frame() + good[2])
+        service = PredictionService()
+        try:
+            data = memoryview(chunk) if feed == "feed_borrowed" else bytes(chunk)
+            with pytest.raises(TraceFormatError):
+                getattr(service, feed)(data)
+            # The two frames in front of the bad one were ingested ...
+            assert service.broker.stats.frames == 2
+            # ... and the one behind it stayed buffered (owned: the borrowed
+            # chunk may be reclaimed although the feed raised).
+            chunk[:] = b"\x00" * len(chunk)
+            assert getattr(service, feed)(memoryview(b"")) == 1
+            assert service.broker.stats.frames == 3
+            assert service.session("a").ingested_requests == 9
+        finally:
+            service.close()
+
+    def test_tailing_reader_delivers_the_frames_before_a_rejected_one(self, tmp_path):
+        path = tmp_path / "spool.fts"
+        good = [encode_frame(make_flush(i), job="a") for i in range(3)]
+        path.write_bytes(good[0] + good[1] + rejected_frame() + good[2])
+        delivered: list[int] = []
+        reader = FrameReader(
+            path, sink=lambda frames: delivered.extend(f.flush.flush_index for f in frames)
+        )
+        with pytest.raises(TraceFormatError):
+            reader.poll()
+        assert delivered == [0, 1]
+        assert [f.flush.flush_index for f in reader.poll()] == [2]
+        assert delivered == [0, 1, 2]
 
 
 class TestSpoolFile:

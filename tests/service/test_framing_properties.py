@@ -15,11 +15,14 @@ version-aware (see ``_unpack_flags`` in :mod:`repro.trace.framing`).
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TraceFormatError
+from repro.trace.columns import FlushColumns, _decode_canonical, decode_flush_columns
 from repro.trace.framing import (
     _HEADER,
     FrameDecoder,
@@ -27,6 +30,7 @@ from repro.trace.framing import (
     encode_frame,
 )
 from repro.trace.jsonl import FlushRecord
+from repro.trace.msgpack import packb, unpackb
 from repro.trace.record import IOKind, IORequest
 
 # --------------------------------------------------------------------- #
@@ -236,3 +240,176 @@ class TestFlagVersioning:
         for bad in (-1, 16, 255):
             with pytest.raises(TraceFormatError):
                 encode_frame(flush, job="a", token=bad)
+
+
+# --------------------------------------------------------------------- #
+# the schema-specialised payload walker against its oracle
+# --------------------------------------------------------------------- #
+def oracle(payload: bytes) -> FlushColumns:
+    """The generic route every payload took before the walker existed."""
+    data = unpackb(payload)
+    if not isinstance(data, dict):
+        raise TraceFormatError("payload is not a map")
+    return FlushColumns.from_record(FlushRecord.from_dict(data))
+
+
+def assert_same_flush(got: FlushColumns, want: FlushColumns) -> None:
+    """Field by field, column by column, dtype by dtype, bit by bit (NaN-safe)."""
+    assert got.flush_index == want.flush_index
+    assert struct.pack(">d", got.timestamp) == struct.pack(">d", want.timestamp)
+    assert repr(got.metadata) == repr(want.metadata)
+    for name in ("starts", "ends", "nbytes", "ranks", "kinds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(decode, payload):
+    try:
+        return decode(payload)
+    except TraceFormatError:
+        return None
+
+
+def assert_agrees_with_oracle(payload: bytes) -> None:
+    """Both reject with ``TraceFormatError``, or both accept the same flush;
+    any other exception type propagates and fails the test."""
+    want = outcome(oracle, payload)
+    for data in (payload, memoryview(payload)):
+        got = outcome(decode_flush_columns, data)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert_same_flush(got, want)
+
+
+def fixstr(text: str) -> bytes:
+    return bytes([0xA0 | len(text)]) + text.encode()
+
+
+def str8(text: str) -> bytes:
+    return bytes([0xD9, len(text)]) + text.encode()
+
+
+def fixmap(*items: tuple[bytes, bytes]) -> bytes:
+    """A map of already-encoded keys and values (so a key can repeat)."""
+    return bytes([0x80 | len(items)]) + b"".join(key + value for key, value in items)
+
+
+def encoded_request(rank=3, start=1.5, end=2.5, nbytes=4096, kind="read", *, key=fixstr):
+    return fixmap(
+        (key("rank"), packb(rank)),
+        (key("start"), packb(start)),
+        (key("end"), packb(end)),
+        (key("bytes"), packb(nbytes)),
+        (key("kind"), packb(kind)),
+    )
+
+
+def encoded_flush(*requests: bytes, key=fixstr, timestamp=packb(9.5)) -> bytes:
+    return fixmap(
+        (key("flush_index"), packb(7)),
+        (key("timestamp"), timestamp),
+        (key("metadata"), packb({"app": "x"})),
+        (key("requests"), bytes([0x90 | len(requests)]) + b"".join(requests)),
+    )
+
+
+class TestWalkerAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(flush=flush_records())
+    def test_canonical_payload_decodes_to_the_records_columns(self, flush):
+        payload = packb(flush.to_dict())
+        want = FlushColumns.from_record(flush)
+        assert_same_flush(decode_flush_columns(payload), want)
+        assert_same_flush(decode_flush_columns(memoryview(payload)), want)
+        # ... and by the walker itself, not by its fallback.
+        assert_same_flush(_decode_canonical(payload), want)
+        assert_same_flush(oracle(payload), want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        flush=flush_records(),
+        position=st.integers(min_value=0, max_value=10**6),
+        byte=st.integers(min_value=0, max_value=255),
+        mutation=st.sampled_from(["flip", "truncate", "insert"]),
+    )
+    def test_mutated_payload_is_judged_as_the_oracle_judges_it(
+        self, flush, position, byte, mutation
+    ):
+        payload = bytearray(packb(flush.to_dict()))
+        if mutation == "flip":
+            payload[position % len(payload)] = byte
+        elif mutation == "truncate":
+            del payload[position % len(payload) :]
+        else:
+            payload.insert(position % (len(payload) + 1), byte)
+        assert_agrees_with_oracle(bytes(payload))
+
+    def test_noncanonical_encodings_decode_to_the_oracles_result(self):
+        canonical = encoded_flush(encoded_request(), encoded_request(rank=200, kind="write"))
+        assert canonical == packb(unpackb(canonical))  # the helpers write what packb writes
+        assert_same_flush(_decode_canonical(canonical), oracle(canonical))
+
+        request = unpackb(encoded_request())
+        flush = unpackb(canonical)
+        variants = {
+            "shuffled keys": packb(
+                {
+                    "requests": [dict(reversed(request.items()))],
+                    "metadata": {},
+                    "timestamp": 9.5,
+                    "flush_index": 7,
+                }
+            ),
+            "unknown keys": packb(
+                {**flush, "host": "n01", "requests": [{**request, "offset": 512}]}
+            ),
+            "str8 keys": encoded_flush(encoded_request(key=str8), key=str8),
+            "float32 start": encoded_flush(
+                fixmap(
+                    (fixstr("rank"), packb(3)),
+                    (fixstr("start"), b"\xca" + struct.pack(">f", 1.5)),
+                    (fixstr("end"), packb(2.5)),
+                    (fixstr("bytes"), packb(4096)),
+                    (fixstr("kind"), packb("read")),
+                )
+            ),
+            "integer start and timestamp": encoded_flush(
+                encoded_request(start=1, end=2), timestamp=packb(9)
+            ),
+            "missing kind": packb(
+                {**flush, "requests": [{"rank": 0, "start": 1.0, "end": 2.0, "bytes": 8}]}
+            ),
+            "missing metadata": packb({k: v for k, v in flush.items() if k != "metadata"}),
+            "numbers as strings": packb(
+                {
+                    "flush_index": "7",
+                    "timestamp": "9.5",
+                    "metadata": {},
+                    "requests": [{"rank": "3", "start": "1.5", "end": "2.5", "bytes": "4096"}],
+                }
+            ),
+            "duplicated key": encoded_flush(
+                fixmap(
+                    (fixstr("rank"), packb(3)),
+                    (fixstr("start"), packb(1.5)),
+                    (fixstr("end"), packb(2.5)),
+                    (fixstr("bytes"), packb(1)),
+                    (fixstr("bytes"), packb(4096)),
+                    (fixstr("kind"), packb("read")),
+                )
+            ),
+        }
+        for name, payload in variants.items():
+            want = oracle(payload)  # the oracle accepts every one of them
+            assert_same_flush(decode_flush_columns(payload), want)
+            assert_same_flush(decode_flush_columns(memoryview(payload)), want)
+            assert want.flush_index == 7 and len(want) >= 1, name
+        assert oracle(variants["missing kind"]).kinds.tolist() == ["write"]
+        assert oracle(variants["missing metadata"]).metadata == {}
+        assert oracle(variants["duplicated key"]).nbytes.tolist() == [4096]  # last wins
+        assert oracle(variants["integer start and timestamp"]).timestamp == 9.0
+        assert oracle(variants["numbers as strings"]).nbytes.tolist() == [4096]

@@ -7,8 +7,10 @@ import pytest
 
 from repro.core import FtioConfig
 from repro.service import JobSession, RingColumnStore, SessionConfig
+from repro.trace.columns import FlushColumns
+from repro.trace.framing import FrameDecoder, encode_frame
 from repro.trace.jsonl import FlushRecord, trace_to_flushes
-from repro.trace.record import IORequest
+from repro.trace.record import IOKind, IORequest
 from repro.trace.trace import Trace
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
 
@@ -214,3 +216,63 @@ class TestJobSession:
         assert np.isclose(
             session.latest_period(), reference[-1].period, rtol=0, atol=0
         )
+
+    def test_records_and_decoded_columns_leave_the_same_state(self, online_config):
+        """One stream, ingested row-wise and column-wise: identical sessions."""
+
+        def burst(t: float, ranks=(0, 1, 2, 3)) -> tuple[IORequest, ...]:
+            return tuple(
+                IORequest(rank=r, start=t + 0.1 * r, end=t + 0.5 + 0.1 * r, nbytes=1 << 20)
+                for r in ranks
+            )
+
+        bursts = [
+            # requests written out of start order
+            tuple(reversed(burst(0.0))),
+            # equal starts (and ends), ranks descending, mixed kinds
+            tuple(
+                IORequest(rank=r, start=8.0, end=8.5, nbytes=512, kind=kind)
+                for r, kind in (
+                    (5, IOKind.READ), (2, IOKind.WRITE), (9, IOKind.READ), (0, IOKind.WRITE)
+                )
+            ),
+            burst(16.0),
+            (),  # empty flush
+            burst(24.0),
+            burst(4.0, ranks=(7, 6)),  # older than the resident tail
+            burst(32.0),
+            burst(40.0),
+        ]
+        records = [
+            FlushRecord(
+                flush_index=i,
+                timestamp=8.0 * i + 1.0,
+                requests=requests,
+                metadata={"application": "mixed", "ranks": 10} if i == 0 else {},
+            )
+            for i, requests in enumerate(bursts)
+        ]
+        # a metadata-only flush
+        records.insert(
+            4, FlushRecord(flush_index=99, timestamp=26.0, requests=(), metadata={"ranks": 12})
+        )
+
+        decoder = FrameDecoder()
+        decoder.feed(b"".join(encode_frame(record, job="mixed") for record in records))
+        decoded = [frame.flush for frame in decoder.frames()]
+        assert all(isinstance(flush, FlushColumns) for flush in decoded)
+        assert decoded == records
+
+        def run(flushes) -> list[dict]:
+            session = JobSession("mixed", SessionConfig(config=online_config))
+            states = []
+            for flush in flushes:
+                session.ingest(flush)
+                session.detect()
+                states.append(session.state_dict())
+            return states
+
+        by_record, by_columns = run(records), run(decoded)
+        assert by_record == by_columns
+        assert by_record[-1]["ingested_requests"] == sum(len(r.requests) for r in records)
+        assert by_record[-1]["metadata"] == {"application": "mixed", "ranks": 12}

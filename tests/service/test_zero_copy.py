@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.service import ServiceConfig, SessionConfig, ShardedService
+from repro.service import PredictionService, ServiceConfig, SessionConfig, ShardedService
 from repro.service.broker import FlushBroker
 from repro.service.shm_ring import ShmRingReader, ShmRingWriter
 from repro.trace.framing import _HEADER, FrameDecoder, FrameSplitter, encode_frame
@@ -209,6 +209,47 @@ class TestIngestCopyAccounting:
         assert stats["bytes_copied"] == 0
         assert stats["bytes_copied_per_frame"] == 0.0
         assert broker.stats.flushes == n
+
+    def test_decoded_flushes_do_not_alias_the_borrowed_buffer(self, monkeypatch):
+        """Reclaim safety past the decoder: the payload is read in place, out of
+        the fed memory itself, and what is kept of it owns its bytes — a run
+        whose buffer is overwritten right after the feed ends like one whose
+        buffer is left alone."""
+        import repro.trace.framing as framing
+
+        data, n = frame_stream()
+        payload_owners = []
+        decode = framing.decode_flush_columns
+
+        def spy(payload):
+            payload_owners.append(payload.obj)
+            return decode(payload)
+
+        monkeypatch.setattr(framing, "decode_flush_columns", spy)
+
+        def run(reclaim: bool):
+            service = PredictionService(ServiceConfig(session=SessionConfig()))
+            try:
+                buffer = bytearray(data)
+                assert service.feed_borrowed(memoryview(buffer)) == n
+                # No hidden bytes(payload): the decoder was handed views of
+                # the fed buffer, not of a copy.
+                assert len(payload_owners) == n
+                assert all(owner is buffer for owner in payload_owners)
+                payload_owners.clear()
+                if reclaim:
+                    buffer[:] = b"\xff" * len(buffer)
+                service.pump(wait_for_batch=True)
+                periods = {job: service.publisher.latest_period(job) for job in service.jobs}
+                states = [session.state_dict() for session in service.broker.sessions()]
+                return periods, states, service.broker.copy_stats
+            finally:
+                service.close()
+
+        clobbered, untouched = run(reclaim=True), run(reclaim=False)
+        assert clobbered == untouched
+        assert clobbered[2]["bytes_copied_per_frame"] == 0.0
+        assert clobbered[2]["bytes_copied"] == 0
 
     def test_broker_feed_borrowed_detaches_partial_tail(self):
         data, n = frame_stream(3)

@@ -115,6 +115,24 @@ class TestMsgpack:
         with pytest.raises(TraceFormatError):
             msgpack.unpackb(data[:-3])
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\xc1",  # the one never-used type code
+            b"\xa2\xff\xfe",  # a string that is not UTF-8
+            b"\x81\x90\x01",  # a map keyed by an array
+            b"\xcb\x00\x00",  # a float64 cut short
+            b"\xdd\xff\xff\xff\xff\x01",  # four billion elements announced, one sent
+            b"\x91" * 100_000 + b"\x01",  # nested past the interpreter's stack
+        ],
+        ids=["empty", "reserved", "utf8", "unhashable-key", "cut", "count", "depth"],
+    )
+    def test_malformed_input_raises_only_trace_format_error(self, data):
+        for buffer in (data, memoryview(data)):
+            with pytest.raises(TraceFormatError):
+                msgpack.unpackb(buffer)
+
     def test_trace_round_trip(self, simple_trace, tmp_path):
         path = tmp_path / "trace.msgpack"
         msgpack.write_trace(simple_trace, path)
