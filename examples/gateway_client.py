@@ -2,7 +2,7 @@
 """The TCP gateway and the unified ``repro.api`` surface, end to end.
 
 One :func:`repro.api.serve` call stands up the whole stack — a 2-shard
-prediction service behind an asyncio TCP gateway — and two
+prediction service behind the TCP gateway — and two
 :class:`~repro.client.ServiceClient` connections drive it over loopback: a
 *producer* streams four applications' flushes as FTS1 frames and pumps, and
 a *monitor* subscribes and watches the live predictions arrive as push

@@ -13,8 +13,7 @@ The package is organized in layers:
   simulator and the Set-10 I/O scheduling use case;
 * :mod:`repro.service` — the streaming prediction service: framed multi-job
   flush ingestion, bounded-memory online sessions, the versioned
-  control-plane protocol, the asyncio TCP gateway, live FTIO-driven
-  scheduling;
+  control-plane protocol, the TCP gateway, live FTIO-driven scheduling;
 * :mod:`repro.client` — the blocking TCP client of the service gateway;
 * :mod:`repro.analysis` — detection-error sweeps and report rendering;
 * :mod:`repro.api` — the unified facade: ``detect`` / ``predict`` /

@@ -20,7 +20,7 @@ across :class:`~repro.core.config.FtioConfig`,
 :class:`~repro.service.session.SessionConfig`,
 :class:`~repro.service.service.ServiceConfig` and the
 :class:`~repro.service.sharding.ShardedService` /
-:class:`~repro.service.gateway.ServiceGateway` constructors.  It is frozen;
+:class:`~repro.service.gateway.ThreadedGateway` constructors.  It is frozen;
 derive variants with :meth:`ReproConfig.with_` /
 :meth:`ReproConfig.with_analysis`, and lower it to the layer-specific
 configs with :meth:`ReproConfig.session_config` /

@@ -1,13 +1,13 @@
 """Blocking TCP client of the prediction-service gateway.
 
 :class:`ServiceClient` connects to a :class:`~repro.service.gateway.
-ServiceGateway`, performs the :class:`~repro.service.protocol.Hello` version
+ThreadedGateway`, performs the :class:`~repro.service.protocol.Hello` version
 negotiation, and then exposes the service's whole control surface as plain
 method calls: stream flushes in, pump, read stats, snapshot/restore, resize
 the shard topology, and subscribe to the live prediction stream.
 
 The conversation is strictly typed (:mod:`repro.service.protocol`) and runs
-over the same blocking endpoint the router and its shards use
+over the same endpoint the gateway, the router and its shards use
 (:class:`~repro.service.transport.Channel`: one envelope per ``recv``, a
 deadline per call, nothing lost when one strikes mid-message); flush
 payloads travel as ordinary FTS1 frames inside

@@ -23,10 +23,11 @@ revive), :mod:`~repro.service.migration` (live reshard) and
 every topology, runs through the one batch engine of
 :mod:`repro.service.batch`.
 
-Every control surface — the shard channels, the asyncio TCP gateway
-(:class:`ServiceGateway` / :class:`ThreadedGateway`) and the blocking
-:class:`~repro.client.ServiceClient` — speaks the one typed, versioned
-message layer of :mod:`repro.service.protocol`.
+Every control surface — the shard channels, the TCP gateway
+(:class:`ThreadedGateway`) and the :class:`~repro.client.ServiceClient` —
+speaks the one typed, versioned message layer of
+:mod:`repro.service.protocol` through the one endpoint of
+:mod:`repro.service.transport`.
 """
 
 from repro.service import protocol
@@ -40,7 +41,7 @@ from repro.service.autoscaler import (
 from repro.service.backend import ThreadBackend
 from repro.service.batch import BatchReport, compute_batch_kernels, detect_sessions_inline
 from repro.service.bridge import PhaseFlushBridge
-from repro.service.gateway import ServiceGateway, ThreadedGateway
+from repro.service.gateway import ThreadedGateway
 from repro.service.broker import BrokerStats, FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
 from repro.service.provider import ServicePeriodProvider
@@ -71,7 +72,6 @@ __all__ = [
     "PhaseFlushBridge",
     "BatchReport",
     "BrokerStats",
-    "ServiceGateway",
     "ThreadedGateway",
     "protocol",
     "FlushBroker",

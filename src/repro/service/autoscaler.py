@@ -6,7 +6,7 @@ router :meth:`~repro.service.sharding.ShardedService.reshard` and
 drives them from the stats the service already exposes, so the topology
 tracks offered load with no operator.  It is a classic master/worker
 supervision loop — one thread, owned by the serving process (the gateway
-starts it next to its asyncio loop), waking every
+starts it next to its accept thread), waking every
 :attr:`AutoscaleConfig.interval_seconds` to:
 
 1. read one :class:`AutoscaleSignals` snapshot from ``stats()`` — per-shard
@@ -311,7 +311,8 @@ class Autoscaler:
         autoscaler's ``on_phase`` hook.
     revive:
         Override for healing one dead shard (receives the shard index).
-        The default revives from the service's last snapshot.
+        The gateway injects its engine-locked revive here, for the same
+        reason; the default revives from the service's last snapshot.
     on_phase:
         Forwarded to ``service.reshard(on_phase=...)`` on the default
         resize path — the chaos harness injects kill-9s into

@@ -1,19 +1,21 @@
-"""Asyncio multi-client TCP gateway in front of the prediction service.
+"""Multi-client TCP gateway in front of the prediction service.
 
 The gateway is the network front door of the service: any number of clients
 connect over TCP, negotiate a protocol version (:class:`~repro.service.
 protocol.Hello`), and then drive one shared engine — a single-process
 :class:`~repro.service.service.PredictionService` or a multi-process
 :class:`~repro.service.sharding.ShardedService` — through the same typed
-message layer the shard control channels speak (:mod:`repro.service.protocol`).
+message layer (:mod:`repro.service.protocol`) and the same endpoint
+(:class:`~repro.service.transport.Channel`) the shard control channels use.
 
-Design notes:
+It is a :class:`~repro.service.transport.Listener` like the dial-home one: an
+accept thread, and a thread per connection that receives a request, calls
+the engine and sends the reply.  Design notes:
 
-* **one engine, many clients** — engine calls are serialized behind one
-  asyncio lock and executed on a worker thread
-  (``loop.run_in_executor``), so a slow ``drain`` from one client never
-  stalls the event loop: other clients keep connecting, submitting and
-  subscribing meanwhile.
+* **one engine, many clients** — mutating engine calls are serialized behind
+  one lock, so a slow ``drain`` from one client holds up that client's thread
+  and whoever queues behind the lock, nobody else: other clients keep
+  connecting, reading stats and subscribing meanwhile.
 * **data plane stays FTS1** — flush frames travel verbatim inside
   :class:`~repro.service.protocol.SubmitFrames`; the engine classifies them
   header-only exactly as it does for spool files and socketpairs.
@@ -24,7 +26,10 @@ Design notes:
   Both read the engine's one ``publisher``; behind a sharded engine that is
   the router's merged publisher, fed by the shards' pump replies, so a
   pushed event is as fresh as the pump that evaluated it — it gets ahead of
-  the pull reply only during a multi-round ``Drain``.
+  the pull reply only during a multi-round ``Drain``.  The publisher's
+  callback only queues, and a sender thread per subscriber writes: a
+  subscriber that stops reading fills its queue (:data:`MAX_QUEUED_EVENTS`)
+  and is hung up on, never waited for.
 * **reads beside writes** — ``Stats`` and the ops surface call
   ``engine.stats()`` / ``engine.metrics_snapshot()`` behind their own lock,
   never the engine lock: a sharded engine answers them from its shards'
@@ -32,68 +37,108 @@ Design notes:
   neither waits for a pump or snapshot in flight.
 * **fail clean, never hang** — a corrupt or oversized control message, a
   version mismatch or a wrong tenant token produce a typed
-  :class:`~repro.service.protocol.Error` reply and a closed connection;
-  engine-side failures are reported per request and leave the connection
-  usable.
-
-:class:`ThreadedGateway` wraps the asyncio server in a background thread for
-blocking callers (tests, :func:`repro.api.serve`).
+  :class:`~repro.service.protocol.Error` reply and a closed connection, a
+  ``Hello`` not finished within :data:`~repro.service.transport.
+  HANDSHAKE_TIMEOUT` a closed connection; engine-side failures are reported
+  per request and leave the connection usable.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import json
+import queue
+import socket
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.exceptions import ProtocolError, ServiceError
-from repro.obs import Histogram, MetricRegistry, merge_snapshots, render_prometheus
+from repro.obs import MetricRegistry, merge_snapshots, render_prometheus
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
 from repro.service.service import PredictionService
+from repro.service.transport import HANDSHAKE_TIMEOUT, Channel, Listener
 
-#: Socket read size of the gateway's per-connection loop.
-_READ_CHUNK = 1 << 16
-
-
-class _CloseConnection(Exception):
-    """Internal flow control: the connection should be closed (not an error)."""
+#: Published updates a subscribed connection may hold unsent before the
+#: gateway hangs up on it.  A pump publishes one update per due job in a tight
+#: loop, so this is a burst no deployment here comes near; a subscriber
+#: further behind than that is not reading.
+MAX_QUEUED_EVENTS = 16384
 
 
 class _Connection:
-    """Per-client state: serialized writes plus the subscription stream."""
+    """Per-client state: the channel, an inbound restore, the push stream."""
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.subscribed = False
-        self.jobs: frozenset[str] | None = None
-        self.events: asyncio.Queue[PredictionUpdate] = asyncio.Queue()
-        self.sender: asyncio.Task | None = None
+    def __init__(self, channel: Channel) -> None:
+        self.channel = channel
         #: Reassembles an inbound chunked state transfer (restores).
         self.assembler = proto.ChunkAssembler()
+        #: The push stream, live once ``sender`` is: the publisher subscription
+        #: that fills ``events`` and the thread that empties it onto the
+        #: channel (``None`` in the queue tells it to stop).
+        self.subscription: int | None = None
+        self.events: queue.Queue[PredictionUpdate | None] = queue.Queue(MAX_QUEUED_EVENTS)
+        self.sender: threading.Thread | None = None
+        #: Set (by a publishing thread) when ``events`` overflowed.
+        self.stalled = False
 
-    async def send(self, message: proto.Message) -> None:
-        async with self.write_lock:
-            self.writer.write(proto.encode_message(message))
-            await self.writer.drain()
+    def send_events(self) -> None:
+        while (update := self.events.get()) is not None:
+            try:
+                self.channel.send(proto.PredictionEvent(update=update.to_dict()))
+            except OSError:  # hung up; the connection thread cleans up
+                return
 
-    def wants(self, update: PredictionUpdate) -> bool:
-        return self.subscribed and (self.jobs is None or update.job in self.jobs)
+
+class _OpsHandler(BaseHTTPRequestHandler):
+    """``GET /healthz | /status | /metrics`` for scrapers and health checks.
+
+    One request per connection (``Connection: close``) — ops traffic is a
+    poll every few seconds, not a hot path.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self, gateway: ThreadedGateway, *args: Any) -> None:
+        self._gateway = gateway
+        super().__init__(*args)  # serves the request
+
+    def do_GET(self) -> None:  # noqa: N802 - the name http.server dispatches to
+        try:
+            status, content_type, body = self._gateway._ops_body(self.path.split("?", 1)[0])
+        except Exception as exc:  # engine trouble must not kill the listener
+            status, content_type = 500, "text/plain; charset=utf-8"
+            body = f"{type(exc).__name__}: {exc}\n"
+        payload = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # http.server's default writes an access log to stderr
 
 
-class ServiceGateway:
-    """Asyncio TCP server speaking the versioned control-plane protocol.
+class ThreadedGateway:
+    """TCP server speaking the versioned control-plane protocol.
+
+    Blocking callers (tests, :func:`repro.api.serve`) start it, read
+    :attr:`host`/:attr:`port`, connect :class:`~repro.client.ServiceClient`
+    instances against it, and :meth:`close` it when done::
+
+        with ThreadedGateway(service).start() as gateway:
+            client = ServiceClient(gateway.host, gateway.port)
 
     Parameters
     ----------
     engine:
         The service every client drives: a :class:`PredictionService` or a
-        :class:`~repro.service.sharding.ShardedService`.  The gateway does
-        **not** own it — closing the gateway leaves the engine running.
+        :class:`~repro.service.sharding.ShardedService`.
     host, port:
         Listen address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
@@ -110,6 +155,15 @@ class ServiceGateway:
         ``GET /healthz`` (liveness), ``GET /status`` (the merged
         stats/metrics tree as JSON) and ``GET /metrics`` (Prometheus text
         exposition).  Defaults to the engine's ``ServiceConfig.ops_port``.
+    own_engine:
+        Closing the gateway also closes the engine.
+    autoscale:
+        An :class:`~repro.service.autoscaler.AutoscaleConfig` (sharded
+        engines only): the gateway owns an
+        :class:`~repro.service.autoscaler.Autoscaler` whose resizes and
+        revives take the same engine lock every client request takes, and
+        whose decision timeline shows up in the ``/status`` document under
+        ``"autoscale"``.
     """
 
     def __init__(
@@ -121,52 +175,65 @@ class ServiceGateway:
         token: int | None = None,
         name: str = "repro-gateway",
         ops_port: int | None = None,
+        own_engine: bool = False,
+        autoscale=None,
     ) -> None:
         self._engine = engine
-        self._requested_host = host
-        self._requested_port = port
+        self._address = (host, port)
+        config = getattr(engine, "config", None)
         if token is None:
             token = getattr(engine, "token", None)
             if token is None:
-                token = getattr(getattr(engine, "config", None), "token", None)
+                token = getattr(config, "token", None)
         self._token = token
         self._name = name
-        if ops_port is None:
-            ops_port = getattr(getattr(engine, "config", None), "ops_port", None)
-        self._requested_ops_port = ops_port
-        # The gateway's own registry (request RTT by message type) follows
-        # the engine's metrics switch so "metrics off" means off everywhere.
-        metrics_on = getattr(getattr(engine, "config", None), "metrics", True)
-        self._metrics: MetricRegistry | None = MetricRegistry() if metrics_on else None
-        self._rtt_hists: dict[str, Histogram] = {}
-        #: Optional :class:`~repro.service.autoscaler.Autoscaler` attached by
-        #: the serving wrapper (:class:`ThreadedGateway`); surfaced on
-        #: ``/status`` when present.  The gateway does not own its lifecycle.
-        self.autoscaler = None
-        self._server: asyncio.Server | None = None
-        self._ops_server: asyncio.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._engine_lock: asyncio.Lock | None = None
-        self._read_lock: asyncio.Lock | None = None
-        self._connections: set[_Connection] = set()
-        self._subscription: int | None = None
+        self._requested_ops_port = (
+            getattr(config, "ops_port", None) if ops_port is None else ops_port
+        )
+        self._own_engine = own_engine
+        self._autoscale = autoscale
+        self._autoscaler = None
+        # The gateway's own registry (request RTT by message type, dropped
+        # subscribers) follows the engine's metrics switch so "metrics off"
+        # means off everywhere.
+        self._metrics = MetricRegistry() if getattr(config, "metrics", True) else None
+        self._dropped_subscribers = (
+            None
+            if self._metrics is None
+            else self._metrics.counter(
+                "repro_gateway_dropped_subscribers_total",
+                help="Subscribed connections closed because they stopped reading events",
+            )
+        )
+        #: Serializes every engine call that mutates, or must not run beside
+        #: one that does: client requests, resizes, revives.
+        self._engine_lock = threading.Lock()
+        #: Serializes the read-only calls among themselves; see :meth:`_ops_body`.
+        self._read_lock = threading.Lock()
+        self._listener: Listener | None = None
+        self._ops: ThreadingHTTPServer | None = None
+        self._ops_thread: threading.Thread | None = None
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     @property
+    def engine(self):
+        """The service this gateway fronts."""
+        return self._engine
+
+    @property
     def host(self) -> str:
         """Bound listen host."""
-        if self._server is None or not self._server.sockets:
-            return self._requested_host
-        return str(self._server.sockets[0].getsockname()[0])
+        assert self._listener is not None, "gateway not started"
+        return self._listener.host
 
     @property
     def port(self) -> int:
         """Bound listen port (the actual one when 0 was requested)."""
-        if self._server is None or not self._server.sockets:
-            return self._requested_port
-        return int(self._server.sockets[0].getsockname()[1])
+        assert self._listener is not None, "gateway not started"
+        return self._listener.port
 
     @property
     def address(self) -> str:
@@ -182,179 +249,174 @@ class ServiceGateway:
         ``0`` placeholder (with ``ops_port=0`` pick-a-free-port) or a port
         nothing is listening on yet.
         """
-        if self._ops_server is None or not self._ops_server.sockets:
-            return None
-        return int(self._ops_server.sockets[0].getsockname()[1])
+        return None if self._ops is None else int(self._ops.server_address[1])
 
-    async def start(self) -> "ServiceGateway":
-        """Bind the listening socket and start accepting clients."""
-        self._loop = asyncio.get_running_loop()
-        self._engine_lock = asyncio.Lock()
-        self._read_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._serve_client, self._requested_host, self._requested_port
-        )
-        if self._requested_ops_port is not None:
-            self._ops_server = await asyncio.start_server(
-                self._serve_ops, self._requested_host, self._requested_ops_port
+    @property
+    def autoscaler(self):
+        """The gateway-owned autoscaler (``None`` unless serving with one)."""
+        return self._autoscaler
+
+    def start(self) -> "ThreadedGateway":
+        """Bind the listening sockets and start serving; a failure closes
+        whatever had started."""
+        if self._listener is not None:
+            return self
+        try:
+            if self._autoscale is not None and getattr(self._engine, "reshard", None) is None:
+                raise ServiceError(
+                    "autoscaling requires a sharded engine; serve with "
+                    "shards >= 1 to make the topology mutable"
+                )
+            self._listener = Listener(
+                *self._address, self._serve_client, token=self._token, name=self._name
             )
-        # One engine-side subscription fans published predictions out to every
-        # subscribed connection; publisher callbacks may fire on worker
-        # threads, so the hop onto the loop is thread-safe.
-        self._subscription = self._engine.publisher.subscribe(self._on_update)
+            if self._requested_ops_port is not None:
+                self._ops = ThreadingHTTPServer(
+                    (self._address[0], self._requested_ops_port),
+                    functools.partial(_OpsHandler, self),
+                )
+                # The short poll bounds how long close() waits for the loop.
+                self._ops_thread = threading.Thread(
+                    target=self._ops.serve_forever, args=(0.05,),
+                    name=f"{self._name}-ops", daemon=True,
+                )
+                self._ops_thread.start()
+            if self._autoscale is not None:
+                from repro.service.autoscaler import Autoscaler
+
+                # Resizes and revives go through the gateway so they take
+                # the engine lock — neither interleaves with an in-flight
+                # client pump/snapshot on the shards' control channels.
+                self._autoscaler = Autoscaler(
+                    self._engine, self._autoscale, resize=self.resize, revive=self._revive
+                )
+                self._autoscaler.start()
+        except BaseException:
+            self.close()
+            raise
         return self
 
-    async def stop(self) -> None:
-        """Stop accepting, drop every connection, detach from the engine."""
-        if self._subscription is not None:
-            self._engine.publisher.unsubscribe(self._subscription)
-            self._subscription = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._ops_server is not None:
-            self._ops_server.close()
-            await self._ops_server.wait_closed()
-            self._ops_server = None
-        for connection in list(self._connections):
-            if connection.sender is not None:
-                connection.sender.cancel()
-            connection.writer.close()
-        self._connections.clear()
+    def close(self) -> None:
+        """Stop serving, hang up on every client, join every thread.
+
+        A request already inside the engine finishes first; an owned engine
+        is closed after the last connection thread has left it.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._autoscaler is not None:
+            self._autoscaler.stop()
+            self._autoscaler = None
+        if self._listener is not None:
+            self._listener.close()
+        if self._ops is not None:
+            if self._ops_thread is not None:  # else start() failed before it
+                self._ops.shutdown()
+                self._ops_thread.join()
+            self._ops.server_close()
+        if self._own_engine:
+            self._engine.close()
+
+    def __enter__(self) -> "ThreadedGateway":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
-    # prediction fan-out (publisher thread -> event loop -> sockets)
+    # per-connection protocol loop (a thread each)
     # ------------------------------------------------------------------ #
-    def _on_update(self, update: PredictionUpdate) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._fanout, update)
-
-    def _fanout(self, update: PredictionUpdate) -> None:
-        for connection in self._connections:
-            if connection.wants(update):
-                connection.events.put_nowait(update)
-
-    async def _send_events(self, connection: _Connection) -> None:
-        while True:
-            update = await connection.events.get()
-            await connection.send(proto.PredictionEvent(update=update.to_dict()))
-
-    # ------------------------------------------------------------------ #
-    # per-connection protocol loop
-    # ------------------------------------------------------------------ #
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer)
-        self._connections.add(connection)
-        connection.sender = asyncio.ensure_future(self._send_events(connection))
-        decoder = proto.MessageDecoder()
-        handshaken = False
+    def _serve_client(self, sock: socket.socket) -> None:
+        connection = _Connection(Channel(sock))
+        channel = connection.channel
         try:
+            if not self._handshake(channel):
+                return
             while True:
                 try:
-                    messages = list(decoder.messages())
+                    request = channel.recv()
+                    reply = self._answer(connection, request)
                 except ProtocolError as exc:
-                    # Corrupt framing is unrecoverable on this connection (the
-                    # byte stream cannot be resynchronized); reject and close.
-                    await connection.send(proto.Error(message=str(exc), code="protocol"))
+                    # Neither a stream that stopped parsing nor a torn chunk
+                    # run can be resynchronized: typed rejection, then hang up.
+                    channel.send(proto.Error(message=str(exc), code="protocol"))
                     return
-                for message in messages:
-                    if not handshaken:
-                        await self._handle_hello(connection, message)
-                        handshaken = True
-                    else:
-                        await self._handle(connection, message)
-                data = await reader.read(_READ_CHUNK)
-                if not data:
+                for item in reply if isinstance(reply, list) else [reply]:
+                    channel.send(item)
+                if isinstance(request, proto.Close):
                     return
-                decoder.feed(data)
-        except _CloseConnection:
-            pass
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client vanished
+        except (OSError, EOFError):  # the client went away, or close() hung up
             pass
         finally:
-            self._connections.discard(connection)
+            if connection.subscription is not None:
+                self._engine.publisher.unsubscribe(connection.subscription)
+            channel.close()
+            if connection.stalled and self._dropped_subscribers is not None:
+                self._dropped_subscribers.inc()
             if connection.sender is not None:
-                connection.sender.cancel()
-            writer.close()
+                try:
+                    connection.events.put_nowait(None)
+                except queue.Full:  # then the sender is not waiting on it
+                    pass
+                connection.sender.join()
 
-    async def _handle_hello(self, connection: _Connection, message: proto.Message) -> None:
-        answer: proto.Message
-        if isinstance(message, proto.Hello):
-            answer = proto.answer_hello(
-                message,
-                token=self._token,
-                server=self._name,
-                shards=int(getattr(self._engine, "n_shards", 0)),
-            )
-        else:
-            answer = proto.Error(
-                message=f"expected Hello, got {type(message).__name__}", code="protocol"
-            )
-        await connection.send(answer)
-        if isinstance(answer, proto.Error):
-            raise _CloseConnection
+    def _handshake(self, channel: Channel) -> bool:
+        assert self._listener is not None
+        try:
+            first = channel.recv(HANDSHAKE_TIMEOUT)
+        except ProtocolError as exc:
+            self._listener.reject(channel, proto.Error(message=str(exc), code="protocol"))
+            return False
+        except (OSError, EOFError):  # gone, or no whole message in time
+            self._listener.reject(channel)
+            return False
+        return self._listener.greet(
+            channel, first, shards=int(getattr(self._engine, "n_shards", 0))
+        )
 
-    async def _handle(self, connection: _Connection, message: proto.Message) -> None:
+    def _answer(
+        self, connection: _Connection, request: proto.Message
+    ) -> proto.Message | list[proto.Message]:
         started = time.perf_counter()
         try:
-            reply = await self._dispatch(connection, message)
-        except _CloseConnection:
+            return self._dispatch(connection, request)
+        except ProtocolError:
             raise
-        except ProtocolError as exc:
-            # A torn chunk stream cannot be resynchronized mid-connection.
-            await connection.send(proto.Error(message=str(exc), code="protocol"))
-            raise _CloseConnection from exc
         except ServiceError as exc:
-            reply = proto.Error(message=str(exc), code="service-error")
+            return proto.Error(message=str(exc), code="service-error")
         except Exception as exc:  # engine-side failure: report, keep serving
-            reply = proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
+            return proto.Error(message=f"{type(exc).__name__}: {exc}", code="internal")
         finally:
-            self._observe_rtt(type(message).__name__, time.perf_counter() - started)
-        for item in reply if isinstance(reply, list) else [reply]:
-            await connection.send(item)
+            if self._metrics is not None:
+                self._metrics.histogram(
+                    "repro_gateway_request_seconds",
+                    {"type": type(request).__name__},
+                    help="Gateway request handling time by control-message type",
+                ).observe(time.perf_counter() - started)
 
-    def _observe_rtt(self, message_type: str, seconds: float) -> None:
-        if self._metrics is None:
-            return
-        hist = self._rtt_hists.get(message_type)
-        if hist is None:
-            hist = self._metrics.histogram(
-                "repro_gateway_request_seconds",
-                {"type": message_type},
-                help="Gateway request handling time by control-message type",
-            )
-            self._rtt_hists[message_type] = hist
-        hist.observe(seconds)
-
-    async def _dispatch(
+    def _dispatch(
         self, connection: _Connection, message: proto.Message
     ) -> proto.Message | list[proto.Message]:
         if isinstance(message, proto.SubmitFrames):
-            data = message.data
-            frames = await self._run_engine(lambda: self._engine.feed_bytes(data))
-            return proto.SubmitReply(frames=frames)
+            with self._engine_lock:
+                return proto.SubmitReply(frames=self._engine.feed_bytes(message.data))
         if isinstance(message, proto.Pump):
-            submitted, updates = await self._run_engine(
-                lambda: self._with_updates(self._pump_engine)
-            )
+            with self._engine_lock:
+                submitted, updates = self._with_updates(self._pump_engine)
             return proto.PumpReply(submitted=submitted, updates=updates)
         if isinstance(message, proto.Drain):
-            _, updates = await self._run_engine(lambda: self._with_updates(self._engine.drain))
+            with self._engine_lock:
+                _, updates = self._with_updates(self._engine.drain)
             return proto.DrainReply(updates=updates)
         if isinstance(message, proto.Stats):
-            return proto.StatsReply(stats=await self._read_engine(self._engine.stats))
+            with self._read_lock:
+                return proto.StatsReply(stats=self._engine.stats())
         if isinstance(message, proto.Snapshot):
-            state = await self._run_engine(self._engine.snapshot_state)
-            # Encoding a large state is exactly the work chunking exists for
-            # — keep it off the event loop (no engine lock needed; the state
-            # is already captured).
-            assert self._loop is not None
-            return await self._loop.run_in_executor(
-                None, lambda: list(proto.iter_state_chunks(state, kind="snapshot"))
-            )
+            with self._engine_lock:
+                state = self._engine.snapshot_state()
+            # Encoded outside the lock: the state is already captured.
+            return list(proto.iter_state_chunks(state, kind="snapshot"))
         if isinstance(message, proto.SnapshotChunk):
             if not connection.assembler.receiving and message.kind != "restore":
                 return proto.Error(
@@ -365,27 +427,24 @@ class ServiceGateway:
             state = connection.assembler.feed(message)
             if state is None:
                 return []
-            await self._run_engine(lambda: self._engine.restore_state(state))
+            with self._engine_lock:
+                self._engine.restore_state(state)
             return proto.RestoreReply(restored=len(state.get("sessions", ())))
         if isinstance(message, proto.ResizeShards):
-            n_shards = message.n_shards
-            summary = await self._run_engine(lambda: self._reshard_engine(n_shards))
+            summary = self.resize(message.n_shards)
             return proto.ResizeShardsReply(
                 n_shards=int(getattr(self._engine, "n_shards", 0)),
                 moved_sessions=int(summary["moved_sessions"]),
                 moved_jobs=tuple(summary["moved_jobs"]),
             )
         if isinstance(message, proto.FinishJob):
-            job = message.job
-            await self._run_engine(lambda: self._engine.finish_job(job))
-            return proto.FinishJobReply(job=job)
+            with self._engine_lock:
+                self._engine.finish_job(message.job)
+            return proto.FinishJobReply(job=message.job)
         if isinstance(message, proto.Subscribe):
-            connection.jobs = None if message.jobs is None else frozenset(message.jobs)
-            connection.subscribed = True
-            return proto.SubscribeReply(subscription=id(connection) & 0x7FFFFFFF)
+            return proto.SubscribeReply(subscription=self._subscribe(connection, message.jobs))
         if isinstance(message, proto.Close):
-            await connection.send(proto.CloseReply())
-            raise _CloseConnection
+            return proto.CloseReply()
         if isinstance(message, proto.Hello):
             return proto.Error(message="conversation already established", code="protocol")
         return proto.Error(
@@ -393,39 +452,61 @@ class ServiceGateway:
         )
 
     # ------------------------------------------------------------------ #
+    # prediction push (publisher thread -> queue -> sender thread -> socket)
+    # ------------------------------------------------------------------ #
+    def _subscribe(self, connection: _Connection, jobs: Sequence[str] | None) -> int:
+        if connection.sender is None:
+            connection.sender = threading.Thread(
+                target=connection.send_events, name=f"{self._name}-sender", daemon=True
+            )
+            connection.sender.start()
+        publisher, previous = self._engine.publisher, connection.subscription
+        connection.subscription = publisher.subscribe(
+            functools.partial(self._offer, connection), jobs=jobs
+        )
+        if previous is not None:  # a new filter replaces the old, without a gap
+            publisher.unsubscribe(previous)
+        return connection.subscription
+
+    def _offer(self, connection: _Connection, update: PredictionUpdate) -> None:
+        """Publisher callback: queue, never block on the client's socket."""
+        try:
+            connection.events.put_nowait(update)
+        except queue.Full:
+            # The peer stopped reading its events.  Hanging up wakes the
+            # connection's threads, which clean up (and count the drop, once);
+            # a ServiceClient at the other end reconnects and re-subscribes.
+            connection.stalled = True
+            connection.channel.close()
+
+    # ------------------------------------------------------------------ #
     # engine access
     # ------------------------------------------------------------------ #
-    async def _run_engine(self, fn: Callable[[], Any]) -> Any:
-        """Run one blocking engine call off-loop, serialized across clients."""
-        assert self._loop is not None and self._engine_lock is not None
-        async with self._engine_lock:
-            return await self._loop.run_in_executor(None, fn)
+    def resize(self, n_shards: int) -> dict:
+        """Live-reshard the served engine to ``n_shards`` worker shards.
 
-    async def _read_engine(self, fn: Callable[[], Any]) -> Any:
-        """Run a read-only engine call off-loop, behind its own lock.
-
-        ``engine.stats()`` / ``engine.metrics_snapshot()`` must not queue
-        behind a pump or snapshot holding :attr:`_engine_lock` — that lock
-        exists to serialize *mutating* traffic.  Both engines answer reads
-        beside a pump: a sharded one from its shards' read threads, a
-        single-process one from counters it guards with its own locks.
+        The reshard takes the same engine lock every client request takes,
+        so it never interleaves with an in-flight ``pump``/``snapshot`` —
+        in-progress client calls finish, then the topology changes, then
+        traffic resumes.  Returns the
+        :meth:`~repro.service.sharding.ShardedService.reshard` summary.
+        Raises :class:`~repro.exceptions.ServiceError` for a single-process
+        engine (serve with ``shards >= 1`` to make the topology mutable).
         """
-        assert self._loop is not None and self._read_lock is not None
-        async with self._read_lock:
-            return await self._loop.run_in_executor(None, fn)
-
-    def _reshard_engine(self, n_shards: int) -> dict:
         reshard = getattr(self._engine, "reshard", None)
         if reshard is None:
             raise ServiceError(
                 "the engine is single-process; live resharding requires a "
                 "sharded deployment (serve with shards >= 1)"
             )
-        return reshard(n_shards)
+        with self._engine_lock:
+            return reshard(n_shards)
 
-    async def resize(self, n_shards: int) -> dict:
-        """Live-reshard the engine to ``n_shards`` (serialized like any call)."""
-        return await self._run_engine(lambda: self._reshard_engine(n_shards))
+    def _revive(self, index: int) -> None:
+        """The autoscaler's revive, engine-locked: respawn, restore and spool
+        replay run on the control channels a client's pump uses."""
+        with self._engine_lock:
+            self._engine.revive_shard(index, state=getattr(self._engine, "last_snapshot", None))
 
     def _pump_engine(self) -> int:
         if isinstance(self._engine, PredictionService):
@@ -471,240 +552,29 @@ class ServiceGateway:
         spans = getattr(self._engine, "spans_snapshot", None)
         if spans is not None:
             document["spans"] = spans()
-        if self.autoscaler is not None:
-            document["autoscale"] = self.autoscaler.status()
+        if self._autoscaler is not None:
+            document["autoscale"] = self._autoscaler.status()
         return document
 
-    async def _ops_body(self, path: str) -> tuple[int, str, str]:
-        """Resolve an ops route to ``(http_status, content_type, body)``."""
+    def _ops_body(self, path: str) -> tuple[int, str, str]:
+        """Resolve an ops route to ``(http_status, content_type, body)``.
+
+        Reads take :attr:`_read_lock`, never the engine lock — that one
+        serializes *mutating* traffic, and ``engine.stats()`` /
+        ``engine.metrics_snapshot()`` must not queue behind a pump or
+        snapshot holding it.  Both engines answer reads beside a pump: a
+        sharded one from its shards' read threads, a single-process one from
+        counters it guards with its own locks.
+        """
         if path == "/healthz":
             return 200, "text/plain; charset=utf-8", "ok\n"
         if path == "/status":
-            document = await self._read_engine(self._status_document)
+            with self._read_lock:
+                document = self._status_document()
             return 200, "application/json", json.dumps(document) + "\n"
         if path == "/metrics":
-            snapshot = await self._read_engine(self._merged_metrics)
+            with self._read_lock:
+                snapshot = self._merged_metrics()
             exposition = render_prometheus(snapshot)
             return 200, "text/plain; version=0.0.4; charset=utf-8", exposition
         return 404, "text/plain; charset=utf-8", f"unknown ops path {path!r}\n"
-
-    async def _serve_ops(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Minimal HTTP/1.1 responder for scrapers and health checks.
-
-        One request per connection (``Connection: close``) — ops traffic is a
-        poll every few seconds, not a hot path, and closing keeps the parser
-        trivial and stdlib-only.
-        """
-        try:
-            request_line = await reader.readline()
-            while True:  # drain headers up to the blank line
-                header = await reader.readline()
-                if header in (b"", b"\r\n", b"\n"):
-                    break
-            parts = request_line.decode("latin-1", "replace").split()
-            if len(parts) < 2 or parts[0] != "GET":
-                status, content_type, body = (
-                    405,
-                    "text/plain; charset=utf-8",
-                    "only GET is supported\n",
-                )
-            else:
-                path = parts[1].split("?", 1)[0]
-                try:
-                    status, content_type, body = await self._ops_body(path)
-                except Exception as exc:  # engine trouble must not kill the listener
-                    status, content_type, body = (
-                        500,
-                        "text/plain; charset=utf-8",
-                        f"{type(exc).__name__}: {exc}\n",
-                    )
-            reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}.get(
-                status, "Internal Server Error"
-            )
-            payload = body.encode("utf-8")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("latin-1") + payload)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            writer.close()
-
-
-class ThreadedGateway:
-    """A :class:`ServiceGateway` running its own event loop in a thread.
-
-    Blocking callers (tests, :func:`repro.api.serve`) start it, read
-    :attr:`host`/:attr:`port`, connect :class:`~repro.client.ServiceClient`
-    instances against it, and :meth:`close` it when done::
-
-        with ThreadedGateway(service).start() as gateway:
-            client = ServiceClient(gateway.host, gateway.port)
-
-    With ``own_engine=True`` closing the gateway also closes the engine.
-    With ``autoscale=AutoscaleConfig(...)`` (sharded engines only) the
-    gateway owns an :class:`~repro.service.autoscaler.Autoscaler` whose
-    resizes go through :meth:`resize` — i.e. behind the same engine lock
-    every client request takes — and whose decision timeline shows up in
-    the ``/status`` document under ``"autoscale"``.
-    """
-
-    def __init__(
-        self,
-        engine,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        token: int | None = None,
-        name: str = "repro-gateway",
-        ops_port: int | None = None,
-        own_engine: bool = False,
-        autoscale=None,
-    ) -> None:
-        self._engine = engine
-        self._kwargs: dict[str, Any] = {
-            "host": host,
-            "port": port,
-            "token": token,
-            "name": name,
-            "ops_port": ops_port,
-        }
-        self._own_engine = own_engine
-        self._autoscale = autoscale
-        self._autoscaler = None
-        self._gateway: ServiceGateway | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def engine(self):
-        """The service this gateway fronts."""
-        return self._engine
-
-    @property
-    def host(self) -> str:
-        """Bound listen host."""
-        assert self._gateway is not None, "gateway not started"
-        return self._gateway.host
-
-    @property
-    def port(self) -> int:
-        """Bound listen port."""
-        assert self._gateway is not None, "gateway not started"
-        return self._gateway.port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` of the listening socket."""
-        assert self._gateway is not None, "gateway not started"
-        return self._gateway.address
-
-    @property
-    def ops_port(self) -> int | None:
-        """Bound ops-listener port (``None`` when off or not yet bound)."""
-        assert self._gateway is not None, "gateway not started"
-        return self._gateway.ops_port
-
-    def start(self) -> "ThreadedGateway":
-        """Start the server thread; returns once the socket is bound."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-gateway", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._error is not None:
-            error, self._error = self._error, None
-            self._thread.join()
-            self._thread = None
-            raise error
-        if self._autoscale is not None:
-            if getattr(self._engine, "reshard", None) is None:
-                raise ServiceError(
-                    "autoscaling requires a sharded engine; serve with "
-                    "shards >= 1 to make the topology mutable"
-                )
-            from repro.service.autoscaler import Autoscaler
-
-            # Resizes go through the gateway so they take the engine lock —
-            # an autoscaler-initiated reshard never interleaves with an
-            # in-flight client pump/snapshot.
-            self._autoscaler = Autoscaler(
-                self._engine, self._autoscale, resize=self.resize
-            )
-            assert self._gateway is not None
-            self._gateway.autoscaler = self._autoscaler
-            self._autoscaler.start()
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            gateway = ServiceGateway(self._engine, **self._kwargs)
-            await gateway.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self._gateway = gateway
-        self._ready.set()
-        await self._stop.wait()
-        await gateway.stop()
-
-    def resize(self, n_shards: int) -> dict:
-        """Live-reshard the served engine to ``n_shards`` worker shards.
-
-        The reshard runs on the gateway's event loop behind the same engine
-        lock every client request takes, so it never interleaves with an
-        in-flight ``pump``/``snapshot`` — in-progress client calls finish,
-        then the topology changes, then traffic resumes.  Returns the
-        :meth:`~repro.service.sharding.ShardedService.reshard` summary.
-        Raises :class:`~repro.exceptions.ServiceError` for a single-process
-        engine (serve with ``shards >= 1`` to make the topology mutable).
-        """
-        assert self._gateway is not None and self._loop is not None, "gateway not started"
-        future = asyncio.run_coroutine_threadsafe(
-            self._gateway.resize(n_shards), self._loop
-        )
-        return future.result()
-
-    @property
-    def autoscaler(self):
-        """The gateway-owned autoscaler (``None`` unless serving with one)."""
-        return self._autoscaler
-
-    def close(self) -> None:
-        """Stop the server, join the thread, optionally close the engine."""
-        if self._autoscaler is not None:
-            # Stop the control loop before the event loop it resizes through.
-            self._autoscaler.stop()
-            self._autoscaler = None
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            assert self._loop is not None and self._stop is not None
-            self._loop.call_soon_threadsafe(self._stop.set)
-            thread.join(timeout=10.0)
-        self._thread = None
-        if self._own_engine:
-            self._engine.close()
-
-    def __enter__(self) -> "ThreadedGateway":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

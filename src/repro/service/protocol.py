@@ -1,11 +1,13 @@
 """Typed, versioned control-plane protocol of the prediction service.
 
 Every control surface of the service speaks one message layer: the shard
-channels of :class:`~repro.service.sharding.ShardedService`, the asyncio
-TCP gateway (:mod:`repro.service.gateway`) and the blocking
-:class:`~repro.client.ServiceClient` all exchange the dataclasses defined
-here, encoded canonically with the library's own MessagePack implementation
-and wrapped in a tiny length-prefixed envelope.
+channels of :class:`~repro.service.sharding.ShardedService`, the TCP gateway
+(:mod:`repro.service.gateway`) and the :class:`~repro.client.ServiceClient`
+all exchange the dataclasses defined here, encoded canonically with the
+library's own MessagePack implementation and wrapped in a tiny
+length-prefixed envelope.  One reader takes envelopes off a stream,
+:meth:`repro.service.transport.Channel.recv`, through :func:`decode_header`
+and :func:`decode_body`.
 
 Envelope layout (all integers big-endian)::
 
@@ -1007,45 +1009,3 @@ class ChunkAssembler:
                 f"chunked snapshot state must be a map, got {type(state).__name__}"
             )
         return state
-
-
-class MessageDecoder:
-    """Incremental envelope decoder: ``feed()`` bytes in, iterate messages out.
-
-    Bytes of an incomplete trailing message stay buffered until more data
-    arrives; corrupt input (bad magic, unknown type code, oversized or
-    undecodable body) raises :class:`~repro.exceptions.ProtocolError` without
-    consuming past the fault, so a server can reject the peer cleanly.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Number of bytes waiting for the rest of their message."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> None:
-        """Append raw bytes received from the stream."""
-        self._buffer.extend(data)
-
-    def messages(self) -> Iterator[Message]:
-        """Yield (and consume) every complete message currently buffered."""
-        while True:
-            message = self._try_decode_one()
-            if message is None:
-                return
-            yield message
-
-    def _try_decode_one(self) -> Message | None:
-        buffer = self._buffer
-        if len(buffer) < HEADER_BYTES:
-            return None
-        code, body_len = decode_header(buffer)
-        total = HEADER_BYTES + body_len
-        if len(buffer) < total:
-            return None
-        body = bytes(buffer[HEADER_BYTES:total])
-        del buffer[:total]
-        return decode_body(code, body)

@@ -1,18 +1,23 @@
-"""Shard transport: the FTC1 channel, the dial-home listener, config wire form.
+"""Service transport: the FTC1 channel, the TCP listener, config wire form.
 
-Three pieces compose it:
+Four pieces compose it:
 
-* :class:`Channel` — the one blocking FTC1 endpoint, over any connected
-  stream socket: router↔shard control and read channels (a ``socketpair``
-  for a forked shard, TCP for a dialed-home one), the dial-home handshake
-  and the blocking :class:`~repro.client.ServiceClient` all send and receive
-  through it.  FTC1 envelopes are self-framing (magic + type + length
+* :class:`Channel` — the one FTC1 endpoint, over any connected stream
+  socket: router↔shard control and read channels (a ``socketpair`` for a
+  forked shard, TCP for a dialed-home one), the dial-home handshake, the
+  client gateway and the :class:`~repro.client.ServiceClient` at its other
+  end all send and receive through it.  FTC1 envelopes are self-framing (magic + type + length
   prefix, :mod:`repro.service.protocol`): :meth:`Channel.recv` takes the
   header, then exactly the body it announces — never a byte more, which
   keeps selector readiness truthful for the next message.  A deadline is an
   argument of the ``recv`` that has one, never socket state, and a ``recv``
   that times out loses nothing: the next call continues the same envelope.
-* :class:`ShardListener` — the router-side accept loop of the dial-home
+* :class:`Listener` — the one TCP server shape: an accept thread, a thread
+  per connection, the answer to a peer's :class:`~repro.service.protocol.
+  Hello`, and a ``close()`` that wakes and joins all of it.  The client
+  gateway (:mod:`repro.service.gateway`) and the dial-home listener are both
+  this.
+* :class:`ShardListener` — the router-side :class:`Listener` of the dial-home
   topology (DARC-style: workers connect *to* the master, so only the router
   needs a routable address).  A connecting ``repro-shard`` completes the
   FTC1 :class:`~repro.service.protocol.Hello` handshake (token checked,
@@ -39,7 +44,7 @@ import selectors
 import socket
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.exceptions import ProtocolError, ServiceError
@@ -48,8 +53,9 @@ from repro.service import protocol as proto
 from repro.service.service import ServiceConfig
 from repro.service.session import SessionConfig
 
-#: How long a not-yet-adopted connection may take to produce its next
-#: handshake message before the listener gives up on it.
+#: How long a connection that has not finished its handshake (a gateway
+#: client's Hello, a worker's Hello and registration) may take to produce its
+#: next message before the listener gives up on it.
 HANDSHAKE_TIMEOUT = 30.0
 
 #: ``poll`` where the platform has it: a wait then costs one system call and
@@ -209,48 +215,46 @@ def config_from_wire(wire: dict) -> ServiceConfig:
 
 
 # --------------------------------------------------------------------- #
-# dial-home listener (router side)
+# the one TCP server shape
 # --------------------------------------------------------------------- #
-class PendingWorker:
-    """A dialed-home worker that passed the handshake and awaits adoption."""
+class Listener:
+    """A bound TCP port that serves every connection on a thread of its own.
 
-    def __init__(self, channel: Channel, registration: proto.RegisterShard) -> None:
-        self.channel = channel
-        self.registration = registration
+    The accept thread hands each accepted socket (``TCP_NODELAY`` set: FTC1
+    traffic is small request/reply envelopes) to ``serve(sock)`` on a daemon
+    thread; ``serve`` owns the socket from then on and may park it somewhere
+    that outlives its thread.  What every FTC1 server does with a peer's
+    first message is here too: :meth:`greet` answers a
+    :class:`~repro.service.protocol.Hello` against the token, :meth:`reject`
+    hangs up on a peer and counts it.  ``name`` is the server name a
+    :class:`~repro.service.protocol.HelloReply` reports, and what the threads
+    are named after.
 
-    def close(self) -> None:
-        self.channel.close()
-
-
-class ShardListener:
-    """Accepts dial-home shard workers and pairs their channels by key.
-
-    The accept thread serves every new connection's first envelope:
-
-    * :class:`~repro.service.protocol.Hello` — token and version are checked
-      exactly like the gateway checks a client's (wrong token and
-      no-common-version are answered with a typed
-      :class:`~repro.service.protocol.Error` and the connection dropped,
-      never wedging the router); the following
-      :class:`~repro.service.protocol.RegisterShard` parks the worker in the
-      pending queue for :meth:`take_pending`.
-    * :class:`~repro.service.protocol.AttachChannel` — a secondary
-      connection (data or read plane) of an already-adopted worker; it is
-      handed to whoever :meth:`wait_attachment` is blocking on its one-time
-      key.
+    :meth:`close` stops accepting, then shuts down the socket of every
+    connection still being served — which wakes a thread blocked reading or
+    writing it — and joins those threads, so it returns promptly and leaves
+    no thread behind, while a connection in the middle of a request finishes
+    that request first.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, token: int | None = None) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        serve: Callable[[socket.socket], None],
+        *,
+        token: int | None,
+        name: str,
+    ) -> None:
+        self._serve = serve
         self._token = token
+        self._name = name
         self._server = socket.create_server((host, int(port)))
-        self._pending: queue.Queue[PendingWorker] = queue.Queue()
-        self._attachments: dict[tuple[str, str], socket.socket] = {}
-        self._attach_ready = threading.Condition()
         self._closed = False
         self._rejected = 0
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="repro-shard-listener", daemon=True
-        )
+        self._lock = threading.Lock()
+        self._serving: dict[threading.Thread, socket.socket] = {}
+        self._thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
         self._thread.start()
 
     @property
@@ -262,18 +266,10 @@ class ShardListener:
         return int(self._server.getsockname()[1])
 
     @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    @property
     def rejected(self) -> int:
-        """Dial-home attempts rejected at the handshake (bad token/version)."""
+        """Connections refused or dropped at the handshake (bad token or
+        version, a first message that was not a handshake or never came)."""
         return self._rejected
-
-    @staticmethod
-    def new_key() -> str:
-        """A fresh one-time adoption key for :class:`AttachChannel` pairing."""
-        return secrets.token_hex(16)
 
     def _accept_loop(self) -> None:
         while True:
@@ -287,9 +283,124 @@ class ShardListener:
                 sock.close()
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._serve_connection, args=(sock,), daemon=True
-            ).start()
+            thread = threading.Thread(
+                target=self._run, args=(sock,), name=f"{self._name}-connection", daemon=True
+            )
+            # Registered here, not by the thread itself: close() joins this
+            # loop first, so it then sees every connection ever accepted.
+            with self._lock:
+                self._serving[thread] = sock
+            thread.start()
+
+    def _run(self, sock: socket.socket) -> None:
+        try:
+            self._serve(sock)
+        finally:
+            with self._lock:
+                del self._serving[threading.current_thread()]
+
+    def greet(
+        self, channel: Channel, first: proto.Message, *, shards: int = 0, expected: str = "Hello"
+    ) -> bool:
+        """Answer a connection's first message as the handshake offer.
+
+        ``False`` means the peer was refused — no
+        :class:`~repro.service.protocol.Hello`, no common version, wrong
+        token — told so with a typed :class:`~repro.service.protocol.Error`
+        and hung up on.
+        """
+        answer: proto.Message
+        if isinstance(first, proto.Hello):
+            answer = proto.answer_hello(
+                first, token=self._token, server=self._name, shards=shards
+            )
+        else:
+            answer = proto.Error(
+                message=f"expected {expected}, got {type(first).__name__}", code="protocol"
+            )
+        if isinstance(answer, proto.Error):
+            self.reject(channel, answer)
+            return False
+        channel.send(answer)
+        return True
+
+    def reject(self, channel: Channel, error: proto.Error | None = None) -> None:
+        """Count one refused peer and hang up on it, ``error`` sent first if given."""
+        with self._lock:
+            self._rejected += 1
+        try:
+            if error is not None:
+                channel.send(error)
+        except OSError:  # it hung up first
+            pass
+        finally:
+            channel.close()
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        # close() alone does not wake a thread blocked in accept(); shutting
+        # the listening socket down does, and queued dials are refused.
+        self._server.shutdown(socket.SHUT_RDWR)
+        self._thread.join()
+        self._server.close()
+        with self._lock:
+            serving = dict(self._serving)
+        for sock in serving.values():
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its own thread, or the peer, hung up first
+                pass
+        for thread in serving:
+            thread.join()
+
+
+# --------------------------------------------------------------------- #
+# dial-home listener (router side)
+# --------------------------------------------------------------------- #
+class PendingWorker:
+    """A dialed-home worker that passed the handshake and awaits adoption."""
+
+    def __init__(self, channel: Channel, registration: proto.RegisterShard) -> None:
+        self.channel = channel
+        self.registration = registration
+
+    def close(self) -> None:
+        self.channel.close()
+
+
+class ShardListener(Listener):
+    """Accepts dial-home shard workers and pairs their channels by key.
+
+    Every new connection's first envelope, due within
+    :data:`HANDSHAKE_TIMEOUT`, decides what it is:
+
+    * :class:`~repro.service.protocol.Hello` — token and version are checked
+      exactly like the gateway checks a client's (:meth:`Listener.greet`:
+      wrong token and no-common-version are answered with a typed
+      :class:`~repro.service.protocol.Error` and the connection dropped,
+      never wedging the router); the following
+      :class:`~repro.service.protocol.RegisterShard` parks the worker in the
+      pending queue for :meth:`take_pending`.
+    * :class:`~repro.service.protocol.AttachChannel` — a secondary
+      connection (data or read plane) of an already-adopted worker; it is
+      handed to whoever :meth:`wait_attachment` is blocking on its one-time
+      key.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, token: int | None = None) -> None:
+        self._pending: queue.Queue[PendingWorker] = queue.Queue()
+        self._attachments: dict[tuple[str, str], socket.socket] = {}
+        self._attach_ready = threading.Condition()
+        super().__init__(
+            host, port, self._serve_connection, token=token, name="repro-shard-router"
+        )
+
+    @staticmethod
+    def new_key() -> str:
+        """A fresh one-time adoption key for :class:`AttachChannel` pairing."""
+        return secrets.token_hex(16)
 
     def _serve_connection(self, sock: socket.socket) -> None:
         channel = Channel(sock)
@@ -304,40 +415,26 @@ class ShardListener:
                 if self._closed:
                     self._drop_parked()
                 return
-            if isinstance(first, proto.Hello):
-                answer = proto.answer_hello(
-                    first, token=self._token, server="repro-shard-router"
-                )
-            else:
-                answer = proto.Error(
-                    message=f"expected Hello or AttachChannel, got {type(first).__name__}",
-                    code="protocol",
-                )
-            channel.send(answer)
-            if isinstance(answer, proto.Error):
-                self._rejected += 1
-                channel.close()
+            if not self.greet(channel, first, expected="Hello or AttachChannel"):
                 return
             registration = channel.recv(HANDSHAKE_TIMEOUT)
             if not isinstance(registration, proto.RegisterShard):
-                channel.send(
+                self.reject(
+                    channel,
                     proto.Error(
                         message=(
                             f"expected RegisterShard after the handshake, "
                             f"got {type(registration).__name__}"
                         ),
                         code="protocol",
-                    )
+                    ),
                 )
-                self._rejected += 1
-                channel.close()
                 return
             self._pending.put(PendingWorker(channel, registration))
             if self._closed:
                 self._drop_parked()
         except (OSError, EOFError, ProtocolError):
-            self._rejected += 1
-            channel.close()
+            self.reject(channel)
 
     def _drop_parked(self) -> None:
         """Close every parked worker and unclaimed attachment of a closed listener.
@@ -376,14 +473,7 @@ class ShardListener:
             return self._attachments.pop((key, channel))
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # close() alone does not wake a thread blocked in accept(); shutting
-        # the listening socket down does, and queued dials are refused.
-        self._server.shutdown(socket.SHUT_RDWR)
-        self._thread.join()
-        self._server.close()
+        super().close()
         self._drop_parked()
 
     def __enter__(self) -> "ShardListener":

@@ -1,4 +1,4 @@
-"""End-to-end tests of the asyncio TCP gateway and the blocking client.
+"""End-to-end tests of the TCP gateway and the blocking client.
 
 The acceptance criterion of the API redesign: streaming N concurrent jobs
 through the TCP gateway via :class:`~repro.client.ServiceClient` must
@@ -17,7 +17,7 @@ import pytest
 
 from repro.client import ServiceClient
 from repro.core import FtioConfig
-from repro.exceptions import ProtocolError, ServiceError
+from repro.exceptions import ServiceError
 from repro.service import (
     PredictionService,
     ServiceConfig,
@@ -26,6 +26,7 @@ from repro.service import (
     ThreadedGateway,
 )
 from repro.service import protocol as proto
+from repro.service.transport import Channel
 from repro.trace.jsonl import trace_to_flushes
 from repro.trace.msgpack import packb, unpackb
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
@@ -176,8 +177,8 @@ class TestGatewayProtocol:
             assert isinstance(reply, proto.Error)
             assert reply.code == "protocol"
             assert sock.recv(1024) == b""
-        # A peer sending a truncated message simply stays pending — and does
-        # not wedge the event loop for anyone else.
+        # A peer sending a truncated message simply stays pending (until the
+        # handshake timeout) — and holds up nobody else.
         with socket.create_connection((gateway.host, gateway.port), timeout=10.0) as idle:
             idle.sendall(proto.encode_message(proto.Hello())[:7])
             with ServiceClient(gateway.host, gateway.port) as client:
@@ -217,14 +218,9 @@ class TestGatewayProtocol:
 
     @staticmethod
     def _read_one(sock) -> proto.Message:
-        decoder = proto.MessageDecoder()
-        while True:
-            for message in decoder.messages():
-                return message
-            data = sock.recv(1 << 16)
-            if not data:
-                raise ProtocolError("connection closed before a reply arrived")
-            decoder.feed(data)
+        # The channel takes exactly one envelope off the socket, so the
+        # caller's next raw read sees what follows it.
+        return Channel(sock).recv(10.0)
 
 
 class TestGatewayFeatures:

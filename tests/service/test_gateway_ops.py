@@ -119,7 +119,6 @@ def test_ops_port_is_none_until_the_listener_binds():
     # requested placeholder back: before start it is None, after start it is
     # the real bound port, and with the surface off it stays None.
     from repro.service import PredictionService
-    from repro.service.gateway import ServiceGateway
 
     config = ServiceConfig(
         session=SessionConfig(
@@ -131,9 +130,9 @@ def test_ops_port_is_none_until_the_listener_binds():
         )
     )
     engine = PredictionService(config)
-    unbound = ServiceGateway(engine, ops_port=0)
+    unbound = ThreadedGateway(engine, ops_port=0)
     assert unbound.ops_port is None
-    with ThreadedGateway(engine, ops_port=0) as gateway:
+    with unbound as gateway:
         port = gateway.ops_port
         assert port is not None and port > 0
         status, _, _ = fetch(gateway, "/healthz")

@@ -2,15 +2,18 @@
 
 The hypothesis round-trips cover every registered message type: whatever a
 peer encodes, the decoder must rebuild bit-identically — including through
-arbitrary TCP-style re-chunking of the byte stream.  Corruption (bad magic,
-unknown type codes, oversized bodies, undecodable payloads) must raise
+arbitrary TCP-style re-chunking of the byte stream, read by the one stream
+reader there is (:class:`~repro.service.transport.Channel`).  Corruption (bad
+magic, unknown type codes, oversized bodies, undecodable payloads) must raise
 :class:`~repro.exceptions.ProtocolError` instead of mis-framing, and a
-truncated message must simply stay buffered — never produce garbage, never
-busy-loop.
+truncated message must simply stay in the channel — never produce garbage,
+never busy-loop.
 """
 
 from __future__ import annotations
 
+import socket
+from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.service import protocol as proto
+from repro.service.transport import Channel
 
 # --------------------------------------------------------------------- #
 # strategies
@@ -190,6 +194,29 @@ def _as_lists(value):
     return value
 
 
+@contextmanager
+def dribbled_channel():
+    """A channel and the raw socket a test dribbles its byte stream into."""
+    ours, writer = socket.socketpair()
+    channel = Channel(ours)
+    try:
+        yield channel, writer
+    finally:
+        channel.close()
+        writer.close()
+
+
+def whole_messages(channel: Channel) -> list:
+    """Every message the bytes written so far complete (a socketpair delivers
+    synchronously, so a zero deadline sees all of them)."""
+    messages = []
+    while True:
+        try:
+            messages.append(channel.recv(0))
+        except TimeoutError:
+            return messages
+
+
 # --------------------------------------------------------------------- #
 # property tests
 # --------------------------------------------------------------------- #
@@ -208,12 +235,12 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_rechunked_stream_decodes_identically(self, messages, chunk):
         stream = b"".join(proto.encode_message(m) for m in messages)
-        decoder = proto.MessageDecoder()
         decoded = []
-        for start in range(0, len(stream), chunk):
-            decoder.feed(stream[start : start + chunk])
-            decoded.extend(decoder.messages())
-        assert decoder.buffered_bytes == 0
+        with dribbled_channel() as (channel, writer):
+            for start in range(0, len(stream), chunk):
+                writer.sendall(stream[start : start + chunk])
+                decoded.extend(whole_messages(channel))
+            assert len(channel._partial) == 0
         assert [type(m) for m in decoded] == [type(m) for m in messages]
         assert decoded == [_normalize(m) for m in messages]
 
@@ -222,12 +249,12 @@ class TestRoundTrip:
     def test_truncated_message_stays_buffered(self, message, cut):
         encoded = proto.encode_message(message)
         cut = min(cut, len(encoded) - 1)
-        decoder = proto.MessageDecoder()
-        decoder.feed(encoded[:-cut])
-        assert list(decoder.messages()) == []
-        assert decoder.buffered_bytes == len(encoded) - cut
-        decoder.feed(encoded[-cut:])
-        assert list(decoder.messages()) == [_normalize(message)]
+        with dribbled_channel() as (channel, writer):
+            writer.sendall(encoded[:-cut])
+            assert whole_messages(channel) == []
+            assert len(channel._partial) == len(encoded) - cut
+            writer.sendall(encoded[-cut:])
+            assert whole_messages(channel) == [_normalize(message)]
 
 
 class TestVersioning:
@@ -277,39 +304,43 @@ class TestCorruption:
     def test_bad_magic_raises(self):
         encoded = bytearray(proto.encode_message(proto.Stats()))
         encoded[0] ^= 0xFF
-        decoder = proto.MessageDecoder()
-        decoder.feed(bytes(encoded))
         with pytest.raises(ProtocolError, match="magic"):
-            list(decoder.messages())
+            proto.decode_message(bytes(encoded))
 
     def test_unknown_type_code_raises(self):
         encoded = bytearray(proto.encode_message(proto.Stats()))
         encoded[4] = 0xEE
-        decoder = proto.MessageDecoder()
-        decoder.feed(bytes(encoded))
         with pytest.raises(ProtocolError, match="type code"):
-            list(decoder.messages())
+            proto.decode_message(bytes(encoded))
 
     def test_oversized_body_length_raises_immediately(self):
         import struct
 
         header = struct.pack(">4sBI", proto.PROTOCOL_MAGIC, 10, proto.MAX_MESSAGE_BYTES + 1)
-        decoder = proto.MessageDecoder()
-        decoder.feed(header)
-        # The length field alone condemns the stream: no waiting for a body
-        # that would never arrive (the anti-deadlock property).
+        # The length field alone condemns the stream: a reader holding just
+        # the header never waits for a body that would never arrive (the
+        # anti-deadlock property) ...
         with pytest.raises(ProtocolError, match="exceeds the limit"):
-            list(decoder.messages())
+            proto.decode_header(header)
+        # ... and that reader is the channel.
+        with dribbled_channel() as (channel, writer):
+            writer.sendall(header)
+            with pytest.raises(ProtocolError, match="exceeds the limit"):
+                channel.recv(5.0)
 
     def test_undecodable_body_raises(self):
         import struct
 
         body = b"\xc1\xc1\xc1"  # 0xC1 is the one never-used msgpack byte
         header = struct.pack(">4sBI", proto.PROTOCOL_MAGIC, 10, len(body))
-        decoder = proto.MessageDecoder()
-        decoder.feed(header + body)
         with pytest.raises(ProtocolError):
-            list(decoder.messages())
+            proto.decode_message(header + body)
+        # Through the channel the fault costs that one envelope only.
+        with dribbled_channel() as (channel, writer):
+            writer.sendall(header + body + proto.encode_message(proto.Stats()))
+            with pytest.raises(ProtocolError):
+                channel.recv(5.0)
+            assert channel.recv(5.0) == proto.Stats()
 
     def test_non_map_body_raises(self):
         import struct
@@ -318,10 +349,8 @@ class TestCorruption:
 
         body = packb([1, 2, 3])
         header = struct.pack(">4sBI", proto.PROTOCOL_MAGIC, 10, len(body))
-        decoder = proto.MessageDecoder()
-        decoder.feed(header + body)
         with pytest.raises(ProtocolError, match="must be a map"):
-            list(decoder.messages())
+            proto.decode_message(header + body)
 
     def test_decode_message_rejects_trailing_bytes(self):
         encoded = proto.encode_message(proto.Stats())

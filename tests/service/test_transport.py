@@ -1,7 +1,7 @@
-"""The one blocking FTC1 endpoint, and the guard that it stays the only one.
+"""The one FTC1 endpoint, and the guard that it stays the only one.
 
 :class:`~repro.service.transport.Channel` carries router↔shard control and
-read traffic, the dial-home handshake and the blocking client.  Its two rules
+read traffic, the dial-home handshake, the gateway and its client.  Its two rules
 are tested here against a raw socket peer: a deadline is an argument of the
 ``recv`` that has one, and a ``recv`` that times out loses no bytes.
 """
@@ -21,7 +21,8 @@ from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
 from repro.service.transport import Channel
 
-SERVICE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
+PACKAGE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro"
+SERVICE_DIR = PACKAGE_DIR / "service"
 
 
 @pytest.fixture()
@@ -166,6 +167,11 @@ class TestOneTransport:
                 names.update(f"{node.module}.{alias.name}" for alias in node.names)
         return names
 
+    @staticmethod
+    def _callee(call: ast.Call) -> str:
+        """The bare name a call goes to: ``f`` of ``f()`` and of ``x.f()``."""
+        return getattr(call.func, "attr", getattr(call.func, "id", ""))
+
     def test_no_pipe_transport(self):
         for name, tree in self._trees().items():
             assert not any(
@@ -174,8 +180,42 @@ class TestOneTransport:
             ), f"{name}.py imports multiprocessing.connection"
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
-                    callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
-                    assert callee != "Pipe", f"{name}.py:{node.lineno} calls Pipe()"
+                    assert self._callee(node) != "Pipe", f"{name}.py:{node.lineno} calls Pipe()"
+
+    def test_one_concurrency_model_and_one_stream_reader(self):
+        """Threads everywhere: no event loop in the package, no executor hop
+        in the gateway, and :meth:`Channel.recv` the only code outside
+        ``protocol.py`` that takes an envelope apart."""
+        for path in sorted(PACKAGE_DIR.rglob("*.py")):
+            where = str(path.relative_to(PACKAGE_DIR))
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            imports = self._imports(tree)
+            assert not any(
+                imported.split(".")[0] == "asyncio" for imported in imports
+            ), f"{where} imports asyncio"
+            if where == "service/gateway.py":
+                assert not any(
+                    imported.startswith("concurrent.futures") for imported in imports
+                ), f"{where} imports an executor"
+            if where == "service/protocol.py":
+                continue
+            calls = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and self._callee(node) in ("decode_header", "decode_body")
+            ]
+            if where == "service/transport.py":
+                (channel,) = [
+                    node
+                    for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "Channel"
+                ]
+                assert calls and all(
+                    channel.lineno <= call.lineno <= channel.end_lineno for call in calls
+                )
+            else:
+                assert not calls, f"{where}:{calls[0].lineno} decodes an envelope itself"
 
     def test_sharded_modules_import_one_way(self):
         trees = self._trees()

@@ -193,7 +193,7 @@ class TestCompatibility:
     def test_new_surface_is_exported(self):
         assert repro.ReproConfig is api.ReproConfig
         from repro.client import ServiceClient  # noqa: F401
-        from repro.service import ServiceGateway, ThreadedGateway, protocol  # noqa: F401
+        from repro.service import ThreadedGateway, protocol  # noqa: F401
 
         # One protocol generation: every peer in the repo ships v3.
         assert protocol.PROTOCOL_VERSION == 3
