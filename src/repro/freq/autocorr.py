@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
+from scipy.fft import next_fast_len
 from scipy.signal import find_peaks
 
 from repro.constants import ACF_PEAK_THRESHOLD, ZSCORE_OUTLIER_THRESHOLD
@@ -26,6 +27,16 @@ from repro.exceptions import InsufficientSamplesError
 from repro.freq import plan
 from repro.utils.stats import coefficient_of_variation, weighted_mean, zscores
 from repro.utils.validation import check_positive
+
+
+def _padded_length(n: int) -> int:
+    """FFT length for the Wiener–Khinchin ACF of ``n`` samples.
+
+    Any length >= 2n − 1 makes the circular correlation equal the linear one;
+    the next 5-smooth length is as fast per point as the next power of two
+    and up to ~1.6x shorter (82 944 against 131 072 at n = 41 050).
+    """
+    return next_fast_len(2 * n - 1, real=True)
 
 
 def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
@@ -38,8 +49,9 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
     The lag products are evaluated with the Wiener–Khinchin theorem — the
     inverse FFT of the power spectrum of the zero-padded signal — which is
     O(N log N) instead of the O(N²) of a direct ``np.correlate``.  Zero-padding
-    to at least 2N − 1 points makes the circular correlation equal the linear
-    one, so the result matches the direct method to floating-point precision.
+    to at least 2N − 1 points (the next fast FFT length, :func:`_padded_length`)
+    makes the circular correlation equal the linear one, so the result matches
+    the direct method to floating-point precision.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -53,9 +65,7 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
     acf[0] = 1.0
     if energy == 0.0:
         return acf
-    # Power-of-two FFT length >= 2n - 1 avoids circular wrap-around and keeps
-    # the transform on the fast radix-2 path.
-    nfft = 1 << (2 * n - 1).bit_length()
+    nfft = _padded_length(n)
     spectrum = plan.rfft(centred, n=nfft)
     # An explicit output buffer: ``spectrum * np.conj(spectrum)`` lets numpy
     # multiply into the conj temporary once it exceeds 256 KiB, which rounds
@@ -101,7 +111,7 @@ def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]
     means = stacked.mean(axis=1)
     centred = stacked - means[:, None]
     energies = [float(np.dot(centred[i], centred[i])) for i in range(k)]
-    nfft = 1 << (2 * n - 1).bit_length()
+    nfft = _padded_length(n)
     spectra = plan.rfft(centred, n=nfft, axis=1)
     power = np.empty_like(spectra)
     for i in range(k):
