@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from repro.constants import MAX_PERIODIC_CANDIDATES
 from repro.core.characterization import characterize
 from repro.core.config import FtioConfig
-from repro.core.confidence import candidate_confidence, refined_confidence
+from repro.core.confidence import confidence_from_totals, index_set_totals, refined_confidence
 from repro.core.result import (
     CharacterizationResult,
     FrequencyCandidate,
@@ -301,7 +301,8 @@ class Ftio:
             return []
         # A (near-)constant signal has essentially all of its power in the DC
         # bin; whatever remains is floating-point dust, not periodic activity.
-        if spectrum.total_power <= max(spectrum.dc_power, 1.0) * 1e-12:
+        total_power = spectrum.total_power
+        if total_power <= max(spectrum.dc_power, 1.0) * 1e-12:
             return []
         z_max = float(scores.max())
         if z_max <= 0:
@@ -312,23 +313,23 @@ class Ftio:
         if indices.size == 0:
             return []
 
-        total_power = spectrum.total_power
+        # The Section II-C index sets depend on the spectrum, not on the
+        # candidate: built once here, shared by every c_k below.
+        totals = index_set_totals(
+            scores, zscore_threshold=cfg.zscore_threshold, tolerance=cfg.tolerance
+        )
         candidates: list[FrequencyCandidate] = []
         for idx in indices:
             k = int(idx) + 1  # analysis arrays exclude the DC bin
+            zscore = float(scores[idx])
             candidates.append(
                 FrequencyCandidate(
                     bin_index=k,
                     frequency=float(spectrum.frequencies[k]),
                     power=float(spectrum.power[k]),
                     contribution=float(spectrum.power[k] / total_power) if total_power else 0.0,
-                    zscore=float(scores[idx]),
-                    confidence=candidate_confidence(
-                        int(idx),
-                        scores,
-                        zscore_threshold=cfg.zscore_threshold,
-                        tolerance=cfg.tolerance,
-                    ),
+                    zscore=zscore,
+                    confidence=confidence_from_totals(zscore, totals),
                 )
             )
         candidates.sort(key=lambda c: c.frequency)

@@ -225,8 +225,9 @@ class OnlinePredictor:
             # An analysis window that holds no analysable requests (e.g. only
             # reads under io_kind="write") is "no result", not a crash.
             signal = None
+        # A trace is immutable, so its metadata is shared with the result, not copied.
         return PreparedStep(
-            time=t_end, window=window, signal=signal, trace_metadata=dict(trace.metadata)
+            time=t_end, window=window, signal=signal, trace_metadata=trace.metadata
         )
 
     def complete_step(

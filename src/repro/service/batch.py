@@ -11,6 +11,14 @@ slice is then fed back through the ordinary pipeline via
 :class:`~repro.core.ftio.SpectralKernels`, so the decision logic (candidate
 selection, harmonic rule, classification, confidence) runs unchanged.
 
+**What is copied, what is checked.**  Per session and detection: the claim
+copies the resident request columns once (under the session lock, unchecked —
+they were validated at ingest; see :mod:`repro.service.session`),
+``prepare_step`` turns them into samples in one pass with no validated
+intermediate, the samples are copied once into the group's stack, and each
+session gets its own copy of its score row (a view would pin the whole
+group's block).  Nothing on this path re-validates a request.
+
 **Bit-identity contract.**  Every value a batched evaluation produces equals
 the sequential evaluation (:meth:`JobSession.detect`) bit for bit, whatever
 the batch's size or composition.  The kernels only

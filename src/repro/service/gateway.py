@@ -97,10 +97,16 @@ class _OpsHandler(BaseHTTPRequestHandler):
     """``GET /healthz | /status | /metrics`` for scrapers and health checks.
 
     One request per connection (``Connection: close``) — ops traffic is a
-    poll every few seconds, not a hot path.
+    poll every few seconds, not a hot path.  A peer that connects and does
+    not finish its request line and headers within
+    :data:`~repro.service.transport.HANDSHAKE_TIMEOUT` is hung up on, like a
+    client that never finishes its ``Hello``: each connection holds a thread.
     """
 
     protocol_version = "HTTP/1.1"
+    #: Socket timeout ``StreamRequestHandler.setup`` applies to the connection;
+    #: ``handle_one_request`` drops the connection on the ``TimeoutError``.
+    timeout = HANDSHAKE_TIMEOUT
 
     def __init__(self, gateway: ThreadedGateway, *args: Any) -> None:
         self._gateway = gateway

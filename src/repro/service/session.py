@@ -13,6 +13,19 @@ multi-tenant scale — memory per job is O(analysis window), not O(runtime):
   widen the window);
 * a hard ``max_samples`` cap bounds the buffer even while the adaptive window
   has not converged yet (the oldest requests are dropped first).
+
+**What a detection copies, and what it checks.**  A claim
+(:meth:`JobSession.begin_batch_detect`, :meth:`JobSession.detect`) hands the
+evaluation a private :class:`~repro.trace.trace.Trace` of the resident rows:
+five column copies and one copy of the merged metadata, taken under the
+session lock — a pool thread may prepare that window while the broker
+thread's next ``ingest`` compacts or grows the ring in place, so a view would
+not do.  Nothing is validated at that point.  Every row passed
+``FlushColumns.__post_init__`` (ingest) or ``Trace.__post_init__`` (restore)
+on its way into the ring and the ring only moves rows, so the snapshot is
+wrapped by ``Trace._trusted``; the predictor then reads its columns in place
+(:func:`repro.trace.sampling.discretize_trace` copies only what a kind filter
+actually removes).
 """
 
 from __future__ import annotations
@@ -118,7 +131,12 @@ class RingColumnStore:
 
     # ------------------------------------------------------------------ #
     def append(self, chunk: Trace | SortedColumns) -> None:
-        """Append the (sorted) requests of ``chunk`` keeping global order."""
+        """Append the (sorted) requests of ``chunk`` keeping global order.
+
+        ``chunk`` comes from a validated container — a :class:`Trace` or
+        :meth:`FlushColumns.time_ordered` — because :meth:`trace` hands the
+        rows back out without checking them again.
+        """
         n = len(chunk.starts)
         if n == 0:
             return
@@ -209,16 +227,19 @@ class RingColumnStore:
     def trace(self, *, metadata: dict | None = None) -> Trace:
         """Materialize the resident requests as an immutable :class:`Trace`.
 
-        The columns are copied: the returned trace stays valid while the
-        buffer keeps mutating under subsequent flushes.
+        The columns (and ``metadata``) are copied: the returned trace stays
+        valid while the buffer keeps mutating under subsequent flushes.  They
+        are not validated again — every row passed ``FlushColumns`` or
+        ``Trace`` validation on its way into :meth:`append`, and the buffer
+        only moves rows.
         """
-        return Trace(
-            starts=self._live(self._starts).copy(),
-            ends=self._live(self._ends).copy(),
-            nbytes=self._live(self._nbytes).copy(),
-            ranks=self._live(self._ranks).copy(),
-            kinds=self._live(self._kinds).copy(),
-            metadata=dict(metadata or {}),
+        return Trace._trusted(
+            self._live(self._starts).copy(),
+            self._live(self._ends).copy(),
+            self._live(self._nbytes).copy(),
+            self._live(self._ranks).copy(),
+            self._live(self._kinds).copy(),
+            dict(metadata or {}),
         )
 
 
@@ -406,7 +427,11 @@ class JobSession:
             self._batch_in_flight = False
 
     def _claim_task_locked(self, now: float | None) -> DetectionTask | None:
-        """Shared pre-evaluation bookkeeping; the caller holds the lock."""
+        """Shared pre-evaluation bookkeeping; the caller holds the lock.
+
+        The task's trace is a copy of the ring taken here, under that lock
+        (see the module docstring for why a copy, and why unchecked).
+        """
         if now is None:
             now = self._pending_time
         if now is None:

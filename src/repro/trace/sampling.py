@@ -17,10 +17,22 @@ Two sampling modes are provided:
     Average the bandwidth over each sampling interval (integral / bin width).
     This conserves volume by construction and is useful when consuming
     bin-structured inputs such as Darshan heatmaps.
+
+:func:`discretize_trace` is the funnel every ``Trace`` → :class:`DiscreteSignal`
+goes through, offline (``Ftio.to_signal``) and online (once per detection of
+every service session), so it runs the array-level steps of
+:mod:`repro.trace.bandwidth` back to back — kind mask, event sweep over every
+request handed in, window clip, sampling — with no :class:`BandwidthSignal` in
+between.  :func:`discretize_signal` is the same clip-and-sample tail
+(``_discretize``) behind the public dataclass, so the two agree bit for bit
+by construction (``tests/trace/test_sampling.py`` holds the property).
+Nothing here validates request columns: a :class:`Trace` did that when it was
+built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -28,7 +40,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.exceptions import InsufficientSamplesError
-from repro.trace.bandwidth import BandwidthSignal, bandwidth_signal
+from repro.trace.bandwidth import (
+    BandwidthSignal,
+    _clip,
+    _cumulative_volume,
+    _kind_columns,
+    _sweep,
+    _values_at,
+)
 from repro.trace.trace import Trace
 from repro.utils.validation import check_positive
 
@@ -104,6 +123,54 @@ class DiscreteSignal:
         )
 
 
+def _discretize(
+    times: NDArray[np.float64],
+    values: NDArray[np.float64],
+    fs: float,
+    mode: SamplingMode,
+    window: tuple[float, float] | None,
+) -> DiscreteSignal:
+    """Sample the piecewise-constant signal ``(times, values)``, clipped to ``window`` if given."""
+    if window is not None:
+        times, values = _clip(times, values, *window)
+    t0 = float(times[0])
+    duration = float(times[-1]) - t0
+    n = math.floor(duration * fs) + 1
+    if n < 2:
+        raise InsufficientSamplesError(
+            f"window of {duration:.3g} s at fs={fs} Hz yields only {n} sample(s); "
+            "increase the window or the sampling frequency"
+        )
+
+    edges = t0 + np.arange(n + 1) / fs
+    cumulative = _cumulative_volume(times, values, edges)
+    true_bin_volumes = cumulative[1:] - cumulative[:-1]
+
+    if mode == "point":
+        samples = _values_at(times, values, edges[:-1])
+    elif mode == "bin":
+        samples = true_bin_volumes * fs
+    else:  # pragma: no cover - guarded by Literal typing
+        raise ValueError(f"unknown sampling mode {mode!r}")
+
+    # Abstraction error: volume difference between the discrete representation
+    # and the original signal, accumulated per sampling interval so that
+    # over- and under-sampled bursts cannot cancel each other out (Sec. II-E).
+    true_volume = float(true_bin_volumes.sum())
+    if true_volume > 0:
+        abstraction_error = float(np.abs(samples / fs - true_bin_volumes).sum() / true_volume)
+    else:
+        abstraction_error = 0.0
+
+    return DiscreteSignal(
+        samples=np.asarray(samples, dtype=np.float64),
+        sampling_frequency=fs,
+        t_start=t0,
+        abstraction_error=abstraction_error,
+        mode=mode,
+    )
+
+
 def discretize_signal(
     signal: BandwidthSignal,
     sampling_frequency: float,
@@ -130,49 +197,7 @@ def discretize_signal(
         If fewer than 2 samples fall inside the window.
     """
     fs = check_positive(sampling_frequency, "sampling_frequency")
-    if window is not None:
-        t0, t1 = window
-        signal = signal.restricted(t0, t1)
-    t0, t1 = signal.t_start, signal.t_end
-    duration = t1 - t0
-    n = int(np.floor(duration * fs)) + 1
-    if n < 2:
-        raise InsufficientSamplesError(
-            f"window of {duration:.3g} s at fs={fs} Hz yields only {n} sample(s); "
-            "increase the window or the sampling frequency"
-        )
-
-    edges = t0 + np.arange(n + 1) / fs
-    cumulative = signal.cumulative_volume(edges)
-    true_bin_volumes = np.diff(cumulative)
-
-    if mode == "point":
-        sample_times = t0 + np.arange(n) / fs
-        samples = signal.at(sample_times)
-    elif mode == "bin":
-        samples = true_bin_volumes * fs
-    else:  # pragma: no cover - guarded by Literal typing
-        raise ValueError(f"unknown sampling mode {mode!r}")
-
-    # Abstraction error: volume difference between the discrete representation
-    # and the original signal, accumulated per sampling interval so that
-    # over- and under-sampled bursts cannot cancel each other out (Sec. II-E).
-    true_volume = float(true_bin_volumes.sum())
-    discrete_bin_volumes = np.asarray(samples, dtype=np.float64) / fs
-    if true_volume > 0:
-        abstraction_error = float(
-            np.abs(discrete_bin_volumes - true_bin_volumes).sum() / true_volume
-        )
-    else:
-        abstraction_error = 0.0
-
-    return DiscreteSignal(
-        samples=np.asarray(samples, dtype=np.float64),
-        sampling_frequency=fs,
-        t_start=t0,
-        abstraction_error=abstraction_error,
-        mode=mode,
-    )
+    return _discretize(signal.times, signal.values, fs, mode, window)
 
 
 def discretize_trace(
@@ -183,9 +208,14 @@ def discretize_trace(
     mode: SamplingMode = "point",
     window: tuple[float, float] | None = None,
 ) -> DiscreteSignal:
-    """Convenience wrapper: build the bandwidth signal of ``trace`` and discretize it."""
-    signal = bandwidth_signal(trace, kind=kind)
-    return discretize_signal(signal, sampling_frequency, mode=mode, window=window)
+    """Build the bandwidth signal of ``trace`` and discretize it, in one pass.
+
+    Equal, bit for bit, to ``discretize_signal(bandwidth_signal(trace,
+    kind=kind), sampling_frequency, mode=mode, window=window)``.
+    """
+    times, values = _sweep(*_kind_columns(trace, kind))
+    fs = check_positive(sampling_frequency, "sampling_frequency")
+    return _discretize(times, values, fs, mode, window)
 
 
 def recommend_sampling_frequency(trace: Trace, *, kind: str | None = "write") -> float:

@@ -104,6 +104,35 @@ class Trace:
         )
 
     @classmethod
+    def _trusted(
+        cls,
+        starts: NDArray[np.float64],
+        ends: NDArray[np.float64],
+        nbytes: NDArray[np.int64],
+        ranks: NDArray[np.int64],
+        kinds: NDArray[np.str_],
+        metadata: dict,
+    ) -> "Trace":
+        """Wrap columns that were already validated, without checking them again.
+
+        For rows that came out of a validated container and were only moved
+        since (a session's ring of ingested flushes); anything built from
+        outside input goes through the constructor.  The trace takes the
+        arrays and the dict as they are — the caller hands over its own.
+        """
+        trace = object.__new__(cls)
+        trace.__dict__.update(
+            starts=starts,
+            ends=ends,
+            nbytes=nbytes,
+            ranks=ranks,
+            kinds=kinds,
+            ground_truth=None,
+            metadata=metadata,
+        )
+        return trace
+
+    @classmethod
     def empty(cls) -> "Trace":
         """Return an empty trace (useful as an accumulator seed)."""
         return cls.from_requests([])
@@ -190,11 +219,15 @@ class Trace:
         )
 
     def filter_kind(self, kind: IOKind | str) -> "Trace":
-        """Return a trace with only read or only write requests."""
+        """Return a trace with only read or only write requests.
+
+        A trace that holds nothing else is returned as it is (it is immutable).
+        """
         kind_value = IOKind(kind).value
-        if self.is_empty:
+        matches = self.kinds == kind_value
+        if matches.all():
             return self
-        return self._select(self.kinds == kind_value)
+        return self._select(matches)
 
     def filter_ranks(self, ranks: Sequence[int]) -> "Trace":
         """Return a trace restricted to the given ranks."""

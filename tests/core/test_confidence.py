@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Ftio, FtioConfig
 from repro.core.confidence import (
     candidate_confidence,
     confidence_index_sets,
     refined_confidence,
 )
+from repro.trace.sampling import DiscreteSignal
+from repro.utils.stats import zscores
 
 
 class TestIndexSets:
@@ -77,3 +80,42 @@ class TestRefinedConfidence:
     def test_clipping(self):
         assert refined_confidence(1.5, 1.0, 1.0) == pytest.approx(1.0)
         assert refined_confidence(-0.5, 0.0, 0.0) == pytest.approx(0.0)
+
+
+class TestPipelineConfidence:
+    """The pipeline builds the index sets once per spectrum; the per-candidate
+    form rebuilds them per call.  Same formula, same bits."""
+
+    @pytest.mark.parametrize("tolerance", [0.8, 0.3])
+    def test_every_candidate_equals_the_per_candidate_form(self, tolerance):
+        rng = np.random.default_rng(2024)
+        config = FtioConfig(
+            sampling_frequency=10.0,
+            tolerance=tolerance,
+            use_autocorrelation=False,
+            compute_characterization=False,
+        )
+        ftio = Ftio(config)
+        compared = 0
+        for _ in range(120):
+            n = int(rng.integers(64, 700))
+            t = np.arange(n) / 10.0
+            period = rng.uniform(2.0, 12.0)
+            duty = rng.uniform(0.05, 0.5)
+            samples = (np.mod(t, period) < duty * period) * rng.uniform(1e6, 1e9)
+            if rng.random() < 0.5:  # a second periodicity: more than one candidate
+                other = period * rng.uniform(0.3, 0.9)
+                samples = samples + (np.mod(t, other) < duty * other) * rng.uniform(1e6, 1e9)
+            samples = samples + rng.uniform(0.0, 1e7, n)
+            result = ftio.analyze_signal(DiscreteSignal(samples, 10.0))
+            scores = zscores(result.spectrum.analysis_power)
+            for candidate in result.candidates:
+                assert candidate.zscore == scores[candidate.bin_index - 1]
+                assert candidate.confidence == candidate_confidence(
+                    candidate.bin_index - 1,
+                    scores,
+                    zscore_threshold=config.zscore_threshold,
+                    tolerance=config.tolerance,
+                )
+                compared += 1
+        assert compared > 120  # windows with several candidates were among them

@@ -11,6 +11,9 @@ ring occupancy).
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -18,6 +21,7 @@ import pytest
 
 from repro.core import FtioConfig
 from repro.service import ServiceConfig, SessionConfig, ShardedService, ThreadedGateway
+from repro.service.transport import HANDSHAKE_TIMEOUT
 from repro.trace.framing import encode_frame
 from repro.workloads import synthetic_flush_streams
 
@@ -154,3 +158,41 @@ def test_ops_port_is_none_when_the_surface_is_off():
     )
     with ThreadedGateway(PredictionService(config), own_engine=True) as gateway:
         assert gateway.ops_port is None
+
+
+def _handler_threads() -> int:
+    # socketserver.ThreadingMixIn runs each connection in a thread whose
+    # target is ``process_request_thread``; Python puts that in the name.
+    return sum("process_request_thread" in thread.name for thread in threading.enumerate())
+
+
+def test_a_peer_that_never_finishes_its_request_is_hung_up_on(monkeypatch):
+    """Each ops connection holds a thread; a silent or half-spoken peer gets
+    the read timeout, not the thread for as long as TCP keeps the socket."""
+    from repro.service import PredictionService
+    from repro.service import gateway as gateway_module
+
+    # What production runs with, then the same mechanism with a wait a test
+    # can afford: the stdlib handler reads the class attribute per connection.
+    assert gateway_module._OpsHandler.timeout == HANDSHAKE_TIMEOUT
+    monkeypatch.setattr(gateway_module._OpsHandler, "timeout", 0.3)
+    baseline = _handler_threads()
+    with ThreadedGateway(PredictionService(ServiceConfig()), ops_port=0, own_engine=True) as gateway:
+        address = ("127.0.0.1", gateway.ops_port)
+        with socket.create_connection(address) as silent, socket.create_connection(
+            address
+        ) as half:
+            half.sendall(b"GET /hea")
+            # Both are being waited on; the surface still answers others.
+            status, _, body = fetch(gateway, "/healthz")
+            assert (status, body) == (200, "ok\n")
+            assert _handler_threads() >= baseline + 2
+            for peer in (silent, half):
+                peer.settimeout(10.0)
+                assert peer.recv(1024) == b""  # hung up on, nothing sent
+        deadline = time.monotonic() + 10.0
+        while _handler_threads() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _handler_threads() == baseline
+        status, _, _ = fetch(gateway, "/healthz")
+        assert status == 200

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FtioConfig
+from repro.exceptions import TraceError
 from repro.service import JobSession, RingColumnStore, SessionConfig
 from repro.trace.columns import FlushColumns
 from repro.trace.framing import FrameDecoder, encode_frame
@@ -276,3 +277,97 @@ class TestJobSession:
         assert by_record == by_columns
         assert by_record[-1]["ingested_requests"] == sum(len(r.requests) for r in records)
         assert by_record[-1]["metadata"] == {"application": "mixed", "ranks": 12}
+
+
+def _burst_flush(i: int, metadata: dict | None = None, *, n: int = 16) -> FlushRecord:
+    t = i * 8.0
+    return FlushRecord(
+        flush_index=i,
+        timestamp=t + 1.0,
+        requests=tuple(
+            IORequest(rank=r % 4, start=t + r / n, end=t + (r + 1) / n, nbytes=1 << 20)
+            for r in range(n)
+        ),
+        metadata=metadata or {},
+    )
+
+
+class TestClaimedTask:
+    """What a claim hands out: a private copy of the ring, built without re-checking it."""
+
+    @pytest.mark.parametrize(
+        "max_samples, expect", [(200, "_compact"), (65_536, "_grow")], ids=["compact", "grow"]
+    )
+    def test_claimed_task_survives_what_happens_to_the_ring(
+        self, online_config, monkeypatch, max_samples, expect
+    ):
+        """A pool thread may prepare while the broker keeps appending: compaction
+        moves rows inside the very arrays a view would alias, growth swaps them."""
+        calls = {"_compact": 0, "_grow": 0}
+        for name in calls:
+            original = getattr(RingColumnStore, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(RingColumnStore, name, spy)
+
+        session = JobSession(
+            "claimed", SessionConfig(config=online_config, max_samples=max_samples)
+        )
+        # 208 of 256 slots used; with the cap at 200 the head has moved to 8.
+        for i in range(13):
+            session.ingest(_burst_flush(i, {"application": "bursts"}))
+        task = session.begin_batch_detect()
+        assert task is not None
+        before = session.predictor.prepare_step(task.trace, now=task.now)
+        columns = [
+            np.array(getattr(task.trace, name))
+            for name in ("starts", "ends", "nbytes", "ranks", "kinds")
+        ]
+        metadata = dict(task.trace.metadata)
+
+        calls.update(_compact=0, _grow=0)
+        for i in range(13, 40):
+            session.ingest(_burst_flush(i, {"round": i}))
+        assert calls[expect] > 0
+
+        for name, column in zip(("starts", "ends", "nbytes", "ranks", "kinds"), columns):
+            assert np.array_equal(getattr(task.trace, name), column)
+        assert task.trace.metadata == metadata
+        after = session.predictor.prepare_step(task.trace, now=task.now)
+        assert after.window == before.window
+        assert after.signal.t_start == before.signal.t_start
+        assert after.signal.abstraction_error == before.signal.abstraction_error
+        assert np.array_equal(after.signal.samples, before.signal.samples)
+        session.abort_batch_detect()
+
+    def test_one_detection_validates_no_trace(self, online_config, monkeypatch):
+        """Every row in the ring was checked on its way in; a detection on an
+        all-write stream builds its window without checking any of them again."""
+        session = JobSession("trusted", SessionConfig(config=online_config))
+        for i in range(6):
+            session.ingest(_burst_flush(i))
+            session.detect()
+        session.ingest(_burst_flush(6))
+        outside = chunk(0.0)
+
+        checked = []
+        original = Trace.__post_init__
+
+        def counting(self):
+            checked.append(len(self))
+            original(self)
+
+        monkeypatch.setattr(Trace, "__post_init__", counting)
+        step = session.detect()
+        assert step is not None and step.result is not None
+        assert checked == []
+
+        # ... while anything built from outside still goes through the check.
+        with pytest.raises(TraceError):
+            Trace(
+                outside.starts, outside.ends[:-1], outside.nbytes, outside.ranks, outside.kinds
+            )
+        assert checked == [4]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError, InsufficientSamplesError
+from repro.exceptions import ConfigurationError, EmptyTraceError, InsufficientSamplesError
 from repro.trace.bandwidth import bandwidth_signal
-from repro.trace.record import IORequest
+from repro.trace.record import IOKind, IORequest
 from repro.trace.sampling import (
     DiscreteSignal,
     discretize_signal,
@@ -109,3 +111,257 @@ class TestRecommendSamplingFrequency:
 
     def test_empty_trace_returns_zero(self):
         assert recommend_sampling_frequency(Trace.empty()) == 0.0
+
+
+# --------------------------------------------------------------------- #
+# the one-pass discretize_trace against the composed public route, and
+# both against a frozen copy of the implementation they replaced
+# --------------------------------------------------------------------- #
+def _frozen_bandwidth_signal(trace: Trace, kind: str | None):
+    """``bandwidth_signal`` as it was before the array-level helpers (PR 20), verbatim."""
+    work = trace if kind is None else trace.filter_kind(kind)
+    if work.is_empty:
+        raise EmptyTraceError("cannot build a bandwidth signal from an empty trace")
+    starts = work.starts.astype(np.float64)
+    ends = work.ends.astype(np.float64)
+    nbytes = work.nbytes.astype(np.float64)
+    durations = np.maximum(ends - starts, 1e-9)
+    ends = starts + durations
+    rates = nbytes / durations
+    boundaries = np.concatenate([starts, ends])
+    deltas = np.concatenate([rates, -rates])
+    order = np.argsort(boundaries, kind="stable")
+    boundaries = boundaries[order]
+    deltas = deltas[order]
+    unique_times, inverse = np.unique(boundaries, return_inverse=True)
+    delta_per_time = np.zeros(len(unique_times))
+    np.add.at(delta_per_time, inverse, deltas)
+    active = np.cumsum(delta_per_time)[:-1]
+    active = np.where(np.abs(active) < 1e-6, 0.0, active)
+    active = np.maximum(active, 0.0)
+    return unique_times, active
+
+
+def _frozen_at(times, values, t):
+    idx = np.searchsorted(times, t, side="right") - 1
+    inside = (idx >= 0) & (idx < len(values)) & (t < times[-1])
+    out = np.zeros_like(t)
+    out[inside] = values[idx[inside]]
+    return out
+
+
+def _frozen_restricted(times, values, t0, t1):
+    """``BandwidthSignal.restricted`` of PR 20, constructor check included."""
+    if t1 <= t0:
+        raise ValueError("window end must be > start")
+    t0 = max(t0, float(times[0]))
+    t1 = min(t1, float(times[-1]))
+    if t1 <= t0 or len(values) == 0:
+        clipped = np.array([t0, max(t1, t0 + 1e-9)])
+        if np.any(np.diff(clipped) <= 0):
+            raise ValueError("segment boundaries must be strictly increasing")
+        return clipped, np.array([0.0])
+    inner = times[(times > t0) & (times < t1)]
+    clipped = np.concatenate([[t0], inner, [t1]])
+    return clipped, _frozen_at(times, values, 0.5 * (clipped[:-1] + clipped[1:]))
+
+
+def _frozen_discretize(trace: Trace, fs: float, kind, mode, window):
+    """``discretize_signal(bandwidth_signal(...))`` of PR 20, on bare arrays.
+
+    Returns ``(samples, t_start, abstraction_error)``.
+    """
+    times, values = _frozen_bandwidth_signal(trace, kind)
+    if not fs > 0:
+        raise ConfigurationError("sampling_frequency must be > 0")
+    if window is not None:
+        times, values = _frozen_restricted(times, values, *window)
+    t0, t1 = float(times[0]), float(times[-1])
+    n = int(np.floor((t1 - t0) * fs)) + 1
+    if n < 2:
+        raise InsufficientSamplesError("too few samples")
+    edges = t0 + np.arange(n + 1) / fs
+    cum = np.concatenate([[0.0], np.cumsum(values * np.diff(times))])
+    true_bin_volumes = np.diff(np.interp(np.clip(edges, t0, t1), times, cum))
+    if mode == "point":
+        samples = _frozen_at(times, values, t0 + np.arange(n) / fs)
+    else:
+        samples = true_bin_volumes * fs
+    true_volume = float(true_bin_volumes.sum())
+    error = 0.0
+    if true_volume > 0:
+        error = float(np.abs(samples / fs - true_bin_volumes).sum() / true_volume)
+    return samples, t0, error
+
+
+def _outcome(fn):
+    """What ``fn`` returned, or the type of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the thing compared
+        return type(exc)
+
+
+# Timestamps on a quarter-second grid collide (duplicate boundaries, requests
+# ending where the next starts), neighbouring floats make segments one ulp
+# wide (whose midpoint rounds onto a boundary), free floats fill in the rest.
+_instants = st.one_of(
+    st.integers(0, 80).map(lambda q: q / 4.0),
+    st.integers(0, 6).map(lambda k: 2.0 + k * 2.0**-51),
+    st.floats(0.0, 20.0, allow_nan=False, width=64),
+)
+_durations = st.one_of(
+    st.sampled_from([0.0, 1e-10, 0.25, 0.5, 1.0, 2.5]),
+    st.floats(0.0, 6.0, allow_nan=False, width=64),
+)
+_requests = st.lists(
+    st.tuples(
+        _instants,
+        _durations,
+        st.integers(0, 10**9),
+        st.integers(0, 3),
+        st.sampled_from([IOKind.WRITE, IOKind.WRITE, IOKind.WRITE, IOKind.READ]),
+    ),
+    min_size=1,
+    max_size=14,
+)
+_windows = st.one_of(
+    st.none(),
+    # inside / overlapping / wholly before / wholly after the data / inverted
+    st.tuples(st.floats(-30.0, 60.0, allow_nan=False), st.floats(-30.0, 60.0, allow_nan=False)),
+    st.tuples(st.integers(-8, 100), st.integers(1, 60)).map(
+        lambda w: (w[0] / 4.0, (w[0] + w[1]) / 4.0)
+    ),
+)
+
+
+def _trace_of(rows) -> Trace:
+    return Trace.from_requests(
+        IORequest(rank=rank, start=start, end=start + duration, nbytes=nbytes, kind=kind)
+        for start, duration, nbytes, rank, kind in rows
+    )
+
+
+class TestOnePassEqualsComposedRoute:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=_requests,
+        kind=st.sampled_from(["write", "read", None]),
+        mode=st.sampled_from(["point", "bin"]),
+        window=_windows,
+        fs=st.sampled_from([0.5, 1.0, 3.0, 10.0, 37.5, 200.0]),
+    )
+    def test_bit_identical(self, rows, kind, mode, window, fs):
+        trace = _trace_of(rows)
+
+        def unpack(signal):
+            return signal.samples, signal.t_start, signal.abstraction_error
+
+        one_pass = _outcome(
+            lambda: unpack(discretize_trace(trace, fs, kind=kind, mode=mode, window=window))
+        )
+        composed = _outcome(
+            lambda: unpack(
+                discretize_signal(bandwidth_signal(trace, kind=kind), fs, mode=mode, window=window)
+            )
+        )
+        frozen = _outcome(lambda: _frozen_discretize(trace, fs, kind, mode, window))
+
+        if isinstance(one_pass, type):
+            assert composed is one_pass
+            assert frozen is one_pass
+            return
+        for other in (composed, frozen):
+            assert not isinstance(other, type), other
+            assert np.array_equal(one_pass[0], other[0])
+            assert one_pass[1] == other[1]
+            assert one_pass[2] == other[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_requests, kind=st.sampled_from(["write", "read", None]), window=_windows)
+    def test_bandwidth_signal_and_its_restriction_unchanged(self, rows, kind, window):
+        trace = _trace_of(rows)
+        expected = _outcome(lambda: _frozen_bandwidth_signal(trace, kind))
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                bandwidth_signal(trace, kind=kind)
+            return
+        signal = bandwidth_signal(trace, kind=kind)
+        assert np.array_equal(signal.times, expected[0])
+        assert np.array_equal(signal.values, expected[1])
+        if window is None:
+            return
+        clipped = _outcome(lambda: _frozen_restricted(*expected, *window))
+        if isinstance(clipped, type):
+            with pytest.raises(clipped):
+                signal.restricted(*window)
+            return
+        restricted = signal.restricted(*window)
+        assert np.array_equal(restricted.times, clipped[0])
+        assert np.array_equal(restricted.values, clipped[1])
+
+    def test_one_ulp_segment_takes_the_value_at_its_midpoint(self):
+        # The midpoint of [a, b) with b the float after a rounds onto a or b;
+        # when it is b the clipped segment reads its right-hand neighbour.
+        # Odd as that is, it is what every published window was cut with.
+        a = 2.0 + 2.0**-51
+        b = 2.0 + 2.0**-50
+        assert 0.5 * (a + b) == b
+        trace = Trace.from_requests(
+            [
+                IORequest(rank=0, start=1.0, end=a, nbytes=1000),
+                IORequest(rank=1, start=b, end=3.0, nbytes=3000),
+            ]
+        )
+        signal = bandwidth_signal(trace)
+        assert signal.values.tolist()[1] == 0.0  # the gap between the two requests
+        restricted = signal.restricted(0.0, 10.0)
+        expected = _frozen_restricted(signal.times, signal.values, 0.0, 10.0)
+        assert np.array_equal(restricted.values, expected[1])
+        assert restricted.values[1] == signal.values[2]
+
+    def test_many_requests_on_one_timestamp_add_up_in_order(self):
+        # Groups of >= 8 equal timestamps are where a pairwise sum and the
+        # one-by-one accumulation of np.add.at part ways.
+        rng = np.random.default_rng(7)
+        requests = [
+            IORequest(rank=r, start=float(b), end=float(b) + 1.0, nbytes=int(rng.integers(1, 10**9)))
+            for b in range(4)
+            for r in range(23)
+        ]
+        trace = Trace.from_requests(requests)
+        times, values = _frozen_bandwidth_signal(trace, "write")
+        signal = bandwidth_signal(trace)
+        assert np.array_equal(signal.times, times)
+        assert np.array_equal(signal.values, values)
+
+    def test_nan_timestamps_collapse_into_one_boundary(self):
+        # Nothing rejects a NaN timestamp on the way in; np.unique counted all
+        # of them as one trailing boundary and so does the neighbour compare.
+        nan = float("nan")
+        trace = Trace.from_requests(
+            [
+                IORequest(rank=0, start=0.0, end=1.0, nbytes=10),
+                IORequest(rank=1, start=0.5, end=nan, nbytes=10),
+                IORequest(rank=2, start=nan, end=nan, nbytes=10),
+            ]
+        )
+        times, values = _frozen_bandwidth_signal(trace, "write")
+        signal = bandwidth_signal(trace)
+        assert np.array_equal(signal.times, times, equal_nan=True)
+        assert np.array_equal(signal.values, values, equal_nan=True)
+        assert np.isnan(signal.times).sum() == 1
+
+    def test_window_too_far_out_for_the_placeholder_width(self):
+        # At t ~ 1e9 the 1e-9 s placeholder segment of an empty window has no
+        # width; that has always been a ValueError, on both routes.
+        trace = Trace.from_requests(
+            [IORequest(rank=0, start=1e9, end=1e9 + 5.0, nbytes=10)]
+        )
+        window = (1e9 + 10.0, 1e9 + 20.0)
+        with pytest.raises(ValueError):
+            discretize_trace(trace, 1.0, window=window)
+        with pytest.raises(ValueError):
+            discretize_signal(bandwidth_signal(trace), 1.0, window=window)
+        with pytest.raises(ValueError):
+            _frozen_discretize(trace, 1.0, "write", "point", window)
