@@ -35,8 +35,13 @@ class FtioConfig:
     Attributes
     ----------
     sampling_frequency:
-        fs in Hz used to discretize the bandwidth signal (paper default: 10 Hz
-        for the case studies, 1 Hz for the limitation study).
+        The **minimum** fs in Hz the bandwidth signal is discretized with
+        (paper default: 10 Hz for the case studies, 1 Hz for the limitation
+        study).  A window of Δt seconds is cut to the next 5-smooth length
+        N′ >= Δt·fs and sampled at the effective rate ``N′ / Δt`` — never
+        below this value, a few percent above it (bounds in
+        :mod:`repro.trace.sampling`) — which is what
+        ``result.signal.sampling_frequency`` reports.
     tolerance:
         Fraction of the maximum Z-score a candidate must reach (paper: 0.8).
     zscore_threshold:

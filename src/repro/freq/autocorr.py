@@ -66,13 +66,13 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
     if energy == 0.0:
         return acf
     nfft = _padded_length(n)
-    spectrum = plan.rfft(centred, n=nfft)
+    spectrum = np.fft.rfft(centred, n=nfft)
     # An explicit output buffer: ``spectrum * np.conj(spectrum)`` lets numpy
     # multiply into the conj temporary once it exceeds 256 KiB, which rounds
     # differently from the batched path's out-of-place product.
     power = np.empty_like(spectrum)
     np.multiply(spectrum, np.conj(spectrum), out=power)
-    lag_products = plan.irfft(power, n=nfft)[:n]
+    lag_products = np.fft.irfft(power, n=nfft)[:n]
     acf = lag_products / energy
     # Pin the zero lag: the FFT round-trip leaves it at 1 ± a few ulp only.
     acf[0] = 1.0
@@ -112,11 +112,11 @@ def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]
     centred = stacked - means[:, None]
     energies = [float(np.dot(centred[i], centred[i])) for i in range(k)]
     nfft = _padded_length(n)
-    spectra = plan.rfft(centred, n=nfft, axis=1)
+    spectra = np.fft.rfft(centred, n=nfft, axis=1)
     power = np.empty_like(spectra)
     for i in range(k):
         np.multiply(spectra[i], np.conj(spectra[i]), out=power[i])
-    lag_products = plan.irfft(power, n=nfft, axis=1)
+    lag_products = np.fft.irfft(power, n=nfft, axis=1)
     out: list[NDArray[np.float64]] = []
     for i in range(k):
         if energies[i] == 0.0:

@@ -6,6 +6,12 @@ spectrum is conjugate-symmetric and only the single-sided half (k in
 [0, N/2]) needs to be inspected; the inverse reconstruction of Eq. (1) then
 uses cosine waves with twice the single-sided amplitude (except for the DC bin
 and, for even N, the Nyquist bin).
+
+The bins sit at f_k = (k / N) · fs.  For a window cut by
+:mod:`repro.trace.sampling`, fs is the effective rate N / Δt, so f_k = k / Δt —
+the paper's bin frequency, with no sample's worth of slack — and N is 5-smooth,
+so the transform never falls to Bluestein.  The transform is ``numpy.fft``
+called directly; :mod:`repro.freq.plan` caches only the unit grid k / N.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ class DftResult:
     coefficients:
         Complex DFT coefficients X_k for k in [0, N//2] (``numpy.fft.rfft`` output).
     frequencies:
-        Frequency of each bin in Hz, f_k = k * fs / N.
+        Frequency of each bin in Hz, f_k = (k / N) * fs.
     n_samples:
         Length N of the time-domain signal.
     sampling_frequency:
-        fs in Hz.
+        fs in Hz the samples are spaced at (the effective rate of the signal,
+        not a configured minimum).
     """
 
     coefficients: NDArray[np.complex128]
@@ -81,7 +88,7 @@ def dft(samples: ArrayLike, sampling_frequency: float) -> DftResult:
     samples:
         The discretized bandwidth values x_n.
     sampling_frequency:
-        fs in Hz used during discretization.
+        fs in Hz the samples are spaced at (``DiscreteSignal.sampling_frequency``).
 
     Raises
     ------
@@ -95,10 +102,11 @@ def dft(samples: ArrayLike, sampling_frequency: float) -> DftResult:
     n = len(x)
     if n < 4:
         raise InsufficientSamplesError(f"DFT needs at least 4 samples, got {n}")
-    coefficients = plan.rfft(x)
-    # The frequency grid depends only on (n, fs), which recur on every
-    # evaluation of a steady-state session — served from the shared cache.
-    frequencies = plan.rfftfreq_grid(n, fs)
+    coefficients = np.fft.rfft(x)
+    # f_k = (k / N) * fs; with fs the effective rate N / Δt of a discretized
+    # window that is k / Δt.  The batch engine scales the same cached unit
+    # grid with the same expression.
+    frequencies = plan.rfftfreq_grid(n) * fs
     return DftResult(
         coefficients=coefficients,
         frequencies=frequencies,
@@ -152,7 +160,7 @@ def reconstruct(
         masked = np.zeros_like(result.coefficients)
         masked[0] = result.coefficients[0]
         masked[selected] = result.coefficients[selected]
-        return plan.irfft(masked, n=n_orig)
+        return np.fft.irfft(masked, n=n_orig)
 
     # Extension/truncation to a different length: evaluate the selected
     # cosines in broadcast expressions over (bins, time) grids, chunked over

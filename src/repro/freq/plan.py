@@ -1,17 +1,22 @@
-"""Shared FFT entry points / workspace cache for the spectral hot paths.
+"""Shared frequency-grid / workspace caches for the spectral hot paths.
 
-Every FFT in the repository — the offline :func:`repro.freq.dft.dft`, the
-Wiener–Khinchin ACF in :mod:`repro.freq.autocorr`, and the batched
-cross-session kernels in :mod:`repro.service.batch` — routes through this
-module, so offline detection and the service's batch engine always share one
-FFT implementation (``numpy.fft``'s pocketfft kernels, which carry their own
-twiddle caches) and stay bit-identical to each other.
+Every transform in the repository — the offline :func:`repro.freq.dft.dft`,
+the Wiener–Khinchin ACF in :mod:`repro.freq.autocorr`, the batched
+cross-session kernels in :mod:`repro.service.batch` — calls ``numpy.fft``
+directly (pocketfft), so offline detection and the service's batch engine
+share one FFT implementation and stay bit-identical to each other.  There is
+no plan to keep warm: numpy builds pocketfft's plan on every call (a repeated
+``np.fft.rfft`` at n = 44 861 = 113·397 costs 6–7 ms every time, 0.33 ms at
+45 000), and a caching backend pays for its warmth in resident memory
+(``scipy.fft``, bit-equal, +31 MB on the benchmark).  The transform length
+is therefore *chosen*, not cached: :mod:`repro.trace.sampling` cuts every
+window to a 5-smooth N and the ACF pads to one, where a cold plan is cheap and
+Bluestein never runs.
 
-The module also caches **workspaces**: precomputed
-:func:`numpy.fft.rfftfreq` grids keyed by ``(n, fs)`` (the same window length
-and sampling rate recur on every evaluation of a session) and reusable
-per-thread stacking buffers for the batched kernels, so steady-state batches
-allocate nothing.
+What is cached here is what does recur: the **unit frequency grid**
+``rfftfreq(n, 1.0)`` per window length (windows of one length differ in their
+effective rate, so callers scale it: ``rfftfreq_grid(n) * fs``), and reusable
+per-thread stacking buffers for the batched kernels.
 """
 
 from __future__ import annotations
@@ -26,33 +31,24 @@ from numpy.typing import NDArray
 _MAX_CACHED_GRIDS = 64
 
 _grid_lock = threading.Lock()
-_grids: dict[tuple[int, float], NDArray[np.float64]] = {}
+_grids: dict[int, NDArray[np.float64]] = {}
 _local = threading.local()
 
 
-def rfft(x: NDArray[np.float64], n: int | None = None, *, axis: int = -1) -> NDArray[Any]:
-    """Real-input FFT (1-D or batched 2-D)."""
-    return np.fft.rfft(x, n=n, axis=axis)
+def rfftfreq_grid(n: int) -> NDArray[np.float64]:
+    """Cached single-sided unit frequency grid ``rfftfreq(n, d=1.0)`` (cycles per sample).
 
-
-def irfft(x: NDArray[Any], n: int, *, axis: int = -1) -> NDArray[np.float64]:
-    """Inverse real FFT (1-D or batched 2-D)."""
-    return np.fft.irfft(x, n=n, axis=axis)
-
-
-def rfftfreq_grid(n: int, fs: float) -> NDArray[np.float64]:
-    """Cached single-sided frequency grid ``rfftfreq(n, d=1/fs)``.
-
-    The returned array is shared and marked read-only: every evaluation of a
-    steady-state session asks for the same ``(n, fs)`` pair, and recomputing
-    the grid was pure per-call overhead on the detection hot path.
+    The returned array is shared and marked read-only.  Bin frequencies in Hz
+    are ``rfftfreq_grid(n) * fs`` — the one expression both the sequential
+    :func:`repro.freq.dft.dft` and the batch engine use, so their grids are
+    equal bit for bit.
     """
-    key = (int(n), float(fs))
+    key = int(n)
     with _grid_lock:
         grid = _grids.get(key)
         if grid is not None:
             return grid
-    grid = np.fft.rfftfreq(int(n), d=1.0 / float(fs))
+    grid = np.fft.rfftfreq(key, d=1.0)
     grid.setflags(write=False)
     with _grid_lock:
         if len(_grids) >= _MAX_CACHED_GRIDS:

@@ -3,13 +3,22 @@
 Every evaluation the dispatcher schedules — one due session or hundreds —
 runs here.  The batch engine claims every due session (two-phase, via
 :meth:`JobSession.begin_batch_detect`), discretizes their adaptive windows,
-groups the prepared signals by effective window length ``(n_samples, fs)``,
-stacks each group into one 2-D array and evaluates the group's transforms as
-single batched kernels — one 2-D ``rfft`` for the power spectra, one
-vectorized Z-score pass, one batched Wiener–Khinchin ACF.  Each session's
-slice is then fed back through the ordinary pipeline via
-:class:`~repro.core.ftio.SpectralKernels`, so the decision logic (candidate
-selection, harmonic rule, classification, confidence) runs unchanged.
+groups the prepared signals by window length ``n_samples``, stacks each group
+into one 2-D array and evaluates the group's transforms as single batched
+kernels — one 2-D ``rfft`` for the power spectra, one vectorized Z-score pass,
+one batched Wiener–Khinchin ACF.  Each session's slice is then fed back
+through the ordinary pipeline via :class:`~repro.core.ftio.SpectralKernels`,
+so the decision logic (candidate selection, harmonic rule, classification,
+confidence) runs unchanged.
+
+**Why the length alone.**  No kernel reads the sampling rate — a transform,
+a Z-score and a lag product are functions of the samples — and
+:mod:`repro.trace.sampling` cuts every window to the next 5-smooth length, so
+a fleet of jobs with different periods lands on a handful of lengths (256
+jobs on ~10) where exact ``(n, fs)`` pairs put them in 146 groups of ~2.  The
+rate only labels the result: each row gets its own
+``DftResult.sampling_frequency`` and its own frequency grid, the shared unit
+grid times its rate — the expression :func:`repro.freq.dft.dft` uses.
 
 **What is copied, what is checked.**  Per session and detection: the claim
 copies the resident request columns once (under the session lock, unchecked —
@@ -29,8 +38,8 @@ square, divide, subtract — lane position cannot change those).  The
 shape-sensitive steps — complex products like ``x * conj(x)`` and energy dot
 products, where SIMD/FMA contraction makes the 2-D form differ from its 1-D
 rows in the last ulp — stay per row on contiguous views.  The equivalence
-suite asserts the contract across mixed window lengths and ragged NaN-padded
-stacks.
+suite asserts the contract across mixed window lengths and mixed rates
+within one length.
 """
 
 from __future__ import annotations
@@ -82,27 +91,8 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------- #
-# stacking + kernels
+# kernels
 # --------------------------------------------------------------------- #
-def stack_windows(
-    samples: Sequence[NDArray[np.float64]],
-) -> tuple[NDArray[np.float64], list[int]]:
-    """Stack variable-length windows into one NaN-padded ragged 2-D array.
-
-    Row ``i`` holds ``samples[i]`` in its first ``lengths[i]`` columns and
-    NaN in the tail; consumers slice ``stack[i, :lengths[i]]`` and never read
-    the padding.  The buffer comes from the shared per-thread workspace
-    cache, so steady-state batches reuse one allocation.
-    """
-    lengths = [int(len(row)) for row in samples]
-    width = max(lengths, default=0)
-    stacked = plan.workspace((len(lengths), width))
-    stacked.fill(np.nan)
-    for i, row in enumerate(samples):
-        stacked[i, : lengths[i]] = row
-    return stacked, lengths
-
-
 def compute_batch_kernels(
     signals: Sequence[DiscreteSignal | None],
     configs: Sequence[FtioConfig],
@@ -110,9 +100,9 @@ def compute_batch_kernels(
 ) -> list[SpectralKernels | None]:
     """Evaluate the spectral kernels of many prepared signals in batches.
 
-    Signals are grouped by ``(n_samples, sampling_frequency)``; each group
-    runs one 2-D ``rfft``, one vectorized Z-score pass and (where the
-    configuration asks for it) one batched ACF.  Entries that cannot be
+    Signals are grouped by ``n_samples``; each group runs one 2-D ``rfft``,
+    one vectorized Z-score pass and (where the configuration asks for it) one
+    batched ACF, and every row keeps its own sampling rate.  Entries that cannot be
     batched (``None`` signals, fewer than 4 samples, non-batchable outlier
     detectors fall back partially) get ``None`` / partial kernels, and the
     per-session pipeline computes the rest exactly as before.
@@ -137,32 +127,21 @@ def compute_batch_kernels(
             detectors[id(cfg)] = detector
         return detector
 
-    groups: dict[tuple[int, float], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, signal in enumerate(signals):
         if signal is None or signal.n_samples < _MIN_SPECTRUM_SAMPLES:
             continue
-        groups.setdefault((signal.n_samples, float(signal.sampling_frequency)), []).append(i)
-    if not groups:
-        return kernels
+        groups.setdefault(signal.n_samples, []).append(i)
 
-    # One ragged NaN-padded master stack for the whole batch; every group's
-    # contiguous block is extracted up front because the per-group kernels
-    # below reuse the same per-thread workspace buffers.
-    order = [i for indices in groups.values() for i in indices]
-    stacked, _ = stack_windows(
-        [np.asarray(signals[i].samples, dtype=np.float64) for i in order]  # type: ignore[union-attr]
-    )
-    row_of = {index: row for row, index in enumerate(order)}
-    blocks: dict[tuple[int, float], NDArray[np.float64]] = {}
-    for key, indices in groups.items():
-        n = key[0]
-        blocks[key] = stacked[[row_of[i] for i in indices], :n]
-
-    for (n, fs), indices in groups.items():
-        block = blocks[(n, fs)]
+    for n, indices in groups.items():
+        # The per-thread (k, n) buffer is the ACF's stacking buffer too; the
+        # transform below is its only reader here.
+        block = plan.workspace((len(indices), n))
+        for row, i in enumerate(indices):
+            block[row] = signals[i].samples  # type: ignore[union-attr]
         stage_started = time.perf_counter() if observer is not None else 0.0
-        coefficients = plan.rfft(block, axis=1)
-        frequencies = plan.rfftfreq_grid(n, fs)
+        coefficients = np.fft.rfft(block, axis=1)
+        unit_frequencies = plan.rfftfreq_grid(n)
         if observer is not None:
             now = time.perf_counter()
             observer("rfft", len(indices), now - stage_started)
@@ -210,6 +189,7 @@ def compute_batch_kernels(
         for row, i in enumerate(indices):
             signal = signals[i]
             assert signal is not None
+            fs = float(signal.sampling_frequency)
             # Fresh arrays per session: a view would pin the whole group's
             # score block in memory for as long as any one result lives.
             scores = scores_block[row].copy()
@@ -231,7 +211,7 @@ def compute_batch_kernels(
                 signal=signal,
                 dft=DftResult(
                     coefficients=coefficients[row],
-                    frequencies=frequencies,
+                    frequencies=unit_frequencies * fs,
                     n_samples=n,
                     sampling_frequency=fs,
                 ),

@@ -12,7 +12,13 @@ multi-tenant scale — memory per job is O(analysis window), not O(runtime):
   margin of a few periods, so a temporarily larger period estimate can still
   widen the window);
 * a hard ``max_samples`` cap bounds the buffer even while the adaptive window
-  has not converged yet (the oldest requests are dropped first).
+  has not converged yet (the oldest requests are dropped first);
+* ``max_samples`` counts requests, and until the adaptive window exists the
+  analysis window is the whole resident span, so the span is bounded too:
+  requests that completed more than ``MAX_WINDOW_SAMPLES`` sampling intervals
+  before the flush being ingested are dropped.  Without it one tenant going
+  quiet for a day turned its next detection into a 20-million-sample
+  transform on the thread every other tenant of the shard waits for.
 
 **What a detection copies, and what it checks.**  A claim
 (:meth:`JobSession.begin_batch_detect`, :meth:`JobSession.detect`) hands the
@@ -43,6 +49,12 @@ from repro.trace.columns import KIND_DTYPE, FlushColumns, SortedColumns, as_flus
 from repro.trace.jsonl import FlushRecord
 from repro.trace.trace import Trace
 from repro.utils.validation import check_non_negative, check_positive_int
+
+
+#: Longest span a session keeps behind its newest flush, in sampling intervals
+#: of the configured rate (~25x the longest window the benchmark analyses).
+#: History from before a gap that long cannot bear on the next period.
+MAX_WINDOW_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,7 +205,9 @@ class RingColumnStore:
     # ------------------------------------------------------------------ #
     def evict_completed_before(self, cutoff: float) -> int:
         """Drop every request that ended at or before ``cutoff``; returns the count."""
-        if self._size == 0:
+        # The earliest start bounds every end from below: nothing to drop is
+        # the common case at ingest, and then this is one comparison.
+        if self._size == 0 or self._starts[self._head] > cutoff:
             return 0
         keep = self._live(self._ends) > cutoff
         dropped = int(self._size - keep.sum())
@@ -264,6 +278,7 @@ class JobSession:
             compact_history=True,
         )
         self._store = RingColumnStore()
+        self._max_span = MAX_WINDOW_SAMPLES / self.config.config.sampling_frequency
         self._metadata: dict = {}
         self._lock = threading.Lock()
         self._pending_time: float | None = None
@@ -321,7 +336,12 @@ class JobSession:
 
     # ------------------------------------------------------------------ #
     def ingest(self, flush: FlushRecord | FlushColumns) -> None:
-        """Ingest one flush: append its requests and merge its metadata."""
+        """Ingest one flush: append its requests and merge its metadata.
+
+        Afterwards the buffer holds at most ``max_samples`` requests, none of
+        which completed ``MAX_WINDOW_SAMPLES`` sampling intervals or more
+        before this flush (oldest dropped first, in both cases).
+        """
         flush = as_flush_columns(flush)
         with self._lock:
             if flush.metadata:
@@ -330,6 +350,7 @@ class JobSession:
                 self._store.append(flush.time_ordered())
                 self._store.evict_to_cap(self.config.max_samples)
                 self._ingested_requests += len(flush)
+            self._store.evict_completed_before(float(flush.timestamp) - self._max_span)
             self._ingested_flushes += 1
             pending = self._pending_time
             self._pending_time = (

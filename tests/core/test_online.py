@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FtioConfig, OnlinePredictor
+from repro.core import Ftio, FtioConfig, OnlinePredictor
 from repro.core.online import predict_from_file, predict_from_flushes, replay_online
 from repro.exceptions import AnalysisError
 from repro.trace import jsonl
+from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
 from repro.workloads.ior import ior_trace
@@ -21,6 +22,46 @@ def hacc_trace():
 @pytest.fixture(scope="module")
 def online_config():
     return FtioConfig(sampling_frequency=10.0, use_autocorrelation=False, compute_characterization=False)
+
+
+def bursts(n: int, period: float) -> list[IORequest]:
+    """``n`` one-second bursts, exactly ``period`` apart."""
+    return [
+        IORequest(rank=0, start=i * period, end=i * period + 1.0, nbytes=10**8) for i in range(n)
+    ]
+
+
+class TestPeriodIsWindowOverBin:
+    """The period is read off a bin, Δt / k, so the analysed span must be Δt itself."""
+
+    #: Not a whole number of 10 Hz samples, so a grid at exactly fs cannot span it.
+    PERIOD = 8.3
+
+    def test_online_fixed_point_is_the_period(self, online_config):
+        # The next window is 3 · (last period) + one flush gap and the period
+        # is that window / 4: a contraction with ratio 3/4 onto P — as long as
+        # N / fs is the window.  With n = floor(Δt · fs) + 1 samples at fs the
+        # fixed point was P + 1 / fs, an error of 1 / (fs · P) = 1.2 % for ever.
+        predictor = OnlinePredictor(config=online_config)
+        requests = bursts(60, self.PERIOD)
+        errors = []
+        for i in range(len(requests)):
+            step = predictor.step(Trace.from_requests(requests[: i + 1]), now=requests[i].end)
+            if step.period is not None:
+                errors.append(abs(step.period - self.PERIOD) / self.PERIOD)
+        assert len(errors) >= 55
+        assert errors[-1] < 1e-6
+        settled = errors[2:]
+        assert all(later < earlier for earlier, later in zip(settled, settled[1:]))
+
+    def test_window_of_exactly_k_periods_reads_window_over_k(self):
+        k = 5
+        window = (0.0, k * self.PERIOD)
+        config = FtioConfig(sampling_frequency=10.0, use_autocorrelation=False)
+        trace = Trace.from_requests(bursts(k + 1, self.PERIOD))
+        result = Ftio(config).detect(trace, window=window)
+        assert result.signal.duration == pytest.approx(k * self.PERIOD, rel=1e-15)
+        assert result.period == pytest.approx(k * self.PERIOD / k, rel=1e-12)
 
 
 class TestOnlinePredictor:

@@ -5,10 +5,10 @@ windows into 2-D arrays and runs single vectorized FFT/ACF/outlier kernels
 over the stack.  It is the service's only evaluation path, so what it
 computes must not depend on the batch: these tests assert bit-identity — not
 tolerance-based closeness — between the batch engine and the sequential
-reference (:meth:`JobSession.detect`) across mixed window lengths,
-NaN-padded ragged batches and long ACF windows, and that a job publishes the
-same bits alone or beside batchmates.  A property-based sweep (hypothesis)
-drives randomized session populations through both paths.
+reference (:meth:`JobSession.detect`) across mixed window lengths, mixed
+sampling rates within one length and long ACF windows, and that a job
+publishes the same bits alone or beside batchmates.  A property-based sweep
+(hypothesis) drives randomized session populations through both paths.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from repro.core import FtioConfig
 from repro.service import (
@@ -147,9 +148,8 @@ class TestBatchedEqualsSequential:
         """Randomized ragged populations: batched == sequential, bit for bit.
 
         Sessions differ in flush count, period, sampling frequency and ACF
-        setting, so one batch spans several (n_samples, fs) groups and the
-        master stack is NaN-padded — exactly the ragged case the kernels
-        must not let leak into the results.
+        setting, so one batch spans several window lengths and a group can
+        mix rates and ACF settings — none of which may leak into a result.
         """
         sequential = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
         batched = [build_session(f"job-{i}", spec) for i, spec in enumerate(specs)]
@@ -226,6 +226,70 @@ class TestBatchedEqualsSequential:
         assert_steps_equal([reference.detect()], [report.steps[0]])
         # The sick session was aborted, not wedged: it is evaluable again.
         assert not sick._batch_in_flight
+
+
+class TestFleetOfDistinctPeriodsBatches:
+    def test_distinct_periods_share_a_handful_of_fast_lengths(self, monkeypatch):
+        """64 jobs, 64 periods: few groups, 5-smooth transforms, per-row rates.
+
+        Cut at exactly fs, 64 periods are 64 window lengths — 64 groups of one,
+        most with a large prime factor.  Cut to the next 5-smooth length they
+        land on the ~10 such lengths between 256 and 400 samples, and a group's
+        rows differ only in the effective rate each result is labelled with.
+        """
+        jobs, rounds = 64, 12
+        periods = [6.4 + 3.6 * j / (jobs - 1) for j in range(jobs)]
+
+        def flush(job: int, index: int) -> FlushRecord:
+            # One burst of four back-to-back requests, a sixteenth of the
+            # period long, flushed as it ends.
+            period = periods[job]
+            edges = [0.37 * job + index * period + period / 16.0 * i / 4 for i in range(5)]
+            requests = tuple(
+                IORequest(rank=i, start=edges[i], end=edges[i + 1], nbytes=1 << 20)
+                for i in range(4)
+            )
+            return FlushRecord(flush_index=index, timestamp=edges[-1], requests=requests)
+
+        streams = [[flush(j, r) for r in range(rounds)] for j in range(jobs)]
+        config = SessionConfig(config=make_config(fs=10.0))
+        sequential = [JobSession(f"job-{j}", config) for j in range(jobs)]
+        batched = [JobSession(f"job-{j}", config) for j in range(jobs)]
+
+        transforms: list[tuple[int, ...]] = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, **kwargs):
+            transforms.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        for r in range(rounds):
+            for j in range(jobs):
+                sequential[j].ingest(streams[j][r])
+                batched[j].ingest(streams[j][r])
+            seq_steps = [s.detect() for s in sequential]
+            del transforms[:]
+            report = detect_sessions_inline(batched)
+            assert not any(report.failed)
+            assert_steps_equal(seq_steps, report.steps)
+            assert all(next_fast_len(shape[-1], real=True) == shape[-1] for shape in transforms)
+        for seq, bat in zip(sequential, batched):
+            assert_state_equal(seq.predictor.state_dict(), bat.predictor.state_dict())
+
+        # The last pump: one 2-D transform per group.
+        assert all(len(shape) == 2 for shape in transforms)
+        assert sum(shape[0] for shape in transforms) == jobs
+        assert len(transforms) <= 12
+        rates_by_length: dict[int, set[float]] = {}
+        for step, period in zip(report.steps, periods):
+            signal, spectrum = step.result.signal, step.result.spectrum
+            assert step.period == pytest.approx(period, rel=0.05)
+            assert spectrum.sampling_frequency == signal.sampling_frequency >= 10.0
+            assert spectrum.frequencies[1] == pytest.approx(1.0 / step.window_length, rel=1e-12)
+            rates_by_length.setdefault(signal.n_samples, set()).add(signal.sampling_frequency)
+        assert len(rates_by_length) == len(transforms)
+        assert max(len(rates) for rates in rates_by_length.values()) >= 4
 
 
 class TestServiceFacadeEquivalence:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import FtioConfig
 from repro.exceptions import TraceError
-from repro.service import JobSession, RingColumnStore, SessionConfig
+from repro.service import (
+    JobSession,
+    PredictionService,
+    RingColumnStore,
+    ServiceConfig,
+    SessionConfig,
+)
+from repro.service.session import MAX_WINDOW_SAMPLES
 from repro.trace.columns import FlushColumns
 from repro.trace.framing import FrameDecoder, encode_frame
 from repro.trace.jsonl import FlushRecord, trace_to_flushes
@@ -371,3 +380,83 @@ class TestClaimedTask:
                 outside.starts, outside.ends[:-1], outside.nbytes, outside.ranks, outside.kinds
             )
         assert checked == [4]
+
+
+def _lone_flush(index: int, t: float) -> FlushRecord:
+    request = IORequest(rank=0, start=t, end=t + 1.0, nbytes=1 << 20)
+    return FlushRecord(flush_index=index, timestamp=t + 1.0, requests=(request,))
+
+
+class TestQuietTenant:
+    """The resident span is bounded in sampling intervals, not only in requests.
+
+    Before, one job flushing twice 2·10⁵ s apart at fs = 100 Hz spent 26.7 s and
+    3.5 GB in one 20-million-sample detection — at that job's every later
+    flush, on the thread all the other jobs of the shard wait for.
+    """
+
+    GAP = 2.0e5
+    FS = 100.0
+
+    def _config(self) -> FtioConfig:
+        return FtioConfig(
+            sampling_frequency=self.FS, use_autocorrelation=False, compute_characterization=False
+        )
+
+    def test_history_from_before_the_gap_is_dropped_at_ingest(self):
+        assert self.GAP * self.FS > 10 * MAX_WINDOW_SAMPLES
+        session = JobSession("quiet", SessionConfig(config=self._config()))
+        session.ingest(_lone_flush(0, 0.0))
+        session.detect()
+        session.ingest(_lone_flush(1, self.GAP))
+        assert session.resident_samples == 1
+        assert session.evicted_samples == 1
+        started = time.perf_counter()
+        step = session.detect()
+        assert time.perf_counter() - started < 1.0
+        assert step.window == (self.GAP, self.GAP + 1.0)
+        assert step.result is not None and step.result.signal.n_samples <= 128
+
+    def test_requests_inside_the_span_stay(self):
+        session = JobSession("steady", SessionConfig(config=self._config()))
+        span = MAX_WINDOW_SAMPLES / self.FS
+        session.ingest(_lone_flush(0, 0.0))
+        session.ingest(_lone_flush(1, span - 1.0))  # the first one ended span - 1 s ago
+        assert session.resident_samples == 2
+        session.ingest(_lone_flush(2, span + 0.5))  # ... and now more than span ago
+        assert session.resident_samples == 2
+        assert session.evicted_samples == 1
+
+    def test_other_tenants_publish_unchanged(self):
+        config = ServiceConfig(session=SessionConfig(config=self._config()), max_workers=0)
+        rounds, tenants = 6, 63
+        flushes = {
+            f"job-{j}": [_burst_flush(i, n=4) for i in range(rounds)] for j in range(tenants)
+        }
+
+        def run(with_quiet_tenant: bool) -> tuple[list[tuple], float]:
+            service = PredictionService(config)
+            updates: list[tuple] = []
+            service.publisher.subscribe(
+                lambda u: updates.append((u.job, u.time, u.period, u.confidence)),
+                jobs=list(flushes),
+            )
+            slowest = 0.0
+            try:
+                for i in range(rounds):
+                    for job, stream in flushes.items():
+                        service.ingest_flush(job, stream[i])
+                    if with_quiet_tenant and i in (0, rounds - 1):
+                        service.ingest_flush("quiet", _lone_flush(i, i * self.GAP))
+                    started = time.perf_counter()
+                    service.pump(wait_for_batch=True)
+                    slowest = max(slowest, time.perf_counter() - started)
+                return updates, slowest
+            finally:
+                service.close()
+
+        expected, _ = run(False)
+        assert len(expected) == rounds * tenants
+        seen, slowest_pump = run(True)
+        assert seen == expected
+        assert slowest_pump < 2.0

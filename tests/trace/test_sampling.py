@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
-from repro.exceptions import ConfigurationError, EmptyTraceError, InsufficientSamplesError
-from repro.trace.bandwidth import bandwidth_signal
+from repro.exceptions import (
+    AnalysisError,
+    ConfigurationError,
+    EmptyTraceError,
+    InsufficientSamplesError,
+)
+from repro.trace.bandwidth import BandwidthSignal, bandwidth_signal
 from repro.trace.record import IOKind, IORequest
 from repro.trace.sampling import (
     DiscreteSignal,
+    _sample_grid,
     discretize_signal,
     discretize_trace,
     recommend_sampling_frequency,
@@ -32,8 +41,11 @@ class TestDiscretize:
     def test_sample_count_matches_duration(self):
         signal = bandwidth_signal(square_trace())
         discrete = discretize_signal(signal, 1.0)
-        assert discrete.n_samples == int(np.floor(signal.duration)) + 1
-        assert discrete.sampling_frequency == 1.0
+        # 42 s at >= 1 Hz: the next 5-smooth length is 45, sampled at 45 / 42 Hz.
+        assert signal.duration == 42.0
+        assert discrete.n_samples == 45
+        assert discrete.sampling_frequency == 45 / 42
+        assert discrete.duration == pytest.approx(signal.duration, rel=1e-15)
 
     def test_bin_mode_conserves_volume(self):
         trace = square_trace()
@@ -71,6 +83,24 @@ class TestDiscretize:
         signal = bandwidth_signal(square_trace())
         with pytest.raises(ConfigurationError):
             discretize_signal(signal, 0.0)
+
+    @pytest.mark.parametrize("fs", [float("inf"), 1e12])
+    def test_unbounded_sample_count_is_a_typed_error(self, fs):
+        # Was an OverflowError and a 43.7 TiB MemoryError, neither a ReproError.
+        with pytest.raises(AnalysisError, match="samples"):
+            discretize_trace(square_trace(), fs)
+
+    def test_nan_boundary_is_a_typed_error(self):
+        # A NaN end sorts last, so the window length is NaN: refused before
+        # any grid is cut (the grid sampler never sees a NaN boundary).
+        trace = Trace.from_requests(
+            [
+                IORequest(rank=0, start=0.0, end=5.0, nbytes=10),
+                IORequest(rank=1, start=1.0, end=float("nan"), nbytes=10),
+            ]
+        )
+        with pytest.raises(AnalysisError):
+            discretize_trace(trace, 1.0)
 
 
 class TestDiscreteSignal:
@@ -177,9 +207,13 @@ def _frozen_discretize(trace: Trace, fs: float, kind, mode, window):
     if window is not None:
         times, values = _frozen_restricted(times, values, *window)
     t0, t1 = float(times[0]), float(times[-1])
-    n = int(np.floor((t1 - t0) * fs)) + 1
-    if n < 2:
+    if (t1 - t0) * fs < 1:
         raise InsufficientSamplesError("too few samples")
+    # The grid of this PR (the only three lines that are not PR 20's): N is the
+    # next 5-smooth length, fs the effective rate N / Δt, and from here on the
+    # frozen code reads that rate wherever it read the requested one.
+    n = next_fast_len(max(math.ceil((t1 - t0) * fs), 2), real=True)
+    fs = n / (t1 - t0)
     edges = t0 + np.arange(n + 1) / fs
     cum = np.concatenate([[0.0], np.cumsum(values * np.diff(times))])
     true_bin_volumes = np.diff(np.interp(np.clip(edges, t0, t1), times, cum))
@@ -271,11 +305,37 @@ class TestOnePassEqualsComposedRoute:
             assert composed is one_pass
             assert frozen is one_pass
             return
+        # The frozen oracle samples point by point (``_frozen_at``), which is
+        # what holds the grid-inverted sampler to ``==``.
         for other in (composed, frozen):
             assert not isinstance(other, type), other
             assert np.array_equal(one_pass[0], other[0])
             assert one_pass[1] == other[1]
             assert one_pass[2] == other[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        boundaries=st.lists(_instants, min_size=2, max_size=12, unique=True).map(sorted),
+        levels=st.lists(
+            st.one_of(st.floats(0.0, 1e9), st.just(float("nan"))), min_size=11, max_size=11
+        ),
+        anchor=st.one_of(_instants, st.floats(-5.0, 25.0, allow_nan=False)),
+        count=st.integers(0, 60),
+        rate=st.sampled_from([0.5, 1.0, 3.0, 4.0, 37.5, 2.0**51]),
+    )
+    def test_grid_sampler_equals_per_sample_lookup(self, boundaries, levels, anchor, count, rate):
+        # Any sorted grid, wherever it lies against the signal: starting
+        # before, on or after it, samples landing exactly on boundaries
+        # (quarter-second instants at 4 Hz), many in one segment, one-ulp
+        # segments with grid points an ulp apart (rate 2**51), NaN levels.
+        times = np.array(boundaries)
+        values = np.array(levels[: len(times) - 1])
+        grid = anchor + np.arange(count) / rate
+        expected = BandwidthSignal(times=times, values=values).at(grid)
+        assert np.array_equal(_sample_grid(times, values, grid), expected, equal_nan=True)
+        assert np.array_equal(
+            _sample_grid(times, values, grid), _frozen_at(times, values, grid), equal_nan=True
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(rows=_requests, kind=st.sampled_from(["write", "read", None]), window=_windows)
@@ -365,3 +425,83 @@ class TestOnePassEqualsComposedRoute:
             discretize_signal(bandwidth_signal(trace), 1.0, window=window)
         with pytest.raises(ValueError):
             _frozen_discretize(trace, 1.0, "write", "point", window)
+
+
+# --------------------------------------------------------------------- #
+# the definition of the sample grid: fs gives (upward), Δt does not
+# --------------------------------------------------------------------- #
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestSampleGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        fs=st.floats(0.5, 200.0, allow_nan=False),
+        mode=st.sampled_from(["point", "bin"]),
+    )
+    def test_length_is_fast_rate_is_at_least_fs_and_the_window_is_exact(self, data, fs, mode):
+        rows = data.draw(_requests)
+        window = data.draw(_windows)
+        trace = _trace_of(rows)
+        signal = bandwidth_signal(trace, kind=None)
+        try:
+            clipped = signal if window is None else signal.restricted(*window)
+            discrete = discretize_trace(trace, fs, kind=None, mode=mode, window=window)
+        except (ValueError, InsufficientSamplesError):
+            assume(False)
+        t0, dt = clipped.t_start, clipped.t_end - clipped.t_start
+        wanted = dt * fs
+        n, rate = discrete.n_samples, discrete.sampling_frequency
+
+        assert _is_5_smooth(n)
+        assert n >= math.ceil(wanted)
+        assert discrete.t_start == t0
+        # fs is the minimum; the excess is one 5-smooth gap plus one sample.
+        assert rate >= fs * (1 - 1e-15)
+        assert rate <= 2.0 * fs * (1 + 1e-15)
+        if wanted >= 3:
+            assert rate <= 1.34 * fs
+        if wanted >= 256:
+            assert rate <= 1.12 * fs
+        # N / fs′ is the window itself, so bin k sits at k / Δt.
+        assert abs(discrete.duration - dt) <= 2 * math.ulp(dt)
+        assert discrete.frequency_resolution == pytest.approx(1.0 / dt, rel=1e-15)
+        assert np.array_equal(discrete.times, t0 + np.arange(n) / rate)
+        if mode == "bin":
+            # Conserved up to the rounding of the instants themselves: an
+            # instantaneous request is a 1e-9 s segment at up to 1e18 B/s.
+            slack = 4 * len(clipped.values) * clipped.max_bandwidth() * math.ulp(clipped.t_end)
+            assert discrete.volume() == pytest.approx(clipped.volume(), rel=1e-9, abs=slack)
+            assert discrete.abstraction_error == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dt=st.floats(1.0, 500.0, allow_nan=False),
+        shift=st.floats(0.0, 1e4, allow_nan=False),
+        fs=st.sampled_from([1.0, 10.0, 37.5]),
+    )
+    def test_windows_of_equal_length_get_equal_n(self, dt, shift, fs):
+        def cut(t0):
+            signal = BandwidthSignal(times=np.array([t0, t0 + dt]), values=np.array([1.0]))
+            return discretize_signal(signal, fs)
+
+        # Shifting the window may move its float length by an ulp; when it
+        # does not, N and the rate are functions of the length alone.
+        assume((shift + dt) - shift == dt)
+        first, second = cut(0.0), cut(shift)
+        assert first.n_samples == second.n_samples
+        assert first.sampling_frequency == second.sampling_frequency
+
+    def test_worst_case_excess_rates(self):
+        # The cases the module docstring quotes: one sample over a 5-smooth
+        # length pays the whole gap to the next one.
+        for wanted, n in [(20_737, 21_600), (2_701, 2_880), (325, 360), (21, 24)]:
+            signal = BandwidthSignal(times=np.array([0.0, float(wanted)]), values=np.array([1.0]))
+            discrete = discretize_signal(signal, 1.0)
+            assert discrete.n_samples == n
+            assert discrete.sampling_frequency == n / wanted
