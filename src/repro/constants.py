@@ -19,6 +19,10 @@ DEFAULT_SAMPLING_FREQUENCY: float = 10.0
 #: Default relative threshold used by SciPy ``find_peaks`` on the ACF (Sec. II-C).
 ACF_PEAK_THRESHOLD: float = 0.15
 
+#: Fewest samples a spectrum is computed from: below it the DFT raises
+#: ``InsufficientSamplesError`` and the spectral kernels return no row.
+MIN_SPECTRUM_SAMPLES: int = 4
+
 #: Maximum number of dominant-frequency candidates for a signal to be called periodic.
 MAX_PERIODIC_CANDIDATES: int = 2
 

@@ -6,75 +6,44 @@ selects the dominant-frequency candidates D_f, applies the harmonic rule, and
 derives the confidence and characterization metrics.  The online prediction
 mode (:mod:`repro.core.online`) repeatedly invokes the same pipeline on a
 growing — and adaptively shrinking — time window.
+
+One door, one decide.  The arithmetic — transform, power, Z-scores, outlier
+decision, ACF — is :mod:`repro.core.kernels` for every caller:
+:meth:`Ftio.analyze_signal` handed no kernels computes a batch of one, the
+service's pump hands in the row of a batch it already computed.  Below that
+door a single decide reads only the :class:`~repro.core.kernels.SpectralKernels`
+container, so a detection has the same bits offline, replayed, and behind any
+service topology.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
-from numpy.typing import NDArray
 
-from repro.constants import MAX_PERIODIC_CANDIDATES
+from repro.constants import MAX_PERIODIC_CANDIDATES, MIN_SPECTRUM_SAMPLES
 from repro.core.characterization import characterize
 from repro.core.config import FtioConfig
 from repro.core.confidence import confidence_from_totals, index_set_totals, refined_confidence
+from repro.core.kernels import SpectralKernels, compute_batch_kernels
 from repro.core.result import (
     CharacterizationResult,
     FrequencyCandidate,
     FtioResult,
     Periodicity,
 )
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, InsufficientSamplesError
 from repro.freq.autocorr import detect_period_autocorrelation, similarity_to_candidates
-from repro.freq.dft import DftResult, dft
-from repro.freq.outliers import OutlierResult, make_detector
-from repro.freq.spectrum import PowerSpectrum, power_spectrum_from_dft
+from repro.freq.spectrum import PowerSpectrum
 from repro.trace.bandwidth import BandwidthSignal
 from repro.trace.darshan import DarshanHeatmap, heatmap_to_signal
 from repro.trace.sampling import DiscreteSignal, discretize_signal, discretize_trace
 from repro.trace.trace import Trace
-from repro.utils.stats import zscores
 
 #: Union of the source types :meth:`Ftio.detect` accepts.
 TraceLike = Trace | BandwidthSignal | DiscreteSignal | DarshanHeatmap
-
-
-@dataclass(frozen=True)
-class SpectralKernels:
-    """Precomputed spectral building blocks for one :meth:`Ftio.analyze_signal` call.
-
-    The batched detection engine (:mod:`repro.service.batch`) evaluates the
-    expensive transforms of many sessions at once — a single 2-D ``rfft``, a
-    batched Wiener–Khinchin ACF, one vectorized Z-score pass — and then feeds
-    each session's slice back into the ordinary pipeline through this
-    container.  Every field must be bit-identical to what the sequential path
-    would have computed from ``signal``; the caller guarantees that, and the
-    equivalence test suite enforces it.
-
-    Attributes
-    ----------
-    signal:
-        The *prepared* signal the kernels were computed from (after the
-        configured ``skip_first_phase`` trimming).
-    dft:
-        Single-sided DFT of ``signal.samples``.
-    scores:
-        Z-scores of the non-DC power bins, or ``None`` to compute them.
-    outliers:
-        Prebuilt outlier decision (only when the configured detector's
-        decision is batchable, e.g. ``"zscore"``), or ``None`` to run the
-        detector per session.
-    acf:
-        Normalized autocorrelation of ``signal.samples``, or ``None``.
-    """
-
-    signal: DiscreteSignal
-    dft: DftResult
-    scores: NDArray[np.float64] | None = None
-    outliers: OutlierResult | None = None
-    acf: NDArray[np.float64] | None = None
 
 
 class Ftio:
@@ -121,26 +90,13 @@ class Ftio:
             signals, which carry their own sampling frequency).
         """
         started = time.perf_counter()
-        signal = self._to_signal(source, window=window, sampling_frequency=sampling_frequency)
+        signal = self.to_signal(source, window=window, sampling_frequency=sampling_frequency)
         result = self.analyze_signal(signal)
         elapsed = time.perf_counter() - started
         metadata = dict(result.metadata)
         if isinstance(source, Trace):
             metadata.setdefault("trace_metadata", dict(source.metadata))
-        return FtioResult(
-            periodicity=result.periodicity,
-            dominant_frequency=result.dominant_frequency,
-            confidence=result.confidence,
-            refined_confidence=result.refined_confidence,
-            candidates=result.candidates,
-            spectrum=result.spectrum,
-            signal=result.signal,
-            outliers=result.outliers,
-            autocorrelation=result.autocorrelation,
-            characterization=result.characterization,
-            analysis_time=elapsed,
-            metadata=metadata,
-        )
+        return replace(result, analysis_time=elapsed, metadata=metadata)
 
     def analyze_signal(
         self,
@@ -156,36 +112,35 @@ class Ftio:
         signal:
             The discretized bandwidth signal.
         kernels:
-            Optional precomputed transforms from the batched engine; every
-            provided field replaces the equivalent per-call computation and
-            must be bit-identical to it.  ``kernels.signal`` is analysed in
-            place of ``signal`` (it already carries the configured trimming).
+            The signal's row of a :func:`~repro.core.kernels.compute_batch_kernels`
+            call already made (the service's pump); ``kernels.signal`` is what
+            is analysed.  ``None`` computes them here, as a batch of one.
         prepared:
             Set when ``signal`` already went through :meth:`prepare_signal`,
             so the trimming is not applied a second time.
+
+        Raises :class:`InsufficientSamplesError` when the signal is too short
+        for a spectrum (:data:`~repro.constants.MIN_SPECTRUM_SAMPLES`).
         """
+        if kernels is None:
+            if not prepared:
+                signal = self.prepare_signal(signal)
+            (kernels,) = compute_batch_kernels([signal], [self.config])
+            if kernels is None:
+                raise InsufficientSamplesError(
+                    f"a spectrum needs at least {MIN_SPECTRUM_SAMPLES} samples, "
+                    f"got {signal.n_samples}"
+                )
+        return self._decide(kernels)
+
+    def _decide(self, kernels: SpectralKernels) -> FtioResult:
+        """Candidates → harmonic rule → classification → ACF refinement → characterisation."""
         cfg = self.config
-        if kernels is not None:
-            signal = kernels.signal
-        elif not prepared:
-            signal = self.prepare_signal(signal)
+        signal = kernels.signal
+        spectrum = kernels.spectrum
+        outliers = kernels.outliers
 
-        dft_result = kernels.dft if kernels is not None else dft(
-            signal.samples, signal.sampling_frequency
-        )
-        spectrum = power_spectrum_from_dft(dft_result)
-        power = spectrum.analysis_power
-        scores = kernels.scores if kernels is not None and kernels.scores is not None else (
-            zscores(power)
-        )
-
-        if kernels is not None and kernels.outliers is not None:
-            outliers = kernels.outliers
-        else:
-            detector = make_detector(cfg.outlier_method, **cfg.outlier_kwargs)
-            outliers = detector.detect(power, spectrum.analysis_frequencies)
-
-        candidates = self._select_candidates(spectrum, scores, outliers.is_outlier)
+        candidates = self._select_candidates(spectrum, kernels.scores, outliers.is_outlier)
         periodicity, dominant = self._classify(candidates)
 
         confidence = 0.0
@@ -200,7 +155,7 @@ class Ftio:
                 signal.sampling_frequency,
                 peak_threshold=cfg.acf_peak_threshold,
                 zscore_threshold=cfg.zscore_threshold,
-                acf=kernels.acf if kernels is not None else None,
+                acf=kernels.acf,
             )
             if dominant is not None and autocorr.period is not None:
                 similarity = similarity_to_candidates(
@@ -238,8 +193,8 @@ class Ftio:
         """Apply the configured pre-analysis trimming (``skip_first_phase``).
 
         This is the exact preparation :meth:`analyze_signal` performs before
-        its transforms; the batched engine calls it first so the kernels it
-        stacks are computed from the same samples the analysis will see.
+        the kernels; the service's batch loop calls it first so the kernels it
+        hands in are computed from the same samples.
         """
         if self.config.skip_first_phase:
             return _skip_first_phase(signal)
@@ -252,19 +207,7 @@ class Ftio:
         window: tuple[float, float] | None = None,
         sampling_frequency: float | None = None,
     ) -> DiscreteSignal:
-        """Discretize ``source`` exactly as :meth:`detect` would (without analysing it)."""
-        return self._to_signal(source, window=window, sampling_frequency=sampling_frequency)
-
-    # ------------------------------------------------------------------ #
-    # pipeline stages
-    # ------------------------------------------------------------------ #
-    def _to_signal(
-        self,
-        source: TraceLike,
-        *,
-        window: tuple[float, float] | None,
-        sampling_frequency: float | None,
-    ) -> DiscreteSignal:
+        """Discretize ``source`` exactly as :meth:`detect` does (without analysing it)."""
         cfg = self.config
         window = window if window is not None else cfg.window
         fs = sampling_frequency if sampling_frequency is not None else cfg.sampling_frequency
@@ -289,6 +232,9 @@ class Ftio:
             f"got {type(source).__name__}"
         )
 
+    # ------------------------------------------------------------------ #
+    # the decide's stages
+    # ------------------------------------------------------------------ #
     def _select_candidates(
         self,
         spectrum: PowerSpectrum,
@@ -358,17 +304,7 @@ class Ftio:
                     is_harmonic = True
                     break
             if is_harmonic:
-                marked.append(
-                    FrequencyCandidate(
-                        bin_index=candidate.bin_index,
-                        frequency=candidate.frequency,
-                        power=candidate.power,
-                        contribution=candidate.contribution,
-                        zscore=candidate.zscore,
-                        confidence=candidate.confidence,
-                        is_harmonic=True,
-                    )
-                )
+                marked.append(replace(candidate, is_harmonic=True))
             else:
                 marked.append(candidate)
                 base_frequencies.append(candidate.frequency)

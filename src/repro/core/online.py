@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.config import FtioConfig
-from repro.core.ftio import Ftio, SpectralKernels
+from repro.core.ftio import Ftio
 from repro.core.intervals import FrequencyInterval, merge_predictions
+from repro.core.kernels import SpectralKernels
 from repro.core.result import FtioResult
 from repro.exceptions import AnalysisError, EmptyTraceError, InsufficientSamplesError
 from repro.trace.jsonl import FlushRecord, iter_flushes
@@ -240,8 +241,9 @@ class OnlinePredictor:
         prepared:
             The output of :meth:`prepare_step`.
         kernels:
-            Optional precomputed transforms (see :class:`SpectralKernels`);
-            they must have been computed from ``prepared.signal``.
+            The signal's row of a batch already computed (see
+            :class:`~repro.core.kernels.SpectralKernels`), from
+            ``prepared.signal``; ``None`` computes a batch of one.
         """
         result: FtioResult | None = None
         if prepared.signal is not None:

@@ -10,6 +10,11 @@ the period.  FTIO uses the ACF as a *second opinion* on the DFT result:
 4. filter candidate outliers with the Z-score using the ACF values as weights,
 5. the period is the (weighted) average of the surviving candidates, and the
    confidence c_a = 1 − coefficient of variation of those candidates.
+
+Step 1 has one implementation, :func:`autocorrelation_batch` (the one-signal
+:func:`autocorrelation` is a batch of one), so a window's ACF is the same bits
+offline and in any service batch; :mod:`repro.core.kernels` computes it there
+and hands it to :func:`detect_period_autocorrelation` as ``acf=``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,14 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
 
     The signal is mean-centred first; the ACF is normalized so the zero-lag
     value is exactly 1.  A constant signal returns an all-zero ACF (no
-    correlation structure) except for the leading 1.
+    correlation structure) except for the leading 1.  This is
+    :func:`autocorrelation_batch` on a batch of one.
+    """
+    return autocorrelation_batch([samples])[0]
+
+
+def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]]:
+    """Normalized autocorrelation of each of ``rows`` (same-length signals).
 
     The lag products are evaluated with the Wiener–Khinchin theorem — the
     inverse FFT of the power spectrum of the zero-padded signal — which is
@@ -52,43 +64,16 @@ def autocorrelation(samples: ArrayLike) -> NDArray[np.float64]:
     to at least 2N − 1 points (the next fast FFT length, :func:`_padded_length`)
     makes the circular correlation equal the linear one, so the result matches
     the direct method to floating-point precision.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"samples must be one-dimensional, got shape {x.shape}")
-    n = len(x)
-    if n < 2:
-        raise InsufficientSamplesError(f"autocorrelation needs at least 2 samples, got {n}")
-    centred = x - x.mean()
-    energy = float(np.dot(centred, centred))
-    acf = np.zeros(n)
-    acf[0] = 1.0
-    if energy == 0.0:
-        return acf
-    nfft = _padded_length(n)
-    spectrum = np.fft.rfft(centred, n=nfft)
-    # An explicit output buffer: ``spectrum * np.conj(spectrum)`` lets numpy
-    # multiply into the conj temporary once it exceeds 256 KiB, which rounds
-    # differently from the batched path's out-of-place product.
-    power = np.empty_like(spectrum)
-    np.multiply(spectrum, np.conj(spectrum), out=power)
-    lag_products = np.fft.irfft(power, n=nfft)[:n]
-    acf = lag_products / energy
-    # Pin the zero lag: the FFT round-trip leaves it at 1 ± a few ulp only.
-    acf[0] = 1.0
-    return acf
 
-
-def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]]:
-    """Batched :func:`autocorrelation` over same-length signals, bit-identical per row.
-
-    The two O(N log N) transforms of the Wiener–Khinchin evaluation run as
-    single 2-D batched FFTs over the whole stack (``numpy``'s batched rfft and
-    irfft produce bit-identical rows to their 1-D calls).  The steps whose
-    floating-point result is *shape-sensitive* — the complex power product and
-    the energy dot product, where SIMD/FMA contraction differs between 1-D and
-    2-D evaluation — are computed per row on contiguous row views, so every
-    returned row equals ``autocorrelation(rows[i])`` exactly, bit for bit.
+    A row's result does not depend on the rest of the batch, bit for bit.
+    The two transforms run as single 2-D FFTs over the whole stack (``numpy``'s
+    batched rfft and irfft produce the rows their 1-D calls would).  The steps
+    whose floating-point result is *shape-sensitive* — the complex power
+    product and the energy dot product, where SIMD/FMA contraction differs
+    between 1-D and 2-D evaluation — are computed per row on contiguous row
+    views, the product into an explicit output buffer (numpy multiplies
+    ``spectrum * np.conj(spectrum)`` into the conj temporary once it exceeds
+    256 KiB, which rounds differently).  A batch of one is not stacked.
     """
     k = len(rows)
     if k == 0:
@@ -99,8 +84,11 @@ def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]
     n = len(first)
     if n < 2:
         raise InsufficientSamplesError(f"autocorrelation needs at least 2 samples, got {n}")
-    stacked = plan.workspace((k, n))
-    stacked[0] = first
+    if k == 1:
+        stacked = np.ascontiguousarray(first)[None, :]
+    else:
+        stacked = plan.workspace((k, n))
+        stacked[0] = first
     for i in range(1, k):
         row = np.asarray(rows[i], dtype=np.float64)
         if row.ndim != 1:
@@ -123,6 +111,7 @@ def autocorrelation_batch(rows: Sequence[ArrayLike]) -> list[NDArray[np.float64]
             acf = np.zeros(n)
         else:
             acf = lag_products[i, :n] / energies[i]
+        # Pin the zero lag: the FFT round-trip leaves it at 1 ± a few ulp only.
         acf[0] = 1.0
         out.append(acf)
     return out

@@ -12,6 +12,9 @@ The bins sit at f_k = (k / N) · fs.  For a window cut by
 the paper's bin frequency, with no sample's worth of slack — and N is 5-smooth,
 so the transform never falls to Bluestein.  The transform is ``numpy.fft``
 called directly; :mod:`repro.freq.plan` caches only the unit grid k / N.
+
+:func:`dft` is the one-signal helper of the figures and reconstructions; the
+detection pipeline transforms groups of windows in :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from repro.constants import MIN_SPECTRUM_SAMPLES
 from repro.exceptions import InsufficientSamplesError
 from repro.freq import plan
 from repro.utils.validation import check_positive
@@ -100,12 +104,13 @@ def dft(samples: ArrayLike, sampling_frequency: float) -> DftResult:
     if x.ndim != 1:
         raise ValueError(f"samples must be one-dimensional, got shape {x.shape}")
     n = len(x)
-    if n < 4:
-        raise InsufficientSamplesError(f"DFT needs at least 4 samples, got {n}")
+    if n < MIN_SPECTRUM_SAMPLES:
+        raise InsufficientSamplesError(
+            f"DFT needs at least {MIN_SPECTRUM_SAMPLES} samples, got {n}"
+        )
     coefficients = np.fft.rfft(x)
     # f_k = (k / N) * fs; with fs the effective rate N / Δt of a discretized
-    # window that is k / Δt.  The batch engine scales the same cached unit
-    # grid with the same expression.
+    # window that is k / Δt.
     frequencies = plan.rfftfreq_grid(n) * fs
     return DftResult(
         coefficients=coefficients,

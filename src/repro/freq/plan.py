@@ -1,10 +1,9 @@
 """Shared frequency-grid / workspace caches for the spectral hot paths.
 
-Every transform in the repository — the offline :func:`repro.freq.dft.dft`,
-the Wiener–Khinchin ACF in :mod:`repro.freq.autocorr`, the batched
-cross-session kernels in :mod:`repro.service.batch` — calls ``numpy.fft``
-directly (pocketfft), so offline detection and the service's batch engine
-share one FFT implementation and stay bit-identical to each other.  There is
+Every transform in the repository — the spectral kernels every detection
+runs (:mod:`repro.core.kernels`), the Wiener–Khinchin ACF in
+:mod:`repro.freq.autocorr`, the one-signal :func:`repro.freq.dft.dft` of the
+figures — calls ``numpy.fft`` directly (pocketfft).  There is
 no plan to keep warm: numpy builds pocketfft's plan on every call (a repeated
 ``np.fft.rfft`` at n = 44 861 = 113·397 costs 6–7 ms every time, 0.33 ms at
 45 000), and a caching backend pays for its warmth in resident memory
@@ -39,9 +38,8 @@ def rfftfreq_grid(n: int) -> NDArray[np.float64]:
     """Cached single-sided unit frequency grid ``rfftfreq(n, d=1.0)`` (cycles per sample).
 
     The returned array is shared and marked read-only.  Bin frequencies in Hz
-    are ``rfftfreq_grid(n) * fs`` — the one expression both the sequential
-    :func:`repro.freq.dft.dft` and the batch engine use, so their grids are
-    equal bit for bit.
+    are ``rfftfreq_grid(n) * fs`` — the expression the kernels and
+    :func:`repro.freq.dft.dft` both use.
     """
     key = int(n)
     with _grid_lock:

@@ -20,8 +20,9 @@ job), :mod:`~repro.service.shard_worker` (the loop a shard runs),
 :mod:`~repro.service.supervisor` (spawn / adopt / channels / heartbeat /
 revive), :mod:`~repro.service.migration` (live reshard) and
 :mod:`~repro.service.sharding` (the router facade).  Every evaluation, on
-every topology, runs through the one batch engine of
-:mod:`repro.service.batch`.
+every topology, runs through the one batch loop of
+:mod:`repro.service.batch` into the kernels offline detection runs too
+(:mod:`repro.core.kernels`).
 
 Every control surface — the shard channels, the TCP gateway
 (:class:`ThreadedGateway`) and the :class:`~repro.client.ServiceClient` —

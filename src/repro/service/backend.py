@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.service.batch import BatchReport, KernelObserver, detect_sessions_inline
+from repro.core.kernels import KernelObserver
+from repro.service.batch import BatchReport, detect_sessions_inline
 from repro.service.session import JobSession
 
 
@@ -25,7 +26,7 @@ class ThreadBackend:
 
     #: Optional kernel-stage observer ``(stage, group_size, seconds)``, set by
     #: the dispatcher when metrics are enabled and forwarded to
-    #: :func:`~repro.service.batch.compute_batch_kernels`.
+    #: :func:`~repro.core.kernels.compute_batch_kernels`.
     observer: KernelObserver | None = None
 
     def detect_batch(self, sessions: Sequence[JobSession]) -> BatchReport:

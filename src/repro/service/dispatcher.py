@@ -16,9 +16,9 @@ With ``max_workers=0`` evaluations run inline in the pumping thread, which is
 deterministic and what the equivalence tests use.
 
 A pump hands the sessions it selected — one or many — to the backend as
-**one batch** (:meth:`ThreadBackend.detect_batch`): the backend groups the
-windows by effective length and evaluates each group with single vectorized
-FFT/ACF/outlier kernels (see :mod:`repro.service.batch`).  There is no other
+**one batch** (:meth:`ThreadBackend.detect_batch`): the kernels group the
+windows by length and evaluate each group with single vectorized
+FFT/ACF/outlier passes (see :mod:`repro.core.kernels`).  There is no other
 evaluation route, so a job's arithmetic never depends on who else was due.
 The whole batch occupies one pool slot and counters stay in *evaluation*
 units.

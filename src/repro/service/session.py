@@ -14,11 +14,13 @@ multi-tenant scale — memory per job is O(analysis window), not O(runtime):
 * a hard ``max_samples`` cap bounds the buffer even while the adaptive window
   has not converged yet (the oldest requests are dropped first);
 * ``max_samples`` counts requests, and until the adaptive window exists the
-  analysis window is the whole resident span, so the span is bounded too:
-  requests that completed more than ``MAX_WINDOW_SAMPLES`` sampling intervals
-  before the flush being ingested are dropped.  Without it one tenant going
-  quiet for a day turned its next detection into a 20-million-sample
-  transform on the thread every other tenant of the shard waits for.
+  analysis window is the whole resident span, so the span is bounded too: a
+  request is resident only if it started within ``MAX_WINDOW_SAMPLES``
+  sampling intervals of the newest flush, which makes ``Δt · fs <=
+  MAX_WINDOW_SAMPLES`` an invariant of every claimed window.  Without it one
+  tenant going quiet for a day — or one request spanning that day — turned
+  its next detection into a multi-million-sample transform on the thread
+  every other tenant of the shard waits for.
 
 **What a detection copies, and what it checks.**  A claim
 (:meth:`JobSession.begin_batch_detect`, :meth:`JobSession.detect`) hands the
@@ -43,7 +45,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.config import FtioConfig
-from repro.core.ftio import SpectralKernels
+from repro.core.kernels import SpectralKernels
 from repro.core.online import OnlinePredictor, PredictionStep, PreparedStep
 from repro.trace.columns import KIND_DTYPE, FlushColumns, SortedColumns, as_flush_columns
 from repro.trace.jsonl import FlushRecord
@@ -53,7 +55,7 @@ from repro.utils.validation import check_non_negative, check_positive_int
 
 #: Longest span a session keeps behind its newest flush, in sampling intervals
 #: of the configured rate (~25x the longest window the benchmark analyses).
-#: History from before a gap that long cannot bear on the next period.
+#: What started before a gap that long cannot bear on the next period.
 MAX_WINDOW_SAMPLES = 1 << 20
 
 
@@ -206,7 +208,7 @@ class RingColumnStore:
     def evict_completed_before(self, cutoff: float) -> int:
         """Drop every request that ended at or before ``cutoff``; returns the count."""
         # The earliest start bounds every end from below: nothing to drop is
-        # the common case at ingest, and then this is one comparison.
+        # the common case, and then this is one comparison.
         if self._size == 0 or self._starts[self._head] > cutoff:
             return 0
         keep = self._live(self._ends) > cutoff
@@ -226,6 +228,16 @@ class RingColumnStore:
             self._size -= dropped
         self._evicted += dropped
         return dropped
+
+    def evict_started_before(self, cutoff: float) -> int:
+        """Drop every request that started before ``cutoff``; returns the count.
+
+        The ring is sorted by start, so these are the oldest: a head advance.
+        """
+        if self._size == 0 or self._starts[self._head] >= cutoff:
+            return 0
+        started_before = int(np.searchsorted(self._live(self._starts), cutoff, side="left"))
+        return self.evict_to_cap(self._size - started_before)
 
     def evict_to_cap(self, max_samples: int) -> int:
         """Drop the oldest requests so at most ``max_samples`` stay resident."""
@@ -339,7 +351,7 @@ class JobSession:
         """Ingest one flush: append its requests and merge its metadata.
 
         Afterwards the buffer holds at most ``max_samples`` requests, none of
-        which completed ``MAX_WINDOW_SAMPLES`` sampling intervals or more
+        which started more than ``MAX_WINDOW_SAMPLES`` sampling intervals
         before this flush (oldest dropped first, in both cases).
         """
         flush = as_flush_columns(flush)
@@ -350,7 +362,7 @@ class JobSession:
                 self._store.append(flush.time_ordered())
                 self._store.evict_to_cap(self.config.max_samples)
                 self._ingested_requests += len(flush)
-            self._store.evict_completed_before(float(flush.timestamp) - self._max_span)
+            self._store.evict_started_before(float(flush.timestamp) - self._max_span)
             self._ingested_flushes += 1
             pending = self._pending_time
             self._pending_time = (
@@ -385,9 +397,10 @@ class JobSession:
         evaluation, history older than the predictor's evictable cutoff
         (minus the configured margin) is dropped.
 
-        This is the sequential reference (one :meth:`OnlinePredictor.step`
-        under the session lock); the service itself evaluates sessions
-        through the two-phase batch methods below, bit-identically.
+        One :meth:`OnlinePredictor.step` under the session lock — the kernels
+        every pump runs, on a batch of one; the service itself evaluates
+        sessions through the two-phase batch methods below, and a row's bits
+        do not depend on its batch (:mod:`repro.core.kernels`).
         """
         with self._lock:
             if self._batch_in_flight:

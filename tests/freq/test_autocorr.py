@@ -13,6 +13,7 @@ from repro.freq.autocorr import (
     similarity_to_candidates,
 )
 from tests.conftest import make_square_wave
+from tests.core.test_kernels import frozen_autocorrelation
 
 
 class TestAutocorrelation:
@@ -50,19 +51,21 @@ class TestAutocorrelation:
 
     @pytest.mark.parametrize("n", [300, 20_000])
     def test_batched_rows_equal_the_1d_function_bit_for_bit(self, n):
-        """Offline (1-D) and service (batched) ACF agree at every window length.
+        """Alone or beside a batchmate, a row equals the 1-D ACF at every window length.
 
-        20 000 samples puts the spectrum past 256 KiB, where numpy starts
-        reusing large temporaries as ufunc outputs — the two functions must
-        not round differently there (they did: in-place vs out-of-place
-        complex product).
+        The 1-D function is a batch of one now, so the reference is the frozen
+        copy of its old body.  20 000 samples puts the spectrum past 256 KiB,
+        where numpy starts reusing large temporaries as ufunc outputs — the
+        two must not round differently there (they did: in-place vs
+        out-of-place complex product).
         """
         rng = np.random.default_rng(20_000)
         x = rng.random(n) * (rng.random(n) < 0.2)
         y = rng.random(n)
-        one = autocorrelation(x)
+        one = frozen_autocorrelation(x)
         assert np.array_equal(one, autocorrelation_batch([x, y])[0])
         assert np.array_equal(one, autocorrelation_batch([x])[0])
+        assert np.array_equal(one, autocorrelation(x))
 
 
 class TestDetectPeriod:

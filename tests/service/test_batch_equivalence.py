@@ -1,14 +1,18 @@
-"""Batched detection must be bit-identical to the sequential reference.
+"""A session's detection must not depend on who else is in the batch.
 
-The batch engine (:mod:`repro.service.batch`) stacks the due sessions'
-windows into 2-D arrays and runs single vectorized FFT/ACF/outlier kernels
-over the stack.  It is the service's only evaluation path, so what it
-computes must not depend on the batch: these tests assert bit-identity — not
-tolerance-based closeness — between the batch engine and the sequential
-reference (:meth:`JobSession.detect`) across mixed window lengths, mixed
-sampling rates within one length and long ACF windows, and that a job
-publishes the same bits alone or beside batchmates.  A property-based sweep
-(hypothesis) drives randomized session populations through both paths.
+The batch loop (:mod:`repro.service.batch`) hands the due sessions' windows
+to :func:`repro.core.kernels.compute_batch_kernels`, which stacks them into
+2-D arrays and runs single vectorized FFT/ACF/outlier kernels over the stack.
+It is the service's only evaluation path, so what it computes must not depend
+on the batch: these tests assert bit-identity — not tolerance-based closeness
+— between sessions evaluated together and the sequential reference, which is
+*the same session evaluated alone* (:meth:`JobSession.detect`: the same
+kernels on a batch of one), across mixed window lengths, mixed sampling rates
+within one length and long ACF windows, and that a job publishes the same
+bits alone or beside batchmates.  A property-based sweep (hypothesis) drives
+randomized session populations through both.  The kernels themselves are held
+to a frozen copy of the 1-D arithmetic they replaced in
+``tests/core/test_kernels.py``.
 """
 
 from __future__ import annotations

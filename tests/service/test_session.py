@@ -460,3 +460,74 @@ class TestQuietTenant:
         seen, slowest_pump = run(True)
         assert seen == expected
         assert slowest_pump < 2.0
+
+    # One request *spanning* the gap: it completed at the flush, so a bound on
+    # completion times kept the whole span resident — 3 000 000 samples at
+    # 10 Hz against the stated 2²⁰, analysed (below the 2²⁶ refusal) on the
+    # shared thread at that job's every later flush.  Resident means *started*
+    # within the span.
+    SPAN_FS = 10.0
+
+    def _spanning_flush(self, index: int, t: float) -> FlushRecord:
+        long = IORequest(rank=0, start=0.0, end=t, nbytes=1 << 30)
+        short = IORequest(rank=1, start=t - 1.0, end=t, nbytes=1 << 20)
+        return FlushRecord(flush_index=index, timestamp=t, requests=(long, short))
+
+    def _span_config(self) -> FtioConfig:
+        return FtioConfig(
+            sampling_frequency=self.SPAN_FS,
+            use_autocorrelation=False,
+            compute_characterization=False,
+        )
+
+    def test_a_request_spanning_the_gap_is_dropped_at_ingest(self):
+        t = 3.0e5
+        assert 2 * MAX_WINDOW_SAMPLES < t * self.SPAN_FS < 1 << 26
+        session = JobSession("spanning", SessionConfig(config=self._span_config()))
+        session.ingest(self._spanning_flush(0, t))
+        assert session.resident_samples == 1
+        assert session.evicted_samples == 1
+        started = time.perf_counter()
+        step = session.detect()
+        assert time.perf_counter() - started < 1.0
+        assert step.window == (t - 1.0, t)
+        assert step.result is not None and step.result.signal.n_samples <= 128
+        # The invariant of every claimed window: Δt · fs <= MAX_WINDOW_SAMPLES.
+        assert (step.window[1] - step.window[0]) * self.SPAN_FS <= MAX_WINDOW_SAMPLES
+
+    def test_other_tenants_publish_unchanged_beside_a_spanning_request(self):
+        config = ServiceConfig(session=SessionConfig(config=self._span_config()), max_workers=0)
+        rounds, tenants = 4, 63
+        flushes = {
+            f"job-{j}": [_burst_flush(i, n=4) for i in range(rounds)] for j in range(tenants)
+        }
+
+        def run(with_spanning_tenant: bool) -> tuple[list[tuple], float]:
+            service = PredictionService(config)
+            updates: list[tuple] = []
+            service.publisher.subscribe(
+                lambda u: updates.append((u.job, u.time, u.period, u.confidence)),
+                jobs=list(flushes),
+            )
+            slowest = 0.0
+            try:
+                for i in range(rounds):
+                    for job, stream in flushes.items():
+                        service.ingest_flush(job, stream[i])
+                    if with_spanning_tenant:
+                        service.ingest_flush("spanning", self._spanning_flush(i, 6.0e5 + i))
+                    started = time.perf_counter()
+                    service.pump(wait_for_batch=True)
+                    slowest = max(slowest, time.perf_counter() - started)
+                if with_spanning_tenant:
+                    t0, t1 = service.session("spanning").predictor.latest().window
+                    assert (t1 - t0) * self.SPAN_FS <= MAX_WINDOW_SAMPLES
+                return updates, slowest
+            finally:
+                service.close()
+
+        expected, _ = run(False)
+        assert len(expected) == rounds * tenants
+        seen, slowest_pump = run(True)
+        assert seen == expected
+        assert slowest_pump < 2.0
