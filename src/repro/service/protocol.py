@@ -25,6 +25,14 @@ versions it speaks, the serving side picks the highest common one
 rejected cleanly instead of mis-parsed.  :data:`PROTOCOL_VERSION` is the
 one version every peer in this repository speaks.
 
+A message is its declaration.  Each is a frozen dataclass; the one body
+parser, :meth:`Message.from_payload`, reads the fields off a table built at
+import from :data:`MESSAGE_TYPES` — per field a coercion picked by the
+declared type (:data:`_COERCIONS`) and whether a peer must send it — and what
+a message requires of its values it checks itself, in ``__post_init__``.
+Adding a message is a dataclass and a registry line, adding a field one line;
+a body can fail in one way only, :class:`~repro.exceptions.ProtocolError`.
+
 Snapshot states always travel as a stream of :class:`SnapshotChunk` messages
 of at most :data:`DEFAULT_CHUNK_BYTES` payload bytes, never as one giant body
 (:func:`iter_state_chunks` / :class:`ChunkAssembler`; a state that fits is a
@@ -41,8 +49,8 @@ payload is decoded exactly once, in the session that owns the job.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, TypeVar
 
 from repro.exceptions import ProtocolError
@@ -73,7 +81,14 @@ M = TypeVar("M", bound="Message")
 
 
 class Message:
-    """Base class of every control-plane message."""
+    """Base class of every control-plane message.
+
+    A subclass is a frozen dataclass and nothing more: its fields, in order,
+    are the keys of the body map, and their declared types are how
+    :meth:`from_payload` reads them.  A rule on a field's *value* goes in
+    ``__post_init__`` and raises :class:`~repro.exceptions.ProtocolError`, so
+    it binds a message built locally exactly as one parsed from a peer.
+    """
 
     def to_payload(self) -> dict:
         """The message body as a MessagePack-serializable map."""
@@ -81,46 +96,87 @@ class Message:
 
     @classmethod
     def from_payload(cls: type[M], payload: Mapping) -> M:
-        """Rebuild the message from a decoded body map."""
-        raise NotImplementedError
+        """Rebuild the message from a decoded body map.
+
+        Each declared field is coerced by its declared type when its key is
+        present, defaulted when absent — or refused when it has no default
+        (or is marked :data:`_ON_WIRE`); unknown keys are ignored.  Whatever
+        a coercion or a value rule makes of a peer's value (``int(inf)`` is
+        an ``OverflowError``) surfaces as a
+        :class:`~repro.exceptions.ProtocolError` naming ``Message.field``.
+        """
+        values: dict[str, Any] = {}
+        name = ""
+        try:
+            for name, coerce, required in _FIELD_ROWS[cls]:
+                if name in payload:
+                    values[name] = coerce(payload[name])
+                elif required:
+                    raise ProtocolError(f"{cls.__name__}.{name} is missing")
+            name = "__post_init__"
+            return cls(**values)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ProtocolError(f"{cls.__name__}.{name}: {exc}") from exc
 
 
-def _opt_int(value: Any) -> int | None:
-    return None if value is None else int(value)
+def _binary(value: Any) -> bytes:
+    if not isinstance(value, (bytes, bytearray)):
+        raise TypeError(f"expected binary, got {type(value).__name__}")
+    return bytes(value)
 
 
-def _str_tuple(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ProtocolError(f"expected a string list, got {type(value).__name__}")
-    return tuple(str(item) for item in value)
-
-
-def _dict_tuple(value: Any) -> tuple[dict, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ProtocolError(f"expected a map list, got {type(value).__name__}")
-    out = []
-    for item in value:
-        if not isinstance(item, dict):
-            raise ProtocolError(f"expected a map, got {type(item).__name__}")
-        out.append(item)
-    return tuple(out)
-
-
-def _opt_float_tuple(value: Any) -> tuple[float, ...] | None:
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise ProtocolError(f"expected a number list, got {type(value).__name__}")
-    out = tuple(float(item) for item in value)
-    if any(weight <= 0 for weight in out):
-        raise ProtocolError("ring weights must be > 0")
-    return out
-
-
-def _require_dict(value: Any, field: str) -> dict:
+def _map(value: Any) -> dict:
     if not isinstance(value, dict):
-        raise ProtocolError(f"field {field!r} must be a map, got {type(value).__name__}")
+        raise TypeError(f"expected a map, got {type(value).__name__}")
     return value
+
+
+def _optional(coerce: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else coerce(value)
+
+
+def _tuple_of(coerce: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def coerce_list(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(map(coerce, value))
+
+    return coerce_list
+
+
+#: How a body value becomes a field, keyed by the field's declared type (the
+#: annotation as written).  A type missing here fails the import of this
+#: module (:data:`_FIELD_ROWS`), not the first peer that sends the field.
+_COERCIONS: dict[str, Callable[[Any], Any]] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": bool,
+    "bytes": _binary,
+    "dict": _map,
+    "int | None": _optional(int),
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[str, ...]": _tuple_of(str),
+    "tuple[str, ...] | None": _optional(_tuple_of(str)),
+    "tuple[dict, ...]": _tuple_of(_map),
+    "tuple[float, ...] | None": _optional(_tuple_of(float)),
+    "dict[str, int]": lambda value: {str(k): int(v) for k, v in _map(value).items()},
+}
+#: Field metadata: a peer must send the field although it has a default (the
+#: default serves messages built locally).
+_ON_WIRE = {"on_wire": True}
+
+
+def _field_rows(cls: type[Message]) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
+    """``(name, coercion, required)`` per declared field of one message class."""
+    rows = []
+    for f in fields(cls):  # type: ignore[arg-type]
+        coerce = _COERCIONS.get(str(f.type))
+        if coerce is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no wire coercion for type {f.type!r}")
+        defaulted = f.default is not MISSING or f.default_factory is not MISSING
+        rows.append((f.name, coerce, not defaulted or "on_wire" in f.metadata))
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------- #
@@ -135,37 +191,22 @@ class Hello(Message):
     that does not present it.
     """
 
-    versions: tuple[int, ...] = SUPPORTED_VERSIONS
+    versions: tuple[int, ...] = field(default=SUPPORTED_VERSIONS, metadata=_ON_WIRE)
     token: int | None = None
     client: str = ""
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Hello":
-        versions = payload.get("versions")
-        if not isinstance(versions, (list, tuple)) or not versions:
-            raise ProtocolError("hello must offer at least one protocol version")
-        return cls(
-            versions=tuple(int(v) for v in versions),
-            token=_opt_int(payload.get("token")),
-            client=str(payload.get("client", "")),
-        )
+    def __post_init__(self) -> None:
+        if not self.versions:
+            raise ProtocolError("Hello.versions must offer at least one protocol version")
 
 
 @dataclass(frozen=True)
 class HelloReply(Message):
     """Successful handshake: the negotiated version plus server facts."""
 
-    version: int = PROTOCOL_VERSION
+    version: int = field(default=PROTOCOL_VERSION, metadata=_ON_WIRE)
     server: str = ""
     shards: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "HelloReply":
-        return cls(
-            version=int(payload["version"]),
-            server=str(payload.get("server", "")),
-            shards=int(payload.get("shards", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -174,10 +215,6 @@ class Error(Message):
 
     message: str
     code: str = "error"
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Error":
-        return cls(message=str(payload["message"]), code=str(payload.get("code", "error")))
 
 
 # --------------------------------------------------------------------- #
@@ -189,23 +226,12 @@ class SubmitFrames(Message):
 
     data: bytes
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SubmitFrames":
-        data = payload["data"]
-        if not isinstance(data, (bytes, bytearray)):
-            raise ProtocolError(f"frame data must be binary, got {type(data).__name__}")
-        return cls(data=bytes(data))
-
 
 @dataclass(frozen=True)
 class SubmitReply(Message):
     """Frames completed (routed) by the submitted bytes."""
 
     frames: int
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SubmitReply":
-        return cls(frames=int(payload["frames"]))
 
 
 @dataclass(frozen=True)
@@ -221,10 +247,6 @@ class Pump(Message):
 
     expected_bytes: int | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Pump":
-        return cls(expected_bytes=_opt_int(payload.get("expected_bytes")))
-
 
 @dataclass(frozen=True)
 class PumpReply(Message):
@@ -233,23 +255,12 @@ class PumpReply(Message):
     submitted: int
     updates: tuple[dict, ...] = ()
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "PumpReply":
-        return cls(
-            submitted=int(payload["submitted"]),
-            updates=_dict_tuple(payload.get("updates", ())),
-        )
-
 
 @dataclass(frozen=True)
 class Drain(Message):
     """Pump until nothing is due and nothing is in flight."""
 
     expected_bytes: int | None = None
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Drain":
-        return cls(expected_bytes=_opt_int(payload.get("expected_bytes")))
 
 
 @dataclass(frozen=True)
@@ -258,10 +269,6 @@ class DrainReply(Message):
 
     updates: tuple[dict, ...] = ()
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "DrainReply":
-        return cls(updates=_dict_tuple(payload.get("updates", ())))
-
 
 @dataclass(frozen=True)
 class FinishJob(Message):
@@ -269,20 +276,12 @@ class FinishJob(Message):
 
     job: str
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "FinishJob":
-        return cls(job=str(payload["job"]))
-
 
 @dataclass(frozen=True)
 class FinishJobReply(Message):
     """The job was marked finished."""
 
     job: str
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "FinishJobReply":
-        return cls(job=str(payload["job"]))
 
 
 # --------------------------------------------------------------------- #
@@ -292,20 +291,12 @@ class FinishJobReply(Message):
 class Stats(Message):
     """Request the service-wide counters."""
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Stats":
-        return cls()
-
 
 @dataclass(frozen=True)
 class StatsReply(Message):
     """One JSON-friendly map of counters (shape owned by the serving side)."""
 
     stats: dict
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "StatsReply":
-        return cls(stats=_require_dict(payload["stats"], "stats"))
 
 
 @dataclass(frozen=True)
@@ -318,20 +309,12 @@ class Snapshot(Message):
 
     expected_bytes: int | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Snapshot":
-        return cls(expected_bytes=_opt_int(payload.get("expected_bytes")))
-
 
 @dataclass(frozen=True)
 class RestoreReply(Message):
     """Sessions applied by a completed ``restore`` / ``merge`` chunk stream."""
 
     restored: int
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RestoreReply":
-        return cls(restored=int(payload["restored"]))
 
 
 @dataclass(frozen=True)
@@ -343,21 +326,12 @@ class Subscribe(Message):
 
     jobs: tuple[str, ...] | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Subscribe":
-        jobs = payload.get("jobs")
-        return cls(jobs=None if jobs is None else _str_tuple(jobs))
-
 
 @dataclass(frozen=True)
 class SubscribeReply(Message):
     """Subscription established; events follow asynchronously."""
 
     subscription: int
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SubscribeReply":
-        return cls(subscription=int(payload["subscription"]))
 
 
 @dataclass(frozen=True)
@@ -369,10 +343,6 @@ class PredictionEvent(Message):
     """
 
     update: dict
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "PredictionEvent":
-        return cls(update=_require_dict(payload["update"], "update"))
 
 
 # --------------------------------------------------------------------- #
@@ -405,22 +375,16 @@ class SnapshotChunk(Message):
     data: bytes
     last: bool = False
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SnapshotChunk":
-        kind = str(payload["kind"])
-        if kind not in CHUNK_KINDS:
-            raise ProtocolError(f"unknown snapshot-chunk kind {kind!r}")
-        data = payload["data"]
-        if not isinstance(data, (bytes, bytearray)):
-            raise ProtocolError(f"chunk data must be binary, got {type(data).__name__}")
-        if len(data) > MAX_CHUNK_BYTES:
+    def __post_init__(self) -> None:
+        if self.kind not in CHUNK_KINDS:
+            raise ProtocolError(f"unknown SnapshotChunk.kind {self.kind!r}")
+        if self.seq < 0:
+            raise ProtocolError(f"SnapshotChunk.seq must be >= 0, got {self.seq}")
+        if len(self.data) > MAX_CHUNK_BYTES:
             raise ProtocolError(
-                f"snapshot chunk of {len(data)} bytes exceeds the {MAX_CHUNK_BYTES}-byte bound"
+                f"SnapshotChunk.data of {len(self.data)} bytes exceeds the "
+                f"{MAX_CHUNK_BYTES}-byte bound"
             )
-        seq = int(payload["seq"])
-        if seq < 0:
-            raise ProtocolError(f"chunk seq must be >= 0, got {seq}")
-        return cls(kind=kind, seq=seq, data=bytes(data), last=bool(payload.get("last", False)))
 
 
 @dataclass(frozen=True)
@@ -429,12 +393,9 @@ class ResizeShards(Message):
 
     n_shards: int
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ResizeShards":
-        n_shards = int(payload["n_shards"])
-        if n_shards < 1:
-            raise ProtocolError(f"n_shards must be >= 1, got {n_shards}")
-        return cls(n_shards=n_shards)
+    def __post_init__(self) -> None:
+        if self.n_shards < 1:
+            raise ProtocolError(f"ResizeShards.n_shards must be >= 1, got {self.n_shards}")
 
 
 @dataclass(frozen=True)
@@ -444,14 +405,6 @@ class ResizeShardsReply(Message):
     n_shards: int
     moved_sessions: int = 0
     moved_jobs: tuple[str, ...] = ()
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ResizeShardsReply":
-        return cls(
-            n_shards=int(payload["n_shards"]),
-            moved_sessions=int(payload.get("moved_sessions", 0)),
-            moved_jobs=_str_tuple(payload.get("moved_jobs", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -467,13 +420,6 @@ class ExtractJobs(Message):
     jobs: tuple[str, ...]
     expected_bytes: int | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ExtractJobs":
-        return cls(
-            jobs=_str_tuple(payload["jobs"]),
-            expected_bytes=_opt_int(payload.get("expected_bytes")),
-        )
-
 
 @dataclass(frozen=True)
 class MetricsReport(Message):
@@ -487,10 +433,6 @@ class MetricsReport(Message):
     """
 
     metrics: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "MetricsReport":
-        return cls(metrics=_require_dict(payload.get("metrics", {}), "metrics"))
 
 
 # --------------------------------------------------------------------- #
@@ -522,25 +464,15 @@ class BeginHandover(Message):
     old_weights: tuple[float, ...] | None = None
     new_weights: tuple[float, ...] | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "BeginHandover":
-        old_shards = int(payload["old_shards"])
-        new_shards = int(payload["new_shards"])
-        replicas = int(payload["replicas"])
-        if old_shards < 1 or new_shards < 1:
+    def __post_init__(self) -> None:
+        if self.old_shards < 1 or self.new_shards < 1 or self.replicas < 1:
             raise ProtocolError(
-                f"handover shard counts must be >= 1, got {old_shards} -> {new_shards}"
+                f"BeginHandover shard counts and replicas must be >= 1, got "
+                f"{self.old_shards} -> {self.new_shards} x {self.replicas}"
             )
-        if replicas < 1:
-            raise ProtocolError(f"replicas must be >= 1, got {replicas}")
-        return cls(
-            shard=int(payload["shard"]),
-            old_shards=old_shards,
-            new_shards=new_shards,
-            replicas=replicas,
-            old_weights=_opt_float_tuple(payload.get("old_weights")),
-            new_weights=_opt_float_tuple(payload.get("new_weights")),
-        )
+        for weights in (self.old_weights, self.new_weights):
+            if weights is not None and any(weight <= 0 for weight in weights):
+                raise ProtocolError(f"BeginHandover ring weights must be > 0, got {weights}")
 
 
 @dataclass(frozen=True)
@@ -548,10 +480,6 @@ class BeginHandoverReply(Message):
     """Staging is armed; double-routing may start."""
 
     shard: int
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "BeginHandoverReply":
-        return cls(shard=int(payload["shard"]))
 
 
 @dataclass(frozen=True)
@@ -568,15 +496,7 @@ class CompleteHandover(Message):
     """
 
     expected_bytes: int | None = None
-    drop_counts: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CompleteHandover":
-        drops = _require_dict(payload.get("drop_counts", {}), "drop_counts")
-        return cls(
-            expected_bytes=_opt_int(payload.get("expected_bytes")),
-            drop_counts={str(job): int(count) for job, count in drops.items()},
-        )
+    drop_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -585,13 +505,6 @@ class CompleteHandoverReply(Message):
 
     replayed: int = 0
     dropped: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CompleteHandoverReply":
-        return cls(
-            replayed=int(payload.get("replayed", 0)),
-            dropped=int(payload.get("dropped", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -608,20 +521,12 @@ class AbortHandover(Message):
 
     expected_bytes: int | None = None
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "AbortHandover":
-        return cls(expected_bytes=_opt_int(payload.get("expected_bytes")))
-
 
 @dataclass(frozen=True)
 class AbortHandoverReply(Message):
     """Staging is disarmed; ``discarded`` staged frames were dropped."""
 
     discarded: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "AbortHandoverReply":
-        return cls(discarded=int(payload.get("discarded", 0)))
 
 
 @dataclass(frozen=True)
@@ -636,29 +541,17 @@ class ReapFinished(Message):
 
     forget_predictions: bool = False
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ReapFinished":
-        return cls(forget_predictions=bool(payload.get("forget_predictions", False)))
-
 
 @dataclass(frozen=True)
 class ReapFinishedReply(Message):
     """The job identifiers this shard reaped."""
 
-    jobs: tuple = ()
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ReapFinishedReply":
-        return cls(jobs=tuple(str(job) for job in payload.get("jobs", ())))
+    jobs: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class Close(Message):
     """End the conversation (and, on a shard control channel, shut the shard down)."""
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Close":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -666,10 +559,6 @@ class CloseReply(Message):
     """Acknowledged; the peer is about to go away."""
 
     closed: bool = True
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CloseReply":
-        return cls(closed=bool(payload.get("closed", True)))
 
 
 # --------------------------------------------------------------------- #
@@ -692,18 +581,9 @@ class RegisterShard(Message):
     cpu_count: int = 0
     weight: float = 1.0
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RegisterShard":
-        weight = float(payload.get("weight", 1.0))
-        if weight <= 0:
-            raise ProtocolError("shard weight must be > 0")
-        return cls(
-            name=str(payload.get("name", "")),
-            host=str(payload.get("host", "")),
-            pid=int(payload.get("pid", 0)),
-            cpu_count=int(payload.get("cpu_count", 0)),
-            weight=weight,
-        )
+    def __post_init__(self) -> None:
+        if self.weight <= 0:
+            raise ProtocolError(f"RegisterShard.weight must be > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -718,17 +598,9 @@ class RegisterShardReply(Message):
     connections, pairing them to this control connection.
     """
 
-    shard: int = 0
+    shard: int = field(default=0, metadata=_ON_WIRE)
     config: dict = field(default_factory=dict)
     data_key: str = ""
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RegisterShardReply":
-        return cls(
-            shard=int(payload["shard"]),
-            config=_require_dict(payload.get("config", {}), "config"),
-            data_key=str(payload.get("data_key", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -744,12 +616,9 @@ class AttachChannel(Message):
     key: str = ""
     channel: str = "data"
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "AttachChannel":
-        channel = str(payload.get("channel", "data"))
-        if channel not in ("data", "read"):
-            raise ProtocolError(f"unknown channel kind {channel!r}")
-        return cls(key=str(payload.get("key", "")), channel=channel)
+    def __post_init__(self) -> None:
+        if self.channel not in ("data", "read"):
+            raise ProtocolError(f"unknown AttachChannel.channel {self.channel!r}")
 
 
 @dataclass(frozen=True)
@@ -764,10 +633,6 @@ class Heartbeat(Message):
     seq: int = 0
     sent_at: float = 0.0
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Heartbeat":
-        return cls(seq=int(payload.get("seq", 0)), sent_at=float(payload.get("sent_at", 0.0)))
-
 
 @dataclass(frozen=True)
 class HeartbeatReply(Message):
@@ -775,10 +640,6 @@ class HeartbeatReply(Message):
 
     seq: int = 0
     sent_at: float = 0.0
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "HeartbeatReply":
-        return cls(seq=int(payload.get("seq", 0)), sent_at=float(payload.get("sent_at", 0.0)))
 
 
 # --------------------------------------------------------------------- #
@@ -830,6 +691,8 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
     41: HeartbeatReply,
 }
 _TYPE_CODES: dict[type[Message], int] = {cls: code for code, cls in MESSAGE_TYPES.items()}
+#: The parser's table: one row per declared field of each registered message.
+_FIELD_ROWS = {cls: _field_rows(cls) for cls in _TYPE_CODES}
 
 
 def negotiate_version(offered: Iterable[int]) -> int | None:
@@ -902,12 +765,7 @@ def decode_body(code: int, body: bytes | memoryview) -> Message:
         raise ProtocolError(f"undecodable {cls.__name__} body: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(f"{cls.__name__} body must be a map, got {type(payload).__name__}")
-    try:
-        return cls.from_payload(payload)
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed {cls.__name__} payload: {exc}") from exc
+    return cls.from_payload(payload)
 
 
 def decode_message(data: bytes | bytearray | memoryview) -> Message:
@@ -932,8 +790,6 @@ def iter_state_chunks(
     ``None`` — what every transfer in the service uses).  Yields at least
     one chunk; the final one has ``last=True``.
     """
-    if kind not in CHUNK_KINDS:
-        raise ProtocolError(f"unknown snapshot-chunk kind {kind!r}")
     payload = packb(dict(state))
     if max_chunk is None:
         max_chunk = DEFAULT_CHUNK_BYTES

@@ -17,7 +17,7 @@ import pytest
 
 from repro.client import ServiceClient
 from repro.core import FtioConfig
-from repro.exceptions import ServiceError
+from repro.exceptions import ProtocolError, ServiceError
 from repro.service import (
     PredictionService,
     ServiceConfig,
@@ -209,6 +209,14 @@ class TestGatewayProtocol:
         assert len(created) == 1
         # A closed socket reports fileno -1; anything else is a leaked fd.
         assert created[0].fileno() == -1
+
+    def test_resize_to_zero_is_refused_before_it_is_sent(self, gateway):
+        with ServiceClient(gateway.host, gateway.port) as client:
+            with pytest.raises(ProtocolError, match="n_shards must be >= 1"):
+                client.resize(0)
+            # Nothing went out, so nobody hung up: the same connection answers.
+            assert client.stats()["jobs"] == 0
+            assert client.reconnects == 0
 
     def test_submit_rejects_malformed_frames(self, gateway):
         with ServiceClient(gateway.host, gateway.port) as client:

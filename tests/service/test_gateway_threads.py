@@ -3,8 +3,9 @@
 The gateway serves each client on a thread of its own and calls the engine
 directly under a lock.  The cases here are the faults that shape invites —
 an autoscaler revive running beside a client's pump, a subscriber that stops
-reading, a peer that never finishes its ``Hello``, a ``close()`` that leaves
-threads behind — each driven against a live gateway over real sockets.
+reading, a peer that never finishes its ``Hello``, a body whose fault is not
+the kind the connection thread catches, a ``close()`` that leaves threads
+behind — each driven against a live gateway over real sockets.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 import urllib.request
 
 import pytest
+from test_protocol import envelope
 
 from repro.client import ServiceClient
 from repro.core import FtioConfig
@@ -229,6 +231,50 @@ def test_unfinished_hello_is_dropped_at_the_handshake_timeout(service_config, mo
         assert eventually(lambda: gateway._listener.rejected == 2)
         # Their threads went with them: the accept thread alone is left.
         assert eventually(lambda: gateway_threads() == ["repro-gateway"])
+
+
+class TestBodyFaultsAreTyped:
+    """``int(inf)`` raises ``OverflowError``, which no connection thread
+    catches: a body carrying it used to take the thread down unanswered."""
+
+    @pytest.fixture()
+    def uncaught(self, monkeypatch):
+        """What reached ``threading.excepthook`` — a thread dying of an exception."""
+        caught: list = []
+        monkeypatch.setattr(threading, "excepthook", caught.append)
+        return caught
+
+    def test_unauthenticated_hello_with_an_infinite_version(self, service_config, uncaught):
+        engine = PredictionService(service_config)
+        with ThreadedGateway(engine, own_engine=True, token=5) as gateway:
+            sock = connect_raw(gateway)
+            sock.sendall(envelope(1, {"versions": [float("inf")]}))
+            reply = Channel(sock).recv(10.0)
+            assert isinstance(reply, proto.Error) and reply.code == "protocol"
+            assert "Hello.versions" in reply.message
+            assert sock.recv(1024) == b""
+            sock.close()
+            assert eventually(lambda: gateway._listener.rejected == 1)
+            assert eventually(lambda: gateway_threads() == ["repro-gateway"])
+        assert uncaught == []
+
+    def test_infinite_resize_after_a_valid_hello(self, service_config, uncaught):
+        with ThreadedGateway(PredictionService(service_config), own_engine=True) as gateway:
+            sock = connect_raw(gateway)
+            channel = handshake(sock)
+            with ServiceClient(gateway.host, gateway.port, name="bystander") as bystander:
+                sock.sendall(envelope(24, {"n_shards": float("inf")}))
+                reply = channel.recv(10.0)
+                assert isinstance(reply, proto.Error) and reply.code == "protocol"
+                assert "ResizeShards.n_shards" in reply.message
+                assert sock.recv(1024) == b""
+                sock.close()
+                # It cost that connection only.
+                assert bystander.stats()["jobs"] == 0
+                assert bystander.reconnects == 0
+            assert eventually(lambda: gateway_threads() == ["repro-gateway"])
+            assert gateway._listener.rejected == 0
+        assert uncaught == []
 
 
 class TestClose:

@@ -11,15 +11,17 @@ from __future__ import annotations
 import ast
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
+from test_protocol import envelope as raw_envelope
 
 from repro.client import ServiceClient
 from repro.exceptions import ProtocolError, ServiceError
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
-from repro.service.transport import Channel
+from repro.service.transport import Channel, ShardListener
 
 PACKAGE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro"
 SERVICE_DIR = PACKAGE_DIR / "service"
@@ -105,6 +107,25 @@ class TestHello:
             finally:
                 answering.join(timeout=10.0)
             assert not answering.is_alive()
+
+
+def test_shard_listener_hangs_up_on_a_hello_it_cannot_coerce(monkeypatch):
+    """``int(inf)`` is an ``OverflowError``: the listener's thread used to die
+    of it before ``reject`` ran, leaving the socket open and unanswered."""
+    uncaught: list = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with ShardListener(token=5) as listener:
+        with socket.create_connection((listener.host, listener.port), timeout=10.0) as sock:
+            sock.sendall(raw_envelope(1, {"versions": [float("inf")]}))
+            sock.settimeout(1.0)
+            assert sock.recv(1024) == b""  # refused unanswered, like any bad first body
+        deadline = time.monotonic() + 10.0
+        while listener._serving and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert listener._serving == {}
+        assert listener.rejected == 1
+        assert listener.take_pending(timeout=0) is None
+    assert uncaught == []
 
 
 def test_poll_predictions_timeout_mid_event_loses_nothing():
