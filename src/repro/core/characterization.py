@@ -16,6 +16,7 @@ the discretized signal, which is what FTIO has available online.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.core.result import CharacterizationResult
 from repro.exceptions import AnalysisError
@@ -40,14 +41,24 @@ def time_ratio_and_bandwidth(signal: DiscreteSignal) -> tuple[float, float, floa
     R_IO is the fraction of samples whose bandwidth exceeds the threshold;
     B_IO is the mean bandwidth over those samples (0 when there are none).
     """
+    r_io, b_io, threshold, _, _ = _substantial_io(signal)
+    return r_io, b_io, threshold
+
+
+def _substantial_io(
+    signal: DiscreteSignal,
+) -> tuple[float, float, float, NDArray[np.bool_], NDArray[np.float64]]:
+    """(R_IO, B_IO, threshold) plus the substantial-I/O mask and the samples it
+    selects, each computed once over the window."""
     threshold = substantial_io_threshold(signal)
     samples = signal.samples
     if signal.n_samples == 0:
-        return 0.0, 0.0, threshold
+        return 0.0, 0.0, threshold, np.zeros(0, dtype=bool), samples
     substantial = samples > threshold
+    selected = samples[substantial]
     r_io = float(substantial.mean())
-    b_io = float(samples[substantial].mean()) if substantial.any() else 0.0
-    return r_io, b_io, threshold
+    b_io = float(selected.mean()) if selected.size else 0.0
+    return r_io, b_io, threshold, substantial, selected
 
 
 def characterize(signal: DiscreteSignal, dominant_frequency: float) -> CharacterizationResult:
@@ -73,10 +84,10 @@ def characterize(signal: DiscreteSignal, dominant_frequency: float) -> Character
             f"({samples_per_period} samples)"
         )
 
-    r_io, b_io, threshold = time_ratio_and_bandwidth(signal)
+    r_io, b_io, threshold, substantial, selected = _substantial_io(signal)
 
-    usable = signal.samples[: n_periods * samples_per_period]
-    periods = usable.reshape(n_periods, samples_per_period)
+    usable = n_periods * samples_per_period
+    periods = signal.samples[:usable].reshape(n_periods, samples_per_period)
 
     # sigma_vol: std of per-period volume normalized by the maximum volume.
     volumes = periods.sum(axis=1) / fs
@@ -88,12 +99,11 @@ def characterize(signal: DiscreteSignal, dominant_frequency: float) -> Character
 
     # sigma_time: std of the per-period fraction of time above the threshold,
     # measured against the global ratio R_IO (Eq. 4).
-    per_period_ratio = (periods > threshold).mean(axis=1)
+    per_period_ratio = substantial[:usable].reshape(n_periods, samples_per_period).mean(axis=1)
     sigma_time = float(np.sqrt(np.mean((per_period_ratio - r_io) ** 2)))
 
     # Average bytes moved per period: V(S) / (L(T) * f_d).
-    substantial = signal.samples > threshold
-    volume_substantial = float(signal.samples[substantial].sum() / fs)
+    volume_substantial = float(selected.sum() / fs)
     duration = signal.duration
     bytes_per_period = volume_substantial / (duration * dominant_frequency) if duration > 0 else 0.0
 

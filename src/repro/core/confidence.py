@@ -47,33 +47,6 @@ def confidence_index_sets(
     return i1, i2
 
 
-def index_set_totals(
-    scores: ArrayLike,
-    *,
-    zscore_threshold: float = ZSCORE_OUTLIER_THRESHOLD,
-    tolerance: float = DOMINANT_TOLERANCE,
-) -> tuple[float, float]:
-    """Z-score sums over I1 and I2: the two denominators of c_k, the same for every k.
-
-    An empty index set sums to 0.
-    """
-    z = np.asarray(scores, dtype=np.float64)
-    i1, i2 = confidence_index_sets(z, zscore_threshold=zscore_threshold, tolerance=tolerance)
-    return (
-        float(z[i1].sum()) if i1.size else 0.0,
-        float(z[i2].sum()) if i2.size else 0.0,
-    )
-
-
-def confidence_from_totals(zk: float, totals: tuple[float, float]) -> float:
-    """c_k of a candidate with Z-score ``zk`` given :func:`index_set_totals`.
-
-    A zero total contributes 0, so the confidence degrades gracefully instead
-    of dividing by zero.
-    """
-    return float(0.5 * sum(zk / total if total > 0 else 0.0 for total in totals))
-
-
 def candidate_confidence(
     k: int,
     scores: ArrayLike,
@@ -83,15 +56,19 @@ def candidate_confidence(
 ) -> float:
     """Confidence c_k of the candidate at index ``k`` of the analysis array.
 
-    Follows the formula of Section II-C.  This is the per-candidate form; the
-    pipeline computes :func:`index_set_totals` once per spectrum and applies
-    :func:`confidence_from_totals` to each of its candidates.
+    Follows the formula of Section II-C; a zero denominator contributes 0, so
+    the confidence degrades gracefully instead of dividing by zero.  This is
+    the per-candidate form; the pipeline computes the two index-set totals
+    once per spectrum, with the same arithmetic, in the candidate pass of
+    :mod:`repro.core.kernels`.
     """
     z = np.asarray(scores, dtype=np.float64)
     if k < 0 or k >= z.size:
         raise IndexError(f"candidate index {k} out of range for {z.size} bins")
-    totals = index_set_totals(z, zscore_threshold=zscore_threshold, tolerance=tolerance)
-    return confidence_from_totals(float(z[k]), totals)
+    i1, i2 = confidence_index_sets(z, zscore_threshold=zscore_threshold, tolerance=tolerance)
+    zk = float(z[k])
+    totals = (float(z[i1].sum()) if i1.size else 0.0, float(z[i2].sum()) if i2.size else 0.0)
+    return float(0.5 * sum(zk / total if total > 0 else 0.0 for total in totals))
 
 
 def refined_confidence(

@@ -69,8 +69,8 @@ class FtioConfig:
         paper offers this because the first phase is often prolonged by
         initialization overheads.
     harmonic_tolerance:
-        Relative tolerance when deciding whether a candidate is a multiple of
-        two of another candidate.
+        Relative tolerance when deciding whether a candidate is an integer
+        multiple (two or more times) of a lower candidate.
     online_window_hits:
         Number of consecutive identical detections after which the online mode
         shrinks its analysis window (Section II-D).

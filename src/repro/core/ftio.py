@@ -8,25 +8,26 @@ mode (:mod:`repro.core.online`) repeatedly invokes the same pipeline on a
 growing — and adaptively shrinking — time window.
 
 One door, one decide.  The arithmetic — transform, power, Z-scores, outlier
-decision, ACF — is :mod:`repro.core.kernels` for every caller:
-:meth:`Ftio.analyze_signal` handed no kernels computes a batch of one, the
-service's pump hands in the row of a batch it already computed.  Below that
-door a single decide reads only the :class:`~repro.core.kernels.SpectralKernels`
-container, so a detection has the same bits offline, replayed, and behind any
+decision, ACF, and the candidate set D_f with each c_k and harmonic flag — is
+:mod:`repro.core.kernels` for every caller: :meth:`Ftio.analyze_signal` handed
+no kernels computes a batch of one, the service's pump hands in the row of a
+batch it already computed.  Below that door a single decide (classification,
+ACF refinement, characterisation) reads only the
+:class:`~repro.core.kernels.SpectralKernels` container and builds the result
+once, so a detection has the same bits offline, replayed, and behind any
 service topology.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from repro.constants import MAX_PERIODIC_CANDIDATES, MIN_SPECTRUM_SAMPLES
 from repro.core.characterization import characterize
 from repro.core.config import FtioConfig
-from repro.core.confidence import confidence_from_totals, index_set_totals, refined_confidence
+from repro.core.confidence import refined_confidence
 from repro.core.kernels import SpectralKernels, compute_batch_kernels
 from repro.core.result import (
     CharacterizationResult,
@@ -36,7 +37,6 @@ from repro.core.result import (
 )
 from repro.exceptions import AnalysisError, InsufficientSamplesError
 from repro.freq.autocorr import detect_period_autocorrelation, similarity_to_candidates
-from repro.freq.spectrum import PowerSpectrum
 from repro.trace.bandwidth import BandwidthSignal
 from repro.trace.darshan import DarshanHeatmap, heatmap_to_signal
 from repro.trace.sampling import DiscreteSignal, discretize_signal, discretize_trace
@@ -91,12 +91,11 @@ class Ftio:
         """
         started = time.perf_counter()
         signal = self.to_signal(source, window=window, sampling_frequency=sampling_frequency)
-        result = self.analyze_signal(signal)
-        elapsed = time.perf_counter() - started
-        metadata = dict(result.metadata)
-        if isinstance(source, Trace):
-            metadata.setdefault("trace_metadata", dict(source.metadata))
-        return replace(result, analysis_time=elapsed, metadata=metadata)
+        return self._analyze(
+            signal,
+            started=started,
+            trace_metadata=dict(source.metadata) if isinstance(source, Trace) else None,
+        )
 
     def analyze_signal(
         self,
@@ -122,6 +121,28 @@ class Ftio:
         Raises :class:`InsufficientSamplesError` when the signal is too short
         for a spectrum (:data:`~repro.constants.MIN_SPECTRUM_SAMPLES`).
         """
+        return self._analyze(signal, kernels=kernels, prepared=prepared)
+
+    def _analyze(
+        self,
+        signal: DiscreteSignal,
+        *,
+        kernels: SpectralKernels | None = None,
+        prepared: bool = False,
+        started: float | None = None,
+        trace_metadata: dict | None = None,
+    ) -> FtioResult:
+        """The pipeline behind every detection, and its package-internal entry.
+
+        :meth:`analyze_signal` is this with neither of the last two arguments.
+        :meth:`detect` and ``OnlinePredictor.complete_step`` also pass the
+        ``perf_counter`` their timing started at and the source trace's
+        metadata, so the result is built once, already carrying its
+        ``analysis_time`` and ``metadata["trace_metadata"]``.
+
+        Past the kernels: classification → ACF refinement → characterisation,
+        over the candidates the kernels already selected.
+        """
         if kernels is None:
             if not prepared:
                 signal = self.prepare_signal(signal)
@@ -131,16 +152,9 @@ class Ftio:
                     f"a spectrum needs at least {MIN_SPECTRUM_SAMPLES} samples, "
                     f"got {signal.n_samples}"
                 )
-        return self._decide(kernels)
-
-    def _decide(self, kernels: SpectralKernels) -> FtioResult:
-        """Candidates → harmonic rule → classification → ACF refinement → characterisation."""
         cfg = self.config
         signal = kernels.signal
-        spectrum = kernels.spectrum
-        outliers = kernels.outliers
-
-        candidates = self._select_candidates(spectrum, kernels.scores, outliers.is_outlier)
+        candidates = kernels.candidates
         periodicity, dominant = self._classify(candidates)
 
         confidence = 0.0
@@ -170,23 +184,27 @@ class Ftio:
             except AnalysisError:
                 characterization = None
 
+        metadata = {
+            "outlier_method": cfg.outlier_method,
+            "tolerance": cfg.tolerance,
+            "n_samples": signal.n_samples,
+            "abstraction_error": signal.abstraction_error,
+        }
+        if trace_metadata is not None:
+            metadata["trace_metadata"] = trace_metadata
         return FtioResult(
             periodicity=periodicity,
             dominant_frequency=dominant.frequency if dominant is not None else None,
             confidence=confidence,
             refined_confidence=refined,
-            candidates=tuple(candidates),
-            spectrum=spectrum,
+            candidates=candidates,
+            spectrum=kernels.spectrum,
             signal=signal,
-            outliers=outliers,
+            outliers=kernels.outliers,
             autocorrelation=autocorr,
             characterization=characterization,
-            metadata={
-                "outlier_method": cfg.outlier_method,
-                "tolerance": cfg.tolerance,
-                "n_samples": signal.n_samples,
-                "abstraction_error": signal.abstraction_error,
-            },
+            analysis_time=time.perf_counter() - started if started is not None else 0.0,
+            metadata=metadata,
         )
 
     def prepare_signal(self, signal: DiscreteSignal) -> DiscreteSignal:
@@ -235,84 +253,9 @@ class Ftio:
     # ------------------------------------------------------------------ #
     # the decide's stages
     # ------------------------------------------------------------------ #
-    def _select_candidates(
-        self,
-        spectrum: PowerSpectrum,
-        scores: np.ndarray,
-        outlier_mask: np.ndarray,
-    ) -> list[FrequencyCandidate]:
-        """Build the candidate set D_f (Eq. 3) and mark harmonics."""
-        cfg = self.config
-        if scores.size == 0:
-            return []
-        # A (near-)constant signal has essentially all of its power in the DC
-        # bin; whatever remains is floating-point dust, not periodic activity.
-        total_power = spectrum.total_power
-        if total_power <= max(spectrum.dc_power, 1.0) * 1e-12:
-            return []
-        z_max = float(scores.max())
-        if z_max <= 0:
-            return []
-        within_tolerance = scores / z_max >= cfg.tolerance
-        candidate_mask = outlier_mask & within_tolerance
-        indices = np.flatnonzero(candidate_mask)
-        if indices.size == 0:
-            return []
-
-        # The Section II-C index sets depend on the spectrum, not on the
-        # candidate: built once here, shared by every c_k below.
-        totals = index_set_totals(
-            scores, zscore_threshold=cfg.zscore_threshold, tolerance=cfg.tolerance
-        )
-        candidates: list[FrequencyCandidate] = []
-        for idx in indices:
-            k = int(idx) + 1  # analysis arrays exclude the DC bin
-            zscore = float(scores[idx])
-            candidates.append(
-                FrequencyCandidate(
-                    bin_index=k,
-                    frequency=float(spectrum.frequencies[k]),
-                    power=float(spectrum.power[k]),
-                    contribution=float(spectrum.power[k] / total_power) if total_power else 0.0,
-                    zscore=zscore,
-                    confidence=confidence_from_totals(zscore, totals),
-                )
-            )
-        candidates.sort(key=lambda c: c.frequency)
-        return self._mark_harmonics(candidates)
-
-    def _mark_harmonics(self, candidates: list[FrequencyCandidate]) -> list[FrequencyCandidate]:
-        """Mark candidates that are integer multiples of a lower candidate as harmonics.
-
-        Section II-B2: when extra candidates are multiples of a lower one, the
-        higher frequencies are ignored; their presence indicates periodic I/O
-        bursts rather than a separate period.  (The paper discusses the
-        "multiple of two" case seen in its IOR example; bursty signals also
-        produce odd harmonics, so any integer multiple is treated the same.)
-        """
-        tol = self.config.harmonic_tolerance
-        marked: list[FrequencyCandidate] = []
-        base_frequencies: list[float] = []
-        for candidate in candidates:
-            is_harmonic = False
-            for base in base_frequencies:
-                if base <= 0:
-                    continue
-                ratio = candidate.frequency / base
-                nearest = round(ratio)
-                if nearest >= 2 and abs(ratio - nearest) <= tol * nearest:
-                    is_harmonic = True
-                    break
-            if is_harmonic:
-                marked.append(replace(candidate, is_harmonic=True))
-            else:
-                marked.append(candidate)
-                base_frequencies.append(candidate.frequency)
-        return marked
-
     @staticmethod
     def _classify(
-        candidates: list[FrequencyCandidate],
+        candidates: tuple[FrequencyCandidate, ...],
     ) -> tuple[Periodicity, FrequencyCandidate | None]:
         """Apply the 0 / 1 / 2 / more candidate rule of Section II-B2."""
         active = [c for c in candidates if not c.is_harmonic]

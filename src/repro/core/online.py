@@ -21,7 +21,7 @@ reproduced without a live MPI application.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import FtioConfig
@@ -181,10 +181,7 @@ class OnlinePredictor:
 
     def latest_period(self) -> float | None:
         """Most recent predicted period, or ``None`` if none was ever found."""
-        for step in reversed(self._history):
-            if step.period is not None:
-                return step.period
-        return None
+        return self._last_period
 
     # ------------------------------------------------------------------ #
     def step(self, trace: Trace, *, now: float | None = None) -> PredictionStep:
@@ -247,22 +244,16 @@ class OnlinePredictor:
         """
         result: FtioResult | None = None
         if prepared.signal is not None:
-            started = time.perf_counter()
             try:
-                result = self._ftio.analyze_signal(
-                    prepared.signal, kernels=kernels, prepared=True
+                result = self._ftio._analyze(
+                    prepared.signal,
+                    kernels=kernels,
+                    prepared=True,
+                    started=time.perf_counter(),
+                    trace_metadata=prepared.trace_metadata,
                 )
             except (InsufficientSamplesError, AnalysisError, EmptyTraceError):
                 result = None
-            if result is not None:
-                metadata = dict(result.metadata)
-                if prepared.trace_metadata is not None:
-                    metadata.setdefault("trace_metadata", prepared.trace_metadata)
-                result = replace(
-                    result,
-                    analysis_time=time.perf_counter() - started,
-                    metadata=metadata,
-                )
 
         step = PredictionStep(
             index=len(self._history), time=prepared.time, window=prepared.window, result=result

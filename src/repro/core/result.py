@@ -46,8 +46,8 @@ class FrequencyCandidate:
     confidence:
         c_k as defined in Section II-C.
     is_harmonic:
-        True when the candidate was discarded for being a multiple of two of a
-        lower candidate.
+        True when the candidate was discarded for being an integer multiple
+        (two or more times) of a lower candidate.
     """
 
     bin_index: int

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Ftio, FtioConfig, OnlinePredictor
-from repro.core.online import predict_from_file, predict_from_flushes, replay_online
+from repro.core.online import (
+    PreparedStep,
+    predict_from_file,
+    predict_from_flushes,
+    replay_online,
+)
 from repro.exceptions import AnalysisError
 from repro.trace import jsonl
 from repro.trace.record import IORequest
+from repro.trace.sampling import DiscreteSignal
 from repro.trace.trace import Trace
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
 from repro.workloads.ior import ior_trace
@@ -130,6 +139,58 @@ class TestOnlinePredictor:
             predictor.step(early, now=early_end)
         predictor.step(trace, now=trace.t_end)
         assert predictor.latest_period() is not None
+
+
+#: Windows a predictor is stepped on directly: three periodic ones (hits) and
+#: a constant one that is analysed but has no period (a miss with a result).
+_HIT_PERIODS = (4.0, 5.0, 8.0)  # whole numbers of periods in the window
+_WINDOWS = {
+    **{
+        f"hit{period:g}": DiscreteSignal(
+            (np.arange(400) % int(period * 10) < 10).astype(float) * 1e8, 10.0
+        )
+        for period in _HIT_PERIODS
+    },
+    "flat": DiscreteSignal(np.full(400, 3.0), 10.0),
+    "none": None,  # too little data to discretize: no result at all
+}
+
+
+def _scanned_latest_period(predictor: OnlinePredictor) -> float | None:
+    """The last hit's period, by walking the history backwards."""
+    for step in reversed(predictor.history):
+        if step.period is not None:
+            return step.period
+    return None
+
+
+class TestLatestPeriodIsTheLastHit:
+    """``latest_period()`` returns a field; it must equal the history scan it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moves=st.lists(st.sampled_from([*_WINDOWS, "roundtrip"]), max_size=24),
+        compact=st.booleans(),
+    )
+    def test_equals_the_scan(self, moves, compact):
+        config = FtioConfig(
+            sampling_frequency=10.0, use_autocorrelation=False, compute_characterization=False
+        )
+        predictor = OnlinePredictor(config=config, compact_history=compact)
+        assert predictor.latest_period() is None
+        for t, move in enumerate(moves, start=1):
+            if move == "roundtrip":
+                restored = OnlinePredictor(config=config, compact_history=compact)
+                restored.load_state_dict(predictor.state_dict())
+                assert restored.latest_period() == predictor.latest_period()
+                predictor = restored
+            else:
+                step = predictor.complete_step(
+                    PreparedStep(time=40.0 * t, window=(40.0 * (t - 1), 40.0 * t),
+                                 signal=_WINDOWS[move])
+                )
+                assert (step.period is not None) == move.startswith("hit"), move
+            assert predictor.latest_period() == _scanned_latest_period(predictor)
 
 
 class TestIncrementalHooks:
