@@ -34,11 +34,15 @@ layer before any payload is decoded.  Versions above
 :data:`MAX_FRAME_VERSION` are rejected — a reader never silently mis-frames
 a future format.
 
-The payload is the :meth:`FlushRecord.to_dict` schema encoded with the
-existing MessagePack encoder, so a framed stream is a thin layer over a
-format the tracer already writes.  It is decoded once, straight into columns
-(:func:`repro.trace.columns.decode_flush_columns`), which is the form the
-service keeps a flush in.  Frames are self-contained and
+The payload is the :meth:`FlushRecord.to_dict` schema in MessagePack, so a
+framed stream is a thin layer over a format the tracer already writes.  Its
+canonical layout is written and read from one table in
+:mod:`repro.trace.columns`: encoded by
+:func:`~repro.trace.columns.encode_flush_payload` (the bytes of
+``packb(flush.to_dict())``, a few ``struct`` packs per request — what
+``trace.framing.encode_us`` prices) and decoded once, straight into columns,
+by :func:`~repro.trace.columns.decode_flush_columns`, the form the service
+keeps a flush in.  Frames are self-contained and
 append-only: a reader positioned at a frame boundary never needs to rewind,
 and a partially written final frame (crash, in-flight flush) simply stays
 buffered until the missing bytes arrive.
@@ -56,9 +60,8 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.exceptions import TraceFormatError
-from repro.trace.columns import FlushColumns, decode_flush_columns
+from repro.trace.columns import FlushColumns, decode_flush_columns, encode_flush_payload
 from repro.trace.jsonl import FlushRecord
-from repro.trace.msgpack import packb
 
 #: First bytes of every frame; guards against tailing a non-framed file.
 FRAME_MAGIC = b"FTS1"
@@ -131,12 +134,19 @@ def encode_frame(flush: FlushRecord, *, job: str, token: int | None = None) -> b
 
     With ``token`` (0..15) the frame is written as version 1 and carries the
     tenant/auth nibble; without it the frame is the plain version-0 format.
+    A flush no :class:`FrameDecoder` would take, or that MessagePack cannot
+    carry, raises :class:`TraceFormatError` here, before a byte is written.
     """
     flags = _pack_flags(token)
-    job_bytes = job.encode("utf-8")
+    try:
+        job_bytes = job.encode("utf-8")
+        payload = encode_flush_payload(flush)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # A lone surrogate, an object MessagePack has no type for, an integer
+        # past 64 bits: the flush has no frame.
+        raise TraceFormatError(f"cannot frame this flush for job {job!r}: {exc}") from exc
     if len(job_bytes) > 0xFFFF:
         raise TraceFormatError(f"job id is {len(job_bytes)} bytes; the frame header allows 65535")
-    payload = packb(flush.to_dict())
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise TraceFormatError(f"flush payload of {len(payload)} bytes exceeds the frame limit")
     header = _HEADER.pack(FRAME_MAGIC, PAYLOAD_MSGPACK, flags, len(job_bytes), len(payload))

@@ -328,14 +328,18 @@ class MsgpackTraceWriter:
 
     def append(self, requests: Iterable[IORequest], *, timestamp: float, metadata: dict | None = None) -> FlushRecord:
         """Append one flush and return the record written."""
+        # Imported here: the encoder's module builds on this one.
+        from repro.trace.columns import encode_flush_payload
+
         record = FlushRecord(
             flush_index=self._flush_index,
             timestamp=timestamp,
             requests=tuple(requests),
             metadata=dict(metadata or {}),
         )
+        payload = encode_flush_payload(record)
         with self._path.open("ab") as handle:
-            handle.write(packb(record.to_dict()))
+            handle.write(payload)
         self._flush_index += 1
         return record
 

@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.constants import MIB
 from repro.exceptions import TraceFormatError
 from repro.trace import jsonl, msgpack
+from repro.trace.columns import _encode_canonical
 from repro.trace.darshan import (
     DarshanHeatmap,
     heatmap_from_trace,
@@ -19,6 +21,8 @@ from repro.trace.darshan import (
 from repro.trace.record import IOKind, IORequest
 from repro.trace.recorder import read_recorder_directory, write_recorder_directory
 from repro.trace.trace import Trace
+from repro.tracer.tmio import TmioTracer, TraceFileFormat
+from repro.workloads import hacc_io_trace
 
 
 class TestJsonLines:
@@ -146,6 +150,30 @@ class TestMsgpack:
         writer.append(simple_requests[:1], timestamp=1.0)
         writer.append(simple_requests[1:], timestamp=4.0)
         assert len(list(msgpack.iter_flushes(path))) == 2
+
+    def test_tmio_run_writes_the_bytes_packb_writes(self, tmp_path):
+        """Golden: an online TMIO run over HACC-IO (reads and writes, ranks past
+        127, 64 MiB requests, 128 per flush) writes, flush for flush, the bytes of
+        ``packb(record.to_dict())`` — and writes them from the layout table."""
+        trace = hacc_io_trace(ranks=160, loops=2, request_size=64 * MIB, seed=3)
+        metadata = {"app": "hacc-io", "ranks": 160}
+        path = tmp_path / "hacc.msgpack"
+        tracer = TmioTracer(path=path, file_format=TraceFileFormat.MSGPACK, metadata=metadata)
+        requests = trace.requests()
+        expected = []
+        for index, first in enumerate(range(0, len(requests), 128)):
+            chunk = tuple(requests[first : first + 128])
+            for request in chunk:
+                tracer.record(request)
+            tracer.flush()
+            expected.append(
+                jsonl.FlushRecord(index, max(r.end for r in chunk), chunk, dict(metadata))
+            )
+        assert {r.kind for r in requests} == set(IOKind)
+        assert max(r.rank for r in requests) > 127
+        assert len(expected) == 20
+        assert path.read_bytes() == b"".join(msgpack.packb(r.to_dict()) for r in expected)
+        assert all(_encode_canonical(r) == msgpack.packb(r.to_dict()) for r in expected)
 
 
 class TestMsgpackBoundaries:
