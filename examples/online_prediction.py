@@ -24,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 from repro import FtioConfig
-from repro.core.online import predict_from_file
+from repro.core.online import merged_intervals, predict_from_file
 from repro.tracer import TmioTracer, TracerMode
 from repro.workloads import hacc_flush_times, hacc_io_trace
 
@@ -64,13 +64,7 @@ def main() -> None:
         )
 
     # --- 3. merged frequency intervals ------------------------------------ #
-    from repro.core.intervals import merge_predictions
-
-    predictions = [s for s in steps if s.dominant_frequency is not None]
-    intervals = merge_predictions(
-        [s.dominant_frequency for s in predictions],
-        [s.window_length for s in predictions],
-    )
+    intervals = merged_intervals(steps)
     print("\nMerged frequency intervals (probability = share of predictions):")
     for interval in intervals:
         low_p, high_p = interval.period_range

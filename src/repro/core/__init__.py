@@ -21,7 +21,7 @@ from repro.core.intervals import (
 from repro.core.online import (
     OnlinePredictor,
     PredictionStep,
-    RestoredResult,
+    merged_intervals,
     predict_from_file,
     predict_from_flushes,
     replay_online,
@@ -49,7 +49,7 @@ __all__ = [
     "resolution_eps",
     "OnlinePredictor",
     "PredictionStep",
-    "RestoredResult",
+    "merged_intervals",
     "predict_from_file",
     "predict_from_flushes",
     "replay_online",

@@ -12,7 +12,8 @@ adapt the prediction to changing behaviour:
    evaluations are merged with DBSCAN into intervals with probabilities
    (:mod:`repro.core.intervals`).
 
-:class:`OnlinePredictor` implements both on top of the offline pipeline;
+:class:`OnlinePredictor` implements the first on top of the offline pipeline
+and :func:`merged_intervals` the second, over the steps it returned;
 :func:`replay_online` drives it over a finished trace as if it were arriving
 flush by flush, which is how the HACC-IO online experiment (Figure 15) is
 reproduced without a live MPI application.
@@ -21,6 +22,7 @@ reproduced without a live MPI application.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,15 +50,14 @@ class PredictionStep:
     window:
         (t0, t1) analysis window that was used.
     result:
-        Full FTIO result of the evaluation (a compact :class:`RestoredResult`
-        after a snapshot restore), or ``None`` when the window held too little
-        data to analyse.
+        Full FTIO result of the evaluation, or ``None`` when the window held
+        too little data to analyse.
     """
 
     index: int
     time: float
     window: tuple[float, float]
-    result: FtioResult | RestoredResult | None
+    result: FtioResult | None
 
     @property
     def dominant_frequency(self) -> float | None:
@@ -91,7 +92,8 @@ class PreparedStep:
 
     :meth:`OnlinePredictor.prepare_step` computes the adaptive analysis
     window and discretizes the trace; :meth:`OnlinePredictor.complete_step`
-    then runs the spectral analysis and commits the outcome to the history.
+    then runs the spectral analysis and commits the outcome to the adaptive
+    state.
     The split exists so the batched detection engine can discretize many
     sessions, stack the resulting windows and evaluate their transforms in
     one batch between the two phases — ``step()`` is exactly
@@ -116,26 +118,15 @@ class PreparedStep:
     trace_metadata: dict | None = None
 
 
-@dataclass(frozen=True)
-class RestoredResult:
-    """Stand-in for an :class:`FtioResult` rebuilt from a snapshot.
-
-    A full result holds the spectrum, the discretized signal and the outlier
-    masks — far more than a crash-recovery snapshot needs to carry.  This
-    shim preserves exactly the fields the online consumers read
-    (:attr:`PredictionStep.dominant_frequency` / ``period`` / ``confidence``),
-    so a restored predictor keeps answering ``latest_period()`` and
-    ``merged_intervals()`` correctly.
-    """
-
-    dominant_frequency: float | None
-    period: float | None
-    best_confidence: float
-
-
 @dataclass
 class OnlinePredictor:
     """Stateful online predictor: call :meth:`step` after every flush.
+
+    The predictor keeps only what picks the next window — the count of
+    consecutive hits, the last period and the window start — plus the number
+    of evaluations so far (the next :attr:`PredictionStep.index`).  The steps
+    themselves are returned to the caller, which keeps them if it needs them
+    (:func:`replay_online`, :func:`merged_intervals`).
 
     Parameters
     ----------
@@ -143,20 +134,12 @@ class OnlinePredictor:
         Analysis configuration (shared with the offline pipeline).
     adaptive_window:
         Enable the time-window adaptation (enhancement 1 above).
-    compact_history:
-        Keep only a compact :class:`RestoredResult` per past evaluation
-        instead of the full :class:`FtioResult` (which holds the spectrum and
-        the discretized signal).  :meth:`step` still *returns* the full
-        result; long-running callers that evaluate repeatedly (the streaming
-        service sessions) enable this so predictor memory stays O(1) per
-        evaluation instead of O(window).
     """
 
     config: FtioConfig = field(default_factory=FtioConfig)
     adaptive_window: bool = True
-    compact_history: bool = False
     _ftio: Ftio = field(init=False, repr=False)
-    _history: list[PredictionStep] = field(init=False, default_factory=list, repr=False)
+    _evaluations: int = field(init=False, default=0, repr=False)
     _consecutive_hits: int = field(init=False, default=0, repr=False)
     _last_period: float | None = field(init=False, default=None, repr=False)
     _window_start: float | None = field(init=False, default=None, repr=False)
@@ -166,18 +149,9 @@ class OnlinePredictor:
 
     # ------------------------------------------------------------------ #
     @property
-    def history(self) -> tuple[PredictionStep, ...]:
-        """All evaluations performed so far."""
-        return tuple(self._history)
-
-    @property
-    def predictions(self) -> tuple[PredictionStep, ...]:
-        """The evaluations that produced a dominant frequency."""
-        return tuple(s for s in self._history if s.dominant_frequency is not None)
-
-    def latest(self) -> PredictionStep | None:
-        """Most recent evaluation, or ``None`` before the first step."""
-        return self._history[-1] if self._history else None
+    def evaluations(self) -> int:
+        """Number of evaluations performed so far."""
+        return self._evaluations
 
     def latest_period(self) -> float | None:
         """Most recent predicted period, or ``None`` if none was ever found."""
@@ -256,21 +230,10 @@ class OnlinePredictor:
                 result = None
 
         step = PredictionStep(
-            index=len(self._history), time=prepared.time, window=prepared.window, result=result
+            index=self._evaluations, time=prepared.time, window=prepared.window, result=result
         )
-        self._history.append(step)
+        self._evaluations += 1
         self._update_adaptive_state(step)
-        if self.compact_history and result is not None:
-            self._history[-1] = PredictionStep(
-                index=step.index,
-                time=step.time,
-                window=step.window,
-                result=RestoredResult(
-                    dominant_frequency=result.dominant_frequency,
-                    period=result.period,
-                    best_confidence=result.best_confidence,
-                ),
-            )
         return step
 
     # ------------------------------------------------------------------ #
@@ -290,27 +253,16 @@ class OnlinePredictor:
     def state_dict(self) -> dict:
         """Serializable snapshot of the predictor state (crash recovery).
 
-        The snapshot keeps the adaptive-window state and a compact record of
-        every evaluation (enough for :meth:`latest_period` and
-        :meth:`merged_intervals`); the heavyweight per-step spectra are not
-        retained.  Restore with :meth:`load_state_dict`.
+        The adaptive-window state and the evaluation count: a fixed handful
+        of scalars, however long the predictor has run.  Restore with
+        :meth:`load_state_dict`.
         """
         return {
+            "evaluations": self._evaluations,
             "consecutive_hits": self._consecutive_hits,
             "last_period": self._last_period,
             "window_start": self._window_start,
             "adaptive_window": self.adaptive_window,
-            "steps": [
-                {
-                    "index": s.index,
-                    "time": s.time,
-                    "window": [s.window[0], s.window[1]],
-                    "frequency": s.dominant_frequency,
-                    "period": s.period,
-                    "confidence": s.confidence,
-                }
-                for s in self._history
-            ],
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -321,33 +273,10 @@ class OnlinePredictor:
         as the snapshotted one would have.
         """
         self.adaptive_window = bool(state.get("adaptive_window", self.adaptive_window))
+        self._evaluations = int(state["evaluations"])
         self._consecutive_hits = int(state["consecutive_hits"])
         self._last_period = state["last_period"]
         self._window_start = state["window_start"]
-        self._history.clear()
-        for entry in state["steps"]:
-            result: RestoredResult | None = None
-            if entry["frequency"] is not None or entry["period"] is not None:
-                result = RestoredResult(
-                    dominant_frequency=entry["frequency"],
-                    period=entry["period"],
-                    best_confidence=float(entry["confidence"]),
-                )
-            self._history.append(
-                PredictionStep(
-                    index=int(entry["index"]),
-                    time=float(entry["time"]),
-                    window=(float(entry["window"][0]), float(entry["window"][1])),
-                    result=result,
-                )
-            )
-
-    def merged_intervals(self) -> list[FrequencyInterval]:
-        """Merge all predictions so far into frequency intervals with probabilities."""
-        preds = self.predictions
-        freqs = [s.dominant_frequency for s in preds]
-        windows = [s.window_length for s in preds]
-        return merge_predictions(freqs, windows)
 
     # ------------------------------------------------------------------ #
     def _update_adaptive_state(self, step: PredictionStep) -> None:
@@ -363,6 +292,14 @@ class OnlinePredictor:
             # Keep only the last `hits_needed` periods of history for the next
             # evaluation: window_start = now - k * (last found period).
             self._window_start = step.time - hits_needed * step.period
+
+
+def merged_intervals(steps: Iterable[PredictionStep]) -> list[FrequencyInterval]:
+    """Merge the steps that found a dominant frequency into frequency intervals."""
+    predictions = [s for s in steps if s.dominant_frequency is not None]
+    return merge_predictions(
+        [s.dominant_frequency for s in predictions], [s.window_length for s in predictions]
+    )
 
 
 def replay_online(

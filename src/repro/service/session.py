@@ -4,7 +4,8 @@ A session owns everything the service knows about one job: a ring-buffered
 columnar copy of the requests still relevant to the next prediction, the
 job's :class:`~repro.core.online.OnlinePredictor`, merged metadata, and the
 bookkeeping the dispatcher uses for rate limiting.  The buffer is the key to
-multi-tenant scale — memory per job is O(analysis window), not O(runtime):
+multi-tenant scale — memory per job, and its snapshot, is O(analysis window),
+not O(runtime), since the predictor beside it is a few scalars, not a history:
 
 * after every evaluation the predictor exposes the timestamp before which no
   future evaluation will look (:meth:`OnlinePredictor.evictable_before`), and
@@ -282,12 +283,7 @@ class JobSession:
         self.job = job
         self.config = config or SessionConfig()
         self.predictor = OnlinePredictor(
-            config=self.config.config,
-            adaptive_window=self.config.adaptive_window,
-            # Keep only compact per-evaluation records: full FtioResults hold
-            # the spectrum and the signal, which would grow session memory by
-            # O(window) per detection.
-            compact_history=True,
+            config=self.config.config, adaptive_window=self.config.adaptive_window
         )
         self._store = RingColumnStore()
         self._max_span = MAX_WINDOW_SAMPLES / self.config.config.sampling_frequency
@@ -298,8 +294,6 @@ class JobSession:
         self._batch_in_flight = False
         self._ingested_flushes = 0
         self._ingested_requests = 0
-        self._detections = 0
-        self._skipped_detections = 0
         self._finished = False
 
     # ------------------------------------------------------------------ #
@@ -326,7 +320,7 @@ class JobSession:
     @property
     def detections(self) -> int:
         """Number of evaluations performed so far."""
-        return self._detections
+        return self.predictor.evaluations
 
     @property
     def metadata(self) -> dict:
@@ -409,7 +403,6 @@ class JobSession:
             if task is None:
                 return None
             step = self.predictor.step(task.trace, now=task.now)
-            self._detections += 1
             self._evict_stale()
             return step
 
@@ -448,7 +441,6 @@ class JobSession:
         with self._lock:
             self._batch_in_flight = False
             step = self.predictor.complete_step(prepared, kernels=kernels)
-            self._detections += 1
             self._evict_stale()
             return step
 
@@ -473,7 +465,6 @@ class JobSession:
         self._pending_time = None
         self._last_detection_time = float(now)
         if len(self._store) < self.config.min_requests:
-            self._skipped_detections += 1
             return None
         return DetectionTask(trace=self._store.trace(metadata=self._metadata), now=float(now))
 
@@ -499,7 +490,6 @@ class JobSession:
                 "last_detection_time": self._last_detection_time,
                 "ingested_flushes": self._ingested_flushes,
                 "ingested_requests": self._ingested_requests,
-                "detections": self._detections,
                 "evicted": self._store.evicted,
                 "finished": self._finished,
                 "buffer": {
@@ -533,6 +523,5 @@ class JobSession:
             self._last_detection_time = state["last_detection_time"]
             self._ingested_flushes = int(state["ingested_flushes"])
             self._ingested_requests = int(state["ingested_requests"])
-            self._detections = int(state["detections"])
             self._finished = bool(state["finished"])
             self.predictor.load_state_dict(state["predictor"])

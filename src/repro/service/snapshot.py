@@ -1,11 +1,11 @@
 """Snapshot/restore of service state for crash recovery.
 
 A snapshot captures, per job, the resident window of the columnar buffer,
-the predictor's adaptive-window state and compact evaluation history, the
-merged metadata and counters, plus the publisher's latest predictions — in
-short, everything needed so that a service restarted from the snapshot
-continues producing the same predictions as one that never crashed (the
-property the snapshot round-trip test asserts).
+the predictor's adaptive-window state and evaluation count, the merged
+metadata and counters, plus the publisher's latest predictions — in short,
+everything needed so that a service restarted from the snapshot continues
+producing the same predictions as one that never crashed (the property the
+snapshot round-trip test asserts).  None of it grows with the job's runtime.
 
 Snapshots are encoded with the library's own MessagePack implementation
 (binary columns stay binary), so a snapshot file is compact and readable by
@@ -23,7 +23,7 @@ from repro.trace.msgpack import packb, unpackb
 from repro.service.service import PredictionService, ServiceConfig
 
 #: Bumped whenever the snapshot layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def check_snapshot_version(state: dict) -> None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import Ftio, FtioConfig, OnlinePredictor
 from repro.core.online import (
     PreparedStep,
+    merged_intervals,
     predict_from_file,
     predict_from_flushes,
     replay_online,
@@ -79,14 +80,25 @@ class TestOnlinePredictor:
         with pytest.raises(AnalysisError):
             predictor.step(Trace.empty())
 
-    def test_history_grows_and_latest_returns_last(self, hacc_trace, online_config):
+    def test_step_indices_count_evaluations_across_a_round_trip(
+        self, hacc_trace, online_config
+    ):
         predictor = OnlinePredictor(config=online_config)
-        flush_times = hacc_flush_times(hacc_trace)[:4]
-        for t in flush_times:
+        flush_times = hacc_flush_times(hacc_trace)[:6]
+        steps = [
             predictor.step(hacc_trace.window(hacc_trace.t_start, t), now=t)
-        assert len(predictor.history) == 4
-        assert predictor.latest() is predictor.history[-1]
-        assert predictor.latest().index == 3
+            for t in flush_times[:4]
+        ]
+        assert [s.index for s in steps] == [0, 1, 2, 3]
+        assert predictor.evaluations == 4
+        restored = OnlinePredictor(config=online_config)
+        restored.load_state_dict(predictor.state_dict())
+        steps = [
+            restored.step(hacc_trace.window(hacc_trace.t_start, t), now=t)
+            for t in flush_times[4:]
+        ]
+        assert [s.index for s in steps] == [4, 5]
+        assert restored.evaluations == 6
 
     def test_predictions_converge_to_true_period(self, hacc_trace, online_config):
         steps = replay_online(hacc_trace, hacc_flush_times(hacc_trace), config=online_config)
@@ -117,12 +129,13 @@ class TestOnlinePredictor:
 
     def test_merged_intervals_cover_true_frequency(self, hacc_trace, online_config):
         predictor = OnlinePredictor(config=online_config)
+        steps = []
         for t in hacc_flush_times(hacc_trace):
             visible = hacc_trace.window(hacc_trace.t_start, t)
             if visible.is_empty:
                 continue
-            predictor.step(visible, now=t)
-        intervals = predictor.merged_intervals()
+            steps.append(predictor.step(visible, now=t))
+        intervals = merged_intervals(steps)
         assert intervals
         true_freq = 1.0 / hacc_trace.ground_truth.average_period()
         best = intervals[0]
@@ -156,31 +169,29 @@ _WINDOWS = {
 }
 
 
-def _scanned_latest_period(predictor: OnlinePredictor) -> float | None:
-    """The last hit's period, by walking the history backwards."""
-    for step in reversed(predictor.history):
+def _scanned_latest_period(steps: list) -> float | None:
+    """The last hit's period, by walking the returned steps backwards."""
+    for step in reversed(steps):
         if step.period is not None:
             return step.period
     return None
 
 
 class TestLatestPeriodIsTheLastHit:
-    """``latest_period()`` returns a field; it must equal the history scan it replaced."""
+    """``latest_period()`` returns a field; it must equal a scan of the steps."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        moves=st.lists(st.sampled_from([*_WINDOWS, "roundtrip"]), max_size=24),
-        compact=st.booleans(),
-    )
-    def test_equals_the_scan(self, moves, compact):
+    @given(moves=st.lists(st.sampled_from([*_WINDOWS, "roundtrip"]), max_size=24))
+    def test_equals_the_scan(self, moves):
         config = FtioConfig(
             sampling_frequency=10.0, use_autocorrelation=False, compute_characterization=False
         )
-        predictor = OnlinePredictor(config=config, compact_history=compact)
+        predictor = OnlinePredictor(config=config)
+        steps = []
         assert predictor.latest_period() is None
         for t, move in enumerate(moves, start=1):
             if move == "roundtrip":
-                restored = OnlinePredictor(config=config, compact_history=compact)
+                restored = OnlinePredictor(config=config)
                 restored.load_state_dict(predictor.state_dict())
                 assert restored.latest_period() == predictor.latest_period()
                 predictor = restored
@@ -190,7 +201,15 @@ class TestLatestPeriodIsTheLastHit:
                                  signal=_WINDOWS[move])
                 )
                 assert (step.period is not None) == move.startswith("hit"), move
-            assert predictor.latest_period() == _scanned_latest_period(predictor)
+                assert step.index == len(steps)
+                steps.append(step)
+            assert predictor.latest_period() == _scanned_latest_period(steps)
+
+
+def _outcome(step) -> tuple:
+    """Everything a step publishes, plus its window."""
+    return (step.index, step.time, step.window, step.dominant_frequency, step.period,
+            step.confidence)
 
 
 class TestIncrementalHooks:
@@ -198,11 +217,10 @@ class TestIncrementalHooks:
         predictor = OnlinePredictor(config=online_config)
         assert predictor.evictable_before() is None
         for t in hacc_flush_times(hacc_trace):
-            predictor.step(hacc_trace.completed_before(t), now=t)
+            last = predictor.step(hacc_trace.completed_before(t), now=t)
         cutoff = predictor.evictable_before()
         assert cutoff is not None
         # The cutoff is exactly the adaptive window start of the next step.
-        last = predictor.latest()
         hits = online_config.online_window_hits
         assert cutoff == pytest.approx(last.time - hits * last.period)
 
@@ -213,42 +231,22 @@ class TestIncrementalHooks:
         assert predictor.evictable_before() is None
 
     def test_state_dict_round_trip(self, hacc_trace, online_config):
+        times = hacc_flush_times(hacc_trace)
         predictor = OnlinePredictor(config=online_config)
-        for t in hacc_flush_times(hacc_trace):
+        for t in times[:-1]:
             predictor.step(hacc_trace.completed_before(t), now=t)
 
         restored = OnlinePredictor(config=online_config)
         restored.load_state_dict(predictor.state_dict())
 
+        assert restored.state_dict() == predictor.state_dict()
         assert restored.latest_period() == predictor.latest_period()
         assert restored.evictable_before() == predictor.evictable_before()
-        assert [s.period for s in restored.history] == [s.period for s in predictor.history]
-        assert [s.window for s in restored.history] == [s.window for s in predictor.history]
-        assert [(i.low, i.high, i.probability) for i in restored.merged_intervals()] == [
-            (i.low, i.high, i.probability) for i in predictor.merged_intervals()
-        ]
-
-    def test_compact_history_preserves_predictions(self, hacc_trace, online_config):
-        from repro.core.online import RestoredResult
-
-        full = OnlinePredictor(config=online_config)
-        compact = OnlinePredictor(config=online_config, compact_history=True)
-        for t in hacc_flush_times(hacc_trace):
-            trace = hacc_trace.completed_before(t)
-            full_step = full.step(trace, now=t)
-            compact_step = compact.step(trace, now=t)
-            # step() still returns the full result to the caller...
-            assert compact_step.period == full_step.period
-            assert type(compact_step.result) is type(full_step.result)
-        # ... but the retained history holds only the compact shim.
-        assert all(
-            s.result is None or isinstance(s.result, RestoredResult) for s in compact.history
+        # Either one takes the next evaluation to the same step.
+        trace = hacc_trace.completed_before(times[-1])
+        assert _outcome(restored.step(trace, now=times[-1])) == _outcome(
+            predictor.step(trace, now=times[-1])
         )
-        assert [s.period for s in compact.history] == [s.period for s in full.history]
-        assert compact.latest_period() == full.latest_period()
-        assert [(i.low, i.high) for i in compact.merged_intervals()] == [
-            (i.low, i.high) for i in full.merged_intervals()
-        ]
 
     def test_load_state_dict_restores_adaptive_flag(self, hacc_trace, online_config):
         source = OnlinePredictor(config=online_config, adaptive_window=False)
@@ -262,18 +260,16 @@ class TestIncrementalHooks:
     def test_restored_predictor_continues_identically(self, hacc_trace, online_config):
         times = hacc_flush_times(hacc_trace)
         full = OnlinePredictor(config=online_config)
-        for t in times:
-            full.step(hacc_trace.completed_before(t), now=t)
+        expected = [full.step(hacc_trace.completed_before(t), now=t) for t in times]
 
+        middle = len(times) // 2
         half = OnlinePredictor(config=online_config)
-        for t in times[: len(times) // 2]:
-            half.step(hacc_trace.completed_before(t), now=t)
+        steps = [half.step(hacc_trace.completed_before(t), now=t) for t in times[:middle]]
         resumed = OnlinePredictor(config=online_config)
         resumed.load_state_dict(half.state_dict())
-        for t in times[len(times) // 2 :]:
-            resumed.step(hacc_trace.completed_before(t), now=t)
+        steps += [resumed.step(hacc_trace.completed_before(t), now=t) for t in times[middle:]]
 
-        assert [s.period for s in resumed.history] == [s.period for s in full.history]
+        assert [_outcome(s) for s in steps] == [_outcome(s) for s in expected]
 
 
 class TestReplayHelpers:

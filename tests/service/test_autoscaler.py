@@ -44,6 +44,7 @@ from test_resharding import (
     service_config,  # noqa: F401  (module-scoped fixture, used by name)
     submit_round,
 )
+from tests.service.conftest import UpdateLedger
 
 # --------------------------------------------------------------------- #
 # table-driven hysteresis state machine (satellite: policy in isolation)
@@ -347,6 +348,7 @@ class TestAutoscalerChaos:
         topology reference run ingesting the same stream."""
         n_rounds = max(len(flushes) for flushes in streams.values())
         sharded = ShardedService(2, service_config)
+        ledger = UpdateLedger(sharded.publisher)
         submitted = 0
         try:
             for _ in range(2):
@@ -387,6 +389,7 @@ class TestAutoscalerChaos:
                 "periods": {
                     job: sharded.publisher.latest_period(job) for job in streams
                 },
+                "ledger": ledger,
             }
         finally:
             sharded.close()
@@ -503,6 +506,7 @@ class TestAutoscalerSoak:
         while time.monotonic() < deadline:
             rng = np.random.default_rng(20_260_808 + 1_000_003 * base_seed + rounds)
             sharded = ShardedService(2, service_config)
+            ledger = UpdateLedger(sharded.publisher)
             submitted = 0
             reference_ops: list[tuple] = []
             try:
@@ -542,6 +546,7 @@ class TestAutoscalerSoak:
                     "periods": {
                         job: sharded.publisher.latest_period(job) for job in streams
                     },
+                    "ledger": ledger,
                 }
             finally:
                 sharded.close()

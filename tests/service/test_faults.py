@@ -17,6 +17,7 @@ from repro.core import FtioConfig
 from repro.exceptions import ServiceError, ShardCrashedError, TraceFormatError
 from repro.service import ServiceConfig, SessionConfig, ShardedService
 from repro.service import protocol as proto
+from repro.service.snapshot import SNAPSHOT_VERSION
 from repro.trace.framing import (
     FrameReader,
     FrameWriter,
@@ -296,7 +297,7 @@ class TestShardFaults:
             with pytest.raises(TraceFormatError):  # rejected router-side
                 service.restore_state({"snapshot_version": 999, "sessions": [], "publisher": {}})
             bad = {
-                "snapshot_version": 1,
+                "snapshot_version": SNAPSHOT_VERSION,
                 "sessions": [{"job": "x"}],  # malformed session state
                 "publisher": {"latest": {}, "latest_period": {}},
             }

@@ -3,9 +3,9 @@
 The contract of :meth:`~repro.service.sharding.ShardedService.reshard` is the
 strongest the service can offer: however the shard count changes mid-stream —
 grow, shrink, repeatedly, with frames arriving during the migration, with a
-target shard kill-9'd halfway through the handover — the end state must be
-**bit-identical** to a crash-free run that ingested the same stream at a
-fixed topology with the same pump cadence.
+target shard kill-9'd halfway through the handover — the end state and every
+update published on the way must be **bit-identical** to a crash-free run
+that ingested the same stream at a fixed topology with the same pump cadence.
 
 The hypothesis test drives randomized interleavings of
 {submit frames, pump, reshard up, reshard down, kill -9 mid-migration,
@@ -40,6 +40,7 @@ from repro.service import (
 )
 from repro.trace.framing import encode_frame
 from repro.workloads import synthetic_flush_streams
+from tests.service.conftest import UpdateLedger, sessions_by_job
 
 TOKEN = 7
 
@@ -61,10 +62,6 @@ def service_config():
 
 def frame_for(job: str, flush) -> bytes:
     return encode_frame(flush, job=job, token=TOKEN)
-
-
-def sessions_by_job(state: dict) -> dict[str, dict]:
-    return {session["job"]: session for session in state["sessions"]}
 
 
 # --------------------------------------------------------------------- #
@@ -112,6 +109,7 @@ def run_elastic(streams, config, ops, *, start_shards: int = 2) -> dict:
     """
     n_rounds = max(len(flushes) for flushes in streams.values())
     sharded = ShardedService(start_shards, config)
+    ledger = UpdateLedger(sharded.publisher)
     submitted = 0
     killed_mid_migration = 0
     try:
@@ -167,6 +165,7 @@ def run_elastic(streams, config, ops, *, start_shards: int = 2) -> dict:
         "stats": stats,
         "periods": periods,
         "killed": killed_mid_migration,
+        "ledger": ledger,
     }
 
 
@@ -174,6 +173,7 @@ def run_reference(streams, config, ops) -> dict:
     """The same op cadence on a fixed-topology single-process service."""
     n_rounds = max(len(flushes) for flushes in streams.values())
     service = PredictionService(config)
+    ledger = UpdateLedger(service.publisher)
     submitted = 0
     try:
         for op in ops:
@@ -198,7 +198,7 @@ def run_reference(streams, config, ops) -> dict:
         periods = {job: service.publisher.latest_period(job) for job in streams}
     finally:
         service.close()
-    return {"state": state, "periods": periods}
+    return {"state": state, "periods": periods, "ledger": ledger}
 
 
 def assert_bit_identical(elastic: dict, reference: dict, streams) -> None:
@@ -209,6 +209,7 @@ def assert_bit_identical(elastic: dict, reference: dict, streams) -> None:
         assert ours[job] == theirs[job], job
     assert elastic["state"]["publisher"] == reference["state"]["publisher"]
     assert elastic["periods"] == reference["periods"]
+    elastic["ledger"].assert_matches(reference["ledger"])
 
 
 # --------------------------------------------------------------------- #
@@ -317,6 +318,7 @@ class TestReshardAcceptance:
         # lies, and retrying the same resize really reshards instead of
         # short-circuiting as a same-count no-op.
         sharded = ShardedService(2, service_config)
+        ledger = UpdateLedger(sharded.publisher)
         try:
             for job, flushes in streams.items():
                 sharded.feed_bytes(frame_for(job, flushes[0]))
@@ -355,6 +357,7 @@ class TestReshardAcceptance:
         reference = run_reference(streams, service_config, ops)
         assert sessions_by_job(merged) == sessions_by_job(reference["state"])
         assert periods == reference["periods"]
+        ledger.assert_matches(reference["ledger"])
 
 
 # --------------------------------------------------------------------- #

@@ -33,6 +33,7 @@ from repro.trace.framing import encode_frame
 from repro.trace.jsonl import trace_to_flushes
 from repro.utils.rng import as_generator
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
+from tests.service.conftest import UpdateLedger
 
 N_JOBS = 16
 
@@ -70,6 +71,7 @@ class TestStreamingEquivalence:
                 max_workers=4,
             )
         )
+        ledger = UpdateLedger(service.publisher)
         streams = {
             job: trace_to_flushes(trace, hacc_flush_times(trace))
             for job, trace in job_traces.items()
@@ -85,12 +87,22 @@ class TestStreamingEquivalence:
         service.dispatcher.join()
 
         assert len(service.jobs) == N_JOBS
+        assert ledger.conflicts == []
         for job, trace in job_traces.items():
             reference = replay_online(trace, hacc_flush_times(trace), config=online_config)
             session = service.session(job)
-            streamed = session.predictor.history
-            assert [s.period for s in streamed] == [s.period for s in reference], job
-            assert [s.window for s in streamed] == [s.window for s in reference], job
+            # One published update per replayed step, at the same time, with the
+            # same frequency and period.  The confidence may sit an ulp or two
+            # away: the bandwidth sweep is a running sum over every resident
+            # request, and the session no longer holds the evicted ones.
+            streamed = {key[1]: value for key, value in ledger.entries.items() if key[0] == job}
+            assert sorted(streamed) == [s.index for s in reference], job
+            for step in reference:
+                time, frequency, period, confidence = streamed[step.index]
+                assert (time, frequency, period) == (
+                    step.time, step.dominant_frequency, step.period
+                ), job
+                assert confidence == pytest.approx(step.confidence, rel=1e-12), job
             assert service.publisher.latest_period(job) == pytest.approx(
                 reference[-1].period
             ), job

@@ -120,14 +120,6 @@ class TestJobSession:
         # The tail of the run sits exactly at the plateau, not below-and-oscillating.
         assert all(r <= cap for r in resident_after_each_flush[-10:])
         assert session.evicted_samples >= session.ingested_requests - cap
-        # The predictor history is compact too: no full FtioResult (spectrum,
-        # signal) is retained per evaluation, only the restored-result shim.
-        from repro.core.online import RestoredResult
-
-        assert all(
-            s.result is None or isinstance(s.result, RestoredResult)
-            for s in session.predictor.history
-        )
 
     def test_adaptive_window_eviction_reduces_memory(self, online_config):
         trace = hacc_io_trace(ranks=8, loops=10, period=8.0, first_phase_delay=6.0, seed=5)
@@ -273,19 +265,23 @@ class TestJobSession:
         assert all(isinstance(flush, FlushColumns) for flush in decoded)
         assert decoded == records
 
-        def run(flushes) -> list[dict]:
+        def run(flushes) -> list[tuple]:
             session = JobSession("mixed", SessionConfig(config=online_config))
             states = []
             for flush in flushes:
                 session.ingest(flush)
-                session.detect()
-                states.append(session.state_dict())
+                step = session.detect()
+                assert step is not None
+                states.append(
+                    ((step.index, step.window, step.period, step.confidence), session.state_dict())
+                )
             return states
 
         by_record, by_columns = run(records), run(decoded)
         assert by_record == by_columns
-        assert by_record[-1]["ingested_requests"] == sum(len(r.requests) for r in records)
-        assert by_record[-1]["metadata"] == {"application": "mixed", "ranks": 12}
+        last_state = by_record[-1][1]
+        assert last_state["ingested_requests"] == sum(len(r.requests) for r in records)
+        assert last_state["metadata"] == {"application": "mixed", "ranks": 12}
 
 
 def _burst_flush(i: int, metadata: dict | None = None, *, n: int = 16) -> FlushRecord:
@@ -520,7 +516,8 @@ class TestQuietTenant:
                     service.pump(wait_for_batch=True)
                     slowest = max(slowest, time.perf_counter() - started)
                 if with_spanning_tenant:
-                    t0, t1 = service.session("spanning").predictor.latest().window
+                    step = service.session("spanning").detect(now=6.0e5 + rounds - 1)
+                    t0, t1 = step.window
                     assert (t1 - t0) * self.SPAN_FS <= MAX_WINDOW_SAMPLES
                 return updates, slowest
             finally:

@@ -4,8 +4,9 @@ The contract of sharding is *transparency*: because sessions are independent
 and lock-isolated, distributing them over worker subprocesses must change no
 prediction.  The tests here drive 32 concurrent jobs through a 4-shard
 service and a single-process service on identical framed input and assert
-the full per-session state — predictor step histories, resident buffers,
-counters — is **bit-identical**, then do the same across a kill -9 of a
+every published update (one per evaluation, keyed by job and index) and the
+full per-session state — predictor adaptive state, resident buffers,
+counters — are **bit-identical**, then do the same across a kill -9 of a
 shard followed by snapshot restore and spool-tail replay.
 """
 
@@ -29,6 +30,7 @@ from repro.service import (
 from repro.trace.framing import FrameWriter, encode_frame
 from repro.workloads import synthetic_flush_streams
 from tests.conftest import make_jittered_flushes
+from tests.service.conftest import UpdateLedger, sessions_by_job
 
 N_JOBS = 32
 N_SHARDS = 4
@@ -60,6 +62,7 @@ def frame_for(job: str, flush, token: int | None) -> bytes:
 
 def run_single(streams, config, *, token: int | None = None) -> dict:
     service = PredictionService(config)
+    ledger = UpdateLedger(service.publisher)
     n_rounds = max(len(flushes) for flushes in streams.values())
     for round_index in range(n_rounds):
         for job, flushes in streams.items():
@@ -72,24 +75,21 @@ def run_single(streams, config, *, token: int | None = None) -> dict:
     state = snapshot_state(service)
     periods = {job: service.publisher.latest_period(job) for job in streams}
     service.close()
-    return {"state": state, "periods": periods}
-
-
-def sessions_by_job(state: dict) -> dict[str, dict]:
-    return {session["job"]: session for session in state["sessions"]}
+    return {"state": state, "periods": periods, "ledger": ledger}
 
 
 def assert_sharded_matches_single(
     streams, config, n_shards, *, token, start_method: str | None = None
 ) -> set[int]:
     """Drive ``streams`` through ``n_shards`` shards and one process; every
-    published period and the full per-session state must be bit-identical.
+    published update and the full per-session state must be bit-identical.
     Returns the set of shards that owned a job."""
     reference = run_single(streams, config, token=token)
 
     sharded = ShardedService(
         n_shards, replace(config, token=token), start_method=start_method
     )
+    ledger = UpdateLedger(sharded.publisher)
     try:
         n_rounds = max(len(flushes) for flushes in streams.values())
         for round_index in range(n_rounds):
@@ -99,13 +99,14 @@ def assert_sharded_matches_single(
             sharded.pump()
         sharded.drain()
 
-        # Published periods match exactly.
+        # Published periods match exactly, and so does every evaluation's
+        # update (time, frequency, period, confidence) on the way there.
         for job in streams:
             assert sharded.publisher.latest_period(job) == reference["periods"][job], job
+        ledger.assert_matches(reference["ledger"])
 
-        # Full per-session state is bit-identical: predictor histories
-        # (periods, windows, times, confidences), resident buffers,
-        # metadata and counters.
+        # Full per-session state is bit-identical: predictor adaptive state,
+        # resident buffers, metadata and counters.
         merged = sharded.snapshot_state()
         ours = sessions_by_job(merged)
         theirs = sessions_by_job(reference["state"])
@@ -304,6 +305,7 @@ class TestCrashRecovery:
         writer = FrameWriter(spool, token=token)
 
         sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
+        ledger = UpdateLedger(sharded.publisher)
         try:
             tail = sharded.tail_file(spool)
 
@@ -345,6 +347,9 @@ class TestCrashRecovery:
 
         reference = run_single(streams, service_config, token=token)
         assert periods == reference["periods"]
+        # The victim's post-snapshot updates were published twice — before the
+        # kill and again by the replay — with the same values each time.
+        ledger.assert_matches(reference["ledger"])
         ours = sessions_by_job(merged)
         theirs = sessions_by_job(reference["state"])
         for job in streams:

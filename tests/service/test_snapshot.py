@@ -15,9 +15,13 @@ from repro.service import (
     save_snapshot,
     snapshot_state,
 )
+from repro.service.session import JobSession
+from repro.service.snapshot import SNAPSHOT_VERSION
 from repro.trace.jsonl import trace_to_flushes
 from repro.trace.msgpack import packb, unpackb
+from repro.workloads import synthetic_flush_streams
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
+from tests.service.conftest import UpdateLedger
 
 
 @pytest.fixture(scope="module")
@@ -53,24 +57,29 @@ def stream_through(service, streams, *, start=0, stop=None):
 
 class TestSnapshotRestore:
     def test_restored_service_continues_identically(self, service_config, streams, tmp_path):
-        uninterrupted = stream_through(PredictionService(service_config), streams)
+        uninterrupted = PredictionService(service_config)
+        expected = UpdateLedger(uninterrupted.publisher)
+        stream_through(uninterrupted, streams)
 
         crashed = stream_through(PredictionService(service_config), streams, stop=4)
         path = save_snapshot(crashed, tmp_path / "service.snapshot")
         assert path.exists() and path.stat().st_size > 0
 
         restored = load_snapshot(path, config=service_config)
+        resumed = UpdateLedger(restored.publisher)
         stream_through(restored, streams, start=4)
 
+        # Every update after the restore — its index continuing the crashed
+        # run's count — is the one the uninterrupted service published.
+        assert resumed.conflicts == [] and resumed.entries
+        assert resumed.entries == {
+            key: value
+            for key, value in expected.entries.items()
+            if key[1] >= crashed.session(key[0]).detections
+        }
         for job in streams:
             a = uninterrupted.session(job)
             b = restored.session(job)
-            assert [s.period for s in a.predictor.history] == [
-                s.period for s in b.predictor.history
-            ], job
-            assert [s.window for s in a.predictor.history] == [
-                s.window for s in b.predictor.history
-            ], job
             assert uninterrupted.publisher.latest_period(
                 job
             ) == restored.publisher.latest_period(job), job
@@ -90,21 +99,11 @@ class TestSnapshotRestore:
                 after.period,
             )
 
-    def test_snapshot_preserves_merged_intervals(self, service_config, streams):
-        service = stream_through(PredictionService(service_config), streams)
-        restored = restore_state(snapshot_state(service), config=service_config)
-        for job in streams:
-            original = service.session(job).predictor.merged_intervals()
-            recovered = restored.session(job).predictor.merged_intervals()
-            assert [(i.low, i.high, i.probability) for i in original] == [
-                (i.low, i.high, i.probability) for i in recovered
-            ]
-
     def test_snapshot_is_plain_msgpack(self, service_config, streams, tmp_path):
         service = stream_through(PredictionService(service_config), streams, stop=2)
         path = save_snapshot(service, tmp_path / "service.snapshot")
         decoded = unpackb(path.read_bytes())
-        assert decoded["snapshot_version"] == 1
+        assert decoded["snapshot_version"] == SNAPSHOT_VERSION
         assert {s["job"] for s in decoded["sessions"]} == set(streams)
 
     def test_unknown_snapshot_version_rejected(self, service_config):
@@ -116,3 +115,71 @@ class TestSnapshotRestore:
         path.write_bytes(packb([1, 2, 3]))
         with pytest.raises(TraceFormatError):
             load_snapshot(path, config=service_config)
+
+    def test_version_1_state_with_steps_rejected(self, service_config, streams):
+        service = stream_through(PredictionService(service_config), streams, stop=2)
+        state = snapshot_state(service)
+        state["snapshot_version"] = 1
+        for session in state["sessions"]:
+            session["detections"] = session["predictor"].pop("evaluations")
+            session["predictor"]["steps"] = []
+        with pytest.raises(TraceFormatError, match="version 1"):
+            restore_state(state, config=service_config)
+
+
+#: A session state's keys: the resident buffer, the counters, the predictor.
+SESSION_KEYS = frozenset(
+    {
+        "job",
+        "metadata",
+        "pending_time",
+        "last_detection_time",
+        "ingested_flushes",
+        "ingested_requests",
+        "evicted",
+        "finished",
+        "buffer",
+        "predictor",
+    }
+)
+
+#: A predictor state's keys: the adaptive window and the evaluation count.
+PREDICTOR_KEYS = frozenset(
+    {"evaluations", "consecutive_hits", "last_period", "window_start", "adaptive_window"}
+)
+
+
+class TestSessionStateSchema:
+    """A session's state is its window: it does not grow with the job's runtime."""
+
+    def test_state_keys_are_pinned(self, online_config):
+        session = JobSession("job", SessionConfig(config=online_config))
+        for flush in synthetic_flush_streams(1, flushes_per_job=4, seed=1)["job-000"]:
+            session.ingest(flush)
+            session.detect()
+        state = session.state_dict()
+        assert frozenset(state) == SESSION_KEYS
+        assert frozenset(state["predictor"]) == PREDICTOR_KEYS
+        assert state["predictor"]["evaluations"] == session.detections == 4
+
+    def test_state_size_is_flat_in_runtime(self, online_config):
+        (flushes,) = synthetic_flush_streams(
+            1, flushes_per_job=800, requests_per_flush=16, seed=1
+        ).values()
+        session = JobSession("job", SessionConfig(config=online_config))
+        states = {}
+        for flush in flushes:
+            session.ingest(flush)
+            session.detect()
+            if session.detections in (100, 800):
+                states[session.detections] = session.state_dict()
+        early, late = states[100], states[800]
+        # The predictor packs to the same size but for its two integer
+        # counters' own MessagePack width (a fixint at 100, a uint16 at 800).
+        counters = ("evaluations", "consecutive_hits")
+        width = sum(
+            len(packb(late["predictor"][k])) - len(packb(early["predictor"][k])) for k in counters
+        )
+        assert width <= 4
+        assert len(packb(late["predictor"])) - len(packb(early["predictor"])) == width
+        assert abs(len(packb(late)) - len(packb(early))) < 1024

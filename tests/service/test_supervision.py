@@ -2,8 +2,8 @@
 
 Both features are pure composition of proven pieces — ``compact_spool`` +
 reader rebasing, and ``revive_shard`` + snapshot/spool replay — so the tests
-assert the same end state as the manual paths: predictions bit-identical to a
-run without compaction / without a crash.
+assert the same end state as the manual paths: every published update and the
+final state bit-identical to a run without compaction / without a crash.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.service import (
 )
 from repro.trace.framing import FrameWriter
 from repro.workloads import synthetic_flush_streams
+from tests.service.conftest import UpdateLedger, sessions_by_job
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +34,6 @@ def session_config():
     )
 
 
-def sessions_by_job(state: dict) -> dict[str, dict]:
-    return {session["job"]: session for session in state["sessions"]}
-
-
 class TestAutoCompaction:
     def _run(self, tmp_path, session_config, *, auto_compact: bool) -> dict:
         streams = synthetic_flush_streams(4, flushes_per_job=8, seed=3)
@@ -46,6 +43,7 @@ class TestAutoCompaction:
         service = PredictionService(
             ServiceConfig(session=session_config, auto_compact=auto_compact)
         )
+        ledger = UpdateLedger(service.publisher)
         reader = service.tail_file(spool)
         compactions = []
         for round_index in range(n_rounds):
@@ -66,6 +64,7 @@ class TestAutoCompaction:
             "stats": stats,
             "compactions": compactions,
             "spool_size": spool.stat().st_size,
+            "ledger": ledger,
         }
 
     def test_snapshot_compacts_spool_and_changes_nothing_else(self, tmp_path, session_config):
@@ -88,6 +87,7 @@ class TestAutoCompaction:
         assert counters(compacted["stats"]) == counters(control["stats"])
         assert sessions_by_job(compacted["state"]) == sessions_by_job(control["state"])
         assert compacted["state"]["publisher"] == control["state"]["publisher"]
+        compacted["ledger"].assert_matches(control["ledger"])
 
     def test_compaction_keeps_unconsumed_tail(self, tmp_path, session_config):
         streams = synthetic_flush_streams(2, flushes_per_job=4, seed=5)
@@ -136,6 +136,7 @@ class TestAutoRevive:
             service = ShardedService(
                 2, self._config(session_config, auto_revive=True, revive_budget=2)
             )
+            ledger = UpdateLedger(service.publisher)
             try:
                 tail = service.tail_file(spool)
                 self._stream(service, writer, tail, streams, range(third))
@@ -157,6 +158,7 @@ class TestAutoRevive:
                         job: service.publisher.latest_period(job) for job in streams
                     },
                     "revives": service.auto_revives,
+                    "ledger": ledger,
                     "stats": stats,
                 }
             finally:
@@ -169,6 +171,7 @@ class TestAutoRevive:
         assert crashed["stats"]["revived_shards"] == 1
         assert clean["revives"] == 0
         assert crashed["periods"] == clean["periods"]
+        crashed["ledger"].assert_matches(clean["ledger"])
         ours, theirs = sessions_by_job(crashed["state"]), sessions_by_job(clean["state"])
         for job in streams:
             assert ours[job]["predictor"] == theirs[job]["predictor"], job
@@ -214,6 +217,7 @@ class TestAutoRevive:
             service = ShardedService(
                 2, self._config(session_config, auto_revive=True, revive_budget=2)
             )
+            ledger = UpdateLedger(service.publisher)
             try:
                 tail = service.tail_file(spool)
                 self._stream(service, writer, tail, streams, range(3))
@@ -234,6 +238,7 @@ class TestAutoRevive:
                 return {
                     "state": service.snapshot_state(),
                     "revives": service.auto_revives,
+                    "ledger": ledger,
                 }
             finally:
                 service.close()
@@ -241,6 +246,7 @@ class TestAutoRevive:
         crashed = run(kill=True)
         clean = run(kill=False)
         assert crashed["revives"] == 1
+        crashed["ledger"].assert_matches(clean["ledger"])
         ours, theirs = sessions_by_job(crashed["state"]), sessions_by_job(clean["state"])
         for job in streams:
             assert ours[job]["ingested_flushes"] == theirs[job]["ingested_flushes"], job
@@ -258,6 +264,7 @@ class TestAutoRevive:
             service = ShardedService(
                 2, self._config(session_config, auto_revive=True, revive_budget=2)
             )
+            ledger = UpdateLedger(service.publisher)
             try:
                 tails = [service.tail_file(s) for s in spools]
 
@@ -281,6 +288,7 @@ class TestAutoRevive:
                 return {
                     "state": service.snapshot_state(),
                     "revives": service.auto_revives,
+                    "ledger": ledger,
                 }
             finally:
                 service.close()
@@ -288,6 +296,7 @@ class TestAutoRevive:
         crashed = run(kill=True)
         clean = run(kill=False)
         assert crashed["revives"] == 1
+        crashed["ledger"].assert_matches(clean["ledger"])
         ours, theirs = sessions_by_job(crashed["state"]), sessions_by_job(clean["state"])
         for job in jobs:
             assert ours[job]["predictor"] == theirs[job]["predictor"], job

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.service import HashRing
 from test_resharding import service_config  # noqa: F401  (fixture, used by name)
+from tests.service.conftest import UpdateLedger
 
 JOBS = [f"job-{i:04d}" for i in range(400)]
 
@@ -153,6 +154,7 @@ class TestWeightedReshard:
         )
         weights = [1.0, 3.0, 1.0]
         sharded = ShardedService(2, service_config)
+        ledger = UpdateLedger(sharded.publisher)
         try:
             submit_round(sharded, streams, 0)
             pump_service(sharded)
@@ -183,6 +185,7 @@ class TestWeightedReshard:
                 "periods": {
                     job: sharded.publisher.latest_period(job) for job in streams
                 },
+                "ledger": ledger,
             }
         finally:
             sharded.close()

@@ -29,6 +29,7 @@ from repro.service.shm_ring import ShmRingReader, ShmRingWriter
 from repro.trace.framing import _HEADER, FrameDecoder, FrameSplitter, encode_frame
 from repro.trace.jsonl import FlushRecord
 from repro.trace.record import IORequest
+from tests.service.conftest import UpdateLedger
 
 
 def make_flush(index: int) -> FlushRecord:
@@ -229,6 +230,7 @@ class TestIngestCopyAccounting:
 
         def run(reclaim: bool):
             service = PredictionService(ServiceConfig(session=SessionConfig()))
+            ledger = UpdateLedger(service.publisher)
             try:
                 buffer = bytearray(data)
                 assert service.feed_borrowed(memoryview(buffer)) == n
@@ -242,7 +244,7 @@ class TestIngestCopyAccounting:
                 service.pump(wait_for_batch=True)
                 periods = {job: service.publisher.latest_period(job) for job in service.jobs}
                 states = [session.state_dict() for session in service.broker.sessions()]
-                return periods, states, service.broker.copy_stats
+                return periods, states, service.broker.copy_stats, ledger.entries
             finally:
                 service.close()
 
