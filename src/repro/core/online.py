@@ -25,6 +25,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import overload
 
 from repro.core.config import FtioConfig
 from repro.core.ftio import Ftio
@@ -33,7 +34,7 @@ from repro.core.kernels import SpectralKernels
 from repro.core.result import FtioResult
 from repro.exceptions import AnalysisError, EmptyTraceError, InsufficientSamplesError
 from repro.trace.jsonl import FlushRecord, iter_flushes
-from repro.trace.sampling import DiscreteSignal
+from repro.trace.sampling import DiscreteSignal, TraceWindow, discretize_windows
 from repro.trace.trace import Trace, merge_traces
 
 
@@ -95,9 +96,9 @@ class PreparedStep:
     then runs the spectral analysis and commits the outcome to the adaptive
     state.
     The split exists so the batched detection engine can discretize many
-    sessions, stack the resulting windows and evaluate their transforms in
-    one batch between the two phases — ``step()`` is exactly
-    ``complete_step(prepare_step(...))``.
+    sessions' windows in one pass (:class:`PrepareBatch`) and evaluate
+    their transforms in one batch between the two phases — ``step()`` is
+    exactly ``complete_step(prepare_step(...))``.
 
     Attributes
     ----------
@@ -171,13 +172,31 @@ class OnlinePredictor:
         """
         return self.complete_step(self.prepare_step(trace, now=now))
 
-    def prepare_step(self, trace: Trace, *, now: float | None = None) -> PreparedStep:
+    @overload
+    def prepare_step(
+        self, trace: Trace, *, now: float | None = None, into: None = None
+    ) -> PreparedStep: ...
+
+    @overload
+    def prepare_step(
+        self, trace: Trace, *, now: float | None = None, into: PrepareBatch
+    ) -> None: ...
+
+    def prepare_step(
+        self, trace: Trace, *, now: float | None = None, into: PrepareBatch | None = None
+    ) -> PreparedStep | None:
         """Phase 1 of :meth:`step`: pick the adaptive window and discretize.
 
         Raises :class:`AnalysisError` on an empty trace, exactly like
-        :meth:`step`; a window that holds too little data to discretize
-        yields a prepared step with ``signal=None`` ("no result", not a
-        crash).
+        :meth:`step`; a window that holds too little data to discretize —
+        no analysable request in it, or a flush stamped at or before the
+        trace's first request — yields a prepared step with ``signal=None``
+        ("no result", not a crash).
+
+        The window is chosen here, row by row; the discretization is a batch
+        of one of :class:`PrepareBatch`.  With ``into``, the step joins that
+        batch instead and ``None`` is returned: :meth:`PrepareBatch.run`
+        cuts every window it holds in one pass and returns the steps.
         """
         if trace.is_empty:
             raise AnalysisError("cannot run an online prediction on an empty trace")
@@ -188,19 +207,19 @@ class OnlinePredictor:
             window_start = max(t_begin, self._window_start)
         if window_start >= t_end:
             window_start = t_begin
-        window = (window_start, t_end)
-
-        signal: DiscreteSignal | None
-        try:
-            signal = self._ftio.prepare_signal(self._ftio.to_signal(trace, window=window))
-        except (InsufficientSamplesError, AnalysisError, EmptyTraceError):
-            # An analysis window that holds no analysable requests (e.g. only
-            # reads under io_kind="write") is "no result", not a crash.
-            signal = None
         # A trace is immutable, so its metadata is shared with the result, not copied.
-        return PreparedStep(
-            time=t_end, window=window, signal=signal, trace_metadata=trace.metadata
+        step = PreparedStep(
+            time=t_end, window=(window_start, t_end), signal=None, trace_metadata=trace.metadata
         )
+        batch = PrepareBatch() if into is None else into
+        # Nothing to cut when the flush is stamped at or before the first request.
+        batch._rows.append((self, step, trace if t_begin < t_end else None))
+        if into is not None:
+            return None
+        (prepared,) = batch.run()
+        if isinstance(prepared, Exception):
+            raise prepared
+        return prepared
 
     def complete_step(
         self, prepared: PreparedStep, *, kernels: SpectralKernels | None = None
@@ -292,6 +311,53 @@ class OnlinePredictor:
             # Keep only the last `hits_needed` periods of history for the next
             # evaluation: window_start = now - k * (last found period).
             self._window_start = step.time - hits_needed * step.period
+
+
+class PrepareBatch:
+    """Windows of many predictors, discretized together.
+
+    :meth:`OnlinePredictor.prepare_step` picks each window (``into=`` this
+    batch); :meth:`run` cuts them all with one
+    :func:`~repro.trace.sampling.discretize_windows` call and applies each
+    predictor's own :meth:`Ftio.prepare_signal <repro.core.ftio.Ftio.prepare_signal>`.
+    Every step is the one ``prepare_step`` alone returns, bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[tuple[OnlinePredictor, PreparedStep, Trace | None]] = []
+
+    def run(self) -> list[PreparedStep | Exception]:
+        """The prepared steps, in the order they joined, or what each raised."""
+        cut = [
+            TraceWindow(
+                trace,
+                predictor.config.sampling_frequency,
+                predictor.config.io_kind,
+                predictor.config.sampling_mode,
+                step.window,
+            )
+            for predictor, step, trace in self._rows
+            if trace is not None
+        ]
+        signals = iter(discretize_windows(cut))
+        out: list[PreparedStep | Exception] = []
+        for predictor, step, trace in self._rows:
+            signal = None if trace is None else next(signals)
+            try:
+                if isinstance(signal, Exception):
+                    raise signal
+                if signal is not None:
+                    signal = predictor._ftio.prepare_signal(signal)
+                    step = PreparedStep(step.time, step.window, signal, step.trace_metadata)
+            except (InsufficientSamplesError, AnalysisError, EmptyTraceError):
+                # An analysis window that holds no analysable requests (e.g. only
+                # reads under io_kind="write") is "no result", not a crash.
+                pass
+            except Exception as exc:  # noqa: BLE001 - the row fails alone
+                out.append(exc)
+                continue
+            out.append(step)
+        return out
 
 
 def merged_intervals(steps: Iterable[PredictionStep]) -> list[FrequencyInterval]:

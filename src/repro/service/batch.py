@@ -3,19 +3,24 @@
 Every evaluation the dispatcher schedules — one due session or hundreds —
 runs through :func:`detect_sessions_inline`: **claim** every due session
 (two-phase, :meth:`JobSession.begin_batch_detect` — it reports not-due until it
-commits or aborts), **prepare** each claimed window against its live predictor
-(:meth:`OnlinePredictor.prepare_step`), hand all the prepared signals to
+commits or aborts), let each live predictor pick its adaptive window
+(:meth:`OnlinePredictor.prepare_step` ``into=`` one
+:class:`~repro.core.online.PrepareBatch`), **prepare** every claimed window in
+one pass (:meth:`PrepareBatch.run <repro.core.online.PrepareBatch.run>`, a
+single :func:`~repro.trace.sampling.discretize_windows` call; how it samples
+is that module's business), hand all the prepared signals to
 :func:`repro.core.kernels.compute_batch_kernels` in one call — the function
-offline detection calls with a batch of one; what it computes and guarantees is
-that module's business — and **commit** each session's row under its own lock
-(:meth:`JobSession.complete_batch_detect`, the ordinary decide of
-:meth:`Ftio.analyze_signal <repro.core.ftio.Ftio.analyze_signal>`).
+offline detection calls with a batch of one — and **commit** each session's
+row under its own lock (:meth:`JobSession.complete_batch_detect`, the ordinary
+decide of :meth:`Ftio.analyze_signal <repro.core.ftio.Ftio.analyze_signal>`).
+Both batched stages are a batch of one when a predictor steps alone, so a
+session publishes the same bits alone or beside any batchmates.
 
 **What is copied, what is checked.**  Per session and detection the claim
 copies the resident request columns once (under the session lock, unchecked —
-they were validated at ingest; see :mod:`repro.service.session`) and
-``prepare_step`` turns them into samples in one pass with no validated
-intermediate.  Nothing on this path re-validates a request.
+they were validated at ingest; see :mod:`repro.service.session`) and the
+pump's prepare turns them into samples with no validated intermediate.
+Nothing on this path re-validates a request.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.core.config import FtioConfig
 from repro.core.kernels import KernelObserver, compute_batch_kernels
-from repro.core.online import PredictionStep, PreparedStep
+from repro.core.online import PredictionStep, PrepareBatch, PreparedStep
 from repro.service.session import JobSession
 
 
@@ -51,14 +56,15 @@ def detect_sessions_inline(
     sessions: Sequence[JobSession],
     observer: KernelObserver | None = None,
 ) -> BatchReport:
-    """Evaluate live sessions as one batch with shared kernels.
+    """Evaluate live sessions as one batch: one prepare, shared kernels.
 
-    Claims every session (two-phase), prepares the windows against the live
-    predictors, computes the kernels of all of them in one call, and commits
-    each session under its own lock — the live predictor steps through exactly
-    the same ``prepare_step``/``complete_step`` pair ``step()`` is built from.
-    A session whose evaluation raises is aborted and marked failed without
-    touching its batchmates.  ``observer`` is forwarded to
+    Claims every session (two-phase), lets each live predictor pick its
+    window, discretizes all the windows in one pass, computes the kernels of
+    all of them in one call, and commits each session under its own lock —
+    the live predictor steps through exactly the ``prepare_step`` /
+    ``complete_step`` pair ``step()`` is built from.  A session whose
+    evaluation raises is aborted and marked failed without touching its
+    batchmates.  ``observer`` is forwarded to
     :func:`~repro.core.kernels.compute_batch_kernels` for per-stage timings.
     """
     steps: list[PredictionStep | None] = [None] * len(sessions)
@@ -66,16 +72,30 @@ def detect_sessions_inline(
     prepared: list[PreparedStep | None] = [None] * len(sessions)
     configs: list[FtioConfig] = []
 
+    batch = PrepareBatch()
+    claimed: list[int] = []
     for i, session in enumerate(sessions):
         configs.append(session.config.config)
         task = session.begin_batch_detect()
         if task is None:
             continue
         try:
-            prepared[i] = session.predictor.prepare_step(task.trace, now=task.now)
+            session.predictor.prepare_step(task.trace, now=task.now, into=batch)
+            claimed.append(i)
         except Exception:
             session.abort_batch_detect()
             failed[i] = True
+
+    try:
+        ready = batch.run() if claimed else []
+    except Exception as exc:  # noqa: BLE001 - every claimed session fails, none wedges
+        ready = [exc] * len(claimed)
+    for i, prep in zip(claimed, ready):
+        if isinstance(prep, Exception):
+            sessions[i].abort_batch_detect()
+            failed[i] = True
+        else:
+            prepared[i] = prep
 
     kernels = compute_batch_kernels(
         [prep.signal if prep is not None else None for prep in prepared],

@@ -32,9 +32,10 @@ thread's next ``ingest`` compacts or grows the ring in place, so a view would
 not do.  Nothing is validated at that point.  Every row passed
 ``FlushColumns.__post_init__`` (ingest) or ``Trace.__post_init__`` (restore)
 on its way into the ring and the ring only moves rows, so the snapshot is
-wrapped by ``Trace._trusted``; the predictor then reads its columns in place
-(:func:`repro.trace.sampling.discretize_trace` copies only what a kind filter
-actually removes).
+wrapped by ``Trace._trusted``; the pump's prepare then reads its columns
+unchecked (:func:`repro.trace.sampling.discretize_windows` concatenates the
+claimed windows once per pump; a predictor preparing alone copies only what a
+kind filter actually removes).
 """
 
 from __future__ import annotations

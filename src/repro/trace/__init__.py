@@ -34,8 +34,10 @@ from repro.trace.record import GroundTruth, IOKind, IOPhase, IORequest
 from repro.trace.recorder import read_recorder_directory, write_recorder_directory
 from repro.trace.sampling import (
     DiscreteSignal,
+    TraceWindow,
     discretize_signal,
     discretize_trace,
+    discretize_windows,
     recommend_sampling_frequency,
 )
 from repro.trace.trace import Trace, concatenate_in_time, merge_traces
@@ -79,6 +81,8 @@ __all__ = [
     "DiscreteSignal",
     "discretize_signal",
     "discretize_trace",
+    "discretize_windows",
+    "TraceWindow",
     "recommend_sampling_frequency",
     "Trace",
     "concatenate_in_time",

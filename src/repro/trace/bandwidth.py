@@ -12,20 +12,22 @@ The construction is an event sweep over the 2·n request boundaries, i.e.
 O(n log n) for the sort and O(n) for the sweep, fully vectorized in numpy.
 
 **One implementation of each step.**  The arithmetic lives in the private
-array-level helpers below (``_kind_columns`` → ``_sweep`` → ``_clip`` /
-``_values_at`` / ``_cumulative_volume``), which take and return plain
-``(times, values)`` arrays and validate nothing but their own degenerate
-cases.  :func:`bandwidth_signal` and the :class:`BandwidthSignal` methods wrap
-them — the dataclass constructor is where outside arrays are checked — and
-:func:`repro.trace.sampling.discretize_trace` chains the same helpers without
-the wrappers, so the online hot path and the public composed route cannot
-drift apart: they are the same floating-point operations in the same order.
+row-block helpers below (``_kind_columns`` → ``_sweep`` → ``_clip`` /
+``_cumulative``), which take and return many signals at once as padded
+blocks (:class:`_Rows`) and validate nothing but their own degenerate cases.
+:func:`bandwidth_signal` and the :class:`BandwidthSignal` methods wrap them
+with a block of one row — the dataclass constructor is where outside arrays
+are checked — and :func:`repro.trace.sampling.discretize_windows` chains the
+same helpers over every window a pump claimed, so the online hot path and
+the public composed route cannot drift apart: they are the same
+floating-point operations in the same order.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -42,68 +44,208 @@ _Columns = tuple[NDArray[np.float64], NDArray[np.float64]]
 
 
 # --------------------------------------------------------------------- #
-# array-level steps (shared with repro.trace.sampling)
+# row-block steps (shared with repro.trace.sampling)
 # --------------------------------------------------------------------- #
-def _kind_columns(
-    trace: Trace, kind: str | None
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """``(starts, ends, nbytes)`` of the requests of ``kind`` (``None``: all), as float64.
+class _Rows(NamedTuple):
+    """k piecewise-constant signals as one padded block.
 
-    The columns are the trace's own when every request matches — nothing
-    downstream writes to them.
+    Row ``r`` holds ``lengths[r]`` boundaries at the front of ``times[r]``
+    and one value per segment at the front of ``values[r]`` (one column
+    narrower); no step reads what lies past them.
     """
-    starts, ends, nbytes = trace.starts, trace.ends, trace.nbytes
-    if kind is not None:
-        matches = trace.kinds == IOKind(kind).value
-        if not matches.all():
-            starts, ends, nbytes = starts[matches], ends[matches], nbytes[matches]
-    if len(starts) == 0:
-        raise EmptyTraceError("cannot build a bandwidth signal from an empty trace")
+
+    times: NDArray[np.float64]
+    values: NDArray[np.float64]
+    lengths: NDArray[np.intp]
+
+
+def _kind_columns(
+    traces: Sequence[Trace], kinds: Sequence[str | None]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.intp]]:
+    """The requests of each trace of its kind, end to end, as float64 columns.
+
+    ``kinds[r]`` is an :class:`IOKind` value or ``None`` (every request).
+    Returns ``(starts, ends, nbytes, counts)``: the kept requests of all
+    traces in order, and how many each trace kept.  A lone trace's columns
+    are its own when every request is kept — nothing downstream writes to them.
+    """
+
+    def joined(column: str) -> NDArray:
+        if len(traces) == 1:
+            return getattr(traces[0], column)
+        return np.concatenate([getattr(trace, column) for trace in traces])
+
+    sizes = np.array([len(trace) for trace in traces], dtype=np.intp)
+    starts, ends, nbytes = joined("starts"), joined("ends"), joined("nbytes")
+    wanted = set(kinds)
+    if wanted != {None}:
+        labels = joined("kinds")
+        if len(wanted) == 1:
+            keep = labels == kinds[0]
+        else:
+            keep = labels == np.repeat(np.array([kind or "" for kind in kinds]), sizes)
+            keep |= np.repeat(np.array([kind is None for kind in kinds]), sizes)
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            if len(traces) == 1:
+                sizes = np.array([len(kept)])
+            else:
+                bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
+                np.cumsum(sizes, out=bounds[1:])
+                sizes = np.diff(kept.searchsorted(bounds))
+            starts, ends, nbytes = starts[kept], ends[kept], nbytes[kept]
     return (
         np.asarray(starts, dtype=np.float64),
         np.asarray(ends, dtype=np.float64),
         np.asarray(nbytes, dtype=np.float64),
+        sizes,
     )
 
 
 def _sweep(
-    starts: NDArray[np.float64], ends: NDArray[np.float64], nbytes: NDArray[np.float64]
-) -> _Columns:
-    """Event sweep: segment boundaries and the summed rate on each segment.
+    starts: NDArray[np.float64],
+    ends: NDArray[np.float64],
+    nbytes: NDArray[np.float64],
+    counts: NDArray[np.intp],
+) -> _Rows:
+    """Event sweep of every row at once: segment boundaries and summed rates.
 
-    The running sum covers *every* event handed in, in time order — a caller
-    that wants a window clips the result (:func:`_clip`); starting the sum at
-    the window would round differently.
+    Row ``r`` is the next ``counts[r]`` requests of the columns.  Each row's
+    running sum covers *every* event of the row, in time order — a caller that
+    wants a window clips the result (:func:`_clip`); starting the sum at the
+    window would round differently.  A row with no request has no boundary.
+
+    Rows are padded with NaN to a ``(k, 2·max m)`` block; a stable sort puts
+    the padding after the row's own events, its own NaNs included, so each
+    row sorts, collapses and accumulates exactly as it would alone.
     """
+    k = len(counts)
+    least, most = (int(counts.min()), int(counts.max())) if k > 1 else (int(counts[0]),) * 2
+    width = 2 * most
     durations = np.maximum(ends - starts, _MIN_REQUEST_DURATION)
     ends = starts + durations
     rates = nbytes / durations
 
-    # +rate at each start, -rate at each end.
-    boundaries = np.concatenate([starts, ends])
-    deltas = np.concatenate([rates, -rates])
-    order = boundaries.argsort(kind="stable")
-    boundaries = boundaries[order]
-    deltas = deltas[order]
+    # +rate at each start, -rate at each end; row r's events at the front of
+    # its row, starts then ends, the layout np.concatenate([starts, ends])
+    # hands the stable sort of a row alone.
+    m = width // 2
+    padded = least < most
+    if padded:
+        column = np.arange(width)
+        events = np.full((k, width), np.nan)
+        deltas = np.zeros((k, width))
+        for lo, hi, at_events, at_deltas in ((0, 1, starts, rates), (1, 2, ends, -rates)):
+            at = (column >= lo * counts[:, None]) & (column < hi * counts[:, None])
+            events[at] = at_events
+            deltas[at] = at_deltas
+    else:  # every row full: the halves are reshapes
+        events = np.empty((k, width))
+        deltas = np.empty((k, width))
+        events[:, :m] = starts.reshape(k, m)
+        events[:, m:] = ends.reshape(k, m)
+        deltas[:, :m] = rates.reshape(k, m)
+        np.negative(rates.reshape(k, m), out=deltas[:, m:])
+    order = events.argsort(axis=1, kind="stable")
+    if k > 1:  # into the flattened block
+        order += (np.arange(k) * width)[:, None]
+    events = events.reshape(-1)[order]
+    deltas = deltas.reshape(-1)[order]
 
     # Collapse identical timestamps so segments have strictly positive width:
     # ``np.unique(boundaries, return_inverse=True)`` without its second sort.
-    first = np.empty(len(boundaries), dtype=np.bool_)
-    first[0] = True
-    np.not_equal(boundaries[1:], boundaries[:-1], out=first[1:])
-    if math.isnan(boundaries[-1]):
-        # NaNs sort last and count as one timestamp, as np.unique has it.
-        first[boundaries.searchsorted(np.nan) + 1 :] = False
-    times = boundaries[first]
+    # NaNs sort last and count as one timestamp, as np.unique has it; the
+    # padding is never a timestamp.
+    first = np.empty((k, width), dtype=np.bool_)
+    first[:, :1] = True
+    np.not_equal(events[:, 1:], events[:, :-1], out=first[:, 1:])
+    if padded:
+        first &= np.arange(width) < 2 * counts[:, None]
+    if padded or (width and np.isnan(events[:, -1]).any()):
+        first[:, 1:] &= ~np.isnan(events[:, :-1])
     # Deltas sharing a timestamp are added one by one in sorted order (what
-    # ``np.add.at`` does): a pairwise sum would round differently.
-    delta_per_time = np.bincount(first.cumsum() - 1, weights=deltas, minlength=len(times))
-
-    active = delta_per_time.cumsum()[:-1]
+    # ``np.add.at`` does): a pairwise sum would round differently.  Event
+    # (r, c) goes to slot 1 + r·span + its segment of the (k, span) block
+    # shifted by one: a row's padding adds +0.0 to the row's last segment,
+    # which no sum started at +0.0 notices, and an empty row's to the slot
+    # before it (slot 0, dropped, for row 0).
+    slot = first.cumsum(axis=1, dtype=np.intp)
+    lengths = slot[:, -1].copy() if width else np.zeros(k, dtype=np.intp)
+    each = lengths.tolist()
+    span = max(each)
+    if k > 1:
+        slot += (np.arange(k) * span)[:, None]
+    per_time = np.bincount(
+        slot.reshape(-1), weights=deltas.reshape(-1), minlength=k * span + 1
+    )[1:].reshape(k, span)
+    times = events[first]
+    if min(each) == span:
+        times = times.reshape(k, span)
+    else:
+        times_block = np.full((k, span), np.nan)
+        times_block[np.arange(span) < lengths[:, None]] = times
+        times = times_block
+    # A zero-padded 2-D cumsum runs along each row, as the row's own would.
+    active = per_time.cumsum(axis=1)[:, :-1]
     # Numerical noise can leave tiny (or tiny negative) rates after full
     # cancellation; negative rates are clamped with them.
     active = np.where(active < 1e-6, 0.0, active)
-    return times, active
+    return _Rows(times, active, lengths)
+
+
+def _clip(
+    rows: _Rows, t0: NDArray[np.float64], t1: NDArray[np.float64]
+) -> tuple[_Rows, NDArray[np.bool_]]:
+    """Restrict (and clip) every row to its window ``[t0[r], t1[r]]``, ``t0 < t1``.
+
+    Each clipped segment takes the value found at its midpoint, so a segment
+    one ulp wide resolves exactly as it always has.  A row that no segment
+    reaches into is one empty segment: the window clamped to the row's range,
+    1 ns wide at least.  Returns the clipped rows and the rows where that
+    placeholder has no width (past ~8e6 s, 1 ns is below an ulp).
+    """
+    times, values, lengths = rows
+    k, width = times.shape
+    row = np.arange(k)
+    last = times[row, lengths - 1]
+    t0 = np.where(times[:, 0] > t0, times[:, 0], t0)
+    t1 = np.where(last < t1, last, t1)
+    empty = (t1 <= t0) | (lengths < 2)
+    no_width = empty
+    if empty.any():
+        placeholder_end = t0 + _MIN_REQUEST_DURATION
+        t1 = np.where(empty & (placeholder_end > t1), placeholder_end, t1)
+        no_width = empty & (t1 <= t0)
+    if width < 2:  # no row has a segment
+        return _Rows(np.stack([t0, t1], axis=1), np.zeros((k, 1)), np.full(k, 2)), no_width
+    # times.searchsorted(t0, "right") and times.searchsorted(t1, "left"),
+    # counted (the padding is NaN and sorts last).
+    lo = np.add.reduce(times <= t0[:, None], axis=1, dtype=np.intp)
+    hi = np.add.reduce(times < t1[:, None], axis=1, dtype=np.intp)
+    size = np.where(empty, 2, hi - lo + 2)
+
+    # A clipped row is t0, the row's boundaries lo .. hi - 1, t1: column j is
+    # boundary lo - 1 + j in between (``at``: flat indices into the block,
+    # clamped to the row).
+    at = (row * width + lo - 1)[:, None] + np.arange(int(size.max()))
+    np.minimum(at, (row * width + width - 1)[:, None], out=at)
+    source = times.reshape(-1).take(at)
+    clipped = source.copy()
+    clipped[:, 0] = t0
+    clipped[row, size - 1] = t1
+    mids = 0.5 * (clipped[:, :-1] + clipped[:, 1:])
+    # The midpoint of clipped segment j lies in the row's segment lo - 1 + j,
+    # or on its right boundary (a segment one ulp wide), then in the next one;
+    # past the row's last segment it is zeroed.  (``values`` is one column
+    # narrower than ``times``, hence ``- row``.)
+    at = at[:, :-1] - row[:, None]
+    at += mids >= source[:, 1:]
+    np.minimum(at, (row * (width - 1) + width - 2)[:, None], out=at)
+    keep = mids < last[:, None]
+    if empty.any():
+        keep &= ~empty[:, None]
+    clipped_values = np.where(keep, values.reshape(-1).take(at), 0.0)
+    return _Rows(clipped, clipped_values, size), no_width
 
 
 def _values_at(
@@ -119,46 +261,17 @@ def _values_at(
     return out
 
 
-def _cumulative_volume(
-    times: NDArray[np.float64], values: NDArray[np.float64], t: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Bytes transferred from ``times[0]`` up to each ``t`` (exact: piecewise linear).
+def _cumulative(rows: _Rows) -> NDArray[np.float64]:
+    """Bytes transferred from each row's first boundary up to each of its boundaries.
 
-    ``np.interp`` holds the end values outside the range, which is the
-    clipping of ``t`` to ``[times[0], times[-1]]``.
+    The cumulative volume of a piecewise-constant rate is piecewise linear, so
+    ``np.interp`` over a row of this block is exact between the boundaries and
+    holds the end values outside them (the clipping of ``t`` to the row).
     """
-    cumulative = np.empty(len(times))
-    cumulative[0] = 0.0
-    np.cumsum(values * (times[1:] - times[:-1]), out=cumulative[1:])
-    return np.interp(t, times, cumulative)
-
-
-def _clip(
-    times: NDArray[np.float64], values: NDArray[np.float64], t0: float, t1: float
-) -> _Columns:
-    """Restrict (and clip) a signal to the window ``[t0, t1]``.
-
-    Each clipped segment takes the value found at its midpoint, so a segment
-    one ulp wide resolves exactly as it always has.
-    """
-    if t1 <= t0:
-        raise ValueError(f"window end ({t1}) must be > start ({t0})")
-    t0 = max(t0, float(times[0]))
-    t1 = min(t1, float(times[-1]))
-    if t1 <= t0 or len(values) == 0:
-        t1 = max(t1, t0 + _MIN_REQUEST_DURATION)
-        if t1 <= t0:
-            # t0 is too large for the placeholder width to register.
-            raise ValueError("segment boundaries must be strictly increasing")
-        return np.array([t0, t1]), np.array([0.0])
-    lo = times.searchsorted(t0, side="right")
-    hi = times.searchsorted(t1, side="left")
-    clipped = np.empty(hi - lo + 2)
-    clipped[0] = t0
-    clipped[1:-1] = times[lo:hi]
-    clipped[-1] = t1
-    mids = 0.5 * (clipped[:-1] + clipped[1:])
-    return clipped, _values_at(times, values, mids)
+    times, values, _ = rows
+    cumulative = np.zeros(times.shape)
+    np.cumsum(values * (times[:, 1:] - times[:, :-1]), axis=1, out=cumulative[:, 1:])
+    return cumulative
 
 
 @dataclass(frozen=True)
@@ -240,7 +353,8 @@ class BandwidthSignal:
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if len(self.values) == 0:
             return np.zeros_like(t_arr)
-        return _cumulative_volume(self.times, self.values, t_arr)
+        (cumulative,) = _cumulative(self._as_rows())
+        return np.interp(t_arr, self.times, cumulative)
 
     def mean_bandwidth(self) -> float:
         """Average bandwidth over the covered range (the V(T)/L(T) threshold)."""
@@ -249,9 +363,24 @@ class BandwidthSignal:
         return self.volume() / self.duration
 
     def restricted(self, t0: float, t1: float) -> "BandwidthSignal":
-        """Return the signal restricted (and clipped) to the window [t0, t1]."""
-        times, values = _clip(self.times, self.values, t0, t1)
-        return BandwidthSignal(times=times, values=values)
+        """Return the signal restricted (and clipped) to the window [t0, t1].
+
+        A window the signal does not reach into is one empty segment, 1 ns
+        wide where the window is clamped to nothing.
+        """
+        if not t1 > t0:
+            raise ValueError(f"window end ({t1}) must be > start ({t0})")
+        (times, values, (size,)), (no_width,) = _clip(
+            self._as_rows(), np.array([float(t0)]), np.array([float(t1)])
+        )
+        if no_width:
+            # t0 is too large for the placeholder width to register.
+            raise ValueError("segment boundaries must be strictly increasing")
+        return BandwidthSignal(times=times[0, :size], values=values[0, : size - 1])
+
+    def _as_rows(self) -> _Rows:
+        """This signal as a block of one row."""
+        return _Rows(self.times[None], self.values[None], np.array([len(self.times)]))
 
 
 def bandwidth_signal(trace: Trace, *, kind: str | None = "write") -> BandwidthSignal:
@@ -270,8 +399,13 @@ def bandwidth_signal(trace: Trace, *, kind: str | None = "write") -> BandwidthSi
     BandwidthSignal
         The piecewise-constant sum of the per-request transfer rates.
     """
-    times, values = _sweep(*_kind_columns(trace, kind))
-    return BandwidthSignal(times=times, values=values)
+    starts, ends, nbytes, (count,) = _kind_columns(
+        [trace], [None if kind is None else IOKind(kind).value]
+    )
+    if count == 0:
+        raise EmptyTraceError("cannot build a bandwidth signal from an empty trace")
+    times, values, (size,) = _sweep(starts, ends, nbytes, np.array([count]))
+    return BandwidthSignal(times=times[0, :size], values=values[0, : size - 1])
 
 
 def phase_boundaries(signal: BandwidthSignal, *, threshold: float = 0.0) -> list[tuple[float, float]]:

@@ -41,36 +41,50 @@ Two sampling modes are provided:
     This conserves volume by construction and is useful when consuming
     bin-structured inputs such as Darshan heatmaps.
 
-:func:`discretize_trace` is the funnel every ``Trace`` → :class:`DiscreteSignal`
-goes through, offline (``Ftio.to_signal``) and online (once per detection of
-every service session), so it runs the array-level steps of
-:mod:`repro.trace.bandwidth` back to back — kind mask, event sweep over every
-request handed in, window clip, sampling — with no :class:`BandwidthSignal` in
-between.  :func:`discretize_signal` is the same clip-and-sample tail
-(``_discretize``) behind the public dataclass, so the two agree bit for bit
-by construction (``tests/trace/test_sampling.py`` holds the property).
-Nothing here validates request columns: a :class:`Trace` did that when it was
-built.
+:func:`discretize_windows` is the funnel every ``Trace`` → :class:`DiscreteSignal`
+goes through: the service's pump hands it every window it claimed, once per
+pump (:class:`repro.core.online.PrepareBatch`), and :func:`discretize_trace`
+— offline (``Ftio.to_signal``) and a predictor preparing alone — is a batch
+of one.  It runs the row-block steps of :mod:`repro.trace.bandwidth` back to
+back over all rows — kind mask, event sweep, window clip — and samples each
+group of rows of equal N as one 2-D block, with no :class:`BandwidthSignal`
+in between; only ``next_fast_len``, ``np.interp``, the grid search and the
+:class:`DiscreteSignal` are per row.  Every 2-D step is one whose rows are
+bit-identical to the row alone (elementwise operations, a stable row sort, a
+sequential row cumsum, a pairwise sum over rows of one length), so a row does
+not depend on its batchmates.  :func:`discretize_signal` is the same
+clip-and-sample tail (``_discretize``) behind the public dataclass, so the
+routes agree bit for bit by construction (``tests/trace/test_sampling.py``
+and ``tests/trace/test_sampling_batch.py`` hold the properties).  Nothing
+here validates request columns: a :class:`Trace` did that when it was built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.fft import next_fast_len
 
-from repro.exceptions import AnalysisError, InsufficientSamplesError
+from repro.exceptions import (
+    AnalysisError,
+    EmptyTraceError,
+    InsufficientSamplesError,
+    ReproError,
+)
 from repro.trace.bandwidth import (
     BandwidthSignal,
     _clip,
-    _cumulative_volume,
+    _cumulative,
     _kind_columns,
+    _Rows,
     _sweep,
 )
+from repro.trace.record import IOKind
 from repro.trace.trace import Trace
 from repro.utils.validation import check_positive
 
@@ -155,79 +169,192 @@ class DiscreteSignal:
 
 
 def _sample_grid(
-    times: NDArray[np.float64], values: NDArray[np.float64], grid: NDArray[np.float64]
+    times: NDArray[np.float64],
+    values: NDArray[np.float64],
+    grid: NDArray[np.float64],
+    out: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """``_values_at(times, values, grid)`` for a sorted ``grid`` and finite ``times``.
 
     Locates the boundaries in the grid (one search per boundary) instead of
     every grid point in the boundaries: sample ``i`` lies in segment ``j`` iff
     ``pos[j] <= i < pos[j + 1]``, the same order comparisons between the same
-    floats, so the result is equal element for element.
+    floats, so the result is equal element for element.  ``out``, if given,
+    is zeros of the grid's length and receives the samples.
     """
     pos = grid.searchsorted(times, side="left")
-    samples = np.zeros(len(grid))
+    samples = np.zeros(len(grid)) if out is None else out
     samples[pos[0] : pos[-1]] = np.repeat(values, pos[1:] - pos[:-1])
     return samples
 
 
-def _discretize(
-    times: NDArray[np.float64],
-    values: NDArray[np.float64],
-    fs: float,
-    mode: SamplingMode,
-    window: tuple[float, float] | None,
-) -> DiscreteSignal:
-    """Sample the piecewise-constant signal ``(times, values)``, clipped to ``window`` if given.
+class TraceWindow(NamedTuple):
+    """One row of :func:`discretize_windows`: what :func:`discretize_trace` takes."""
 
-    The one definition of the sample grid: ``fs`` is the minimum rate, the
-    returned signal carries the effective one (module docstring).
+    trace: Trace
+    sampling_frequency: float
+    kind: str | None = "write"
+    mode: SamplingMode = "point"
+    window: tuple[float, float] | None = None
+
+
+#: What a row of :func:`discretize_windows` can come back as instead of a signal.
+RowError = ValueError | ReproError
+
+
+def discretize_windows(rows: Sequence[TraceWindow]) -> list[DiscreteSignal | RowError]:
+    """Build the bandwidth signal of every row's trace and discretize it, all in one pass.
+
+    Row ``i`` of the result is ``discretize_trace(*rows[i])``, bit for bit,
+    or the exception that call raises (returned, not raised), whatever else
+    is in the batch.  The kind mask, event sweep and window clip run once over
+    all rows (rows padded into one block per similar request count); the
+    sampling runs once per group of rows with equal N.
     """
-    if window is not None:
-        times, values = _clip(times, values, *window)
-    t0 = float(times[0])
-    duration = float(times[-1]) - t0
-    wanted = duration * fs
-    if wanted < 1:
-        raise InsufficientSamplesError(
-            f"window of {duration:.3g} s at fs={fs} Hz holds less than one sampling "
-            "interval; increase the window or the sampling frequency"
+    out: list[DiscreteSignal | RowError | None] = [None] * len(rows)
+    kinds: list[str | None] = []
+    for i, row in enumerate(rows):
+        try:
+            kinds.append(None if row.kind is None else IOKind(row.kind).value)
+        except ValueError as exc:
+            out[i] = exc
+            kinds.append(None)
+    for chunk in _chunks([i for i in range(len(rows)) if out[i] is None], rows):
+        starts, ends, nbytes, counts = _kind_columns(
+            [rows[i].trace for i in chunk], [kinds[i] for i in chunk]
         )
-    if not wanted <= _MAX_SAMPLES:  # NaN and inf included
-        raise AnalysisError(
-            f"window of {duration:.6g} s at fs={fs:.6g} Hz asks for N={wanted:.6g} samples, "
-            f"more than the {_MAX_SAMPLES} a window may hold; narrow the window or lower "
-            "the sampling frequency"
+        swept = _sweep(starts, ends, nbytes, counts)
+        # Rows with and without a window are cut apart: a row alone is
+        # clipped only when it has a window.
+        parts: dict[bool, list[int]] = {True: [], False: []}
+        for i, count in zip(chunk, counts.tolist()):
+            try:
+                if count == 0:
+                    raise EmptyTraceError("cannot build a bandwidth signal from an empty trace")
+                check_positive(rows[i].sampling_frequency, "sampling_frequency")
+                parts[rows[i].window is not None].append(i)
+            except ReproError as exc:
+                out[i] = exc
+        for part in parts.values():
+            if not part:
+                continue
+            block = swept
+            if len(part) < len(chunk):
+                where = np.searchsorted(chunk, part)
+                block = _Rows(swept.times[where], swept.values[where], swept.lengths[where])
+            signals = _discretize(
+                block,
+                [float(rows[i].sampling_frequency) for i in part],
+                [rows[i].mode for i in part],
+                [rows[i].window for i in part],
+            )
+            for i, signal in zip(part, signals):
+                out[i] = signal
+    return out  # type: ignore[return-value]
+
+
+def _chunks(indices: list[int], rows: Sequence[TraceWindow]) -> list[list[int]]:
+    """``indices`` in ascending order of request count, cut where a padded block
+    would hold more than twice the requests it pads (plus a little slack)."""
+    chunks: list[list[int]] = []
+    held = 0
+    for i in sorted(indices, key=lambda i: len(rows[i].trace)):
+        size = len(rows[i].trace)
+        if not chunks or (len(chunks[-1]) + 1) * size > 2 * (held + size) + 4096:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(i)
+        held += size
+    return [sorted(chunk) for chunk in chunks]
+
+
+def _discretize(
+    rows: _Rows,
+    fs: list[float],
+    modes: list[SamplingMode],
+    windows: list[tuple[float, float] | None],
+) -> list[DiscreteSignal | RowError]:
+    """Clip each row to its window and sample it at ``fs[r]`` Hz or just above.
+
+    ``windows`` is ``None`` for every row (no clipping) or for none.  The one
+    definition of the sample grid: ``fs`` is the minimum rate, the returned
+    signal carries the effective one (module docstring).
+    """
+    out: list[DiscreteSignal | RowError | None] = [None] * len(fs)
+    spans = [window for window in windows if window is not None]
+    if spans:
+        for r, (t0, t1) in enumerate(spans):
+            if not t1 > t0:
+                out[r] = ValueError(f"window end ({t1}) must be > start ({t0})")
+        bounds = np.array(spans, dtype=np.float64)
+        rows, no_width = _clip(rows, bounds[:, 0], bounds[:, 1])
+        for r in np.flatnonzero(no_width).tolist():
+            t0, t1 = spans[r]
+            out[r] = out[r] or InsufficientSamplesError(
+                f"window ({t0}, {t1}) holds no part of the signal; there is nothing to sample"
+            )
+
+    times, values, lengths = rows
+    index = np.arange(len(lengths))
+    t_start = times[:, 0]
+    duration = times[index, lengths - 1] - t_start
+    wanted = duration * np.array(fs)
+    groups: dict[int, list[int]] = {}
+    for r, (span, asked) in enumerate(zip(duration.tolist(), wanted.tolist())):
+        if out[r] is not None:
+            continue
+        if asked < 1:
+            out[r] = InsufficientSamplesError(
+                f"window of {span:.3g} s at fs={fs[r]} Hz holds less than one sampling "
+                "interval; increase the window or the sampling frequency"
+            )
+        elif not asked <= _MAX_SAMPLES:  # NaN and inf included
+            out[r] = AnalysisError(
+                f"window of {span:.6g} s at fs={fs[r]:.6g} Hz asks for N={asked:.6g} samples, "
+                f"more than the {_MAX_SAMPLES} a window may hold; narrow the window or lower "
+                "the sampling frequency"
+            )
+        elif modes[r] not in ("point", "bin"):  # pragma: no cover - guarded by Literal typing
+            out[r] = ValueError(f"unknown sampling mode {modes[r]!r}")
+        else:
+            n = next_fast_len(max(math.ceil(asked), 2), real=True)
+            groups.setdefault(n, []).append(r)
+    if not groups:
+        return out  # type: ignore[return-value]
+
+    cumulative = _cumulative(rows)
+    for n, members in groups.items():
+        # Rows of one N are (g, N + 1) blocks: each element is the same IEEE
+        # operation on the same operands as in a row alone, and a row sum of
+        # an equal-length block runs the same pairwise tree.
+        picked = np.array(members)
+        rate = n / duration[picked]
+        edges = t_start[picked, None] + np.arange(n + 1) / rate[:, None]
+        volume_to = np.empty((len(members), n + 1))
+        samples = np.zeros((len(members), n))
+        for g, r in enumerate(members):
+            size = lengths[r]
+            volume_to[g] = np.interp(edges[g], times[r, :size], cumulative[r, :size])
+            if modes[r] == "point":
+                _sample_grid(times[r, :size], values[r, : size - 1], edges[g, :-1], samples[g])
+        true_bin_volumes = volume_to[:, 1:] - volume_to[:, :-1]
+        binned = [g for g, r in enumerate(members) if modes[r] == "bin"]
+        if binned:
+            samples[binned] = true_bin_volumes[binned] * rate[binned, None]
+
+        # Abstraction error: volume difference between the discrete representation
+        # and the original signal, accumulated per sampling interval so that
+        # over- and under-sampled bursts cannot cancel each other out (Sec. II-E).
+        true_volume = true_bin_volumes.sum(axis=1)
+        mismatch = np.abs(samples / rate[:, None] - true_bin_volumes).sum(axis=1)
+        error = np.divide(
+            mismatch, true_volume, out=np.zeros(len(members)), where=true_volume > 0
         )
-    n = next_fast_len(max(math.ceil(wanted), 2), real=True)
-    rate = n / duration
-
-    edges = t0 + np.arange(n + 1) / rate
-    cumulative = _cumulative_volume(times, values, edges)
-    true_bin_volumes = cumulative[1:] - cumulative[:-1]
-
-    if mode == "point":
-        samples = _sample_grid(times, values, edges[:-1])
-    elif mode == "bin":
-        samples = true_bin_volumes * rate
-    else:  # pragma: no cover - guarded by Literal typing
-        raise ValueError(f"unknown sampling mode {mode!r}")
-
-    # Abstraction error: volume difference between the discrete representation
-    # and the original signal, accumulated per sampling interval so that
-    # over- and under-sampled bursts cannot cancel each other out (Sec. II-E).
-    true_volume = float(true_bin_volumes.sum())
-    if true_volume > 0:
-        abstraction_error = float(np.abs(samples / rate - true_bin_volumes).sum() / true_volume)
-    else:
-        abstraction_error = 0.0
-
-    return DiscreteSignal(
-        samples=np.asarray(samples, dtype=np.float64),
-        sampling_frequency=rate,
-        t_start=t0,
-        abstraction_error=abstraction_error,
-        mode=mode,
-    )
+        for g, (r, fs_r, t0, e) in enumerate(
+            zip(members, rate.tolist(), t_start[picked].tolist(), error.tolist())
+        ):
+            out[r] = DiscreteSignal(samples[g], fs_r, t0, e, modes[r])
+    return out  # type: ignore[return-value]
 
 
 def discretize_signal(
@@ -254,13 +381,14 @@ def discretize_signal(
     Raises
     ------
     InsufficientSamplesError
-        If the window is shorter than one sampling interval.
+        If the window is shorter than one sampling interval, or holds no
+        part of the signal.
     AnalysisError
         If the window asks for more than ``_MAX_SAMPLES`` samples (or Δt·fs
         is not finite).
     """
     fs = check_positive(sampling_frequency, "sampling_frequency")
-    return _discretize(signal.times, signal.values, fs, mode, window)
+    return _one(_discretize(signal._as_rows(), [fs], [mode], [window]))
 
 
 def discretize_trace(
@@ -274,11 +402,18 @@ def discretize_trace(
     """Build the bandwidth signal of ``trace`` and discretize it, in one pass.
 
     Equal, bit for bit, to ``discretize_signal(bandwidth_signal(trace,
-    kind=kind), sampling_frequency, mode=mode, window=window)``.
+    kind=kind), sampling_frequency, mode=mode, window=window)``: a batch of
+    one of :func:`discretize_windows`.
     """
-    times, values = _sweep(*_kind_columns(trace, kind))
-    fs = check_positive(sampling_frequency, "sampling_frequency")
-    return _discretize(times, values, fs, mode, window)
+    return _one(discretize_windows([TraceWindow(trace, sampling_frequency, kind, mode, window)]))
+
+
+def _one(batch: list[DiscreteSignal | RowError]) -> DiscreteSignal:
+    """The signal of a batch of one, or raise its error."""
+    (signal,) = batch
+    if isinstance(signal, Exception):
+        raise signal
+    return signal
 
 
 def recommend_sampling_frequency(trace: Trace, *, kind: str | None = "write") -> float:

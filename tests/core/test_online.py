@@ -17,7 +17,7 @@ from repro.core.online import (
 )
 from repro.exceptions import AnalysisError
 from repro.trace import jsonl
-from repro.trace.record import IORequest
+from repro.trace.record import IOKind, IORequest
 from repro.trace.sampling import DiscreteSignal
 from repro.trace.trace import Trace
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
@@ -141,6 +141,38 @@ class TestOnlinePredictor:
         best = intervals[0]
         assert best.probability >= 0.5
         assert best.contains(true_freq, slack=0.05)
+
+    def test_flush_stamped_at_or_before_the_first_request_is_no_result(self, online_config):
+        # A rank clock ahead of the flush clock: the window would end before it starts.
+        trace = Trace.from_requests(
+            [IORequest(rank=0, start=10.0 + i, end=10.5 + i, nbytes=100) for i in range(4)]
+        )
+        for now in (9.0, 10.0):
+            predictor = OnlinePredictor(config=online_config)
+            prepared = predictor.prepare_step(trace, now=now)
+            assert prepared.signal is None
+            assert prepared.time == now
+            step = predictor.complete_step(prepared)
+            assert step.result is None
+            assert predictor.evaluations == 1
+
+    def test_an_empty_window_is_no_result_at_any_timestamp(self, online_config):
+        # The adaptive window lands after the last write (a read phase): with
+        # Unix-epoch stamps the 1 ns placeholder segment has no width.
+        for base in (0.0, 1.7e9):
+            writes = [
+                IORequest(rank=0, start=base + i, end=base + i + 0.1, nbytes=100)
+                for i in range(6)
+            ]
+            reads = [
+                IORequest(rank=0, start=base + 20.0, end=base + 30.0, nbytes=100, kind=IOKind.READ)
+            ]
+            trace = Trace.from_requests(writes + reads)
+            predictor = OnlinePredictor(config=online_config)
+            predictor._window_start = base + 15.0  # as a shrunk window leaves it
+            prepared = predictor.prepare_step(trace, now=base + 30.0)
+            assert prepared.window == (base + 15.0, base + 30.0)
+            assert prepared.signal is None
 
     def test_latest_period_skips_failed_steps(self, online_config):
         trace = ior_trace(ranks=4, iterations=6, compute_time=50.0, seed=9)

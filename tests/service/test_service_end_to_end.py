@@ -30,7 +30,8 @@ from repro.service import (
     SessionConfig,
 )
 from repro.trace.framing import encode_frame
-from repro.trace.jsonl import trace_to_flushes
+from repro.trace.jsonl import FlushRecord, trace_to_flushes
+from repro.trace.record import IORequest
 from repro.utils.rng import as_generator
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
 from tests.service.conftest import UpdateLedger
@@ -123,6 +124,23 @@ class TestStreamingEquivalence:
         assert len(seen) == service.session(job).detections
         assert [u.job for u in seen] == [job] * len(seen)
         assert ignored == []
+
+
+    def test_flush_stamped_before_its_first_request_publishes_no_result(self, online_config):
+        """A rank clock ahead of the flush clock is "no result", not a failed detection."""
+        service = PredictionService(ServiceConfig(session=SessionConfig(config=online_config)))
+        seen = []
+        service.publisher.subscribe(seen.append)
+        requests = tuple(
+            IORequest(rank=r, start=10.0 + r, end=10.5 + r, nbytes=1 << 20) for r in range(4)
+        )
+        service.ingest_flush("early", FlushRecord(flush_index=0, timestamp=9.0, requests=requests))
+        service.pump(wait_for_batch=True)
+        stats = service.stats()
+        assert stats["failures"] == 0
+        assert stats["detections"] == 1
+        assert [(u.job, u.time, u.period) for u in seen] == [("early", 9.0, None)]
+        service.close()
 
 
 class TestLiveScheduling:

@@ -414,17 +414,26 @@ class TestOnePassEqualsComposedRoute:
 
     def test_window_too_far_out_for_the_placeholder_width(self):
         # At t ~ 1e9 the 1e-9 s placeholder segment of an empty window has no
-        # width; that has always been a ValueError, on both routes.
+        # width.  The restriction still refuses to build it (ValueError), and
+        # so did every discretization before an empty window was "no
+        # samples" whatever its magnitude; this is where the frozen oracle,
+        # which cuts through the placeholder, parts from both routes.
         trace = Trace.from_requests(
             [IORequest(rank=0, start=1e9, end=1e9 + 5.0, nbytes=10)]
         )
         window = (1e9 + 10.0, 1e9 + 20.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientSamplesError):
             discretize_trace(trace, 1.0, window=window)
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientSamplesError):
             discretize_signal(bandwidth_signal(trace), 1.0, window=window)
         with pytest.raises(ValueError):
+            bandwidth_signal(trace).restricted(*window)
+        with pytest.raises(ValueError):
             _frozen_discretize(trace, 1.0, "write", "point", window)
+        # Near t = 10 s the same empty window was already "no samples".
+        near = trace.shifted(10.0 - 1e9)
+        with pytest.raises(InsufficientSamplesError):
+            discretize_trace(near, 1.0, window=(20.0, 30.0))
 
 
 # --------------------------------------------------------------------- #
