@@ -377,20 +377,20 @@ def replay_online(
 ) -> list[PredictionStep]:
     """Replay the online prediction over a finished trace.
 
-    The trace is revealed incrementally: at every time in ``prediction_times``
-    only the requests that have *ended* by then are visible to the predictor,
-    exactly as if the tracer had just flushed them.
+    The trace is revealed incrementally: at every time ``t`` in
+    ``prediction_times`` the predictor sees ``trace.completed_before(t)``,
+    the requests that have *ended* by then (``end <= t``, a zero-duration
+    request and one ending exactly at ``t`` included), exactly as if the
+    tracer had just flushed them.  That is the rule of
+    :func:`~repro.trace.jsonl.trace_to_flushes` and of the service's
+    sessions, so :func:`predict_from_flushes` over
+    ``trace_to_flushes(trace, prediction_times)`` publishes the same steps,
+    bit for bit.
     """
     predictor = OnlinePredictor(config=config or FtioConfig(), adaptive_window=adaptive_window)
     steps: list[PredictionStep] = []
     for t in sorted(prediction_times):
-        if trace.is_empty:
-            continue
-        visible = trace.window(trace.t_start, t)
-        if visible.is_empty:
-            continue
-        # Only requests that completed by t have been flushed.
-        completed = visible.completed_before(t)
+        completed = trace.completed_before(t)
         if completed.is_empty:
             continue
         steps.append(predictor.step(completed, now=t))

@@ -75,7 +75,7 @@ def _kind_columns(
             return getattr(traces[0], column)
         return np.concatenate([getattr(trace, column) for trace in traces])
 
-    sizes = np.array([len(trace) for trace in traces], dtype=np.intp)
+    sizes = np.array([len(trace.starts) for trace in traces], dtype=np.intp)
     starts, ends, nbytes = joined("starts"), joined("ends"), joined("nbytes")
     wanted = set(kinds)
     if wanted != {None}:
@@ -86,14 +86,13 @@ def _kind_columns(
             keep = labels == np.repeat(np.array([kind or "" for kind in kinds]), sizes)
             keep |= np.repeat(np.array([kind is None for kind in kinds]), sizes)
         if not keep.all():
-            kept = np.flatnonzero(keep)
+            starts, ends, nbytes = starts[keep], ends[keep], nbytes[keep]
             if len(traces) == 1:
-                sizes = np.array([len(kept)])
+                sizes = np.array([len(starts)])
             else:
                 bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
                 np.cumsum(sizes, out=bounds[1:])
-                sizes = np.diff(kept.searchsorted(bounds))
-            starts, ends, nbytes = starts[kept], ends[kept], nbytes[kept]
+                sizes = np.diff(np.flatnonzero(keep).searchsorted(bounds))
     return (
         np.asarray(starts, dtype=np.float64),
         np.asarray(ends, dtype=np.float64),
@@ -120,7 +119,8 @@ def _sweep(
     row sorts, collapses and accumulates exactly as it would alone.
     """
     k = len(counts)
-    least, most = (int(counts.min()), int(counts.max())) if k > 1 else (int(counts[0]),) * 2
+    sizes = counts.tolist()
+    least, most = min(sizes), max(sizes)
     width = 2 * most
     durations = np.maximum(ends - starts, _MIN_REQUEST_DURATION)
     ends = starts + durations
@@ -129,7 +129,6 @@ def _sweep(
     # +rate at each start, -rate at each end; row r's events at the front of
     # its row, starts then ends, the layout np.concatenate([starts, ends])
     # hands the stable sort of a row alone.
-    m = width // 2
     padded = least < most
     if padded:
         column = np.arange(width)
@@ -140,17 +139,13 @@ def _sweep(
             events[at] = at_events
             deltas[at] = at_deltas
     else:  # every row full: the halves are reshapes
-        events = np.empty((k, width))
-        deltas = np.empty((k, width))
-        events[:, :m] = starts.reshape(k, m)
-        events[:, m:] = ends.reshape(k, m)
-        deltas[:, :m] = rates.reshape(k, m)
-        np.negative(rates.reshape(k, m), out=deltas[:, m:])
+        events = np.concatenate([starts.reshape(k, most), ends.reshape(k, most)], axis=1)
+        deltas = np.concatenate([rates.reshape(k, most), -rates.reshape(k, most)], axis=1)
     order = events.argsort(axis=1, kind="stable")
     if k > 1:  # into the flattened block
         order += (np.arange(k) * width)[:, None]
-    events = events.reshape(-1)[order]
-    deltas = deltas.reshape(-1)[order]
+    events = events.take(order)
+    deltas = deltas.take(order)
 
     # Collapse identical timestamps so segments have strictly positive width:
     # ``np.unique(boundaries, return_inverse=True)`` without its second sort.
@@ -160,7 +155,7 @@ def _sweep(
     first[:, :1] = True
     np.not_equal(events[:, 1:], events[:, :-1], out=first[:, 1:])
     if padded:
-        first &= np.arange(width) < 2 * counts[:, None]
+        first &= column < 2 * counts[:, None]
     if padded or (width and np.isnan(events[:, -1]).any()):
         first[:, 1:] &= ~np.isnan(events[:, :-1])
     # Deltas sharing a timestamp are added one by one in sorted order (what
@@ -175,9 +170,7 @@ def _sweep(
     span = max(each)
     if k > 1:
         slot += (np.arange(k) * span)[:, None]
-    per_time = np.bincount(
-        slot.reshape(-1), weights=deltas.reshape(-1), minlength=k * span + 1
-    )[1:].reshape(k, span)
+    per_time = np.bincount(slot.reshape(-1), weights=deltas.reshape(-1), minlength=k * span + 1)
     times = events[first]
     if min(each) == span:
         times = times.reshape(k, span)
@@ -186,10 +179,10 @@ def _sweep(
         times_block[np.arange(span) < lengths[:, None]] = times
         times = times_block
     # A zero-padded 2-D cumsum runs along each row, as the row's own would.
-    active = per_time.cumsum(axis=1)[:, :-1]
+    active = per_time[1:].reshape(k, span)[:, :-1].cumsum(axis=1)
     # Numerical noise can leave tiny (or tiny negative) rates after full
     # cancellation; negative rates are clamped with them.
-    active = np.where(active < 1e-6, 0.0, active)
+    active[active < 1e-6] = 0.0
     return _Rows(times, active, lengths)
 
 
@@ -212,24 +205,34 @@ def _clip(
     t1 = np.where(last < t1, last, t1)
     empty = (t1 <= t0) | (lengths < 2)
     no_width = empty
-    if empty.any():
+    any_empty = bool(empty.any())
+    if any_empty:
         placeholder_end = t0 + _MIN_REQUEST_DURATION
         t1 = np.where(empty & (placeholder_end > t1), placeholder_end, t1)
         no_width = empty & (t1 <= t0)
     if width < 2:  # no row has a segment
         return _Rows(np.stack([t0, t1], axis=1), np.zeros((k, 1)), np.full(k, 2)), no_width
-    # times.searchsorted(t0, "right") and times.searchsorted(t1, "left"),
-    # counted (the padding is NaN and sorts last).
-    lo = np.add.reduce(times <= t0[:, None], axis=1, dtype=np.intp)
-    hi = np.add.reduce(times < t1[:, None], axis=1, dtype=np.intp)
-    size = np.where(empty, 2, hi - lo + 2)
+    # One binary search per row (the padding is NaN and sorts last) finds
+    # lo = times.searchsorted(t0, "right") and hi = times.searchsorted(t1,
+    # "left"): no float lies between t0 and nextafter(t0, inf), so the
+    # boundaries below the one are those at or below the other.
+    bounds = np.empty((k, 2))
+    np.nextafter(t0, np.inf, out=bounds[:, 0])
+    bounds[:, 1] = t1
+    lo, hi = np.array([row_times.searchsorted(pair) for row_times, pair in zip(times, bounds)]).T
+    size = hi - lo + 2
+    if any_empty:  # an empty row's lo and hi are not read
+        size[empty] = 2
 
     # A clipped row is t0, the row's boundaries lo .. hi - 1, t1: column j is
-    # boundary lo - 1 + j in between (``at``: flat indices into the block,
-    # clamped to the row).
-    at = (row * width + lo - 1)[:, None] + np.arange(int(size.max()))
-    np.minimum(at, (row * width + width - 1)[:, None], out=at)
-    source = times.reshape(-1).take(at)
+    # boundary lo - 1 + j in between (``at``: flat indices into the block).
+    # Past its size a row reads whatever the block holds there; no step
+    # reads that back.
+    lo -= 1
+    if k > 1:
+        lo += row * width
+    at = lo[:, None] + np.arange(size.max())
+    source = times.take(at, mode="clip")
     clipped = source.copy()
     clipped[:, 0] = t0
     clipped[row, size - 1] = t1
@@ -238,13 +241,14 @@ def _clip(
     # or on its right boundary (a segment one ulp wide), then in the next one;
     # past the row's last segment it is zeroed.  (``values`` is one column
     # narrower than ``times``, hence ``- row``.)
-    at = at[:, :-1] - row[:, None]
+    at = at[:, :-1]
+    if k > 1:
+        at -= row[:, None]
     at += mids >= source[:, 1:]
-    np.minimum(at, (row * (width - 1) + width - 2)[:, None], out=at)
     keep = mids < last[:, None]
-    if empty.any():
+    if any_empty:
         keep &= ~empty[:, None]
-    clipped_values = np.where(keep, values.reshape(-1).take(at), 0.0)
+    clipped_values = np.where(keep, values.take(at, mode="clip"), 0.0)
     return _Rows(clipped, clipped_values, size), no_width
 
 
@@ -270,7 +274,7 @@ def _cumulative(rows: _Rows) -> NDArray[np.float64]:
     """
     times, values, _ = rows
     cumulative = np.zeros(times.shape)
-    np.cumsum(values * (times[:, 1:] - times[:, :-1]), axis=1, out=cumulative[:, 1:])
+    (values * (times[:, 1:] - times[:, :-1])).cumsum(axis=1, out=cumulative[:, 1:])
     return cumulative
 
 

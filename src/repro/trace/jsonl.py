@@ -144,11 +144,15 @@ def trace_to_flushes(
 ) -> list[FlushRecord]:
     """Split a finished trace into the flush records a live tracer would emit.
 
-    At every time in ``flush_times`` the flush contains exactly the requests
-    that *completed* since the previous flush — the same visibility rule as
-    :func:`repro.core.online.replay_online` — so streaming the returned
-    records through the prediction service reproduces the offline replay.
-    Requests completing after the last flush time are not emitted.
+    At every time ``t`` in ``flush_times`` the flush holds exactly the
+    requests that *completed* since the previous flush time, ``previous <
+    end <= t``: so far, the flushes hold ``trace.completed_before(t)``, a
+    zero-duration request and one ending exactly at ``t`` included.  That is
+    the visibility rule of :func:`repro.core.online.replay_online`, so
+    streaming the returned records through the prediction service (or
+    :func:`repro.core.online.predict_from_flushes`) reproduces the offline
+    replay step for step.  Requests completing after the last flush time are
+    not emitted.
     """
     records: list[FlushRecord] = []
     previous = float("-inf")

@@ -48,15 +48,25 @@ pump (:class:`repro.core.online.PrepareBatch`), and :func:`discretize_trace`
 of one.  It runs the row-block steps of :mod:`repro.trace.bandwidth` back to
 back over all rows — kind mask, event sweep, window clip — and samples each
 group of rows of equal N as one 2-D block, with no :class:`BandwidthSignal`
-in between; only ``next_fast_len``, ``np.interp``, the grid search and the
-:class:`DiscreteSignal` are per row.  Every 2-D step is one whose rows are
-bit-identical to the row alone (elementwise operations, a stable row sort, a
-sequential row cumsum, a pairwise sum over rows of one length), so a row does
-not depend on its batchmates.  :func:`discretize_signal` is the same
-clip-and-sample tail (``_discretize``) behind the public dataclass, so the
-routes agree bit for bit by construction (``tests/trace/test_sampling.py``
-and ``tests/trace/test_sampling_batch.py`` hold the properties).  Nothing
-here validates request columns: a :class:`Trace` did that when it was built.
+in between; only the window search, ``next_fast_len``, ``np.interp``, the
+grid search and the :class:`DiscreteSignal` are per row.  Every 2-D step is
+one whose rows are bit-identical to the row alone (elementwise operations, a
+stable row sort, a sequential row cumsum, a pairwise sum over rows of one
+length), so a row does not depend on its batchmates.
+
+A batch of one pays for no step a single row does not take: no chunking, no
+padding, no row offsets, no gathering of a group out of the block, and the
+clip finds its window by a binary search in the row rather than by comparing
+every boundary — work that grows with the window, not with the trace behind
+it.  What is left over the arithmetic is a few calls of bookkeeping on
+vectors of length one.  :func:`discretize_signal` is the same clip-and-sample
+tail (``_discretize``) behind the public dataclass, so the routes agree bit
+for bit by construction (``tests/trace/test_sampling.py``,
+``tests/trace/test_sampling_batch.py`` and ``tests/trace/test_sampling_rows.py``
+hold the properties).  Nothing here validates request columns: a
+:class:`Trace` did that when it was built.  A row's own arguments — a rate or
+a window that is not a number, an unknown kind — are checked per row, and a
+bad one is that row's error, whatever else is in the batch.
 """
 
 from __future__ import annotations
@@ -199,7 +209,11 @@ class TraceWindow(NamedTuple):
 
 
 #: What a row of :func:`discretize_windows` can come back as instead of a signal.
-RowError = ValueError | ReproError
+RowError = ValueError | TypeError | ReproError
+
+#: ``IOKind(kind).value`` for every kind that has one, without an enum call
+#: per row (an ``IOKind`` member hashes and compares as its value).
+_KIND_VALUES = {kind.value: kind.value for kind in IOKind}
 
 
 def discretize_windows(rows: Sequence[TraceWindow]) -> list[DiscreteSignal | RowError]:
@@ -214,28 +228,31 @@ def discretize_windows(rows: Sequence[TraceWindow]) -> list[DiscreteSignal | Row
     out: list[DiscreteSignal | RowError | None] = [None] * len(rows)
     kinds: list[str | None] = []
     for i, row in enumerate(rows):
+        kind = row.kind
         try:
-            kinds.append(None if row.kind is None else IOKind(row.kind).value)
-        except ValueError as exc:
+            kinds.append(None if kind is None else _KIND_VALUES.get(kind) or IOKind(kind).value)
+        except (TypeError, ValueError) as exc:
             out[i] = exc
             kinds.append(None)
-    for chunk in _chunks([i for i in range(len(rows)) if out[i] is None], rows):
+    for chunk in _chunks([i for i, done in enumerate(out) if done is None], rows):
         starts, ends, nbytes, counts = _kind_columns(
             [rows[i].trace for i in chunk], [kinds[i] for i in chunk]
         )
         swept = _sweep(starts, ends, nbytes, counts)
         # Rows with and without a window are cut apart: a row alone is
         # clipped only when it has a window.
-        parts: dict[bool, list[int]] = {True: [], False: []}
+        parts: tuple[list[int], list[int]] = ([], [])
+        fs: dict[int, float] = {}
         for i, count in zip(chunk, counts.tolist()):
             try:
                 if count == 0:
                     raise EmptyTraceError("cannot build a bandwidth signal from an empty trace")
-                check_positive(rows[i].sampling_frequency, "sampling_frequency")
-                parts[rows[i].window is not None].append(i)
-            except ReproError as exc:
+                fs[i] = check_positive(rows[i].sampling_frequency, "sampling_frequency")
+            except (ReproError, TypeError, ValueError) as exc:
                 out[i] = exc
-        for part in parts.values():
+                continue
+            parts[rows[i].window is not None].append(i)
+        for part in parts:
             if not part:
                 continue
             block = swept
@@ -244,7 +261,7 @@ def discretize_windows(rows: Sequence[TraceWindow]) -> list[DiscreteSignal | Row
                 block = _Rows(swept.times[where], swept.values[where], swept.lengths[where])
             signals = _discretize(
                 block,
-                [float(rows[i].sampling_frequency) for i in part],
+                [fs[i] for i in part],
                 [rows[i].mode for i in part],
                 [rows[i].window for i in part],
             )
@@ -255,11 +272,17 @@ def discretize_windows(rows: Sequence[TraceWindow]) -> list[DiscreteSignal | Row
 
 def _chunks(indices: list[int], rows: Sequence[TraceWindow]) -> list[list[int]]:
     """``indices`` in ascending order of request count, cut where a padded block
-    would hold more than twice the requests it pads (plus a little slack)."""
+    would hold more than twice the requests it pads (plus a little slack).
+
+    A lone row is its own chunk: there is nothing to sort or pad.
+    """
+    if len(indices) < 2:
+        return [indices] if indices else []
     chunks: list[list[int]] = []
     held = 0
-    for i in sorted(indices, key=lambda i: len(rows[i].trace)):
-        size = len(rows[i].trace)
+    sizes = {i: len(rows[i].trace.starts) for i in indices}
+    for i in sorted(indices, key=sizes.__getitem__):
+        size = sizes[i]
         if not chunks or (len(chunks[-1]) + 1) * size > 2 * (held + size) + 4096:
             chunks.append([])
             held = 0
@@ -281,28 +304,38 @@ def _discretize(
     signal carries the effective one (module docstring).
     """
     out: list[DiscreteSignal | RowError | None] = [None] * len(fs)
-    spans = [window for window in windows if window is not None]
-    if spans:
-        for r, (t0, t1) in enumerate(spans):
-            if not t1 > t0:
-                out[r] = ValueError(f"window end ({t1}) must be > start ({t0})")
-        bounds = np.array(spans, dtype=np.float64)
+    if windows[0] is not None:
+        # A row whose window is not a pair of numbers, or not one with t0 < t1,
+        # comes back as its error (clipped to a stand-in window meanwhile).
+        spans = []
+        for r, window in enumerate(windows):
+            try:
+                t0, t1 = window  # type: ignore[misc]
+                span = float(t0), float(t1)
+                if not span[1] > span[0]:
+                    raise ValueError(f"window end ({t1}) must be > start ({t0})")
+            except (TypeError, ValueError) as exc:
+                out[r] = exc
+                span = 0.0, 1.0
+            spans.append(span)
+        bounds = np.array(spans)
         rows, no_width = _clip(rows, bounds[:, 0], bounds[:, 1])
         for r in np.flatnonzero(no_width).tolist():
-            t0, t1 = spans[r]
-            out[r] = out[r] or InsufficientSamplesError(
-                f"window ({t0}, {t1}) holds no part of the signal; there is nothing to sample"
-            )
+            if out[r] is None:
+                t0, t1 = windows[r]  # type: ignore[misc]
+                out[r] = InsufficientSamplesError(
+                    f"window ({t0}, {t1}) holds no part of the signal; there is nothing to sample"
+                )
 
     times, values, lengths = rows
-    index = np.arange(len(lengths))
+    sizes = lengths.tolist()
     t_start = times[:, 0]
-    duration = times[index, lengths - 1] - t_start
-    wanted = duration * np.array(fs)
+    duration = times[np.arange(len(sizes)), lengths - 1] - t_start
     groups: dict[int, list[int]] = {}
-    for r, (span, asked) in enumerate(zip(duration.tolist(), wanted.tolist())):
+    for r, span in enumerate(duration.tolist()):
         if out[r] is not None:
             continue
+        asked = span * fs[r]
         if asked < 1:
             out[r] = InsufficientSamplesError(
                 f"window of {span:.3g} s at fs={fs[r]} Hz holds less than one sampling "
@@ -327,33 +360,30 @@ def _discretize(
         # Rows of one N are (g, N + 1) blocks: each element is the same IEEE
         # operation on the same operands as in a row alone, and a row sum of
         # an equal-length block runs the same pairwise tree.
-        picked = np.array(members)
-        rate = n / duration[picked]
-        edges = t_start[picked, None] + np.arange(n + 1) / rate[:, None]
+        picked = slice(None) if len(members) == len(sizes) else members
+        rate = (n / duration[picked])[:, None]
+        edges = t_start[picked, None] + np.arange(n + 1) / rate
         volume_to = np.empty((len(members), n + 1))
         samples = np.zeros((len(members), n))
         for g, r in enumerate(members):
-            size = lengths[r]
+            size = sizes[r]
             volume_to[g] = np.interp(edges[g], times[r, :size], cumulative[r, :size])
             if modes[r] == "point":
                 _sample_grid(times[r, :size], values[r, : size - 1], edges[g, :-1], samples[g])
         true_bin_volumes = volume_to[:, 1:] - volume_to[:, :-1]
         binned = [g for g, r in enumerate(members) if modes[r] == "bin"]
         if binned:
-            samples[binned] = true_bin_volumes[binned] * rate[binned, None]
+            samples[binned] = true_bin_volumes[binned] * rate[binned]
 
         # Abstraction error: volume difference between the discrete representation
         # and the original signal, accumulated per sampling interval so that
         # over- and under-sampled bursts cannot cancel each other out (Sec. II-E).
-        true_volume = true_bin_volumes.sum(axis=1)
-        mismatch = np.abs(samples / rate[:, None] - true_bin_volumes).sum(axis=1)
-        error = np.divide(
-            mismatch, true_volume, out=np.zeros(len(members)), where=true_volume > 0
-        )
-        for g, (r, fs_r, t0, e) in enumerate(
-            zip(members, rate.tolist(), t_start[picked].tolist(), error.tolist())
-        ):
-            out[r] = DiscreteSignal(samples[g], fs_r, t0, e, modes[r])
+        true_volume = true_bin_volumes.sum(axis=1).tolist()
+        mismatch = np.abs(samples / rate - true_bin_volumes).sum(axis=1).tolist()
+        rates, t0s = rate[:, 0].tolist(), t_start[picked].tolist()
+        for g, r in enumerate(members):
+            error = mismatch[g] / true_volume[g] if true_volume[g] > 0 else 0.0
+            out[r] = DiscreteSignal(samples[g], rates[g], t0s[g], error, modes[r])
     return out  # type: ignore[return-value]
 
 

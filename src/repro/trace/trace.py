@@ -112,13 +112,15 @@ class Trace:
         ranks: NDArray[np.int64],
         kinds: NDArray[np.str_],
         metadata: dict,
+        ground_truth: GroundTruth | None = None,
     ) -> "Trace":
         """Wrap columns that were already validated, without checking them again.
 
         For rows that came out of a validated container and were only moved
-        since (a session's ring of ingested flushes); anything built from
-        outside input goes through the constructor.  The trace takes the
-        arrays and the dict as they are — the caller hands over its own.
+        since (a session's ring of ingested flushes, a selection of a trace's
+        rows); anything built from outside input goes through the
+        constructor.  The trace takes the arrays and the dict as they are —
+        the caller hands over its own.
         """
         trace = object.__new__(cls)
         trace.__dict__.update(
@@ -127,7 +129,7 @@ class Trace:
             nbytes=nbytes,
             ranks=ranks,
             kinds=kinds,
-            ground_truth=None,
+            ground_truth=ground_truth,
             metadata=metadata,
         )
         return trace
@@ -208,14 +210,18 @@ class Trace:
     # transformations (all return new traces)
     # ------------------------------------------------------------------ #
     def _select(self, mask: NDArray[np.bool_]) -> "Trace":
-        return Trace(
-            starts=self.starts[mask],
-            ends=self.ends[mask],
-            nbytes=self.nbytes[mask],
-            ranks=self.ranks[mask],
-            kinds=self.kinds[mask],
-            ground_truth=self.ground_truth,
-            metadata=dict(self.metadata),
+        """The rows under ``mask``, with this trace's ground truth and a copy of its metadata.
+
+        Rows of a validated trace are valid, so they are not checked again.
+        """
+        return Trace._trusted(
+            self.starts[mask],
+            self.ends[mask],
+            self.nbytes[mask],
+            self.ranks[mask],
+            self.kinds[mask],
+            dict(self.metadata),
+            self.ground_truth,
         )
 
     def filter_kind(self, kind: IOKind | str) -> "Trace":

@@ -114,6 +114,54 @@ class TestTransformations:
         assert updated.metadata["application"] == "unit-test"
 
 
+class TestSelections:
+    """``window``, ``completed_before``, ``filter_kind`` and ``filter_ranks`` take rows
+    of a validated trace: the rows are not checked again, the ground truth is
+    carried and the metadata copied."""
+
+    @pytest.fixture
+    def labelled(self, simple_trace):
+        gt = GroundTruth(phases=(IOPhase(start=0.0, end=1.0, nbytes=1),), mean_period=3.0)
+        return simple_trace.with_ground_truth(gt)
+
+    @pytest.fixture(
+        params=[
+            ("window", lambda t: t.window(1.2, 3.2)),
+            ("completed_before", lambda t: t.completed_before(1.5)),
+            ("filter_kind", lambda t: t.filter_kind("read")),
+            ("filter_ranks", lambda t: t.filter_ranks([1])),
+        ],
+        ids=lambda param: param[0],
+    )
+    def selection(self, request, labelled):
+        return request.param[1](labelled)
+
+    def test_is_a_proper_subset(self, selection, labelled):
+        assert 0 < len(selection) < len(labelled)
+        for column in ("starts", "ends", "nbytes", "ranks", "kinds"):
+            assert getattr(selection, column).dtype == getattr(labelled, column).dtype
+            assert np.isin(getattr(selection, column), getattr(labelled, column)).all()
+
+    def test_carries_the_ground_truth(self, selection, labelled):
+        assert selection.ground_truth is labelled.ground_truth
+
+    def test_owns_its_metadata(self, selection, labelled):
+        assert selection.metadata == labelled.metadata
+        assert selection.metadata is not labelled.metadata
+        selection.metadata["extra"] = 1
+        assert "extra" not in labelled.metadata
+
+    def test_selects_the_rows_the_constructor_would_accept(self, selection):
+        rebuilt = Trace(
+            starts=selection.starts,
+            ends=selection.ends,
+            nbytes=selection.nbytes,
+            ranks=selection.ranks,
+            kinds=selection.kinds,
+        )
+        assert rebuilt.requests() == selection.requests()
+
+
 class TestMergeAndConcatenate:
     def test_merge_traces_preserves_requests(self, simple_trace):
         other = simple_trace.shifted(10.0)
