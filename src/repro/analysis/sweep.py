@@ -17,7 +17,6 @@ error and of the characterization metrics.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +32,6 @@ from repro.workloads.synthetic import (
     SemiSyntheticGenerator,
     SyntheticAppConfig,
 )
-
-
-def _run_point_task(study: "LimitationStudy", point: "SweepPoint", seed: int) -> "SweepPointResult":
-    """Module-level trampoline so sweep points can run in worker processes."""
-    return study.run_point(point, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -128,17 +122,12 @@ class LimitationStudy:
         Number of traces per parameter combination (paper: 100).
     sampling_frequency:
         fs used by FTIO in the study (paper: 1 Hz).
-    n_workers:
-        Default worker-process count for :meth:`run`.  ``None`` or ``1`` keeps
-        the serial path; larger values fan the sweep points out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor`.
     """
 
     library: PhaseLibrary = field(default_factory=lambda: PhaseLibrary.generate(seed=0))
     traces_per_point: int = 20
     sampling_frequency: float = 1.0
     use_autocorrelation: bool = False
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.traces_per_point, "traces_per_point")
@@ -160,44 +149,15 @@ class LimitationStudy:
             outcomes.append(evaluate_trace(trace, ftio=self._ftio))
         return SweepPointResult(point=point, outcomes=tuple(outcomes))
 
-    def run(
-        self,
-        points: list[SweepPoint],
-        *,
-        seed: SeedLike = 0,
-        n_workers: int | None = None,
-    ) -> list[SweepPointResult]:
+    def run(self, points: list[SweepPoint], *, seed: SeedLike = 0) -> list[SweepPointResult]:
         """Run every sweep point with independent RNG streams.
 
-        The per-point seeds are always drawn from ``seed`` in point order, so
-        the serial path and every worker count produce bit-identical results.
-        ``n_workers`` overrides the instance default; ``None``/``1`` runs
-        serially in-process.
+        The per-point seeds are drawn from ``seed`` in point order, so a run
+        is reproducible from ``seed`` alone.
         """
         rng = as_generator(seed)
         point_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in points]
-        workers = n_workers if n_workers is not None else self.n_workers
-        if workers is not None and workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {workers}")
-        if workers is None or workers == 1 or len(points) <= 1:
-            return [self.run_point(p, seed=s) for p, s in zip(points, point_seeds)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            futures = [
-                pool.submit(_run_point_task, self, p, s) for p, s in zip(points, point_seeds)
-            ]
-            return [future.result() for future in futures]
-
-    def __getstate__(self) -> dict:
-        # The generator and engine are rebuilt in the worker so the pickled
-        # payload stays small (the library alone defines them).
-        state = dict(self.__dict__)
-        state.pop("_generator", None)
-        state.pop("_ftio", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+        return [self.run_point(p, seed=s) for p, s in zip(points, point_seeds)]
 
     # ------------------------------------------------------------------ #
     # the three sweeps of the paper

@@ -59,8 +59,6 @@ class ReproConfig:
         Online mode: enable the adaptive analysis window (Section II-D).
     max_samples:
         Per-job hard cap on resident requests in a streaming session.
-    eviction_margin_periods:
-        Extra periods of history kept behind the predictor's evictable cutoff.
     min_detection_interval:
         Minimum trace-time seconds between evaluations of one job.
     min_requests:
@@ -91,8 +89,6 @@ class ReproConfig:
     spans:
         Record frame-lifecycle spans into a bounded journal (off by default;
         a debugging aid, not a production counter).
-    span_capacity:
-        Ring-buffer capacity of the span journal.
     host, port:
         TCP listen address of :func:`serve` (port 0 picks a free port).
     ops_port:
@@ -123,7 +119,6 @@ class ReproConfig:
     # --- streaming session ------------------------------------------------ #
     adaptive_window: bool = True
     max_samples: int = 65_536
-    eviction_margin_periods: float = 2.0
     min_detection_interval: float = 0.0
     min_requests: int = 1
     # --- service ----------------------------------------------------------- #
@@ -142,7 +137,6 @@ class ReproConfig:
     # --- observability ------------------------------------------------------ #
     metrics: bool = True
     spans: bool = False
-    span_capacity: int = 2048
     # --- gateway ----------------------------------------------------------- #
     host: str = "127.0.0.1"
     port: int = 0
@@ -171,7 +165,6 @@ class ReproConfig:
             config=self.analysis,
             adaptive_window=self.adaptive_window,
             max_samples=self.max_samples,
-            eviction_margin_periods=self.eviction_margin_periods,
             min_detection_interval=self.min_detection_interval,
             min_requests=self.min_requests,
         )
@@ -190,9 +183,6 @@ class ReproConfig:
             revive_budget=self.revive_budget,
             metrics=self.metrics,
             spans=self.spans,
-            span_capacity=self.span_capacity,
-            ops_port=self.ops_port,
-            autoscale=self.autoscale,
             shard_port=self.shard_port,
             heartbeat_timeout=self.heartbeat_timeout,
         )

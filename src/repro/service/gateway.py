@@ -160,7 +160,7 @@ class ThreadedGateway:
         picks a free one; read :attr:`ops_port` after :meth:`start`):
         ``GET /healthz`` (liveness), ``GET /status`` (the merged
         stats/metrics tree as JSON) and ``GET /metrics`` (Prometheus text
-        exposition).  Defaults to the engine's ``ServiceConfig.ops_port``.
+        exposition).
     own_engine:
         Closing the gateway also closes the engine.
     autoscale:
@@ -193,9 +193,7 @@ class ThreadedGateway:
                 token = getattr(config, "token", None)
         self._token = token
         self._name = name
-        self._requested_ops_port = (
-            getattr(config, "ops_port", None) if ops_port is None else ops_port
-        )
+        self._requested_ops_port = ops_port
         self._own_engine = own_engine
         self._autoscale = autoscale
         self._autoscaler = None

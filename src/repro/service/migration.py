@@ -146,7 +146,6 @@ class Migrator:
         self,
         n_shards: int,
         *,
-        weights: tuple[float, ...] | list[float] | None = None,
         placement: list[str] | tuple[str, ...] | None = None,
         on_phase: Callable[[str], None] | None = None,
     ) -> dict:
@@ -154,8 +153,8 @@ class Migrator:
         supervisor = self._supervisor
         if supervisor.closed:
             raise ServiceError("cannot reshard a closed service")
-        # Building the ring validates n_shards and the weights.
-        new_ring = HashRing(n_shards, replicas=supervisor.ring.replicas, weights=weights)
+        # Building the ring validates n_shards.
+        new_ring = HashRing(n_shards, replicas=supervisor.ring.replicas)
         if placement is not None:
             placement = check_placement(placement, n_shards, supervisor.config.shard_port)
         if self.active is not None:
@@ -170,7 +169,7 @@ class Migrator:
             "replayed_frames": 0,
             "double_routed_frames": 0,
         }
-        if n_shards == old_count and new_ring.weights == supervisor.ring.weights:
+        if n_shards == old_count:
             return summary
         # Migration reads from every source shard: heal (or surface) dead
         # shards before any state moves.
@@ -274,8 +273,6 @@ class Migrator:
                 old_shards=migration.old_ring.n_shards,
                 new_shards=migration.new_ring.n_shards,
                 replicas=migration.new_ring.replicas,
-                old_weights=migration.old_ring.weights,
-                new_weights=migration.new_ring.weights,
             ),
         )
         if not isinstance(reply, proto.BeginHandoverReply):

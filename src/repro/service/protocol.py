@@ -159,7 +159,6 @@ _COERCIONS: dict[str, Callable[[Any], Any]] = {
     "tuple[str, ...]": _tuple_of(str),
     "tuple[str, ...] | None": _optional(_tuple_of(str)),
     "tuple[dict, ...]": _tuple_of(_map),
-    "tuple[float, ...] | None": _optional(_tuple_of(float)),
     "dict[str, int]": lambda value: {str(k): int(v) for k, v in _map(value).items()},
 }
 #: Field metadata: a peer must send the field although it has a default (the
@@ -442,11 +441,11 @@ class MetricsReport(Message):
 class BeginHandover(Message):
     """Arm a migration target: stage incoming frames for moving jobs.
 
-    Carries both ring parameterizations (shard counts, replica budget,
-    optional per-shard weights) plus the receiving shard's own index, so the
-    shard rebuilds the two rings locally and computes its *own* staging
-    predicate — a frame is staged iff its job changes owner between the two
-    rings **and** the new owner is this shard.  Shipping the rings instead of
+    Carries both ring parameterizations (shard counts and the replica
+    budget) plus the receiving shard's own index, so the shard rebuilds the
+    two rings locally and computes its *own* staging predicate — a frame is
+    staged iff its job changes owner between the two rings **and** the new
+    owner is this shard.  Shipping the rings instead of
     a job list makes the predicate correct even for job ids the router has
     never seen (a brand-new job submitted mid-migration) and independent of
     control/data channel ordering.
@@ -461,8 +460,6 @@ class BeginHandover(Message):
     old_shards: int
     new_shards: int
     replicas: int
-    old_weights: tuple[float, ...] | None = None
-    new_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.old_shards < 1 or self.new_shards < 1 or self.replicas < 1:
@@ -470,9 +467,6 @@ class BeginHandover(Message):
                 f"BeginHandover shard counts and replicas must be >= 1, got "
                 f"{self.old_shards} -> {self.new_shards} x {self.replicas}"
             )
-        for weights in (self.old_weights, self.new_weights):
-            if weights is not None and any(weight <= 0 for weight in weights):
-                raise ProtocolError(f"BeginHandover ring weights must be > 0, got {weights}")
 
 
 @dataclass(frozen=True)
@@ -571,19 +565,13 @@ class RegisterShard(Message):
     Sent by ``repro-shard`` (:mod:`repro.shard`) on its control connection,
     immediately after :class:`Hello`/:class:`HelloReply`.  Carries the
     worker's identity and capabilities so the router's shard registry can
-    place a proportional hash-ring arc on it (``weight``) and label its
-    liveness metrics (``name``/``host``/``pid``).
+    label its liveness metrics (``name``/``host``/``pid``).
     """
 
     name: str = ""
     host: str = ""
     pid: int = 0
     cpu_count: int = 0
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ProtocolError(f"RegisterShard.weight must be > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)

@@ -22,56 +22,26 @@ class HashRing:
     count moves only the jobs whose arc changed owner — the property that
     lets a snapshot taken at one shard count restore onto another with
     minimal data movement.
-
-    ``weights`` makes the ring heterogeneous: shard ``i`` places
-    ``round(replicas * weights[i])`` points (at least one), so its expected
-    arc share is proportional to its weight — a shard on a host with
-    twice the cores can take a double arc.  Replica keys are a per-shard prefix
-    (``shard-i-replica-0..k``), so changing *only* the weights adds or
-    removes points at each shard's tail: jobs move only into a shard whose
-    weight grew or out of one whose weight shrank — minimal movement holds
-    for weight changes exactly as it does for count changes
-    (``tests/service/test_weighted_ring.py`` pins both properties).
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        *,
-        replicas: int = 64,
-        weights: tuple[float, ...] | list[float] | None = None,
-    ) -> None:
+    def __init__(self, n_shards: int, *, replicas: int = 64) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.n_shards = int(n_shards)
         self.replicas = int(replicas)
-        if weights is None:
-            self.weights: tuple[float, ...] | None = None
-            counts = [self.replicas] * self.n_shards
-        else:
-            if len(weights) != self.n_shards:
-                raise ValueError(
-                    f"weights must have one entry per shard "
-                    f"({self.n_shards}), got {len(weights)}"
-                )
-            if any(w <= 0 for w in weights):
-                raise ValueError(f"weights must be > 0, got {tuple(weights)}")
-            self.weights = tuple(float(w) for w in weights)
-            counts = [max(1, round(self.replicas * w)) for w in self.weights]
-        self.replica_counts: tuple[int, ...] = tuple(counts)
-        points: list[tuple[int, int]] = []
-        for shard, count in enumerate(counts):
-            for replica in range(count):
-                points.append((self._hash(f"shard-{shard}-replica-{replica}"), shard))
         # (hash, shard) tuples sort lexicographically: equal hash points
         # (rare but possible) tie-break on the shard index, so the ring
         # layout — and therefore every reshard's moved-job set — is
         # identical across processes, Python hash seeds (PYTHONHASHSEED),
         # and grow -> shrink -> grow cycles
         # (tests/service/test_resharding.py pins this in subprocesses).
-        points.sort()
+        points = sorted(
+            (self._hash(f"shard-{shard}-replica-{replica}"), shard)
+            for shard in range(self.n_shards)
+            for replica in range(self.replicas)
+        )
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
 
@@ -85,19 +55,3 @@ class HashRing:
         if position == len(self._hashes):
             position = 0
         return self._owners[position]
-
-    def arc_shares(self) -> tuple[float, ...]:
-        """Exact fraction of the 64-bit keyspace each shard owns.
-
-        A point at hash ``h`` owns the arc ``(previous_h, h]`` (plus the
-        wraparound arc for the first point), which is precisely the keyspace
-        :meth:`shard_for` sends to it — the measure the weighted-arc property
-        tests assert against, with no sampling noise.
-        """
-        span = 1 << 64
-        shares = [0.0] * self.n_shards
-        previous = self._hashes[-1] - span  # wraparound arc of the first point
-        for point, owner in zip(self._hashes, self._owners):
-            shares[owner] += (point - previous) / span
-            previous = point
-        return tuple(shares)

@@ -28,7 +28,6 @@ from repro.trace.columns import FlushColumns
 from repro.trace.framing import FlushFrame, FrameReader, compact_spool
 from repro.trace.jsonl import FlushRecord
 
-from repro.service.autoscaler import AutoscaleConfig
 from repro.service.backend import ThreadBackend
 from repro.service.broker import FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
@@ -81,20 +80,6 @@ class ServiceConfig:
         Record frame-lifecycle spans into a bounded ring-buffer journal
         (see :mod:`repro.obs.spans`).  **Off by default**; tracing is an
         explicit opt-in.
-    span_capacity:
-        Ring capacity of the span journal (spans retained).
-    ops_port:
-        Gateway deployments only: when not ``None``, the gateway serves a
-        plaintext HTTP ops surface on this port — ``/healthz``, ``/status``
-        (merged stats/metrics JSON) and ``/metrics`` (Prometheus text
-        exposition).  ``0`` picks a free port.
-    autoscale:
-        Sharded gateway deployments only: when set, the gateway runs an
-        :class:`~repro.service.autoscaler.Autoscaler` supervision thread
-        that watches the service's own stats (sessions, queue depth, p99
-        detection latency) and drives ``reshard()`` / ``revive_shard()``
-        with hysteresis, a cooldown and min/max shard clamps.  ``None``
-        (the default) keeps the topology fixed.
     shard_port:
         Sharded deployments only: when not ``None``, the router listens on
         this TCP port (``0`` picks a free one) for dial-home ``repro-shard``
@@ -119,9 +104,6 @@ class ServiceConfig:
     revive_budget: int = 3
     metrics: bool = True
     spans: bool = False
-    span_capacity: int = 2048
-    ops_port: int | None = None
-    autoscale: "AutoscaleConfig | None" = None
     shard_port: int | None = None
     heartbeat_timeout: float = 5.0
 
@@ -165,9 +147,7 @@ class PredictionService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.metrics = MetricRegistry() if self.config.metrics else None
-        self.journal = (
-            SpanJournal(self.config.span_capacity) if self.config.spans else None
-        )
+        self.journal = SpanJournal() if self.config.spans else None
         self.publisher = PredictionPublisher()
         self.broker = FlushBroker(
             session_config=self.config.session,

@@ -59,6 +59,10 @@ from repro.utils.validation import check_non_negative, check_positive_int
 #: of the configured rate (~25x the longest window the benchmark analyses).
 #: What started before a gap that long cannot bear on the next period.
 MAX_WINDOW_SAMPLES = 1 << 20
+#: Extra periods of history a session keeps behind the predictor's evictable
+#: cutoff, so a growing period estimate can re-widen the window without the
+#: data having been dropped.
+EVICTION_MARGIN_PERIODS = 2.0
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,6 @@ class SessionConfig:
         Enable the online adaptive time window (Section II-D).
     max_samples:
         Hard cap on the number of resident requests per job.
-    eviction_margin_periods:
-        Extra periods of history retained behind the predictor's evictable
-        cutoff, so a growing period estimate can re-widen the window without
-        the data having been dropped.
     min_detection_interval:
         Minimum trace-time seconds between two evaluations of the same job
         (per-job rate limiting; 0 evaluates after every flush).
@@ -95,13 +95,11 @@ class SessionConfig:
     config: FtioConfig = field(default_factory=FtioConfig)
     adaptive_window: bool = True
     max_samples: int = 65_536
-    eviction_margin_periods: float = 2.0
     min_detection_interval: float = 0.0
     min_requests: int = 1
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_samples, "max_samples")
-        check_non_negative(self.eviction_margin_periods, "eviction_margin_periods")
         check_non_negative(self.min_detection_interval, "min_detection_interval")
         check_positive_int(self.min_requests, "min_requests")
 
@@ -474,7 +472,7 @@ class JobSession:
         if cutoff is None:
             return
         last_period = self.predictor.latest_period() or 0.0
-        margin = self.config.eviction_margin_periods * last_period
+        margin = EVICTION_MARGIN_PERIODS * last_period
         self._store.evict_completed_before(cutoff - margin)
 
     # ------------------------------------------------------------------ #

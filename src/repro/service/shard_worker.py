@@ -20,8 +20,8 @@ that *dial home* to its :class:`~repro.service.transport.ShardListener`
    versions).  The dial's deadline ends with the dial: the sockets block.
 2. **Register** — announce identity and capacity with
    :class:`~repro.service.protocol.RegisterShard` (name, hostname, pid,
-   cpu count, ring weight), then block — for as long as it takes, a parked
-   worker is a hot spare — until the router adopts this worker into a shard
+   cpu count), then block — for as long as it takes, a parked worker is a
+   hot spare — until the router adopts this worker into a shard
    slot (:class:`~repro.service.protocol.RegisterShardReply` carrying the
    slot index, the wire-form :class:`~repro.service.service.ServiceConfig`
    and a one-time pairing key).
@@ -276,16 +276,8 @@ def shard_main(
             # seen mid-migration, and independent of how data-plane bytes
             # interleave with this control message (frames already buffered
             # for jobs this shard owned under the old ring never match).
-            old_ring = HashRing(
-                request.old_shards,
-                replicas=request.replicas,
-                weights=request.old_weights,
-            )
-            new_ring = HashRing(
-                request.new_shards,
-                replicas=request.replicas,
-                weights=request.new_weights,
-            )
+            old_ring = HashRing(request.old_shards, replicas=request.replicas)
+            new_ring = HashRing(request.new_shards, replicas=request.replicas)
             me = request.shard
 
             def moving_here(job: str) -> bool:
@@ -375,9 +367,6 @@ class ShardWorker:
     name:
         Worker identity shown in ``shard_details()`` (default
         ``<hostname>:<pid>``).
-    weight:
-        Advertised ring weight (bigger hardware → proportionally more jobs;
-        applied by the router via a weighted reshard).
     retries, retry_delay:
         Dial attempts and the (linear) backoff between them — the worker may
         start before the router listens.
@@ -390,7 +379,6 @@ class ShardWorker:
         *,
         token: int | None = None,
         name: str | None = None,
-        weight: float = 1.0,
         retries: int = 30,
         retry_delay: float = 0.5,
     ) -> None:
@@ -398,7 +386,6 @@ class ShardWorker:
         self._port = int(port)
         self._token = token
         self._name = name or f"{socket.gethostname()}:{os.getpid()}"
-        self._weight = float(weight)
         self._retries = max(1, int(retries))
         self._retry_delay = float(retry_delay)
 
@@ -447,7 +434,6 @@ class ShardWorker:
                     host=socket.gethostname(),
                     pid=os.getpid(),
                     cpu_count=os.cpu_count() or 0,
-                    weight=self._weight,
                 )
             )
             # Blocks until the router adopts us into a slot — possibly long

@@ -63,10 +63,6 @@ class ShardedService:
         not carry it (wire-level auth).
     replicas:
         Virtual nodes per shard on the hash ring.
-    weights:
-        Optional per-shard ring weights: shard ``i`` takes an arc share
-        proportional to ``weights[i]`` (``None`` = uniform), so a shard on
-        bigger hardware can own proportionally more jobs.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
     placement:
@@ -87,7 +83,6 @@ class ShardedService:
         config: ServiceConfig | None = None,
         *,
         replicas: int = 64,
-        weights: tuple[float, ...] | list[float] | None = None,
         start_method: str | None = None,
         placement: list[str] | tuple[str, ...] | None = None,
         remote_timeout: float = 30.0,
@@ -99,11 +94,9 @@ class ShardedService:
         # can see (ring occupancy/stalls, reshard phase durations, revives);
         # shard-side registries are polled and merged in metrics_snapshot().
         self.metrics = MetricRegistry() if self.config.metrics else None
-        self.journal = (
-            SpanJournal(self.config.span_capacity) if self.config.spans else None
-        )
+        self.journal = SpanJournal() if self.config.spans else None
         self._supervisor = ShardSupervisor(
-            HashRing(n_shards, replicas=replicas, weights=weights),
+            HashRing(n_shards, replicas=replicas),
             self.config,
             placement=placement,
             start_method=start_method,
@@ -417,21 +410,20 @@ class ShardedService:
         self,
         n_shards: int,
         *,
-        weights: tuple[float, ...] | list[float] | None = None,
         placement: list[str] | tuple[str, ...] | None = None,
         on_phase: Callable[[str], None] | None = None,
     ) -> dict:
         """Live-resize the service to ``n_shards`` worker shards.
 
         The operation is a minimal-movement migration: thanks to the
-        consistent hash ring, only the jobs whose arc changes owner move.
-        ``weights`` re-weights the new ring (same-count reshards with new
-        weights rebalance arcs in place).  ``placement`` assigns each slot of
-        the new topology to ``"local"`` or ``"remote"`` (dial-home adoption,
-        see the constructor) — newly spawned slots honor it immediately;
-        existing live slots keep their current worker and adopt the new
-        placement only on a later revive.  Phase by phase (``on_phase``
-        receives each name — an observability / fault-injection hook):
+        consistent hash ring, only the jobs whose arc changes owner move, and
+        a reshard to the current count is a no-op.  ``placement`` assigns
+        each slot of the new topology to ``"local"`` or ``"remote"``
+        (dial-home adoption, see the constructor) — newly spawned slots
+        honor it immediately; existing live slots keep their current worker
+        and adopt the new placement only on a later revive.  Phase by phase
+        (``on_phase`` receives each name — an observability /
+        fault-injection hook):
 
         1. ``spawned`` (growing) — the new shard subprocesses are up and
            handshaken before anything else: a double-routed frame may target
@@ -466,9 +458,7 @@ class ShardedService:
         ``to_shards``, ``moved_jobs``, ``moved_sessions``,
         ``replayed_frames``, ``double_routed_frames``).
         """
-        return self._migrator.reshard(
-            n_shards, weights=weights, placement=placement, on_phase=on_phase
-        )
+        return self._migrator.reshard(n_shards, placement=placement, on_phase=on_phase)
 
     # ------------------------------------------------------------------ #
     # aggregated introspection: served by the shards' read threads
@@ -591,7 +581,6 @@ class ShardedService:
                     "name": shard.name,
                     "host": shard.host,
                     "pid": shard.pid,
-                    "weight": shard.weight,
                 }
             if shard.ring is not None:
                 entry["ring_occupancy_bytes"] = shard.ring.occupancy
@@ -628,12 +617,10 @@ class ShardedService:
             lambda shard: proto.Snapshot(expected_bytes=shard.bytes_sent),
             collect=Shard.collect_state,
         )
-        ring = self._supervisor.ring
         merged = merge_states(states)
         merged["sharding"] = {
             "n_shards": self.n_shards,
-            "replicas": ring.replicas,
-            "weights": None if ring.weights is None else list(ring.weights),
+            "replicas": self._supervisor.ring.replicas,
         }
         self._supervisor.checkpoint(merged)
         return merged

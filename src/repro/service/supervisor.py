@@ -86,12 +86,12 @@ class Shard:
     A *local* shard is a forked subprocess (``process`` set, every channel a
     ``socketpair``).  A *remote* shard is an adopted dial-home
     ``repro-shard`` worker (``process`` is ``None``, every channel is a TCP
-    connection, and ``name``/``host``/``pid``/``weight`` carry the identity
-    it registered with).  The two differ only in how their sockets came to
+    connection, and ``name``/``host``/``pid`` carry the identity it
+    registered with).  The two differ only in how their sockets came to
     exist and in whether a ring sits in front of the data socket.  Remote
-    liveness has no ``waitpid`` to lean on: it
-    is connection loss (any channel operation below failing) or a heartbeat
-    timeout (:meth:`ShardSupervisor.heartbeat`) flipping ``dead``.
+    liveness has no ``waitpid`` to lean on: it is connection loss (any
+    channel operation below failing) or a heartbeat timeout
+    (:meth:`ShardSupervisor.heartbeat`) flipping ``dead``.
     """
 
     index: int
@@ -107,7 +107,6 @@ class Shard:
     name: str | None = None
     host: str | None = None
     pid: int | None = None
-    weight: float = 1.0
     #: Held from the send of a read request to the receipt of its reply, and
     #: by :meth:`ShardSupervisor.release` while it closes the channel.
     read_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -457,7 +456,6 @@ class ShardSupervisor:
             name=registration.name,
             host=registration.host,
             pid=registration.pid,
-            weight=registration.weight,
         )
 
     def _handshake(self, shard: Shard) -> None:

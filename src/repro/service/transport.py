@@ -169,9 +169,8 @@ class Channel:
 # ServiceConfig wire form
 # --------------------------------------------------------------------- #
 #: Router-process-only knobs a remote worker must not inherit: the worker
-#: neither serves the ops surface nor runs an autoscaler nor listens for
-#: further shards, and a ring segment cannot span hosts.
-_HOST_LOCAL_FIELDS = ("ops_port", "autoscale", "shard_port", "ring_bytes")
+#: does not listen for further shards, and a ring segment cannot span hosts.
+_HOST_LOCAL_FIELDS = ("shard_port", "ring_bytes")
 
 
 def config_to_wire(config: ServiceConfig) -> dict:

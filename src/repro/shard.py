@@ -4,7 +4,7 @@ The remote half of the multi-host topology: point it at a router whose
 ``ServiceConfig.shard_port`` is set, and it joins the ring as a worker
 shard::
 
-    python -m repro.shard --connect router-host:9400 --token 7 --weight 2.0
+    python -m repro.shard --connect router-host:9400 --token 7
 
 The process serves until the router closes or releases it (clean exit), and
 exits non-zero on a rejected handshake (bad token, version mismatch) or an
@@ -50,10 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker identity shown in shard_details() (default hostname:pid)",
     )
     parser.add_argument(
-        "--weight", type=float, default=1.0,
-        help="advertised ring weight (default 1.0)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=30,
         help="dial attempts before giving up (default 30)",
     )
@@ -71,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         port,
         token=args.token,
         name=args.name,
-        weight=args.weight,
         retries=args.retries,
         retry_delay=args.retry_delay,
     )

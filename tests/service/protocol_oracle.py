@@ -1,9 +1,12 @@
 """Frozen oracle: the 38 hand-written FTC1 body parsers the table-driven one replaced.
 
 A verbatim copy of ``repro.service.protocol`` as it stood at commit ``8053a70``:
-the five private helpers, the body of every per-class ``from_payload`` (each
-now a function ``(cls, payload)`` registered under the class it parsed),
-``Message.to_payload`` and the envelope packing of ``encode_message``.
+the private helpers, the body of every per-class ``from_payload`` (each now a
+function ``(cls, payload)`` registered under the class it parsed),
+``Message.to_payload`` and the envelope packing of ``encode_message`` — less
+the ring-weight fields (``BeginHandover.old_weights`` / ``new_weights``,
+``RegisterShard.weight``) and their helper, which left the messages
+themselves.
 ``tests/service/test_protocol.py`` holds :meth:`Message.from_payload` to these;
 nothing under ``src/`` imports them.  Do not edit to follow a change of the
 parser: a difference is either a defect or a ledgered behaviour change, and
@@ -73,17 +76,6 @@ def _dict_tuple(value: Any) -> tuple[dict, ...]:
             raise ProtocolError(f"expected a map, got {type(item).__name__}")
         out.append(item)
     return tuple(out)
-
-
-def _opt_float_tuple(value: Any) -> tuple[float, ...] | None:
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise ProtocolError(f"expected a number list, got {type(value).__name__}")
-    out = tuple(float(item) for item in value)
-    if any(weight <= 0 for weight in out):
-        raise ProtocolError("ring weights must be > 0")
-    return out
 
 
 def _require_dict(value: Any, field: str) -> dict:
@@ -267,8 +259,6 @@ def _BeginHandover(cls, payload: Mapping) -> Any:
         old_shards=old_shards,
         new_shards=new_shards,
         replicas=replicas,
-        old_weights=_opt_float_tuple(payload.get("old_weights")),
-        new_weights=_opt_float_tuple(payload.get("new_weights")),
     )
 
 
@@ -326,15 +316,11 @@ def _CloseReply(cls, payload: Mapping) -> Any:
 
 @_parses(proto.RegisterShard)
 def _RegisterShard(cls, payload: Mapping) -> Any:
-    weight = float(payload.get("weight", 1.0))
-    if weight <= 0:
-        raise ProtocolError("shard weight must be > 0")
     return cls(
         name=str(payload.get("name", "")),
         host=str(payload.get("host", "")),
         pid=int(payload.get("pid", 0)),
         cpu_count=int(payload.get("cpu_count", 0)),
-        weight=weight,
     )
 
 

@@ -492,14 +492,12 @@ class TestReshardPlacement:
 
 class TestConfigWire:
     def test_round_trip_strips_host_local_fields(self):
-        config = make_config(
-            ring_bytes=1 << 20, ops_port=9000, shard_port=9400, token=5
-        )
+        config = make_config(ring_bytes=1 << 20, shard_port=9400, token=5)
         wire = config_to_wire(config)
-        assert "ops_port" not in wire and "shard_port" not in wire
+        assert "shard_port" not in wire
         rebuilt = config_from_wire(wire)
         assert rebuilt.ring_bytes == 0  # remote = framed TCP, never a ring
-        assert rebuilt.ops_port is None and rebuilt.shard_port is None
+        assert rebuilt.shard_port is None
         assert rebuilt.token == 5
         assert rebuilt.session.config.sampling_frequency == 10.0
         assert rebuilt.max_workers == config.max_workers
@@ -510,6 +508,9 @@ class TestConfigWire:
         # Knobs a pre-PR-15 router still sends; this worker no longer has them.
         wire.update(backend="process", backend_workers=2, batching=False)
         wire["latency_window"] = 4096  # ... nor, since PR 16, this one
+        # ... nor these two, now constants at their one reader.
+        wire["span_capacity"] = 4096
+        wire["session"]["eviction_margin_periods"] = 3.0
         wire["session"]["also_new"] = 1
         rebuilt = config_from_wire(wire)
         assert rebuilt.session.config.sampling_frequency == 10.0

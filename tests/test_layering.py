@@ -71,3 +71,33 @@ def test_the_walker_sees_what_it_should():
     assert _imported_layers(PACKAGE / "freq" / "autocorr.py") <= {
         "freq", "utils", "constants", "exceptions",
     }
+
+
+#: Modules that read config fields only to carry them, never to act on them:
+#: ``api`` lowers ``ReproConfig`` onto the layer configs, ``service.transport``
+#: ships ``ServiceConfig`` to a remote worker.
+CARRIERS = {"api.py", "service/transport.py"}
+
+
+def _attributes_read(path: Path) -> set[str]:
+    """Every ``x.name`` that ``path`` loads (reads, not assigns)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_service_and_session_option_has_a_reader():
+    """An option that only the carriers read is an option nothing applies."""
+    from dataclasses import fields
+
+    from repro.service.service import ServiceConfig
+    from repro.service.session import SessionConfig
+
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.relative_to(PACKAGE).as_posix() not in CARRIERS:
+            read |= _attributes_read(path)
+    options = {f.name for cls in (ServiceConfig, SessionConfig) for f in fields(cls)}
+    assert options - read == set()
