@@ -10,12 +10,13 @@ Two acts:
    replay, so the submit pause is one route call.  The example prints the
    pause distribution.
 
-2. **Autoscaling** — ``api.serve(autoscale=AutoscaleConfig(...))`` fronts a
-   1-shard service with a supervision thread that watches sessions/shard,
-   queue depth, p99 detection latency and backpressure.  A burst of 24 jobs
-   drives the shard count to the ceiling; finishing and reaping the jobs
-   drains it back to the floor.  The live shard-count timeline and the
-   autoscaler's decision log are read from ``GET /status`` the whole way.
+2. **Autoscaling** — ``api.serve(config.with_(autoscale=AutoscaleConfig(...)))``
+   fronts a 1-shard service with a supervision thread that watches
+   sessions/shard, queue depth, p99 detection latency and backpressure.  A
+   burst of 24 jobs drives the shard count to the ceiling; finishing and
+   reaping the jobs drains it back to the floor.  The live shard-count
+   timeline and the autoscaler's decision log are read from ``GET /status``
+   the whole way.
 
 Run with::
 
@@ -121,7 +122,7 @@ def autoscaled_ramp_demo() -> None:
         port=0,
     )
     started = time.perf_counter()
-    with api.serve(config, ops_port=0, autoscale=autoscale) as gateway:
+    with api.serve(config.with_(ops_port=0, autoscale=autoscale)) as gateway:
         base = f"http://127.0.0.1:{gateway.ops_port}"
         client = api.connect(gateway.address)
 

@@ -7,8 +7,9 @@ spool: the parent router classifies each frame from its header alone and
 forwards the raw bytes to the subprocess shard that owns the job
 (consistent hashing), where a full prediction service evaluates it.  The
 example then murders one shard with SIGKILL mid-stream and shows the
-recovery path — restore the lost sessions from the last merged snapshot,
-replay the spool tail, keep serving — ending with the same predictions a
+recovery path — ``revive_shard`` restores the lost sessions from the last
+checkpoint (the last merged snapshot), replays the spool tail written since,
+and the service keeps serving — ending with the same predictions a
 crash-free run produces.
 
 Run with::
@@ -72,9 +73,8 @@ def main() -> None:
     for round_index in range(third):
         stream_round(round_index)
 
-    # --- 3. snapshot, then kill -9 a shard mid-stream ---------------------- #
-    snapshot = service.snapshot_state()
-    snapshot_position = tail.position  # rotation-proof resume point
+    # --- 3. checkpoint, then kill -9 a shard mid-stream -------------------- #
+    service.snapshot_state()  # also records the tail's rotation-proof position
     for round_index in range(third, 2 * third):
         stream_round(round_index)
 
@@ -82,9 +82,7 @@ def main() -> None:
     service.kill_shard(victim)
     print(f"\nshard {victim} kill -9'd mid-stream; dead shards: {service.dead_shards()}")
 
-    replayed = service.revive_shard(
-        victim, state=snapshot, spool=spool, spool_position=snapshot_position
-    )
+    replayed = service.revive_shard(victim)
     print(f"revived shard {victim}: sessions restored from snapshot, "
           f"{replayed} spool-tail frames replayed")
 

@@ -78,7 +78,7 @@ def main() -> None:
             assert all(rtt is not None for rtt in rtts.values()), rtts
             stats = service.stats()
             assert stats["flushes"] == 16, stats["flushes"]
-            snapshot = service.snapshot_state()
+            service.snapshot_state()  # the checkpoint revive_shard restores
             service.kill_shard(0)
             try:
                 for job, flushes in streams.items():
@@ -90,7 +90,7 @@ def main() -> None:
             service._supervisor.remote_timeout = 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                service.revive_shard(0, state=snapshot)
+                service.revive_shard(0)
             for job, flushes in streams.items():
                 for flush in flushes[2:]:
                     service.ingest_flush(job, flush)

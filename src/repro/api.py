@@ -259,18 +259,16 @@ def serve(
     config: "ReproConfig | None" = None,
     *,
     service: "PredictionService | ShardedService | None" = None,
-    host: str | None = None,
-    port: int | None = None,
-    ops_port: int | None = None,
-    autoscale: "AutoscaleConfig | None" = None,
 ) -> "ThreadedGateway":
     """Start a TCP gateway serving the configured prediction service.
 
     Builds the engine from ``config`` (single-process, or sharded when
     ``config.shards > 0``) — or fronts an existing ``service`` — and returns
-    a started :class:`~repro.service.gateway.ThreadedGateway`.  The gateway
-    owns an engine it built (closing the gateway closes it) but never an
-    engine that was passed in.
+    a started :class:`~repro.service.gateway.ThreadedGateway` listening on
+    ``config.host`` / ``config.port``, with the HTTP ops surface on
+    ``config.ops_port`` and an autoscaler when ``config.autoscale`` is set.
+    The gateway owns an engine it built (closing the gateway closes it) but
+    never an engine that was passed in.
 
     For a sharded engine the shard count is only the *initial* topology:
     it is mutable at runtime, locally via
@@ -285,8 +283,9 @@ def serve(
             client = api.connect(gateway.address)
             client.resize(4)          # grow the live service to 4 shards
 
-    Pass ``autoscale=AutoscaleConfig(...)`` (or set it on the config) to let
-    the service drive those resizes itself from its own load signals.
+    Set ``autoscale=AutoscaleConfig(...)`` on the config
+    (``config.with_(autoscale=...)``) to let the service drive those resizes
+    itself from its own load signals.
     """
     from repro.service.gateway import ThreadedGateway
 
@@ -295,12 +294,12 @@ def serve(
     engine = config.build_service() if service is None else service
     gateway = ThreadedGateway(
         engine,
-        host=host if host is not None else config.host,
-        port=port if port is not None else config.port,
+        host=config.host,
+        port=config.port,
         token=config.token,
-        ops_port=ops_port if ops_port is not None else config.ops_port,
+        ops_port=config.ops_port,
         own_engine=own_engine,
-        autoscale=autoscale if autoscale is not None else config.autoscale,
+        autoscale=config.autoscale,
     )
     return gateway.start()
 

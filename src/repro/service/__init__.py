@@ -54,9 +54,7 @@ from repro.service.sharding import ShardedService
 from repro.service.shm_ring import RingHandle, ShmRingReader, ShmRingWriter
 from repro.service.snapshot import (
     apply_state,
-    extract_jobs,
     load_snapshot,
-    merge_into,
     merge_states,
     restore_state,
     save_snapshot,
@@ -96,9 +94,7 @@ __all__ = [
     "apply_state",
     "compute_batch_kernels",
     "detect_sessions_inline",
-    "extract_jobs",
     "load_snapshot",
-    "merge_into",
     "merge_states",
     "restore_state",
     "save_snapshot",

@@ -435,9 +435,7 @@ class Autoscaler:
                 if self._revive is not None:
                     self._revive(index)
                 else:
-                    self.service.revive_shard(
-                        index, state=getattr(self.service, "last_snapshot", None)
-                    )
+                    self.service.revive_shard(index)
             return
         if decision.action in ("grow", "shrink"):
             if self._resize is not None:

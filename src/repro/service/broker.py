@@ -323,7 +323,7 @@ class FlushBroker:
         for name, kind, read, help_text in views:
             registry.register_view(name, kind, read, help=help_text)
 
-    def tail(self, path: str | Path, *, offset: int = 0) -> FrameReader:
+    def tail(self, path: str | Path) -> FrameReader:
         """Return a :class:`FrameReader` whose polls feed this broker.
 
         The reader's sink is this broker, so newly completed frames are
@@ -333,6 +333,4 @@ class FlushBroker:
             ...
             reader.poll()   # routes any new frames into the sessions
         """
-        return FrameReader(
-            path, offset=offset, sink=self.ingest_frames, expected_token=self._expected_token
-        )
+        return FrameReader(path, sink=self.ingest_frames, expected_token=self._expected_token)

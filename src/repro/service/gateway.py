@@ -510,7 +510,7 @@ class ThreadedGateway:
         """The autoscaler's revive, engine-locked: respawn, restore and spool
         replay run on the control channels a client's pump uses."""
         with self._engine_lock:
-            self._engine.revive_shard(index, state=getattr(self._engine, "last_snapshot", None))
+            self._engine.revive_shard(index)
 
     def _pump_engine(self) -> int:
         if isinstance(self._engine, PredictionService):

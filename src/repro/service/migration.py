@@ -352,7 +352,7 @@ class Migrator:
         """Merge ``state`` into shard ``index``, surviving a mid-transfer kill."""
         supervisor = self._supervisor
         try:
-            supervisor.shards[index].send_state(state, kind="merge")
+            supervisor.shards[index].send_state(state)
             return
         except ShardCrashedError:
             # The migrating state is still in the router's hands, so a
@@ -364,7 +364,7 @@ class Migrator:
                 raise
         supervisor.respawn(index)
         self._rearm(index, migration)
-        supervisor.shards[index].send_state(state, kind="merge")
+        supervisor.shards[index].send_state(state)
 
     def _complete(self, migration: Migration, *, best_effort: bool = False) -> int:
         """``replayed``: finish the handover on every target; returns frames ingested.
@@ -420,14 +420,14 @@ class Migrator:
         for shard in surplus:
             supervisor.release(shard)
         # The extracted sessions are still in the router's hands — push
-        # them back to the ring in charge.  A "merge" transfer is an
+        # them back to the ring in charge.  A state transfer is an
         # idempotent overwrite, so states whose handover already succeeded
         # are simply rewritten in place.
         for target, state, jobs in migration.moved_by_owner(ring):
             # Per target, not around the loop: one dead target must not
             # discard the sessions the live ones can still take.
             try:
-                supervisor.shards[target].send_state(state, kind="merge")
+                supervisor.shards[target].send_state(state)
             except ServiceError:  # pragma: no cover - double fault
                 continue
             supervisor.jobs[target].update(jobs)

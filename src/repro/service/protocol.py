@@ -350,10 +350,11 @@ class PredictionEvent(Message):
 #: Valid ``SnapshotChunk.kind`` discriminators.  ``snapshot`` and ``extract``
 #: flow from the serving side (the replies to :class:`Snapshot` /
 #: :class:`ExtractJobs`); ``restore`` and ``merge`` flow *to* it (the final
-#: chunk triggers the apply and is answered with :class:`RestoreReply`) —
-#: ``restore`` replaces the publisher state, ``merge`` folds the carried
-#: sessions into a running service without touching other jobs (the
-#: resharding migration path).
+#: chunk triggers the apply and is answered with :class:`RestoreReply`).
+#: Both apply alike (:func:`~repro.service.snapshot.apply_state`: the
+#: carried sessions are loaded, the publisher entries merged, other jobs
+#: untouched); a client sends ``restore``, the router sends its shards
+#: ``merge``.
 CHUNK_KINDS: tuple[str, ...] = ("snapshot", "extract", "restore", "merge")
 
 

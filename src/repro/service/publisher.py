@@ -186,20 +186,12 @@ class PredictionPublisher:
                 "latest_period": dict(self._latest_period),
             }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore published predictions from a :meth:`state_dict` snapshot."""
-        with self._lock:
-            self._latest = self._decode_latest(state)
-            self._latest_period = {
-                job: float(period) for job, period in state["latest_period"].items()
-            }
-
     def merge_state_dict(self, state: dict) -> None:
-        """Merge a snapshot into the current state without dropping other jobs.
+        """Merge a :meth:`state_dict` snapshot without dropping other jobs.
 
-        The sharded router uses this when a single revived shard is restored:
-        only that shard's jobs roll back to the snapshot, every other job's
-        live prediction stays.
+        The carried jobs' predictions roll back to the snapshot; every other
+        job's live prediction stays.  The one way a publisher state is
+        loaded (see :func:`~repro.service.snapshot.apply_state`).
         """
         with self._lock:
             self._latest.update(self._decode_latest(state))

@@ -199,14 +199,15 @@ class PredictionService:
         """
         return self.broker.feed_borrowed(data)
 
-    def tail_file(self, path: str | Path, *, offset: int = 0) -> FrameReader:
-        """Tail a framed spool file; each ``poll()`` ingests the new frames.
+    def tail_file(self, path: str | Path) -> FrameReader:
+        """Tail a framed spool file from its oldest retained frame; each
+        ``poll()`` ingests the new frames.
 
         The reader is remembered so snapshot-driven spool compaction
         (:meth:`compact_spools`, ``ServiceConfig.auto_compact``) knows how far
         each spool has been consumed.
         """
-        reader = self.broker.tail(path, offset=offset)
+        reader = self.broker.tail(path)
         self._tails[Path(path)] = reader
         return reader
 
@@ -293,7 +294,9 @@ class PredictionService:
         return state
 
     def restore_state(self, state: dict) -> "PredictionService":
-        """Load a snapshot's sessions and publisher into this running service."""
+        """Load a snapshot into this running service (see
+        :func:`~repro.service.snapshot.apply_state`): the carried jobs roll
+        back to it, every other job keeps its session and prediction."""
         from repro.service.snapshot import apply_state
 
         return apply_state(self, state)

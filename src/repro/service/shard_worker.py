@@ -49,12 +49,7 @@ from repro.service import protocol as proto
 from repro.service.ring import HashRing
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.shm_ring import RingHandle, ShmRingReader
-from repro.service.snapshot import (
-    apply_state,
-    extract_service_jobs,
-    merge_into,
-    snapshot_state,
-)
+from repro.service.snapshot import apply_state, extract_service_jobs, snapshot_state
 from repro.service.transport import HANDSHAKE_TIMEOUT, Channel, config_from_wire
 
 #: Socket read size of the shard ingestion loop.
@@ -258,17 +253,14 @@ def shard_main(
                 # Mid-transfer chunks ride the ordered channel unacknowledged;
                 # only the completed transfer gets a reply.
                 return []
-            if kind == "merge":
-                merge_into(service, state)
-            elif kind == "restore":
-                apply_state(service, state)
-            else:
+            if kind not in ("restore", "merge"):
                 return [
                     proto.Error(
                         message=f"cannot apply a {kind!r} chunk stream to a shard",
                         code="protocol",
                     )
                 ]
+            apply_state(service, state)
             return [proto.RestoreReply(restored=len(state["sessions"]))]
         if isinstance(request, proto.BeginHandover):
             # Rebuild both rings locally and stage exactly the frames whose

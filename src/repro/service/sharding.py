@@ -139,40 +139,24 @@ class ShardedService:
         """Number of automatic shard revives performed so far."""
         return self._supervisor.auto_revives
 
-    @property
-    def last_snapshot(self) -> dict | None:
-        """The last merged snapshot taken (the auto-revive recovery point)."""
-        return self._supervisor.last_snapshot
-
     def kill_shard(self, index: int) -> None:
         """Forcibly kill a shard (SIGKILL) — fault injection for tests."""
         self._supervisor.kill(index)
 
-    def revive_shard(
-        self,
-        index: int,
-        *,
-        state: dict | None = None,
-        spool: str | Path | None = None,
-        spool_offset: int = 0,
-        spool_position: dict | None = None,
-    ) -> int:
-        """Respawn a dead shard, restoring its sessions and replaying the spool.
+    def revive_shard(self, index: int) -> int:
+        """Respawn a dead shard from the last checkpoint; returns the spool
+        frames replayed.
 
-        ``state`` is a merged snapshot (any deployment shape); only the
-        sessions this shard owns are pushed into the replacement process.
-        With ``spool`` plus the ingestion point recorded alongside the
-        snapshot (``spool_position`` — a tailing reader's rotation-proof
-        :attr:`FrameReader.position` — or a plain ``spool_offset``), the
-        frames written since the snapshot are replayed — **only** those owned
-        by the revived shard; surviving shards already consumed theirs —
-        pumping after every frame so each replayed flush is evaluated at its
-        own timestamp, the same cadence a flush-by-flush live run takes.
-        Returns the number of frames replayed.
+        The checkpoint is the last :meth:`snapshot_state` or
+        :meth:`restore_state`.  The replacement shard gets the sessions it
+        owns in that snapshot, then every tailed spool is replayed from the
+        position recorded with it up to the tail's consumed mark — **only**
+        the frames the revived shard owns (surviving shards already consumed
+        theirs), pumping after every frame so each replayed flush is
+        evaluated at its own timestamp, the cadence a flush-by-flush live run
+        takes.  ``ServiceConfig.auto_revive`` runs this same revive by itself.
         """
-        return self._supervisor.revive(
-            index, state=state, spool=spool, spool_offset=spool_offset, spool_position=spool_position
-        )
+        return self._supervisor.revive(index)
 
     def _replay_frame(self, index: int, frame: RawFrame) -> None:
         self.route_raw(frame)
@@ -239,20 +223,21 @@ class ShardedService:
             count += 1
         return count
 
-    def tail_file(self, path: str | Path, *, offset: int = 0) -> FrameReader:
-        """Tail a framed spool file; each ``poll()`` routes the new frames.
+    def tail_file(self, path: str | Path) -> FrameReader:
+        """Tail a framed spool file from its oldest retained frame; each
+        ``poll()`` routes the new frames.
 
         The reader runs in raw (header-only) mode and follows spool rotation.
-        It is remembered so snapshots can record the spool position (auto
-        revive replays from it) and ``auto_compact`` can drop the consumed
+        It is remembered so checkpoints record its position (a revive
+        replays from there) and ``auto_compact`` can drop the consumed
         prefix.
 
         With ``ServiceConfig.auto_revive``, a dead shard discovered while
         routing is revived in place.  The revival replay reads the spool from
-        the last snapshot position **to its end**, so it already delivers
-        every frame of the current poll batch the revived shard owns — those
-        frames are therefore skipped (not double-sent) for the rest of the
-        batch.
+        the checkpoint position to the tail's consumed mark — the end of the
+        current poll batch — so it already delivers every frame of the batch
+        the revived shard owns; those frames are therefore skipped (not
+        double-sent) for the rest of the batch.
         """
 
         def route(frames: list[RawFrame]) -> None:
@@ -267,9 +252,7 @@ class ShardedService:
                         raise crash
                     replayed_by_revival.add(crash.shard)
 
-        reader = FrameReader(
-            path, offset=offset, sink=route, expected_token=self.config.token, raw=True
-        )
+        reader = FrameReader(path, sink=route, expected_token=self.config.token, raw=True)
         self._supervisor.tails[Path(path)] = reader
         return reader
 
@@ -314,8 +297,7 @@ class ShardedService:
 
         With ``ServiceConfig.auto_revive``, dead shards — whether discovered
         right here or on an earlier data-plane send — are transparently
-        revived from the last :meth:`snapshot_state` snapshot (plus the
-        recorded spool tails) before and during the pump, up to
+        revived (:meth:`revive_shard`) before and during the pump, up to
         ``ServiceConfig.revive_budget`` times over the service's lifetime;
         a dead shard that cannot be revived anymore raises instead of being
         silently skipped.
@@ -609,7 +591,7 @@ class ShardedService:
         The result round-trips through :func:`repro.service.snapshot.
         restore_state` (one big service) and :meth:`restore_state` (any shard
         count) alike.  The snapshot (plus each tailed spool's position) is
-        remembered as the auto-revive recovery point, and with
+        remembered as the checkpoint every revive starts from, and with
         ``ServiceConfig.auto_compact`` every tailed spool is compacted up to
         the position this snapshot covers.
         """
@@ -626,14 +608,24 @@ class ShardedService:
         return merged
 
     def restore_state(self, state: dict) -> None:
-        """Load a merged snapshot: each shard receives the sessions it owns."""
+        """Load a merged snapshot, taken at any shard count, into the running
+        service.
+
+        Each shard applies the part it owns
+        (:func:`~repro.service.snapshot.apply_state`) and the router's
+        publisher merges the snapshot's entries: the carried jobs roll back
+        to it, every other job keeps its session and prediction.  The
+        restored state is then checkpointed, so a shard lost from here on is
+        revived with it.
+        """
         check_snapshot_version(state)
         supervisor = self._supervisor
         per_shard = split_state(state, supervisor.ring.shard_for, self.n_shards)
         for shard, shard_state in zip(supervisor.shards, per_shard):
-            shard.send_state(shard_state, kind="restore")
-            # Update, never replace: apply_state leaves sessions the shard
-            # holds for *other* jobs resident, so those must stay tracked or
-            # a later reshard would silently skip extracting them.
+            shard.send_state(shard_state)
+            # Update, never replace: the shard keeps the sessions it holds
+            # for *other* jobs, so those must stay tracked or a later reshard
+            # would silently skip extracting them.
             supervisor.jobs[shard.index].update(state_jobs(shard_state))
-        self.publisher.load_state_dict(state["publisher"])
+        self.publisher.merge_state_dict(state["publisher"])
+        self.snapshot_state()

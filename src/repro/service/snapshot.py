@@ -14,13 +14,16 @@ any compliant MessagePack decoder.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.exceptions import TraceFormatError
+from repro.service.service import PredictionService, ServiceConfig
 from repro.trace.msgpack import packb, unpackb
 
-from repro.service.service import PredictionService, ServiceConfig
+if TYPE_CHECKING:
+    from repro.service.sharding import ShardedService
 
 #: Bumped whenever the snapshot layout changes incompatibly.
 SNAPSHOT_VERSION = 2
@@ -44,40 +47,33 @@ def snapshot_state(service: PredictionService) -> dict:
     }
 
 
-def restore_state(
-    state: dict,
-    *,
-    config: ServiceConfig | None = None,
-) -> PredictionService:
-    """Rebuild a service from a :func:`snapshot_state` dict.
+def apply_state(service: PredictionService, state: dict) -> PredictionService:
+    """Load a :func:`snapshot_state` dict into a running service; the one
+    way a state is loaded.
+
+    The snapshot's sessions are (re)created and its publisher entries are
+    **merged**: the carried jobs roll back to the snapshot, while sessions and
+    predictions the service holds for other jobs stay as they are.  A shard
+    applies every state pushed to it (a revive, a restore, a migration) this
+    way.
+    """
+    check_snapshot_version(state)
+    for session_state in state["sessions"]:
+        session = service.broker.session(str(session_state["job"]))
+        session.load_state_dict(session_state)
+    service.publisher.merge_state_dict(state["publisher"])
+    return service
+
+
+def restore_state(state: dict, *, config: ServiceConfig | None = None) -> PredictionService:
+    """Rebuild a service from a :func:`snapshot_state` dict:
+    :func:`apply_state` on a fresh :class:`PredictionService`.
 
     The analysis/memory configuration is *not* part of the snapshot — pass
     the same :class:`ServiceConfig` the crashed service ran with (or an
     updated one, e.g. to change the worker count on the replacement host).
     """
-    check_snapshot_version(state)
-    service = PredictionService(config)
-    for session_state in state["sessions"]:
-        session = service.broker.session(str(session_state["job"]))
-        session.load_state_dict(session_state)
-    service.publisher.load_state_dict(state["publisher"])
-    return service
-
-
-def apply_state(service: PredictionService, state: dict) -> PredictionService:
-    """Load a snapshot's sessions and publisher into an *existing* service.
-
-    Unlike :func:`restore_state` this does not build a new instance — a shard
-    subprocess restores into the service it already runs.  Sessions present in
-    the snapshot are (re)created; sessions the service already holds for other
-    jobs are left alone.
-    """
-    check_snapshot_version(state)
-    for session_state in state["sessions"]:
-        session = service.broker.session(str(session_state["job"]))
-        session.load_state_dict(session_state)
-    service.publisher.load_state_dict(state["publisher"])
-    return service
+    return apply_state(PredictionService(config), state)
 
 
 def merge_states(states: Iterable[dict]) -> dict:
@@ -115,7 +111,7 @@ def split_state(state: dict, owner: Callable[[str], int], n_shards: int) -> list
     restored onto any shard count.
     """
     check_snapshot_version(state)
-    shards = [
+    shards: list[dict] = [
         {
             "snapshot_version": SNAPSHOT_VERSION,
             "sessions": [],
@@ -145,43 +141,6 @@ def state_jobs(state: dict) -> set[str]:
     )
 
 
-def extract_jobs(state: dict, jobs: Iterable[str]) -> tuple[dict, dict]:
-    """Split one snapshot state into ``(extracted, remaining)`` by job id.
-
-    The per-job complement of :func:`split_state`: instead of partitioning by
-    shard owner, it pulls exactly the named jobs' sessions and publisher
-    entries out.  Both halves are valid snapshot states; resharding uses the
-    extracted half as the unit of migration.
-    """
-    check_snapshot_version(state)
-    wanted = set(jobs)
-
-    def half(selected: bool) -> dict:
-        publisher = state.get("publisher", {})
-        return {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "sessions": [
-                session
-                for session in state["sessions"]
-                if (str(session["job"]) in wanted) == selected
-            ],
-            "publisher": {
-                "latest": {
-                    job: entry
-                    for job, entry in publisher.get("latest", {}).items()
-                    if (str(job) in wanted) == selected
-                },
-                "latest_period": {
-                    job: period
-                    for job, period in publisher.get("latest_period", {}).items()
-                    if (str(job) in wanted) == selected
-                },
-            },
-        }
-
-    return half(True), half(False)
-
-
 def extract_service_jobs(service: PredictionService, jobs: Iterable[str]) -> dict:
     """Capture *and remove* the given jobs from a live service.
 
@@ -193,18 +152,21 @@ def extract_service_jobs(service: PredictionService, jobs: Iterable[str]) -> dic
     jobs = list(jobs)  # may be a generator; it is iterated twice below
     present = set(service.broker.jobs)
     selected = [job for job in jobs if job in present]
+    publisher = service.publisher.state_dict()
+    wanted = set(jobs)
     state = {
         "snapshot_version": SNAPSHOT_VERSION,
         "sessions": [service.broker.session(job).state_dict() for job in selected],
-        "publisher": {"latest": {}, "latest_period": {}},
-    }
-    publisher = service.publisher.state_dict()
-    wanted = set(jobs)
-    state["publisher"]["latest"] = {
-        job: entry for job, entry in publisher["latest"].items() if job in wanted
-    }
-    state["publisher"]["latest_period"] = {
-        job: period for job, period in publisher["latest_period"].items() if job in wanted
+        "publisher": {
+            "latest": {
+                job: entry for job, entry in publisher["latest"].items() if job in wanted
+            },
+            "latest_period": {
+                job: period
+                for job, period in publisher["latest_period"].items()
+                if job in wanted
+            },
+        },
     }
     for job in selected:
         service.broker.remove(job)
@@ -213,22 +175,7 @@ def extract_service_jobs(service: PredictionService, jobs: Iterable[str]) -> dic
     return state
 
 
-def merge_into(service: PredictionService, state: dict) -> PredictionService:
-    """Fold a snapshot state into a running service without touching others.
-
-    The migration target of a live reshard: the carried sessions are
-    (re)created and the publisher entries are *merged* (not replaced), so the
-    receiving shard's resident jobs keep their live predictions.
-    """
-    check_snapshot_version(state)
-    for session_state in state["sessions"]:
-        session = service.broker.session(str(session_state["job"]))
-        session.load_state_dict(session_state)
-    service.publisher.merge_state_dict(state["publisher"])
-    return service
-
-
-def save_snapshot(service, path: str | Path) -> Path:
+def save_snapshot(service: PredictionService | ShardedService, path: str | Path) -> Path:
     """Write a snapshot file; returns its path.
 
     Goes through the service's :meth:`~repro.service.service.

@@ -35,11 +35,12 @@ reached over three channels:
 Crash recovery composes out of existing pieces: shard death is detected on
 whichever channel operation fails first (the :class:`Shard` primitives mark
 the handle dead and raise :class:`~repro.exceptions.ShardCrashedError`) or by
-a heartbeat timeout; the lost shard's sessions are restored from the last
-merged snapshot (:func:`~repro.service.snapshot.split_state`), and the spool
-tail written since is replayed through the router.  With
-``ServiceConfig.auto_revive`` :meth:`ShardSupervisor.revive_or_raise` does
-this by itself from the last :meth:`~ShardSupervisor.checkpoint`, at most
+a heartbeat timeout.  :meth:`ShardSupervisor.revive` is the one way back: the
+lost shard's sessions are restored from the last
+:meth:`~ShardSupervisor.checkpoint` (:func:`~repro.service.snapshot.
+split_state`), and the spool tail written since is replayed through the
+router.  With ``ServiceConfig.auto_revive``
+:meth:`ShardSupervisor.revive_or_raise` calls it by itself, at most
 ``ServiceConfig.revive_budget`` times.
 """
 
@@ -210,13 +211,16 @@ class Shard:
             if state is not None:
                 return state
 
-    def send_state(self, state: dict, *, kind: str) -> proto.Message:
+    def send_state(self, state: dict) -> proto.Message:
         """Push one snapshot state into the shard as a chunk stream.
 
-        ``kind`` is ``"restore"`` (replace: revive / restore) or ``"merge"``
-        (fold in without touching resident jobs: migration).
+        The shard loads it with :func:`~repro.service.snapshot.apply_state`
+        (the carried sessions are loaded, the publisher entries merged; its
+        other jobs are left alone), whether it revives, restores or migrates
+        jobs.  The stream travels as ``kind="merge"``, which every shard
+        generation applies that way.
         """
-        for chunk in proto.iter_state_chunks(state, kind=kind):
+        for chunk in proto.iter_state_chunks(state, kind="merge"):
             self.control_send(chunk)
         return self.reply()
 
@@ -756,91 +760,63 @@ class ShardSupervisor:
                         "offset": reader.position["offset"],
                     }
 
-    def revive(
-        self,
-        index: int,
-        *,
-        state: dict | None = None,
-        spool: str | Path | None = None,
-        spool_offset: int = 0,
-        spool_position: dict | None = None,
-    ) -> int:
-        """Respawn dead shard ``index``; see ``ShardedService.revive_shard``."""
+    def revive(self, index: int) -> int:
+        """Respawn dead shard ``index`` from the recovery point.
+
+        The replacement loads the shard's part of :attr:`last_snapshot` (if
+        a checkpoint was taken), the router's publisher merges the same part
+        (surviving shards have published past the snapshot; only the revived
+        shard's jobs roll back to it), and every tailed spool is replayed
+        from the position recorded at the checkpoint — only the frames the
+        revived shard owns.  The replay stops at the tail's consumed mark:
+        frames past it have not been routed yet and arrive through the next
+        poll, so none is ingested twice.  Returns the frames replayed.
+        """
         if self.shards[index].alive:
             raise ServiceError(f"shard {index} is still alive; refusing to revive it")
         shard = self.respawn(index)
-        if state is not None:
-            restored = split_state(state, self.ring.shard_for, len(self.shards))[index]
-            shard.send_state(restored, kind="restore")
+        if self.last_snapshot is not None:
+            owned = split_state(self.last_snapshot, self.ring.shard_for, len(self.shards))
+            restored = owned[index]
+            shard.send_state(restored)
             self.jobs[index].update(state_jobs(restored))
-            # Merge (not replace): surviving shards have published past the
-            # snapshot, only the revived shard's jobs roll back to it.
             self._publisher.merge_state_dict(restored["publisher"])
-        if spool is None:
-            return 0
-        return self._replay_spool(index, spool, offset=spool_offset, position=spool_position)
-
-    def _replay_spool(
-        self,
-        index: int,
-        spool: str | Path,
-        *,
-        offset: int = 0,
-        position: dict | None = None,
-        limit: int | None = None,
-    ) -> int:
-        """Replay the spool tail into shard ``index``; returns frames replayed.
-
-        ``limit`` bounds the replay to that many bytes past the start point
-        (every frame counts, owned or not) — the auto-revive path uses it to
-        stop exactly at the parent tail's consumed position, so a frame a
-        concurrent writer appended after the parent's last poll is never
-        ingested twice (once by the replay, again by the next poll).
-        """
-        reader = FrameReader(
-            spool, offset=offset, position=position, expected_token=self.config.token, raw=True
-        )
         replayed = 0
-        budget = limit
-        for raw in reader.poll():
-            if budget is not None:
-                if len(raw.data) > budget:
-                    break
-                budget -= len(raw.data)
-            if self.ring.shard_for(raw.job) != index:
-                continue
-            self._replay(index, raw)
-            replayed += 1
+        for path, tail in self.tails.items():
+            start = self._snapshot_positions.get(path)
+            consumed = tail.position
+            # The replay's byte budget runs from the checkpoint to the tail's
+            # consumed mark (every frame counts, owned or not).  It is only
+            # meaningful within one spool generation; a rotation in between
+            # falls back to replay-to-EOF.
+            budget: int | None = None
+            if (
+                consumed["inode"] is not None
+                and (start is None or start["inode"] == consumed["inode"])
+                and not spool_generations(path)
+            ):
+                start_offset = 0 if start is None else int(start["offset"])
+                budget = max(0, int(consumed["offset"]) - start_offset)
+            reader = FrameReader(path, position=start, expected_token=self.config.token, raw=True)
+            for raw in reader.poll():
+                if budget is not None:
+                    if len(raw.data) > budget:
+                        break
+                    budget -= len(raw.data)
+                if self.ring.shard_for(raw.job) == index:
+                    self._replay(index, raw)
+                    replayed += 1
         return replayed
 
     def auto_revive(self, index: int) -> bool:
-        """Revive one dead shard from the recovery point, if policy allows.
-
-        The replay covers **every** tailed spool, each bounded at the parent
-        tail's consumed position — frames past that mark have not been routed
-        yet and will arrive through the normal poll path.
-        """
+        """:meth:`revive` one dead shard, if ``ServiceConfig.auto_revive``
+        is on and the ``revive_budget`` is not spent."""
         if not self.config.auto_revive or self.closed:
             return False
         if self.auto_revives >= self.config.revive_budget:
             return False
         self.auto_revives += 1
-        self.revive(index, state=self.last_snapshot)
-        for path, reader in self.tails.items():
-            snapshot_position = self._snapshot_positions.get(path)
-            parent_position = reader.position
-            limit: int | None = None
-            start_offset = 0 if snapshot_position is None else int(snapshot_position["offset"])
-            same_inode = (
-                snapshot_position is None
-                or snapshot_position["inode"] == parent_position["inode"]
-            )
-            # A byte bound is only meaningful within one spool generation; a
-            # rotation in between falls back to replay-to-EOF (PR-3 semantics).
-            bounded = parent_position["inode"] is not None and same_inode
-            if bounded and not spool_generations(path):
-                limit = max(0, int(parent_position["offset"]) - start_offset)
-            self._replay_spool(index, path, position=snapshot_position, limit=limit)
+        self.revive(index)
         return True
 
     def revive_or_raise(self, *, only: tuple[int, ...] | None = None) -> tuple[int, ...]:

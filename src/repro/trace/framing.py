@@ -560,13 +560,11 @@ class FrameReader:
     ----------
     path:
         The spool file to tail (it may not exist yet).
-    offset:
-        Byte offset to start from in the live file (pre-rotation resumes).
     position:
-        Rotation-proof resume point from :attr:`position` (overrides
-        ``offset``): the recorded inode is looked up among the live file and
-        its generations, so a snapshot taken before a rotation still resumes
-        at the exact byte it was taken at.
+        Resume point from :attr:`position`: the recorded inode is looked up
+        among the live file and its generations, so a snapshot taken before a
+        rotation still resumes at the exact byte it was taken at.  Without
+        one the reader starts at the oldest retained generation.
     sink:
         Optional callback invoked with each poll's newly completed frames
         (the broker uses this to ingest them automatically).
@@ -581,14 +579,13 @@ class FrameReader:
         self,
         path: str | Path,
         *,
-        offset: int = 0,
         position: dict | None = None,
         sink: Callable[[list[FlushFrame]], object] | None = None,
         expected_token: int | None = None,
         raw: bool = False,
     ) -> None:
         self._path = Path(path)
-        self._offset = int(offset)
+        self._offset = 0
         self._start_inode: int | None = None
         if position is not None:
             self._offset = int(position["offset"])
@@ -607,11 +604,6 @@ class FrameReader:
         self._opened_once = False
         self._resyncs = 0
         self._skipped_bytes = 0
-
-    @property
-    def offset(self) -> int:
-        """Consumed byte offset within the *current* spool generation."""
-        return self._offset
 
     @property
     def position(self) -> dict:
@@ -771,8 +763,9 @@ def compact_spool(path: str | Path, *, up_to: int) -> int:
     past the beginning; compaction rewrites the file (atomically, via a
     temporary file and :func:`os.replace`) keeping only the bytes from
     ``up_to`` on.  ``up_to`` must be a frame boundary of frames every consumer
-    has consumed — typically a reader's :attr:`FrameReader.offset` recorded in
-    a snapshot.  Live readers must be told via :meth:`FrameReader.rebase`.
+    has consumed — typically the ``offset`` of a reader's
+    :attr:`FrameReader.position` recorded in a snapshot.  Live readers must be
+    told via :meth:`FrameReader.rebase`.
 
     Returns the number of bytes removed.
     """

@@ -182,7 +182,6 @@ class ScriptedEngine:
         self.revived: list[int] = []
         self.dead: tuple[int, ...] = ()
         self.metrics = None
-        self.last_snapshot = {"sessions": []}
 
     def stats(self) -> dict:
         return self._script.pop(0) if len(self._script) > 1 else self._script[0]
@@ -194,7 +193,7 @@ class ScriptedEngine:
         self.resizes.append(n_shards)
         return {"to_shards": n_shards}
 
-    def revive_shard(self, index, *, state=None):
+    def revive_shard(self, index):
         self.revived.append(index)
         self.dead = tuple(i for i in self.dead if i != index)
 

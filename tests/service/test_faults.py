@@ -175,7 +175,7 @@ class TestSpoolRotation:
         # A regular poll observes the shrink (size < consumed offset) and
         # resets to the start of the restarted file.
         assert reader.poll() == []
-        assert reader.offset == 0
+        assert reader.position["offset"] == 0
         fresh = FrameWriter(spool, job="a")
         fresh.write(make_flush(1))
         assert [f.flush.flush_index for f in reader.poll()] == [1]
@@ -233,7 +233,7 @@ class TestSpoolCompaction:
         for i in range(4):
             writer.write(make_flush(i))
         assert len(reader.poll()) == 4
-        consumed = reader.offset
+        consumed = reader.position["offset"]
         removed = compact_spool(spool, up_to=consumed)
         assert removed == consumed
         assert spool.stat().st_size == 0

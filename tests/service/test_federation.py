@@ -188,7 +188,7 @@ class TestRemoteFaults:
                     for flush in flushes[:3]:
                         fed.ingest_flush(job, flush)
                 fed.pump()
-                snapshot = fed.snapshot_state()
+                fed.snapshot_state()
                 fed.kill_shard(0)
                 worker.wait(timeout=10)
                 with pytest.raises(ShardCrashedError):
@@ -199,7 +199,7 @@ class TestRemoteFaults:
                 # Nothing re-dials, so the slot degrades to a local fork.
                 fed._supervisor.remote_timeout = 0.2
                 with pytest.warns(RuntimeWarning, match="spawning it locally"):
-                    fed.revive_shard(0, state=snapshot)
+                    fed.revive_shard(0)
                 assert fed.dead_shards() == ()
                 assert fed.shard_details()[0]["remote"] is False
                 for job, flushes in streams.items():
@@ -227,7 +227,7 @@ class TestRemoteFaults:
                 for job, flushes in streams.items():
                     fed.ingest_flush(job, flushes[0])
                 fed.pump()
-                snapshot = fed.snapshot_state()
+                fed.snapshot_state()
                 # The replacement parks in the pending queue before the kill.
                 second = launch_worker(port, "--name", "gen-2")
                 deadline = time.monotonic() + 30.0
@@ -242,7 +242,7 @@ class TestRemoteFaults:
                     for job, flushes in streams.items():
                         fed.ingest_flush(job, flushes[1])
                         fed.pump()
-                fed.revive_shard(0, state=snapshot)
+                fed.revive_shard(0)
                 detail = fed.shard_details()[0]
                 assert detail["remote"] is True
                 assert detail["worker"]["name"] == "gen-2"
@@ -272,7 +272,7 @@ class TestRemoteFaults:
                 for job, flushes in streams.items():
                     fed.ingest_flush(job, flushes[0])
                 fed.pump()
-                snapshot = fed.snapshot_state()
+                fed.snapshot_state()
 
                 def kill_at_parked(phase: str) -> None:
                     if phase == "parked":
@@ -284,7 +284,7 @@ class TestRemoteFaults:
                 assert 0 in fed.dead_shards()
                 fed._supervisor.remote_timeout = 0.2
                 with pytest.warns(RuntimeWarning, match="spawning it locally"):
-                    fed.revive_shard(0, state=snapshot)
+                    fed.revive_shard(0)
                 for job, flushes in streams.items():
                     for flush in flushes[1:]:
                         fed.ingest_flush(job, flush)

@@ -55,7 +55,6 @@ class BlockingEngine:
     def __init__(self) -> None:
         self.publisher = PredictionPublisher()
         self.metrics = None
-        self.last_snapshot = {"sessions": []}
         self.n_shards = 2
         self.dead: tuple[int, ...] = ()
         self.log: list[str] = []
@@ -81,7 +80,7 @@ class BlockingEngine:
     def reshard(self, n_shards, *, on_phase=None) -> dict:  # makes it "sharded"
         raise AssertionError("no resize is scripted")
 
-    def revive_shard(self, index, *, state=None) -> None:
+    def revive_shard(self, index) -> None:
         self.log.append("revive-beside-pump" if self.in_pump.is_set() else "revive")
         self.dead = tuple(i for i in self.dead if i != index)
 

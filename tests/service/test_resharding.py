@@ -37,6 +37,7 @@ from repro.service import (
     SessionConfig,
     ShardedService,
     snapshot_state,
+    split_state,
 )
 from repro.trace.framing import encode_frame
 from repro.workloads import synthetic_flush_streams
@@ -273,11 +274,9 @@ class TestReshardAcceptance:
             sharded.close()
 
     def test_extract_jobs_splits_a_merged_state(self, streams, service_config):
-        # The pure per-job split path: extracted + remaining must partition
-        # the state exactly, and the extracted half is what a migration
-        # carries for those jobs.
-        from repro.service import extract_jobs
-
+        # The pure per-job split: with a job-set owner, split_state's two
+        # halves must partition the state exactly — the extracted half is
+        # what a migration carries for those jobs.
         sharded = ShardedService(2, service_config)
         try:
             for job, flushes in streams.items():
@@ -287,7 +286,7 @@ class TestReshardAcceptance:
         finally:
             sharded.close()
         wanted = sorted(streams)[:5]
-        extracted, remaining = extract_jobs(merged, wanted)
+        extracted, remaining = split_state(merged, lambda job: 0 if job in wanted else 1, 2)
         assert {s["job"] for s in extracted["sessions"]} == set(wanted)
         assert {s["job"] for s in remaining["sessions"]} == set(streams) - set(wanted)
         assert set(extracted["publisher"]["latest"]) == set(wanted)

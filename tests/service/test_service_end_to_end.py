@@ -142,6 +142,23 @@ class TestStreamingEquivalence:
         assert [(u.job, u.time, u.period) for u in seen] == [("early", 9.0, None)]
         service.close()
 
+    def test_span_journal_records_every_stage_of_a_flush(self, online_config, job_traces):
+        """With ``spans=True``, one ingest and one pump leave a span for each
+        stage a flush crosses in-process: ingest, claim, kernels, detect and
+        publish."""
+        job, trace = next(iter(job_traces.items()))
+        service = PredictionService(
+            ServiceConfig(session=SessionConfig(config=online_config), spans=True)
+        )
+        try:
+            service.ingest_flush(job, trace_to_flushes(trace, hacc_flush_times(trace))[0])
+            assert service.pump(wait_for_batch=True) == 1
+            stages = {span["stage"] for span in service.spans_snapshot()}
+        finally:
+            service.close()
+        assert stages >= {"ingest", "batch_claim", "kernel", "detect", "publish"}
+        assert PredictionService(ServiceConfig()).spans_snapshot() == []
+
 
 class TestLiveScheduling:
     def test_service_driven_set10_matches_ftio_configuration(self):

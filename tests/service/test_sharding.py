@@ -319,8 +319,7 @@ class TestCrashRecovery:
             third = n_rounds // 3
             for round_index in range(third):
                 stream_round(round_index)
-            snapshot = sharded.snapshot_state()
-            snapshot_offset = tail.offset
+            sharded.snapshot_state()
 
             # Keep streaming past the snapshot, then pull the plug: the
             # victim's post-snapshot in-memory state is gone for good.
@@ -330,9 +329,7 @@ class TestCrashRecovery:
             sharded.kill_shard(victim)
             assert sharded.dead_shards() == (victim,)
 
-            replayed = sharded.revive_shard(
-                victim, state=snapshot, spool=spool, spool_offset=snapshot_offset
-            )
+            replayed = sharded.revive_shard(victim)
             assert replayed > 0, "frames written since the snapshot must be replayed"
             assert sharded.dead_shards() == ()
 
@@ -355,3 +352,141 @@ class TestCrashRecovery:
         for job in streams:
             assert ours[job]["predictor"] == theirs[job]["predictor"], job
             assert ours[job]["buffer"] == theirs[job]["buffer"], job
+
+    def _crash_and_revive(self, service_config, tmp_path, *, torn: bool) -> None:
+        """Stream 9 rounds of 8 jobs through a tailed spool, checkpoint after
+        round 3 and kill -9 the owner of the first job after round 7; revive
+        it with ``revive_shard`` alone, before round 8 is polled.
+
+        Round 8 is already in the spool when the shard dies (the writer raced
+        ahead of the router's poll).  With ``torn``, the checkpoint is taken
+        while the tail holds the first half of the victim job's round-3 frame.
+        """
+        token = 5
+        streams = synthetic_flush_streams(8, flushes_per_job=9, seed=11)
+        spool = tmp_path / f"spool-{torn}.fts"
+
+        def append(data: bytes) -> None:
+            with spool.open("ab") as handle:
+                handle.write(data)
+
+        def write_round(round_index: int) -> None:
+            for job, flushes in streams.items():
+                append(frame_for(job, flushes[round_index], token))
+
+        sharded = ShardedService(N_SHARDS, replace(service_config, token=token))
+        ledger = UpdateLedger(sharded.publisher)
+        victim_job = next(iter(streams))
+        try:
+            tail = sharded.tail_file(spool)
+            for round_index in range(3):
+                write_round(round_index)
+                tail.poll()
+                sharded.pump()
+            if torn:
+                torn_frame = frame_for(victim_job, streams[victim_job][3], token)
+                for job, flushes in streams.items():
+                    if job != victim_job:
+                        append(frame_for(job, flushes[3], token))
+                append(torn_frame[: len(torn_frame) // 2])
+                tail.poll()
+                sharded.pump()
+                sharded.snapshot_state()
+                append(torn_frame[len(torn_frame) // 2 :])
+            else:
+                sharded.snapshot_state()
+                write_round(3)
+            tail.poll()
+            sharded.pump()
+            for round_index in range(4, 8):
+                write_round(round_index)
+                tail.poll()
+                sharded.pump()
+            write_round(8)  # in the spool, not yet polled
+            victim = sharded.shard_for(victim_job)
+            sharded.kill_shard(victim)
+            replayed = sharded.revive_shard(victim)
+            assert sharded.dead_shards() == ()
+            tail.poll()
+            sharded.pump()
+            sharded.drain()
+            merged = sharded.snapshot_state()
+            periods = {job: sharded.publisher.latest_period(job) for job in streams}
+        finally:
+            sharded.close()
+        victim_jobs = [job for job in streams if sharded.shard_for(job) == victim]
+        assert len(victim_jobs) > 1
+        # Rounds 4..7 of the victim's jobs and their round-3 frames written
+        # after the checkpoint (all of them, or the torn one), each once.
+        assert replayed == 4 * len(victim_jobs) + (1 if torn else len(victim_jobs))
+        reference = run_single(streams, service_config, token=token)
+        ours = sessions_by_job(merged)
+        for job, flushes in streams.items():
+            assert ours[job]["ingested_flushes"] == len(flushes), job
+        assert periods == reference["periods"]
+        ledger.assert_matches(reference["ledger"])
+        theirs = sessions_by_job(reference["state"])
+        for job in streams:
+            assert ours[job]["predictor"] == theirs[job]["predictor"], job
+            assert ours[job]["buffer"] == theirs[job]["buffer"], job
+
+    def test_revive_leaves_unpolled_frames_to_the_next_poll(self, service_config, tmp_path):
+        """Frames written after the tail's last poll are not replayed: the
+        next poll delivers them, so every job ingests exactly what was written
+        and the updates equal a run that never crashed."""
+        self._crash_and_revive(service_config, tmp_path, torn=False)
+
+    def test_revive_replays_a_frame_torn_at_the_checkpoint_once(
+        self, service_config, tmp_path
+    ):
+        """The checkpoint records the tail's last frame boundary, so a frame
+        half-read when it was taken is replayed from its first byte, once."""
+        self._crash_and_revive(service_config, tmp_path, torn=True)
+
+
+class TestRestoreIntoRunningService:
+    """A restore rolls the carried jobs back to the snapshot and leaves every
+    other job's session and prediction alone; it is the new checkpoint."""
+
+    def test_older_snapshot_keeps_a_live_job(self, streams, service_config):
+        a, b = sorted(streams)[:2]
+        with ShardedService(2, service_config) as sharded:
+            for flush in streams[a][:3]:
+                sharded.ingest_flush(a, flush)
+                sharded.pump()
+            older = sharded.snapshot_state()
+            for flush in streams[b]:
+                sharded.ingest_flush(b, flush)
+                sharded.pump()
+            for flush in streams[a][3:]:
+                sharded.ingest_flush(a, flush)
+                sharded.pump()
+            before = sharded.snapshot_state()
+            period_b = sharded.publisher.latest_period(b)
+            assert period_b is not None
+
+            sharded.restore_state(older)
+            after = sharded.snapshot_state()
+            assert sharded.publisher.latest_period(b) == period_b
+            assert sessions_by_job(after)[b] == sessions_by_job(before)[b]
+            assert sessions_by_job(after)[a] == sessions_by_job(older)[a]
+            assert after["publisher"]["latest"][a] == older["publisher"]["latest"][a]
+
+    def test_a_shard_lost_after_a_restore_revives_with_it(self, streams, service_config):
+        jobs = dict(list(streams.items())[:8])
+        with ShardedService(2, service_config) as source:
+            for job, flushes in jobs.items():
+                for flush in flushes[:3]:
+                    source.ingest_flush(job, flush)
+            source.drain()
+            saved = source.snapshot_state()
+
+        with ShardedService(2, replace(service_config, auto_revive=True)) as sharded:
+            sharded.restore_state(saved)
+            victim = sharded.shard_for(next(iter(jobs)))
+            sharded.kill_shard(victim)
+            sharded.pump()
+            assert sharded.auto_revives == 1
+            restored = sharded.snapshot_state()
+        assert sessions_by_job(restored) == sessions_by_job(saved)
+        assert restored["publisher"] == saved["publisher"]

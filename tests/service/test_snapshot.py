@@ -21,7 +21,7 @@ from repro.trace.jsonl import trace_to_flushes
 from repro.trace.msgpack import packb, unpackb
 from repro.workloads import synthetic_flush_streams
 from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
-from tests.service.conftest import UpdateLedger
+from tests.service.conftest import UpdateLedger, sessions_by_job
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,25 @@ class TestSnapshotRestore:
             ) == restored.publisher.latest_period(job), job
             assert a.ingested_flushes == b.ingested_flushes
             assert a.detections == b.detections
+
+    def test_restore_into_a_running_service_keeps_other_jobs(self, service_config, streams):
+        """An older snapshot rolls its own jobs back; a job it does not carry
+        keeps its session and its last period."""
+        a, b = "job-0", "job-2"
+        service = stream_through(PredictionService(service_config), {a: streams[a]}, stop=4)
+        older = snapshot_state(service)
+        stream_through(service, {b: streams[b]})
+        stream_through(service, {a: streams[a]}, start=4)
+        kept = service.session(b).state_dict()
+        period = service.publisher.latest_period(b)
+        assert period is not None and kept["buffer"]["n"] > 0
+
+        service.restore_state(older)
+        assert service.publisher.latest_period(b) == period
+        assert service.session(b).state_dict() == kept
+        assert service.session(a).state_dict() == sessions_by_job(older)[a]
+        assert service.publisher.latest(a).index == older["publisher"]["latest"][a]["index"]
+        service.close()
 
     def test_snapshot_preserves_published_predictions(self, service_config, streams):
         service = stream_through(PredictionService(service_config), streams)
