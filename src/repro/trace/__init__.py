@@ -40,7 +40,7 @@ from repro.trace.sampling import (
     discretize_windows,
     recommend_sampling_frequency,
 )
-from repro.trace.trace import Trace, concatenate_in_time, merge_traces
+from repro.trace.trace import Trace, merge_traces
 
 __all__ = [
     "BandwidthSignal",
@@ -85,6 +85,5 @@ __all__ = [
     "TraceWindow",
     "recommend_sampling_frequency",
     "Trace",
-    "concatenate_in_time",
     "merge_traces",
 ]

@@ -75,16 +75,6 @@ class IORequest:
             return float("inf")
         return self.nbytes / self.duration
 
-    def shifted(self, offset: float) -> "IORequest":
-        """Return a copy of this request shifted by ``offset`` seconds."""
-        return IORequest(
-            rank=self.rank,
-            start=self.start + offset,
-            end=self.end + offset,
-            nbytes=self.nbytes,
-            kind=self.kind,
-        )
-
     def to_dict(self) -> dict:
         """Serialize to the plain-dict schema used by the JSONL/MessagePack formats."""
         return {

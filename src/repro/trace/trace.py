@@ -22,9 +22,12 @@ from repro.trace.record import GroundTruth, IOKind, IORequest
 class Trace:
     """An immutable, time-ordered collection of I/O requests.
 
-    Instances are normally built through :meth:`from_requests` or by a
-    workload generator; the columnar constructor is considered internal but is
-    stable for power users.
+    Build one with :meth:`from_columns`: it holds the one sort rule of a
+    trace, a stable ``lexsort`` on (start, end, rank), so requests that tie on
+    all three keep the order they were given in.  The workload generators
+    build their columns and call it; :meth:`from_requests` extracts the
+    columns of :class:`IORequest` objects (the tracer, JSONL input) and calls
+    it too.
 
     Attributes
     ----------
@@ -64,6 +67,33 @@ class Trace:
             raise TraceError("request byte counts must be >= 0")
 
     @classmethod
+    def from_columns(
+        cls,
+        starts: NDArray[np.float64],
+        ends: NDArray[np.float64],
+        nbytes: NDArray[np.int64],
+        ranks: NDArray[np.int64],
+        kinds: NDArray[np.str_],
+        *,
+        ground_truth: GroundTruth | None = None,
+        metadata: dict | None = None,
+    ) -> "Trace":
+        """Build a trace from request columns, sorted by (start, end, rank).
+
+        The sort is one stable ``lexsort``; the rows come out as new arrays.
+        """
+        order = np.lexsort((ranks, ends, starts))
+        return cls(
+            starts=np.asarray(starts, dtype=np.float64)[order],
+            ends=np.asarray(ends, dtype=np.float64)[order],
+            nbytes=np.asarray(nbytes, dtype=np.int64)[order],
+            ranks=np.asarray(ranks, dtype=np.int64)[order],
+            kinds=np.asarray(kinds, dtype=np.str_)[order],
+            ground_truth=ground_truth,
+            metadata=dict(metadata or {}),
+        )
+
+    @classmethod
     def from_requests(
         cls,
         requests: Iterable[IORequest],
@@ -71,36 +101,16 @@ class Trace:
         ground_truth: GroundTruth | None = None,
         metadata: dict | None = None,
     ) -> "Trace":
-        """Build a trace from an iterable of :class:`IORequest`, sorted by start time."""
+        """Build a trace from an iterable of :class:`IORequest` (see :meth:`from_columns`)."""
         reqs = requests if isinstance(requests, (list, tuple)) else list(requests)
-        if reqs:
-            # Columnar build first, then a single stable lexsort on the numeric
-            # keys (start, end, rank) — no per-request Python tuple churn.
-            starts = np.array([r.start for r in reqs], dtype=np.float64)
-            ends = np.array([r.end for r in reqs], dtype=np.float64)
-            nbytes = np.array([r.nbytes for r in reqs], dtype=np.int64)
-            ranks = np.array([r.rank for r in reqs], dtype=np.int64)
-            kinds = np.array([r.kind.value for r in reqs], dtype=np.str_)
-            order = np.lexsort((ranks, ends, starts))
-            starts = starts[order]
-            ends = ends[order]
-            nbytes = nbytes[order]
-            ranks = ranks[order]
-            kinds = kinds[order]
-        else:
-            starts = np.zeros(0, dtype=np.float64)
-            ends = np.zeros(0, dtype=np.float64)
-            nbytes = np.zeros(0, dtype=np.int64)
-            ranks = np.zeros(0, dtype=np.int64)
-            kinds = np.zeros(0, dtype=np.str_)
-        return cls(
-            starts=starts,
-            ends=ends,
-            nbytes=nbytes,
-            ranks=ranks,
-            kinds=kinds,
+        return cls.from_columns(
+            np.array([r.start for r in reqs], dtype=np.float64),
+            np.array([r.end for r in reqs], dtype=np.float64),
+            np.array([r.nbytes for r in reqs], dtype=np.int64),
+            np.array([r.rank for r in reqs], dtype=np.int64),
+            np.array([r.kind.value for r in reqs], dtype=np.str_),
             ground_truth=ground_truth,
-            metadata=dict(metadata or {}),
+            metadata=metadata,
         )
 
     @classmethod
@@ -330,24 +340,3 @@ def merge_traces(traces: Iterable[Trace], *, metadata: dict | None = None) -> Tr
     )
     return merged
 
-
-def concatenate_in_time(traces: Sequence[Trace], *, gap: float = 0.0) -> Trace:
-    """Concatenate traces back to back along the time axis.
-
-    Each trace is shifted so that it starts where the previous one ended plus
-    ``gap`` seconds.  Used by the semi-synthetic generator to chain I/O phases
-    recorded in isolation.
-    """
-    if not traces:
-        return Trace.empty()
-    shifted: list[Trace] = []
-    cursor = 0.0
-    for i, trace in enumerate(traces):
-        if trace.is_empty:
-            cursor += gap
-            continue
-        offset = cursor - trace.t_start
-        moved = trace.shifted(offset)
-        shifted.append(moved)
-        cursor = moved.t_end + gap
-    return merge_traces(shifted)

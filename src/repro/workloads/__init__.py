@@ -6,7 +6,7 @@ from repro.workloads.lammps import lammps_trace
 from repro.workloads.miniio import miniio_trace
 from repro.workloads.nek5000 import nek5000_heatmap, reduced_window
 from repro.workloads.noise import NoiseLevel, add_noise, noise_trace
-from repro.workloads.phases import PhaseSpec, generate_phase, phase_duration, phase_volume
+from repro.workloads.phases import PhaseSpec, generate_phase
 from repro.workloads.synthetic import (
     PhaseLibrary,
     SemiSyntheticGenerator,
@@ -30,8 +30,6 @@ __all__ = [
     "noise_trace",
     "PhaseSpec",
     "generate_phase",
-    "phase_duration",
-    "phase_volume",
     "PhaseLibrary",
     "SemiSyntheticGenerator",
     "SyntheticAppConfig",

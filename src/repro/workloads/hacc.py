@@ -15,14 +15,16 @@ properties reproduced here:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.constants import MIB
-from repro.trace.record import GroundTruth, IOKind, IOPhase, IORequest
+from repro.trace.record import IOKind
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
-from repro.workloads.phases import PhaseSpec, generate_phase
+from repro.workloads.phases import PhaseSpec, generate_phase, join_phases, phase_of
 
 
 def hacc_io_trace(
@@ -92,8 +94,8 @@ def hacc_io_trace(
             kind=IOKind.READ,
         )
 
-    requests: list[IORequest] = []
-    phases: list[IOPhase] = []
+    pieces = []
+    phases = []
     flush_times: list[float] = []
     cursor = 0.0
     for loop in range(loops):
@@ -105,40 +107,21 @@ def hacc_io_trace(
 
         # The first phase is also stretched (slower effective bandwidth).
         stretch = 2.0 if loop == 0 and first_phase_delay > 0 else 1.0
-        write_requests = generate_phase(
-            PhaseSpec(
-                ranks=write_spec.ranks,
-                volume_per_rank=write_spec.volume_per_rank,
-                request_size=write_spec.request_size,
-                rank_bandwidth=write_spec.rank_bandwidth / stretch,
-                kind=IOKind.WRITE,
-            ),
-            start=cursor,
-            bandwidth_jitter=0.03,
-            seed=rng,
-        )
-        requests.extend(write_requests)
-        phase_start = min(r.start for r in write_requests)
-        phase_end = max(r.end for r in write_requests)
-        phase_bytes = sum(r.nbytes for r in write_requests)
-
+        write = replace(write_spec, rank_bandwidth=write_spec.rank_bandwidth / stretch)
+        steps = [generate_phase(write, start=cursor, bandwidth_jitter=0.03, seed=rng)]
         if read_spec is not None:
-            read_requests = generate_phase(
-                read_spec, start=phase_end, bandwidth_jitter=0.03, seed=rng
+            steps.append(
+                generate_phase(read_spec, start=steps[0].t_end, bandwidth_jitter=0.03, seed=rng)
             )
-            requests.extend(read_requests)
-            phase_end = max(r.end for r in read_requests)
-            phase_bytes += sum(r.nbytes for r in read_requests)
-
-        phases.append(IOPhase(start=phase_start, end=phase_end, nbytes=phase_bytes, label=f"loop-{loop}"))
-        cursor = phase_end
+        pieces.extend(steps)
+        phases.append(phase_of(*steps, label=f"loop-{loop}"))
+        cursor = phases[-1].end
         flush_times.append(cursor)
 
-    ground_truth = GroundTruth(phases=tuple(phases))
-    return Trace.from_requests(
-        requests,
-        ground_truth=ground_truth,
-        metadata={
+    return join_phases(
+        pieces,
+        phases,
+        {
             "application": "hacc-io",
             "ranks": ranks,
             "loops": loops,

@@ -14,14 +14,11 @@ IOR is the canonical parallel I/O benchmark; the paper uses it in three roles:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.constants import GIB, MIB
-from repro.trace.record import GroundTruth, IOPhase, IORequest
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
-from repro.workloads.phases import PhaseSpec, generate_phase
+from repro.workloads.phases import PhaseSpec, generate_phase, join_phases, phase_of
 
 
 def ior_phase(
@@ -33,7 +30,7 @@ def ior_phase(
     duration_jitter: float = 0.08,
     start: float = 0.0,
     seed: SeedLike = None,
-) -> list[IORequest]:
+) -> Trace:
     """Generate one IOR I/O phase (all ranks write once, roughly synchronized).
 
     Defaults mimic the phases traced for the limitation study: 32 processes,
@@ -106,25 +103,21 @@ def ior_trace(
         rank_bandwidth=aggregate_bandwidth / ranks,
     )
 
-    requests: list[IORequest] = []
-    phases: list[IOPhase] = []
+    pieces = []
+    phases = []
     cursor = start_offset
     for _ in range(iterations):
         cursor += float(max(rng.normal(compute_time, compute_time * compute_jitter), 0.0))
-        phase_requests = generate_phase(
-            spec, start=cursor, bandwidth_jitter=duration_jitter, seed=rng
+        pieces.append(
+            generate_phase(spec, start=cursor, bandwidth_jitter=duration_jitter, seed=rng)
         )
-        requests.extend(phase_requests)
-        p_start = min(r.start for r in phase_requests)
-        p_end = max(r.end for r in phase_requests)
-        phases.append(IOPhase(start=p_start, end=p_end, nbytes=sum(r.nbytes for r in phase_requests)))
-        cursor = p_end
+        phases.append(phase_of(pieces[-1]))
+        cursor = phases[-1].end
 
-    ground_truth = GroundTruth(phases=tuple(phases))
-    return Trace.from_requests(
-        requests,
-        ground_truth=ground_truth,
-        metadata={
+    return join_phases(
+        pieces,
+        phases,
+        {
             "application": "ior",
             "ranks": ranks,
             "iterations": iterations,
@@ -165,24 +158,22 @@ def ior_periodic_job_trace(
         request_size=min(request_size, volume_per_rank),
         rank_bandwidth=aggregate_bandwidth / ranks,
     )
-    requests: list[IORequest] = []
-    phases: list[IOPhase] = []
+    pieces = []
+    phases = []
     cursor = start_offset
     for _ in range(iterations):
         cursor += compute_time
-        phase_requests = generate_phase(spec, start=cursor, bandwidth_jitter=0.02, seed=rng)
-        requests.extend(phase_requests)
-        p_start = min(r.start for r in phase_requests)
-        p_end = max(r.end for r in phase_requests)
-        phases.append(IOPhase(start=p_start, end=p_end, nbytes=sum(r.nbytes for r in phase_requests)))
-        cursor = p_end
-    return Trace.from_requests(
-        requests,
-        ground_truth=GroundTruth(phases=tuple(phases), mean_period=period),
-        metadata={
+        pieces.append(generate_phase(spec, start=cursor, bandwidth_jitter=0.02, seed=rng))
+        phases.append(phase_of(pieces[-1]))
+        cursor = phases[-1].end
+    return join_phases(
+        pieces,
+        phases,
+        {
             "application": "ior-periodic-job",
             "ranks": ranks,
             "period": period,
             "io_fraction": io_fraction,
         },
+        mean_period=period,
     )

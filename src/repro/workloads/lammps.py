@@ -14,14 +14,12 @@ occasional extra straggler dump (the paper points at a misaligned phase near
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.constants import MIB
-from repro.trace.record import GroundTruth, IOKind, IOPhase, IORequest
+from repro.trace.record import IOKind
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
-from repro.workloads.phases import PhaseSpec, generate_phase
+from repro.workloads.phases import PhaseSpec, generate_phase, join_phases, phase_of
 
 
 def lammps_trace(
@@ -71,8 +69,8 @@ def lammps_trace(
         kind=IOKind.WRITE,
     )
 
-    requests: list[IORequest] = []
-    phases: list[IOPhase] = []
+    pieces = []
+    phases = []
     cursor = 0.0
     for dump in range(dumps):
         gap = float(max(rng.normal(dump_interval, dump_interval * interval_jitter), 1.0))
@@ -80,20 +78,14 @@ def lammps_trace(
             gap *= float(rng.uniform(1.2, 1.5))
         io_start = cursor + gap - spec.nominal_duration
         io_start = max(io_start, cursor)
-        phase_requests = generate_phase(spec, start=io_start, bandwidth_jitter=0.1, seed=rng)
-        requests.extend(phase_requests)
-        p_start = min(r.start for r in phase_requests)
-        p_end = max(r.end for r in phase_requests)
-        phases.append(
-            IOPhase(start=p_start, end=p_end, nbytes=sum(r.nbytes for r in phase_requests), label=f"dump-{dump}")
-        )
+        pieces.append(generate_phase(spec, start=io_start, bandwidth_jitter=0.1, seed=rng))
+        phases.append(phase_of(pieces[-1], label=f"dump-{dump}"))
         cursor += gap
 
-    ground_truth = GroundTruth(phases=tuple(phases))
-    return Trace.from_requests(
-        requests,
-        ground_truth=ground_truth,
-        metadata={
+    return join_phases(
+        pieces,
+        phases,
+        {
             "application": "lammps",
             "ranks": ranks,
             "dumps": dumps,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import MIB
-from repro.trace.record import GroundTruth, IOKind, IOPhase, IORequest
+from repro.trace.record import GroundTruth, IOKind, IOPhase
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
@@ -57,24 +57,23 @@ def miniio_trace(
     rng = as_generator(seed)
 
     volume_per_rank = max(burst_volume // ranks, 1)
-    requests: list[IORequest] = []
-    phases: list[IOPhase] = []
-    cursor = 0.0
-    for burst in range(bursts):
-        cursor += float(max(rng.normal(burst_interval, burst_interval * interval_jitter), 0.01))
-        start = cursor
-        end = start + burst_duration
-        for rank in range(ranks):
-            requests.append(
-                IORequest(rank=rank, start=start, end=end, nbytes=volume_per_rank, kind=IOKind.WRITE)
-            )
-        phases.append(IOPhase(start=start, end=end, nbytes=volume_per_rank * ranks, label=f"burst-{burst}"))
-        cursor = end
-
-    ground_truth = GroundTruth(phases=tuple(phases))
-    return Trace.from_requests(
-        requests,
-        ground_truth=ground_truth,
+    gaps = rng.normal(burst_interval, burst_interval * interval_jitter, size=bursts)
+    gaps = np.maximum(gaps, 0.01)
+    # Each burst starts a gap after the previous one ends: the running sums of
+    # [gap_1, duration, gap_2, duration, ...] are start_1, end_1, start_2, ...
+    edges = np.cumsum(np.column_stack([gaps, np.full(bursts, float(burst_duration))]).ravel())
+    starts, ends = edges[0::2], edges[1::2]
+    phases = [
+        IOPhase(start=float(s), end=float(e), nbytes=volume_per_rank * ranks, label=f"burst-{b}")
+        for b, (s, e) in enumerate(zip(starts, ends))
+    ]
+    return Trace.from_columns(
+        np.repeat(starts, ranks),
+        np.repeat(ends, ranks),
+        np.full(bursts * ranks, volume_per_rank, dtype=np.int64),
+        np.tile(np.arange(ranks, dtype=np.int64), bursts),
+        np.full(bursts * ranks, IOKind.WRITE.value),
+        ground_truth=GroundTruth(phases=tuple(phases)),
         metadata={
             "application": "miniio",
             "ranks": ranks,

@@ -14,10 +14,11 @@ from enum import Enum
 import numpy as np
 
 from repro.constants import MIB
-from repro.trace.record import IOKind, IORequest
+from repro.trace.record import IOKind
 from repro.trace.trace import Trace, merge_traces
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_positive
+from repro.workloads.phases import request_sizes
 
 
 class NoiseLevel(str, Enum):
@@ -54,28 +55,34 @@ def noise_trace(
     if not 0.0 < duty_cycle <= 1.0:
         raise ValueError(f"duty_cycle must be in (0, 1], got {duty_cycle}")
     rng = as_generator(seed)
-    requests: list[IORequest] = []
     if level is NoiseLevel.NONE:
-        return Trace.from_requests([])
+        return Trace.empty()
+    metadata = {"application": "noise", "level": level.value}
+    starts, ends, sizes = [], [], []
     for i in range(periods):
         burst_start = start + i * period_length
         burst_length = period_length * duty_cycle * float(rng.uniform(0.8, 1.2))
         nbytes = int(level.bandwidth * burst_length)
         if nbytes <= 0:
             continue
-        # Split the burst into 1 MiB requests, as IOR would issue them.
-        cursor = burst_start
-        remaining = nbytes
+        # Split the burst into 1 MiB requests issued back to back, as IOR would.
+        chunks = request_sizes(nbytes, MIB)
         request_duration = burst_length * MIB / nbytes if nbytes >= MIB else burst_length
-        while remaining > 0:
-            chunk = min(MIB, remaining)
-            duration = request_duration * (chunk / MIB)
-            requests.append(
-                IORequest(rank=rank, start=cursor, end=cursor + duration, nbytes=chunk, kind=IOKind.WRITE)
-            )
-            cursor += duration
-            remaining -= chunk
-    return Trace.from_requests(requests, metadata={"application": "noise", "level": level.value})
+        edges = np.cumsum(np.concatenate(([burst_start], request_duration * (chunks / MIB))))
+        starts.append(edges[:-1])
+        ends.append(edges[1:])
+        sizes.append(chunks)
+    if not sizes:
+        return Trace.empty().with_metadata(**metadata)
+    nbytes_column = np.concatenate(sizes)
+    return Trace.from_columns(
+        np.concatenate(starts),
+        np.concatenate(ends),
+        nbytes_column,
+        np.full(nbytes_column.size, rank, dtype=np.int64),
+        np.full(nbytes_column.size, IOKind.WRITE.value),
+        metadata=metadata,
+    )
 
 
 def add_noise(

@@ -1,9 +1,14 @@
-"""Building blocks shared by the workload generators: single I/O phases.
+"""Building blocks shared by the workload generators: single I/O phases, as columns.
 
 An I/O phase is a set of requests issued by ``ranks`` processes during one
 burst: every process writes ``volume_per_rank`` bytes split into requests of
-``request_size`` bytes at a given per-rank bandwidth.  Processes may be
-desynchronized by a per-process start delay (the δ_k of Section III-A).
+``request_size`` bytes at a given per-rank bandwidth, back to back.
+:func:`generate_phase` builds it as a :class:`Trace` from one 2-D array of
+request durations (one row per rank); :func:`phase_of` reads a phase's
+ground-truth boundaries off such a trace, and :func:`join_phases` joins the
+phases of one application into its trace.  The per-process delays δ_k of
+Section III-A are applied where a library phase is placed
+(:class:`repro.workloads.synthetic.SemiSyntheticGenerator`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import WorkloadError
-from repro.trace.record import IOKind, IORequest
+from repro.trace.record import GroundTruth, IOKind, IOPhase
+from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
@@ -68,12 +74,10 @@ def generate_phase(
     spec: PhaseSpec,
     *,
     start: float = 0.0,
-    rank_offset: int = 0,
-    rank_delays: np.ndarray | None = None,
     bandwidth_jitter: float = 0.0,
     seed: SeedLike = None,
-) -> list[IORequest]:
-    """Generate the requests of one I/O phase.
+) -> Trace:
+    """Generate the requests of one I/O phase; every rank starts at ``start``.
 
     Parameters
     ----------
@@ -81,59 +85,70 @@ def generate_phase(
         The phase specification.
     start:
         Wall-clock time at which the phase begins.
-    rank_offset:
-        First rank id to use (allows composing phases of disjoint rank groups).
-    rank_delays:
-        Optional per-rank start delays δ_k (seconds); length must equal
-        ``spec.ranks``.  Process 0 traditionally keeps δ_0 = 0 so the phase
-        boundary is preserved (Section III-A).
     bandwidth_jitter:
         Relative standard deviation applied to each request's duration to
-        emulate file-system variability (0 disables it).
+        emulate file-system variability (0 disables it).  The factors are
+        drawn in one ``(ranks, requests_per_rank)`` block, rank by rank.
     seed:
         RNG seed / generator for the jitter.
     """
     check_non_negative(start, "start")
     check_non_negative(bandwidth_jitter, "bandwidth_jitter")
-    if rank_delays is not None and len(rank_delays) != spec.ranks:
-        raise WorkloadError(
-            f"rank_delays has length {len(rank_delays)}, expected {spec.ranks}"
-        )
     rng = as_generator(seed)
-    requests: list[IORequest] = []
+    sizes = request_sizes(spec.volume_per_rank, spec.request_size)
     base_request_time = spec.request_size / spec.rank_bandwidth
-    for local_rank in range(spec.ranks):
-        delay = float(rank_delays[local_rank]) if rank_delays is not None else 0.0
-        cursor = start + delay
-        remaining = spec.volume_per_rank
-        while remaining > 0:
-            nbytes = min(spec.request_size, remaining)
-            duration = base_request_time * (nbytes / spec.request_size)
-            if bandwidth_jitter > 0:
-                duration *= float(
-                    np.clip(rng.normal(1.0, bandwidth_jitter), 0.2, 5.0)
-                )
-            requests.append(
-                IORequest(
-                    rank=rank_offset + local_rank,
-                    start=cursor,
-                    end=cursor + duration,
-                    nbytes=int(nbytes),
-                    kind=spec.kind,
-                )
-            )
-            cursor += duration
-            remaining -= nbytes
-    return requests
+    durations = np.tile(base_request_time * (sizes / spec.request_size), (spec.ranks, 1))
+    if bandwidth_jitter > 0:
+        durations *= np.clip(rng.normal(1.0, bandwidth_jitter, size=durations.shape), 0.2, 5.0)
+    # Each rank's requests run back to back: its timestamps are the running
+    # sums of [start, d1, d2, ...] (sequential, so each equals cursor += d).
+    edges = np.cumsum(np.column_stack([np.full(spec.ranks, start), durations]), axis=1)
+    n = sizes.size
+    return Trace.from_columns(
+        edges[:, :-1].ravel(),
+        edges[:, 1:].ravel(),
+        np.tile(sizes, spec.ranks),
+        np.repeat(np.arange(spec.ranks, dtype=np.int64), n),
+        np.full(spec.ranks * n, spec.kind.value),
+    )
 
 
-def phase_duration(requests: list[IORequest]) -> float:
-    """Wall-clock length of a phase described by ``requests``."""
-    if not requests:
-        return 0.0
-    return max(r.end for r in requests) - min(r.start for r in requests)
+def request_sizes(volume: int, request_size: int) -> np.ndarray:
+    """``volume`` bytes split into requests of ``request_size`` (the last one may be smaller)."""
+    full, last = divmod(volume, request_size)
+    sizes = np.full(full + (last > 0), request_size, dtype=np.int64)
+    if last:
+        sizes[-1] = last
+    return sizes
 
 
-def phase_volume(requests: list[IORequest]) -> int:
-    """Total bytes transferred by ``requests``."""
-    return sum(r.nbytes for r in requests)
+def phase_of(*steps: Trace, label: str = "") -> IOPhase:
+    """The ground-truth :class:`IOPhase` of one phase's requests: their span and bytes.
+
+    A phase of several steps (HACC-IO's write, then read) passes one trace each.
+    """
+    return IOPhase(
+        start=min(step.t_start for step in steps),
+        end=max(step.t_end for step in steps),
+        nbytes=sum(step.volume for step in steps),
+        label=label,
+    )
+
+
+def join_phases(
+    pieces: list[Trace],
+    phases: list[IOPhase],
+    metadata: dict,
+    *,
+    mean_period: float | None = None,
+) -> Trace:
+    """One application trace from its phases' requests and their ground truth."""
+    return Trace.from_columns(
+        np.concatenate([p.starts for p in pieces]),
+        np.concatenate([p.ends for p in pieces]),
+        np.concatenate([p.nbytes for p in pieces]),
+        np.concatenate([p.ranks for p in pieces]),
+        np.concatenate([p.kinds for p in pieces]),
+        ground_truth=GroundTruth(phases=tuple(phases), mean_period=mean_period),
+        metadata=metadata,
+    )

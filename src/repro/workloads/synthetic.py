@@ -12,7 +12,10 @@ traces are overlaid.
 This module reproduces that generator with a synthetic phase library
 (:class:`PhaseLibrary`) standing in for the 99 traced IOR phases — each phase
 has 32 processes writing ~3.5 GB at roughly 10 GB/s, with durations spread
-over [10.2, 13.3] s like the paper's traces.
+over [10.2, 13.3] s like the paper's traces.  Library phases are
+:class:`Trace` columns; :class:`SemiSyntheticGenerator` places one with a
+single add per request column, ``(cursor − t_start) + δ[rank]``, and joins
+the placed phases with one sort.
 """
 
 from __future__ import annotations
@@ -24,29 +27,33 @@ import numpy as np
 from repro.constants import GIB, MIB
 from repro.exceptions import WorkloadError
 from repro.trace.jsonl import FlushRecord
-from repro.trace.record import GroundTruth, IOPhase, IORequest
+from repro.trace.record import IORequest
 from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_positive_int
 from repro.workloads.ior import ior_phase
 from repro.workloads.noise import NoiseLevel, add_noise
+from repro.workloads.phases import join_phases, phase_of
 
 
 @dataclass(frozen=True)
 class PhaseLibrary:
     """A library of traced single I/O phases to draw from.
 
-    Each entry is a list of requests with start times relative to the phase
-    beginning (process 0 starts at 0).  The default library mimics the paper's
-    99 IOR phases: 32 processes, ~3.5 GB, average duration ≈ 10.4 s.
+    Each entry is the trace of one phase, its ranks numbered from 0 to
+    ``ranks - 1`` (every rank starts at 0 in a generated library).  The
+    default library mimics the paper's 99 IOR phases: 32 processes, ~3.5 GB,
+    average duration ≈ 10.4 s.
     """
 
-    phases: tuple[tuple[IORequest, ...], ...]
+    phases: tuple[Trace, ...]
     ranks: int
 
     def __post_init__(self) -> None:
         if not self.phases:
             raise WorkloadError("a phase library needs at least one phase")
+        if any(phase.is_empty or int(phase.ranks.max()) >= self.ranks for phase in self.phases):
+            raise WorkloadError(f"every library phase needs requests of ranks below {self.ranks}")
 
     @property
     def size(self) -> int:
@@ -55,15 +62,13 @@ class PhaseLibrary:
 
     def durations(self) -> np.ndarray:
         """Wall-clock duration of every phase in the library."""
-        return np.array(
-            [max(r.end for r in p) - min(r.start for r in p) for p in self.phases]
-        )
+        return np.array([phase.duration for phase in self.phases])
 
     def mean_duration(self) -> float:
         """Average phase duration (the paper's ≈ 10.4 s)."""
         return float(self.durations().mean())
 
-    def pick(self, rng: np.random.Generator) -> tuple[IORequest, ...]:
+    def pick(self, rng: np.random.Generator) -> Trace:
         """Randomly select one phase."""
         return self.phases[int(rng.integers(0, self.size))]
 
@@ -82,21 +87,22 @@ class PhaseLibrary:
         """Generate a synthetic phase library with the paper's characteristics."""
         check_positive_int(n_phases, "n_phases")
         rng = as_generator(seed)
-        phases: list[tuple[IORequest, ...]] = []
+        phases: list[Trace] = []
         for _ in range(n_phases):
             # Vary the effective bandwidth per traced run so durations spread
             # like the real phases did (file-system variability).
             factor = float(np.clip(rng.normal(1.0, duration_spread), 0.7, 1.3))
-            requests = ior_phase(
-                ranks=ranks,
-                volume_per_rank=volume_per_rank,
-                request_size=request_size,
-                aggregate_bandwidth=aggregate_bandwidth * factor,
-                duration_jitter=0.05,
-                start=0.0,
-                seed=rng,
+            phases.append(
+                ior_phase(
+                    ranks=ranks,
+                    volume_per_rank=volume_per_rank,
+                    request_size=request_size,
+                    aggregate_bandwidth=aggregate_bandwidth * factor,
+                    duration_jitter=0.05,
+                    start=0.0,
+                    seed=rng,
+                )
             )
-            phases.append(tuple(requests))
         return cls(phases=tuple(phases), ranks=ranks)
 
 
@@ -142,30 +148,26 @@ class SemiSyntheticGenerator:
     def generate(self, config: SyntheticAppConfig, *, seed: SeedLike = None) -> Trace:
         """Generate one application trace following the Section III-A recipe."""
         rng = as_generator(seed)
-        requests: list[IORequest] = []
-        phases: list[IOPhase] = []
+        pieces = []
+        phases = []
         cursor = config.start_offset
         for _ in range(config.iterations):
             # Compute phase: truncated normal (re-draw until positive).
             cursor += _truncated_normal(rng, config.compute_mean, config.compute_std)
 
-            base_phase = self.library.pick(rng)
+            base = self.library.pick(rng)
             delays = _per_rank_delays(rng, self.library.ranks, config.desync_mean)
-            phase_requests = _instantiate_phase(base_phase, start=cursor, delays=delays)
-            requests.extend(phase_requests)
+            # Place the phase at the cursor and delay each rank by its δ_k.
+            offsets = (cursor - base.t_start) + delays[base.ranks]
+            starts, ends = base.starts + offsets, base.ends + offsets
+            pieces.append(Trace._trusted(starts, ends, base.nbytes, base.ranks, base.kinds, {}))
+            phases.append(phase_of(pieces[-1]))
+            cursor = phases[-1].end
 
-            p_start = min(r.start for r in phase_requests)
-            p_end = max(r.end for r in phase_requests)
-            phases.append(
-                IOPhase(start=p_start, end=p_end, nbytes=sum(r.nbytes for r in phase_requests))
-            )
-            cursor = p_end
-
-        ground_truth = GroundTruth(phases=tuple(phases))
-        trace = Trace.from_requests(
-            requests,
-            ground_truth=ground_truth,
-            metadata={
+        trace = join_phases(
+            pieces,
+            phases,
+            {
                 "application": "semi-synthetic",
                 "iterations": config.iterations,
                 "compute_mean": config.compute_mean,
@@ -208,22 +210,6 @@ def _per_rank_delays(rng: np.random.Generator, ranks: int, mean: float) -> np.nd
     if mean > 0 and ranks > 1:
         delays[1:] = rng.exponential(mean, size=ranks - 1)
     return delays
-
-
-def _instantiate_phase(
-    base_phase: tuple[IORequest, ...],
-    *,
-    start: float,
-    delays: np.ndarray,
-) -> list[IORequest]:
-    """Place a library phase at ``start`` and apply the per-rank delays."""
-    origin = min(r.start for r in base_phase)
-    placed: list[IORequest] = []
-    for request in base_phase:
-        delay = float(delays[request.rank]) if request.rank < len(delays) else 0.0
-        offset = start - origin + delay
-        placed.append(request.shifted(offset))
-    return placed
 
 
 def mean_period(trace: Trace) -> float:

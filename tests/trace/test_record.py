@@ -30,15 +30,6 @@ class TestIORequest:
         with pytest.raises(ValueError):
             IORequest(rank=-1, start=0.0, end=1.0, nbytes=1)
 
-    def test_shifted_preserves_everything_else(self):
-        req = IORequest(rank=3, start=1.0, end=2.0, nbytes=5, kind=IOKind.READ)
-        moved = req.shifted(10.0)
-        assert moved.start == pytest.approx(11.0)
-        assert moved.end == pytest.approx(12.0)
-        assert moved.rank == 3
-        assert moved.nbytes == 5
-        assert moved.kind is IOKind.READ
-
     def test_dict_round_trip(self):
         req = IORequest(rank=2, start=0.25, end=0.75, nbytes=123, kind=IOKind.READ)
         assert IORequest.from_dict(req.to_dict()) == req

@@ -8,7 +8,7 @@ import pytest
 from repro.constants import MIB
 from repro.exceptions import EmptyTraceError, TraceError
 from repro.trace.record import GroundTruth, IOKind, IOPhase, IORequest
-from repro.trace.trace import Trace, concatenate_in_time, merge_traces
+from repro.trace.trace import Trace, merge_traces
 
 
 class TestConstruction:
@@ -16,6 +16,34 @@ class TestConstruction:
         shuffled = list(reversed(simple_requests))
         trace = Trace.from_requests(shuffled)
         assert np.all(np.diff(trace.starts) >= 0)
+
+    def test_from_columns_sorts_by_start_end_rank_and_keeps_ties_in_order(self):
+        # Rows 1 and 3 tie on (start, end, rank); their given order is kept.
+        trace = Trace.from_columns(
+            np.array([2.0, 1.0, 1.0, 1.0, 1.0]),
+            np.array([3.0, 2.0, 1.5, 2.0, 2.0]),
+            np.array([10, 20, 30, 40, 50]),
+            np.array([0, 1, 4, 1, 0]),
+            np.array(["write", "read", "write", "write", "read"]),
+            metadata={"application": "unit-test"},
+        )
+        assert trace.nbytes.tolist() == [30, 50, 20, 40, 10]
+        assert trace.kinds.tolist() == ["write", "read", "read", "write", "write"]
+        assert trace.kinds.dtype == np.dtype("<U5")
+        assert trace.metadata == {"application": "unit-test"}
+
+    def test_from_requests_is_from_columns_of_the_requests(self, simple_requests):
+        requests = list(reversed(simple_requests))
+        by_requests = Trace.from_requests(requests)
+        by_columns = Trace.from_columns(
+            np.array([r.start for r in requests]),
+            np.array([r.end for r in requests]),
+            np.array([r.nbytes for r in requests]),
+            np.array([r.rank for r in requests]),
+            np.array([r.kind.value for r in requests]),
+        )
+        for column in ("starts", "ends", "nbytes", "ranks", "kinds"):
+            assert getattr(by_requests, column).tobytes() == getattr(by_columns, column).tobytes()
 
     def test_empty_trace(self):
         trace = Trace.empty()
@@ -184,12 +212,3 @@ class TestMergeAndConcatenate:
             [simple_trace.with_ground_truth(gt), simple_trace.shifted(1.0).with_ground_truth(gt)]
         )
         assert merged.ground_truth is None
-
-    def test_concatenate_in_time(self, simple_trace):
-        combined = concatenate_in_time([simple_trace, simple_trace], gap=5.0)
-        assert len(combined) == 2 * len(simple_trace)
-        # The second copy starts after the first one ends plus the gap.
-        assert combined.duration == pytest.approx(2 * simple_trace.duration + 5.0)
-
-    def test_concatenate_empty(self):
-        assert concatenate_in_time([]).is_empty

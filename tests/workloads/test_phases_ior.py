@@ -8,7 +8,7 @@ import pytest
 from repro.constants import MIB
 from repro.exceptions import WorkloadError
 from repro.workloads.ior import ior_periodic_job_trace, ior_phase, ior_trace
-from repro.workloads.phases import PhaseSpec, generate_phase, phase_duration, phase_volume
+from repro.workloads.phases import PhaseSpec, generate_phase
 
 
 class TestPhaseSpec:
@@ -25,51 +25,37 @@ class TestPhaseSpec:
 class TestGeneratePhase:
     def test_volume_and_rank_assignment(self):
         spec = PhaseSpec(ranks=3, volume_per_rank=4 * MIB, request_size=MIB, rank_bandwidth=1e7)
-        requests = generate_phase(spec, start=5.0, rank_offset=10)
-        assert phase_volume(requests) == 3 * 4 * MIB
-        assert {r.rank for r in requests} == {10, 11, 12}
-        assert min(r.start for r in requests) == pytest.approx(5.0)
-
-    def test_rank_delays_shift_individual_ranks(self):
-        spec = PhaseSpec(ranks=2, volume_per_rank=MIB, request_size=MIB, rank_bandwidth=1e7)
-        requests = generate_phase(spec, rank_delays=np.array([0.0, 3.0]))
-        start_by_rank = {r.rank: r.start for r in requests}
-        assert start_by_rank[1] - start_by_rank[0] == pytest.approx(3.0)
-
-    def test_delay_length_mismatch_rejected(self):
-        spec = PhaseSpec(ranks=2, volume_per_rank=MIB, request_size=MIB, rank_bandwidth=1e7)
-        with pytest.raises(WorkloadError):
-            generate_phase(spec, rank_delays=np.zeros(3))
+        phase = generate_phase(spec, start=5.0)
+        assert phase.volume == 3 * 4 * MIB
+        assert set(phase.ranks.tolist()) == {0, 1, 2}
+        assert phase.t_start == pytest.approx(5.0)
 
     def test_jitter_changes_durations_deterministically(self):
         spec = PhaseSpec(ranks=2, volume_per_rank=8 * MIB, request_size=MIB, rank_bandwidth=1e7)
         a = generate_phase(spec, bandwidth_jitter=0.2, seed=1)
         b = generate_phase(spec, bandwidth_jitter=0.2, seed=1)
         c = generate_phase(spec, bandwidth_jitter=0.2, seed=2)
-        assert [r.end for r in a] == [r.end for r in b]
-        assert [r.end for r in a] != [r.end for r in c]
+        assert a.ends.tolist() == b.ends.tolist()
+        assert a.ends.tolist() != c.ends.tolist()
 
-    def test_phase_duration_helper(self):
+    def test_phase_lasts_the_volume_at_the_rank_bandwidth(self):
         spec = PhaseSpec(ranks=1, volume_per_rank=2 * MIB, request_size=MIB, rank_bandwidth=1e6)
-        requests = generate_phase(spec)
-        assert phase_duration(requests) == pytest.approx(2 * MIB / 1e6)
-        assert phase_duration([]) == 0.0
+        assert generate_phase(spec).duration == pytest.approx(2 * MIB / 1e6)
 
 
 class TestIorPhase:
     def test_default_phase_duration_matches_paper(self):
-        requests = ior_phase(seed=0, duration_jitter=0.0)
-        duration = phase_duration(requests)
+        phase = ior_phase(seed=0, duration_jitter=0.0)
         # 32 ranks × 3.5 GiB at ~10 GB/s aggregate → 11–12 s.
-        assert 9.0 < duration < 15.0
-        assert len({r.rank for r in requests}) == 32
+        assert 9.0 < phase.duration < 15.0
+        assert phase.rank_count == 32
 
     def test_custom_parameters(self):
-        requests = ior_phase(
+        phase = ior_phase(
             ranks=4, volume_per_rank=8 * MIB, request_size=2 * MIB, aggregate_bandwidth=16 * MIB, seed=1
         )
-        assert phase_volume(requests) == 4 * 8 * MIB
-        assert phase_duration(requests) == pytest.approx(2.0, rel=0.5)
+        assert phase.volume == 4 * 8 * MIB
+        assert phase.duration == pytest.approx(2.0, rel=0.5)
 
 
 class TestIorTrace:
