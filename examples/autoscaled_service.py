@@ -12,8 +12,7 @@ Two acts:
 
 2. **Autoscaling** — ``api.serve(config.with_(autoscale=AutoscaleConfig(...)))``
    fronts a 1-shard service with a supervision thread that watches
-   sessions/shard, queue depth, p99 detection latency and backpressure.  A
-   burst of 24 jobs drives the shard count to the ceiling; finishing and
+   sessions/shard and p99 detection latency.  A burst of 24 jobs drives the shard count to the ceiling; finishing and
    reaping the jobs drains it back to the floor.  The live shard-count
    timeline and the autoscaler's decision log are read from ``GET /status``
    the whole way.
@@ -48,7 +47,6 @@ SERVICE_CONFIG = ServiceConfig(
             compute_characterization=False,
         )
     ),
-    max_workers=2,
 )
 
 
@@ -106,7 +104,6 @@ def autoscaled_ramp_demo() -> None:
         cooldown_seconds=0.5,
         high_sessions_per_shard=8.0,
         low_sessions_per_shard=3.0,
-        low_pending_per_shard=8.0,
         high_p99_latency_seconds=10.0,
         low_p99_latency_seconds=5.0,
     )
@@ -118,7 +115,6 @@ def autoscaled_ramp_demo() -> None:
             compute_characterization=False,
         ),
         shards=1,
-        max_workers=2,
         port=0,
     )
     started = time.perf_counter()

@@ -37,7 +37,7 @@ def main() -> None:
 
     # --- 2. one config, one serve() ---------------------------------------- #
     config = (
-        api.ReproConfig(shards=2, max_workers=2, token=TOKEN, max_samples=50_000)
+        api.ReproConfig(shards=2, token=TOKEN, max_samples=50_000)
         .with_analysis(sampling_frequency=10.0, use_autocorrelation=False,
                        compute_characterization=False)
     )

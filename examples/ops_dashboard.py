@@ -5,7 +5,7 @@ A 4-shard :class:`ShardedService` runs behind a :class:`ThreadedGateway`
 with ``ops_port`` enabled, and twelve simulated applications stream flushes
 at it round by round.  Meanwhile this script does exactly what an external
 dashboard (or a ``curl`` loop) would do: poll ``GET /status`` over plain
-HTTP and render the merged tree — jobs/sec, dispatcher queue depth, the
+HTTP and render the merged tree — jobs/sec, failed detections, the
 cross-shard p99 detection latency (read from the merged
 ``repro_dispatcher_detect_seconds`` histogram), and per-shard session
 counts.  No client library, no repro imports on the "dashboard" side of
@@ -52,14 +52,12 @@ def detect_p99_ms(status: dict) -> float | None:
 
 def render(status: dict, jobs_per_second: float) -> str:
     stats = status["stats"]
-    queue_depth = status["metrics"]["repro_dispatcher_pending_evals"]["series"]
-    pending = sum(series["value"] for series in queue_depth)
     p99 = detect_p99_ms(status)
     lines = [
         f"[{status['server']}] shards={status['shards']} "
         f"jobs={stats['jobs']} detections={stats['detections']} "
         f"published={stats['published']}",
-        f"  throughput {jobs_per_second:7.1f} jobs/s   queue depth {pending:3.0f}   "
+        f"  throughput {jobs_per_second:7.1f} jobs/s   failures {stats['failures']:3d}   "
         f"p99 detect {'n/a' if p99 is None else f'{p99:.2f} ms'}",
     ]
     shard_line = "   ".join(
@@ -88,7 +86,6 @@ def main() -> None:
                 compute_characterization=False,
             )
         ),
-        max_workers=2,
     )
     service = ShardedService(N_SHARDS, config)
     try:

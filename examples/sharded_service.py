@@ -50,7 +50,6 @@ def main() -> None:
                               compute_characterization=False),
             max_samples=50_000,
         ),
-        max_workers=2,
         token=TOKEN,
     )
 

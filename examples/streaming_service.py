@@ -53,7 +53,6 @@ def main() -> None:
                                   compute_characterization=False),
                 max_samples=50_000,
             ),
-            max_workers=4,
         )
     )
     updates: list = []
@@ -68,8 +67,7 @@ def main() -> None:
                 writer.write(flushes[round_index], job=job)
         # ... the service picks the new frames up and evaluates what is due.
         reader.poll()
-        service.pump(wait_for_batch=True)
-    service.dispatcher.join()
+        service.pump()
 
     print(f"\nspool: {writer.frames_written} frames, {writer.bytes_written / 1e6:.1f} MB; "
           f"{len(updates)} predictions published\n")

@@ -64,9 +64,9 @@ class ReproConfig:
     min_requests:
         Evaluations are skipped while fewer requests are resident.
     max_workers:
-        Detection worker threads (0 = inline, deterministic).
-    max_pending:
-        Backpressure bound on in-flight evaluations.
+        Must be ``0``.  The detection worker pool was removed: every
+        evaluation runs inline in the thread that pumps.  Any other value
+        raises ``ValueError``.
     shards:
         Worker shards of the service; 0 runs single-process, N >= 1 spawns a
         :class:`~repro.service.sharding.ShardedService` of N subprocesses
@@ -123,7 +123,6 @@ class ReproConfig:
     min_requests: int = 1
     # --- service ----------------------------------------------------------- #
     max_workers: int = 0
-    max_pending: int = 64
     shards: int = 0
     replicas: int = 64
     token: int | None = None
@@ -142,6 +141,13 @@ class ReproConfig:
     port: int = 0
     ops_port: int | None = None
     autoscale: "AutoscaleConfig | None" = None
+
+    def __post_init__(self) -> None:
+        if self.max_workers != 0:
+            raise ValueError(
+                f"max_workers must be 0, got {self.max_workers}: the detection "
+                "worker pool was removed; evaluations run inline in the pumping thread"
+            )
 
     # ------------------------------------------------------------------ #
     # builders
@@ -175,8 +181,6 @@ class ReproConfig:
 
         return ServiceConfig(
             session=self.session_config(),
-            max_workers=self.max_workers,
-            max_pending=self.max_pending,
             token=self.token,
             auto_compact=self.auto_compact,
             auto_revive=self.auto_revive,

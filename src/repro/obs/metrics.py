@@ -369,7 +369,7 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
     Counters and gauges with identical ``(name, labels)`` sum; histograms
     merge bucket-wise via :meth:`Histogram.merge`.  Gauges sum rather than
     overwrite because every cross-shard gauge here is additive (occupancy,
-    resident samples, pending evaluations).
+    resident samples).
     """
     merged: dict[str, dict] = {}
     for snapshot in snapshots:

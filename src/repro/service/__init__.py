@@ -3,7 +3,7 @@
 The service turns the offline replay pipeline into an online subsystem: many
 concurrent jobs flush measurements as length-prefixed frames (spool files or
 sockets), a broker demultiplexes them into bounded-memory per-job sessions, a
-dispatcher batches due evaluations onto a worker pool with backpressure and
+dispatcher evaluates the due ones as one batch in the pumping thread with
 per-job rate limiting, and a publisher exposes the live predictions — both to
 subscribers and, through :class:`ServicePeriodProvider`, to the Set-10
 scheduler, closing the paper's Figure 17 loop end to end.

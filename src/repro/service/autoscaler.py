@@ -10,9 +10,7 @@ starts it next to its accept thread), waking every
 :attr:`AutoscaleConfig.interval_seconds` to:
 
 1. read one :class:`AutoscaleSignals` snapshot from ``stats()`` — per-shard
-   session count, dispatcher queue depth (``pending_evaluations``),
-   backpressure events (``deferred``) and the merged
-   ``p99_detection_latency_seconds``;
+   session count and the merged ``p99_detection_latency_seconds``;
 2. feed it to the :class:`HysteresisPolicy` state machine, which turns the
    noisy signal stream into at most one action: *grow*, *shrink*, *revive*
    or *hold*;
@@ -48,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,15 +70,8 @@ class AutoscaleConfig:
         the first tick after it expires.
     high_sessions_per_shard / low_sessions_per_shard:
         Hysteresis band on resident sessions per live shard.
-    high_pending_per_shard / low_pending_per_shard:
-        Hysteresis band on dispatcher queue depth (in-flight evaluation
-        units) per live shard.
     high_p99_latency_seconds / low_p99_latency_seconds:
         Hysteresis band on the merged p99 detection latency.
-    high_deferred_delta:
-        Backpressure band: new ``deferred`` (rate-limited/backpressured
-        submissions) events since the previous tick that count as up
-        pressure.  Down pressure requires zero new events.
     up_consecutive / down_consecutive:
         Ticks a breach must persist before the policy acts.  Scaling down is
         conventionally slower than scaling up.
@@ -94,11 +85,8 @@ class AutoscaleConfig:
     cooldown_seconds: float = 10.0
     high_sessions_per_shard: float = 48.0
     low_sessions_per_shard: float = 12.0
-    high_pending_per_shard: float = 32.0
-    low_pending_per_shard: float = 4.0
     high_p99_latency_seconds: float = 0.25
     low_p99_latency_seconds: float = 0.05
-    high_deferred_delta: float = 16.0
     up_consecutive: int = 2
     down_consecutive: int = 3
     step_shards: int = 1
@@ -117,7 +105,6 @@ class AutoscaleConfig:
             raise ValueError("consecutive-tick thresholds must be >= 1")
         for low, high, name in (
             (self.low_sessions_per_shard, self.high_sessions_per_shard, "sessions"),
-            (self.low_pending_per_shard, self.high_pending_per_shard, "pending"),
             (self.low_p99_latency_seconds, self.high_p99_latency_seconds, "p99"),
         ):
             if low > high:
@@ -133,8 +120,6 @@ class AutoscaleSignals:
     shards: int
     dead_shards: int = 0
     sessions: int = 0
-    pending_evaluations: int = 0
-    deferred: int = 0
     p99_latency_seconds: float | None = None
 
     @classmethod
@@ -144,8 +129,6 @@ class AutoscaleSignals:
             shards=int(stats.get("shards", 1)),
             dead_shards=int(stats.get("dead_shards", 0)),
             sessions=int(stats.get("jobs", 0)),
-            pending_evaluations=int(stats.get("pending_evaluations", 0)),
-            deferred=int(stats.get("deferred", 0)),
             p99_latency_seconds=stats.get("p99_detection_latency_seconds"),
         )
 
@@ -175,9 +158,8 @@ class HysteresisPolicy:
 
     Feed it one :class:`AutoscaleSignals` snapshot per tick together with
     the tick's timestamp; it returns an :class:`AutoscaleDecision`.  All
-    state (pressure streaks, cooldown anchor, last backpressure counter)
-    lives here, which is what the table-driven unit tests exercise in
-    isolation.
+    state (pressure streaks, cooldown anchor) lives here, which is what the
+    table-driven unit tests exercise in isolation.
     """
 
     def __init__(self, config: AutoscaleConfig) -> None:
@@ -185,7 +167,6 @@ class HysteresisPolicy:
         self._up_streak = 0
         self._down_streak = 0
         self._last_resize_at: float | None = None
-        self._last_deferred: int | None = None
 
     @property
     def up_streak(self) -> int:
@@ -206,26 +187,15 @@ class HysteresisPolicy:
         config = self.config
         shards = max(1, signals.shards)
         sessions_per_shard = signals.sessions / shards
-        pending_per_shard = signals.pending_evaluations / shards
         p99 = signals.p99_latency_seconds
-        previous_deferred = self._last_deferred
-        deferred_delta = (
-            0 if previous_deferred is None else signals.deferred - previous_deferred
-        )
         breaches: list[str] = []
         if sessions_per_shard > config.high_sessions_per_shard:
             breaches.append(f"sessions/shard {sessions_per_shard:.1f}")
-        if pending_per_shard > config.high_pending_per_shard:
-            breaches.append(f"pending/shard {pending_per_shard:.1f}")
         if p99 is not None and p99 > config.high_p99_latency_seconds:
             breaches.append(f"p99 {p99:.3f}s")
-        if deferred_delta > config.high_deferred_delta:
-            breaches.append(f"deferred +{deferred_delta}")
         all_low = (
             sessions_per_shard < config.low_sessions_per_shard
-            and pending_per_shard < config.low_pending_per_shard
             and (p99 is None or p99 < config.low_p99_latency_seconds)
-            and deferred_delta <= 0
         )
         return breaches, all_low
 
@@ -250,7 +220,6 @@ class HysteresisPolicy:
                 "revive", shards, f"{signals.dead_shards} dead shard(s)"
             )
         breaches, all_low = self._pressures(signals)
-        self._last_deferred = signals.deferred
         if breaches:
             self._up_streak += 1
             self._down_streak = 0

@@ -1,11 +1,10 @@
 """The detection backend: the object the dispatcher hands due sessions to.
 
-The dispatcher decides *when* sessions are evaluated (backpressure, rate
-limits); :class:`ThreadBackend` evaluates them, in the calling thread (the
-dispatcher's worker pool, or the pumping thread with inline workers), as one
-batch through :func:`~repro.service.batch.detect_sessions_inline`.  numpy
-releases the GIL in the FFT kernels, so threads cost no serialization; cores
-beyond one process are what shards are for.
+The dispatcher decides *when* sessions are evaluated (which are due, rate
+limits); :class:`ThreadBackend` evaluates them in the calling thread — the
+one that pumps — as one batch through
+:func:`~repro.service.batch.detect_sessions_inline`.  Cores beyond one
+process are what shards are for.
 
 It stays a class so a caller can substitute a subclass via
 ``PredictionService(config, backend=...)`` — the benchmark's ladder wraps

@@ -2,8 +2,8 @@
 
 Every evaluation the dispatcher schedules — one due session or hundreds —
 runs through :func:`detect_sessions_inline`: **claim** every due session
-(two-phase, :meth:`JobSession.begin_batch_detect` — it reports not-due until it
-commits or aborts), let each live predictor pick its adaptive window
+(:meth:`JobSession.begin_batch_detect` takes its pending work and window), let
+each live predictor pick its adaptive window
 (:meth:`OnlinePredictor.prepare_step` ``into=`` one
 :class:`~repro.core.online.PrepareBatch`), **prepare** every claimed window in
 one pass (:meth:`PrepareBatch.run <repro.core.online.PrepareBatch.run>`, a
@@ -58,13 +58,13 @@ def detect_sessions_inline(
 ) -> BatchReport:
     """Evaluate live sessions as one batch: one prepare, shared kernels.
 
-    Claims every session (two-phase), lets each live predictor pick its
-    window, discretizes all the windows in one pass, computes the kernels of
-    all of them in one call, and commits each session under its own lock —
-    the live predictor steps through exactly the ``prepare_step`` /
-    ``complete_step`` pair ``step()`` is built from.  A session whose
-    evaluation raises is aborted and marked failed without touching its
-    batchmates.  ``observer`` is forwarded to
+    Claims every session, lets each live predictor pick its window,
+    discretizes all the windows in one pass, computes the kernels of all of
+    them in one call, and commits each session under its own lock — the live
+    predictor steps through exactly the ``prepare_step`` / ``complete_step``
+    pair ``step()`` is built from.  A session whose evaluation raises is
+    marked failed without touching its batchmates (its claim is dropped; the
+    data stays resident for the next evaluation).  ``observer`` is forwarded to
     :func:`~repro.core.kernels.compute_batch_kernels` for per-stage timings.
     """
     steps: list[PredictionStep | None] = [None] * len(sessions)
@@ -83,7 +83,6 @@ def detect_sessions_inline(
             session.predictor.prepare_step(task.trace, now=task.now, into=batch)
             claimed.append(i)
         except Exception:
-            session.abort_batch_detect()
             failed[i] = True
 
     try:
@@ -92,7 +91,6 @@ def detect_sessions_inline(
         ready = [exc] * len(claimed)
     for i, prep in zip(claimed, ready):
         if isinstance(prep, Exception):
-            sessions[i].abort_batch_detect()
             failed[i] = True
         else:
             prepared[i] = prep
@@ -110,6 +108,5 @@ def detect_sessions_inline(
         try:
             steps[i] = session.complete_batch_detect(prep, kernels=kernels[i])
         except Exception:
-            session.abort_batch_detect()
             failed[i] = True
     return BatchReport(steps=steps, failed=failed)

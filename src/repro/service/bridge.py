@@ -60,7 +60,7 @@ class PhaseFlushBridge:
         flush = FlushRecord(flush_index=index, timestamp=float(time), requests=(request,))
         self._service.ingest_flush(job.name, flush)
         if self._pump:
-            self._service.pump(wait_for_batch=True)
+            self._service.pump()
 
     def on_job_finished(self, job: JobState, time: float) -> None:
         """Finish observer: stop scheduling further evaluations for the job."""

@@ -59,7 +59,6 @@ from repro.exceptions import ProtocolError, ServiceError
 from repro.obs import MetricRegistry, merge_snapshots, render_prometheus
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionUpdate
-from repro.service.service import PredictionService
 from repro.service.transport import HANDSHAKE_TIMEOUT, Channel, Listener
 
 #: Published updates a subscribed connection may hold unsent before the
@@ -407,7 +406,7 @@ class ThreadedGateway:
                 return proto.SubmitReply(frames=self._engine.feed_bytes(message.data))
         if isinstance(message, proto.Pump):
             with self._engine_lock:
-                submitted, updates = self._with_updates(self._pump_engine)
+                submitted, updates = self._with_updates(self._engine.pump)
             return proto.PumpReply(submitted=submitted, updates=updates)
         if isinstance(message, proto.Drain):
             with self._engine_lock:
@@ -511,13 +510,6 @@ class ThreadedGateway:
         replay run on the control channels a client's pump uses."""
         with self._engine_lock:
             self._engine.revive_shard(index)
-
-    def _pump_engine(self) -> int:
-        if isinstance(self._engine, PredictionService):
-            submitted = self._engine.pump(wait_for_batch=True)
-            self._engine.dispatcher.join()
-            return submitted
-        return self._engine.pump()
 
     def _with_updates(self, fn: Callable[[], Any]) -> tuple[Any, tuple[dict, ...]]:
         """Capture the updates published while ``fn`` runs (for pull replies)."""

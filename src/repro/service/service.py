@@ -3,15 +3,15 @@
 :class:`PredictionService` wires the subsystem together: the
 :class:`~repro.service.broker.FlushBroker` demultiplexes incoming flushes
 into bounded-memory per-job sessions, the
-:class:`~repro.service.dispatcher.DetectionDispatcher` batches due
-evaluations onto a worker pool, and every completed evaluation is pushed to
-the :class:`~repro.service.publisher.PredictionPublisher`, where schedulers
-and subscribers consume it.  One service instance serves any number of
+:class:`~repro.service.dispatcher.DetectionDispatcher` evaluates the due ones
+as one batch in the thread that pumps, and every completed evaluation is
+pushed to the :class:`~repro.service.publisher.PredictionPublisher`, where
+schedulers and subscribers consume it.  One service instance serves any number of
 concurrent jobs::
 
     service = PredictionService(ServiceConfig(session=SessionConfig(...)))
     service.feed_bytes(framed_bytes)          # or ingest_flush / tail_file
-    service.pump(wait_for_batch=True)         # evaluate whatever is due
+    service.pump()                            # evaluate whatever is due
     service.publisher.latest_period("job-7")  # -> predicted period [s]
 
 Snapshot/restore for crash recovery lives in :mod:`repro.service.snapshot`.
@@ -24,16 +24,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import MetricRegistry, SpanJournal
-from repro.trace.columns import FlushColumns
-from repro.trace.framing import FlushFrame, FrameReader, compact_spool
-from repro.trace.jsonl import FlushRecord
-
 from repro.service.backend import ThreadBackend
 from repro.service.broker import FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
 from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher
 from repro.service.session import JobSession, SessionConfig
+from repro.trace.columns import FlushColumns
+from repro.trace.framing import FlushFrame, FrameReader, compact_spool
+from repro.trace.jsonl import FlushRecord
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,6 @@ class ServiceConfig:
     session:
         Per-job session configuration (analysis config, memory cap, rate
         limit).
-    max_workers:
-        Size of the detection worker pool; 0 evaluates inline during
-        :meth:`PredictionService.pump` (deterministic, single-threaded).
-    max_pending:
-        Backpressure bound: maximum evaluations in flight at once.
     ring_bytes:
         Sharded deployments only: capacity of the shared-memory ring carrying
         frames from the router to each shard (see
@@ -95,8 +89,6 @@ class ServiceConfig:
     """
 
     session: SessionConfig = field(default_factory=SessionConfig)
-    max_workers: int = 0
-    max_pending: int = 64
     ring_bytes: int = 1 << 20
     token: int | None = None
     auto_compact: bool = False
@@ -158,8 +150,6 @@ class PredictionService:
         self.dispatcher = DetectionDispatcher(
             self.broker,
             sink=self._on_detection,
-            max_workers=self.config.max_workers,
-            max_pending=self.config.max_pending,
             backend=backend,
             metrics=self.metrics,
             journal=self.journal,
@@ -255,20 +245,21 @@ class PredictionService:
     # ------------------------------------------------------------------ #
     # evaluation and results
     # ------------------------------------------------------------------ #
-    def pump(self, *, wait_for_batch: bool = False) -> int:
-        """Evaluate every due session (see the dispatcher); returns submissions."""
-        return self.dispatcher.pump(wait_for_batch=wait_for_batch)
+    def pump(self) -> int:
+        """Evaluate every due session (see the dispatcher); returns how many.
+
+        One pump runs at a time; a concurrent call waits for the one in
+        progress, then evaluates what is due after it.
+        """
+        return self.dispatcher.pump()
 
     def drain(self) -> None:
-        """Pump until nothing is due and nothing is in flight."""
-        while True:
-            submitted = self.pump(wait_for_batch=True)
-            self.dispatcher.join()
-            if submitted == 0 and not self.broker.due_sessions():
-                return
+        """Pump until nothing is due."""
+        while self.pump():
+            pass
 
     def close(self) -> None:
-        """Finish in-flight evaluations and release the worker pool."""
+        """Wait for a pump in progress, then reject further pumps."""
         self.dispatcher.close()
 
     def period_provider(self, *, bootstrap: bool = True) -> ServicePeriodProvider:
@@ -293,7 +284,7 @@ class PredictionService:
             self.compact_spools()
         return state
 
-    def restore_state(self, state: dict) -> "PredictionService":
+    def restore_state(self, state: dict) -> PredictionService:
         """Load a snapshot into this running service (see
         :func:`~repro.service.snapshot.apply_state`): the carried jobs roll
         back to it, every other job keeps its session and prediction."""
@@ -315,7 +306,7 @@ class PredictionService:
 
     @property
     def dispatcher_stats(self) -> DispatcherStats:
-        """Dispatch counters (submitted / completed / deferred / failures)."""
+        """Dispatch counters (submitted / completed / failures)."""
         return self.dispatcher.stats
 
     def stats(self) -> dict:
@@ -341,9 +332,7 @@ class PredictionService:
             "resident_samples": sum(s.resident_samples for s in sessions),
             "evicted_samples": sum(s.evicted_samples for s in sessions),
             "detections": dispatch.completed,
-            "deferred": dispatch.deferred,
             "failures": dispatch.failures,
-            "pending_evaluations": dispatch.pending,
             "published": self.publisher.published,
             "p50_detection_latency_seconds": latency.quantile(0.5) if detected else None,
             "p99_detection_latency_seconds": latency.quantile(0.99) if detected else None,

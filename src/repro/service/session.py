@@ -27,9 +27,9 @@ not O(runtime), since the predictor beside it is a few scalars, not a history:
 (:meth:`JobSession.begin_batch_detect`, :meth:`JobSession.detect`) hands the
 evaluation a private :class:`~repro.trace.trace.Trace` of the resident rows:
 five column copies and one copy of the merged metadata, taken under the
-session lock — a pool thread may prepare that window while the broker
-thread's next ``ingest`` compacts or grows the ring in place, so a view would
-not do.  Nothing is validated at that point.  Every row passed
+session lock — the pump prepares that window outside the lock, while another
+thread's next ``ingest`` may compact or grow the ring in place, so a view
+would not do.  Nothing is validated at that point.  Every row passed
 ``FlushColumns.__post_init__`` (ingest) or ``Trace.__post_init__`` (restore)
 on its way into the ring and the ring only moves rows, so the snapshot is
 wrapped by ``Trace._trusted``; the pump's prepare then reads its columns
@@ -53,7 +53,6 @@ from repro.trace.columns import KIND_DTYPE, FlushColumns, SortedColumns, as_flus
 from repro.trace.jsonl import FlushRecord
 from repro.trace.trace import Trace
 from repro.utils.validation import check_non_negative, check_positive_int
-
 
 #: Longest span a session keeps behind its newest flush, in sampling intervals
 #: of the configured rate (~25x the longest window the benchmark analyses).
@@ -272,10 +271,13 @@ class RingColumnStore:
 class JobSession:
     """All service state of one job: buffer, predictor, rate-limit bookkeeping.
 
-    Thread safety: ``ingest`` (broker thread) and the evaluation methods
-    (worker threads) take the session lock, and a claimed batch evaluation
-    keeps the session not-due until it commits or aborts, so one job is
-    always evaluated sequentially.
+    Thread safety: ``ingest``, the evaluation methods and :meth:`state_dict`
+    take the session lock, so a shard's read-plane thread or a gateway scrape
+    may read a session while a pump evaluates it.  Two evaluations are not
+    excluded here: the service runs one pump at a time
+    (:class:`~repro.service.dispatcher.DetectionDispatcher`), which is what
+    keeps a job from being claimed again before its commit — so call
+    :meth:`detect` only on a session no pump is evaluating.
     """
 
     def __init__(self, job: str, config: SessionConfig | None = None) -> None:
@@ -290,7 +292,6 @@ class JobSession:
         self._lock = threading.Lock()
         self._pending_time: float | None = None
         self._last_detection_time: float | None = None
-        self._batch_in_flight = False
         self._ingested_flushes = 0
         self._ingested_requests = 0
         self._finished = False
@@ -365,11 +366,6 @@ class JobSession:
     def due(self) -> bool:
         """Whether an evaluation should be scheduled for this session."""
         with self._lock:
-            # While a batched evaluation is in flight the session must not be
-            # scheduled again: the outcome of the running batch has not been
-            # applied yet, and a second evaluation would race its state.
-            if self._batch_in_flight:
-                return False
             if self._pending_time is None:
                 return False
             if self._last_detection_time is None:
@@ -396,8 +392,6 @@ class JobSession:
         do not depend on its batch (:mod:`repro.core.kernels`).
         """
         with self._lock:
-            if self._batch_in_flight:
-                return None
             task = self._claim_task_locked(now)
             if task is None:
                 return None
@@ -414,19 +408,12 @@ class JobSession:
         Performs exactly the bookkeeping :meth:`detect` does before the
         evaluation (clear the pending mark, stamp the rate limit, skip when
         below ``min_requests``) and returns the :class:`DetectionTask`, or
-        ``None`` when there is nothing to evaluate.  Until
-        :meth:`complete_batch_detect` or :meth:`abort_batch_detect` runs, the
-        session reports not-due, so no second evaluation can race the
-        in-flight batch.
+        ``None`` when there is nothing to evaluate.  A claim that is never
+        completed (its evaluation failed) is simply dropped: the data stays
+        resident for the next one.
         """
         with self._lock:
-            if self._batch_in_flight:
-                return None
-            task = self._claim_task_locked(now)
-            if task is None:
-                return None
-            self._batch_in_flight = True
-            return task
+            return self._claim_task_locked(now)
 
     def complete_batch_detect(
         self, prepared: PreparedStep, kernels: SpectralKernels | None = None
@@ -438,18 +425,9 @@ class JobSession:
         the same post-evaluation bookkeeping as :meth:`detect`.
         """
         with self._lock:
-            self._batch_in_flight = False
             step = self.predictor.complete_step(prepared, kernels=kernels)
             self._evict_stale()
             return step
-
-    def abort_batch_detect(self) -> None:
-        """Release a batch claim without applying anything (failed batch).
-
-        The evaluation is dropped; the data stays resident for the next one.
-        """
-        with self._lock:
-            self._batch_in_flight = False
 
     def _claim_task_locked(self, now: float | None) -> DetectionTask | None:
         """Shared pre-evaluation bookkeeping; the caller holds the lock.

@@ -230,8 +230,7 @@ def shard_main(
             return [answer]
         if isinstance(request, proto.Pump):
             sync_to(request.expected_bytes)
-            submitted = service.pump(wait_for_batch=True)
-            service.dispatcher.join()
+            submitted = service.pump()
             return [proto.PumpReply(submitted=submitted, updates=drain_updates())]
         if isinstance(request, proto.Drain):
             sync_to(request.expected_bytes)

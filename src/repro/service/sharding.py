@@ -56,8 +56,8 @@ class ShardedService:
     n_shards:
         Number of worker shards (subprocesses) to spawn.
     config:
-        Per-shard :class:`ServiceConfig` (session config, worker pool,
-        auto-revive policy).  When
+        Per-shard :class:`ServiceConfig` (session config, auto-revive
+        policy).  When
         :attr:`ServiceConfig.token` is set, the router stamps it on frames it
         encodes itself and **rejects** routed byte streams whose frames do
         not carry it (wire-level auth).

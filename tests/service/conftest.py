@@ -24,12 +24,14 @@ class UpdateLedger:
     A key published again (a revived shard replaying its spool tail) must
     carry the values it carried the first time; a mismatch is recorded in
     :attr:`conflicts` instead of raised, since the callback runs on the
-    publishing thread.
+    publishing thread.  :attr:`published` counts every update, so
+    ``published == len(entries)`` means no key was published twice.
     """
 
     def __init__(self, publisher) -> None:
         self.entries: dict[tuple[str, int], tuple] = {}
         self.conflicts: list[tuple] = []
+        self.published = 0
         self._lock = threading.Lock()
         publisher.subscribe(self._record)
 
@@ -37,6 +39,7 @@ class UpdateLedger:
         key = (update.job, update.index)
         value = (update.time, update.frequency, update.period, update.confidence)
         with self._lock:
+            self.published += 1
             first = self.entries.setdefault(key, value)
             if first != value:
                 self.conflicts.append((key, first, value))

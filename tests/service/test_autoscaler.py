@@ -55,24 +55,19 @@ POLICY_CONFIG = AutoscaleConfig(
     cooldown_seconds=10.0,
     high_sessions_per_shard=20.0,
     low_sessions_per_shard=5.0,
-    high_pending_per_shard=16.0,
-    low_pending_per_shard=2.0,
     high_p99_latency_seconds=0.5,
     low_p99_latency_seconds=0.05,
-    high_deferred_delta=8.0,
     up_consecutive=2,
     down_consecutive=2,
     step_shards=1,
 )
 
 
-def sig(shards=2, sessions=0, pending=0, p99=None, dead=0, deferred=0):
+def sig(shards=2, sessions=0, p99=None, dead=0):
     return AutoscaleSignals(
         shards=shards,
         dead_shards=dead,
         sessions=sessions,
-        pending_evaluations=pending,
-        deferred=deferred,
         p99_latency_seconds=p99,
     )
 
@@ -101,13 +96,9 @@ class TestHysteresisPolicy:
              (LOW, 2.0, "hold"), (LOW, 3.0, "shrink")],
             # Dead shards preempt scaling entirely.
             [(HIGH, 0.0, "hold"), (sig(sessions=100, dead=1), 1.0, "revive")],
-            # Backpressure: a burst of deferred submissions is up pressure.
-            [(sig(deferred=0), 0.0, "hold"),
-             (sig(deferred=100), 1.0, "hold"),
-             (sig(deferred=200), 2.0, "grow")],
         ],
         ids=["up-streak", "flap-suppression", "down-streak", "partial-low",
-             "revive-first", "deferred-burst"],
+             "revive-first"],
     )
     def test_scripted_decisions(self, script):
         policy = HysteresisPolicy(POLICY_CONFIG)
@@ -200,7 +191,7 @@ class ScriptedEngine:
 
 class TestAutoscalerLoop:
     def test_tick_applies_grow_and_records_timeline(self):
-        engine = ScriptedEngine([{"shards": 2, "jobs": 100, "pending_evaluations": 0}])
+        engine = ScriptedEngine([{"shards": 2, "jobs": 100}])
         scaler = Autoscaler(
             engine,
             AutoscaleConfig(max_shards=4, up_consecutive=2, cooldown_seconds=0.0),
@@ -298,8 +289,6 @@ SHRINK_CONFIG = AutoscaleConfig(
     cooldown_seconds=0.0,
     high_sessions_per_shard=1000.0,
     low_sessions_per_shard=100.0,   # 32 jobs / 4 shards = 8 < 100
-    high_pending_per_shard=1000.0,
-    low_pending_per_shard=100.0,
     high_p99_latency_seconds=2000.0,
     low_p99_latency_seconds=1000.0,
     up_consecutive=1,
@@ -425,7 +414,6 @@ class TestLoadRamp:
             cooldown_seconds=5.0,
             high_sessions_per_shard=5.0,
             low_sessions_per_shard=2.0,
-            low_pending_per_shard=4.0,
             high_p99_latency_seconds=2000.0,
             low_p99_latency_seconds=1000.0,  # latency is not ramped here
             up_consecutive=1,

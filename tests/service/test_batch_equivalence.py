@@ -228,8 +228,12 @@ class TestBatchedEqualsSequential:
         assert report.failed == [False, True]
         assert report.steps[1] is None
         assert_steps_equal([reference.detect()], [report.steps[0]])
-        # The sick session was aborted, not wedged: it is evaluable again.
-        assert not sick._batch_in_flight
+        # The sick session's claim was dropped, not wedged: healthy again and
+        # flushed again, it evaluates.
+        del sick.predictor.prepare_step
+        sick.ingest(make_flushes(32, 3, period=4.0)[-1])
+        again = detect_sessions_inline([sick])
+        assert again.failed == [False] and again.steps[0] is not None
 
 
 class TestFleetOfDistinctPeriodsBatches:
@@ -297,8 +301,7 @@ class TestFleetOfDistinctPeriodsBatches:
 
 
 class TestServiceFacadeEquivalence:
-    @pytest.mark.parametrize("max_workers", [0, 2])
-    def test_alone_or_with_batchmates_publishes_identical_bits(self, max_workers):
+    def test_alone_or_with_batchmates_publishes_identical_bits(self):
         """A job's published (period, confidence) must not depend on who else
         came due in the same pump — i.e. on shard count or tenant mix."""
         n_flushes, warm = 40, 10
@@ -312,7 +315,6 @@ class TestServiceFacadeEquivalence:
                         # more than 8 192 samples.
                         adaptive_window=False,
                     ),
-                    max_workers=max_workers,
                 )
             )
             updates: list[tuple] = []
@@ -327,7 +329,7 @@ class TestServiceFacadeEquivalence:
                     if with_mate:
                         service.ingest_flush("mate", theirs[i])
                     if i >= warm:
-                        service.pump(wait_for_batch=True)
+                        service.pump()
                 return updates
             finally:
                 service.close()

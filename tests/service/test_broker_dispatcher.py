@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import FtioConfig
@@ -13,10 +16,12 @@ from repro.service import (
     ServiceConfig,
     SessionConfig,
     ShardedService,
+    ThreadBackend,
 )
 from repro.trace.framing import FrameWriter, encode_frame
 from repro.trace.jsonl import FlushRecord
 from repro.trace.record import IORequest
+from tests.service.conftest import UpdateLedger
 
 
 @pytest.fixture(scope="module")
@@ -84,43 +89,127 @@ class TestFlushBroker:
         assert broker.session("a").ingested_flushes == 2
 
 
+class TestOnePumpAtATime:
+    """The pump lock is the only thing that keeps one job from being claimed
+    by two evaluations at once."""
+
+    JOBS = [f"job-{j}" for j in range(12)]
+    ROUNDS = 6
+
+    @staticmethod
+    def _service(online_config, backend=None) -> PredictionService:
+        return PredictionService(
+            ServiceConfig(session=SessionConfig(config=online_config), metrics=False),
+            backend=backend,
+        )
+
+    def _reference(self, online_config) -> UpdateLedger:
+        service = self._service(online_config)
+        ledger = UpdateLedger(service.publisher)
+        for r in range(self.ROUNDS):
+            for j, job in enumerate(self.JOBS):
+                service.ingest_flush(job, make_flush(r, t0=0.1 * j))
+            service.pump()
+        service.close()
+        assert ledger.published == len(self.JOBS) * self.ROUNDS
+        return ledger
+
+    def test_threads_pumping_publish_each_update_once(self, online_config):
+        pumpers = 4  # more than the cores a CI runner has
+        service = self._service(online_config)
+        ledger = UpdateLedger(service.publisher)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(self.ROUNDS):
+                for j, job in enumerate(self.JOBS):
+                    service.ingest_flush(job, make_flush(r, t0=0.1 * j))
+                start = threading.Barrier(pumpers, timeout=30)
+                submitted: list[int] = []
+
+                def pump():
+                    start.wait()
+                    submitted.append(service.pump())
+
+                threads = [threading.Thread(target=pump) for _ in range(pumpers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                # One pump took every due job; the others found none left.
+                assert sorted(submitted) == [0] * (pumpers - 1) + [len(self.JOBS)]
+        finally:
+            sys.setswitchinterval(interval)
+        service.close()
+        assert ledger.published == len(ledger.entries)
+        ledger.assert_matches(self._reference(online_config))
+
+    def test_a_pump_waits_for_the_batch_in_progress(self, online_config):
+        """A flush lands and a second pump starts between one batch's claim and
+        its commit: the second pump must wait, then evaluate the new flush
+        from the committed state — exactly the sequential updates."""
+        service: PredictionService | None = None
+        late: list[threading.Thread] = []
+
+        def mid_batch(stage, group_size, seconds):
+            if late or stage != "rfft":
+                return
+            # Every job of this batch is claimed and none is committed yet.
+            for j, job in enumerate(self.JOBS):
+                service.ingest_flush(job, make_flush(1, t0=0.1 * j))
+            thread = threading.Thread(target=service.pump)
+            late.append(thread)
+            thread.start()
+            thread.join(timeout=0.2)
+            assert thread.is_alive(), "a second pump ran beside the batch in progress"
+
+        backend = ThreadBackend()
+        backend.observer = mid_batch
+        service = self._service(online_config, backend=backend)
+        ledger = UpdateLedger(service.publisher)
+        for j, job in enumerate(self.JOBS):
+            service.ingest_flush(job, make_flush(0, t0=0.1 * j))
+        assert service.pump() == len(self.JOBS)
+        late[0].join(timeout=30)
+        assert not late[0].is_alive()
+        for r in range(2, self.ROUNDS):
+            for j, job in enumerate(self.JOBS):
+                service.ingest_flush(job, make_flush(r, t0=0.1 * j))
+            service.pump()
+        service.close()
+        assert ledger.published == len(ledger.entries)
+        ledger.assert_matches(self._reference(online_config))
+
+
 class TestDetectionDispatcher:
     def test_inline_and_threaded_results_agree(self, online_config):
-        def run(max_workers):
-            service = PredictionService(
-                ServiceConfig(
-                    session=SessionConfig(config=online_config), max_workers=max_workers
-                )
-            )
+        """Evaluation runs in whichever thread pumps: pumping from a thread of
+        its own (as a gateway or a shard worker does) publishes what pumping
+        in the caller's thread does."""
+
+        def run(threaded):
+            service = PredictionService(ServiceConfig(session=SessionConfig(config=online_config)))
+            ledger = UpdateLedger(service.publisher)
             for i in range(6):
                 for job in ("a", "b", "c"):
                     service.ingest_flush(job, make_flush(i))
-                service.pump(wait_for_batch=True)
-            service.dispatcher.join()
+                if threaded:
+                    thread = threading.Thread(target=service.pump)
+                    thread.start()
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                else:
+                    service.pump()
             periods = {job: service.publisher.latest_period(job) for job in service.jobs}
             service.close()
-            return periods
+            assert ledger.published == 3 * 6
+            return periods, ledger
 
-        assert run(0) == run(4)
-
-    def test_backpressure_defers_when_saturated(self, online_config):
-        service = PredictionService(
-            ServiceConfig(
-                session=SessionConfig(config=online_config), max_workers=1, max_pending=1
-            )
-        )
-        # Make many jobs due at once; with a single slot most must be deferred.
-        for job_index in range(8):
-            service.ingest_flush(f"job-{job_index}", make_flush(0))
-        service.pump()
-        service.dispatcher.join()
-        stats = service.dispatcher.stats
-        assert stats.deferred > 0
-        # Deferred sessions stay due: draining catches them all up.
-        service.drain()
-        assert not service.broker.due_sessions()
-        assert service.dispatcher.stats.completed == 8
-        service.close()
+        inline_periods, inline_ledger = run(False)
+        threaded_periods, threaded_ledger = run(True)
+        assert inline_periods == threaded_periods
+        threaded_ledger.assert_matches(inline_ledger)
 
     def test_rate_limited_sessions_coalesce(self, online_config):
         service = PredictionService(
@@ -130,7 +219,7 @@ class TestDetectionDispatcher:
         )
         for i in range(5):
             service.ingest_flush("slow", make_flush(i))
-            service.pump(wait_for_batch=True)
+            service.pump()
         # First flush evaluates; the rest (within 100 s of trace time) coalesce.
         assert service.session("slow").detections == 1
         assert service.session("slow").ingested_flushes == 5
@@ -207,24 +296,19 @@ class TestDetectionDispatcher:
             service.close()
 
     def test_pump_after_close_raises_cleanly(self, online_config):
-        for max_workers in (0, 2):
-            service = PredictionService(
-                ServiceConfig(session=SessionConfig(config=online_config), max_workers=max_workers)
-            )
-            service.ingest_flush("x", make_flush(0))
-            service.drain()
-            service.close()
-            assert service.dispatcher.closed
-            service.ingest_flush("x", make_flush(1))  # ingestion still works...
-            with pytest.raises(RuntimeError):  # ...but evaluation does not
-                service.pump(wait_for_batch=True)
-            # close is idempotent and join on a closed dispatcher is a no-op.
-            service.close()
-            service.dispatcher.join()
+        service = PredictionService(ServiceConfig(session=SessionConfig(config=online_config)))
+        service.ingest_flush("x", make_flush(0))
+        service.drain()
+        service.close()
+        assert service.dispatcher.closed
+        service.ingest_flush("x", make_flush(1))  # ingestion still works...
+        with pytest.raises(RuntimeError):  # ...but evaluation does not
+            service.pump()
+        service.close()  # close is idempotent
 
     def test_dispatcher_constructor_validation(self, online_config):
+        """The pool's arguments are gone, not ignored."""
         broker = FlushBroker(session_config=SessionConfig(config=online_config))
-        with pytest.raises(ValueError):
-            DetectionDispatcher(broker, max_workers=-1)
-        with pytest.raises(ValueError):
-            DetectionDispatcher(broker, max_pending=0)
+        for removed in ("max_workers", "max_pending"):
+            with pytest.raises(TypeError):
+                DetectionDispatcher(broker, **{removed: 0})

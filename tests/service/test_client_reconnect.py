@@ -35,7 +35,6 @@ def service_config():
                 compute_characterization=False,
             )
         ),
-        max_workers=2,
     )
 
 

@@ -53,7 +53,6 @@ def make_config(**overrides) -> ServiceConfig:
                 compute_characterization=False,
             )
         ),
-        max_workers=2,
         **overrides,
     )
 
@@ -71,7 +70,7 @@ def single_process_periods(streams) -> dict:
         for job, flushes in streams.items():
             for flush in flushes:
                 service.ingest_flush(job, flush)
-                service.pump(wait_for_batch=True)
+                service.pump()
         service.drain()
         return {job: service.publisher.latest_period(job) for job in streams}
     finally:
@@ -492,7 +491,7 @@ class TestReshardPlacement:
 
 class TestConfigWire:
     def test_round_trip_strips_host_local_fields(self):
-        config = make_config(ring_bytes=1 << 20, shard_port=9400, token=5)
+        config = make_config(ring_bytes=1 << 20, shard_port=9400, token=5, revive_budget=7)
         wire = config_to_wire(config)
         assert "shard_port" not in wire
         rebuilt = config_from_wire(wire)
@@ -500,7 +499,7 @@ class TestConfigWire:
         assert rebuilt.shard_port is None
         assert rebuilt.token == 5
         assert rebuilt.session.config.sampling_frequency == 10.0
-        assert rebuilt.max_workers == config.max_workers
+        assert rebuilt.revive_budget == 7
 
     def test_unknown_wire_keys_are_ignored(self):
         wire = config_to_wire(make_config())

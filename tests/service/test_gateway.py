@@ -43,9 +43,7 @@ def online_config():
 
 @pytest.fixture(scope="module")
 def service_config(online_config):
-    return ServiceConfig(
-        session=SessionConfig(config=online_config, max_samples=200_000), max_workers=2
-    )
+    return ServiceConfig(session=SessionConfig(config=online_config, max_samples=200_000))
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +69,7 @@ def _stream_direct(service, streams) -> dict:
         for job, flushes in streams.items():
             if round_index < len(flushes):
                 service.ingest_flush(job, flushes[round_index])
-        if isinstance(service, PredictionService):
-            service.pump(wait_for_batch=True)
-            service.dispatcher.join()
-        else:
-            service.pump()
+        service.pump()
     state = service.snapshot_state()
     service.close()
     return state

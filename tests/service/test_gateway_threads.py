@@ -45,7 +45,6 @@ def service_config():
                 compute_characterization=False,
             )
         ),
-        max_workers=0,
     )
 
 

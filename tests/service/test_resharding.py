@@ -56,7 +56,6 @@ def service_config():
                 compute_characterization=False,
             )
         ),
-        max_workers=2,
         token=TOKEN,
     )
 
@@ -75,11 +74,7 @@ def submit_round(service, streams, round_index: int) -> None:
 
 
 def pump_service(service) -> None:
-    if isinstance(service, PredictionService):
-        service.pump(wait_for_batch=True)
-        service.dispatcher.join()
-    else:
-        service.pump()
+    service.pump()
 
 
 def kill_victim(streams, old_count: int, target_count: int) -> int | None:

@@ -67,10 +67,7 @@ class TestStreamingEquivalence:
         # predictions to be bit-identical with the unbounded offline replay
         # (the adaptive window still evicts most of it, as asserted below).
         service = PredictionService(
-            ServiceConfig(
-                session=SessionConfig(config=online_config, max_samples=200_000),
-                max_workers=4,
-            )
+            ServiceConfig(session=SessionConfig(config=online_config, max_samples=200_000))
         )
         ledger = UpdateLedger(service.publisher)
         streams = {
@@ -84,8 +81,7 @@ class TestStreamingEquivalence:
             for job, flushes in streams.items():
                 if round_index < len(flushes):
                     service.feed_bytes(encode_frame(flushes[round_index], job=job))
-            service.pump(wait_for_batch=True)
-        service.dispatcher.join()
+            service.pump()
 
         assert len(service.jobs) == N_JOBS
         assert ledger.conflicts == []
@@ -120,7 +116,7 @@ class TestStreamingEquivalence:
         service.publisher.subscribe(ignored.append, jobs=["someone-else"])
         for flush in trace_to_flushes(trace, hacc_flush_times(trace)):
             service.ingest_flush(job, flush)
-            service.pump(wait_for_batch=True)
+            service.pump()
         assert len(seen) == service.session(job).detections
         assert [u.job for u in seen] == [job] * len(seen)
         assert ignored == []
@@ -135,7 +131,7 @@ class TestStreamingEquivalence:
             IORequest(rank=r, start=10.0 + r, end=10.5 + r, nbytes=1 << 20) for r in range(4)
         )
         service.ingest_flush("early", FlushRecord(flush_index=0, timestamp=9.0, requests=requests))
-        service.pump(wait_for_batch=True)
+        service.pump()
         stats = service.stats()
         assert stats["failures"] == 0
         assert stats["detections"] == 1
@@ -152,7 +148,7 @@ class TestStreamingEquivalence:
         )
         try:
             service.ingest_flush(job, trace_to_flushes(trace, hacc_flush_times(trace))[0])
-            assert service.pump(wait_for_batch=True) == 1
+            assert service.pump() == 1
             stages = {span["stage"] for span in service.spans_snapshot()}
         finally:
             service.close()

@@ -346,7 +346,6 @@ class TestClaimedTask:
         assert after.signal.t_start == before.signal.t_start
         assert after.signal.abstraction_error == before.signal.abstraction_error
         assert np.array_equal(after.signal.samples, before.signal.samples)
-        session.abort_batch_detect()
 
     def test_one_detection_validates_no_trace(self, online_config, monkeypatch):
         """Every row in the ring was checked on its way in; a detection on an
@@ -424,7 +423,7 @@ class TestQuietTenant:
         assert session.evicted_samples == 1
 
     def test_other_tenants_publish_unchanged(self):
-        config = ServiceConfig(session=SessionConfig(config=self._config()), max_workers=0)
+        config = ServiceConfig(session=SessionConfig(config=self._config()))
         rounds, tenants = 6, 63
         flushes = {
             f"job-{j}": [_burst_flush(i, n=4) for i in range(rounds)] for j in range(tenants)
@@ -445,7 +444,7 @@ class TestQuietTenant:
                     if with_quiet_tenant and i in (0, rounds - 1):
                         service.ingest_flush("quiet", _lone_flush(i, i * self.GAP))
                     started = time.perf_counter()
-                    service.pump(wait_for_batch=True)
+                    service.pump()
                     slowest = max(slowest, time.perf_counter() - started)
                 return updates, slowest
             finally:
@@ -492,7 +491,7 @@ class TestQuietTenant:
         assert (step.window[1] - step.window[0]) * self.SPAN_FS <= MAX_WINDOW_SAMPLES
 
     def test_other_tenants_publish_unchanged_beside_a_spanning_request(self):
-        config = ServiceConfig(session=SessionConfig(config=self._span_config()), max_workers=0)
+        config = ServiceConfig(session=SessionConfig(config=self._span_config()))
         rounds, tenants = 4, 63
         flushes = {
             f"job-{j}": [_burst_flush(i, n=4) for i in range(rounds)] for j in range(tenants)
@@ -513,7 +512,7 @@ class TestQuietTenant:
                     if with_spanning_tenant:
                         service.ingest_flush("spanning", self._spanning_flush(i, 6.0e5 + i))
                     started = time.perf_counter()
-                    service.pump(wait_for_batch=True)
+                    service.pump()
                     slowest = max(slowest, time.perf_counter() - started)
                 if with_spanning_tenant:
                     step = service.session("spanning").detect(now=6.0e5 + rounds - 1)

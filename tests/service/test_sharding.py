@@ -46,7 +46,6 @@ def service_config():
                 compute_characterization=False,
             )
         ),
-        max_workers=2,
     )
 
 
@@ -68,7 +67,7 @@ def run_single(streams, config, *, token: int | None = None) -> dict:
         for job, flushes in streams.items():
             if round_index < len(flushes):
                 service.feed_bytes(frame_for(job, flushes[round_index], token))
-        service.pump(wait_for_batch=True)
+        service.pump()
     service.drain()
     from repro.service import snapshot_state
 
@@ -122,7 +121,7 @@ def assert_sharded_matches_single(
         assert broker.frames == broker.flushes == total_flushes
         dispatch = sharded.dispatcher_stats
         assert dispatch.completed == dispatch.submitted > 0
-        assert dispatch.failures == 0 and dispatch.pending == 0
+        assert dispatch.failures == 0
         return {sharded.shard_for(job) for job in streams}
     finally:
         sharded.close()

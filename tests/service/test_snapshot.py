@@ -51,7 +51,7 @@ def stream_through(service, streams, *, start=0, stop=None):
     for job, flushes in streams.items():
         for flush in flushes[start:stop]:
             service.ingest_flush(job, flush)
-            service.pump(wait_for_batch=True)
+            service.pump()
     return service
 
 

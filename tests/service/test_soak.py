@@ -70,7 +70,6 @@ def test_sharded_soak_memory_stays_bounded():
             ),
             max_samples=MAX_SAMPLES,
         ),
-        max_workers=2,
         token=6,
     )
     service = ShardedService(N_SHARDS, config)

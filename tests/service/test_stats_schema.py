@@ -33,8 +33,6 @@ SERVICE_KEYS = frozenset(
         "requests",
         "detections",
         "failures",
-        "deferred",
-        "pending_evaluations",
         "published",
         "evicted_samples",
         "resident_samples",
@@ -81,10 +79,7 @@ def feed_and_pump(service, streams) -> None:
         for job, flushes in streams.items():
             if round_index < len(flushes):
                 service.feed_bytes(encode_frame(flushes[round_index], job=job))
-        if isinstance(service, PredictionService):
-            service.pump(wait_for_batch=True)
-        else:
-            service.pump()
+        service.pump()
     service.drain()
 
 

@@ -115,7 +115,7 @@ class TestAutoCompaction:
 
 class TestAutoRevive:
     def _config(self, session_config, **overrides) -> ServiceConfig:
-        return ServiceConfig(session=session_config, max_workers=2, **overrides)
+        return ServiceConfig(session=session_config, **overrides)
 
     def _stream(self, service, writer, tail, streams, rounds) -> None:
         for round_index in rounds:

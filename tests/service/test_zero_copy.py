@@ -241,7 +241,7 @@ class TestIngestCopyAccounting:
                 payload_owners.clear()
                 if reclaim:
                     buffer[:] = b"\xff" * len(buffer)
-                service.pump(wait_for_batch=True)
+                service.pump()
                 periods = {job: service.publisher.latest_period(job) for job in service.jobs}
                 states = [session.state_dict() for session in service.broker.sessions()]
                 return periods, states, service.broker.copy_stats, ledger.entries

@@ -32,9 +32,20 @@ class TestReproConfig:
             config.shards = 2
 
     def test_with_replaces_top_level_fields(self):
-        config = api.ReproConfig().with_(shards=4, token=7, max_workers=2)
-        assert (config.shards, config.token, config.max_workers) == (4, 7, 2)
+        config = api.ReproConfig().with_(shards=4, token=7, max_samples=99)
+        assert (config.shards, config.token, config.max_samples) == (4, 7, 99)
         assert api.ReproConfig().shards == 0, "the original is untouched"
+
+    def test_max_workers_accepts_only_zero(self):
+        """The detection pool is gone: 0 (what the benchmark passes) is the
+        only value, and it reaches no layer config."""
+        assert api.ReproConfig(max_workers=0).max_workers == 0
+        assert not hasattr(api.ReproConfig().service_config(), "max_workers")
+        for workers in (1, 2, -1):
+            with pytest.raises(ValueError, match="pool was removed"):
+                api.ReproConfig(max_workers=workers)
+        with pytest.raises(ValueError, match="pool was removed"):
+            api.ReproConfig().with_(max_workers=1)
 
     def test_with_analysis_replaces_ftio_fields(self):
         config = api.ReproConfig().with_analysis(
@@ -49,7 +60,6 @@ class TestReproConfig:
         config = api.ReproConfig(
             max_samples=123,
             min_requests=3,
-            max_workers=5,
             token=9,
             auto_revive=True,
         )
@@ -57,7 +67,6 @@ class TestReproConfig:
         assert session.max_samples == 123 and session.min_requests == 3
         assert session.config is config.analysis
         service = config.service_config()
-        assert service.max_workers == 5
         assert service.token == 9 and service.auto_revive is True
         assert service.session == session
 
@@ -182,9 +191,7 @@ class TestCompatibility:
             ShardedService,
         )
 
-        config = ServiceConfig(
-            session=SessionConfig(max_samples=100), max_workers=0, max_pending=8
-        )
+        config = ServiceConfig(session=SessionConfig(max_samples=100))
         service = PredictionService(config)
         service.close()
         with ShardedService(1, config, replicas=16) as sharded:
