@@ -10,7 +10,8 @@ example then murders one shard with SIGKILL mid-stream and shows the
 recovery path — ``revive_shard`` restores the lost sessions from the last
 checkpoint (the last merged snapshot), replays the spool tail written since,
 and the service keeps serving — ending with the same predictions a
-crash-free run produces.
+crash-free run produces.  After the checkpoint, ``compact_spools`` unlinks
+the rotated spool generations it covers; the live spool is never rewritten.
 
 Run with::
 
@@ -74,6 +75,9 @@ def main() -> None:
 
     # --- 3. checkpoint, then kill -9 a shard mid-stream -------------------- #
     service.snapshot_state()  # also records the tail's rotation-proof position
+    retired = service.compact_spools()  # whole generations behind the checkpoint
+    print(f"\ncheckpoint taken; retired {sum(map(len, retired.values()))} rotated spool "
+          f"generations it covers")
     for round_index in range(third, 2 * third):
         stream_round(round_index)
 

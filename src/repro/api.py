@@ -77,8 +77,6 @@ class ReproConfig:
         Virtual nodes per shard on the consistent-hash ring.
     token:
         Wire-level tenant/auth nibble (0..15) required of frames and peers.
-    auto_compact:
-        Compact tailed spools after every successful snapshot.
     auto_revive:
         Transparently revive crashed shards from the last snapshot.
     revive_budget:
@@ -126,7 +124,6 @@ class ReproConfig:
     shards: int = 0
     replicas: int = 64
     token: int | None = None
-    auto_compact: bool = False
     auto_revive: bool = False
     revive_budget: int = 3
     # --- federation --------------------------------------------------------- #
@@ -182,7 +179,6 @@ class ReproConfig:
         return ServiceConfig(
             session=self.session_config(),
             token=self.token,
-            auto_compact=self.auto_compact,
             auto_revive=self.auto_revive,
             revive_budget=self.revive_budget,
             metrics=self.metrics,

@@ -168,14 +168,6 @@ class HysteresisPolicy:
         self._down_streak = 0
         self._last_resize_at: float | None = None
 
-    @property
-    def up_streak(self) -> int:
-        return self._up_streak
-
-    @property
-    def down_streak(self) -> int:
-        return self._down_streak
-
     def note_resize(self, now: float) -> None:
         """Anchor the cooldown at ``now`` (an externally driven resize)."""
         self._last_resize_at = now

@@ -43,11 +43,6 @@ class PhaseFlushBridge:
         self._pump = pump
         self._flush_indices: dict[str, int] = {}
 
-    @property
-    def phases_bridged(self) -> int:
-        """Number of phase records forwarded so far."""
-        return sum(self._flush_indices.values())
-
     def __call__(self, job: JobState, record: PhaseRecord, time: float) -> None:
         index = self._flush_indices.get(job.name, 0)
         self._flush_indices[job.name] = index + 1

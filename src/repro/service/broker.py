@@ -192,12 +192,6 @@ class FlushBroker:
     # ------------------------------------------------------------------ #
     # zero-pause handover staging
     # ------------------------------------------------------------------ #
-    @property
-    def staged_frames(self) -> int:
-        """Frames currently buffered by an armed handover staging."""
-        with self._lock:
-            return len(self._staged)
-
     def begin_staging(self, predicate: Callable[[str], bool]) -> None:
         """Arm handover staging: buffer frames whose job matches ``predicate``.
 

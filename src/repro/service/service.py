@@ -19,7 +19,6 @@ Snapshot/restore for crash recovery lives in :mod:`repro.service.snapshot`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher
 from repro.service.session import JobSession, SessionConfig
 from repro.trace.columns import FlushColumns
-from repro.trace.framing import FlushFrame, FrameReader, compact_spool
+from repro.trace.framing import FlushFrame, FrameReader, RawFrame, inode_of, spool_generations
 from repro.trace.jsonl import FlushRecord
 
 
@@ -54,10 +53,6 @@ class ServiceConfig:
         Wire-level tenant/auth nibble (0..15).  When set, every ingested FTS1
         frame must carry it and every control-plane peer must present it in
         its :class:`~repro.service.protocol.Hello`.
-    auto_compact:
-        Compact every tailed spool after a successful snapshot, dropping the
-        prefix the snapshot already covers (see
-        :meth:`PredictionService.compact_spools`).
     auto_revive:
         Sharded deployments only: :meth:`~repro.service.sharding.
         ShardedService.pump` transparently revives a crashed shard from the
@@ -91,7 +86,6 @@ class ServiceConfig:
     session: SessionConfig = field(default_factory=SessionConfig)
     ring_bytes: int = 1 << 20
     token: int | None = None
-    auto_compact: bool = False
     auto_revive: bool = False
     revive_budget: int = 3
     metrics: bool = True
@@ -105,26 +99,59 @@ def tail_positions(tails: dict[Path, FrameReader]) -> dict[str, dict]:
     return {str(path): reader.position for path, reader in tails.items()}
 
 
-def compact_tails(tails: dict[Path, FrameReader]) -> dict[str, int]:
-    """Compact every tailed spool up to its reader's consumed position.
+def tail_marks(tails: dict[Path, FrameReader]) -> dict[Path, tuple[dict, int]]:
+    """What a checkpoint records of every tailed spool: the reader's
+    rotation-proof position and the number of frames it had read."""
+    return {path: (reader.position, reader.frames_read) for path, reader in tails.items()}
 
-    Shared by the single-process and sharded engines so the compaction
-    protocol (live-generation guard, reader rebase) can never diverge
-    between them.  Returns the bytes removed per spool path.
+
+def retire_generations(marks: dict[Path, tuple[dict, int]]) -> dict[str, list[Path]]:
+    """Unlink the rotated spool generations a checkpoint has made redundant.
+
+    The one rule by which both engines' ``compact_spools()`` shrink a spool.
+    ``marks`` is :func:`tail_marks` as recorded at the engine's last
+    ``snapshot_state()``.  A rotated generation older than the one holding a
+    spool's recorded position was consumed before that snapshot, and no
+    replay starts before it, so it is unlinked whole.  Before the first
+    snapshot ``marks`` is empty and nothing is unlinked.  The live file is
+    never rewritten or truncated: a producer may still be appending to it.
+    Returns the unlinked generations per spool path.
     """
-    removed: dict[str, int] = {}
-    for path, reader in tails.items():
-        position = reader.position
-        up_to = int(position["offset"])
-        if up_to <= 0 or not path.exists():
-            continue
-        if position["inode"] != os.stat(path).st_ino:
-            continue
-        dropped = compact_spool(path, up_to=up_to)
-        if dropped:
-            reader.rebase(dropped)
-            removed[str(path)] = dropped
-    return removed
+    retired: dict[str, list[Path]] = {}
+    for path, (position, _) in marks.items():
+        generations = [generation for _, generation in spool_generations(path)]
+        inodes = [inode_of(generation) for generation in generations]
+        if position["inode"] in inodes:
+            older = generations[: inodes.index(position["inode"])]
+        elif position["inode"] is not None and position["inode"] == inode_of(path):
+            older = generations
+        else:
+            continue  # nothing read yet, or the file is gone: keep everything
+        for generation in older:
+            generation.unlink(missing_ok=True)
+        if older:
+            retired[str(path)] = older
+    return retired
+
+
+def replay_since(
+    path: Path,
+    mark: tuple[dict, int] | None,
+    tail: FrameReader,
+    *,
+    expected_token: int | None = None,
+) -> list[RawFrame]:
+    """The frames ``tail`` has read since the checkpoint ``mark``, read again.
+
+    The replay starts at the mark's position (the oldest retained frame
+    without a mark) and stops after as many frames as the tail has read
+    since.  A frame count holds however often the spool rotated in between;
+    frames past the tail's consumed mark reach the engine through its next
+    poll, so none is delivered twice.
+    """
+    position, frames_then = mark if mark is not None else (None, 0)
+    reader = FrameReader(path, position=position, expected_token=expected_token, raw=True)
+    return reader.poll()[: max(0, tail.frames_read - frames_then)]
 
 
 class PredictionService:
@@ -147,6 +174,7 @@ class PredictionService:
             journal=self.journal,
         )
         self._tails: dict[Path, FrameReader] = {}
+        self._snapshot_marks: dict[Path, tuple[dict, int]] = {}
         self.dispatcher = DetectionDispatcher(
             self.broker,
             sink=self._on_detection,
@@ -193,9 +221,9 @@ class PredictionService:
         """Tail a framed spool file from its oldest retained frame; each
         ``poll()`` ingests the new frames.
 
-        The reader is remembered so snapshot-driven spool compaction
-        (:meth:`compact_spools`, ``ServiceConfig.auto_compact``) knows how far
-        each spool has been consumed.
+        The reader is remembered so each :meth:`snapshot_state` records how
+        far the spool has been consumed, the mark :meth:`compact_spools`
+        retires generations up to.
         """
         reader = self.broker.tail(path)
         self._tails[Path(path)] = reader
@@ -205,15 +233,13 @@ class PredictionService:
         """Rotation-proof resume point of every tailed spool (by path)."""
         return tail_positions(self._tails)
 
-    def compact_spools(self) -> dict[str, int]:
-        """Compact every tailed spool up to its reader's consumed position.
+    def compact_spools(self) -> dict[str, list[Path]]:
+        """Unlink the rotated spool generations the last :meth:`snapshot_state`
+        covers (:func:`retire_generations`); returns them per spool path.
 
-        Only the live generation the reader is actually positioned in is
-        compacted (a reader still catching up on a rotated-away generation is
-        left alone), and the reader is rebased so tailing continues
-        seamlessly.  Returns the bytes removed per spool path.
+        Call it after a snapshot.  The live spool file is never touched.
         """
-        return compact_tails(self._tails)
+        return retire_generations(self._snapshot_marks)
 
     def finish_job(self, job: str) -> None:
         """Mark a job finished: pending data is still evaluated, then idle.
@@ -272,17 +298,14 @@ class PredictionService:
     def snapshot_state(self) -> dict:
         """Capture the full service state (see :mod:`repro.service.snapshot`).
 
-        With ``ServiceConfig.auto_compact`` set, every tailed spool is
-        compacted up to the position this snapshot covers right after the
-        capture — the snapshot plus the remaining spool tail is always a
-        complete recovery recipe, and spools stop growing without bound.
+        Each tailed spool's consumed position is recorded with it: the
+        snapshot plus the spool from there on is a complete recovery recipe,
+        and :meth:`compact_spools` may unlink the generations before it.
         """
         from repro.service.snapshot import snapshot_state
 
-        state = snapshot_state(self)
-        if self.config.auto_compact:
-            self.compact_spools()
-        return state
+        self._snapshot_marks = tail_marks(self._tails)
+        return snapshot_state(self)
 
     def restore_state(self, state: dict) -> PredictionService:
         """Load a snapshot into this running service (see

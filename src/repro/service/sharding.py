@@ -36,7 +36,7 @@ from repro.service.dispatcher import DispatcherStats
 from repro.service.migration import Migrator
 from repro.service.publisher import PredictionPublisher, PredictionUpdate
 from repro.service.ring import HashRing
-from repro.service.service import ServiceConfig, compact_tails, tail_positions
+from repro.service.service import ServiceConfig, retire_generations, tail_positions
 from repro.service.snapshot import (
     check_snapshot_version,
     merge_states,
@@ -150,9 +150,9 @@ class ShardedService:
         The checkpoint is the last :meth:`snapshot_state` or
         :meth:`restore_state`.  The replacement shard gets the sessions it
         owns in that snapshot, then every tailed spool is replayed from the
-        position recorded with it up to the tail's consumed mark — **only**
-        the frames the revived shard owns (surviving shards already consumed
-        theirs), pumping after every frame so each replayed flush is
+        mark recorded with it, as many frames as the tail has routed since —
+        **only** the frames the revived shard owns (surviving shards already
+        consumed theirs), pumping after every frame so each replayed flush is
         evaluated at its own timestamp, the cadence a flush-by-flush live run
         takes.  ``ServiceConfig.auto_revive`` runs this same revive by itself.
         """
@@ -228,16 +228,15 @@ class ShardedService:
         ``poll()`` routes the new frames.
 
         The reader runs in raw (header-only) mode and follows spool rotation.
-        It is remembered so checkpoints record its position (a revive
-        replays from there) and ``auto_compact`` can drop the consumed
-        prefix.
+        It is remembered so each checkpoint records its mark (position and
+        frames read): a revive replays from there, and :meth:`compact_spools`
+        retires the generations before it.
 
         With ``ServiceConfig.auto_revive``, a dead shard discovered while
-        routing is revived in place.  The revival replay reads the spool from
-        the checkpoint position to the tail's consumed mark — the end of the
-        current poll batch — so it already delivers every frame of the batch
-        the revived shard owns; those frames are therefore skipped (not
-        double-sent) for the rest of the batch.
+        routing is revived in place.  The revival replay delivers every frame
+        the tail has read since the checkpoint — the current poll batch
+        included — so the batch's frames the revived shard owns are skipped
+        (not double-sent) for the rest of the batch.
         """
 
         def route(frames: list[RawFrame]) -> None:
@@ -260,9 +259,11 @@ class ShardedService:
         """Rotation-proof resume point of every tailed spool (by path)."""
         return tail_positions(self._supervisor.tails)
 
-    def compact_spools(self) -> dict[str, int]:
-        """Compact every tailed spool up to its reader's consumed position."""
-        return compact_tails(self._supervisor.tails)
+    def compact_spools(self) -> dict[str, list[Path]]:
+        """Unlink the rotated spool generations the last checkpoint covers
+        (:func:`~repro.service.service.retire_generations`); returns them per
+        spool path.  The live spool file is never touched."""
+        return retire_generations(self._supervisor.snapshot_marks)
 
     # ------------------------------------------------------------------ #
     # control plane: pump / drain every shard in parallel
@@ -590,10 +591,9 @@ class ShardedService:
 
         The result round-trips through :func:`repro.service.snapshot.
         restore_state` (one big service) and :meth:`restore_state` (any shard
-        count) alike.  The snapshot (plus each tailed spool's position) is
-        remembered as the checkpoint every revive starts from, and with
-        ``ServiceConfig.auto_compact`` every tailed spool is compacted up to
-        the position this snapshot covers.
+        count) alike.  The snapshot (plus each tailed spool's mark) is
+        remembered as the checkpoint every revive starts from and
+        :meth:`compact_spools` retires spool generations up to.
         """
         states = self._supervisor.broadcast(
             lambda shard: proto.Snapshot(expected_bytes=shard.bytes_sent),

@@ -181,8 +181,9 @@ def save_snapshot(service: PredictionService | ShardedService, path: str | Path)
     Goes through the service's :meth:`~repro.service.service.
     PredictionService.snapshot_state` method (rather than the bare
     :func:`snapshot_state` capture), so a single-process *or sharded* service
-    can be saved, and the post-snapshot hooks — spool auto-compaction, the
-    auto-revive recovery point — fire exactly as for an in-memory snapshot.
+    can be saved, and the checkpoint it records — the spool marks
+    ``compact_spools()`` retires up to, the sharded revive's recovery point —
+    is taken exactly as for an in-memory snapshot.
     """
     path = Path(path)
     path.write_bytes(packb(service.snapshot_state()))

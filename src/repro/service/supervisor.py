@@ -64,12 +64,12 @@ from repro.obs import MetricRegistry, SpanJournal
 from repro.service import protocol as proto
 from repro.service.publisher import PredictionPublisher
 from repro.service.ring import HashRing
-from repro.service.service import ServiceConfig, compact_tails
+from repro.service.service import ServiceConfig, replay_since, tail_marks
 from repro.service.shard_worker import shard_main
 from repro.service.shm_ring import ShmRingWriter
 from repro.service.snapshot import split_state, state_jobs
 from repro.service.transport import Channel, ShardListener, config_to_wire, wait_readable
-from repro.trace.framing import FrameReader, RawFrame, spool_generations
+from repro.trace.framing import FrameReader, RawFrame
 
 R = TypeVar("R", bound=proto.Message)
 
@@ -336,7 +336,8 @@ class ShardSupervisor:
         self.tails: dict[Path, FrameReader] = {}
         self.last_snapshot: dict | None = None
         self.auto_revives = 0
-        self._snapshot_positions: dict[Path, dict] = {}
+        #: :func:`~repro.service.service.tail_marks` at the last checkpoint.
+        self.snapshot_marks: dict[Path, tuple[dict, int]] = {}
         self._publisher = publisher
         self._replay = replay
         self._ctx = multiprocessing.get_context(start_method)
@@ -742,23 +743,10 @@ class ShardSupervisor:
     # recovery: checkpoint, revive, spool replay
     # ------------------------------------------------------------------ #
     def checkpoint(self, merged: dict) -> None:
-        """Remember ``merged`` (a snapshot of every shard, plus each tailed
-        spool's position) as the recovery point; ``auto_compact`` spools."""
+        """Remember ``merged`` (a snapshot of every shard) and each tailed
+        spool's mark as the recovery point."""
         self.last_snapshot = merged
-        self._snapshot_positions = {
-            path: reader.position for path, reader in self.tails.items()
-        }
-        if self.config.auto_compact:
-            compacted = compact_tails(self.tails)
-            # Compaction rewrote the spools under new inodes; re-anchor the
-            # recorded positions on the compacted files (whose byte 0 is
-            # exactly the first post-snapshot byte of each compacted spool).
-            for path, reader in self.tails.items():
-                if str(path) in compacted and path.exists():
-                    self._snapshot_positions[path] = {
-                        "inode": os.stat(path).st_ino,
-                        "offset": reader.position["offset"],
-                    }
+        self.snapshot_marks = tail_marks(self.tails)
 
     def revive(self, index: int) -> int:
         """Respawn dead shard ``index`` from the recovery point.
@@ -767,10 +755,11 @@ class ShardSupervisor:
         a checkpoint was taken), the router's publisher merges the same part
         (surviving shards have published past the snapshot; only the revived
         shard's jobs roll back to it), and every tailed spool is replayed
-        from the position recorded at the checkpoint — only the frames the
-        revived shard owns.  The replay stops at the tail's consumed mark:
-        frames past it have not been routed yet and arrive through the next
-        poll, so none is ingested twice.  Returns the frames replayed.
+        from its checkpoint mark — only the frames the revived shard owns.
+        The replay stops after the frames the tail has routed since
+        (:func:`~repro.service.service.replay_since`): frames past it arrive
+        through the next poll, so none is ingested twice.  Returns the frames
+        replayed.
         """
         if self.shards[index].alive:
             raise ServiceError(f"shard {index} is still alive; refusing to revive it")
@@ -783,26 +772,8 @@ class ShardSupervisor:
             self._publisher.merge_state_dict(restored["publisher"])
         replayed = 0
         for path, tail in self.tails.items():
-            start = self._snapshot_positions.get(path)
-            consumed = tail.position
-            # The replay's byte budget runs from the checkpoint to the tail's
-            # consumed mark (every frame counts, owned or not).  It is only
-            # meaningful within one spool generation; a rotation in between
-            # falls back to replay-to-EOF.
-            budget: int | None = None
-            if (
-                consumed["inode"] is not None
-                and (start is None or start["inode"] == consumed["inode"])
-                and not spool_generations(path)
-            ):
-                start_offset = 0 if start is None else int(start["offset"])
-                budget = max(0, int(consumed["offset"]) - start_offset)
-            reader = FrameReader(path, position=start, expected_token=self.config.token, raw=True)
-            for raw in reader.poll():
-                if budget is not None:
-                    if len(raw.data) > budget:
-                        break
-                    budget -= len(raw.data)
+            mark = self.snapshot_marks.get(path)
+            for raw in replay_since(path, mark, tail, expected_token=self.config.token):
                 if self.ring.shard_for(raw.job) == index:
                     self._replay(index, raw)
                     replayed += 1

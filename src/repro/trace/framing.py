@@ -46,12 +46,17 @@ keeps a flush in.  Frames are self-contained and
 append-only: a reader positioned at a frame boundary never needs to rewind,
 and a partially written final frame (crash, in-flight flush) simply stays
 buffered until the missing bytes arrive.
+
+A spool file is never rewritten.  It is split and bounded one way:
+:class:`FrameWriter` rotation closes a generation (``<path>.<n>``) at a frame
+boundary, and a consumer that has checkpointed past a closed generation
+unlinks it whole (``compact_spools()`` on the prediction engines).  The live
+file a producer appends to is only ever appended to.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import struct
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -416,6 +421,14 @@ class FrameSplitter(_FrameBuffer):
         return list(self.raw_frames())
 
 
+def inode_of(path: Path) -> int | None:
+    """The inode ``path`` names now, or ``None`` if nothing is there."""
+    try:
+        return os.stat(path).st_ino
+    except FileNotFoundError:
+        return None
+
+
 def spool_generations(path: Path) -> list[tuple[int, Path]]:
     """Rotated-away files ``<path>.<n>`` of a spool, oldest (smallest n) first."""
     prefix = path.name + "."
@@ -440,6 +453,8 @@ class FrameWriter:
     and with ``max_bytes`` set the writer rotates automatically before the
     append that would cross the limit (rotation therefore always happens at a
     frame boundary — a frame is never split across spool generations).
+    Nothing here deletes a generation; the consumer that has checkpointed
+    past one does.
     """
 
     def __init__(
@@ -486,11 +501,6 @@ class FrameWriter:
     def rotations(self) -> int:
         """Highest generation number so far (counts pre-existing rotations)."""
         return self._rotations
-
-    @property
-    def current_file_bytes(self) -> int:
-        """Size of the current spool generation in bytes."""
-        return self._current_file_bytes
 
     def rotate(self) -> Path | None:
         """Rotate the spool: rename it to ``<path>.<n>`` and start fresh.
@@ -601,9 +611,20 @@ class FrameReader:
         self._sink = sink
         self._handle: BinaryIO | None = None
         self._inode: int | None = None
-        self._opened_once = False
         self._resyncs = 0
         self._skipped_bytes = 0
+        self._frames_read = 0
+
+    @property
+    def frames_read(self) -> int:
+        """Complete frames :meth:`poll` has returned so far.
+
+        Unlike a byte offset, a frame count holds across spool generations:
+        the frames a tail read since a checkpoint are the first
+        ``frames_read - frames_read_then`` frames from the checkpoint's
+        :attr:`position`, however often the spool rotated in between.
+        """
+        return self._frames_read
 
     @property
     def position(self) -> dict:
@@ -630,30 +651,7 @@ class FrameReader:
         """Total bytes discarded by resyncs."""
         return self._skipped_bytes
 
-    def rebase(self, removed_bytes: int) -> None:
-        """Adjust for :func:`compact_spool` dropping ``removed_bytes`` of prefix.
-
-        The compacted file is a new inode holding ``old[removed_bytes:]``; the
-        reader's consumed offset shifts down accordingly and the handle is
-        reopened on the next poll.
-        """
-        self._offset = max(0, self._offset - int(removed_bytes))
-        self._close_handle()
-
     # ------------------------------------------------------------------ #
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._inode = None
-
-    @staticmethod
-    def _inode_of(path: Path) -> int | None:
-        try:
-            return os.stat(path).st_ino
-        except FileNotFoundError:
-            return None
-
     def _open(self, path: Path) -> bool:
         try:
             handle = path.open("rb")
@@ -671,29 +669,26 @@ class FrameReader:
             wanted = self._start_inode
             self._start_inode = None
             for candidate in [self._path] + [p for _, p in spool_generations(self._path)]:
-                if self._inode_of(candidate) == wanted and self._open(candidate):
+                if inode_of(candidate) == wanted and self._open(candidate):
                     return True
-            # The recorded generation is gone (compacted/deleted): the resume
+            # The recorded generation is gone (deleted): the resume
             # point cannot be honoured byte-exactly — start over, counted.
             self._resync()
             self._offset = 0
-        if self._offset == 0 and not self._opened_once:
+        if self._offset == 0:
             # A from-the-beginning tail means *all* retained data: start at
             # the oldest rotated generation, then chase forward to the live
             # file.  (A non-zero offset refers to the live file.)
             for _, generation in spool_generations(self._path):
                 if self._open(generation):
-                    self._opened_once = True
                     return True
-        opened = self._open(self._path)
-        self._opened_once = self._opened_once or opened
-        return opened
+        return self._open(self._path)
 
-    def _next_after_current(self) -> Path | None:
+    def _next_after_current(self) -> Path:
         """The file to read after the (rotated-away) current handle."""
         generations = spool_generations(self._path)
         for position, (_, candidate) in enumerate(generations):
-            if self._inode_of(candidate) == self._inode:
+            if inode_of(candidate) == self._inode:
                 if position + 1 < len(generations):
                     return generations[position + 1][1]
                 return self._path
@@ -724,6 +719,7 @@ class FrameReader:
         try:
             self._read_generations(frames)
         finally:
+            self._frames_read += len(frames)
             if frames and self._sink is not None:
                 self._sink(frames)
         return frames
@@ -743,49 +739,19 @@ class FrameReader:
                 self._offset = 0
             self._decoder.feed(self._read_new_bytes())
             frames.extend(self._completed())
-            if self._inode_of(self._path) == self._inode:
+            if inode_of(self._path) == self._inode:
                 break
             # Rotated away: the current generation was fully drained above.
             # A torn trailing frame can never be completed now — resync, then
             # chase the next generation (or the live file).
             self._resync()
-            next_path = self._next_after_current()
-            self._close_handle()
-            self._offset = 0
-            if next_path is None or not self._open(next_path):  # pragma: no cover
+            drained = self._handle
+            if not self._open(self._next_after_current()):
+                # The next file does not exist yet: stay at the end of the
+                # drained generation, where the next poll resumes the chase.
                 break
-
-
-def compact_spool(path: str | Path, *, up_to: int) -> int:
-    """Drop the consumed prefix ``[0, up_to)`` of a spool file.
-
-    Long-running spools grow without bound even though every consumer is far
-    past the beginning; compaction rewrites the file (atomically, via a
-    temporary file and :func:`os.replace`) keeping only the bytes from
-    ``up_to`` on.  ``up_to`` must be a frame boundary of frames every consumer
-    has consumed — typically the ``offset`` of a reader's
-    :attr:`FrameReader.position` recorded in a snapshot.  Live readers must be
-    told via :meth:`FrameReader.rebase`.
-
-    Returns the number of bytes removed.
-    """
-    path = Path(path)
-    up_to = int(up_to)
-    if up_to < 0:
-        raise TraceFormatError(f"compaction offset must be >= 0, got {up_to}")
-    if up_to == 0 or not path.exists():
-        return 0
-    size = path.stat().st_size
-    if up_to > size:
-        raise TraceFormatError(f"compaction offset {up_to} lies beyond the spool size {size}")
-    tmp = path.with_name(path.name + ".compact-tmp")
-    # Stream the retained tail: compaction exists because spools get large,
-    # so it must not materialize the whole file in memory.
-    with path.open("rb") as source, tmp.open("wb") as target:
-        source.seek(up_to)
-        shutil.copyfileobj(source, target, 1 << 20)
-    os.replace(tmp, path)
-    return up_to
+            drained.close()
+            self._offset = 0
 
 
 def iter_frames(path: str | Path, *, expected_token: int | None = None) -> Iterator[FlushFrame]:

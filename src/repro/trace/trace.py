@@ -318,25 +318,22 @@ class Trace:
 def merge_traces(traces: Iterable[Trace], *, metadata: dict | None = None) -> Trace:
     """Merge several traces (e.g. per-rank or per-flush traces) into one.
 
-    The merged trace is re-sorted by request start time; ground truth is kept
-    only if exactly one of the inputs carries it (merging ground truths from
-    different applications would be meaningless).
+    The rows are concatenated and sorted as :meth:`Trace.from_columns` sorts
+    any trace, by (start, end, rank); ground truth is kept only if exactly one
+    of the inputs carries it (merging ground truths from different
+    applications would be meaningless).
     """
     traces = list(traces)
     if not traces:
         return Trace.empty()
     ground_truths = [t.ground_truth for t in traces if t.ground_truth is not None]
-    gt = ground_truths[0] if len(ground_truths) == 1 else None
-    starts = np.concatenate([t.starts for t in traces])
-    order = np.argsort(starts, kind="stable")
-    merged = Trace(
-        starts=starts[order],
-        ends=np.concatenate([t.ends for t in traces])[order],
-        nbytes=np.concatenate([t.nbytes for t in traces])[order],
-        ranks=np.concatenate([t.ranks for t in traces])[order],
-        kinds=np.concatenate([t.kinds for t in traces])[order],
-        ground_truth=gt,
-        metadata=dict(metadata or {}),
+    return Trace.from_columns(
+        np.concatenate([t.starts for t in traces]),
+        np.concatenate([t.ends for t in traces]),
+        np.concatenate([t.nbytes for t in traces]),
+        np.concatenate([t.ranks for t in traces]),
+        np.concatenate([t.kinds for t in traces]),
+        ground_truth=ground_truths[0] if len(ground_truths) == 1 else None,
+        metadata=metadata,
     )
-    return merged
 

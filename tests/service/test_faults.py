@@ -2,9 +2,9 @@
 
 Everything here is about the service misbehaving-resistant paths: a writer
 rotating the spool under a live tailer, a crash leaving a torn frame at a
-rotation boundary, compaction shifting offsets, kill -9'd shards surfacing
-as :class:`ShardCrashedError` instead of hangs, and the wire-level tenant
-token rejecting misdirected streams.
+rotation boundary, kill -9'd shards surfacing as :class:`ShardCrashedError`
+instead of hangs, and the wire-level tenant token rejecting misdirected
+streams.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.service.snapshot import SNAPSHOT_VERSION
 from repro.trace.framing import (
     FrameReader,
     FrameWriter,
-    compact_spool,
     encode_frame,
     iter_frames,
 )
@@ -137,6 +136,26 @@ class TestSpoolRotation:
         assert [f.flush.flush_index for f in reader.poll()] == list(range(4, 12))
         assert reader.resyncs == 0
 
+    def test_reader_resumes_the_chase_when_the_live_file_is_late(self, tmp_path):
+        """A poll that drains a rotated generation before the writer has
+        created the next live file must stay there: the generations rotated
+        before the next poll are chased from it, and its position still names
+        the drained generation (a checkpoint taken there replays from it)."""
+        spool = tmp_path / "spool.fts"
+        writer = FrameWriter(spool, job="a")
+        reader = FrameReader(spool)
+        writer.write(make_flush(0))
+        writer.rotate()
+        assert [f.flush.flush_index for f in reader.poll()] == [0]
+        checkpoint = reader.position
+        assert checkpoint["inode"] == spool.with_name("spool.fts.1").stat().st_ino
+        writer.write(make_flush(1))
+        writer.rotate()
+        writer.write(make_flush(2))
+        assert [f.flush.flush_index for f in reader.poll()] == [1, 2]
+        resumed = FrameReader(spool, position=checkpoint)
+        assert [f.flush.flush_index for f in resumed.poll()] == [1, 2]
+
     def test_position_resume_survives_rotation(self, tmp_path):
         """A snapshot records the reader's (inode, offset); a reader resumed
         from it after rotations replays exactly the unseen frames."""
@@ -223,43 +242,6 @@ class TestSpoolRotation:
             writer.rotate()
         with pytest.raises(TraceFormatError):
             FrameWriter(io.BytesIO(), job="a", max_bytes=100)
-
-
-class TestSpoolCompaction:
-    def test_compaction_drops_prefix_and_reader_rebases(self, tmp_path):
-        spool = tmp_path / "spool.fts"
-        writer = FrameWriter(spool, job="a")
-        reader = FrameReader(spool)
-        for i in range(4):
-            writer.write(make_flush(i))
-        assert len(reader.poll()) == 4
-        consumed = reader.position["offset"]
-        removed = compact_spool(spool, up_to=consumed)
-        assert removed == consumed
-        assert spool.stat().st_size == 0
-        reader.rebase(removed)
-        writer.write(make_flush(4))
-        assert [f.flush.flush_index for f in reader.poll()] == [4]
-        # The compacted file is still a valid spool.
-        assert [f.flush.flush_index for f in iter_frames(spool)] == [4]
-
-    def test_partial_compaction_keeps_unconsumed_tail(self, tmp_path):
-        spool = tmp_path / "spool.fts"
-        writer = FrameWriter(spool, job="a")
-        sizes = [writer.write(make_flush(i)) for i in range(3)]
-        removed = compact_spool(spool, up_to=sizes[0])
-        assert removed == sizes[0]
-        assert [f.flush.flush_index for f in iter_frames(spool)] == [1, 2]
-
-    def test_compaction_validates_offsets(self, tmp_path):
-        spool = tmp_path / "spool.fts"
-        FrameWriter(spool, job="a").write(make_flush(0))
-        assert compact_spool(spool, up_to=0) == 0
-        with pytest.raises(TraceFormatError):
-            compact_spool(spool, up_to=-1)
-        with pytest.raises(TraceFormatError):
-            compact_spool(spool, up_to=10**9)
-        assert compact_spool(tmp_path / "missing.fts", up_to=100) == 0
 
 
 class TestShardFaults:

@@ -1,12 +1,16 @@
-"""Supervision features: snapshot-driven spool compaction and shard auto-revive.
+"""Supervision features: spool retirement and shard revive.
 
-Both features are pure composition of proven pieces — ``compact_spool`` +
-reader rebasing, and ``revive_shard`` + snapshot/spool replay — so the tests
-assert the same end state as the manual paths: every published update and the
-final state bit-identical to a run without compaction / without a crash.
+A spool is bounded one way: ``FrameWriter(max_bytes=)`` rotation closes
+generations, and ``compact_spools()`` unlinks the whole ones behind the last
+checkpoint — never the live file a producer appends to.  A revive restores
+the checkpoint and replays, by frame count, exactly the frames the tail
+routed since.  Every test holds a run to one without compaction or without
+a crash: every published update and the final state bit-identical.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -18,7 +22,7 @@ from repro.service import (
     SessionConfig,
     ShardedService,
 )
-from repro.trace.framing import FrameWriter
+from repro.trace.framing import FrameWriter, encode_frame, spool_generations
 from repro.workloads import synthetic_flush_streams
 from tests.service.conftest import UpdateLedger, sessions_by_job
 
@@ -34,83 +38,99 @@ def session_config():
     )
 
 
-class TestAutoCompaction:
-    def _run(self, tmp_path, session_config, *, auto_compact: bool) -> dict:
+def frame_bytes(streams: dict) -> int:
+    """The largest frame any flush of ``streams`` encodes to."""
+    return max(
+        len(encode_frame(flush, job=job)) for job, flushes in streams.items() for flush in flushes
+    )
+
+
+class TestSpoolRetirement:
+    def _run(self, tmp_path, session_config, *, compact: bool) -> dict:
         streams = synthetic_flush_streams(4, flushes_per_job=8, seed=3)
-        n_rounds = max(len(flushes) for flushes in streams.values())
-        spool = tmp_path / f"spool-{auto_compact}.fts"
-        writer = FrameWriter(spool)
-        service = PredictionService(
-            ServiceConfig(session=session_config, auto_compact=auto_compact)
-        )
+        spool = tmp_path / f"spool-{compact}.fts"
+        writer = FrameWriter(spool, max_bytes=4 * frame_bytes(streams))
+        service = PredictionService(ServiceConfig(session=session_config))
         ledger = UpdateLedger(service.publisher)
-        reader = service.tail_file(spool)
-        compactions = []
-        for round_index in range(n_rounds):
+        tail = service.tail_file(spool)
+        retired: list = []
+        for round_index in range(8):
             for job, flushes in streams.items():
                 writer.write(flushes[round_index], job=job)
-            reader.poll()
+            tail.poll()
             service.pump()
-            if round_index == n_rounds // 2:
-                size_before = spool.stat().st_size
+            if compact and round_index == 2:
+                assert service.compact_spools() == {}, "no snapshot yet: nothing goes"
+            if round_index == 4:
                 service.snapshot_state()
-                compactions.append((size_before, spool.stat().st_size))
+                checkpoint = tail.position
+                if compact:
+                    live = spool.read_bytes()
+                    retired = service.compact_spools().get(str(spool), [])
+                    assert spool.read_bytes() == live, "the live file is never rewritten"
+                    kept = [os.stat(path).st_ino for _, path in spool_generations(spool)]
+                    assert checkpoint["inode"] in kept + [os.stat(spool).st_ino]
         service.drain()
         state = service.snapshot_state()
-        stats = service.stats()
         service.close()
-        return {
-            "state": state,
-            "stats": stats,
-            "compactions": compactions,
-            "spool_size": spool.stat().st_size,
-            "ledger": ledger,
-        }
+        return {"state": state, "ledger": ledger, "retired": retired}
 
-    def test_snapshot_compacts_spool_and_changes_nothing_else(self, tmp_path, session_config):
-        compacted = self._run(tmp_path, session_config, auto_compact=True)
-        control = self._run(tmp_path, session_config, auto_compact=False)
-
-        # The mid-run snapshot dropped the fully consumed prefix...
-        (before, after), = compacted["compactions"]
-        assert before > 0 and after == 0, "a fully consumed spool compacts to empty"
-        # ... the final snapshot compacted again, so the spool holds only the
-        # bytes appended after it (nothing, since we snapshot post-drain) ...
-        assert compacted["spool_size"] == 0
-        assert control["spool_size"] > 0
-        # ... and every prediction and counter is untouched by compaction.
-        # (The latency percentiles are wall-clock measurements — identical in
-        # shape, never in value, across two runs — so compare around them.)
-        def counters(stats: dict) -> dict:
-            return {k: v for k, v in stats.items() if not k.endswith("_seconds")}
-
-        assert counters(compacted["stats"]) == counters(control["stats"])
+    def test_retires_whole_generations_behind_the_checkpoint(self, tmp_path, session_config):
+        compacted = self._run(tmp_path, session_config, compact=True)
+        control = self._run(tmp_path, session_config, compact=False)
+        assert compacted["retired"], "20 frames in 4-frame generations leave some behind"
+        assert not any(path.exists() for path in compacted["retired"])
         assert sessions_by_job(compacted["state"]) == sessions_by_job(control["state"])
         assert compacted["state"]["publisher"] == control["state"]["publisher"]
         compacted["ledger"].assert_matches(control["ledger"])
 
-    def test_compaction_keeps_unconsumed_tail(self, tmp_path, session_config):
-        streams = synthetic_flush_streams(2, flushes_per_job=4, seed=5)
-        spool = tmp_path / "tail.fts"
-        writer = FrameWriter(spool)
-        service = PredictionService(
-            ServiceConfig(session=session_config, auto_compact=True)
-        )
-        reader = service.tail_file(spool)
-        for job, flushes in streams.items():
-            writer.write(flushes[0], job=job)
-        reader.poll()
-        service.pump()
-        # Frames appended but not yet polled must survive the compaction.
-        pending = sum(
-            writer.write(flushes[1], job=job) for job, flushes in streams.items()
-        )
+    @pytest.mark.parametrize("producer", ["reopens", "keeps-handle"])
+    def test_compaction_under_a_live_producer_loses_nothing(
+        self, tmp_path, session_config, monkeypatch, producer
+    ):
+        """A producer appends while ``compact_spools()`` runs (``reopens``:
+        inside the call's ``os.replace``, if it makes one) or after it
+        through a handle it opened before (``keeps-handle``); the tail must
+        still read every frame."""
+        streams = synthetic_flush_streams(1, flushes_per_job=6, seed=7)
+        (job, flushes), = streams.items()
+        spool = tmp_path / "live.fts"
+        handle = spool.open("ab")
+
+        def write(index: int) -> None:
+            if producer == "keeps-handle":
+                handle.write(encode_frame(flushes[index], job=job))
+                handle.flush()
+            else:
+                FrameWriter(spool).write(flushes[index], job=job)
+
+        service = PredictionService(ServiceConfig(session=session_config))
+        tail = service.tail_file(spool)
+        read = []
+        for index in range(3):
+            write(index)
+        read += [frame.flush.flush_index for frame in tail.poll()]
         service.snapshot_state()
-        assert spool.stat().st_size == pending
-        assert reader.poll(), "the retained tail is still ingestible"
-        service.pump()
-        assert service.stats()["flushes"] == 4
+        write(3)  # appended, not yet polled
+
+        raced = []
+        real_replace = os.replace
+
+        def racing_replace(source, target):
+            if not raced:
+                raced.append(write(4))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        service.compact_spools()
+        monkeypatch.undo()
+        if not raced:
+            write(4)
+        write(5)
+        read += [frame.flush.flush_index for frame in tail.poll()]
+        handle.close()
         service.close()
+        assert read == [flush.flush_index for flush in flushes]
 
 
 class TestAutoRevive:
@@ -252,6 +272,64 @@ class TestAutoRevive:
             assert ours[job]["ingested_flushes"] == theirs[job]["ingested_flushes"], job
             assert ours[job]["predictor"] == theirs[job]["predictor"], job
             assert ours[job]["buffer"] == theirs[job]["buffer"], job
+
+    @pytest.mark.parametrize(
+        "rotate, compact",
+        [(True, False), (False, True), (True, True)],
+        ids=["rotation", "compaction", "rotation+compaction"],
+    )
+    def test_revive_delivers_each_frame_once(self, tmp_path, session_config, rotate, compact):
+        """Checkpoint at flush 5, poll up to flush 8, write 9-11 unpolled,
+        then revive the owner of the first job: the replay carries the victim's
+        frames of flushes 6-8 and nothing else, however the spool rotated or
+        was compacted since the checkpoint."""
+        streams = synthetic_flush_streams(4, flushes_per_job=12, seed=23)
+        max_bytes = 4 * frame_bytes(streams) if rotate else None
+
+        def run(*, kill: bool) -> dict:
+            spool = tmp_path / f"once-{rotate}-{compact}-{kill}.fts"
+            writer = FrameWriter(spool, max_bytes=max_bytes)
+            service = ShardedService(2, self._config(session_config))
+            ledger = UpdateLedger(service.publisher)
+            try:
+                tail = service.tail_file(spool)
+                self._stream(service, writer, tail, streams, range(6))
+                service.snapshot_state()
+                self._stream(service, writer, tail, streams, range(6, 9))
+                for job, flushes in streams.items():
+                    for flush in flushes[9:]:
+                        writer.write(flush, job=job)
+                retired = service.compact_spools() if compact else {}
+                victim = service.shard_for(next(iter(streams)))
+                replayed = None
+                if kill:
+                    service.kill_shard(victim)
+                    replayed = service.revive_shard(victim)
+                tail.poll()
+                service.drain()
+                owned = sum(service.shard_for(job) == victim for job in streams)
+                return {
+                    "state": service.snapshot_state(),
+                    "ledger": ledger,
+                    "replayed": replayed,
+                    "expected_replay": 3 * owned,
+                    "retired": retired,
+                }
+            finally:
+                service.close()
+
+        crashed = run(kill=True)
+        clean = run(kill=False)
+        ours, theirs = sessions_by_job(crashed["state"]), sessions_by_job(clean["state"])
+        for job in streams:
+            assert ours[job]["ingested_flushes"] == theirs[job]["ingested_flushes"] == 12, job
+            assert ours[job]["predictor"] == theirs[job]["predictor"], job
+            assert ours[job]["buffer"] == theirs[job]["buffer"], job
+        crashed["ledger"].assert_matches(clean["ledger"])
+        assert crashed["replayed"] == crashed["expected_replay"]
+        # Only whole generations behind the checkpoint go; without rotation
+        # there are none, and the live file stays as it was.
+        assert bool(crashed["retired"]) == (rotate and compact)
 
     def test_revival_replays_every_tailed_spool(self, tmp_path, session_config):
         """Post-snapshot frames from *all* tailed spools must be replayed."""

@@ -177,7 +177,6 @@ class TestCompatibility:
             FrameReader,
             FrameSplitter,
             FrameWriter,
-            compact_spool,
             encode_frame,
             iter_frames,
         )

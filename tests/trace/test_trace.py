@@ -198,6 +198,17 @@ class TestMergeAndConcatenate:
         assert merged.volume == 2 * simple_trace.volume
         assert np.all(np.diff(merged.starts) >= 0)
 
+    def test_merge_sorts_ties_on_start_as_from_columns_does(self):
+        first = Trace.from_columns(
+            np.array([0.0]), np.array([2.0]), np.array([1]), np.array([0]), np.array(["write"])
+        )
+        second = Trace.from_columns(
+            np.array([0.0]), np.array([1.0]), np.array([1]), np.array([1]), np.array(["write"])
+        )
+        merged = merge_traces([first, second])
+        assert merged.ends.tolist() == [1.0, 2.0]
+        assert merged.ranks.tolist() == [1, 0]
+
     def test_merge_empty_list(self):
         assert merge_traces([]).is_empty
 
