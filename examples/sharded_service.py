@@ -33,9 +33,12 @@ TOKEN = 0xA  # wire-level tenant/auth nibble, stamped on every frame
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        run(Path(directory) / "flushes.fts")
+
+
+def run(spool: Path) -> None:
     # --- 1. eight applications share one authenticated, rotating spool ----- #
-    directory = Path(tempfile.mkdtemp())
-    spool = directory / "flushes.fts"
     writer = FrameWriter(spool, token=TOKEN, max_bytes=2_000_000)
 
     jobs = {}
@@ -56,57 +59,58 @@ def main() -> None:
 
     # --- 2. a 4-shard service tails the spool ------------------------------ #
     service = ShardedService(4, config)
-    tail = service.tail_file(spool)
-    owners = {job: service.shard_for(job) for job in jobs}
-    print("job -> shard:", ", ".join(f"{job}:{shard}" for job, shard in owners.items()))
+    try:
+        tail = service.tail_file(spool)
+        owners = {job: service.shard_for(job) for job in jobs}
+        print("job -> shard:", ", ".join(f"{job}:{shard}" for job, shard in owners.items()))
 
-    n_rounds = max(len(flushes) for _, flushes in jobs.values())
+        n_rounds = max(len(flushes) for _, flushes in jobs.values())
 
-    def stream_round(round_index: int) -> None:
-        for job, (_, flushes) in jobs.items():
-            if round_index < len(flushes):
-                writer.write(flushes[round_index], job=job)
-        tail.poll()
-        service.pump()
+        def stream_round(round_index: int) -> None:
+            for job, (_, flushes) in jobs.items():
+                if round_index < len(flushes):
+                    writer.write(flushes[round_index], job=job)
+            tail.poll()
+            service.pump()
 
-    third = n_rounds // 3
-    for round_index in range(third):
-        stream_round(round_index)
+        third = n_rounds // 3
+        for round_index in range(third):
+            stream_round(round_index)
 
-    # --- 3. checkpoint, then kill -9 a shard mid-stream -------------------- #
-    service.snapshot_state()  # also records the tail's rotation-proof position
-    retired = service.compact_spools()  # whole generations behind the checkpoint
-    print(f"\ncheckpoint taken; retired {sum(map(len, retired.values()))} rotated spool "
-          f"generations it covers")
-    for round_index in range(third, 2 * third):
-        stream_round(round_index)
+        # --- 3. checkpoint, then kill -9 a shard mid-stream ---------------- #
+        service.snapshot_state()  # also records the tail's rotation-proof position
+        retired = service.compact_spools()  # whole generations behind the checkpoint
+        print(f"\ncheckpoint taken; retired {sum(map(len, retired.values()))} rotated spool "
+              f"generations it covers")
+        for round_index in range(third, 2 * third):
+            stream_round(round_index)
 
-    victim = owners["app-0"]
-    service.kill_shard(victim)
-    print(f"\nshard {victim} kill -9'd mid-stream; dead shards: {service.dead_shards()}")
+        victim = owners["app-0"]
+        service.kill_shard(victim)
+        print(f"\nshard {victim} kill -9'd mid-stream; dead shards: {service.dead_shards()}")
 
-    replayed = service.revive_shard(victim)
-    print(f"revived shard {victim}: sessions restored from snapshot, "
-          f"{replayed} spool-tail frames replayed")
+        replayed = service.revive_shard(victim)
+        print(f"revived shard {victim}: sessions restored from snapshot, "
+              f"{replayed} spool-tail frames replayed")
 
-    for round_index in range(2 * third, n_rounds):
-        stream_round(round_index)
-    service.drain()
+        for round_index in range(2 * third, n_rounds):
+            stream_round(round_index)
+        service.drain()
 
-    # --- 4. aggregated state ----------------------------------------------- #
-    broker = service.broker_stats
-    dispatch = service.dispatcher_stats
-    print(f"\nspool: {writer.frames_written} frames, {writer.rotations} rotations; "
-          f"{broker.jobs} jobs, {broker.flushes} flushes, "
-          f"{dispatch.completed} detections, {dispatch.failures} failures\n")
-    print("job     shard  latest period [s]  (true)")
-    for job, (trace, _) in jobs.items():
-        period = service.publisher.latest_period(job)
-        true = trace.ground_truth.average_period()
-        shown = f"{period:17.2f}" if period is not None else f"{'-':>17}"
-        print(f"{job:7} {owners[job]:5d}  {shown}  ({true:.2f})")
-
-    service.close()
+        # --- 4. aggregated state ------------------------------------------- #
+        broker = service.broker_stats
+        dispatch = service.dispatcher_stats
+        print(f"\nspool: {writer.frames_written} frames, {writer.rotations} rotations; "
+              f"{broker.jobs} jobs, {broker.flushes} flushes, "
+              f"{dispatch.completed} detections, {dispatch.failures} failures\n")
+        print("job     shard  latest period [s]  (true)")
+        for job, (trace, _) in jobs.items():
+            period = service.publisher.latest_period(job)
+            true = trace.ground_truth.average_period()
+            shown = f"{period:17.2f}" if period is not None else f"{'-':>17}"
+            print(f"{job:7} {owners[job]:5d}  {shown}  ({true:.2f})")
+    finally:
+        service.close()
     print("\nall shards shut down cleanly.")
 
 

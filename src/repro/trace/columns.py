@@ -1,15 +1,16 @@
-"""Columnar flushes: one flush as five numpy columns, decoded in a single pass.
+"""Columnar flushes: one flush as five numpy columns, decoded a feed at a time.
 
 The streaming service never looks at a flush request by request: a session
 sorts the requests of a flush and appends them to its columnar window.  So the
 service's form of a flush is :class:`FlushColumns` — the scalar header fields
-plus five owned arrays in wire order — and rows (:class:`IORequest`) are only
+plus five columns in wire order — and rows (:class:`IORequest`) are only
 built when somebody asks for them.
 
-:func:`decode_flush_columns` turns an FTS1 payload (the MessagePack flush map of
-:meth:`FlushRecord.to_dict`) into a :class:`FlushColumns` without the dict, the
-:class:`FlushRecord` and the per-request objects in between.  It knows the one
-byte layout every writer in this repository produces — the *canonical* shape::
+:func:`decode_flush_payloads` turns the FTS1 payloads of a feed (each the
+MessagePack flush map of :meth:`FlushRecord.to_dict`) into :class:`FlushColumns`
+without the dict, the :class:`FlushRecord` and the per-request objects in
+between; :func:`decode_flush_columns` is a feed of one.  Both know the one byte
+layout every writer in this repository produces — the *canonical* shape::
 
     fixmap(4)  "flush_index" int  "timestamp" float64  "metadata" map
                "requests" array of
@@ -17,15 +18,30 @@ byte layout every writer in this repository produces — the *canonical* shape::
                               "bytes" int  "kind" "write" | "read"
 
 with every key a fixstr and in exactly that order, each integer in its
-narrowest width — and walks it in place with ``struct.unpack_from``.  The
-free-form ``metadata`` map goes through the generic walker
-(:func:`repro.trace.msgpack.unpack_at`).  The walk only ever *accepts*:
-whatever it cannot take — another key order, an unknown key, a ``str8`` key, an
-integer ``start``, a missing ``kind``, a value that fails validation, a
-truncated or trailing byte — sends the whole payload to the generic route
-``FlushColumns.from_record(FlushRecord.from_dict(unpackb(payload)))``, the
-oracle, so what is accepted, what is rejected and with which message are the
-oracle's by construction.
+narrowest width.  Each payload's head — up to its first request — is read
+in place with ``struct``, its free-form ``metadata`` map by the generic walker
+(:func:`repro.trace.msgpack.unpack_at`).  Its requests then take one of three
+routes:
+
+* **by layout, a batch at a time.**  A request's bytes are fixed by its kind,
+  the width of its rank and the width of its byte count — 50 layouts, the
+  table the encoder writes from.  Payloads whose requests all share one
+  layout are grouped, and a group is read through one numpy structured view
+  of that layout, checked once (every key run, a fixint below ``0x80``, a
+  uint64 within int64, ``end >= start``) and cut into per-flush slices of its
+  columns;
+* **request by request.**  A payload of mixed layouts, or one too small for a
+  batch to pay, is walked with one ``struct`` call per request
+  (:func:`_decode_canonical`), checked as it goes;
+* **the oracle.**  Whatever neither takes — another key order, an unknown
+  key, a ``str8`` key, an integer ``start``, a missing ``kind``, a value that
+  fails validation, a truncated or trailing byte — goes, whole, through
+  ``FlushColumns.from_record(FlushRecord.from_dict(unpackb(payload)))``.
+
+The fast routes only ever *accept*: a group any check rejects is decoded again
+payload by payload, and a payload the walker rejects goes to the oracle, so
+what is accepted, what is rejected and with which message are the oracle's by
+construction — one bad payload costs only itself.
 
 The canonical layout is written and read from one table: the fused key
 constants and one ``struct`` per integer width.  :func:`encode_flush_payload`
@@ -38,7 +54,7 @@ types goes whole to ``packb(flush.to_dict())``, the encoder's oracle.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -49,7 +65,7 @@ from numpy.typing import NDArray
 from repro.exceptions import TraceFormatError
 from repro.trace.jsonl import FlushRecord
 from repro.trace.msgpack import packb, unpack_at, unpackb
-from repro.trace.record import IOKind, IORequest
+from repro.trace.record import IOKind, IORequest, iter_requests
 
 #: Fixed dtype of a kind column ("write"/"read" fit comfortably).
 KIND_DTYPE = "<U8"
@@ -67,13 +83,19 @@ class SortedColumns(NamedTuple):
 
 @dataclass(eq=False)
 class FlushColumns:
-    """One flush, columnar: header fields plus five owned columns in wire order.
+    """One flush, columnar: header fields plus five columns in wire order.
 
     Interchangeable with :class:`FlushRecord` wherever the service takes a
     flush, and equal (``==``) to the record holding the same flush.  Every
     instance is valid: the constructor checks what :class:`IORequest` checks
     per request (``end >= start``, ``bytes >= 0``, ``rank >= 0``), vectorised,
-    and raises :class:`~repro.exceptions.TraceFormatError` otherwise.
+    and raises :class:`~repro.exceptions.TraceFormatError` otherwise; the
+    decoders check the same before they wrap their columns unchecked.
+
+    A decoded flush's columns may be slices of arrays shared with the other
+    flushes of its feed (read-only by convention, like every column here);
+    none aliases the payload they were read from, so a borrowed buffer — a
+    ring view — can be reclaimed as soon as the decode returns.
 
     Attributes
     ----------
@@ -110,6 +132,36 @@ class FlushColumns:
             raise TraceFormatError("request ranks must be >= 0")
 
     @classmethod
+    def _trusted(
+        cls,
+        flush_index: int,
+        timestamp: float,
+        metadata: dict,
+        starts: NDArray[np.float64],
+        ends: NDArray[np.float64],
+        nbytes: NDArray[np.int64],
+        ranks: NDArray[np.int64],
+        kinds: NDArray[np.str_],
+    ) -> FlushColumns:
+        """Wrap columns a batch decode already checked, without checking them again.
+
+        As :meth:`Trace._trusted <repro.trace.trace.Trace._trusted>`: the
+        flush takes the arrays and the dict as they are.
+        """
+        flush = object.__new__(cls)
+        flush.__dict__.update(
+            flush_index=flush_index,
+            timestamp=timestamp,
+            metadata=metadata,
+            starts=starts,
+            ends=ends,
+            nbytes=nbytes,
+            ranks=ranks,
+            kinds=kinds,
+        )
+        return flush
+
+    @classmethod
     def from_record(cls, record: FlushRecord) -> FlushColumns:
         """The columnar form of ``record`` (requests keep their order)."""
         requests = record.requests
@@ -141,16 +193,7 @@ class FlushColumns:
     @cached_property
     def requests(self) -> tuple[IORequest, ...]:
         """The flush row by row, in wire order (built on first use)."""
-        return tuple(
-            IORequest(rank=rank, start=start, end=end, nbytes=nbytes, kind=IOKind(kind))
-            for rank, start, end, nbytes, kind in zip(
-                self.ranks.tolist(),
-                self.starts.tolist(),
-                self.ends.tolist(),
-                self.nbytes.tolist(),
-                self.kinds.tolist(),
-            )
-        )
+        return tuple(iter_requests(self.ranks, self.starts, self.ends, self.nbytes, self.kinds))
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -229,14 +272,29 @@ _COUNT32 = struct.Struct(">I")
 # --------------------------------------------------------------------- #
 # the schema-specialised encoder
 # --------------------------------------------------------------------- #
+class _Reader(NamedTuple):
+    """One request layout as numpy reads it, a batch of requests at a time."""
+
+    #: The request as a record: key runs as bytes, values big-endian.
+    dtype: np.dtype
+    #: Per byte of a request, the bits the layout fixes: every key bit, and
+    #: the top bit of a fixint value (``< 0x80``) or of a uint64 value (the
+    #: int64 range).
+    mask: NDArray[np.uint8]
+    #: What those bits must read, one request's bytes.
+    fixed: bytes
+    kind: str
+
+
 def _request_layout(
     kind: IOKind, rank_width: int, bytes_width: int
-) -> tuple[Callable[..., bytes], bytes, bytes, bytes]:
+) -> tuple[Callable[..., bytes], bytes, bytes, bytes, _Reader]:
     """One request of ``kind``, its rank and byte count in the given widths.
 
-    Returns the request's ``struct`` pack and the three key runs that differ
-    by width and kind: ``"rank"`` and ``"bytes"`` with the type code of their
-    value fused on, ``"kind"`` with its value.
+    Returns the request's ``struct`` pack, the three key runs that differ by
+    width and kind — ``"rank"`` and ``"bytes"`` with the type code of their
+    value fused on, ``"kind"`` with its value — and the batch reader of the
+    same bytes.
     """
     rank_code, rank_uint = _UINT_WIDTHS[rank_width]
     bytes_code, bytes_uint = _UINT_WIDTHS[bytes_width]
@@ -246,7 +304,25 @@ def _request_layout(
         f">{len(k_rank)}s{rank_uint.format[1:]}{len(_K_START)}sd{len(_K_END)}sd"
         f"{len(k_bytes)}s{bytes_uint.format[1:]}{len(k_kind)}s"
     )
-    return request.pack, k_rank, k_bytes, k_kind
+    dtype = np.dtype(
+        [
+            ("k_rank", f"S{len(k_rank)}"), ("rank", f">u{rank_uint.size}"),
+            ("k_start", f"S{len(_K_START)}"), ("start", ">f8"),
+            ("k_end", f"S{len(_K_END)}"), ("end", ">f8"),
+            ("k_bytes", f"S{len(k_bytes)}"), ("bytes", f">u{bytes_uint.size}"),
+            ("k_kind", f"S{len(k_kind)}"),
+        ]
+    )
+    assert dtype.itemsize == request.size
+    zeros = request.pack(k_rank, 0, _K_START, 0.0, _K_END, 0.0, k_bytes, 0, k_kind)
+    mask = np.zeros(request.size, np.uint8)
+    for name, (field, offset) in dtype.fields.items():
+        if name.startswith("k_"):
+            mask[offset : offset + field.itemsize] = 0xFF
+    for name, width in (("rank", rank_width), ("bytes", bytes_width)):
+        if width in (0, len(_UINT_WIDTHS) - 1):
+            mask[dtype.fields[name][1]] = 0x80
+    return request.pack, k_rank, k_bytes, k_kind, _Reader(dtype, mask, zeros, kind.value)
 
 
 # ``_REQUEST_LAYOUTS[kind][rank width][bytes width]``, compiled once.
@@ -288,7 +364,7 @@ def _encode_canonical(flush: FlushRecord) -> bytes:
         ):
             raise _NotCanonical
         by_rank = layouts[kind][width_of_bits[rank.bit_length()]]
-        pack, k_rank, k_bytes, k_kind = by_rank[width_of_bits[nbytes.bit_length()]]
+        pack, k_rank, k_bytes, k_kind, _ = by_rank[width_of_bits[nbytes.bit_length()]]
         append(pack(k_rank, rank, _K_START, start, _K_END, end, k_bytes, nbytes, k_kind))
     return b"".join(parts)
 
@@ -324,9 +400,12 @@ _FLUSH_REQUESTS = struct.Struct(">9sB")  # "requests" <array code>
 
 # A request up to its byte count.  ``_REQUEST`` reads it in one call when the
 # rank is a one-byte fixint; a wider rank shifts what follows, which is then
-# read again as ``_REQUEST_REST`` from behind the rank.
+# read again, rank value first, by the ``_REQUEST_REST`` of the rank's type code.
 _REQUEST = struct.Struct(">6sB7sd5sd6sB")
-_REQUEST_REST = struct.Struct(">7sd5sd6sB")
+_REQUEST_REST = {
+    code[0]: struct.Struct(f">{uint.format[1:]}7sd5sd6sB") for code, uint in _UINT_WIDTHS[1:]
+}
+_RANK_CODE_END = len(_K_RANK) + 1
 _REQUEST_KIND = struct.Struct(">5s5s")  # "kind" + the first five bytes of its value
 _V_READ = _KIND_VALUES[IOKind.READ]
 _V_WRITE = _KIND_VALUES[IOKind.WRITE][:5]  # + "e", checked on its own
@@ -341,7 +420,12 @@ def _int_at(data: Any, pos: int) -> tuple[int, int]:
     return uint.unpack_from(data, pos + 1)[0], pos + 1 + uint.size
 
 
-def _decode_canonical(data: Any) -> FlushColumns:
+#: A canonical payload up to its first request: flush index, timestamp,
+#: metadata, request count and the offset of the first request.
+_Head = tuple[int, float, dict, int, int]
+
+
+def _read_head(data: Any) -> _Head:
     if _FLUSH_HEAD.unpack_from(data, 0)[0] != _K_FLUSH_HEAD:
         raise _NotCanonical
     flush_index, pos = _int_at(data, _FLUSH_HEAD.size)
@@ -369,7 +453,15 @@ def _decode_canonical(data: Any) -> FlushColumns:
         pos += 4
     else:
         raise _NotCanonical
+    return flush_index, timestamp, metadata, n, pos
 
+
+def _decode_canonical(data: Any, head: _Head | None = None) -> FlushColumns:
+    """The per-request walker: any mix of layouts, one ``struct`` call per request.
+
+    ``head`` is ``_read_head(data)`` when the caller has read it already.
+    """
+    flush_index, timestamp, metadata, n, pos = _read_head(data) if head is None else head
     starts: list[float] = []
     ends: list[float] = []
     nbytes: list[int] = []
@@ -381,13 +473,16 @@ def _decode_canonical(data: Any) -> FlushColumns:
         if rank <= 0x7F:
             pos += _REQUEST.size
         else:
-            rank, pos = _int_at(data, pos + len(_K_RANK))
-            k_start, start, k_end, end, k_bytes, size = _REQUEST_REST.unpack_from(data, pos)
-            pos += _REQUEST_REST.size
+            rest = _REQUEST_REST[rank]  # KeyError: not canonical
+            pos += _RANK_CODE_END
+            rank, k_start, start, k_end, end, k_bytes, size = rest.unpack_from(data, pos)
+            pos += rest.size
         if k_rank != _K_RANK or k_start != _K_START or k_end != _K_END or k_bytes != _K_BYTES:
             raise _NotCanonical
         if size > 0x7F:
-            size, pos = _int_at(data, pos - 1)
+            uint = _UINT_AT[size]  # KeyError: not canonical
+            size = uint.unpack_from(data, pos)[0]
+            pos += uint.size
         k_kind, value = read_kind(data, pos)
         if k_kind != _K_KIND:
             raise _NotCanonical
@@ -399,21 +494,25 @@ def _decode_canonical(data: Any) -> FlushColumns:
             pos += _REQUEST_KIND.size
         else:
             raise _NotCanonical
+        if end < start:
+            raise _NotCanonical
         starts.append(start)
         ends.append(end)
         nbytes.append(size)
         ranks.append(rank)
     if pos != len(data):
         raise _NotCanonical
-    return FlushColumns(
-        flush_index=flush_index,
-        timestamp=timestamp,
-        metadata=metadata,
-        starts=np.array(starts, dtype=np.float64),
-        ends=np.array(ends, dtype=np.float64),
-        nbytes=np.array(nbytes, dtype=np.int64),
-        ranks=np.array(ranks, dtype=np.int64),
-        kinds=np.array(kinds, dtype=KIND_DTYPE),
+    # Checked as the constructor would: ``end >= start`` above, ranks and byte
+    # counts unsigned, and past int64 an OverflowError here.
+    return FlushColumns._trusted(
+        flush_index,
+        timestamp,
+        metadata,
+        np.array(starts, dtype=np.float64),
+        np.array(ends, dtype=np.float64),
+        np.array(nbytes, dtype=np.int64),
+        np.array(ranks, dtype=np.int64),
+        np.array(kinds, dtype=KIND_DTYPE),
     )
 
 
@@ -425,17 +524,144 @@ def _decode_generic(payload: bytes | memoryview) -> FlushColumns:
     return FlushColumns.from_record(FlushRecord.from_dict(data))
 
 
+#: What sends a payload from a fast route to the next one: not the canonical
+#: bytes, cut short, or a value out of range.
+_OFF_ROUTE = (_NotCanonical, TraceFormatError, IndexError, KeyError, struct.error, OverflowError)
+
+
+def _decode_alone(
+    payload: bytes | memoryview, head: _Head | None = None
+) -> FlushColumns | TraceFormatError:
+    """One payload by the walker, else by the oracle, whose error is returned."""
+    try:
+        try:
+            return _decode_canonical(payload, head)
+        except _OFF_ROUTE:
+            return _decode_generic(payload)
+    except TraceFormatError as exc:
+        return exc
+
+
+# The batch route.  A payload's layout is read off its first request: the
+# type codes of its rank and byte count and the first byte of its kind value
+# pick a reader from the layout table, and the payload belongs to the reader's
+# group only if its requests fill it exactly at that reader's size.  The
+# group's checks are what settles that every request has that layout.
+_WIDTH_OF_CODE = tuple(
+    0 if code <= 0x7F else {c[0]: w for w, (c, _) in enumerate(_UINT_WIDTHS) if c}.get(code)
+    for code in range(256)
+)
+_INT_SIZE = tuple(len(code) + uint.size for code, uint in _UINT_WIDTHS)  # type code + value
+_KIND_OF_CODE = {_KIND_VALUES[kind][0]: kind for kind in IOKind}
+#: From a rank's type code to a byte count's; from that to the kind value.
+_RANK_TO_BYTES = len(_K_START) + 8 + len(_K_END) + 8 + len(_K_BYTES)
+_BYTES_TO_KIND = len(_K_KIND)
+#: A flush without requests joins any group; this one.
+_EMPTY_GROUP = (IOKind.WRITE, 0, 0)
+#: Fewer requests than this in a group, and the walker is the faster route.
+_MIN_GROUP_REQUESTS = 8
+
+
+def _group_of(data: Any, head: _Head) -> tuple[IOKind, int, int] | None:
+    """The layout every request of the payload would have, or ``None``."""
+    count, pos = head[3], head[4]
+    if count == 0:
+        return _EMPTY_GROUP if pos == len(data) else None
+    at = pos + len(_K_RANK)
+    rank_w = _WIDTH_OF_CODE[data[at]]
+    if rank_w is None:
+        return None
+    at += _INT_SIZE[rank_w] + _RANK_TO_BYTES
+    bytes_w = _WIDTH_OF_CODE[data[at]]
+    if bytes_w is None:
+        return None
+    kind = _KIND_OF_CODE.get(data[at + _INT_SIZE[bytes_w] + _BYTES_TO_KIND])
+    if kind is None:
+        return None
+    size = _REQUEST_LAYOUTS[kind][rank_w][bytes_w][4].dtype.itemsize
+    if pos + count * size != len(data):
+        return None
+    return kind, rank_w, bytes_w
+
+
+def _decode_group(
+    reader: _Reader, members: list[tuple[int, _Head]], payloads: Sequence[Any], out: list
+) -> bool:
+    """Decode payloads of one layout through one structured view into ``out``.
+
+    ``False``, with ``out`` untouched, when any request fails a check — every
+    key run, the fixint and int64 bounds, ``end >= start``.
+    """
+    requests = b"".join(memoryview(payloads[i])[head[4] :] for i, head in members)
+    rows = np.frombuffer(requests, np.uint8).reshape(-1, reader.dtype.itemsize)
+    if (rows & reader.mask).tobytes() != reader.fixed * len(rows):
+        return False
+    table = np.frombuffer(requests, reader.dtype)
+    starts = table["start"].astype(np.float64)
+    ends = table["end"].astype(np.float64)
+    if (ends < starts).any():
+        return False
+    nbytes = table["bytes"].astype(np.int64)
+    ranks = table["rank"].astype(np.int64)
+    kinds = np.full(len(table), reader.kind, KIND_DTYPE)
+    at = 0
+    trusted = FlushColumns._trusted
+    for i, (flush_index, timestamp, metadata, count, _) in members:
+        to = at + count
+        out[i] = trusted(
+            flush_index, timestamp, metadata,
+            starts[at:to], ends[at:to], nbytes[at:to], ranks[at:to], kinds[at:to],
+        )
+        at = to
+    return True
+
+
+def decode_flush_payloads(
+    payloads: Sequence[bytes | memoryview],
+) -> list[FlushColumns | TraceFormatError]:
+    """Decode FTS1 payloads together; one result per payload, in order.
+
+    Each result is the flush :func:`decode_flush_columns` returns for that
+    payload alone, or the :class:`~repro.exceptions.TraceFormatError` it
+    raises — returned, not raised, so one bad payload costs only itself.
+    Payloads are read in place and nothing in a result aliases them.  See the
+    module docstring for how the routes divide the work.
+    """
+    out: list[Any] = [None] * len(payloads)
+    groups: dict[tuple[IOKind, int, int], list[tuple[int, _Head]]] = {}
+    for i, payload in enumerate(payloads):
+        head = None
+        try:
+            head = _read_head(payload)
+            layout = _group_of(payload, head)
+        except _OFF_ROUTE:
+            layout = None
+        if layout is None:
+            out[i] = _decode_alone(payload, head)
+        elif layout in groups:
+            groups[layout].append((i, head))
+        else:
+            groups[layout] = [(i, head)]
+    for (kind, rank_w, bytes_w), members in groups.items():
+        reader = _REQUEST_LAYOUTS[kind][rank_w][bytes_w][4]
+        if (
+            sum([head[3] for _, head in members]) < _MIN_GROUP_REQUESTS
+            or not _decode_group(reader, members, payloads, out)
+        ):
+            for i, head in members:
+                out[i] = _decode_alone(payloads[i], head)
+    return out
+
+
 def decode_flush_columns(payload: bytes | memoryview) -> FlushColumns:
     """Decode one FTS1 payload (a MessagePack flush map) into columns.
 
     ``payload`` is read in place — ``bytes`` or a borrowed ``memoryview`` —
     and nothing in the result aliases it.  Anything but a well-formed flush
     raises :class:`~repro.exceptions.TraceFormatError`, never another
-    exception; see the module docstring for how the two routes divide the work.
+    exception; a batch of one of :func:`decode_flush_payloads`.
     """
-    try:
-        return _decode_canonical(payload)
-    except (_NotCanonical, TraceFormatError, IndexError, KeyError, struct.error, OverflowError):
-        # Not the canonical bytes, cut short, or a value out of range: the
-        # oracle decides, and its error is the one the caller sees.
-        return _decode_generic(payload)
+    (flush,) = decode_flush_payloads((payload,))
+    if isinstance(flush, TraceFormatError):
+        raise flush
+    return flush

@@ -41,11 +41,13 @@ canonical layout is written and read from one table in
 :func:`~repro.trace.columns.encode_flush_payload` (the bytes of
 ``packb(flush.to_dict())``, a few ``struct`` packs per request — what
 ``trace.framing.encode_us`` prices) and decoded once, straight into columns,
-by :func:`~repro.trace.columns.decode_flush_columns`, the form the service
-keeps a flush in.  Frames are self-contained and
-append-only: a reader positioned at a frame boundary never needs to rewind,
-and a partially written final frame (crash, in-flight flush) simply stays
-buffered until the missing bytes arrive.
+the form the service keeps a flush in.  :class:`FrameDecoder` slices every
+complete frame it holds, header by header, then hands their payloads to
+:func:`~repro.trace.columns.decode_flush_payloads` together, which reads the
+requests of every payload of one layout through one numpy view.  Frames are
+self-contained and append-only: a reader positioned at a frame boundary never
+needs to rewind, and a partially written final frame (crash, in-flight flush)
+simply stays buffered until the missing bytes arrive.
 
 A spool file is never rewritten.  It is split and bounded one way:
 :class:`FrameWriter` rotation closes a generation (``<path>.<n>``) at a frame
@@ -65,7 +67,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.exceptions import TraceFormatError
-from repro.trace.columns import FlushColumns, decode_flush_columns, encode_flush_payload
+from repro.trace.columns import FlushColumns, decode_flush_payloads, encode_flush_payload
 from repro.trace.jsonl import FlushRecord
 
 #: First bytes of every frame; guards against tailing a non-framed file.
@@ -317,13 +319,9 @@ class _FrameBuffer:
                 f"{self._expected_token}"
             )
 
-    def _slice_one(self) -> tuple[int | None, int, int] | None:
-        """Validate the buffered header; returns (token, job_len, total)."""
-        if self._length < _HEADER.size:
-            return None
-        magic, code, flags, job_len, payload_len = _HEADER.unpack_from(
-            self._contiguous(_HEADER.size)
-        )
+    def _check_header(self, data: bytes | memoryview, pos: int) -> tuple[int | None, int, int]:
+        """Validate the header at ``data[pos:]``; returns (token, job_len, total)."""
+        magic, code, flags, job_len, payload_len = _HEADER.unpack_from(data, pos)
         if magic != FRAME_MAGIC:
             raise TraceFormatError(
                 f"bad frame magic {bytes(magic)!r}; the stream is not FTS1-framed or is corrupt"
@@ -334,7 +332,13 @@ class _FrameBuffer:
         if payload_len > MAX_PAYLOAD_BYTES:
             raise TraceFormatError(f"frame payload length {payload_len} exceeds the limit")
         self._check_token(token)
-        total = _HEADER.size + job_len + payload_len
+        return token, job_len, _HEADER.size + job_len + payload_len
+
+    def _slice_one(self) -> tuple[int | None, int, int] | None:
+        """Validate the buffered header; returns (token, job_len, total)."""
+        if self._length < _HEADER.size:
+            return None
+        token, job_len, total = self._check_header(self._contiguous(_HEADER.size), 0)
         if self._length < total:
             return None
         return token, job_len, total
@@ -360,6 +364,10 @@ class FrameDecoder(_FrameBuffer):
 
     A payload that does not decode raises too, and costs that frame only: it
     is consumed, the bytes behind it stay buffered for the next call.
+
+    The complete frames at the front of the buffer are decoded in one batch
+    and consumed one by one as they are yielded, so every outcome, and what
+    stays buffered, is what decoding one frame at a time gives.
     """
 
     def frames(self) -> Iterator[FlushFrame]:
@@ -369,27 +377,53 @@ class FrameDecoder(_FrameBuffer):
         (``list.extend(decoder.frames())`` does).
         """
         while True:
-            frame = self._try_decode_one()
-            if frame is None:
+            held = self._held_frames()
+            if not held:
                 return
-            yield frame
+            flushes = decode_flush_payloads([payload for _, _, _, payload in held])
+            for (job, token, total, _), flush in zip(held, flushes):
+                self._consume(total)
+                self._frames_emitted += 1
+                self._bytes_emitted += total
+                if isinstance(job, TraceFormatError):
+                    raise job
+                if isinstance(flush, TraceFormatError):
+                    raise flush
+                yield FlushFrame(job=job, flush=flush, token=token)
 
     def drain(self) -> list[FlushFrame]:
         """All complete frames currently buffered, as a list."""
         return list(self.frames())
 
-    def _try_decode_one(self) -> FlushFrame | None:
+    def _held_frames(self) -> list[tuple[str | TraceFormatError, int | None, int, memoryview]]:
+        """The complete frames at the front of the buffer as ``(job, token,
+        total, payload)``, sliced, not consumed: the one :meth:`_slice_one`
+        finds, then those behind it in its chunk up to the first that is
+        incomplete, spans chunks or has a header that raises.  A job id that
+        is not UTF-8 comes as its error, raised when its frame is reached.
+        """
         sliced = self._slice_one()
         if sliced is None:
-            return None
+            return []
         token, job_len, total = sliced
-        frame = self._take_frame(total)
-        job = self._decode_job(frame, job_len)
-        return FlushFrame(
-            job=job,
-            flush=decode_flush_columns(frame[_HEADER.size + job_len : total]),
-            token=token,
-        )
+        self._contiguous(total)  # a frame spanning chunks becomes the first chunk
+        chunk, pos = memoryview(self._chunks[0]), self._offset
+        held = []
+        while True:
+            try:
+                job: str | TraceFormatError = self._decode_job(chunk[pos : pos + total], job_len)
+            except TraceFormatError as exc:
+                job = exc
+            held.append((job, token, total, chunk[pos + _HEADER.size + job_len : pos + total]))
+            pos += total
+            if len(chunk) - pos < _HEADER.size:
+                return held
+            try:
+                token, job_len, total = self._check_header(chunk, pos)
+            except TraceFormatError:
+                return held
+            if len(chunk) - pos < total:
+                return held
 
 
 class FrameSplitter(_FrameBuffer):

@@ -13,8 +13,10 @@ generators (ground truth); the analysis itself never relies on them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any
 
 
 class IOKind(str, Enum):
@@ -95,6 +97,24 @@ class IORequest:
             nbytes=int(data["bytes"]),
             kind=IOKind(data.get("kind", "write")),
         )
+
+
+_KIND_OF = {kind.value: kind for kind in IOKind}
+
+
+def iter_requests(
+    ranks: Any, starts: Any, ends: Any, nbytes: Any, kinds: Any
+) -> Iterator[IORequest]:
+    """The rows of five request columns (numpy arrays), in column order.
+
+    Each column becomes Python values in one ``.tolist()`` and each kind is
+    looked up in one table, instead of indexing numpy scalars row by row.
+    """
+    kind_of = _KIND_OF.get
+    for rank, start, end, size, kind in zip(
+        ranks.tolist(), starts.tolist(), ends.tolist(), nbytes.tolist(), kinds.tolist()
+    ):
+        yield IORequest(rank, start, end, size, kind_of(kind) or IOKind(kind))
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.exceptions import EmptyTraceError, TraceError
-from repro.trace.record import GroundTruth, IOKind, IORequest
+from repro.trace.record import GroundTruth, IOKind, IORequest, iter_requests
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ class Trace:
         return int(len(self.starts))
 
     def __iter__(self) -> Iterator[IORequest]:
-        for i in range(len(self)):
-            yield self.request(i)
+        return iter_requests(self.ranks, self.starts, self.ends, self.nbytes, self.kinds)
 
     def request(self, index: int) -> IORequest:
         """Return the ``index``-th request as an :class:`IORequest` object."""

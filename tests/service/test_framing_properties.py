@@ -534,3 +534,222 @@ class TestEncoderAgainstOracle:
     def test_a_flush_no_reader_takes_is_refused_at_encode(self, changes, job):
         with pytest.raises(TraceFormatError):
             encode_frame(with_request(**changes), job=job)
+
+
+# --------------------------------------------------------------------- #
+# the batch decode of a feed against each frame decoded alone
+# --------------------------------------------------------------------- #
+FEED_EXAMPLES = 60
+
+#: Every integer width's first and last value, and the first past int64.
+FEED_BOUNDARIES = [0, *WIDTH_BOUNDARIES, 2**63]
+
+
+@st.composite
+def width_values(draw, width: int | None = None) -> int:
+    """An unsigned value, at a width boundary half of the time; ``width``
+    keeps it in one width's range (0..4: fixint .. uint64)."""
+    if width is None:
+        if draw(st.booleans()):
+            return draw(st.sampled_from(FEED_BOUNDARIES))
+        return draw(st.integers(min_value=0, max_value=2**63 - 1))
+    low, high = [(0, 0x7F), (0x80, 0xFF), (0x100, 0xFFFF), (0x10000, 2**32 - 1),
+                 (2**32, 2**63 - 1)][width]
+    edges = [value for value in FEED_BOUNDARIES if low <= value <= high]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(edges))
+    return draw(st.integers(min_value=low, max_value=high))
+
+
+#: A request layout: kind, rank width, byte count width.
+layouts = st.tuples(st.sampled_from(IOKind), st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def feed_flushes(draw, palette: list[tuple[IOKind, int, int]]) -> FlushRecord:
+    """A flush of one request layout of ``palette``, of mixed layouts, or of none."""
+    shape = draw(st.sampled_from(["uniform", "uniform", "mixed", "empty"]))
+    n = 0 if shape == "empty" else draw(st.integers(min_value=1, max_value=20))
+    if shape == "uniform":
+        kind, rank_w, bytes_w = draw(st.sampled_from(palette))
+    requests = []
+    for _ in range(n):
+        start = draw(st.floats(width=64))
+        end = start + draw(st.floats(min_value=0.0, max_value=1e6))
+        if shape == "uniform":
+            rank = draw(width_values(rank_w))
+            nbytes = draw(width_values(bytes_w))
+        else:
+            kind = draw(st.sampled_from(IOKind))
+            rank, nbytes = draw(width_values()), draw(width_values())
+        requests.append(IORequest(rank=rank, start=start, end=end, nbytes=nbytes, kind=kind))
+    return FlushRecord(
+        flush_index=draw(st.integers(min_value=0, max_value=2**31)),
+        timestamp=draw(st.floats(width=64)),
+        requests=tuple(requests),
+        metadata=draw(st.dictionaries(st.text(max_size=6), metadata_values, max_size=2)),
+    )
+
+
+def frame_bytes(job: str, token: int | None, payload: bytes) -> bytes:
+    """An FTS1 frame around any payload, one ``packb`` may write past int64 too."""
+    flags = 0 if token is None else 0x10 | token
+    job_bytes = job.encode()
+    return _HEADER.pack(b"FTS1", 2, flags, len(job_bytes), len(payload)) + job_bytes + payload
+
+
+def alone(job: str, token: int | None, payload: bytes) -> tuple:
+    """What one frame must come out as: the oracle's flush, or its message."""
+    try:
+        return ("frame", job, token, oracle(payload))
+    except TraceFormatError as exc:
+        return ("error", str(exc))
+
+
+def drained(decoder: FrameDecoder, outcomes: list) -> None:
+    """Every complete frame, each bad one as its message, the decoder going on
+    behind it as ``feed_bytes`` does on the next feed."""
+    while True:
+        try:
+            for frame in decoder.frames():
+                outcomes.append(("frame", frame.job, frame.token, frame.flush))
+            return
+        except TraceFormatError as exc:
+            outcomes.append(("error", str(exc)))
+
+
+def fed(stream: bytes, cuts: list[int], *, borrowed: bool) -> list:
+    """The outcomes of ``stream`` fed in chunks at ``cuts``; ``borrowed`` feeds
+    each chunk as a view of a buffer that is detached and clobbered after it,
+    as ``feed_borrowed`` lets the shared-memory ring reclaim it."""
+    decoder = FrameDecoder()
+    outcomes: list = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        if not borrowed:
+            decoder.feed(stream[lo:hi])
+            drained(decoder, outcomes)
+            continue
+        buffer = bytearray(stream[lo:hi])
+        decoder.feed(memoryview(buffer))
+        try:
+            drained(decoder, outcomes)
+        finally:
+            decoder.detach()
+        buffer[:] = b"\xff" * len(buffer)
+    assert decoder.buffered_bytes == 0
+    return outcomes
+
+
+def assert_same_outcomes(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a[:-1] == b[:-1]
+        if a[0] == "error":
+            assert a[-1] == b[-1]
+            continue
+        assert_same_flush(a[-1], b[-1])
+        for name in ("starts", "ends"):
+            hexes = [float.hex(x) for x in getattr(a[-1], name).tolist()]
+            assert hexes == [float.hex(x) for x in getattr(b[-1], name).tolist()]
+
+
+@st.composite
+def feeds(draw) -> tuple[bytes, list[int], list]:
+    """Frames of random flushes, one perhaps damaged — a request ending before
+    it starts, a rank or byte count past int64 or a random byte overwritten —
+    the stream, a random chunking of it and what each frame decoded alone
+    comes out as."""
+    palette = draw(st.lists(layouts, min_size=1, max_size=3))
+    items = draw(
+        st.lists(st.tuples(jobs, tokens, feed_flushes(palette)), min_size=1, max_size=12)
+    )
+    maps = [flush.to_dict() for _, _, flush in items]
+    damage = draw(st.sampled_from(["none", "byte", "end", "rank", "bytes"]))
+    victim = draw(st.integers(0, len(maps) - 1))
+    requests = maps[victim]["requests"]
+    if damage in ("end", "rank", "bytes") and requests:
+        request = requests[draw(st.integers(0, len(requests) - 1))]
+        if damage == "end":
+            request["end"] = request["start"] - draw(st.floats(min_value=1e-3, max_value=1e6))
+        else:
+            request[damage] = draw(st.sampled_from([2**63, 2**64 - 1]))
+    payloads = [bytearray(packb(m)) for m in maps]
+    if damage == "byte":
+        position = draw(st.integers(0, len(payloads[victim]) - 1))
+        payloads[victim][position] = draw(st.integers(0, 255))
+    frames = [frame_bytes(job, token, bytes(p)) for (job, token, _), p in zip(items, payloads)]
+    stream = b"".join(frames)
+    cuts = sorted(draw(st.sets(st.integers(1, len(stream) - 1), max_size=4)))
+    want = [alone(job, token, bytes(p)) for (job, token, _), p in zip(items, payloads)]
+    return stream, cuts, want
+
+
+def check_feed(feed: tuple[bytes, list[int], list]) -> None:
+    stream, cuts, want = feed
+    for borrowed in (False, True):
+        assert_same_outcomes(fed(stream, cuts, borrowed=borrowed), want)
+        assert_same_outcomes(fed(stream, [], borrowed=borrowed), want)
+
+
+class TestBatchDecodeAgainstFramesAlone:
+    @settings(max_examples=FEED_EXAMPLES, deadline=None)
+    @given(feed=feeds())
+    def test_a_feed_decodes_as_its_frames_alone(self, feed):
+        check_feed(feed)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SOAK"),
+        reason="soak test only runs when REPRO_SOAK=1 (CI nightly job)",
+    )
+    @seed(int(os.environ.get("REPRO_SOAK_SEED", "0")))
+    @settings(max_examples=50 * FEED_EXAMPLES, deadline=None, database=None)
+    @given(feed=feeds())
+    def test_a_feed_decodes_as_its_frames_alone_soak(self, feed):
+        check_feed(feed)
+
+    BAD_REQUESTS = {
+        "kind reaD": ({}, lambda payload: payload[:-1] + b"D"),
+        "end before start": ({"end": 0.5}, None),
+        "fixint rank byte 0x90": ({}, lambda payload: payload.replace(b"rank\x03", b"rank\x90")),
+        "uint64 rank past int64": ({"rank": 2**63}, None),
+        "uint64 bytes past int64": ({"bytes": 2**64 - 1}, None),
+    }
+
+    @pytest.mark.parametrize("changes,edit", BAD_REQUESTS.values(), ids=BAD_REQUESTS.keys())
+    def test_a_bad_payload_in_a_uniform_group_costs_only_its_frame(self, changes, edit):
+        """Each check of the batch route, on a payload whose layout joins it to
+        a group of good ones: only that frame fails, with the oracle's message."""
+        wide = "rank" in changes or "bytes" in changes
+        request = {"rank": 2**62 if wide else 3, "start": 1.0, "end": 2.0,
+                   "bytes": 2**62 if wide else 4096, "kind": "read"}
+        flush = {"flush_index": 1, "timestamp": 2.0, "metadata": {}, "requests": [request] * 16}
+        good = packb(flush)
+        bad = packb({**flush, "requests": [request] * 15 + [{**request, **changes}]})
+        bad = bad if edit is None else edit(bad)
+        assert len(bad) == len(good) and bad != good  # the same layout, to the byte count
+        items = [("a", None, good), ("b", 3, bad), ("c", None, good)]
+        stream = b"".join(frame_bytes(*item) for item in items)
+        want = [alone(*item) for item in items]
+        assert [outcome[0] for outcome in want] == ["frame", "error", "frame"]
+        assert_same_outcomes(fed(stream, [], borrowed=False), want)
+        assert_same_outcomes(fed(stream, [], borrowed=True), want)
+
+    @pytest.mark.parametrize("offset,byte", [(0, 0x00), (5, 0x20), (5, 0x14)],
+                             ids=["bad magic", "future version", "wrong token"])
+    def test_frames_before_a_bad_header_come_out_first(self, offset, byte):
+        """A header that raises stops the batch in front of it: the frames
+        before it are yielded first, and it raises, unconsumed, on every call."""
+        request = IORequest(rank=3, start=1.0, end=2.0, nbytes=4096, kind=IOKind.READ)
+        flush = FlushRecord(flush_index=1, timestamp=2.0, requests=(request,) * 16)
+        good = encode_frame(flush, job="a", token=3)
+        bad = bytearray(good)
+        bad[offset] = byte
+        decoder = FrameDecoder(expected_token=3)
+        decoder.feed(good + good + bytes(bad) + good)
+        frames: list = []
+        for _ in range(2):
+            with pytest.raises(TraceFormatError):
+                frames.extend(decoder.frames())
+            assert [(f.job, f.flush) for f in frames] == [("a", flush)] * 2
+            assert decoder.buffered_bytes == 2 * len(good)

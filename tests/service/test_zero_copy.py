@@ -220,13 +220,13 @@ class TestIngestCopyAccounting:
 
         data, n = frame_stream()
         payload_owners = []
-        decode = framing.decode_flush_columns
+        decode = framing.decode_flush_payloads
 
-        def spy(payload):
-            payload_owners.append(payload.obj)
-            return decode(payload)
+        def spy(payloads):
+            payload_owners.extend(payload.obj for payload in payloads)
+            return decode(payloads)
 
-        monkeypatch.setattr(framing, "decode_flush_columns", spy)
+        monkeypatch.setattr(framing, "decode_flush_payloads", spy)
 
         def run(reclaim: bool):
             service = PredictionService(ServiceConfig(session=SessionConfig()))

@@ -4,13 +4,15 @@ The smoke scripts lived as Python inside ``.github/workflows/ci.yml`` until
 PR 21, where nothing but a CI runner could execute them; the workflow now
 calls the files and this test calls their ``main()``.  ``quickstart.py`` and
 ``online_prediction.py`` are what the README sends a reader to first and print
-periods; nothing else runs them.
+periods; nothing else runs them.  ``sharded_service.py`` runs with the
+temporary directory redirected, which its spool generations must leave empty.
 """
 
 from __future__ import annotations
 
 import re
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,10 @@ def test_online_replay_tracks_the_generator(capsys):
     # Not 1 %: the window is clipped to the last *write*, 0.8 s before each
     # flush (the read phase), so this loop settles near P - 0.8 s, not P.
     assert float(rows[-1]) == pytest.approx(truth, rel=0.10)
+
+
+def test_sharded_service_leaves_no_temp_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = _run("sharded_service.py", capsys)
+    assert "all shards shut down cleanly." in out
+    assert list(tmp_path.iterdir()) == []
