@@ -34,9 +34,10 @@ def describe(label: str, result) -> None:
 def main() -> None:
     # Build the profile and round-trip it through the on-disk format, exactly
     # like consuming a downloaded profile from the I/O Trace Initiative.
-    profile_path = Path(tempfile.mkdtemp()) / "nek5000_heatmap.json"
-    write_heatmap(nek5000_heatmap(seed=0), profile_path)
-    heatmap = read_heatmap(profile_path)
+    with tempfile.TemporaryDirectory() as directory:
+        profile_path = Path(directory) / "nek5000_heatmap.json"
+        write_heatmap(nek5000_heatmap(seed=0), profile_path)
+        heatmap = read_heatmap(profile_path)
     print(f"Loaded Darshan-style heatmap: {heatmap.n_bins} bins of {heatmap.bin_width:.0f} s, "
           f"{heatmap.total_bytes() / 2**30:.0f} GiB written, "
           f"application = {heatmap.metadata['application']}")

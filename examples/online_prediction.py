@@ -38,22 +38,23 @@ def main() -> None:
     print(f"Ground-truth mean period: {trace.ground_truth.average_period():.2f} s "
           "(first phase delayed by initialization)\n")
 
-    trace_file = Path(tempfile.mkdtemp()) / "hacc_io.jsonl"
-    tracer = TmioTracer(mode=TracerMode.ONLINE, path=trace_file, metadata={"app": "hacc-io"})
+    with tempfile.TemporaryDirectory() as directory:
+        trace_file = Path(directory) / "hacc_io.jsonl"
+        tracer = TmioTracer(mode=TracerMode.ONLINE, path=trace_file, metadata={"app": "hacc-io"})
 
-    pending = sorted(trace.requests(), key=lambda r: r.end)
-    cursor = 0
-    for flush_time in flush_times:
-        while cursor < len(pending) and pending[cursor].end <= flush_time:
-            tracer.record(pending[cursor])
-            cursor += 1
-        tracer.flush(timestamp=flush_time)
-    print(f"Tracer wrote {tracer.statistics.flushes} flushes to {trace_file}\n")
+        pending = sorted(trace.requests(), key=lambda r: r.end)
+        cursor = 0
+        for flush_time in flush_times:
+            while cursor < len(pending) and pending[cursor].end <= flush_time:
+                tracer.record(pending[cursor])
+                cursor += 1
+            tracer.flush(timestamp=flush_time)
+        print(f"Tracer wrote {tracer.statistics.flushes} flushes to {trace_file}\n")
 
-    # --- 2. FTIO online prediction over the flush file -------------------- #
-    config = FtioConfig(sampling_frequency=10.0, use_autocorrelation=False,
-                        compute_characterization=False)
-    steps = predict_from_file(trace_file, config=config)
+        # --- 2. FTIO online prediction over the flush file ---------------- #
+        config = FtioConfig(sampling_frequency=10.0, use_autocorrelation=False,
+                            compute_characterization=False)
+        steps = predict_from_file(trace_file, config=config)
 
     print("prediction  time [s]  window [s]        period [s]  confidence")
     for step in steps:

@@ -29,8 +29,12 @@ from repro.workloads.hacc import hacc_flush_times, hacc_io_trace
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        run(Path(directory))
+
+
+def run(directory: Path) -> None:
     # --- 1. four applications write framed flushes into one spool ---------- #
-    directory = Path(tempfile.mkdtemp())
     spool = directory / "flushes.fts"
     writer = FrameWriter(spool)
 

@@ -407,14 +407,6 @@ class ServiceClient:
                 )
         return self.predictions()
 
-    def iter_predictions(self, *, timeout: float = 0.5) -> Iterator[PredictionUpdate]:
-        """Yield predictions as they arrive until ``timeout`` passes silently."""
-        while True:
-            batch = self.poll_predictions(timeout=timeout, min_events=1)
-            if not batch:
-                return
-            yield from batch
-
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Say goodbye (best effort) and disconnect."""

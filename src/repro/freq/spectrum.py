@@ -54,11 +54,6 @@ class PowerSpectrum:
         return float(self.power[0])
 
     @property
-    def analysis_frequencies(self) -> NDArray[np.float64]:
-        """Frequencies of the bins inspected for outliers (everything except DC)."""
-        return self.frequencies[1:]
-
-    @property
     def analysis_power(self) -> NDArray[np.float64]:
         """Power of the bins inspected for outliers (everything except DC)."""
         return self.power[1:]
@@ -124,9 +119,3 @@ def power_spectrum(samples: ArrayLike, sampling_frequency: float) -> PowerSpectr
     """Compute the single-sided power spectrum of a real signal in one call."""
     check_positive(sampling_frequency, "sampling_frequency")
     return power_spectrum_from_dft(dft(samples, sampling_frequency))
-
-
-def parseval_total_power(samples: ArrayLike) -> float:
-    """Total signal power sum(x_n^2) — used by tests to check Parseval's theorem."""
-    x = np.asarray(samples, dtype=np.float64)
-    return float(np.sum(x * x))

@@ -94,11 +94,6 @@ class ServiceConfig:
     heartbeat_timeout: float = 5.0
 
 
-def tail_positions(tails: dict[Path, FrameReader]) -> dict[str, dict]:
-    """Rotation-proof resume point of every tailed spool, keyed by path."""
-    return {str(path): reader.position for path, reader in tails.items()}
-
-
 def tail_marks(tails: dict[Path, FrameReader]) -> dict[Path, tuple[dict, int]]:
     """What a checkpoint records of every tailed spool: the reader's
     rotation-proof position and the number of frames it had read."""
@@ -228,10 +223,6 @@ class PredictionService:
         reader = self.broker.tail(path)
         self._tails[Path(path)] = reader
         return reader
-
-    def spool_positions(self) -> dict[str, dict]:
-        """Rotation-proof resume point of every tailed spool (by path)."""
-        return tail_positions(self._tails)
 
     def compact_spools(self) -> dict[str, list[Path]]:
         """Unlink the rotated spool generations the last :meth:`snapshot_state`

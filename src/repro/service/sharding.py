@@ -36,7 +36,7 @@ from repro.service.dispatcher import DispatcherStats
 from repro.service.migration import Migrator
 from repro.service.publisher import PredictionPublisher, PredictionUpdate
 from repro.service.ring import HashRing
-from repro.service.service import ServiceConfig, retire_generations, tail_positions
+from repro.service.service import ServiceConfig, retire_generations
 from repro.service.snapshot import (
     check_snapshot_version,
     merge_states,
@@ -254,10 +254,6 @@ class ShardedService:
         reader = FrameReader(path, sink=route, expected_token=self.config.token, raw=True)
         self._supervisor.tails[Path(path)] = reader
         return reader
-
-    def spool_positions(self) -> dict[str, dict]:
-        """Rotation-proof resume point of every tailed spool (by path)."""
-        return tail_positions(self._supervisor.tails)
 
     def compact_spools(self) -> dict[str, list[Path]]:
         """Unlink the rotated spool generations the last checkpoint covers

@@ -18,37 +18,39 @@ layout every writer in this repository produces — the *canonical* shape::
                               "bytes" int  "kind" "write" | "read"
 
 with every key a fixstr and in exactly that order, each integer in its
-narrowest width.  Each payload's head — up to its first request — is read
-in place with ``struct``, its free-form ``metadata`` map by the generic walker
-(:func:`repro.trace.msgpack.unpack_at`).  Its requests then take one of three
-routes:
+narrowest width.  A request's bytes are fixed by its kind, the width of its
+rank and the width of its byte count: 50 layouts, compiled once into one
+table, each entry the request's ``struct``, its five key runs and its numpy
+record.  That table is read three ways:
 
-* **by layout, a batch at a time.**  A request's bytes are fixed by its kind,
-  the width of its rank and the width of its byte count — 50 layouts, the
-  table the encoder writes from.  Payloads whose requests all share one
-  layout are grouped, and a group is read through one numpy structured view
-  of that layout, checked once (every key run, a fixint below ``0x80``, a
-  uint64 within int64, ``end >= start``) and cut into per-flush slices of its
-  columns;
-* **request by request.**  A payload of mixed layouts, or one too small for a
-  batch to pay, is walked with one ``struct`` call per request
-  (:func:`_decode_canonical`), checked as it goes;
-* **the oracle.**  Whatever neither takes — another key order, an unknown
-  key, a ``str8`` key, an integer ``start``, a missing ``kind``, a value that
-  fails validation, a truncated or trailing byte — goes, whole, through
-  ``FlushColumns.from_record(FlushRecord.from_dict(unpackb(payload)))``.
+* **written.**  :func:`encode_flush_payload` packs each request with its
+  entry's ``struct``, byte for byte ``packb(flush.to_dict())``;
+  ``trace.framing.encode_us`` is its price.  A flush whose fields are not of
+  the canonical Python types goes whole to ``packb(flush.to_dict())``, the
+  encoder's oracle.
+* **read a batch at a time.**  Payloads whose requests all share one layout
+  are grouped, and a group is read through one numpy structured view of its
+  entry's record, checked once (every key run, a fixint below ``0x80``, a
+  uint64 within int64, ``end >= start``) and cut into per-flush slices of
+  its columns;
+* **read request by request.**  A payload of mixed layouts, or one too small
+  for a batch to pay, is walked (:func:`_decode_canonical`): one ``struct``
+  call per request, with the entry its type codes and kind pick — the same
+  pick that groups a payload by its first request — and its key runs
+  compared to the entry's.
 
-The fast routes only ever *accept*: a group any check rejects is decoded again
+Each payload's head — up to its first request — is read in place with
+``struct``, its free-form ``metadata`` map by the generic walker
+(:func:`repro.trace.msgpack.unpack_at`).  Whatever no read takes — another
+key order, an unknown key, a ``str8`` key, an integer ``start``, a missing
+``kind``, a value that fails validation, a truncated or trailing byte — goes,
+whole, through the oracle,
+``FlushColumns.from_record(FlushRecord.from_dict(unpackb(payload)))``.
+
+The fast reads only ever *accept*: a group any check rejects is decoded again
 payload by payload, and a payload the walker rejects goes to the oracle, so
 what is accepted, what is rejected and with which message are the oracle's by
 construction — one bad payload costs only itself.
-
-The canonical layout is written and read from one table: the fused key
-constants and one ``struct`` per integer width.  :func:`encode_flush_payload`
-writes a flush from it with one ``struct`` pack per request, byte for byte
-``packb(flush.to_dict())``; ``trace.framing.encode_us`` is its price.  It
-mirrors the decoder: a flush whose fields are not of the canonical Python
-types goes whole to ``packb(flush.to_dict())``, the encoder's oracle.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ _KIND_VALUES = {IOKind.WRITE: b"\xa5write", IOKind.READ: b"\xa4read"}
 # written in, narrowest first: the type code in front of the value (none for a
 # positive fixint) and the value's struct.  The encoder picks a width by the
 # value's bit length — 64 bits or more is past int64, which no reader takes —
-# and the decoder looks one up by its type code.
+# and the decoders look one up by its type code.
 _UINT_WIDTHS = tuple(
     (code, struct.Struct(fmt))
     for code, fmt in (
@@ -262,59 +264,54 @@ _UINT_WIDTHS = tuple(
 )
 #: Width index by bit length: up to 7 bits a fixint, 8 a uint8, ... 63 a uint64.
 _WIDTH_OF_BITS = tuple(sum(bits > top for top in (7, 8, 16, 32)) for bits in range(64))
-_UINT_AT = {code[0]: uint for code, uint in _UINT_WIDTHS[1:]}
+#: Width index by type code (a fixint is its own code); ``None``: not an unsigned int.
+_WIDTH_OF_CODE = tuple(
+    0 if code <= 0x7F else {c[0]: w for w, (c, _) in enumerate(_UINT_WIDTHS) if c}.get(code)
+    for code in range(256)
+)
+_INT_SIZE = tuple(len(code) + uint.size for code, uint in _UINT_WIDTHS)  # type code + value
 
 _FLOAT64 = struct.Struct(">d")
 _COUNT16 = struct.Struct(">H")
 _COUNT32 = struct.Struct(">I")
 
 
-# --------------------------------------------------------------------- #
-# the schema-specialised encoder
-# --------------------------------------------------------------------- #
-class _Reader(NamedTuple):
-    """One request layout as numpy reads it, a batch of requests at a time."""
-
-    #: The request as a record: key runs as bytes, values big-endian.
-    dtype: np.dtype
-    #: Per byte of a request, the bits the layout fixes: every key bit, and
-    #: the top bit of a fixint value (``< 0x80``) or of a uint64 value (the
-    #: int64 range).
-    mask: NDArray[np.uint8]
-    #: What those bits must read, one request's bytes.
-    fixed: bytes
-    kind: str
+#: One request layout, a plain tuple the hot loops unpack whole:
+#: ``(pack, keys, unpack, size, kind, dtype, mask, fixed)`` — the request's
+#: ``struct`` (key runs as bytes, values big-endian) by its ``pack``, its five
+#: key runs in wire order (``"rank"`` and ``"bytes"`` with the type code of
+#: their value fused on, ``"kind"`` with its value), the ``struct``'s
+#: ``unpack_from`` and size, the kind value a kind column holds, and for the
+#: batch reader the same request as a numpy record, the bits of its bytes the
+#: layout fixes (every key bit, and the top bit of a fixint value, ``< 0x80``,
+#: or of a uint64 one, the int64 range) and what those bits must read.
+_Layout = tuple[
+    Callable[..., bytes], tuple[bytes, ...], Callable[..., tuple], int, str,
+    np.dtype, NDArray[np.uint8], bytes,
+]
 
 
-def _request_layout(
-    kind: IOKind, rank_width: int, bytes_width: int
-) -> tuple[Callable[..., bytes], bytes, bytes, bytes, _Reader]:
-    """One request of ``kind``, its rank and byte count in the given widths.
-
-    Returns the request's ``struct`` pack, the three key runs that differ by
-    width and kind — ``"rank"`` and ``"bytes"`` with the type code of their
-    value fused on, ``"kind"`` with its value — and the batch reader of the
-    same bytes.
-    """
+def _request_layout(kind: IOKind, rank_width: int, bytes_width: int) -> _Layout:
+    """One request of ``kind``, its rank and byte count in the given widths."""
     rank_code, rank_uint = _UINT_WIDTHS[rank_width]
     bytes_code, bytes_uint = _UINT_WIDTHS[bytes_width]
-    k_rank, k_bytes = _K_RANK + rank_code, _K_BYTES + bytes_code
-    k_kind = _K_KIND + _KIND_VALUES[kind]
+    k_rank, k_start, k_end = _K_RANK + rank_code, _K_START, _K_END
+    k_bytes, k_kind = _K_BYTES + bytes_code, _K_KIND + _KIND_VALUES[kind]
     request = struct.Struct(
-        f">{len(k_rank)}s{rank_uint.format[1:]}{len(_K_START)}sd{len(_K_END)}sd"
+        f">{len(k_rank)}s{rank_uint.format[1:]}{len(k_start)}sd{len(k_end)}sd"
         f"{len(k_bytes)}s{bytes_uint.format[1:]}{len(k_kind)}s"
     )
     dtype = np.dtype(
         [
             ("k_rank", f"S{len(k_rank)}"), ("rank", f">u{rank_uint.size}"),
-            ("k_start", f"S{len(_K_START)}"), ("start", ">f8"),
-            ("k_end", f"S{len(_K_END)}"), ("end", ">f8"),
+            ("k_start", f"S{len(k_start)}"), ("start", ">f8"),
+            ("k_end", f"S{len(k_end)}"), ("end", ">f8"),
             ("k_bytes", f"S{len(k_bytes)}"), ("bytes", f">u{bytes_uint.size}"),
             ("k_kind", f"S{len(k_kind)}"),
         ]
     )
     assert dtype.itemsize == request.size
-    zeros = request.pack(k_rank, 0, _K_START, 0.0, _K_END, 0.0, k_bytes, 0, k_kind)
+    zeros = request.pack(k_rank, 0, k_start, 0.0, k_end, 0.0, k_bytes, 0, k_kind)
     mask = np.zeros(request.size, np.uint8)
     for name, (field, offset) in dtype.fields.items():
         if name.startswith("k_"):
@@ -322,7 +319,8 @@ def _request_layout(
     for name, width in (("rank", rank_width), ("bytes", bytes_width)):
         if width in (0, len(_UINT_WIDTHS) - 1):
             mask[dtype.fields[name][1]] = 0x80
-    return request.pack, k_rank, k_bytes, k_kind, _Reader(dtype, mask, zeros, kind.value)
+    keys = (k_rank, k_start, k_end, k_bytes, k_kind)
+    return request.pack, keys, request.unpack_from, request.size, kind.value, dtype, mask, zeros
 
 
 # ``_REQUEST_LAYOUTS[kind][rank width][bytes width]``, compiled once.
@@ -334,7 +332,37 @@ _REQUEST_LAYOUTS = {
     for kind in IOKind
 }
 
+# What picks a request's layout: the type code of its rank, of its byte count
+# (how far behind depends on the rank's width) and the first byte of its kind
+# value (how far behind that, on the byte count's width).
+_RANK_CODE_AT = len(_K_RANK)
+_BYTES_CODE_AT = tuple(
+    len(_K_RANK) + size + len(_K_START) + 8 + len(_K_END) + 8 + len(_K_BYTES)
+    for size in _INT_SIZE
+)
+_KIND_BYTE_AT = tuple(size + len(_K_KIND) for size in _INT_SIZE)
+_KIND_OF_CODE = tuple({v[0]: kind for kind, v in _KIND_VALUES.items()}.get(c) for c in range(256))
 
+
+def _layout_at(data: Any, pos: int) -> tuple[IOKind, int, int] | None:
+    """The layout of the request at ``data[pos]`` — kind, rank width, bytes
+    width — or ``None``; its key runs are the caller's to check."""
+    rank_w = _WIDTH_OF_CODE[data[pos + _RANK_CODE_AT]]
+    if rank_w is None:
+        return None
+    pos += _BYTES_CODE_AT[rank_w]
+    bytes_w = _WIDTH_OF_CODE[data[pos]]
+    if bytes_w is None:
+        return None
+    kind = _KIND_OF_CODE[data[pos + _KIND_BYTE_AT[bytes_w]]]
+    if kind is None:
+        return None
+    return kind, rank_w, bytes_w
+
+
+# --------------------------------------------------------------------- #
+# the schema-specialised encoder
+# --------------------------------------------------------------------- #
 def _array_header(n: int) -> bytes:
     if n <= 0x0F:
         return bytes((0x90 | n,))
@@ -364,8 +392,10 @@ def _encode_canonical(flush: FlushRecord) -> bytes:
         ):
             raise _NotCanonical
         by_rank = layouts[kind][width_of_bits[rank.bit_length()]]
-        pack, k_rank, k_bytes, k_kind, _ = by_rank[width_of_bits[nbytes.bit_length()]]
-        append(pack(k_rank, rank, _K_START, start, _K_END, end, k_bytes, nbytes, k_kind))
+        layout = by_rank[width_of_bits[nbytes.bit_length()]]  # indexed: the cheapest read
+        k_rank, k_start, k_end, k_bytes, k_kind = layout[1]
+        pack = layout[0]
+        append(pack(k_rank, rank, k_start, start, k_end, end, k_bytes, nbytes, k_kind))
     return b"".join(parts)
 
 
@@ -394,21 +424,11 @@ def encode_flush_payload(flush: FlushRecord) -> bytes:
 # --------------------------------------------------------------------- #
 # the schema-specialised decoder
 # --------------------------------------------------------------------- #
-_FLUSH_HEAD = struct.Struct(">13s")  # fixmap(4) "flush_index"
-_FLUSH_STAMP = struct.Struct(">11sd9sB")  # "timestamp" 0xCB f64 "metadata" <map code>
-_FLUSH_REQUESTS = struct.Struct(">9sB")  # "requests" <array code>
-
-# A request up to its byte count.  ``_REQUEST`` reads it in one call when the
-# rank is a one-byte fixint; a wider rank shifts what follows, which is then
-# read again, rank value first, by the ``_REQUEST_REST`` of the rank's type code.
-_REQUEST = struct.Struct(">6sB7sd5sd6sB")
-_REQUEST_REST = {
-    code[0]: struct.Struct(f">{uint.format[1:]}7sd5sd6sB") for code, uint in _UINT_WIDTHS[1:]
-}
-_RANK_CODE_END = len(_K_RANK) + 1
-_REQUEST_KIND = struct.Struct(">5s5s")  # "kind" + the first five bytes of its value
-_V_READ = _KIND_VALUES[IOKind.READ]
-_V_WRITE = _KIND_VALUES[IOKind.WRITE][:5]  # + "e", checked on its own
+_FLUSH_HEAD = struct.Struct(f">{len(_K_FLUSH_HEAD)}s")
+# "timestamp" 0xCB, the float64, "metadata" and its map's type code
+_FLUSH_STAMP = struct.Struct(f">{len(_K_TIMESTAMP)}sd{len(_K_METADATA)}sB")
+# "requests" and its array's type code
+_FLUSH_REQUESTS = struct.Struct(f">{len(_K_REQUESTS)}sB")
 
 
 def _int_at(data: Any, pos: int) -> tuple[int, int]:
@@ -416,8 +436,11 @@ def _int_at(data: Any, pos: int) -> tuple[int, int]:
     code = data[pos]
     if code <= 0x7F:
         return code, pos + 1
-    uint = _UINT_AT[code]  # KeyError: not canonical
-    return uint.unpack_from(data, pos + 1)[0], pos + 1 + uint.size
+    width = _WIDTH_OF_CODE[code]
+    if width is None:
+        raise _NotCanonical
+    uint = _UINT_WIDTHS[width][1]
+    return uint.unpack_from(data, pos + 1)[0], pos + _INT_SIZE[width]
 
 
 #: A canonical payload up to its first request: flush index, timestamp,
@@ -467,39 +490,22 @@ def _decode_canonical(data: Any, head: _Head | None = None) -> FlushColumns:
     nbytes: list[int] = []
     ranks: list[int] = []
     kinds: list[str] = []
-    read_request, read_kind = _REQUEST.unpack_from, _REQUEST_KIND.unpack_from
+    layout_at, layouts = _layout_at, _REQUEST_LAYOUTS
     for _ in range(n):
-        k_rank, rank, k_start, start, k_end, end, k_bytes, size = read_request(data, pos)
-        if rank <= 0x7F:
-            pos += _REQUEST.size
-        else:
-            rest = _REQUEST_REST[rank]  # KeyError: not canonical
-            pos += _RANK_CODE_END
-            rank, k_start, start, k_end, end, k_bytes, size = rest.unpack_from(data, pos)
-            pos += rest.size
-        if k_rank != _K_RANK or k_start != _K_START or k_end != _K_END or k_bytes != _K_BYTES:
+        at = layout_at(data, pos)
+        if at is None:
             raise _NotCanonical
-        if size > 0x7F:
-            uint = _UINT_AT[size]  # KeyError: not canonical
-            size = uint.unpack_from(data, pos)[0]
-            pos += uint.size
-        k_kind, value = read_kind(data, pos)
-        if k_kind != _K_KIND:
+        kind, rank_w, bytes_w = at
+        _, keys, unpack, size, kind_value, _, _, _ = layouts[kind][rank_w][bytes_w]
+        k_rank, rank, k_start, start, k_end, end, k_bytes, count, k_kind = unpack(data, pos)
+        if (k_rank, k_start, k_end, k_bytes, k_kind) != keys or end < start:
             raise _NotCanonical
-        if value == _V_WRITE and data[pos + _REQUEST_KIND.size] == 0x65:
-            kinds.append("write")
-            pos += _REQUEST_KIND.size + 1
-        elif value == _V_READ:
-            kinds.append("read")
-            pos += _REQUEST_KIND.size
-        else:
-            raise _NotCanonical
-        if end < start:
-            raise _NotCanonical
+        pos += size
         starts.append(start)
         ends.append(end)
-        nbytes.append(size)
+        nbytes.append(count)
         ranks.append(rank)
+        kinds.append(kind_value)
     if pos != len(data):
         raise _NotCanonical
     # Checked as the constructor would: ``end >= start`` above, ranks and byte
@@ -508,11 +514,11 @@ def _decode_canonical(data: Any, head: _Head | None = None) -> FlushColumns:
         flush_index,
         timestamp,
         metadata,
-        np.array(starts, dtype=np.float64),
-        np.array(ends, dtype=np.float64),
-        np.array(nbytes, dtype=np.int64),
-        np.array(ranks, dtype=np.int64),
-        np.array(kinds, dtype=KIND_DTYPE),
+        np.fromiter(starts, np.float64, n),
+        np.fromiter(ends, np.float64, n),
+        np.fromiter(nbytes, np.int64, n),
+        np.fromiter(ranks, np.int64, n),
+        np.fromiter(kinds, KIND_DTYPE, n),
     )
 
 
@@ -542,20 +548,6 @@ def _decode_alone(
         return exc
 
 
-# The batch route.  A payload's layout is read off its first request: the
-# type codes of its rank and byte count and the first byte of its kind value
-# pick a reader from the layout table, and the payload belongs to the reader's
-# group only if its requests fill it exactly at that reader's size.  The
-# group's checks are what settles that every request has that layout.
-_WIDTH_OF_CODE = tuple(
-    0 if code <= 0x7F else {c[0]: w for w, (c, _) in enumerate(_UINT_WIDTHS) if c}.get(code)
-    for code in range(256)
-)
-_INT_SIZE = tuple(len(code) + uint.size for code, uint in _UINT_WIDTHS)  # type code + value
-_KIND_OF_CODE = {_KIND_VALUES[kind][0]: kind for kind in IOKind}
-#: From a rank's type code to a byte count's; from that to the kind value.
-_RANK_TO_BYTES = len(_K_START) + 8 + len(_K_END) + 8 + len(_K_BYTES)
-_BYTES_TO_KIND = len(_K_KIND)
 #: A flush without requests joins any group; this one.
 _EMPTY_GROUP = (IOKind.WRITE, 0, 0)
 #: Fewer requests than this in a group, and the walker is the faster route.
@@ -567,43 +559,36 @@ def _group_of(data: Any, head: _Head) -> tuple[IOKind, int, int] | None:
     count, pos = head[3], head[4]
     if count == 0:
         return _EMPTY_GROUP if pos == len(data) else None
-    at = pos + len(_K_RANK)
-    rank_w = _WIDTH_OF_CODE[data[at]]
-    if rank_w is None:
+    layout = _layout_at(data, pos)
+    if layout is None:
         return None
-    at += _INT_SIZE[rank_w] + _RANK_TO_BYTES
-    bytes_w = _WIDTH_OF_CODE[data[at]]
-    if bytes_w is None:
+    kind, rank_w, bytes_w = layout
+    if pos + count * _REQUEST_LAYOUTS[kind][rank_w][bytes_w][3] != len(data):
         return None
-    kind = _KIND_OF_CODE.get(data[at + _INT_SIZE[bytes_w] + _BYTES_TO_KIND])
-    if kind is None:
-        return None
-    size = _REQUEST_LAYOUTS[kind][rank_w][bytes_w][4].dtype.itemsize
-    if pos + count * size != len(data):
-        return None
-    return kind, rank_w, bytes_w
+    return layout
 
 
 def _decode_group(
-    reader: _Reader, members: list[tuple[int, _Head]], payloads: Sequence[Any], out: list
+    layout: _Layout, members: list[tuple[int, _Head]], payloads: Sequence[Any], out: list
 ) -> bool:
     """Decode payloads of one layout through one structured view into ``out``.
 
     ``False``, with ``out`` untouched, when any request fails a check — every
     key run, the fixint and int64 bounds, ``end >= start``.
     """
+    _, _, _, size, kind, dtype, mask, fixed = layout
     requests = b"".join(memoryview(payloads[i])[head[4] :] for i, head in members)
-    rows = np.frombuffer(requests, np.uint8).reshape(-1, reader.dtype.itemsize)
-    if (rows & reader.mask).tobytes() != reader.fixed * len(rows):
+    rows = np.frombuffer(requests, np.uint8).reshape(-1, size)
+    if (rows & mask).tobytes() != fixed * len(rows):
         return False
-    table = np.frombuffer(requests, reader.dtype)
+    table = np.frombuffer(requests, dtype)
     starts = table["start"].astype(np.float64)
     ends = table["end"].astype(np.float64)
     if (ends < starts).any():
         return False
     nbytes = table["bytes"].astype(np.int64)
     ranks = table["rank"].astype(np.int64)
-    kinds = np.full(len(table), reader.kind, KIND_DTYPE)
+    kinds = np.full(len(table), kind, KIND_DTYPE)
     at = 0
     trusted = FlushColumns._trusted
     for i, (flush_index, timestamp, metadata, count, _) in members:
@@ -643,10 +628,11 @@ def decode_flush_payloads(
         else:
             groups[layout] = [(i, head)]
     for (kind, rank_w, bytes_w), members in groups.items():
-        reader = _REQUEST_LAYOUTS[kind][rank_w][bytes_w][4]
         if (
             sum([head[3] for _, head in members]) < _MIN_GROUP_REQUESTS
-            or not _decode_group(reader, members, payloads, out)
+            or not _decode_group(
+                _REQUEST_LAYOUTS[kind][rank_w][bytes_w], members, payloads, out
+            )
         ):
             for i, head in members:
                 out[i] = _decode_alone(payloads[i], head)

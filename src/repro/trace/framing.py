@@ -36,18 +36,19 @@ a future format.
 
 The payload is the :meth:`FlushRecord.to_dict` schema in MessagePack, so a
 framed stream is a thin layer over a format the tracer already writes.  Its
-canonical layout is written and read from one table in
-:mod:`repro.trace.columns`: encoded by
-:func:`~repro.trace.columns.encode_flush_payload` (the bytes of
+canonical layout is one table in :mod:`repro.trace.columns`, read three ways:
+encoded by :func:`~repro.trace.columns.encode_flush_payload` (the bytes of
 ``packb(flush.to_dict())``, a few ``struct`` packs per request — what
-``trace.framing.encode_us`` prices) and decoded once, straight into columns,
-the form the service keeps a flush in.  :class:`FrameDecoder` slices every
-complete frame it holds, header by header, then hands their payloads to
-:func:`~repro.trace.columns.decode_flush_payloads` together, which reads the
-requests of every payload of one layout through one numpy view.  Frames are
-self-contained and append-only: a reader positioned at a frame boundary never
-needs to rewind, and a partially written final frame (crash, in-flight flush)
-simply stays buffered until the missing bytes arrive.
+``trace.framing.encode_us`` prices) and decoded straight into columns, the
+form the service keeps a flush in, a batch or a request at a time.  Both
+readers here walk frame headers one way (``_FrameBuffer._held_frames``): every
+complete frame at the front of the buffer is sliced, header by header, then
+:class:`FrameSplitter` hands each frame through and :class:`FrameDecoder`
+hands their payloads to :func:`~repro.trace.columns.decode_flush_payloads`
+together, each consuming a frame as it yields it.  Frames are self-contained
+and append-only: a reader positioned at a frame boundary never needs to
+rewind, and a partially written final frame (crash, in-flight flush) simply
+stays buffered until the missing bytes arrive.
 
 A spool file is never rewritten.  It is split and bounded one way:
 :class:`FrameWriter` rotation closes a generation (``<path>.<n>``) at a frame
@@ -268,18 +269,17 @@ class _FrameBuffer:
         self._length = 0
         return dropped
 
-    def _contiguous(self, size: int) -> bytes | memoryview:
-        """The first ``size`` buffered bytes, contiguous; the caller checked size.
+    def _coalesce(self, size: int) -> None:
+        """Make the first ``size`` buffered bytes lie in the first chunk; the
+        caller checked size.
 
-        Zero-copy (a memoryview slice) when they lie within the first chunk;
-        a counted join-copy when they span chunks.  A join *coalesces*: the
-        joined bytes replace the prefix chunks in the deque, so polling for
-        the same prefix again (a header re-examined on every feed of a
-        dribbling stream) costs the copy only once, not once per poll.
+        Nothing moves when they already do; when they span chunks, a counted
+        join-copy replaces the prefix chunks in the deque, so polling for the
+        same prefix again (a header re-examined on every feed of a dribbling
+        stream) costs the copy only once, not once per poll.
         """
-        first = self._chunks[0]
-        if len(first) - self._offset >= size:
-            return memoryview(first)[self._offset : self._offset + size]
+        if len(self._chunks[0]) - self._offset >= size:
+            return
         out = bytearray(size)
         pos = 0
         offset = self._offset
@@ -291,33 +291,18 @@ class _FrameBuffer:
             if offset + take < len(chunk):
                 self._chunks.appendleft(memoryview(chunk)[offset + take :])
             offset = 0
-        joined = bytes(out)
-        self._chunks.appendleft(joined)
+        self._chunks.appendleft(bytes(out))
         self._offset = 0
         self._bytes_copied += size
-        return joined
 
-    def _consume(self, size: int) -> None:
-        """Advance past the first ``size`` buffered bytes."""
+    def _consume_frame(self, size: int) -> None:
+        """Advance past one complete frame of ``size`` bytes, counting it."""
         self._length -= size
         self._offset += size
         while self._chunks and self._offset >= len(self._chunks[0]):
             self._offset -= len(self._chunks.popleft())
-
-    def _take_frame(self, total: int) -> bytes | memoryview:
-        """Slice out one complete frame of ``total`` bytes and consume it."""
-        view = self._contiguous(total)
-        self._consume(total)
         self._frames_emitted += 1
-        self._bytes_emitted += total
-        return view
-
-    def _check_token(self, token: int | None) -> None:
-        if self._expected_token is not None and token != self._expected_token:
-            raise TraceFormatError(
-                f"frame tenant token {token!r} does not match the expected token "
-                f"{self._expected_token}"
-            )
+        self._bytes_emitted += size
 
     def _check_header(self, data: bytes | memoryview, pos: int) -> tuple[int | None, int, int]:
         """Validate the header at ``data[pos:]``; returns (token, job_len, total)."""
@@ -331,25 +316,47 @@ class _FrameBuffer:
             raise TraceFormatError(f"unknown frame payload format code {code}")
         if payload_len > MAX_PAYLOAD_BYTES:
             raise TraceFormatError(f"frame payload length {payload_len} exceeds the limit")
-        self._check_token(token)
+        if self._expected_token is not None and token != self._expected_token:
+            raise TraceFormatError(
+                f"frame tenant token {token!r} does not match the expected token "
+                f"{self._expected_token}"
+            )
         return token, job_len, _HEADER.size + job_len + payload_len
 
-    def _slice_one(self) -> tuple[int | None, int, int] | None:
-        """Validate the buffered header; returns (token, job_len, total)."""
+    def _held_frames(self) -> list[tuple[str | TraceFormatError, int | None, memoryview, int]]:
+        """The complete frames at the front of the buffer as ``(job, token,
+        frame, job_len)``, sliced, not consumed: the first, then those behind
+        it in its chunk up to the first that is incomplete, spans chunks or
+        has a header that raises.  A bad header in front raises here; a job id
+        that is not UTF-8 comes as its error, raised when its frame is reached.
+        """
         if self._length < _HEADER.size:
-            return None
-        token, job_len, total = self._check_header(self._contiguous(_HEADER.size), 0)
+            return []
+        self._coalesce(_HEADER.size)
+        token, job_len, total = self._check_header(self._chunks[0], self._offset)
         if self._length < total:
-            return None
-        return token, job_len, total
-
-    @staticmethod
-    def _decode_job(frame: bytes | memoryview, job_len: int) -> str:
-        raw = frame[_HEADER.size : _HEADER.size + job_len]
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"frame job id is not valid UTF-8: {exc}") from exc
+            return []
+        self._coalesce(total)
+        chunk, pos = memoryview(self._chunks[0]), self._offset
+        held = []
+        while True:
+            frame = chunk[pos : pos + total]
+            try:
+                job: str | TraceFormatError = str(
+                    frame[_HEADER.size : _HEADER.size + job_len], "utf-8"
+                )
+            except UnicodeDecodeError as exc:
+                job = TraceFormatError(f"frame job id is not valid UTF-8: {exc}")
+            held.append((job, token, frame, job_len))
+            pos += total
+            if len(chunk) - pos < _HEADER.size:
+                return held
+            try:
+                token, job_len, total = self._check_header(chunk, pos)
+            except TraceFormatError:
+                return held
+            if len(chunk) - pos < total:
+                return held
 
 
 class FrameDecoder(_FrameBuffer):
@@ -376,16 +383,13 @@ class FrameDecoder(_FrameBuffer):
         Frames yielded before a bad one raises are the caller's to keep
         (``list.extend(decoder.frames())`` does).
         """
-        while True:
-            held = self._held_frames()
-            if not held:
-                return
-            flushes = decode_flush_payloads([payload for _, _, _, payload in held])
-            for (job, token, total, _), flush in zip(held, flushes):
-                self._consume(total)
-                self._frames_emitted += 1
-                self._bytes_emitted += total
-                if isinstance(job, TraceFormatError):
+        while held := self._held_frames():
+            flushes = decode_flush_payloads(
+                [frame[_HEADER.size + job_len :] for _, _, frame, job_len in held]
+            )
+            for (job, token, frame, _), flush in zip(held, flushes):
+                self._consume_frame(len(frame))
+                if type(job) is not str:  # a job id that is not UTF-8: its error
                     raise job
                 if isinstance(flush, TraceFormatError):
                     raise flush
@@ -394,36 +398,6 @@ class FrameDecoder(_FrameBuffer):
     def drain(self) -> list[FlushFrame]:
         """All complete frames currently buffered, as a list."""
         return list(self.frames())
-
-    def _held_frames(self) -> list[tuple[str | TraceFormatError, int | None, int, memoryview]]:
-        """The complete frames at the front of the buffer as ``(job, token,
-        total, payload)``, sliced, not consumed: the one :meth:`_slice_one`
-        finds, then those behind it in its chunk up to the first that is
-        incomplete, spans chunks or has a header that raises.  A job id that
-        is not UTF-8 comes as its error, raised when its frame is reached.
-        """
-        sliced = self._slice_one()
-        if sliced is None:
-            return []
-        token, job_len, total = sliced
-        self._contiguous(total)  # a frame spanning chunks becomes the first chunk
-        chunk, pos = memoryview(self._chunks[0]), self._offset
-        held = []
-        while True:
-            try:
-                job: str | TraceFormatError = self._decode_job(chunk[pos : pos + total], job_len)
-            except TraceFormatError as exc:
-                job = exc
-            held.append((job, token, total, chunk[pos + _HEADER.size + job_len : pos + total]))
-            pos += total
-            if len(chunk) - pos < _HEADER.size:
-                return held
-            try:
-                token, job_len, total = self._check_header(chunk, pos)
-            except TraceFormatError:
-                return held
-            if len(chunk) - pos < total:
-                return held
 
 
 class FrameSplitter(_FrameBuffer):
@@ -441,14 +415,12 @@ class FrameSplitter(_FrameBuffer):
         A frame that lies within one fed chunk is yielded as a borrowed
         ``memoryview`` of that chunk — the router forwards it without a copy.
         """
-        while True:
-            sliced = self._slice_one()
-            if sliced is None:
-                return
-            token, job_len, total = sliced
-            data = self._take_frame(total)
-            job = self._decode_job(data, job_len)
-            yield RawFrame(job=job, data=data, token=token)
+        while held := self._held_frames():
+            for job, token, frame, _ in held:
+                self._consume_frame(len(frame))
+                if type(job) is not str:  # a job id that is not UTF-8: its error
+                    raise job
+                yield RawFrame(job=job, data=frame, token=token)
 
     def drain(self) -> list[RawFrame]:
         """All complete raw frames currently buffered, as a list."""

@@ -753,3 +753,91 @@ class TestBatchDecodeAgainstFramesAlone:
                 frames.extend(decoder.frames())
             assert [(f.job, f.flush) for f in frames] == [("a", flush)] * 2
             assert decoder.buffered_bytes == 2 * len(good)
+
+
+# --------------------------------------------------------------------- #
+# the splitter against the decoder, a feed at a time
+# --------------------------------------------------------------------- #
+SPLIT_EXAMPLES = 60
+
+
+@st.composite
+def split_feeds(draw) -> tuple[bytes, list[int]]:
+    """Frames of random flushes, one perhaps with a corrupt magic, format code
+    or flags byte, or a job id that is not UTF-8, and a random chunking."""
+    items = draw(st.lists(st.tuples(jobs, tokens, flush_records()), min_size=1, max_size=8))
+    frames = [bytearray(encode_frame(flush, job=job, token=token)) for job, token, flush in items]
+    damage = draw(st.sampled_from(["none", "header", "job"]))
+    victim = draw(st.integers(0, len(frames) - 1))
+    if damage == "header":
+        frames[victim][draw(st.integers(0, 5))] ^= draw(st.integers(1, 255))
+    elif damage == "job":
+        job, token, flush = items[victim]
+        job_bytes = b"\xff" + job.encode()
+        payload = encode_flush_payload(flush)
+        flags = 0 if token is None else 0x10 | token
+        header = _HEADER.pack(b"FTS1", 2, flags, len(job_bytes), len(payload))
+        frames[victim] = bytearray(header + job_bytes + payload)
+    stream = b"".join(frames)
+    cuts = sorted(draw(st.sets(st.integers(1, len(stream) - 1), max_size=4)))
+    return stream, cuts
+
+
+def read_feed(reader, frames_of, stream: bytes, cuts: list[int]) -> list:
+    """What ``frames_of(reader)`` yields and raises over ``stream`` fed at
+    ``cuts``; a header that raises, unconsumed, stops the feed there."""
+    outcomes: list = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        reader.feed(stream[lo:hi])
+        while True:
+            emitted, got = reader.frames_emitted, []
+            try:
+                got.extend(frames_of(reader))
+            except TraceFormatError as exc:
+                outcomes += got
+                outcomes.append(("error", str(exc)))
+                if reader.frames_emitted == emitted + len(got):
+                    return outcomes
+                continue
+            outcomes += got
+            break
+    return outcomes
+
+
+def check_split_feed(feed: tuple[bytes, list[int]]) -> None:
+    stream, cuts = feed
+    decoder, splitter = FrameDecoder(), FrameSplitter()
+    decoded = read_feed(decoder, FrameDecoder.frames, stream, cuts)
+    split = read_feed(splitter, FrameSplitter.raw_frames, stream, cuts)
+    assert len(split) == len(decoded)
+    for raw, frame in zip(split, decoded):
+        if isinstance(frame, tuple):
+            assert raw == frame
+            continue
+        assert (raw.job, raw.token) == (frame.job, frame.token)
+        alone = FrameDecoder()
+        alone.feed(bytes(raw.data))
+        (again,) = alone.drain()
+        assert_same_flush(again.flush, frame.flush)
+    assert splitter.buffered_bytes == decoder.buffered_bytes
+    assert splitter.bytes_copied == decoder.bytes_copied
+    assert splitter.frames_emitted == decoder.frames_emitted
+    assert splitter.bytes_emitted == decoder.bytes_emitted
+
+
+class TestSplitterAgainstDecoder:
+    @settings(max_examples=SPLIT_EXAMPLES, deadline=None)
+    @given(feed=split_feeds())
+    def test_a_feed_splits_as_it_decodes(self, feed):
+        check_split_feed(feed)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SOAK"),
+        reason="soak test only runs when REPRO_SOAK=1 (CI nightly job)",
+    )
+    @seed(int(os.environ.get("REPRO_SOAK_SEED", "0")))
+    @settings(max_examples=50 * SPLIT_EXAMPLES, deadline=None, database=None)
+    @given(feed=split_feeds())
+    def test_a_feed_splits_as_it_decodes_soak(self, feed):
+        check_split_feed(feed)

@@ -1,11 +1,11 @@
-"""The two CI smoke scripts and the two first-page examples, run by tier-1.
+"""The two CI smoke scripts and the first-page examples, run by tier-1.
 
 The smoke scripts lived as Python inside ``.github/workflows/ci.yml`` until
 PR 21, where nothing but a CI runner could execute them; the workflow now
 calls the files and this test calls their ``main()``.  ``quickstart.py`` and
 ``online_prediction.py`` are what the README sends a reader to first and print
-periods; nothing else runs them.  ``sharded_service.py`` runs with the
-temporary directory redirected, which its spool generations must leave empty.
+periods.  Every example that writes files runs with the temporary directory
+redirected, which it must leave empty.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ def test_quickstart_detects_its_own_period(capsys):
     assert float(error.group(1)) < 5.0
 
 
-def test_online_replay_tracks_the_generator(capsys):
-    out = _run("online_prediction.py", capsys)
+def _tracks_the_generator(out: str) -> None:
     truth = float(re.search(r"Ground-truth mean period: ([0-9.]+) s", out).group(1))
     rows = re.findall(r"^\s+\d+\s+[0-9.]+\s+\[.*?\]\s+([0-9.]+)\s+\d+%$", out, flags=re.M)
     assert len(rows) >= 8, out
@@ -54,8 +53,20 @@ def test_online_replay_tracks_the_generator(capsys):
     assert float(rows[-1]) == pytest.approx(truth, rel=0.10)
 
 
-def test_sharded_service_leaves_no_temp_files(tmp_path, monkeypatch, capsys):
+#: The examples that write files, each with a line its report must print.
+WRITERS = {
+    "online_prediction.py": "Ground-truth mean period",
+    "streaming_service.py": "restored service answers identically",
+    "darshan_nek5000.py": "restricting the window recovers",
+    "sharded_service.py": "all shards shut down cleanly.",
+}
+
+
+@pytest.mark.parametrize("script", sorted(WRITERS))
+def test_example_runs_and_leaves_no_temp_files(script, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    out = _run("sharded_service.py", capsys)
-    assert "all shards shut down cleanly." in out
+    out = _run(script, capsys)
+    assert WRITERS[script] in out
+    if script == "online_prediction.py":
+        _tracks_the_generator(out)
     assert list(tmp_path.iterdir()) == []
