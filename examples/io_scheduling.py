@@ -6,7 +6,8 @@ The example simulates the Figure 17 workload — one high-frequency application
 a parallel file system — under four configurations:
 
 * Set-10 with clairvoyant (ideal) period knowledge,
-* Set-10 with periods estimated at runtime by FTIO,
+* Set-10 with periods estimated at runtime by FTIO: every completed I/O phase
+  is streamed into the prediction service, which publishes a live period,
 * Set-10 with FTIO periods corrupted by ±50 %,
 * the unmodified file system (fair sharing).
 

@@ -12,8 +12,8 @@ from repro.scheduling.metrics import SchedulingMetrics, evaluate, isolated_basel
 from repro.scheduling.periods import (
     ClairvoyantPeriods,
     ErrorInjectedPeriods,
-    FtioPeriods,
     PeriodProvider,
+    ServicePeriodProvider,
 )
 from repro.scheduling.set10 import Set10Scheduler
 
@@ -30,7 +30,7 @@ __all__ = [
     "isolated_baselines",
     "ClairvoyantPeriods",
     "ErrorInjectedPeriods",
-    "FtioPeriods",
     "PeriodProvider",
+    "ServicePeriodProvider",
     "Set10Scheduler",
 ]

@@ -7,8 +7,9 @@ executions (different release jitter) are simulated for each of the four
 configurations:
 
 * ``set10-clairvoyant`` — Set-10 fed with the ideal, in-isolation periods;
-* ``set10-ftio``        — Set-10 fed with FTIO's runtime estimates;
-* ``set10-error``       — Set-10 fed with FTIO estimates corrupted by ±50 %;
+* ``set10-ftio``        — Set-10 fed with the periods the streaming prediction
+  service publishes from the phases streamed into it as the simulation runs;
+* ``set10-error``       — the same, with the estimates corrupted by ±50 %;
 * ``original``          — the unmodified file system (fair sharing).
 
 The experiment reports the stretch, I/O slowdown and utilization of every
@@ -24,15 +25,33 @@ import numpy as np
 from repro.cluster.filesystem import SharedFileSystem
 from repro.cluster.job import JobSpec
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
+from repro.core.config import FtioConfig
 from repro.scheduling.baseline import FairShareScheduler
 from repro.scheduling.metrics import SchedulingMetrics, evaluate, isolated_baselines
-from repro.scheduling.periods import ClairvoyantPeriods, ErrorInjectedPeriods, FtioPeriods
+from repro.scheduling.periods import (
+    ClairvoyantPeriods,
+    ErrorInjectedPeriods,
+    PeriodProvider,
+    ServicePeriodProvider,
+)
 from repro.scheduling.set10 import Set10Scheduler
+from repro.service import PhaseFlushBridge, PredictionService, ServiceConfig, SessionConfig
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
 
 #: The four configurations compared in Figure 17.
 CONFIGURATIONS = ("set10-clairvoyant", "set10-ftio", "set10-error", "original")
+
+#: The FTIO configurations' sessions: phase-level requests sampled at 1 Hz,
+#: no ACF refinement, a growing (not adaptive) window, and a first detection
+#: once three phases are in.
+_FTIO_SESSION = SessionConfig(
+    config=FtioConfig(
+        sampling_frequency=1.0, use_autocorrelation=False, compute_characterization=False
+    ),
+    adaptive_window=False,
+    min_requests=3,
+)
 
 
 @dataclass(frozen=True)
@@ -132,21 +151,29 @@ class SchedulingExperiment:
         jobs = self.build_jobs(seed=rng)
         filesystem = self.filesystem()
 
+        service = None
         if configuration == "original":
             scheduler = FairShareScheduler()
         elif configuration == "set10-clairvoyant":
-            scheduler = Set10Scheduler(ClairvoyantPeriods(self.true_periods(jobs)))
-            scheduler.name = "set10-clairvoyant"
-        elif configuration == "set10-ftio":
-            scheduler = Set10Scheduler(FtioPeriods())
-            scheduler.name = "set10-ftio"
-        else:  # set10-error
-            provider = ErrorInjectedPeriods(FtioPeriods(), error=0.5, seed=rng)
-            scheduler = Set10Scheduler(provider)
-            scheduler.name = "set10-error"
+            clairvoyant = ClairvoyantPeriods(self.true_periods(jobs))
+            scheduler = Set10Scheduler(clairvoyant, name=configuration)
+        else:  # set10-ftio, set10-error
+            service = PredictionService(ServiceConfig(session=_FTIO_SESSION))
+            periods: PeriodProvider = ServicePeriodProvider(service)
+            if configuration == "set10-error":
+                periods = ErrorInjectedPeriods(periods, error=0.5, seed=rng)
+            scheduler = Set10Scheduler(periods, name=configuration)
 
         simulator = ClusterSimulator(filesystem, scheduler, jobs)
-        result = simulator.run()
+        if service is not None:
+            bridge = PhaseFlushBridge(service)
+            simulator.add_phase_observer(bridge)
+            simulator.add_finish_observer(bridge.on_job_finished)
+        try:
+            result = simulator.run()
+        finally:
+            if service is not None:
+                service.close()
         baselines = isolated_baselines(jobs, filesystem)
         metrics = evaluate(result, baselines)
         return ExperimentRun(

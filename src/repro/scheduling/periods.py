@@ -3,50 +3,27 @@
 Set-10 groups jobs by the period of their I/O phases.  Figure 17 compares
 four sources of that knowledge:
 
-* **clairvoyant** — the ideal, in-isolation period is supplied manually;
-* **FTIO** — the period is estimated at runtime from the phases observed so
-  far, using the actual FTIO pipeline of this library;
+* **clairvoyant** — the ideal, in-isolation period is supplied manually
+  (:class:`ClairvoyantPeriods`);
+* **FTIO** — the period the streaming prediction service publishes for the
+  job, learnt online from the phases observed so far
+  (:class:`ServicePeriodProvider`);
 * **error-injected** — the FTIO estimate is randomly made 50 % larger or
-  smaller before being handed to the scheduler;
+  smaller before being handed to the scheduler (:class:`ErrorInjectedPeriods`);
 * **original** — no period knowledge at all (no Set-10; plain fair sharing).
 
 All providers implement the tiny :class:`PeriodProvider` protocol consumed by
 :class:`~repro.scheduling.set10.Set10Scheduler`, and providers that learn at
-runtime also act as simulator phase observers.
-
-A fifth provider, :class:`~repro.service.provider.ServicePeriodProvider`,
-serves periods published by the streaming prediction service — the fully
-online variant of the FTIO configuration, where the estimates come from live
-flush ingestion instead of an in-process pipeline.  It is re-exported here
-lazily (``from repro.scheduling.periods import ServicePeriodProvider``) so
-this module stays import-light for users who never start the service.
+runtime also see every completed phase through the scheduler.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.cluster.job import JobState, PhaseRecord
-from repro.core.config import FtioConfig
-from repro.core.ftio import Ftio
-from repro.exceptions import AnalysisError, InsufficientSamplesError
-from repro.trace.record import IORequest
-from repro.trace.trace import Trace
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive
-
-
-def __getattr__(name: str):
-    # Lazy re-export: the service depends on this module (for PeriodProvider),
-    # so importing it eagerly here would be circular.
-    if name == "ServicePeriodProvider":
-        from repro.service.provider import ServicePeriodProvider
-
-        return ServicePeriodProvider
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PeriodProvider(abc.ABC):
@@ -70,71 +47,34 @@ class ClairvoyantPeriods(PeriodProvider):
         return self.periods.get(job_name)
 
 
-@dataclass
-class FtioPeriods(PeriodProvider):
-    """Estimate each job's period at runtime with FTIO, from the observed I/O phases.
+class ServicePeriodProvider(PeriodProvider):
+    """Period estimates published by a running prediction service.
 
-    Every completed I/O phase is appended to the job's phase-level trace (one
-    request per phase).  Once at least ``min_phases`` phases are available,
-    FTIO is re-run on that trace and the dominant period — the "most recent
-    prediction" in the paper's wording — replaces the previous estimate.
-    Before the first successful detection the average gap between phase starts
-    is used as a bootstrap estimate (the characteristic time w_iter of the
-    original Set-10 formulation).
+    The simulator's completed phases reach the service through a
+    :class:`~repro.service.bridge.PhaseFlushBridge`; this provider only reads
+    ``service.publisher.latest_period(job)`` — the "most recent prediction" in
+    the paper's wording.  Before the service has published a first
+    prediction for a job, the mean gap between the job's observed phase
+    starts stands in (the characteristic time w_iter of the original Set-10
+    formulation), so freshly started jobs are not starved in the unknown set.
     """
 
-    sampling_frequency: float = 1.0
-    min_phases: int = 3
-    use_autocorrelation: bool = False
-    _phases: dict[str, list[PhaseRecord]] = field(default_factory=dict, repr=False)
-    _estimates: dict[str, float] = field(default_factory=dict, repr=False)
-    _evaluations: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        check_positive(self.sampling_frequency, "sampling_frequency")
-        config = FtioConfig(
-            sampling_frequency=self.sampling_frequency,
-            use_autocorrelation=self.use_autocorrelation,
-            compute_characterization=False,
-        )
-        self._ftio = Ftio(config)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def evaluations(self) -> int:
-        """Number of FTIO evaluations performed so far (for overhead reporting)."""
-        return self._evaluations
+    def __init__(self, service) -> None:
+        self._service = service
+        self._phase_starts: dict[str, list[float]] = {}
 
     def period_of(self, job_name: str) -> float | None:
-        return self._estimates.get(job_name)
+        period = self._service.publisher.latest_period(job_name)
+        if period is not None:
+            return period
+        starts = self._phase_starts.get(job_name)
+        if starts is None or len(starts) < 2:
+            return None
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        return sum(gaps) / len(gaps)
 
     def observe_phase(self, job: JobState, record: PhaseRecord, time: float) -> None:
-        phases = self._phases.setdefault(job.name, [])
-        phases.append(record)
-        if len(phases) < 2:
-            return
-        starts = np.array([p.start for p in phases])
-        bootstrap = float(np.diff(starts).mean())
-        estimate = bootstrap
-        if len(phases) >= self.min_phases:
-            detected = self._detect(phases)
-            if detected is not None:
-                estimate = detected
-        self._estimates[job.name] = estimate
-
-    # ------------------------------------------------------------------ #
-    def _detect(self, phases: list[PhaseRecord]) -> float | None:
-        requests = [
-            IORequest(rank=0, start=p.start, end=max(p.end, p.start + 1e-6), nbytes=int(p.nbytes))
-            for p in phases
-        ]
-        trace = Trace.from_requests(requests)
-        try:
-            result = self._ftio.detect(trace)
-        except (InsufficientSamplesError, AnalysisError):
-            return None
-        self._evaluations += 1
-        return result.period
+        self._phase_starts.setdefault(job.name, []).append(record.start)
 
 
 @dataclass

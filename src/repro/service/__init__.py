@@ -5,8 +5,9 @@ concurrent jobs flush measurements as length-prefixed frames (spool files or
 sockets), a broker demultiplexes them into bounded-memory per-job sessions, a
 dispatcher evaluates the due ones as one batch in the pumping thread with
 per-job rate limiting, and a publisher exposes the live predictions — both to
-subscribers and, through :class:`ServicePeriodProvider`, to the Set-10
-scheduler, closing the paper's Figure 17 loop end to end.
+subscribers and, through :class:`PhaseFlushBridge` and
+:class:`~repro.scheduling.periods.ServicePeriodProvider`, to the Set-10
+scheduler: Figure 17's FTIO configurations run on this path.
 
 Past one process, :class:`ShardedService` consistent-hashes jobs onto N
 worker shards — each a full service in its own subprocess fed FTS1 frames
@@ -45,7 +46,6 @@ from repro.service.bridge import PhaseFlushBridge
 from repro.service.gateway import ThreadedGateway
 from repro.service.broker import BrokerStats, FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
-from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher, PredictionUpdate
 from repro.service.ring import HashRing
 from repro.service.service import PredictionService, ServiceConfig
@@ -78,7 +78,6 @@ __all__ = [
     "DetectionTask",
     "DispatcherStats",
     "HashRing",
-    "ServicePeriodProvider",
     "PredictionPublisher",
     "PredictionUpdate",
     "PredictionService",

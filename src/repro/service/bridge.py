@@ -3,10 +3,10 @@
 The simulator reports every completed I/O phase through its
 :data:`~repro.cluster.simulator.PhaseObserver` hook.  The bridge turns each
 phase into the flush record a TMIO tracer would have emitted for it (one
-phase-level request, exactly as :class:`~repro.scheduling.periods.FtioPeriods`
-models phases) and ingests it into the prediction service — this is what lets
-:class:`~repro.service.provider.ServicePeriodProvider` feed the Set-10
-scheduler with live predictions while the simulation runs.
+phase-level request), ingests it into the prediction service and pumps, so
+:class:`~repro.scheduling.periods.ServicePeriodProvider` hands the Set-10
+scheduler a live prediction before its next decision — the FTIO
+configurations of Figure 17 (:mod:`repro.scheduling.experiment`).
 """
 
 from __future__ import annotations
@@ -32,15 +32,10 @@ class PhaseFlushBridge:
     ----------
     service:
         Target :class:`~repro.service.service.PredictionService`.
-    pump:
-        Run the service's dispatcher after every ingested phase, so a
-        prediction is available before the scheduler's next decision.  Leave
-        it on for live scheduling; turn it off to batch evaluations manually.
     """
 
-    def __init__(self, service, *, pump: bool = True) -> None:
+    def __init__(self, service) -> None:
         self._service = service
-        self._pump = pump
         self._flush_indices: dict[str, int] = {}
 
     def __call__(self, job: JobState, record: PhaseRecord, time: float) -> None:
@@ -54,8 +49,7 @@ class PhaseFlushBridge:
         )
         flush = FlushRecord(flush_index=index, timestamp=float(time), requests=(request,))
         self._service.ingest_flush(job.name, flush)
-        if self._pump:
-            self._service.pump()
+        self._service.pump()
 
     def on_job_finished(self, job: JobState, time: float) -> None:
         """Finish observer: stop scheduling further evaluations for the job."""

@@ -26,7 +26,6 @@ from repro.obs import MetricRegistry, SpanJournal
 from repro.service.backend import ThreadBackend
 from repro.service.broker import FlushBroker
 from repro.service.dispatcher import DetectionDispatcher, DispatcherStats
-from repro.service.provider import ServicePeriodProvider
 from repro.service.publisher import PredictionPublisher
 from repro.service.session import JobSession, SessionConfig
 from repro.trace.columns import FlushColumns
@@ -278,10 +277,6 @@ class PredictionService:
     def close(self) -> None:
         """Wait for a pump in progress, then reject further pumps."""
         self.dispatcher.close()
-
-    def period_provider(self, *, bootstrap: bool = True) -> ServicePeriodProvider:
-        """A Set-10 :class:`PeriodProvider` backed by this service's publisher."""
-        return ServicePeriodProvider(self, bootstrap=bootstrap)
 
     # ------------------------------------------------------------------ #
     # snapshot / restore

@@ -573,12 +573,6 @@ class ShardedService:
             return []
         return self.journal.snapshot()
 
-    def period_provider(self, *, bootstrap: bool = True):
-        """A Set-10 ``PeriodProvider`` backed by the merged parent publisher."""
-        from repro.service.provider import ServicePeriodProvider
-
-        return ServicePeriodProvider(self, bootstrap=bootstrap)
-
     # ------------------------------------------------------------------ #
     # snapshot / restore
     # ------------------------------------------------------------------ #

@@ -7,8 +7,14 @@ import pytest
 from repro.cluster.filesystem import SharedFileSystem
 from repro.cluster.job import JobSpec, JobState, PhaseRecord
 from repro.cluster.simulator import ClusterSimulator
-from repro.scheduling.periods import ClairvoyantPeriods, ErrorInjectedPeriods, FtioPeriods
+from repro.core.config import FtioConfig
+from repro.scheduling.periods import (
+    ClairvoyantPeriods,
+    ErrorInjectedPeriods,
+    ServicePeriodProvider,
+)
 from repro.scheduling.set10 import Set10Scheduler
+from repro.service import PhaseFlushBridge, PredictionService, ServiceConfig, SessionConfig
 
 
 def job_state(name: str, period: float = 100.0, waiting_since: float | None = 0.0) -> JobState:
@@ -25,6 +31,26 @@ def job_state(name: str, period: float = 100.0, waiting_since: float | None = 0.
 
 def phase_record(name: str, iteration: int, start: float, period: float) -> PhaseRecord:
     return PhaseRecord(job=name, iteration=iteration, start=start, end=start + 2.0, nbytes=1e9)
+
+
+@pytest.fixture
+def service():
+    """A service with the session settings of Figure 17's FTIO configurations."""
+    service = PredictionService(
+        ServiceConfig(
+            session=SessionConfig(
+                config=FtioConfig(
+                    sampling_frequency=1.0,
+                    use_autocorrelation=False,
+                    compute_characterization=False,
+                ),
+                adaptive_window=False,
+                min_requests=3,
+            )
+        )
+    )
+    yield service
+    service.close()
 
 
 class TestClairvoyantAndErrorProviders:
@@ -48,22 +74,32 @@ class TestClairvoyantAndErrorProviders:
             ErrorInjectedPeriods(ClairvoyantPeriods({}), error=1.5)
 
 
-class TestFtioPeriods:
-    def test_bootstrap_then_ftio_estimate(self):
-        provider = FtioPeriods(min_phases=3)
+class TestServicePeriodProvider:
+    def test_bootstrap_then_ftio_estimate(self, service):
+        provider = ServicePeriodProvider(service)
+        bridge = PhaseFlushBridge(service)
         state = job_state("app", period=50.0, waiting_since=None)
-        # Feed perfectly periodic phases 50 s apart.
+        # Feed perfectly periodic phases 50 s apart, the way the simulator
+        # does: the scheduler's hook first, then the phase observers.
         for i in range(8):
-            provider.observe_phase(state, phase_record("app", i, start=50.0 * i, period=50.0), time=50.0 * i + 2)
-        estimate = provider.period_of("app")
-        assert estimate == pytest.approx(50.0, rel=0.1)
-        assert provider.evaluations >= 1
+            record = phase_record("app", i, start=50.0 * i, period=50.0)
+            provider.observe_phase(state, record, time=50.0 * i + 2)
+            bridge(state, record, time=50.0 * i + 2)
+            if i == 1:
+                # Two phases: no detection yet, the mean phase gap stands in.
+                assert service.publisher.latest_period("app") is None
+                assert provider.period_of("app") == pytest.approx(50.0)
+        assert service.publisher.latest_period("app") is not None
+        assert provider.period_of("app") == pytest.approx(50.0, rel=0.1)
 
-    def test_unknown_before_two_phases(self):
-        provider = FtioPeriods()
+    def test_unknown_before_two_phases(self, service):
+        provider = ServicePeriodProvider(service)
+        bridge = PhaseFlushBridge(service)
         state = job_state("app", waiting_since=None)
         assert provider.period_of("app") is None
-        provider.observe_phase(state, phase_record("app", 0, 0.0, 50.0), time=2.0)
+        record = phase_record("app", 0, 0.0, 50.0)
+        provider.observe_phase(state, record, time=2.0)
+        bridge(state, record, time=2.0)
         assert provider.period_of("app") is None
 
 
@@ -102,13 +138,16 @@ class TestSet10Scheduler:
         assert shares["known"] > 0.99
         assert shares["mystery"] < 0.01
 
-    def test_on_phase_complete_feeds_provider(self):
-        provider = FtioPeriods()
+    def test_on_phase_complete_feeds_provider(self, service):
+        provider = ServicePeriodProvider(service)
         scheduler = Set10Scheduler(provider)
         state = job_state("app", 50.0, waiting_since=None)
         for i in range(3):
             scheduler.on_phase_complete(state, phase_record("app", i, 50.0 * i, 50.0), time=50.0 * i + 2)
-        assert provider.period_of("app") is not None
+        # Nothing was streamed into the service: the estimate is the one the
+        # scheduler's hook fed the provider.
+        assert service.publisher.latest_period("app") is None
+        assert provider.period_of("app") == pytest.approx(50.0)
 
     def test_end_to_end_simulation_with_set10(self):
         fs = SharedFileSystem(capacity=1e9)

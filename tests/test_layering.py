@@ -8,11 +8,11 @@ replay, the service's batch loop — reaches them downwards.  An import against
 that direction would let a second copy of the pipeline grow where it could not
 be shared, so the edges are asserted here.
 
-Recorded, not asserted: ``service ↔ scheduling ↔ cluster`` is a cycle
-(``service.provider`` imports ``scheduling.periods`` and, like
-``service.bridge``, ``cluster.job``; ``scheduling.periods`` imports
-``service.provider`` and ``cluster.simulator`` imports ``scheduling.baseline``,
-both inside a function), left alone.
+``scheduling`` sits above ``service``: Figure 17's FTIO configurations build
+a service and read its published periods, and nothing in ``service`` names a
+scheduler.  Recorded, not asserted: ``cluster.simulator`` imports
+``scheduling.baseline`` inside a function (its default scheduler), and
+``service.bridge`` imports ``cluster.job`` for the phase records it streams.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ FORBIDDEN = {
     "trace": {"freq", "core", "service"},
     "freq": {"trace", "core", "service"},
     "core": {"service", "client", "api"},
+    "service": {"scheduling"},
 }
 
 

@@ -4,8 +4,9 @@ The smoke scripts lived as Python inside ``.github/workflows/ci.yml`` until
 PR 21, where nothing but a CI runner could execute them; the workflow now
 calls the files and this test calls their ``main()``.  ``quickstart.py`` and
 ``online_prediction.py`` are what the README sends a reader to first and print
-periods.  Every example that writes files runs with the temporary directory
-redirected, which it must leave empty.
+periods; ``io_scheduling.py`` runs Figure 17 on the streaming service.  Every
+example that writes files runs with the temporary directory redirected, which
+it must leave empty.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ def test_quickstart_detects_its_own_period(capsys):
     error = re.search(r"detection error:\s+([0-9.]+)%", out)
     assert error is not None, out
     assert float(error.group(1)) < 5.0
+
+
+def test_io_scheduling_cuts_the_io_slowdown(capsys):
+    out = _run("io_scheduling.py", capsys)
+    assert re.search(r"^configuration\s+stretch\s+I/O slowdown\s+utilization$", out, re.M), out
+    change = re.search(r"^\s+I/O slowdown\s+([+-]\d+)% \(paper: -56%\)$", out, re.M)
+    assert change is not None, out
+    assert int(change.group(1)) < 0
 
 
 def _tracks_the_generator(out: str) -> None:
